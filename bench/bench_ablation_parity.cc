@@ -147,7 +147,7 @@ double fs_seq_write(int parity_devices) {
   run.nthreads = 1;
   run.max_ops = 1'000;
   run.horizon = 20 * sim::kSecond;
-  run.parity_devices = parity_devices;
+  run.mount_opts = "parity=" + std::to_string(parity_devices);
   wl::SharedFile file;
   auto stats = run_bench(run, [&](wl::TestBed& bed, int tid) {
     return std::make_unique<wl::WriteMicro>(bed, file, /*sequential=*/true,

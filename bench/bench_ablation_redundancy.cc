@@ -117,7 +117,7 @@ double fs_seq_write(int nmirrors) {
   run.nthreads = 1;
   run.max_ops = 1'000;
   run.horizon = 20 * sim::kSecond;
-  run.mirror_devices = nmirrors;
+  run.mount_opts = "mirror=" + std::to_string(nmirrors);
   wl::SharedFile file;
   auto stats = run_bench(run, [&](wl::TestBed& bed, int tid) {
     return std::make_unique<wl::WriteMicro>(bed, file, /*sequential=*/true,

@@ -118,8 +118,8 @@ sim::RunStats fs_seq_write(int ndev) {
   run.nthreads = 1;
   run.max_ops = 1'000;
   run.horizon = 20 * sim::kSecond;
-  run.stripe_devices = ndev;
-  run.stripe_chunk_blocks = kChunkBlocks;
+  run.mount_opts = "stripe=" + std::to_string(ndev) +
+                   ",chunk=" + std::to_string(kChunkBlocks);
   wl::SharedFile file;
   return run_bench(run, [&](wl::TestBed& bed, int tid) {
     return std::make_unique<wl::WriteMicro>(bed, file, /*sequential=*/true,

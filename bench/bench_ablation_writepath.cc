@@ -42,9 +42,9 @@ struct FsRow {
 FsRow fs_seq_write(const std::string& fs, int ndev, const char* opts) {
   wl::BedOptions bopts;
   bopts.fs = fs;
-  bopts.mount_opts = opts;
-  bopts.stripe_devices = ndev;
-  bopts.stripe_chunk_blocks = kChunkBlocks;
+  const std::string volume = "stripe=" + std::to_string(ndev) +
+                             ",chunk=" + std::to_string(kChunkBlocks);
+  bopts.mount_opts = join_opts({opts, volume});
   wl::TestBed bed(bopts);
   wl::SharedFile file;
   std::vector<std::unique_ptr<sim::Workload>> jobs;

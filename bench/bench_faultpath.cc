@@ -65,8 +65,7 @@ class FsyncWrite final : public sim::Workload {
 
 struct Config {
   const char* name;
-  int mirror = 1;
-  int parity = 1;
+  const char* volume;  // volume-layout mount options
 };
 
 /// Retries execute on the queue where the fault fired: the volume's own
@@ -94,14 +93,7 @@ struct Result {
 /// before the workload starts and cleared before unmount, so teardown
 /// flushes run healthy.
 Result run_faultpath(const BenchRun& cfg, bool faulted) {
-  wl::BedOptions opts;
-  opts.fs = cfg.fs;
-  opts.device_blocks = cfg.device_blocks;
-  opts.mount_opts = cfg.mount_opts;
-  opts.device = cfg.device;
-  opts.mirror_devices = cfg.mirror_devices;
-  opts.parity_devices = cfg.parity_devices;
-  wl::TestBed bed(opts);
+  wl::TestBed bed(cfg.bed());
 
   sim::SimThread armer(-2);
   if (faulted) {
@@ -148,7 +140,7 @@ int main() {
 
   JsonReport json("faultpath", "ops/s");
   const Config configs[] = {
-      {"plain", 1, 1}, {"mirror2", 2, 1}, {"parity4", 1, 4}};
+      {"plain", ""}, {"mirror2", "mirror=2"}, {"parity4", "parity=4"}};
   bool retry_engaged = false;
   for (const Config& c : configs) {
     reset_costs();
@@ -157,12 +149,11 @@ int main() {
     run.nthreads = 1;
     run.horizon = 30 * sim::kSecond;
     run.max_ops = 1'500;
-    run.mirror_devices = c.mirror;
-    run.parity_devices = c.parity;
     // Bounded retry heals every scheduled fault: the 200us backoff always
     // clears the 50us down window. Trace ring armed for the artifact
     // upload (retried bios — do not blkparse).
-    run.mount_opts = "retries=4,retry_backoff_us=200,trace=200000";
+    run.mount_opts =
+        join_opts({c.volume, "retries=4,retry_backoff_us=200,trace=200000"});
     run.stats_path = std::string("STATS_faultpath_") + c.name + ".json";
     run.trace_path = std::string("TRACE_faultpath_") + c.name + ".jsonl";
 

@@ -61,8 +61,7 @@ class FsyncWrite final : public sim::Workload {
 
 struct Config {
   const char* name;
-  int stripe = 1;
-  int parity = 1;
+  const char* volume;  // volume-layout mount options
 };
 
 }  // namespace
@@ -74,7 +73,7 @@ int main() {
 
   JsonReport json("fsynclat", "ops/s");
   const Config configs[] = {
-      {"plain", 1, 1}, {"striped4", 4, 1}, {"parity4", 1, 4}};
+      {"plain", ""}, {"striped4", "stripe=4"}, {"parity4", "parity=4"}};
   for (const Config& c : configs) {
     reset_costs();
     BenchRun run;
@@ -82,11 +81,9 @@ int main() {
     run.nthreads = 1;
     run.horizon = 30 * sim::kSecond;
     run.max_ops = 2'000;
-    run.stripe_devices = c.stripe;
-    run.parity_devices = c.parity;
     // Arm the trace ring and leave a snapshot + trace next to the
     // binary for the analyzer smoke run (ring sized to hold the run).
-    run.mount_opts = "trace=200000";
+    run.mount_opts = join_opts({c.volume, "trace=200000"});
     run.stats_path = std::string("STATS_fsynclat_") + c.name + ".json";
     run.trace_path = std::string("TRACE_fsynclat_") + c.name + ".jsonl";
     const sim::RunStats stats =

@@ -4,11 +4,14 @@
 
 #include <cstdio>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/cost_model.h"
+#include "sim/jsonw.h"
 #include "sim/runner.h"
 #include "workloads/macro.h"
 #include "workloads/micro.h"
@@ -38,35 +41,35 @@ struct BenchRun {
   sim::Nanos horizon = 60 * sim::kSecond;
   std::uint64_t max_ops = 0;
   std::uint64_t device_blocks = 262'144;  // 1 GiB
-  std::string mount_opts;
+  std::string mount_opts;   // volume layout + FS tuning (blockdev/opts.h)
   blk::DeviceParams device;  // latency model (nblocks overridden)
-  int stripe_devices = 1;    // >1: mount on a striped volume
-  std::uint64_t stripe_chunk_blocks = 16;
-  int mirror_devices = 1;    // >1: mirror each member (RAID1 / RAID10)
-  blk::MirrorReadPolicy mirror_policy = blk::MirrorReadPolicy::RoundRobin;
-  int parity_devices = 1;    // >=2: RAID5 data columns (RAID50 if striped)
-  std::uint64_t parity_chunk_blocks = 16;
-  int spare_devices = 0;
   // ---- observability dumps (written while the bed is still mounted) ----
   std::string stats_path;  // non-empty: Kernel::dump_stats() JSON snapshot
   std::string trace_path;  // non-empty: trace ring JSONL (needs "trace=N")
+
+  /// The deployment this run mounts.
+  [[nodiscard]] wl::BedOptions bed() const {
+    return {.fs = fs,
+            .device_blocks = device_blocks,
+            .device = device,
+            .mount_opts = mount_opts};
+  }
 };
+
+/// Join mount-option strings, skipping empty ones.
+inline std::string join_opts(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (const std::string_view p : parts) {
+    if (p.empty()) continue;
+    if (!out.empty()) out += ',';
+    out += p;
+  }
+  return out;
+}
 
 inline sim::RunStats run_bench(const BenchRun& cfg,
                                const WorkloadFactory& factory) {
-  wl::BedOptions opts;
-  opts.fs = cfg.fs;
-  opts.device_blocks = cfg.device_blocks;
-  opts.mount_opts = cfg.mount_opts;
-  opts.device = cfg.device;
-  opts.stripe_devices = cfg.stripe_devices;
-  opts.stripe_chunk_blocks = cfg.stripe_chunk_blocks;
-  opts.mirror_devices = cfg.mirror_devices;
-  opts.mirror_policy = cfg.mirror_policy;
-  opts.parity_devices = cfg.parity_devices;
-  opts.parity_chunk_blocks = cfg.parity_chunk_blocks;
-  opts.spare_devices = cfg.spare_devices;
-  wl::TestBed bed(opts);
+  wl::TestBed bed(cfg.bed());
   std::vector<std::unique_ptr<sim::Workload>> jobs;
   jobs.reserve(static_cast<std::size_t>(cfg.nthreads));
   for (int t = 0; t < cfg.nthreads; ++t) jobs.push_back(factory(bed, t));
@@ -136,19 +139,11 @@ class JsonReport {
         "down");
   }
 
-  /// Record the provenance of one measured configuration.
+  /// Record the provenance of one measured configuration. The mount
+  /// options are the whole volume description.
   void add_config(std::string cname, const BenchRun& run) {
-    Config c;
-    c.name = std::move(cname);
-    c.fs = run.fs;
-    c.mount_opts = run.mount_opts;
-    c.nthreads = run.nthreads;
-    c.device_blocks = run.device_blocks;
-    c.stripe_devices = run.stripe_devices;
-    c.mirror_devices = run.mirror_devices;
-    c.parity_devices = run.parity_devices;
-    c.spare_devices = run.spare_devices;
-    configs_.push_back(std::move(c));
+    configs_.push_back(Config{std::move(cname), run.fs, run.mount_opts,
+                              run.nthreads, run.device_blocks});
   }
 
  private:
@@ -166,68 +161,45 @@ class JsonReport {
     std::string mount_opts;
     int nthreads = 1;
     std::uint64_t device_blocks = 0;
-    int stripe_devices = 1;
-    int mirror_devices = 1;
-    int parity_devices = 1;
-    int spare_devices = 0;
   };
 
-  static void escape(std::FILE* f, const std::string& s) {
-    for (const char c : s) {
-      if (c == '"' || c == '\\') std::fputc('\\', f);
-      std::fputc(c, f);
-    }
-  }
-
   void write() const {
+    sim::JsonWriter w;
+    w.begin_object();
+    w.field("bench", name_);
+    w.field("schema_version", std::uint64_t{2});
+    w.field("unit", unit_);
+    if (!configs_.empty()) {
+      w.key("configs");
+      w.begin_array();
+      for (const Config& c : configs_) {
+        w.begin_object();
+        w.field("name", c.name);
+        w.field("fs", c.fs);
+        w.field("mount_opts", c.mount_opts);
+        w.field("threads", std::int64_t{c.nthreads});
+        w.field("device_blocks", c.device_blocks);
+        w.end_object();
+      }
+      w.end_array();
+    }
+    w.key("rows");
+    w.begin_array();
+    for (const Row& r : rows_) {
+      w.begin_object();
+      w.field("series", r.series);
+      w.field("label", r.label);
+      w.field("value", r.value);
+      if (!r.unit.empty()) w.field("unit", r.unit);
+      if (!r.direction.empty()) w.field("direction", r.direction);
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
     const std::string path = "BENCH_" + name_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return;
-    std::fprintf(f,
-                 "{\n  \"bench\": \"%s\",\n  \"schema_version\": 2,\n"
-                 "  \"unit\": \"%s\",\n",
-                 name_.c_str(), unit_.c_str());
-    if (!configs_.empty()) {
-      std::fprintf(f, "  \"configs\": [\n");
-      for (std::size_t i = 0; i < configs_.size(); ++i) {
-        const Config& c = configs_[i];
-        std::fprintf(f, "    {\"name\": \"");
-        escape(f, c.name);
-        std::fprintf(f, "\", \"fs\": \"");
-        escape(f, c.fs);
-        std::fprintf(f, "\", \"mount_opts\": \"");
-        escape(f, c.mount_opts);
-        std::fprintf(f,
-                     "\", \"threads\": %d, \"device_blocks\": %llu, "
-                     "\"stripe_devices\": %d, \"mirror_devices\": %d, "
-                     "\"parity_devices\": %d, \"spare_devices\": %d}%s\n",
-                     c.nthreads,
-                     static_cast<unsigned long long>(c.device_blocks),
-                     c.stripe_devices, c.mirror_devices, c.parity_devices,
-                     c.spare_devices, i + 1 < configs_.size() ? "," : "");
-      }
-      std::fprintf(f, "  ],\n");
-    }
-    std::fprintf(f, "  \"rows\": [\n");
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      std::fprintf(f, "    {\"series\": \"");
-      escape(f, rows_[i].series);
-      std::fprintf(f, "\", \"label\": \"");
-      escape(f, rows_[i].label);
-      std::fprintf(f, "\", \"value\": %.6g", rows_[i].value);
-      if (!rows_[i].unit.empty()) {
-        std::fprintf(f, ", \"unit\": \"");
-        escape(f, rows_[i].unit);
-        std::fprintf(f, "\"");
-      }
-      if (!rows_[i].direction.empty()) {
-        std::fprintf(f, ", \"direction\": \"");
-        escape(f, rows_[i].direction);
-        std::fprintf(f, "\"");
-      }
-      std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "%s\n", w.str().c_str());
     std::fclose(f);
   }
 

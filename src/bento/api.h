@@ -111,9 +111,9 @@ class FileSystem {
 
   // ---- lifecycle ----
   /// Mount-option delivery, called by the mounting driver BEFORE init()
-  /// with the free-form "-o" string. File systems parse what they
-  /// recognize and ignore the rest; wrapper file systems forward to the
-  /// file system they stack over. Default: ignore everything.
+  /// with the "-o" string Kernel::mount validated. File systems read the
+  /// fields they use from blk::parse_mount_opts; wrapper file systems
+  /// forward to the file system they stack over. Default: ignore it.
   virtual void apply_mount_opts(std::string_view opts) { (void)opts; }
   /// Append this file system's stats objects (each with a "struct" key
   /// naming its type) to an OPEN JSON array — the unified snapshot hook

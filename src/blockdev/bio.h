@@ -167,6 +167,8 @@ struct RetryPolicy {
   std::uint32_t max_retries = 0;
   sim::Nanos backoff = sim::usec(50);
   sim::Nanos deadline = 0;  // 0 = no deadline
+
+  bool operator==(const RetryPolicy&) const = default;
 };
 
 /// Value-batch to pointer-batch conversion (the device layer's plug and

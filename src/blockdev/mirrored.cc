@@ -4,35 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "blockdev/opts.h"
 
 namespace bsim::blk {
-
-MirrorParams merge_mirror_opts(std::string_view opts, MirrorParams base) {
-  for_each_opt_token(opts, [&](std::string_view tok) {
-    std::uint64_t n = 0;
-    if (opt_num_after(tok, "mirror=", n) && n >= 1) {
-      base.nmirrors = static_cast<std::size_t>(n);
-    } else if (tok == "policy=rr") {
-      base.policy = MirrorReadPolicy::RoundRobin;
-    } else if (tok == "policy=sq") {
-      base.policy = MirrorReadPolicy::ShortestQueue;
-    } else if (opt_num_after(tok, "spare=", n)) {
-      base.nspares = static_cast<std::size_t>(n);
-    } else if (tok == "scrub") {
-      base.auto_scrub = true;
-    }
-  });
-  return base;
-}
-
-std::optional<MirrorParams> mirror_params_from_opts(std::string_view opts) {
-  MirrorParams off;
-  off.nmirrors = 1;  // mirroring only on an explicit mirror=N>1 token
-  const MirrorParams merged = merge_mirror_opts(opts, off);
-  if (merged.nmirrors <= 1) return std::nullopt;
-  return merged;
-}
 
 DeviceParams MirroredDevice::volume_params(
     const std::vector<DeviceParams>& members) {

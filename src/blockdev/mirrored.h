@@ -47,8 +47,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "blockdev/aggregate.h"
@@ -70,16 +68,6 @@ struct MirrorParams {
   /// that poked it before the rebuild yields to foreground I/O.
   sim::Nanos rebuild_lead = 2 * sim::kMillisecond;
 };
-
-/// Apply any "mirror=N", "policy=rr|sq", "spare=N", "scrub" tokens in
-/// `opts` onto `base` (same override-by-token contract as
-/// merge_stripe_opts; "mirror=1" disables mirroring, unrelated tokens are
-/// ignored).
-MirrorParams merge_mirror_opts(std::string_view opts, MirrorParams base);
-
-/// Parse a mirror selection out of a free-form mount-option string.
-/// Returns nullopt when the string does not itself select mirroring.
-std::optional<MirrorParams> mirror_params_from_opts(std::string_view opts);
 
 struct MirrorVolumeStats {
   std::uint64_t batches = 0;        // submit() + submit_async() calls

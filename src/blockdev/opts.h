@@ -1,13 +1,27 @@
-// Shared mount-option tokenizer for the volume layers (striped, mirrored).
-// One place owns the token syntax: ","/" "-separated tokens, numeric
-// values parsed whole ("chunk=16k" is malformed, not 16).
+// The mount-option vocabulary. A mount-option string is the only
+// description of a volume and its deployment: Kernel::add_volume builds
+// the device tree from it, Kernel::mount arms tracing, retry and the
+// errors= policy from it, and each file system type tunes itself from the
+// same string. One declarative table (kMountOptTable, the shape of Linux's
+// fs_parameter_spec) both parses and validates it, so the vocabulary
+// cannot drift from its consumers: a token outside the table, a malformed
+// number, or a number out of its entry's range rejects the whole string.
+//
+// Syntax: ","/" "-separated tokens; a number is a whole decimal that fits
+// in 32 bits ("chunk=16k" is malformed, not 16). Tokens apply left to
+// right, so the last one wins ("nogroup,max_log_batch=4" batches 4 ops per
+// commit).
 #pragma once
 
 #include <charconv>
 #include <cstdint>
-#include <string>
+#include <limits>
+#include <optional>
 #include <string_view>
-#include <vector>
+
+#include "blockdev/bio.h"
+#include "blockdev/mirrored.h"
+#include "blockdev/striped.h"
 
 namespace bsim::blk {
 
@@ -24,57 +38,134 @@ void for_each_opt_token(std::string_view opts, Fn&& fn) {
   }
 }
 
-/// If `tok` is "<prefix><digits>", parse the number into `out`. The whole
-/// value must be digits; any trailing junk rejects the token.
-inline bool opt_num_after(std::string_view tok, std::string_view prefix,
-                          std::uint64_t& out) {
-  if (!tok.starts_with(prefix)) return false;
-  const std::string_view v = tok.substr(prefix.size());
-  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  return ec == std::errc{} && ptr == v.data() + v.size();
-}
+/// What a file-system error (a journal abort) does to the mount.
+enum class ErrorsMode : std::uint8_t {
+  RemountRo,  // flip read-only: reads keep serving, writes fail RoFs
+  Continue,   // record and keep going (errors still report via errseq)
+  Panic,      // abort the simulation
+};
 
-/// Whether `tok` is in the full vocabulary the volume layers and file
-/// systems accept. Every consumer still parses only the tokens it cares
-/// about; this is the union, maintained so strict mount validation can
-/// reject typos ("mirrro=2", "chunk=16k") instead of silently mounting
-/// with the option ignored.
-inline bool known_opt_token(std::string_view tok) {
-  static constexpr std::string_view kExact[] = {
-      "rw",       "linear",  "nogroup", "nopipeline",
-      "noplug",   "noflusher", "io_uring", "extfuse",
-      "scrub",    "lax_opts", "policy=rr", "policy=sq",
-      "errors=remount-ro", "errors=continue", "errors=panic"};
-  static constexpr std::string_view kNumeric[] = {
-      "stripe=", "chunk=", "mirror=", "parity=",
-      "spare=",  "max_log_batch=", "log_blocks=", "trace=",
-      "retries=", "retry_backoff_us=", "io_deadline_ms="};
-  for (const std::string_view k : kExact) {
-    if (tok == k) return true;
-  }
-  std::uint64_t n = 0;
-  for (const std::string_view p : kNumeric) {
-    if (opt_num_after(tok, p, n)) return true;
-  }
-  return false;
-}
+/// Every option a mount accepts, typed. The defaults are what an empty
+/// option string means.
+struct MountOpts {
+  // ---- the volume (Kernel::add_volume) ----
+  std::size_t stripe = 1;    // RAID0 members (1: not striped)
+  std::uint64_t chunk = 16;  // stripe and parity chunk, in blocks
+  StripeMode stripe_mode = StripeMode::Raid0;
+  std::size_t mirror = 1;    // RAID1 replicas (1: not mirrored)
+  MirrorReadPolicy policy = MirrorReadPolicy::RoundRobin;
+  std::size_t parity = 0;    // RAID5 data columns (<2: no parity)
+  std::size_t spares = 0;    // hot spares per redundant leaf
+  bool scrub = false;        // one verify pass from the first submission
+  // ---- the device tree, armed before the file system mounts ----
+  std::size_t trace = 0;     // trace-ring capacity in events (0: off)
+  RetryPolicy retry;         // bounded retry of transient errors
+  // ---- the mount ----
+  ErrorsMode errors = ErrorsMode::RemountRo;
+  bool flusher = true;            // background writeback threads
+  bool plug = true;               // request plugging (flusher + journal)
+  bool pipeline = true;           // pipelined journal commits (xv6, ext4)
+  std::size_t max_log_batch = 8;  // xv6 group commit: ops per commit
+  std::size_t log_blocks = 0;     // xv6 group commit block trigger (0: auto)
+  bool io_uring = false;          // FUSE daemon batches its block I/O
+  bool extfuse = false;           // FUSE eBPF metadata caches
 
-/// The unrecognized tokens of a mount-option string (empty: all known).
-inline std::vector<std::string> unknown_opt_tokens(std::string_view opts) {
-  std::vector<std::string> bad;
-  for_each_opt_token(opts, [&](std::string_view tok) {
-    if (!known_opt_token(tok)) bad.emplace_back(tok);
-  });
-  return bad;
-}
+  bool operator==(const MountOpts&) const = default;
+};
 
-/// The "lax_opts" escape hatch: this mount opts out of strict validation
-/// (for experiments carrying options the vocabulary does not know yet).
-inline bool opts_lax(std::string_view opts) {
-  bool lax = false;
+enum class OptKind : std::uint8_t {
+  Flag,    // a bare word ("linear")
+  Enum,    // one value of an enumerated option ("policy=sq")
+  Number,  // "key=N", N a 32-bit decimal >= the entry's minimum
+};
+
+/// One table entry: the token (for a Number, the "key=" before N), its
+/// kind, the smallest N a Number accepts, and the MountOpts field it sets.
+struct OptSpec {
+  std::string_view token;
+  OptKind kind;
+  std::uint64_t min;
+  void (*set)(MountOpts& o, std::uint64_t n);
+};
+
+namespace opt_table {
+using K = OptKind;
+using M = MountOpts;
+using N = std::uint64_t;
+
+inline constexpr OptSpec kEntries[] = {
+    {"stripe=", K::Number, 1, [](M& o, N n) { o.stripe = n; }},
+    {"chunk=", K::Number, 1, [](M& o, N n) { o.chunk = n; }},
+    {"linear", K::Flag, 0,
+     [](M& o, N) { o.stripe_mode = StripeMode::Linear; }},
+    {"mirror=", K::Number, 1, [](M& o, N n) { o.mirror = n; }},
+    {"policy=rr", K::Enum, 0,
+     [](M& o, N) { o.policy = MirrorReadPolicy::RoundRobin; }},
+    {"policy=sq", K::Enum, 0,
+     [](M& o, N) { o.policy = MirrorReadPolicy::ShortestQueue; }},
+    {"parity=", K::Number, 0, [](M& o, N n) { o.parity = n; }},
+    {"spare=", K::Number, 0, [](M& o, N n) { o.spares = n; }},
+    {"scrub", K::Flag, 0, [](M& o, N) { o.scrub = true; }},
+    {"trace=", K::Number, 0, [](M& o, N n) { o.trace = n; }},
+    {"retries=", K::Number, 0,
+     [](M& o, N n) { o.retry.max_retries = static_cast<std::uint32_t>(n); }},
+    {"retry_backoff_us=", K::Number, 0,
+     [](M& o, N n) {
+       o.retry.backoff = sim::usec(static_cast<sim::Nanos>(n));
+     }},
+    {"io_deadline_ms=", K::Number, 0,
+     [](M& o, N n) {
+       o.retry.deadline = sim::msec(static_cast<sim::Nanos>(n));
+     }},
+    {"errors=remount-ro", K::Enum, 0,
+     [](M& o, N) { o.errors = ErrorsMode::RemountRo; }},
+    {"errors=continue", K::Enum, 0,
+     [](M& o, N) { o.errors = ErrorsMode::Continue; }},
+    {"errors=panic", K::Enum, 0, [](M& o, N) { o.errors = ErrorsMode::Panic; }},
+    {"rw", K::Flag, 0, [](M&, N) {}},  // mounts are read-write already
+    {"noflusher", K::Flag, 0, [](M& o, N) { o.flusher = false; }},
+    {"noplug", K::Flag, 0, [](M& o, N) { o.plug = false; }},
+    {"nopipeline", K::Flag, 0, [](M& o, N) { o.pipeline = false; }},
+    {"max_log_batch=", K::Number, 1, [](M& o, N n) { o.max_log_batch = n; }},
+    {"nogroup", K::Flag, 0, [](M& o, N) { o.max_log_batch = 1; }},
+    {"log_blocks=", K::Number, 1, [](M& o, N n) { o.log_blocks = n; }},
+    {"io_uring", K::Flag, 0, [](M& o, N) { o.io_uring = true; }},
+    {"extfuse", K::Flag, 0, [](M& o, N) { o.extfuse = true; }},
+};
+}  // namespace opt_table
+
+/// The whole vocabulary, in the order ARCHITECTURE.md documents it.
+inline constexpr auto& kMountOptTable = opt_table::kEntries;
+
+/// Parse and validate a mount-option string through kMountOptTable.
+/// nullopt when any token is unknown, malformed, or out of range.
+inline std::optional<MountOpts> parse_mount_opts(std::string_view opts) {
+  MountOpts o;
+  auto apply = [&o](std::string_view tok) {
+    for (const OptSpec& s : kMountOptTable) {
+      if (s.kind != OptKind::Number) {
+        if (tok != s.token) continue;
+        s.set(o, 0);
+        return true;
+      }
+      if (!tok.starts_with(s.token)) continue;
+      const std::string_view v = tok.substr(s.token.size());
+      std::uint64_t n = 0;
+      const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+      if (ec != std::errc{} || end != v.data() + v.size() || n < s.min ||
+          n > std::numeric_limits<std::uint32_t>::max()) {
+        return false;
+      }
+      s.set(o, n);
+      return true;
+    }
+    return false;
+  };
+  bool ok = true;
   for_each_opt_token(opts,
-                     [&](std::string_view tok) { lax = lax || tok == "lax_opts"; });
-  return lax;
+                     [&](std::string_view tok) { ok = ok && apply(tok); });
+  if (!ok) return std::nullopt;
+  return o;
 }
 
 }  // namespace bsim::blk

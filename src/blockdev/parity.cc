@@ -5,7 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "blockdev/opts.h"
 #include "sim/thread.h"
 
 namespace bsim::blk {
@@ -24,30 +23,6 @@ bool all_zero(const BlockData& b) {
 }
 
 }  // namespace
-
-ParityParams merge_parity_opts(std::string_view opts, ParityParams base) {
-  for_each_opt_token(opts, [&](std::string_view tok) {
-    std::uint64_t n = 0;
-    if (opt_num_after(tok, "parity=", n)) {
-      base.ndata = static_cast<std::size_t>(n);
-    } else if (opt_num_after(tok, "chunk=", n) && n >= 1) {
-      base.chunk_blocks = n;
-    } else if (opt_num_after(tok, "spare=", n)) {
-      base.nspares = static_cast<std::size_t>(n);
-    } else if (tok == "scrub") {
-      base.auto_scrub = true;
-    }
-  });
-  return base;
-}
-
-std::optional<ParityParams> parity_params_from_opts(std::string_view opts) {
-  ParityParams off;
-  off.ndata = 0;  // parity only on an explicit parity=N>=2 token
-  const ParityParams merged = merge_parity_opts(opts, off);
-  if (merged.ndata < 2) return std::nullopt;
-  return merged;
-}
 
 // ---- geometry ----
 

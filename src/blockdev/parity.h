@@ -56,8 +56,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "blockdev/aggregate.h"
@@ -76,16 +74,6 @@ struct ParityParams {
   std::size_t rebuild_batch = 64;
   sim::Nanos rebuild_lead = 2 * sim::kMillisecond;
 };
-
-/// Apply any "parity=N", "chunk=M", "spare=N", "scrub" tokens in `opts`
-/// onto `base` (same override-by-token contract as merge_stripe_opts;
-/// "parity=0"/"parity=1" disables parity, unrelated tokens are ignored).
-ParityParams merge_parity_opts(std::string_view opts, ParityParams base);
-
-/// Parse a parity selection out of a free-form mount-option string.
-/// Returns nullopt when the string does not itself select parity
-/// (no "parity=" token, or fewer than two data columns).
-std::optional<ParityParams> parity_params_from_opts(std::string_view opts);
 
 struct ParityVolumeStats {
   std::uint64_t batches = 0;        // submit() + submit_async() calls

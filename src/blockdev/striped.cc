@@ -4,31 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "blockdev/opts.h"
 
 namespace bsim::blk {
-
-StripeParams merge_stripe_opts(std::string_view opts, StripeParams base) {
-  for_each_opt_token(opts, [&](std::string_view tok) {
-    std::uint64_t n = 0;
-    if (opt_num_after(tok, "stripe=", n) && n >= 1) {
-      base.ndevices = static_cast<std::size_t>(n);
-    } else if (opt_num_after(tok, "chunk=", n) && n > 0) {
-      base.chunk_blocks = n;
-    } else if (tok == "linear") {
-      base.mode = StripeMode::Linear;
-    }
-  });
-  return base;
-}
-
-std::optional<StripeParams> stripe_params_from_opts(std::string_view opts) {
-  StripeParams off;
-  off.ndevices = 1;  // striping only on an explicit stripe=N>1 token
-  const StripeParams merged = merge_stripe_opts(opts, off);
-  if (merged.ndevices <= 1) return std::nullopt;
-  return merged;
-}
 
 DeviceParams StripedDevice::volume_params(
     const StripeParams& sp, const std::vector<DeviceParams>& children) {

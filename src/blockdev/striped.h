@@ -30,8 +30,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "blockdev/aggregate.h"
@@ -45,18 +43,6 @@ struct StripeParams {
   std::uint64_t chunk_blocks = 16;  // 64 KiB chunks
   StripeMode mode = StripeMode::Raid0;
 };
-
-/// Apply any "stripe=N", "chunk=M", "linear" tokens in `opts` onto
-/// `base`: a token that is present overrides that field, absent tokens
-/// leave the caller's configuration untouched ("stripe=1" disables
-/// striping). Unrelated tokens are ignored, so the same string can be
-/// passed on to the file system unchanged.
-StripeParams merge_stripe_opts(std::string_view opts, StripeParams base);
-
-/// Parse a stripe selection out of a free-form mount-option string.
-/// Returns nullopt when the string does not itself select striping
-/// (no "stripe=" token, or "stripe=1").
-std::optional<StripeParams> stripe_params_from_opts(std::string_view opts);
 
 /// Volume-level submission accounting (the member queues keep their own
 /// RequestQueueStats underneath).

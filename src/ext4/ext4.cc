@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "blockdev/opts.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -1398,9 +1399,7 @@ class Ext4FsType final : public kern::FileSystemType {
     auto mnt = std::make_unique<Ext4Mount>(*sb);
     sb->fs_info = mnt.get();
     sb->s_op = mnt.get();
-    if (opts.find("nopipeline") != std::string_view::npos) {
-      mnt->set_pipeline(false);
-    }
+    mnt->set_pipeline(blk::parse_mount_opts(opts).value().pipeline);
     Err e = mnt->mount_init();
     if (e != Err::Ok) return e;
     Ext4Mount* m = mnt.get();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "blockdev/opts.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -227,19 +228,18 @@ kern::Result<kern::SuperBlock*> FuseFsType::mount(blk::BlockDevice& dev,
                           kern::kORdWr | kern::kODirect);
   if (!fd.ok()) return fd.error();
 
-  // "-o io_uring": the daemon batches its block I/O submissions (§8.1).
-  const bool use_uring = opts.find("io_uring") != std::string_view::npos;
+  const blk::MountOpts mo = blk::parse_mount_opts(opts).value();
 
   auto sb = std::make_unique<kern::SuperBlock>(dev, /*buffer_cache=*/16384);
   sb->fs_name = name_;
   auto backend = std::make_unique<bento::UserBlockBackend>(
       *kernel_, *daemon, fd.value(), dev.nblocks(), /*cache_blocks=*/4096,
-      use_uring);
+      /*use_uring=*/mo.io_uring);  // "-o io_uring": batched daemon I/O (§8.1)
   auto module =
       std::make_unique<FuseModule>(*sb, factory_(), std::move(backend),
                                    std::move(daemon), fd.value());
   // "-o extfuse": attach the eBPF metadata caches (paper §2.2, [5]).
-  if (opts.find("extfuse") != std::string_view::npos) {
+  if (mo.extfuse) {
     module->attach_extfuse(std::make_unique<ExtFuseFilter>());
   }
   sb->fs_info = static_cast<bento::BentoModule*>(module.get());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "blockdev/opts.h"
 #include "kernel/vfs.h"
 #include "sim/thread.h"
 
@@ -139,8 +140,9 @@ void Flusher::wait_idle() { sim::current().wait_until(thread_.now()); }
 
 void maybe_attach_flusher(SuperBlock& sb, std::string_view opts,
                           FlusherParams params) {
-  if (opts.find("noflusher") != std::string_view::npos) return;
-  if (opts.find("noplug") != std::string_view::npos) params.use_plug = false;
+  const blk::MountOpts mo = blk::parse_mount_opts(opts).value();
+  if (!mo.flusher) return;
+  params.use_plug = mo.plug;
   // One flusher per member device: a plain device gets one; a striped
   // volume gets fan_out() of them, each owning one member's writeback
   // and backpressure.

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
+#include <stdexcept>
 
+#include "blockdev/mirrored.h"
 #include "blockdev/opts.h"
+#include "blockdev/parity.h"
+#include "blockdev/striped.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -70,77 +75,38 @@ blk::BlockDevice& Kernel::add_device(std::string name,
   return *raw;
 }
 
-blk::StripedDevice& Kernel::add_striped_device(std::string name,
-                                               blk::StripeParams sp,
-                                               blk::DeviceParams child_params) {
-  auto dev = std::make_unique<blk::StripedDevice>(sp, child_params);
-  auto* raw = dev.get();
-  add_device(std::move(name), std::move(dev));
-  return *raw;
-}
-
-blk::MirroredDevice& Kernel::add_mirrored_device(
-    std::string name, blk::MirrorParams mp, blk::DeviceParams member_params) {
-  auto dev = std::make_unique<blk::MirroredDevice>(mp, member_params);
-  auto* raw = dev.get();
-  add_device(std::move(name), std::move(dev));
-  return *raw;
-}
-
-blk::ParityDevice& Kernel::add_parity_device(std::string name,
-                                             blk::ParityParams pp,
-                                             blk::DeviceParams params) {
-  auto dev = std::make_unique<blk::ParityDevice>(
-      pp, parity_member_shape(pp, params));
-  auto* raw = dev.get();
-  add_device(std::move(name), std::move(dev));
-  return *raw;
-}
-
-blk::BlockDevice& Kernel::add_volume(std::string name,
-                                     std::optional<blk::StripeParams> sp,
-                                     std::optional<blk::MirrorParams> mp,
+blk::BlockDevice& Kernel::add_volume(std::string name, std::string_view opts,
                                      blk::DeviceParams params) {
-  const bool striped = sp.has_value() && sp->ndevices > 1;
-  const bool mirrored = mp.has_value() && mp->nmirrors > 1;
-  if (striped) {
-    blk::DeviceParams child = params;
-    child.nblocks = params.nblocks / sp->ndevices;
-    if (!mirrored) return add_striped_device(std::move(name), *sp, child);
-    // RAID10: a stripe whose members are mirrors.
-    std::vector<std::unique_ptr<blk::BlockDevice>> children;
-    children.reserve(sp->ndevices);
-    for (std::size_t i = 0; i < sp->ndevices; ++i) {
-      children.push_back(std::make_unique<blk::MirroredDevice>(*mp, child));
+  const std::optional<blk::MountOpts> mo = blk::parse_mount_opts(opts);
+  if (!mo) throw std::invalid_argument("bad volume options");
+  blk::MirrorParams mp;
+  mp.nmirrors = mo->mirror;
+  mp.policy = mo->policy;
+  mp.nspares = mo->spares;
+  mp.auto_scrub = mo->scrub;
+  blk::ParityParams pp;
+  pp.ndata = mo->parity;
+  pp.chunk_blocks = mo->chunk;
+  pp.nspares = mo->spares;
+  pp.auto_scrub = mo->scrub;
+  // One redundancy scheme per leaf: parity beats mirror.
+  auto leaf = [&](blk::DeviceParams p) -> std::unique_ptr<blk::BlockDevice> {
+    if (pp.ndata >= 2) {
+      return std::make_unique<blk::ParityDevice>(pp,
+                                                 parity_member_shape(pp, p));
     }
-    return add_device(std::move(name), std::make_unique<blk::StripedDevice>(
-                                           *sp, std::move(children)));
-  }
-  if (mirrored) return add_mirrored_device(std::move(name), *mp, params);
-  return add_device(std::move(name), params);
-}
-
-blk::BlockDevice& Kernel::add_volume(std::string name,
-                                     std::optional<blk::StripeParams> sp,
-                                     std::optional<blk::MirrorParams> mp,
-                                     std::optional<blk::ParityParams> pp,
-                                     blk::DeviceParams params) {
-  const bool parity = pp.has_value() && pp->ndata >= 2;
-  if (!parity) return add_volume(std::move(name), sp, mp, params);
-  const bool striped = sp.has_value() && sp->ndevices > 1;
-  // Parity beats mirror in a combined selection (one redundancy scheme
-  // per leaf volume); parity plus stripe is RAID50.
-  if (!striped) return add_parity_device(std::move(name), *pp, params);
-  blk::DeviceParams child = params;
-  child.nblocks = params.nblocks / sp->ndevices;
-  std::vector<std::unique_ptr<blk::BlockDevice>> children;
-  children.reserve(sp->ndevices);
-  for (std::size_t i = 0; i < sp->ndevices; ++i) {
-    children.push_back(std::make_unique<blk::ParityDevice>(
-        *pp, parity_member_shape(*pp, child)));
-  }
+    if (mp.nmirrors > 1) return std::make_unique<blk::MirroredDevice>(mp, p);
+    return std::make_unique<blk::BlockDevice>(p);
+  };
+  if (mo->stripe <= 1) return add_device(std::move(name), leaf(params));
+  // A stripe over leaves: the logical size splits evenly across members.
+  params.nblocks /= mo->stripe;
+  std::vector<std::unique_ptr<blk::BlockDevice>> members;
+  members.reserve(mo->stripe);
+  for (std::size_t i = 0; i < mo->stripe; ++i) members.push_back(leaf(params));
+  const blk::StripeParams sp{mo->stripe, mo->chunk, mo->stripe_mode};
   return add_device(std::move(name), std::make_unique<blk::StripedDevice>(
-                                         *sp, std::move(children)));
+                                         sp, std::move(members)));
 }
 
 blk::BlockDevice* Kernel::device(std::string_view name) {
@@ -174,58 +140,22 @@ Err Kernel::mount(std::string_view fstype, std::string_view devname,
   if (dev == nullptr) return Err::NoDev;
   if (mountpoint.empty() || mountpoint.front() != '/') return Err::Inval;
   if (sb_at(mountpoint) != nullptr) return Err::Busy;
-  // Strict option parsing: every token must be in the shared vocabulary
-  // (blockdev/opts.h), or the mount fails — a typo'd "mirrro=2" must not
-  // silently mount unmirrored. "lax_opts" opts a mount out (experiments
-  // carrying options the vocabulary does not know yet).
-  if (!blk::opts_lax(opts) && !blk::unknown_opt_tokens(opts).empty()) {
-    return Err::Inval;
-  }
-  // "trace=N": arm blktrace-style tracing on the device tree (ring of N
-  // events) BEFORE the file system mounts, so journal replay and the first
-  // metadata reads are captured. Tracing never touches the simulated
-  // clock, so results stay bit-identical with it on.
-  blk::for_each_opt_token(opts, [&](std::string_view tok) {
-    std::uint64_t n = 0;
-    if (blk::opt_num_after(tok, "trace=", n) && n > 0) {
-      dev->arm_trace(static_cast<std::size_t>(n), std::string{devname});
-    }
-  });
-  // Transient-error retry knobs: arm the device tree's bounded-retry
-  // policy before the file system touches it, so journal replay reads are
-  // covered too. "retries=0" (the default) keeps retry fully disabled.
-  {
-    blk::RetryPolicy rp = dev->queue().retry_policy();
-    bool armed = false;
-    blk::for_each_opt_token(opts, [&](std::string_view tok) {
-      std::uint64_t n = 0;
-      if (blk::opt_num_after(tok, "retries=", n)) {
-        rp.max_retries = static_cast<std::uint32_t>(n);
-        armed = true;
-      } else if (blk::opt_num_after(tok, "retry_backoff_us=", n)) {
-        rp.backoff = sim::usec(static_cast<sim::Nanos>(n));
-        armed = true;
-      } else if (blk::opt_num_after(tok, "io_deadline_ms=", n)) {
-        rp.deadline = sim::msec(static_cast<sim::Nanos>(n));
-        armed = true;
-      }
-    });
-    if (armed) dev->set_retry_policy(rp);
-  }
+  // Strict option parsing: a typo'd "mirrro=2" must fail the mount, not
+  // silently mount unmirrored.
+  const std::optional<blk::MountOpts> mo = blk::parse_mount_opts(opts);
+  if (!mo) return Err::Inval;
+  // Arm tracing and the bounded-retry policy on the device tree BEFORE the
+  // file system mounts, so journal replay and the first metadata reads are
+  // covered. Tracing never touches the simulated clock, so results stay
+  // bit-identical with it on.
+  if (mo->trace > 0) dev->arm_trace(mo->trace, std::string{devname});
+  dev->set_retry_policy(mo->retry);
 
   auto sb = type->mount(*dev, opts);
   if (!sb.ok()) return sb.error();
   // Error behaviour (ext4's errors= option, honored for every FS here):
   // what a journal abort / unrecoverable FS error does to the mount.
-  blk::for_each_opt_token(opts, [&](std::string_view tok) {
-    if (tok == "errors=remount-ro") {
-      sb.value()->errors_mode = SuperBlock::ErrorsMode::RemountRo;
-    } else if (tok == "errors=continue") {
-      sb.value()->errors_mode = SuperBlock::ErrorsMode::Continue;
-    } else if (tok == "errors=panic") {
-      sb.value()->errors_mode = SuperBlock::ErrorsMode::Panic;
-    }
-  });
+  sb.value()->errors_mode = mo->errors;
   mounts_.push_back(Mount{std::string{mountpoint}, sb.value(), type,
                           std::string{devname}});
   std::sort(mounts_.begin(), mounts_.end(), [](const Mount& a, const Mount& b) {

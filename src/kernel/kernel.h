@@ -9,16 +9,12 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "blockdev/device.h"
-#include "blockdev/mirrored.h"
-#include "blockdev/parity.h"
-#include "blockdev/striped.h"
 #include "kernel/vfs.h"
 
 namespace bsim::kern {
@@ -66,35 +62,15 @@ class Kernel {
   /// Register a prebuilt (possibly aggregate) device under `name`.
   blk::BlockDevice& add_device(std::string name,
                                std::unique_ptr<blk::BlockDevice> dev);
-  /// Build a striped volume of `sp.ndevices` members (each shaped by
-  /// `child_params`; nblocks is PER MEMBER) and expose it as one device —
-  /// any registered file system mounts on it unchanged.
-  blk::StripedDevice& add_striped_device(std::string name,
-                                         blk::StripeParams sp,
-                                         blk::DeviceParams child_params);
-  /// Build an N-way RAID1 mirror (`member_params.nblocks` is both the
-  /// member and the volume size) and expose it as one device.
-  blk::MirroredDevice& add_mirrored_device(std::string name,
-                                           blk::MirrorParams mp,
-                                           blk::DeviceParams member_params);
-  /// Build a RAID5 parity volume of pp.ndata + 1 members
-  /// (`params.nblocks` is the LOGICAL size; member sizing — plus the
-  /// intent-bitmap block — is derived) and expose it as one device.
-  blk::ParityDevice& add_parity_device(std::string name, blk::ParityParams pp,
-                                       blk::DeviceParams params);
-  /// Build the volume a (stripe, mirror) selection describes: plain
-  /// device, RAID0 stripe, RAID1 mirror, or RAID10 (a stripe of mirrors;
-  /// `params.nblocks` is the LOGICAL volume size, split across stripes).
-  blk::BlockDevice& add_volume(std::string name,
-                               std::optional<blk::StripeParams> sp,
-                               std::optional<blk::MirrorParams> mp,
-                               blk::DeviceParams params);
-  /// Same, with RAID5 in the selection: parity beats mirror; parity plus
-  /// stripe builds RAID50 (a stripe of parity volumes).
-  blk::BlockDevice& add_volume(std::string name,
-                               std::optional<blk::StripeParams> sp,
-                               std::optional<blk::MirrorParams> mp,
-                               std::optional<blk::ParityParams> pp,
+  /// Build the volume a mount-option string describes (blockdev/opts.h)
+  /// and expose it as one device: plain, RAID0 (`stripe=`), RAID1
+  /// (`mirror=`), RAID5 (`parity=`), or a stripe of mirrors (RAID10) or
+  /// of parity volumes (RAID50). Parity beats mirror when both are given.
+  /// `params.nblocks` is the LOGICAL volume size; member sizes derive from
+  /// it. Tokens the volume does not use are ignored, so the same string
+  /// mounts the file system. Throws std::invalid_argument when `opts` does
+  /// not parse.
+  blk::BlockDevice& add_volume(std::string name, std::string_view opts,
                                blk::DeviceParams params);
   [[nodiscard]] blk::BlockDevice* device(std::string_view name);
   /// Reverse lookup (used by drivers that need the /dev path of a device).

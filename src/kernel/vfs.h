@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "blockdev/opts.h"
 #include "kernel/buffer_cache.h"
 #include "kernel/errno.h"
 #include "kernel/flusher.h"
@@ -146,11 +147,7 @@ class SuperBlock {
   // ---- error behaviour (the ext4 `errors=` mount option) ----
   /// What a detected file-system error (journal abort, failed metadata
   /// write the FS cannot recover) does to the mount.
-  enum class ErrorsMode : std::uint8_t {
-    RemountRo,  // flip read-only: reads keep serving, writes fail RoFs
-    Continue,   // record and keep going (errors still report via errseq)
-    Panic,      // abort the simulation (errors=panic)
-  };
+  using ErrorsMode = blk::ErrorsMode;
   ErrorsMode errors_mode = ErrorsMode::RemountRo;
 
   /// Whether the mount has degraded to read-only (fs_error under
@@ -275,7 +272,9 @@ class FileSystemType {
  public:
   virtual ~FileSystemType() = default;
   [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Build a SuperBlock over `dev`. `opts` is a free-form option string.
+  /// Build a SuperBlock over `dev`. `opts` is the mount-option string,
+  /// already validated by Kernel::mount (read it with
+  /// blk::parse_mount_opts).
   virtual Result<SuperBlock*> mount(blk::BlockDevice& dev,
                                     std::string_view opts) = 0;
   /// Tear down a superblock produced by mount().

@@ -2,9 +2,9 @@
 //
 // The paper's evaluation (FAST'21 §6) ran on an 8-core i7 with a Samsung
 // PM981 NVMe SSD accessed via PCIe passthrough. The defaults below are
-// calibrated to that class of hardware; EXPERIMENTS.md documents how each
-// parameter maps to the behaviour the paper measures. Benchmarks may adjust
-// the model via sim::costs() before constructing a kernel.
+// calibrated to that class of hardware; each field's comment says what it
+// charges. Benchmarks may adjust the model via sim::costs() before
+// constructing a kernel.
 #pragma once
 
 #include "sim/time.h"

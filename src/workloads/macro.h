@@ -4,8 +4,8 @@
 // Op accounting: one step() = one whole personality iteration (varmail's
 // delete/create-append-fsync/read-append-fsync/read sequence; fileserver's
 // create-write/append/read/delete/stat sequence). The paper's absolute
-// ops/sec therefore differ by the flowops-per-iteration factor;
-// EXPERIMENTS.md compares ratios between file systems, which are unit-free.
+// ops/sec therefore differ by the flowops-per-iteration factor; compare
+// ratios between file systems, which are unit-free.
 #pragma once
 
 #include <memory>

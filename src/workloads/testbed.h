@@ -6,13 +6,8 @@
 //   "ext4j"     — the ext4 comparator, data=journal (paper: Ext4)
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <string>
-
-#include "blockdev/mirrored.h"
-#include "blockdev/parity.h"
-#include "blockdev/striped.h"
 
 #include "bento/bentofs.h"
 #include "bento/nvmlog.h"
@@ -27,32 +22,13 @@ namespace bsim::wl {
 
 struct BedOptions {
   std::string fs = "xv6_bento";
-  std::uint64_t device_blocks = 262'144;  // 1 GiB
+  std::uint64_t device_blocks = 262'144;  // 1 GiB logical volume
   std::uint32_t ninodes = 262'144;        // xv6 inode-table size
-  blk::DeviceParams device;               // latency model (nblocks overridden)
-  std::string mount_opts;                 // e.g. "io_uring" for xv6_fuse
-  /// Striped volume: >1 aggregates this many member devices behind one
-  /// BlockDevice (device_blocks stays the LOGICAL volume size, split
-  /// evenly). The same selection is honoured from mount_opts tokens
-  /// ("stripe=4,chunk=16[,linear]"), so every deployment can mount a
-  /// striped volume by option string alone.
-  int stripe_devices = 1;
-  std::uint64_t stripe_chunk_blocks = 16;  // 64 KiB chunks
-  bool stripe_linear = false;
-  /// Mirrored volume: >1 replicates each (stripe member) device this many
-  /// ways (RAID1; combined with stripe_devices>1 it builds RAID10). Also
-  /// honoured from mount_opts tokens ("mirror=2[,policy=rr|sq]").
-  int mirror_devices = 1;
-  blk::MirrorReadPolicy mirror_policy = blk::MirrorReadPolicy::RoundRobin;
-  /// RAID5 parity volume: >=2 data columns over parity_devices + 1
-  /// members (device_blocks stays the LOGICAL size). Combined with
-  /// stripe_devices>1 it builds RAID50. Also honoured from mount_opts
-  /// tokens ("parity=4,chunk=16[,spare=1][,scrub]"). Parity beats mirror
-  /// when both are selected.
-  int parity_devices = 1;  // <2: no parity volume
-  std::uint64_t parity_chunk_blocks = 16;
-  int spare_devices = 0;
-  bool auto_scrub = false;
+  blk::DeviceParams device;  // latency model of every member (nblocks derived)
+  /// The whole deployment: the volume layout ("stripe=4", "mirror=2",
+  /// "parity=4,chunk=16", ...) and the file system's tuning ("io_uring"
+  /// for xv6_fuse, "noflusher", ...). See blockdev/opts.h.
+  std::string mount_opts;
 };
 
 /// Builds the full stack for one deployment. The mountpoint is /mnt.
@@ -60,29 +36,7 @@ class TestBed {
  public:
   explicit TestBed(BedOptions opts) : opts_(std::move(opts)) {
     opts_.device.nblocks = opts_.device_blocks;
-    blk::StripeParams sp;
-    sp.ndevices = static_cast<std::size_t>(
-        std::max(opts_.stripe_devices, 1));
-    sp.chunk_blocks = opts_.stripe_chunk_blocks;
-    sp.mode = opts_.stripe_linear ? blk::StripeMode::Linear
-                                  : blk::StripeMode::Raid0;
-    blk::MirrorParams mp;
-    mp.nmirrors = static_cast<std::size_t>(
-        std::max(opts_.mirror_devices, 1));
-    mp.policy = opts_.mirror_policy;
-    blk::ParityParams pp;
-    pp.ndata = static_cast<std::size_t>(std::max(opts_.parity_devices, 1));
-    pp.chunk_blocks = opts_.parity_chunk_blocks;
-    pp.nspares = static_cast<std::size_t>(std::max(opts_.spare_devices, 0));
-    pp.auto_scrub = opts_.auto_scrub;
-    // Mount-option tokens override field-by-field; absent tokens keep
-    // the programmatic configuration above.
-    sp = blk::merge_stripe_opts(opts_.mount_opts, sp);
-    mp = blk::merge_mirror_opts(opts_.mount_opts, mp);
-    pp = blk::merge_parity_opts(opts_.mount_opts, pp);
-    auto& dev = kernel_.add_volume(
-        "ssd0", sp, mp, pp.ndata >= 2 ? std::optional(pp) : std::nullopt,
-        opts_.device);
+    auto& dev = kernel_.add_volume("ssd0", opts_.mount_opts, opts_.device);
     if (opts_.fs == "ext4j") {
       ext4::mkfs(dev, /*inodes_per_group=*/8192);
     } else {

@@ -60,7 +60,7 @@ Err Xv6FileSystem::init(const Request&, SbRef sb) {
   if (dsb_.magic != kMagic) return Err::Inval;
   if (dsb_.size > sb->nblocks()) return Err::Inval;
 
-  BSIM_TRY(log_.init(sb.get(), dsb_, opts_.durability, opts_.log));
+  BSIM_TRY(log_.init(sb.get(), dsb_, opts_.durability, log_params_));
   BSIM_TRY(scan_free_counts(sb.get()));
   return Err::Ok;
 }

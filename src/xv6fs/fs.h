@@ -33,10 +33,6 @@ class Xv6FileSystem : public bento::FileSystem {
  public:
   struct Options {
     Durability durability = Durability::Relaxed;
-    /// Write-path tuning: group commit, pipelining, plugging. Overridden
-    /// token-by-token from the mount-option string ("max_log_batch=N",
-    /// "nopipeline", "noplug", "nogroup"; see merge_log_opts).
-    LogParams log;
     /// Version tag surfaced through FileSystem::version() (upgrade demos).
     std::string version = "xv6fs-v1";
   };
@@ -48,8 +44,10 @@ class Xv6FileSystem : public bento::FileSystem {
     return opts_.version;
   }
 
+  /// Write-path tuning (group commit, pipelining, plugging) comes from
+  /// the mount-option string.
   void apply_mount_opts(std::string_view opts) override {
-    opts_.log = merge_log_opts(opts, opts_.log);
+    log_params_ = LogParams(blk::parse_mount_opts(opts).value());
   }
 
   // ---- bento::FileSystem ----
@@ -170,6 +168,7 @@ class Xv6FileSystem : public bento::FileSystem {
   DiskSuperblock dsb_;
   Log log_;
   Options opts_;
+  LogParams log_params_;
   bento::Semaphore itable_lock_;
   bento::Semaphore alloc_lock_;  // the §6.1 allocation lock
   std::unordered_map<std::uint32_t, std::unique_ptr<MemInode>> itable_;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "blockdev/opts.h"
 #include "sim/thread.h"
 
 namespace bsim::xv6 {
@@ -13,24 +12,6 @@ using bento::BufferHeadHandle;
 using bento::SuperBlockCap;
 using bento::WriteTicket;
 using kern::Err;
-
-LogParams merge_log_opts(std::string_view opts, LogParams base) {
-  blk::for_each_opt_token(opts, [&](std::string_view tok) {
-    std::uint64_t n = 0;
-    if (blk::opt_num_after(tok, "max_log_batch=", n) && n >= 1) {
-      base.max_log_batch = static_cast<std::size_t>(n);
-    } else if (blk::opt_num_after(tok, "log_blocks=", n) && n >= 1) {
-      base.group_dirty_blocks = static_cast<std::size_t>(n);
-    } else if (tok == "nogroup") {
-      base.max_log_batch = 1;
-    } else if (tok == "nopipeline") {
-      base.pipeline = false;
-    } else if (tok == "noplug") {
-      base.plug = false;
-    }
-  });
-  return base;
-}
 
 Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
               Durability durability, LogParams params) {
@@ -209,8 +190,7 @@ Err Log::commit(SuperBlockCap& sb) {
   // reusing the log area below cannot reorder anything on media — only
   // the transfers' completions are still outstanding, and we cap how
   // many commits' worth of those we carry.
-  const std::size_t depth = std::max<std::size_t>(params_.pipeline_depth, 1);
-  while (inflight_.size() >= depth) wait_oldest(sb);
+  while (inflight_.size() >= kPipelineDepth) wait_oldest(sb);
 
   // Stage latencies are measured from here: each stage's histogram records
   // commit-entry -> that stage's transfer completion (ticket done time),

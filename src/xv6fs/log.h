@@ -21,7 +21,7 @@
 //   submission in program order, so crash semantics are unchanged, but
 //   the committing thread does not wait for the transfers. Transaction
 //   N+1 opens and absorbs writes while N's commit record and checkpoint
-//   are still in flight; at most `pipeline_depth` commits stay
+//   are still in flight; at most `kPipelineDepth` commits stay
 //   outstanding (the oldest is redeemed first), and force_commit drains
 //   everything before fsync's durability barrier. Log-area reuse is safe
 //   because all of commit N's writes are submitted before N+1 copies
@@ -46,10 +46,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <string_view>
 #include <vector>
 
 #include "bento/kernel_services.h"
+#include "blockdev/opts.h"
 #include "kernel/errno.h"
 #include "sim/stats.h"
 #include "xv6fs/layout.h"
@@ -58,28 +58,28 @@ namespace bsim::xv6 {
 
 enum class Durability { Relaxed, Strict };
 
-/// Write-path tuning (mount options; see merge_log_opts).
+/// Write-path tuning, selected by mount options (blockdev/opts.h).
 struct LogParams {
+  LogParams() : LogParams(blk::MountOpts{}) {}
+  explicit LogParams(const blk::MountOpts& o)
+      : max_log_batch(o.max_log_batch),
+        group_dirty_blocks(o.log_blocks),
+        pipeline(o.pipeline),
+        plug(o.plug) {}
+
   /// Group commit: ops absorbed into one transaction before end_op
   /// forces a commit. 1 = commit per op (the pre-pipelining behaviour).
-  std::size_t max_log_batch = 8;
+  std::size_t max_log_batch;
   /// Commit when this many blocks are pending. 0 = auto: the largest
   /// whole-stripe-row count that still leaves kMaxOpBlocks of headroom.
-  std::size_t group_dirty_blocks = 0;
+  std::size_t group_dirty_blocks;
   /// Pipelined commits ("nopipeline" disables): submit commit writes on
   /// async tickets and only redeem them when the pipeline depth is
   /// exceeded (or at fsync).
-  bool pipeline = true;
-  /// Commits whose transfers may be outstanding at once.
-  std::size_t pipeline_depth = 2;
+  bool pipeline;
   /// Relaxed-mode install+clear request plugging ("noplug" disables).
-  bool plug = true;
+  bool plug;
 };
-
-/// Apply "max_log_batch=N", "log_blocks=N", "nopipeline", "noplug",
-/// "nogroup" (= max_log_batch=1) tokens from a mount-option string onto
-/// `base`; unrelated tokens are ignored.
-LogParams merge_log_opts(std::string_view opts, LogParams base);
 
 struct LogStats {
   std::uint64_t commits = 0;
@@ -101,13 +101,16 @@ struct LogStats {
 
 class Log {
  public:
+  /// Commits whose transfers may be outstanding at once.
+  static constexpr std::size_t kPipelineDepth = 2;
+
   Log() = default;
   Log(const Log&) = delete;
   Log& operator=(const Log&) = delete;
 
   /// Mount-time initialization + crash recovery.
   kern::Err init(bento::SuperBlockCap& sb, const DiskSuperblock& dsb,
-                 Durability durability, LogParams params = {});
+                 Durability durability, LogParams params);
 
   /// Open a transaction expected to touch at most `reserved` blocks
   /// (must be <= kMaxOpBlocks).

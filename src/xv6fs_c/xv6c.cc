@@ -1130,7 +1130,7 @@ class Xv6cFsType final : public kern::FileSystemType {
     auto mnt = std::make_unique<Xv6cMount>(*sb);
     sb->fs_info = mnt.get();
     sb->s_op = mnt.get();
-    mnt->set_log_params(xv6::merge_log_opts(opts, xv6::LogParams{}));
+    mnt->set_log_params(xv6::LogParams(blk::parse_mount_opts(opts).value()));
     Err e = mnt->mount_init();
     if (e != Err::Ok) return e;
     // Background writeback for the kernel (C-VFS) deployment, same

@@ -20,7 +20,7 @@
 
 #include "kernel/kernel.h"
 #include "xv6fs/layout.h"
-#include "xv6fs/log.h"  // LogParams/merge_log_opts (group-commit tuning)
+#include "xv6fs/log.h"  // LogParams (group-commit tuning)
 
 namespace bsim::xv6c {
 

@@ -57,7 +57,7 @@ class MirroredDeviceTest : public ::testing::Test {
   sim::SimThread thread_{0};
 };
 
-// ---- geometry + option parsing ----
+// ---- geometry ----
 
 TEST_F(MirroredDeviceTest, VolumeGeometryIsOneMember) {
   MirroredDevice md = make2();
@@ -66,34 +66,6 @@ TEST_F(MirroredDeviceTest, VolumeGeometryIsOneMember) {
   EXPECT_EQ(md.fan_out(), 1u);   // one logical device to flushers/shards
   EXPECT_FALSE(md.degraded());
   EXPECT_EQ(md.healthy_members(), 2u);
-}
-
-TEST_F(MirroredDeviceTest, OptionStringParsing) {
-  auto mp = mirror_params_from_opts("noflusher,mirror=2,policy=sq");
-  ASSERT_TRUE(mp.has_value());
-  EXPECT_EQ(mp->nmirrors, 2u);
-  EXPECT_EQ(mp->policy, MirrorReadPolicy::ShortestQueue);
-  EXPECT_FALSE(mirror_params_from_opts("stripe=4").has_value());
-  EXPECT_FALSE(mirror_params_from_opts("mirror=1").has_value());
-
-  MirrorParams base;
-  base.nmirrors = 3;
-  base.policy = MirrorReadPolicy::ShortestQueue;
-  const MirrorParams a = merge_mirror_opts("policy=rr", base);
-  EXPECT_EQ(a.nmirrors, 3u);  // kept
-  EXPECT_EQ(a.policy, MirrorReadPolicy::RoundRobin);
-  const MirrorParams b = merge_mirror_opts("mirror=1", base);
-  EXPECT_EQ(b.nmirrors, 1u);  // explicit disable
-  const MirrorParams c = merge_mirror_opts("io_uring", base);
-  EXPECT_EQ(c.nmirrors, 3u);  // unrelated tokens ignored
-
-  // Stripe and mirror selections coexist in one option string.
-  auto sp = stripe_params_from_opts("stripe=4,mirror=2");
-  auto mp2 = mirror_params_from_opts("stripe=4,mirror=2");
-  ASSERT_TRUE(sp.has_value());
-  ASSERT_TRUE(mp2.has_value());
-  EXPECT_EQ(sp->ndevices, 4u);
-  EXPECT_EQ(mp2->nmirrors, 2u);
 }
 
 // ---- write replication ----

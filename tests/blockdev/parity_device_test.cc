@@ -72,7 +72,7 @@ class ParityDeviceTest : public ::testing::Test {
   sim::SimThread thread_{0};
 };
 
-// ---- geometry + option parsing ----
+// ---- geometry ----
 
 TEST_F(ParityDeviceTest, GeometryRotatesParityLeftSymmetric) {
   ParityDevice pd = make5();
@@ -108,23 +108,6 @@ TEST_F(ParityDeviceTest, GeometryRotatesParityLeftSymmetric) {
       used[m] = true;
     }
   }
-}
-
-TEST_F(ParityDeviceTest, OptionStringParsing) {
-  auto pp = parity_params_from_opts("parity=4,chunk=8,spare=1,scrub");
-  ASSERT_TRUE(pp.has_value());
-  EXPECT_EQ(pp->ndata, 4u);
-  EXPECT_EQ(pp->chunk_blocks, 8u);
-  EXPECT_EQ(pp->nspares, 1u);
-  EXPECT_TRUE(pp->auto_scrub);
-  EXPECT_FALSE(parity_params_from_opts("stripe=4,mirror=2").has_value());
-  EXPECT_FALSE(parity_params_from_opts("parity=1").has_value());
-
-  ParityParams base;
-  base.ndata = 3;
-  const ParityParams a = merge_parity_opts("io_uring,chunk=2", base);
-  EXPECT_EQ(a.ndata, 3u);  // unrelated tokens ignored
-  EXPECT_EQ(a.chunk_blocks, 2u);
 }
 
 // ---- write paths ----

@@ -83,36 +83,6 @@ TEST_F(StripedDeviceTest, LinearConcatRouting) {
   EXPECT_EQ(sd.child_block_of(255), 127u);
 }
 
-TEST_F(StripedDeviceTest, OptionStringParsing) {
-  auto sp = stripe_params_from_opts("noflusher,stripe=4,chunk=32");
-  ASSERT_TRUE(sp.has_value());
-  EXPECT_EQ(sp->ndevices, 4u);
-  EXPECT_EQ(sp->chunk_blocks, 32u);
-  EXPECT_EQ(sp->mode, StripeMode::Raid0);
-  EXPECT_TRUE(stripe_params_from_opts("stripe=8,linear")->mode ==
-              StripeMode::Linear);
-  EXPECT_FALSE(stripe_params_from_opts("io_uring").has_value());
-  EXPECT_FALSE(stripe_params_from_opts("stripe=1").has_value());
-
-  // merge_stripe_opts overrides field-by-field: tokens present in the
-  // option string win, absent tokens keep the caller's configuration.
-  StripeParams base;
-  base.ndevices = 4;
-  base.chunk_blocks = 64;
-  base.mode = StripeMode::Linear;
-  const StripeParams a = merge_stripe_opts("stripe=2", base);
-  EXPECT_EQ(a.ndevices, 2u);
-  EXPECT_EQ(a.chunk_blocks, 64u);              // kept
-  EXPECT_EQ(a.mode, StripeMode::Linear);       // kept
-  const StripeParams b = merge_stripe_opts("chunk=8", base);
-  EXPECT_EQ(b.ndevices, 4u);                   // kept
-  EXPECT_EQ(b.chunk_blocks, 8u);
-  const StripeParams c = merge_stripe_opts("stripe=1", base);
-  EXPECT_EQ(c.ndevices, 1u);                   // explicit disable
-  const StripeParams d = merge_stripe_opts("noflusher", base);
-  EXPECT_EQ(d.ndevices, 4u);                   // unrelated tokens ignored
-}
-
 // ---- splitting + data integrity ----
 
 TEST_F(StripedDeviceTest, BioSplitsAtStripeBoundaries) {

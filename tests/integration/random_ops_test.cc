@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "../testutil.h"
+#include "blockdev/parity.h"
 
 namespace bsim::test {
 namespace {
@@ -41,45 +42,24 @@ struct Model {
 struct Case {
   const char* fs;
   std::uint64_t seed;
-  const char* mount_opts = "";
+  const char* mount_opts = "";  // volume layout + FS options
   const char* tag = "";  // distinguishes option variants in test names
-  int stripe = 1;        // >1: mount on an N-way striped volume
-  int mirror = 1;        // >1: mirror each (stripe member) device N ways
-  int parity = 1;        // >=2: RAID5 with this many data columns
 };
 
-/// Register a 32768-block "ssd0": plain, an N-way RAID0 volume, an N-way
-/// RAID1 mirror, RAID10, RAID5, or RAID50 — always the same logical size.
-blk::BlockDevice& add_ssd0(kern::Kernel& kernel, int stripe, int mirror = 1,
-                           int parity = 1) {
+/// Register a 32768-block "ssd0" with the volume layout `opts` selects:
+/// plain, RAID0, RAID1, RAID10, RAID5, or RAID50 — always the same
+/// logical size.
+blk::BlockDevice& add_ssd0(kern::Kernel& kernel, std::string_view opts) {
   blk::DeviceParams params;
   params.nblocks = 32768;
-  std::optional<blk::StripeParams> sp;
-  if (stripe > 1) {
-    sp.emplace();
-    sp->ndevices = static_cast<std::size_t>(stripe);
-    sp->chunk_blocks = 16;
-  }
-  std::optional<blk::MirrorParams> mp;
-  if (mirror > 1) {
-    mp.emplace();
-    mp->nmirrors = static_cast<std::size_t>(mirror);
-  }
-  std::optional<blk::ParityParams> pp;
-  if (parity >= 2) {
-    pp.emplace();
-    pp->ndata = static_cast<std::size_t>(parity);
-    pp->chunk_blocks = 16;
-  }
-  return kernel.add_volume("ssd0", sp, mp, pp, params);
+  return kernel.add_volume("ssd0", opts, params);
 }
 
 class RandomOps : public ::testing::TestWithParam<Case> {
  protected:
   void SetUp() override {
     sim::set_current(&thread_);
-    auto& dev = add_ssd0(kernel_, GetParam().stripe, GetParam().mirror,
-                         GetParam().parity);
+    auto& dev = add_ssd0(kernel_, GetParam().mount_opts);
     if (std::string_view(GetParam().fs) == "ext4j") {
       ext4::mkfs(dev, 4096);
     } else {
@@ -235,23 +215,23 @@ std::vector<Case> cases() {
   // sweep exercises the stripe-splitting path under all mutation shapes.
   for (const char* fs :
        {"xv6_bento", "xv6_vfs", "xv6_fuse", "ext4j", "xv6_nvmlog"}) {
-    out.push_back({fs, 101, "", "striped4", 4});
+    out.push_back({fs, 101, "stripe=4", "striped4"});
   }
-  out.push_back({"xv6_bento", 202, "", "striped4", 4});
+  out.push_back({"xv6_bento", 202, "stripe=4", "striped4"});
   // ... and a 2-way RAID1 mirror (write replication + balanced reads
   // under every mutation shape), plus one RAID10 stack.
   for (const char* fs :
        {"xv6_bento", "xv6_vfs", "xv6_fuse", "ext4j", "xv6_nvmlog"}) {
-    out.push_back({fs, 101, "", "mirror2", 1, 2});
+    out.push_back({fs, 101, "mirror=2", "mirror2"});
   }
-  out.push_back({"xv6_bento", 202, "", "raid10", 2, 2});
+  out.push_back({"xv6_bento", 202, "stripe=2,mirror=2", "raid10"});
   // ... and a 4+1 RAID5 parity volume (full-stripe vs RMW path selection,
   // intent-bitmap updates, parity maintenance under every mutation shape).
   for (const char* fs :
        {"xv6_bento", "xv6_vfs", "xv6_fuse", "ext4j", "xv6_nvmlog"}) {
-    out.push_back({fs, 101, "", "parity4", 1, 1, 4});
+    out.push_back({fs, 101, "parity=4", "parity4"});
   }
-  out.push_back({"xv6_bento", 202, "", "raid50", 2, 1, 2});
+  out.push_back({"xv6_bento", 202, "stripe=2,parity=2", "raid50"});
   return out;
 }
 
@@ -321,7 +301,7 @@ TEST(StripedDifferential, FinalImageBitIdenticalToSingleDevice) {
     std::array<blk::BlockDevice*, 2> devs{};
     for (int k = 0; k < 2; ++k) {
       kernels[k] = std::make_unique<kern::Kernel>();
-      devs[k] = &add_ssd0(*kernels[k], k == 0 ? 1 : 4);
+      devs[k] = &add_ssd0(*kernels[k], k == 0 ? "" : "stripe=4");
       xv6::mkfs(*devs[k], 4096);
       register_all_xv6(*kernels[k]);
       ASSERT_EQ(Err::Ok, kernels[k]->mount("xv6_bento", "ssd0", "/mnt",
@@ -353,7 +333,7 @@ TEST(MirroredDifferential, FinalImageAndReplicasBitIdentical) {
     std::array<blk::BlockDevice*, 2> devs{};
     for (int k = 0; k < 2; ++k) {
       kernels[k] = std::make_unique<kern::Kernel>();
-      devs[k] = &add_ssd0(*kernels[k], 1, k == 0 ? 1 : 2);
+      devs[k] = &add_ssd0(*kernels[k], k == 0 ? "" : "mirror=2");
       xv6::mkfs(*devs[k], 4096);
       register_all_xv6(*kernels[k]);
       ASSERT_EQ(Err::Ok, kernels[k]->mount("xv6_bento", "ssd0", "/mnt",
@@ -390,7 +370,7 @@ TEST(ParityDifferential, FinalImageBitIdenticalHealthyAndDegraded) {
     std::array<blk::BlockDevice*, 2> devs{};
     for (int k = 0; k < 2; ++k) {
       kernels[k] = std::make_unique<kern::Kernel>();
-      devs[k] = &add_ssd0(*kernels[k], 1, 1, k == 0 ? 1 : 4);
+      devs[k] = &add_ssd0(*kernels[k], k == 0 ? "" : "parity=4");
       xv6::mkfs(*devs[k], 4096);
       register_all_xv6(*kernels[k]);
       ASSERT_EQ(Err::Ok, kernels[k]->mount("xv6_bento", "ssd0", "/mnt",

@@ -16,13 +16,14 @@
 namespace bsim {
 namespace {
 
-/// Mounts `fs`, does a little I/O (create, write, fsync, read), and
-/// returns the kernel's JSON stats snapshot.
-std::string snapshot(const std::string& fs, int stripe = 1) {
+/// Mounts `fs` on the volume `mount_opts` describes, does a little I/O
+/// (create, write, fsync, read), and returns the kernel's JSON stats
+/// snapshot.
+std::string snapshot(const std::string& fs, const char* mount_opts) {
   wl::BedOptions opts;
   opts.fs = fs;
   opts.device_blocks = 32768;
-  opts.stripe_devices = stripe;
+  opts.mount_opts = mount_opts;
   wl::TestBed bed(opts);
 
   sim::SimThread thread(1);
@@ -46,7 +47,7 @@ bool has_struct(const std::string& snap, const std::string& name) {
 TEST(StatsRegistry, EveryKnownStatsStructIsRegistered) {
   struct Deployment {
     const char* fs;
-    int stripe;
+    const char* mount_opts;
     std::vector<const char*> expects;
   };
   // Structs common to every kernel-side deployment. FlusherStats is not
@@ -56,12 +57,12 @@ TEST(StatsRegistry, EveryKnownStatsStructIsRegistered) {
       "DeviceStats", "RequestQueueStats", "PlugStats",
       "BufferCacheStats", "AddressSpaceStats"};
   const Deployment deployments[] = {
-      {"xv6_bento", 1, {"FlusherStats", "ModuleStats", "LogStats"}},
-      {"xv6_bento", 4, {"AggregateVolumeStats", "LogStats"}},
-      {"xv6_nvmlog", 1, {"ModuleStats", "NvmLogStats", "LogStats"}},
-      {"xv6_vfs", 1, {"FlusherStats", "CLogStats"}},
-      {"xv6_fuse", 1, {"FuseConnStats", "ModuleStats", "LogStats"}},
-      {"ext4j", 1, {"JournalStats", "MapStats"}},
+      {"xv6_bento", "", {"FlusherStats", "ModuleStats", "LogStats"}},
+      {"xv6_bento", "stripe=4", {"AggregateVolumeStats", "LogStats"}},
+      {"xv6_nvmlog", "", {"ModuleStats", "NvmLogStats", "LogStats"}},
+      {"xv6_vfs", "", {"FlusherStats", "CLogStats"}},
+      {"xv6_fuse", "", {"FuseConnStats", "ModuleStats", "LogStats"}},
+      {"ext4j", "", {"JournalStats", "MapStats"}},
   };
 
   // The exhaustiveness roll: every stats struct the tree defines must be
@@ -76,8 +77,8 @@ TEST(StatsRegistry, EveryKnownStatsStructIsRegistered) {
   std::string everything;
 
   for (const Deployment& d : deployments) {
-    SCOPED_TRACE(std::string(d.fs) + (d.stripe > 1 ? "/striped" : ""));
-    const std::string snap = snapshot(d.fs, d.stripe);
+    SCOPED_TRACE(std::string(d.fs) + "/" + d.mount_opts);
+    const std::string snap = snapshot(d.fs, d.mount_opts);
     EXPECT_NE(snap.find("\"type\": \"stats_snapshot\""), std::string::npos);
     for (const char* want : kCore) {
       EXPECT_TRUE(has_struct(snap, want)) << want;

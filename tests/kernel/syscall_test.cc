@@ -67,16 +67,20 @@ TEST_F(SyscallTest, MountRejectsUnknownOptionTokens) {
             Err::Inval);
   EXPECT_EQ(kernel_.mount("xv6_bento", "ssd1", "/m2", "noflusher,bogus"),
             Err::Inval);
+  // Out-of-range values are rejected too: they used to mount a different
+  // volume (or journal) than the one asked for.
+  for (const char* zero : {"chunk=0", "stripe=0", "mirror=0",
+                           "max_log_batch=0", "log_blocks=0"}) {
+    EXPECT_EQ(kernel_.mount("xv6_bento", "ssd1", "/m2", zero), Err::Inval)
+        << zero;
+  }
   // Nothing was mounted by the rejected attempts.
   EXPECT_EQ(kernel_.umount("/m2"), Err::NoEnt);
-  // Every known token (and combinations) still mounts...
+  // Every known token (and combinations) still mounts, including the
+  // documented "off" values.
   ASSERT_EQ(Err::Ok, kernel_.mount("xv6_bento", "ssd1", "/m2",
-                                   "rw,noflusher,max_log_batch=4"));
-  ASSERT_EQ(Err::Ok, kernel_.umount("/m2"));
-  // ... and "lax_opts" opts one mount out of validation (options the
-  // vocabulary does not know yet, e.g. from an experiment branch).
-  ASSERT_EQ(Err::Ok, kernel_.mount("xv6_bento", "ssd1", "/m2",
-                                   "lax_opts,future_knob=7"));
+                                   "rw,noflusher,max_log_batch=4,stripe=1,"
+                                   "mirror=1,parity=0,retries=0"));
   ASSERT_EQ(Err::Ok, kernel_.umount("/m2"));
 }
 

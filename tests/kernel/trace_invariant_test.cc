@@ -21,16 +21,14 @@ namespace {
 
 struct Topology {
   const char* name;
-  int stripe = 1;
-  int mirror = 1;
-  int parity = 1;
+  const char* volume;  // volume-layout mount options
 };
 
 const Topology kTopologies[] = {
-    {"plain", 1, 1, 1},
-    {"striped4", 4, 1, 1},
-    {"mirror2", 1, 2, 1},
-    {"parity4", 1, 1, 4},
+    {"plain", ""},
+    {"striped4", "stripe=4"},
+    {"mirror2", "mirror=2"},
+    {"parity4", "parity=4"},
 };
 
 /// Everything the workload's virtual-time outcome consists of: the final
@@ -48,10 +46,7 @@ RunResult drive(const Topology& topo, const std::string& mount_opts,
   wl::BedOptions opts;
   opts.fs = "xv6_bento";
   opts.device_blocks = 32768;
-  opts.mount_opts = mount_opts;
-  opts.stripe_devices = topo.stripe;
-  opts.mirror_devices = topo.mirror;
-  opts.parity_devices = topo.parity;
+  opts.mount_opts = std::string(topo.volume) + "," + mount_opts;
   wl::TestBed bed(opts);
 
   sim::SimThread thread(1);
@@ -191,7 +186,7 @@ TEST(TraceInvariants, ArmingTraceIsFreeOnTheSimClock) {
 TEST(TraceInvariants, RingOverflowKeepsExactCounts) {
   // A tiny ring drops oldest events but the per-device counters stay
   // exact — the analyzer's cross-check relies on this.
-  const Topology plain{"plain", 1, 1, 1};
+  const Topology plain{"plain", ""};
   drive(plain, "trace=16", [&](wl::TestBed& bed) {
     blk::Tracer* tr = bed.device().tracer();
     ASSERT_NE(tr, nullptr);

@@ -39,34 +39,14 @@ std::unique_ptr<blk::BlockDevice> copy_device(blk::BlockDevice& src) {
 /// LOGICAL size, so images compare bit-for-bit across layouts.
 enum class DevKind { Plain, Striped4, Mirror2, Parity4 };
 
-/// Register an 8192-block device under "ssd0": one plain device, a 4-way
+/// Register an 8192-block volume under "ssd0": one plain device, a 4-way
 /// RAID0 volume, a 2-way RAID1 mirror, or a 4+1 RAID5 parity volume.
 blk::BlockDevice& add_test_device(kern::Kernel& kernel, DevKind kind) {
+  static constexpr const char* kLayout[] = {
+      "", "stripe=4,chunk=16", "mirror=2", "parity=4,chunk=16"};
   blk::DeviceParams params;
   params.nblocks = kBlocks;
-  switch (kind) {
-    case DevKind::Plain:
-      return kernel.add_device("ssd0", params);
-    case DevKind::Striped4: {
-      blk::StripeParams sp;
-      sp.ndevices = 4;
-      sp.chunk_blocks = 16;
-      params.nblocks = kBlocks / 4;
-      return kernel.add_striped_device("ssd0", sp, params);
-    }
-    case DevKind::Mirror2: {
-      blk::MirrorParams mp;
-      mp.nmirrors = 2;
-      return kernel.add_mirrored_device("ssd0", mp, params);
-    }
-    case DevKind::Parity4: {
-      blk::ParityParams pp;
-      pp.ndata = 4;
-      pp.chunk_blocks = 16;
-      return kernel.add_parity_device("ssd0", pp, params);
-    }
-  }
-  __builtin_unreachable();
+  return kernel.add_volume("ssd0", kLayout[static_cast<int>(kind)], params);
 }
 
 bool mirror_members_identical(blk::MirroredDevice& md) {

@@ -201,17 +201,6 @@ TEST_F(Xv6Rig, EmptyForceCommitAndFlushAreSkipped) {
   EXPECT_GT(after.flushes_skipped, snap.flushes_skipped);
 }
 
-TEST_F(Xv6Rig, MountOptsTuneTheLogParams) {
-  LogParams p = merge_log_opts("rw,max_log_batch=4,noplug,nopipeline,chunk=16",
-                               LogParams{});
-  EXPECT_EQ(p.max_log_batch, 4u);
-  EXPECT_FALSE(p.plug);
-  EXPECT_FALSE(p.pipeline);
-  LogParams q = merge_log_opts("nogroup", LogParams{});
-  EXPECT_EQ(q.max_log_batch, 1u);
-  EXPECT_TRUE(q.pipeline);
-}
-
 TEST_F(Xv6Rig, TruncateToZeroFreesEverything) {
   const auto free0 = fs().free_data_blocks();
   const bento::Ino ino = create_file("bigfree");
