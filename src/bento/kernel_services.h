@@ -323,6 +323,10 @@ class Semaphore {
  public:
   void acquire() { mu_.lock(); }
   void release() { mu_.unlock(); }
+  /// Shared mode (down_read on an rw_semaphore): shared holders overlap;
+  /// acquire() waits for the last of them.
+  void acquire_shared() { mu_.lock_shared(); }
+  void release_shared() { mu_.unlock_shared(); }
 
  private:
   sim::SimMutex mu_;
@@ -335,6 +339,18 @@ class SemGuard {
   ~SemGuard() { s_.release(); }
   SemGuard(const SemGuard&) = delete;
   SemGuard& operator=(const SemGuard&) = delete;
+
+ private:
+  Semaphore& s_;
+};
+
+/// RAII guard for Semaphore's shared mode.
+class SharedSemGuard {
+ public:
+  explicit SharedSemGuard(Semaphore& s) : s_(s) { s_.acquire_shared(); }
+  ~SharedSemGuard() { s_.release_shared(); }
+  SharedSemGuard(const SharedSemGuard&) = delete;
+  SharedSemGuard& operator=(const SharedSemGuard&) = delete;
 
  private:
   Semaphore& s_;

@@ -105,7 +105,8 @@ class MemBlockBackend final : public BlockBackend {
  private:
   struct MemBuf {
     int refcount = 0;
-    std::array<std::byte, blk::kBlockSize> data{};
+    // File systems overlay on-disk structs (8-byte aligned) on block data.
+    alignas(8) std::array<std::byte, blk::kBlockSize> data{};
   };
   std::uint64_t nblocks_;
   std::unordered_map<std::uint64_t, std::unique_ptr<MemBuf>> blocks_;

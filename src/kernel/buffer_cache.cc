@@ -28,6 +28,9 @@ Result<BufferHead*> BufferCache::bread(std::uint64_t blockno) {
       return Err::Io;
     }
     bh->uptodate = true;
+    bh->filled_at = sim::now();
+  } else {
+    sim::current().wait_until(bh->filled_at);
   }
   return bh;
 }
@@ -38,6 +41,7 @@ Result<std::vector<BufferHead*>> BufferCache::bread_batch(
   out.reserve(blocknos.size());
   std::vector<blk::Bio> bios;
   std::vector<BufferHead*> missing;  // aligned with bios
+  sim::Nanos in_flight_until = 0;    // latest fill among the hits
   for (const std::uint64_t blockno : blocknos) {
     auto r = lookup_or_create(blockno);
     if (!r.ok()) {
@@ -50,6 +54,8 @@ Result<std::vector<BufferHead*>> BufferCache::bread_batch(
       // One bio per missing buffer; the queue merges adjacent blocks.
       bios.push_back(blk::Bio::single_read(blockno, bh->bytes()));
       missing.push_back(bh);
+    } else {
+      in_flight_until = std::max(in_flight_until, bh->filled_at);
     }
   }
   if (!bios.empty()) {
@@ -58,14 +64,19 @@ Result<std::vector<BufferHead*>> BufferCache::bread_batch(
     for (std::size_t i = 0; i < bios.size(); ++i) {
       // A bio that hit an injected medium error transferred nothing; its
       // buffer stays !uptodate so a later retry re-reads it.
-      if (bios[i].io_error) failed = true;
-      else missing[i]->uptodate = true;
+      if (bios[i].io_error) {
+        failed = true;
+      } else {
+        missing[i]->uptodate = true;
+        missing[i]->filled_at = sim::now();
+      }
     }
     if (failed) {
       for (BufferHead* bh : out) brelse(bh);
       return Err::Io;
     }
   }
+  sim::current().wait_until(in_flight_until);
   return out;
 }
 

@@ -43,6 +43,10 @@ struct BufferHead {
   /// buffer's bytes); eviction must keep it resident until the plug
   /// closes.
   bool plug_held = false;
+  /// Virtual time the buffer's read from the device completed. A bread
+  /// whose clock is still before it found the read in flight and waits
+  /// for it rather than seeing the data early.
+  sim::Nanos filled_at = 0;
   int refcount = 0;
   BufferCache* cache = nullptr;
   std::array<std::byte, blk::kBlockSize> data{};

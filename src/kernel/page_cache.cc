@@ -51,7 +51,8 @@ Page* AddressSpace::find(std::uint64_t pgoff) {
 
 bool AddressSpace::resident(std::uint64_t pgoff) const {
   auto it = pages_.find(pgoff);
-  return it != pages_.end() && it->second.uptodate;
+  return it != pages_.end() && it->second.uptodate &&
+         it->second.filled_at <= sim::now();
 }
 
 Page& AddressSpace::find_or_alloc(std::uint64_t pgoff) {
@@ -75,30 +76,42 @@ Page& AddressSpace::find_or_alloc(std::uint64_t pgoff) {
 Result<Page*> AddressSpace::read_page(Inode& inode, AddressSpaceOps& aops,
                                       std::uint64_t pgoff) {
   Page& page = find_or_alloc(pgoff);
-  if (!page.uptodate) {
-    BSIM_TRY(aops.readpage(inode, pgoff, page.bytes()));
-    page.uptodate = true;
-  }
+  BSIM_TRY(fill_page(inode, aops, pgoff, page));
   return &page;
+}
+
+Err AddressSpace::fill_page(Inode& inode, AddressSpaceOps& aops,
+                            std::uint64_t pgoff, Page& page) {
+  if (page.uptodate) {
+    sim::current().wait_until(page.filled_at);
+    return Err::Ok;
+  }
+  BSIM_TRY(aops.readpage(inode, pgoff, page.bytes()));
+  page.uptodate = true;
+  page.filled_at = sim::now();
+  return Err::Ok;
 }
 
 Err AddressSpace::read_pages(Inode& inode, AddressSpaceOps& aops,
                              std::uint64_t pgoff, std::size_t n) {
   if (n == 0) return Err::Ok;
-  if (!aops.has_readpages()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto r = read_page(inode, aops, pgoff + i);
-      if (!r.ok()) return r.error();
-    }
-    return Err::Ok;
-  }
-  // Allocate the whole window, then fill each contiguous run of
-  // not-uptodate pages with one batched ->readpages call.
+  // Allocate the whole window before the first fill: no tree-lock
+  // acquisition follows a device wait.
   std::vector<Page*> pages;
   pages.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     pages.push_back(&find_or_alloc(pgoff + i));
   }
+  if (!aops.has_readpages()) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!pages[i]->uptodate) {
+        BSIM_TRY(fill_page(inode, aops, pgoff + i, *pages[i]));
+      }
+    }
+    return Err::Ok;
+  }
+  // Fill each contiguous run of not-uptodate pages with one batched
+  // ->readpages call.
   std::size_t i = 0;
   while (i < n) {
     if (pages[i]->uptodate) {
@@ -114,7 +127,10 @@ Err AddressSpace::read_pages(Inode& inode, AddressSpaceOps& aops,
                 static_cast<sim::Nanos>(j - i) *
                     sim::costs().readpages_per_page);
     BSIM_TRY(aops.readpages(inode, pgoff + i, spans));
-    for (std::size_t k = i; k < j; ++k) pages[k]->uptodate = true;
+    for (std::size_t k = i; k < j; ++k) {
+      pages[k]->uptodate = true;
+      pages[k]->filled_at = sim::now();
+    }
     stats_.readahead_batches += 1;
     stats_.readahead_pages += j - i;
     i = j;

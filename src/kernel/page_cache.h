@@ -24,6 +24,11 @@ struct Page {
   std::unique_ptr<std::array<std::byte, kPageSize>> data;
   bool uptodate = false;
   bool dirty = false;
+  /// Virtual time the page's fill from backing store completed (when
+  /// PG_locked cleared). Threads run whole ops in host order, so a fill
+  /// is always uptodate by the time another thread sees the page; one
+  /// whose clock is still before this time waits for it.
+  sim::Nanos filled_at = 0;
 
   [[nodiscard]] std::span<std::byte> bytes() { return {data->data(), kPageSize}; }
   [[nodiscard]] std::span<const std::byte> bytes() const {
@@ -110,9 +115,10 @@ class AddressSpace {
   /// Find a page, or null. Timed (radix lookup under the tree lock).
   Page* find(std::uint64_t pgoff);
 
-  /// Untimed, stat-free presence probe: is the page resident and
-  /// uptodate? The readahead trigger rides the lookup the caller is about
-  /// to pay for anyway (like PG_readahead), so it charges nothing.
+  /// Untimed, stat-free presence probe: is the page resident, uptodate
+  /// and its fill complete at the caller's clock? The readahead trigger
+  /// rides the lookup the caller is about to pay for anyway (like
+  /// PG_readahead), so it charges nothing.
   [[nodiscard]] bool resident(std::uint64_t pgoff) const;
 
   /// Find or allocate (not yet uptodate if fresh). Timed.
@@ -122,8 +128,15 @@ class AddressSpace {
   Result<Page*> read_page(Inode& inode, AddressSpaceOps& aops,
                           std::uint64_t pgoff);
 
-  /// Ensure [pgoff, pgoff+n) are present and uptodate. Missing runs go
-  /// through aops.readpages when supported (one batched submission per
+  /// Make an allocated page uptodate: read it through ->readpage, or, if
+  /// another thread's fill is in flight at the caller's clock, wait for
+  /// it (folio_wait_locked). Takes no lock.
+  Err fill_page(Inode& inode, AddressSpaceOps& aops, std::uint64_t pgoff,
+                Page& page);
+
+  /// Ensure [pgoff, pgoff+n) are present and uptodate. The whole window
+  /// is looked up before any fill starts. Missing runs go through
+  /// aops.readpages when supported (one batched submission per
   /// contiguous run of misses), else through per-page ->readpage.
   Err read_pages(Inode& inode, AddressSpaceOps& aops, std::uint64_t pgoff,
                  std::size_t n);
@@ -145,10 +158,10 @@ class AddressSpace {
 
   void drop_all();
 
-  /// Per-file I/O serialization: the FUSE-derived read path (which BentoFS
-  /// inherits) holds the per-file lock across the page copy, so concurrent
-  /// readers of one file do not scale with thread count (Figure 2's flat
-  /// 32-thread bars).
+  /// The per-file lock the generic read path holds across the lookup and
+  /// copy of a resident page. A miss never takes it: it fills the page
+  /// under the page's own fill time (Page::filled_at) and copies without
+  /// it, so concurrent misses on one file overlap on the device.
   [[nodiscard]] sim::SimMutex& io_mutex() { return tree_lock_; }
 
   [[nodiscard]] std::size_t nr_pages() const { return pages_.size(); }

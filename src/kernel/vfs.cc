@@ -210,25 +210,36 @@ Result<std::uint64_t> generic_file_read(Inode& inode, std::uint64_t off,
     const std::size_t chunk =
         static_cast<std::size_t>(std::min<std::uint64_t>(kPageSize - within,
                                                          want - done));
-    // Hold the per-file lock across lookup + copy (see io_mutex()).
-    sim::ScopedLock io(inode.mapping.io_mutex());
+    const auto copy_out = [&](const Page& page) {
+      sim::charge(sim::costs().page_copy * static_cast<sim::Nanos>(chunk) /
+                  static_cast<sim::Nanos>(kPageSize));
+      std::memcpy(out.data() + done, page.bytes().data() + within, chunk);
+      done += chunk;
+    };
+    if (inode.mapping.resident(pgoff)) {
+      // Hold the per-file lock across lookup + copy (see io_mutex()).
+      sim::ScopedLock io(inode.mapping.io_mutex());
+      auto page = inode.mapping.read_page(inode, *inode.aops, pgoff);
+      if (!page.ok()) return page.error();
+      copy_out(*page.value());
+      continue;
+    }
+    // A miss, or a fill still in flight at this clock: look the page up,
+    // then fill it (or wait for the fill) and copy with no lock held. Any
+    // lock taken after the device wait would serialize every reader whose
+    // clock is earlier, since a lock keeps only its latest release time.
+    Page& page = inode.mapping.find_or_alloc(pgoff);
     // Readahead: a miss with more of the read window (or a speculative
     // stream window) ahead populates the remaining pages through the
     // batched ->readpages path (multi-block bios, one device submission)
-    // instead of faulting page-at-a-time. Cache hits skip this entirely —
-    // the probe rides the lookup below.
-    if (ra_last_pg > pgoff && !inode.mapping.resident(pgoff)) {
+    // instead of faulting page-at-a-time.
+    if (ra_last_pg > pgoff) {
       BSIM_TRY(inode.mapping.read_pages(
           inode, *inode.aops, pgoff,
           static_cast<std::size_t>(ra_last_pg - pgoff + 1)));
     }
-    auto page = inode.mapping.read_page(inode, *inode.aops, pgoff);
-    if (!page.ok()) return page.error();
-    sim::charge(sim::costs().page_copy * static_cast<sim::Nanos>(chunk) /
-                static_cast<sim::Nanos>(kPageSize));
-    std::memcpy(out.data() + done, page.value()->bytes().data() + within,
-                chunk);
-    done += chunk;
+    BSIM_TRY(inode.mapping.fill_page(inode, *inode.aops, pgoff, page));
+    copy_out(page);
   }
   return done;
 }

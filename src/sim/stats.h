@@ -32,14 +32,16 @@ class LatencyHistogram {
     return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
   }
 
-  /// Approximate quantile (upper bound of the bucket containing it).
+  /// Approximate quantile: the upper bound of the bucket containing it,
+  /// clamped to [min, max] so no quantile reports a value never seen
+  /// beyond the extremes.
   [[nodiscard]] Nanos quantile(double q) const {
     if (count_ == 0) return 0;
     const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count_));
     std::uint64_t seen = 0;
     for (int i = 0; i < kBuckets; ++i) {
       seen += buckets_[i];
-      if (seen > target) return Nanos{1} << i;
+      if (seen > target) return std::clamp(Nanos{1} << i, min_, max_);
     }
     return max_;
   }

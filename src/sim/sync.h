@@ -15,7 +15,7 @@
 
 namespace bsim::sim {
 
-/// Mutual exclusion in virtual time.
+/// Mutual exclusion in virtual time, with an optional shared mode.
 ///
 /// Two flavours, matching how the kernel behaves under CPU contention. In
 /// both, the holder runs its critical section unscaled: a sleeping-lock
@@ -25,6 +25,14 @@ namespace bsim::sim {
 ///   Sleeping (default) — waiters pay scheduler wake-up latency.
 ///   Spin — ownership transfer costs a cacheline handoff (queued-spinlock
 ///       MCS-style); short sections like the page-tree lock.
+///
+/// Shared holders (lock_shared) wait only for the last exclusive release,
+/// so they overlap one another; an exclusive acquisition also waits for
+/// the last shared release. A shared acquisition costs what an exclusive
+/// one does, and a lock never taken shared behaves exactly as a plain
+/// mutex. The lock keeps one release time per mode — the latest in host
+/// order — so a holder that releases late in virtual time delays every
+/// later acquirer of the conflicting mode, even one whose clock is earlier.
 class SimMutex {
  public:
   enum class Kind { Sleeping, Spin };
@@ -32,13 +40,33 @@ class SimMutex {
   SimMutex() = default;
   explicit SimMutex(Kind kind) : kind_(kind) {}
 
-  void lock() {
+  void lock() { acquire(std::max(available_at_, shared_available_at_)); }
+
+  void unlock() {
+    available_at_ = std::max(available_at_, now());
+    current().exit_critical();
+  }
+
+  void lock_shared() { acquire(available_at_); }
+
+  void unlock_shared() {
+    shared_available_at_ = std::max(shared_available_at_, now());
+    current().exit_critical();
+  }
+
+  [[nodiscard]] std::uint64_t acquires() const { return acquires_; }
+  [[nodiscard]] std::uint64_t contended_acquires() const { return contended_acquires_; }
+  [[nodiscard]] Nanos total_wait() const { return waited_; }
+
+ private:
+  /// Wait until `ready`, then enter the critical section.
+  void acquire(Nanos ready) {
     auto& t = current();
-    const bool contended = t.now() < available_at_;
+    const bool contended = t.now() < ready;
     if (contended) {
       contended_acquires_ += 1;
-      waited_ += available_at_ - t.now();
-      t.wait_until(available_at_);
+      waited_ += ready - t.now();
+      t.wait_until(ready);
     }
     t.enter_critical();
     t.charge_cpu(costs().lock_uncontended);
@@ -49,18 +77,9 @@ class SimMutex {
     acquires_ += 1;
   }
 
-  void unlock() {
-    available_at_ = std::max(available_at_, now());
-    current().exit_critical();
-  }
-
-  [[nodiscard]] std::uint64_t acquires() const { return acquires_; }
-  [[nodiscard]] std::uint64_t contended_acquires() const { return contended_acquires_; }
-  [[nodiscard]] Nanos total_wait() const { return waited_; }
-
- private:
   Kind kind_ = Kind::Sleeping;
-  Nanos available_at_ = 0;
+  Nanos available_at_ = 0;         // latest exclusive release
+  Nanos shared_available_at_ = 0;  // latest shared release
   Nanos waited_ = 0;
   std::uint64_t acquires_ = 0;
   std::uint64_t contended_acquires_ = 0;

@@ -919,7 +919,9 @@ bento::Result<std::uint32_t> Xv6FileSystem::read(const Request&, SbRef sb,
   auto r = iget(sb.get(), static_cast<std::uint32_t>(ino));
   if (!r.ok()) return r.error();
   MemInode& mi = *r.value();
-  bento::SemGuard guard(mi.lock);
+  // Readers share the inode lock: concurrent misses on one file overlap
+  // on the device, and a writer still waits for the last of them.
+  bento::SharedSemGuard guard(mi.lock);
   return readi(sb.get(), mi, off, out);
 }
 
@@ -959,7 +961,7 @@ bento::Result<std::uint32_t> Xv6FileSystem::read_bulk(
   auto r = iget(sb.get(), static_cast<std::uint32_t>(ino));
   if (!r.ok()) return r.error();
   MemInode& mi = *r.value();
-  bento::SemGuard guard(mi.lock);
+  bento::SharedSemGuard guard(mi.lock);
 
   // Unaligned callers fall back to per-page readi (each of which batches
   // internally). The ->readpages shape — block-aligned, one block per

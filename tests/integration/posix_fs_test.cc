@@ -4,6 +4,7 @@
 // (paper §6.2): kernel Bento, the VFS C baseline, and FUSE userspace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -353,6 +354,104 @@ TEST_P(PosixFsTest, WriteReturnsBadFOnReadOnlyFd) {
   auto w = kernel_.write(proc(), fd.value(), as_bytes("no"));
   EXPECT_EQ(w.error(), Err::BadF);
   ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+}
+
+// ---- concurrent cold reads of one file ----
+
+/// The deployments whose reads share generic_file_read: a page-cache miss
+/// there must not hold the file's lock (or xv6's inode lock) exclusively
+/// across the device read.
+class ConcurrentColdReadTest : public PosixFsTest {
+ protected:
+  static constexpr std::uint64_t kPages = 8;
+
+  /// Write kPages pages (page i filled with byte i+1), then remount and
+  /// drop the clean buffers (a journal replay at mount may have cached
+  /// the data blocks), so both the page cache and the buffer cache start
+  /// cold. Returns an O_RDONLY fd on the file.
+  int cold_file() {
+    auto fd = kernel_.open(proc(), "/mnt/cold", kern::kOCreat | kern::kORdWr);
+    EXPECT_TRUE(fd.ok());
+    for (std::uint64_t pg = 0; pg < kPages; ++pg) {
+      std::vector<std::byte> page(kern::kPageSize,
+                                  static_cast<std::byte>(pg + 1));
+      EXPECT_TRUE(kernel_.write(proc(), fd.value(), page).ok());
+    }
+    EXPECT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+    EXPECT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+    EXPECT_EQ(Err::Ok, kernel_.umount("/mnt"));
+    EXPECT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
+    fd = kernel_.open(proc(), "/mnt/cold", kern::kORdOnly);
+    EXPECT_TRUE(fd.ok());
+    kern::SuperBlock* sb = kernel_.sb_at("/mnt");
+    EXPECT_EQ(Err::Ok, sb->sync_all());
+    sb->bufcache().invalidate();
+    return fd.ok() ? fd.value() : -1;
+  }
+
+  /// pread one page on `t`, returning its first byte.
+  std::byte read_page_on(sim::SimThread& t, int fd, std::uint64_t pg) {
+    sim::ScopedThread in(t);
+    std::vector<std::byte> buf(kern::kPageSize);
+    auto r = kernel_.pread(proc(), fd, buf, pg * kern::kPageSize);
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.value(), kern::kPageSize);
+    EXPECT_EQ(std::count(buf.begin(), buf.end(), buf[0]),
+              static_cast<std::ptrdiff_t>(buf.size()));
+    return buf[0];
+  }
+
+  const sim::Nanos read_lat_ = blk::DeviceParams{}.read_lat_rand;
+};
+
+INSTANTIATE_TEST_SUITE_P(GenericFileRead, ConcurrentColdReadTest,
+                         ::testing::Values("xv6_bento", "xv6_vfs", "ext4j"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST_P(ConcurrentColdReadTest, DistinctPagesOverlapOnTheDevice) {
+  const int fd = cold_file();
+  ASSERT_GE(fd, 0);
+  const sim::Nanos t0 = thread_.now();
+  const std::uint64_t pages[] = {6, 0, 4, 2};  // never sequential
+  const auto reads_before = kernel_.device("ssd0")->stats().reads;
+  for (int i = 0; i < 4; ++i) {
+    sim::SimThread t(i + 1);
+    t.wait_until(t0);
+    EXPECT_EQ(read_page_on(t, fd, pages[i]),
+              static_cast<std::byte>(pages[i] + 1));
+    // Serialized misses would put the fourth reader near 4x the latency.
+    EXPECT_LT(t.now() - t0, 2 * read_lat_) << "reader " << i;
+  }
+  EXPECT_EQ(kernel_.device("ssd0")->stats().reads, reads_before + 4);
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd));
+}
+
+TEST_P(ConcurrentColdReadTest, SecondMissOnOnePageWaitsForTheFirstFill) {
+  const int fd = cold_file();
+  ASSERT_GE(fd, 0);
+  const sim::Nanos t0 = thread_.now();
+  // a runs first in host order with the later clock; b's clock is earlier
+  // but it must still not get the page before a's device read returned.
+  sim::SimThread a(1);
+  sim::SimThread b(2);
+  a.wait_until(t0 + sim::usec(5));
+  b.wait_until(t0);
+  const auto reads_before = kernel_.device("ssd0")->stats().reads;
+  EXPECT_EQ(read_page_on(a, fd, 3), std::byte{4});
+  EXPECT_EQ(read_page_on(b, fd, 3), std::byte{4});
+  EXPECT_EQ(kernel_.device("ssd0")->stats().reads, reads_before + 1);
+
+  auto st = kernel_.stat(proc(), "/mnt/cold");
+  ASSERT_TRUE(st.ok());
+  kern::Inode* inode = kernel_.sb_at("/mnt")->iget_cached(st.value().ino);
+  ASSERT_NE(inode, nullptr);
+  const kern::Page* page = inode->mapping.find(3);
+  ASSERT_NE(page, nullptr);
+  EXPECT_GE(page->filled_at, t0 + sim::usec(5) + read_lat_);
+  EXPECT_GE(b.now(), page->filled_at);
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd));
 }
 
 TEST_F(BentoXv6Fixture, BorrowLedgerBalancedAfterWorkload) {

@@ -230,5 +230,43 @@ TEST_F(BufferCacheTest, InjectedReadErrorSurfacesAsIoError) {
   EXPECT_EQ(cache.outstanding_refs(), 0u);
 }
 
+TEST_F(BufferCacheTest, BreadOfInFlightBufferWaitsForTheFill) {
+  // Threads run whole ops in host order: a's read is "done" in host order
+  // before b runs, but b's clock is earlier than a's device completion.
+  // b must not see the block before the device returned it.
+  std::array<std::byte, blk::kBlockSize> w{};
+  w[0] = std::byte{0x3E};
+  dev_.write_untimed(12, w);
+  BufferCache cache(dev_, 16);
+  sim::SimThread a(1);
+  sim::SimThread b(2);
+  a.wait_until(sim::usec(5));
+  {
+    sim::ScopedThread in(a);
+    auto bh = cache.bread(12);
+    ASSERT_TRUE(bh.ok());
+    cache.brelse(bh.value());
+  }
+  const sim::Nanos filled = a.now();
+  ASSERT_GE(filled, sim::usec(5) + params().read_lat_rand);
+  {
+    sim::ScopedThread in(b);
+    auto bh = cache.bread(12);
+    ASSERT_TRUE(bh.ok());
+    EXPECT_GE(b.now(), filled);
+    EXPECT_EQ(bh.value()->bytes()[0], std::byte{0x3E});
+    cache.brelse(bh.value());
+  }
+  sim::SimThread c(3);
+  {
+    sim::ScopedThread in(c);
+    auto batch = cache.bread_batch(std::vector<std::uint64_t>{12, 13});
+    ASSERT_TRUE(batch.ok());
+    EXPECT_GE(c.now(), filled);
+    for (BufferHead* bh : batch.value()) cache.brelse(bh);
+  }
+  EXPECT_EQ(dev_.stats().reads, 2u);  // block 12 once, block 13 once
+}
+
 }  // namespace
 }  // namespace bsim::kern

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "kernel/page_cache.h"
@@ -255,6 +256,88 @@ TEST_F(PageCacheTest, HitMissStats) {
   (void)inode.mapping.read_page(inode, aops, 0);
   EXPECT_EQ(inode.mapping.stats().misses, 1u);
   EXPECT_EQ(inode.mapping.stats().hits, 1u);
+}
+
+// ---- concurrent misses (generic_file_read's fill protocol) ----
+
+/// ->readpage that takes a device's random-read latency.
+class SlowAops final : public AddressSpaceOps {
+ public:
+  static constexpr sim::Nanos kReadLat = sim::usec(80);
+
+  Err readpage(Inode&, std::uint64_t pgoff,
+               std::span<std::byte> out) override {
+    reads += 1;
+    sim::current().wait(kReadLat);
+    std::memset(out.data(), static_cast<int>(pgoff & 0xFF), out.size());
+    return Err::Ok;
+  }
+  Err writepage(Inode&, std::uint64_t, std::span<const std::byte>) override {
+    return Err::Ok;
+  }
+
+  std::uint64_t reads = 0;
+};
+
+TEST_F(PageCacheTest, MissesOnOneFileOverlap) {
+  Inode inode(sb_, 20);
+  SlowAops aops;
+  inode.aops = &aops;
+  inode.size = 8 * kPageSize;
+  std::vector<sim::SimThread> threads;
+  for (int i = 1; i <= 4; ++i) threads.emplace_back(i);
+  const std::uint64_t pages[] = {6, 0, 4, 2};
+  std::vector<std::byte> buf(kPageSize);
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    sim::ScopedThread in(threads[i]);
+    ASSERT_TRUE(generic_file_read(inode, pages[i] * kPageSize, buf).ok());
+    EXPECT_EQ(buf[0], static_cast<std::byte>(pages[i]));
+    // No reader waits behind another's fill.
+    EXPECT_LT(threads[i].now(), 2 * SlowAops::kReadLat) << "reader " << i;
+  }
+  EXPECT_EQ(aops.reads, 4u);
+}
+
+TEST_F(PageCacheTest, ReaderOfInFlightPageWaitsForTheFill) {
+  Inode inode(sb_, 21);
+  SlowAops aops;
+  inode.aops = &aops;
+  inode.size = 8 * kPageSize;
+  std::vector<std::byte> buf(kPageSize);
+  // a fills page 3 first in host order, though its clock is later than
+  // b's and c's: both find the page uptodate with its fill in their
+  // future, and must wait for it.
+  sim::SimThread a(1);
+  a.wait_until(sim::usec(5));
+  {
+    sim::ScopedThread in(a);
+    ASSERT_TRUE(generic_file_read(inode, 3 * kPageSize, buf).ok());
+  }
+  Page* page = inode.mapping.find(3);
+  ASSERT_NE(page, nullptr);
+  const sim::Nanos filled = page->filled_at;
+  EXPECT_GE(filled, sim::usec(5) + SlowAops::kReadLat);
+
+  sim::SimThread b(2);
+  {
+    sim::ScopedThread in(b);
+    std::vector<std::byte> mine(kPageSize);
+    ASSERT_TRUE(generic_file_read(inode, 3 * kPageSize, mine).ok());
+    EXPECT_GE(b.now(), filled);
+    EXPECT_EQ(mine[0], std::byte{3});
+  }
+  sim::SimThread c(3);
+  {
+    sim::ScopedThread in(c);
+    const std::string patch = "partial";
+    ASSERT_TRUE(generic_file_write(
+                    inode, 3 * kPageSize + 100,
+                    {reinterpret_cast<const std::byte*>(patch.data()),
+                     patch.size()})
+                    .ok());
+    EXPECT_GE(c.now(), filled);  // a partial write reads the page first
+  }
+  EXPECT_EQ(aops.reads, 1u);
 }
 
 // ---- sequential-stream readahead (generic_file_read heuristics) ----

@@ -67,6 +67,112 @@ TEST(SimMutex, UncontendedIsCheap) {
   EXPECT_EQ(mu.contended_acquires(), 0u);
 }
 
+TEST(SimMutex, ExclusiveOnlySequenceKeepsItsCosts) {
+  // The timestamps and counters of a plain mutex, spelled out, so a
+  // shared mode can never shift what exclusive-only users pay.
+  for (const auto kind : {SimMutex::Kind::Sleeping, SimMutex::Kind::Spin}) {
+    const Nanos handoff = kind == SimMutex::Kind::Spin ? costs().spin_handoff
+                                                       : costs().sched_wakeup;
+    SimMutex mu(kind);
+    SimThread a(0);
+    SimThread b(1);
+    SimThread c(2);
+    b.wait_until(500);
+    c.wait_until(5000);
+    {
+      ScopedThread in(a);
+      mu.lock();
+      charge(1000);
+      mu.unlock();
+    }
+    const Nanos a_release = costs().lock_uncontended + 1000;
+    EXPECT_EQ(a.now(), a_release);
+    {
+      ScopedThread in(b);
+      mu.lock();
+      charge(100);
+      mu.unlock();
+    }
+    EXPECT_EQ(b.now(), a_release + costs().lock_uncontended + handoff + 100);
+    {
+      ScopedThread in(c);
+      mu.lock();
+      mu.unlock();
+    }
+    EXPECT_EQ(c.now(), 5000 + costs().lock_uncontended);
+    EXPECT_EQ(mu.acquires(), 3u);
+    EXPECT_EQ(mu.contended_acquires(), 1u);
+    EXPECT_EQ(mu.total_wait(), a_release - 500);
+  }
+}
+
+TEST(SimMutex, SharedHoldersOverlap) {
+  SimMutex mu;
+  SimThread a(0);
+  SimThread b(1);
+  {
+    ScopedThread in(a);
+    mu.lock_shared();
+    charge(1000);
+    mu.unlock_shared();
+  }
+  {
+    ScopedThread in(b);
+    mu.lock_shared();  // a's shared hold does not delay b
+    EXPECT_EQ(now(), costs().lock_uncontended);
+    mu.unlock_shared();
+  }
+  EXPECT_EQ(mu.contended_acquires(), 0u);
+}
+
+TEST(SimMutex, ExclusiveWaitsForLastSharedRelease) {
+  SimMutex mu;
+  SimThread a(0);
+  SimThread b(1);
+  SimThread c(2);
+  {
+    ScopedThread in(a);
+    mu.lock_shared();
+    charge(1000);
+    mu.unlock_shared();
+  }
+  {
+    ScopedThread in(b);
+    mu.lock_shared();
+    charge(3000);
+    mu.unlock_shared();
+  }
+  ASSERT_GT(b.now(), a.now());
+  {
+    ScopedThread in(c);
+    mu.lock();  // waits for b, the later of the two readers
+    EXPECT_EQ(now(), b.now() + costs().lock_uncontended +
+                         costs().sched_wakeup);
+    mu.unlock();
+  }
+  EXPECT_EQ(mu.contended_acquires(), 1u);
+}
+
+TEST(SimMutex, SharedAcquireWaitsForExclusiveHolder) {
+  SimMutex mu;
+  SimThread a(0);
+  SimThread b(1);
+  {
+    ScopedThread in(a);
+    mu.lock();
+    charge(1000);
+    mu.unlock();
+  }
+  {
+    ScopedThread in(b);
+    mu.lock_shared();
+    EXPECT_EQ(now(), a.now() + costs().lock_uncontended +
+                         costs().sched_wakeup);
+    mu.unlock_shared();
+  }
+  EXPECT_EQ(mu.contended_acquires(), 1u);
+}
+
 TEST(SimRwLock, ReadersDoNotSerialize) {
   SimRwLock rw;
   SimThread a(0);
@@ -164,6 +270,32 @@ TEST(LatencyHistogram, MeanMinMaxQuantiles) {
   EXPECT_EQ(h.max(), 1000);
   EXPECT_DOUBLE_EQ(h.mean(), 400.0);
   EXPECT_GE(h.quantile(0.99), 512);  // log-bucket upper bound
+}
+
+TEST(LatencyHistogram, QuantilesStayWithinObservedRange) {
+  // Property: on any sample, min <= p50 <= p99 <= p99.9 <= max. The
+  // bucket upper bound alone can exceed max (941.6 us lands in the
+  // 1048.6 us bucket).
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    LatencyHistogram h;
+    const std::uint64_t n = rng.range(1, 2000);
+    const std::uint64_t lo = rng.range(0, 1'000'000);
+    const std::uint64_t span = rng.range(1, 10'000'000);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      h.record(static_cast<Nanos>(lo + rng.below(span)));
+    }
+    const Nanos p50 = h.quantile(0.50);
+    const Nanos p99 = h.quantile(0.99);
+    const Nanos p999 = h.quantile(0.999);
+    EXPECT_LE(h.min(), p50) << "seed " << seed;
+    EXPECT_LE(p50, p99) << "seed " << seed;
+    EXPECT_LE(p99, p999) << "seed " << seed;
+    EXPECT_LE(p999, h.max()) << "seed " << seed;
+  }
+  LatencyHistogram one;
+  one.record(941'600);
+  EXPECT_EQ(one.quantile(0.99), 941'600);
 }
 
 TEST(LatencyHistogram, Merge) {

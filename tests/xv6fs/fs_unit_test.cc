@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bento/user.h"
+#include "kernel/buffer_cache.h"
 #include "sim/thread.h"
 #include "xv6fs/fs.h"
 #include "xv6fs/layout.h"
@@ -304,6 +305,77 @@ TEST_F(Xv6Rig, FileGrowsToFBigLimit) {
                       {&x, 1});
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.error(), Err::FBig);
+}
+
+TEST(Xv6InodeLock, ReadersShareItAndAWriterWaitsForTheLast) {
+  // A kernel-backed rig on a slow device, so every cold read (sequential
+  // or not) holds the inode lock for a long, known time.
+  sim::SimThread main(0);
+  sim::ScopedThread in_main(main);
+  blk::DeviceParams params;
+  params.nblocks = 16384;
+  params.read_lat_rand = sim::msec(10);
+  params.read_lat_seq = params.read_lat_rand;
+  blk::BlockDevice dev(params);
+  mkfs(dev, /*ninodes=*/1024);
+  kern::BufferCache cache(dev, /*capacity=*/0);
+  bento::UserMount mount(std::make_unique<bento::KernelBlockBackend>(cache),
+                         std::make_unique<Xv6FileSystem>());
+  ASSERT_EQ(Err::Ok, mount.mount_init());
+  auto& fs = static_cast<Xv6FileSystem&>(mount.fs());
+
+  auto created =
+      fs.create(mount.mkreq(), mount.borrow(), kRootIno, "shared", 0644);
+  ASSERT_TRUE(created.ok());
+  const bento::Ino ino = created.value().ino;
+  const auto write_block = [&](std::uint64_t bn, std::byte fill) {
+    std::vector<std::byte> block(kBlockSize, fill);
+    auto w = fs.write(mount.mkreq(), mount.borrow(), ino, 0, bn * kBlockSize,
+                      block);
+    ASSERT_TRUE(w.ok());
+  };
+  for (std::uint64_t bn = 0; bn < 4; ++bn) {
+    write_block(bn, static_cast<std::byte>(bn + 1));
+  }
+  ASSERT_EQ(Err::Ok, fs.sync_fs(mount.mkreq(), mount.borrow()));
+  cache.sync_all();
+  cache.invalidate();
+  // Warm what a write of block 3 touches; time a second, warm write.
+  write_block(3, std::byte{0x33});
+  const sim::Nanos warm_start = main.now();
+  write_block(3, std::byte{0x44});
+  const sim::Nanos warm_write = main.now() - warm_start;
+  ASSERT_LT(warm_write, params.read_lat_rand);
+
+  const sim::Nanos t0 = main.now();
+  const auto read_on = [&](sim::SimThread& t, std::uint64_t bn) {
+    sim::ScopedThread in(t);
+    t.wait_until(t0);
+    std::vector<std::byte> buf(kBlockSize);
+    auto r = fs.read(mount.mkreq(), mount.borrow(), ino, 0, bn * kBlockSize,
+                     buf);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(buf[0], static_cast<std::byte>(bn + 1));
+  };
+  sim::SimThread r1(1);
+  sim::SimThread r2(2);
+  read_on(r1, 0);  // cold: holds the lock shared across the device read
+  read_on(r2, 1);
+  EXPECT_GE(r1.now() - t0, params.read_lat_rand);
+  EXPECT_GE(r2.now() - t0, params.read_lat_rand);
+  // Readers overlap rather than queue behind each other.
+  EXPECT_LT(r2.now() - t0, 2 * params.read_lat_rand);
+
+  sim::SimThread w(3);
+  w.wait_until(t0);
+  {
+    sim::ScopedThread in(w);
+    write_block(3, std::byte{0x55});
+  }
+  // Uncontended, the write would end after warm_write (< one device
+  // read); it first waits for the later of the two shared releases.
+  EXPECT_GE(w.now(), std::max(r1.now(), r2.now()));
+  mount.check_borrows();
 }
 
 }  // namespace
