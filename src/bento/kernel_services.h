@@ -356,18 +356,6 @@ class SharedSemGuard {
   Semaphore& s_;
 };
 
-/// Reader-writer semaphore wrapper.
-class RwSemaphore {
- public:
-  void down_read() { rw_.lock_shared(); }
-  void up_read() { rw_.unlock_shared(); }
-  void down_write() { rw_.lock(); }
-  void up_write() { rw_.unlock(); }
-
- private:
-  sim::SimRwLock rw_;
-};
-
 /// Current kernel time (ktime_get analogue) in virtual nanoseconds.
 sim::Nanos ktime();
 

@@ -65,6 +65,9 @@ kern::Result<UserBlockBackend::UserBuf*> UserBlockBackend::get_buf(
     if (!r.ok()) return r.error();
     stats_.preads += 1;
     buf->uptodate = true;
+    buf->filled_at = sim::now();
+  } else if (read) {
+    sim::current().wait_until(buf->filled_at);
   }
   buf->refcount += 1;
   return buf;

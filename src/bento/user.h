@@ -61,6 +61,9 @@ class UserBlockBackend final : public BlockBackend {
     std::uint64_t blockno = 0;
     bool uptodate = false;
     bool dirty = false;
+    /// Virtual time the block's pread returned. A read whose clock is
+    /// still before it found the pread in flight and waits for it.
+    sim::Nanos filled_at = 0;
     int refcount = 0;
     std::array<std::byte, blk::kBlockSize> data{};
   };

@@ -97,24 +97,14 @@ class ScopedLock {
   SimMutex& m_;
 };
 
-/// Readers-writer lock in virtual time. Readers proceed concurrently;
-/// writers serialize against both readers and writers.
+/// The VFS's i_rwsem, which this model only ever takes for write: holders
+/// serialize, and unlike SimMutex a contended waiter pays no scheduler
+/// wake-up.
 class SimRwLock {
  public:
-  void lock_shared() {
-    auto& t = current();
-    t.wait_until(writer_release_);  // readers wait only for writers
-    t.charge_cpu(costs().lock_uncontended);
-    last_reader_release_ = std::max(last_reader_release_, t.now());
-  }
-
-  void unlock_shared() {
-    last_reader_release_ = std::max(last_reader_release_, now());
-  }
-
   void lock() {
     auto& t = current();
-    t.wait_until(std::max(writer_release_, last_reader_release_));
+    t.wait_until(writer_release_);
     t.charge_cpu(costs().lock_uncontended);
     t.enter_critical();
   }
@@ -126,7 +116,6 @@ class SimRwLock {
 
  private:
   Nanos writer_release_ = 0;
-  Nanos last_reader_release_ = 0;
 };
 
 /// Group-commit gate (DESIGN.md §5): callers that need an expensive shared

@@ -363,7 +363,9 @@ TEST_P(PosixFsTest, WriteReturnsBadFOnReadOnlyFd) {
 /// across the device read.
 class ConcurrentColdReadTest : public PosixFsTest {
  protected:
-  static constexpr std::uint64_t kPages = 8;
+  /// Past xv6's kNDirect (10), so the file's tail hangs off one indirect
+  /// block.
+  static constexpr std::uint64_t kPages = 24;
 
   /// Write kPages pages (page i filled with byte i+1), then remount and
   /// drop the clean buffers (a journal replay at mount may have cached
@@ -405,7 +407,9 @@ class ConcurrentColdReadTest : public PosixFsTest {
 };
 
 INSTANTIATE_TEST_SUITE_P(GenericFileRead, ConcurrentColdReadTest,
-                         ::testing::Values("xv6_bento", "xv6_vfs", "ext4j"),
+                         ::testing::Values("xv6_bento", "xv6_vfs",
+                                           "xv6_fuse", "ext4j",
+                                           "xv6_nvmlog"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -451,6 +455,37 @@ TEST_P(ConcurrentColdReadTest, SecondMissOnOnePageWaitsForTheFirstFill) {
   ASSERT_NE(page, nullptr);
   EXPECT_GE(page->filled_at, t0 + sim::usec(5) + read_lat_);
   EXPECT_GE(b.now(), page->filled_at);
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd));
+}
+
+/// xv6 maps every page from kNDirect on through one indirect block, so two
+/// misses there also share a metadata read.
+class Xv6IndirectColdReadTest : public ConcurrentColdReadTest {};
+
+INSTANTIATE_TEST_SUITE_P(GenericFileRead, Xv6IndirectColdReadTest,
+                         ::testing::Values("xv6_bento", "xv6_vfs",
+                                           "xv6_fuse", "xv6_nvmlog"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST_P(Xv6IndirectColdReadTest, MissBehindAnInFlightIndirectBlockWaitsForIt) {
+  const int fd = cold_file();
+  ASSERT_GE(fd, 0);
+  const sim::Nanos t0 = thread_.now();
+  // a runs first in host order with the later clock: it reads the indirect
+  // block, then page 20's data block. b's clock is earlier, and the
+  // indirect block it needs for page 14 is still in flight at that clock.
+  // Pages 20 and 14 are far apart, so neither read triggers readahead.
+  sim::SimThread a(1);
+  sim::SimThread b(2);
+  a.wait_until(t0 + sim::usec(5));
+  b.wait_until(t0);
+  EXPECT_EQ(read_page_on(a, fd, 20), std::byte{21});
+  EXPECT_GE(a.now() - t0, sim::usec(5) + 2 * read_lat_);
+  EXPECT_EQ(read_page_on(b, fd, 14), std::byte{15});
+  // b reads its data block only once a's indirect block has arrived.
+  EXPECT_GE(b.now() - t0, sim::usec(5) + 2 * read_lat_);
   ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd));
 }
 

@@ -173,28 +173,20 @@ TEST(SimMutex, SharedAcquireWaitsForExclusiveHolder) {
   EXPECT_EQ(mu.contended_acquires(), 1u);
 }
 
-TEST(SimRwLock, ReadersDoNotSerialize) {
+TEST(SimRwLock, WriterWaitsForTheLastReleaseWithoutAWakeupCharge) {
   SimRwLock rw;
   SimThread a(0);
   SimThread b(1);
   {
     ScopedThread in(a);
-    rw.lock_shared();
+    rw.lock();
     charge(1000);
-    rw.unlock_shared();
+    rw.unlock();
   }
   {
     ScopedThread in(b);
-    rw.lock_shared();
-    // b did not have to wait for a's read section.
-    EXPECT_LT(now(), 1000);
-    rw.unlock_shared();
-  }
-  SimThread c(2);
-  {
-    ScopedThread in(c);
-    rw.lock();  // writer waits for last reader
-    EXPECT_GE(now(), 1000);
+    rw.lock();
+    EXPECT_EQ(now(), a.now() + costs().lock_uncontended);
     rw.unlock();
   }
 }
