@@ -65,7 +65,8 @@ class UserBlockBackend final : public BlockBackend {
     /// still before it found the pread in flight and waits for it.
     sim::Nanos filled_at = 0;
     int refcount = 0;
-    std::array<std::byte, blk::kBlockSize> data{};
+    // File systems overlay on-disk structs (8-byte aligned) on block data.
+    alignas(8) std::array<std::byte, blk::kBlockSize> data{};
   };
 
   kern::Result<UserBuf*> get_buf(std::uint64_t blockno, bool read);
