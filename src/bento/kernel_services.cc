@@ -38,12 +38,6 @@ void BlockBackend::bh_sync_wait(const WriteTicket& t) {
   if (t.barrier > 0) sim::current().wait_until(t.barrier);
 }
 
-void SuperBlockCap::sync_batch(std::span<BufferHeadHandle* const> handles) {
-  // The barrier form is exactly submit-then-redeem (the default backend
-  // performs the write synchronously and returns an empty ticket).
-  wait(sync_batch_async(handles));
-}
-
 WriteTicket SuperBlockCap::sync_batch_async(
     std::span<BufferHeadHandle* const> handles) {
   std::vector<void*> impls;
@@ -136,15 +130,6 @@ void KernelBlockBackend::bh_set_dirty(void* impl) {
 
 void KernelBlockBackend::bh_sync(void* impl) {
   cache_->sync_dirty_buffer(static_cast<kern::BufferHead*>(impl));
-}
-
-void KernelBlockBackend::bh_sync_batch(std::span<void* const> impls) {
-  std::vector<kern::BufferHead*> bhs;
-  bhs.reserve(impls.size());
-  for (void* impl : impls) {
-    bhs.push_back(static_cast<kern::BufferHead*>(impl));
-  }
-  cache_->sync_dirty_buffers(bhs);
 }
 
 WriteTicket KernelBlockBackend::bh_sync_batch_async(

@@ -176,7 +176,7 @@ class BufferHeadHandle {
 
  private:
   friend class BlockBackend;
-  friend class SuperBlockCap;  // sync_batch gathers impl pointers
+  friend class SuperBlockCap;  // sync_batch_async gathers impl pointers
   BufferHeadHandle(BlockBackend& owner, void* impl, std::uint64_t blockno)
       : owner_(&owner), impl_(impl), blockno_(blockno) {}
 
@@ -229,8 +229,6 @@ class SuperBlockCap {
   kern::Result<BufferHeadHandle> getblk(std::uint64_t blockno) {
     return backend_->getblk(blockno);
   }
-  /// Synchronously write `handles` as one batch (journal commit runs).
-  void sync_batch(std::span<BufferHeadHandle* const> handles);
   /// Submit `handles` as one batch WITHOUT waiting: the returned ticket
   /// is redeemed with wait(), letting file-system code keep a checkpoint
   /// in flight while it continues (e.g. overlapping the next journal
@@ -305,7 +303,6 @@ class KernelBlockBackend final : public BlockBackend {
   std::span<std::byte> bh_data(void* impl) override;
   void bh_set_dirty(void* impl) override;
   void bh_sync(void* impl) override;
-  void bh_sync_batch(std::span<void* const> impls) override;
   WriteTicket bh_sync_batch_async(std::span<void* const> impls) override;
   void bh_sync_wait(const WriteTicket& t) override;
   void bh_release(void* impl) override;

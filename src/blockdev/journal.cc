@@ -1,0 +1,31 @@
+#include "blockdev/journal.h"
+
+#include <algorithm>
+
+namespace bsim::blk {
+
+std::size_t commit_threshold(std::size_t set, std::size_t cap,
+                             std::uint64_t stripe_width) {
+  if (set > 0) return set;
+  if (stripe_width > 0 && stripe_width < cap) {
+    cap -= cap % static_cast<std::size_t>(stripe_width);
+  }
+  return cap;
+}
+
+bool RunningTxn::tag(std::uint32_t blockno) {
+  if (std::find(blocks_.begin(), blocks_.end(), blockno) != blocks_.end()) {
+    c_->absorbed += 1;
+    return false;
+  }
+  blocks_.push_back(blockno);
+  return true;
+}
+
+void RunningTxn::committed() {
+  c_->ops_committed += ops_;
+  if (ops_ > 1) c_->group_commits += 1;
+  clear();
+}
+
+}  // namespace bsim::blk

@@ -1,0 +1,228 @@
+// The journal commit engine under the xv6 log (xv6fs/log.h; the C
+// baseline uses only its running transaction) and ext4's jbd
+// (ext4/ext4.h), after Linux's jbd2. The engine owns the mechanism: the
+// running transaction, the bounded commit-ticket pipeline, stage
+// recording, the abort latch and the flush-skip bookkeeping. Each file
+// system keeps its on-disk format and its commit policy (see
+// ARCHITECTURE.md, "Journal engine").
+//
+// Pipelining only moves when tickets are redeemed: media effects land at
+// submission, in program order, so a "-o nopipeline" mount (each commit
+// redeems its own tickets) is the oracle of the crash differentials.
+//
+// The engine is a template over the caller's I/O binding `Io`:
+//   using Ticket = ...;                           // an async write ticket
+//   static const blk::Ticket& bio(const Ticket&); // its bio-layer ticket
+//   void wait(const Ticket&) const;               // redeem it
+//   void trace(TraceEv, uint64_t txn, uint32_t nblocks) const;
+//   void on_abort() const;  // count the abort, report it to errors=
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <utility>
+#include <vector>
+
+#include "blockdev/bio.h"
+#include "blockdev/trace.h"
+#include "sim/stats.h"
+#include "sim/thread.h"
+
+namespace bsim::blk {
+
+/// What the engine counts. Each file system's stats struct extends this
+/// with its format's own counters.
+struct JournalCounters {
+  std::uint64_t absorbed = 0;       // tags of an already-tagged block
+  std::uint64_t ops_committed = 0;  // ops closed across all commits
+  std::uint64_t group_commits = 0;  // commits that closed >1 op
+  std::uint64_t pipelined_commits = 0;  // returned with transfers in flight
+  std::uint64_t empty_commits_skipped = 0;  // forced, with nothing to do
+  std::uint64_t flushes_skipped = 0;  // fsync barriers skipped (clean)
+  // Commit entry -> each stage's transfer completion (the stages are in
+  // submission order, so the histograms nest).
+  sim::LatencyHistogram write_lat;       // journal run
+  sim::LatencyHistogram record_lat;      // commit record (the commit point)
+  sim::LatencyHistogram checkpoint_lat;  // install to home locations
+};
+
+/// The group-commit block trigger: `set` when the mount set one, else
+/// `cap` rounded down to whole stripe rows, so the checkpoint hands every
+/// member of a striped volume a full merged share.
+[[nodiscard]] std::size_t commit_threshold(std::size_t set, std::size_t cap,
+                                           std::uint64_t stripe_width);
+
+/// The running transaction: tagged home blocks, in tag order, and the
+/// operations closed into it.
+class RunningTxn {
+ public:
+  explicit RunningTxn(JournalCounters& counters) : c_(&counters) {}
+
+  /// False (and counted) when `blockno` is already tagged: absorption.
+  bool tag(std::uint32_t blockno);
+  /// Close one more operation into the transaction (group commit). True
+  /// when the batch is full: `max_ops` operations, or `max_blocks` blocks.
+  bool close_op(std::size_t max_ops, std::size_t max_blocks) {
+    ops_ += 1;
+    return ops_ >= std::max<std::size_t>(max_ops, 1) || size() >= max_blocks;
+  }
+
+  [[nodiscard]] const std::vector<std::uint32_t>& blocks() const {
+    return blocks_;
+  }
+  [[nodiscard]] bool empty() const { return blocks_.empty(); }
+  [[nodiscard]] std::size_t size() const { return blocks_.size(); }
+
+  /// The transaction committed: count its ops and open a new one.
+  void committed();
+  void clear() {
+    blocks_.clear();
+    ops_ = 0;
+  }
+
+ protected:
+  JournalCounters* c_;
+
+ private:
+  std::vector<std::uint32_t> blocks_;
+  std::size_t ops_ = 0;
+};
+
+template <class Io>
+class Journal : public RunningTxn {
+ public:
+  using Ticket = typename Io::Ticket;
+  using Tickets = std::vector<Ticket>;
+  static constexpr std::size_t kPipelineDepth = 2;
+
+  explicit Journal(JournalCounters& counters, bool pipeline = true)
+      : RunningTxn(counters), pipeline_(pipeline) {}
+
+  /// Mount: empty, clean, not aborted, nothing in flight.
+  void reset(bool pipeline) {
+    clear();
+    inflight_.clear();
+    unflushed_ = 0;
+    aborted_ = false;
+    pipeline_ = pipeline;
+  }
+
+  [[nodiscard]] bool aborted() const { return aborted_; }
+  [[nodiscard]] std::size_t inflight() const { return inflight_.size(); }
+
+  /// Start committing the running transaction as `txn` (TC): bound the
+  /// pipeline and stamp the entry time the stage latencies count from.
+  /// Every write of an in-flight commit is already submitted, so reusing
+  /// the journal area after this cannot reorder anything on media.
+  void begin_commit(const Io& io, std::uint64_t txn) {
+    while (inflight_.size() >= kPipelineDepth) wait_oldest(io);
+    t0_ = sim::now();
+    if (!empty()) {
+      io.trace(TraceEv::TxnClose, txn, static_cast<std::uint32_t>(size()));
+    }
+  }
+
+  /// Stage `ev` (JW, JR or JK) went out on ticket `t`: keep `t` with
+  /// this commit's `tickets`, trace the stage and record its latency. A
+  /// journal write (JW, JR) that failed on media aborts the journal and
+  /// returns false; the caller returns without issuing further records.
+  bool stage(const Io& io, TraceEv ev, std::uint64_t txn, std::uint32_t n,
+             Tickets& tickets, const Ticket& t) {
+    tickets.push_back(t);
+    io.trace(ev, txn, n);
+    if (Io::bio(t).failed && ev != TraceEv::JCheckpoint) {
+      abort(io, tickets);
+      return false;
+    }
+    latency(ev, t);
+    return true;
+  }
+
+  /// Record stage `ev`'s latency from `t`, if `t` has a completion time
+  /// (a plugged submission's ticket has none; its unplug ticket does).
+  void latency(TraceEv ev, const Ticket& t) {
+    const sim::Nanos done = Io::bio(t).done;
+    if (done <= 0) return;
+    (ev == TraceEv::JLogWrite       ? c_->write_lat
+     : ev == TraceEv::JCommitRecord ? c_->record_lat
+                                    : c_->checkpoint_lat)
+        .record(done - t0_);
+  }
+
+  /// Every record of the running transaction is submitted: it now needs a
+  /// durability barrier, and a new transaction opens.
+  void close() {
+    if (!empty()) unflushed_ += 1;
+    committed();
+  }
+
+  /// Hand a closed commit's tickets to the pipeline (unpipelined: redeem
+  /// them now).
+  void retire(const Io& io, Tickets tickets) {
+    if (!pipeline_) {
+      for (const Ticket& t : tickets) io.wait(t);
+      return;
+    }
+    if (tickets.empty()) return;
+    c_->pipelined_commits += 1;
+    inflight_.push_back(std::move(tickets));
+  }
+
+  /// Redeem this commit's tickets, then every in-flight commit's: the
+  /// failure path, and the barrier before a device FLUSH.
+  void redeem(const Io& io, const Tickets& tickets) {
+    for (const Ticket& t : tickets) io.wait(t);
+    drain(io);
+  }
+
+  void drain(const Io& io) {
+    while (!inflight_.empty()) wait_oldest(io);
+  }
+
+  /// Has a commit happened since the last durability barrier? False is
+  /// counted: the caller skips its device FLUSH.
+  [[nodiscard]] bool flush_needed() {
+    if (unflushed_ > 0) return true;
+    c_->flushes_skipped += 1;
+    return false;
+  }
+  [[nodiscard]] bool dirty() const { return unflushed_ > 0; }
+  /// State reached the device's volatile cache outside a commit (replay).
+  void mark_dirty() { unflushed_ += 1; }
+  void note_flushed() { unflushed_ = 0; }
+  /// A forced commit with nothing tagged and nothing in flight would
+  /// write nothing: true, counted as skipped.
+  bool skip_idle() {
+    if (!empty() || !inflight_.empty()) return false;
+    c_->empty_commits_skipped += 1;
+    return true;
+  }
+
+ private:
+  /// A journal write failed on media (jbd2_journal_abort): the running
+  /// transaction can never become durable. Its commit record is never
+  /// issued, so recovery replays none of it, and its blocks stay
+  /// journal-pinned, so none reaches a home location. An aborted journal
+  /// never commits again.
+  void abort(const Io& io, const Tickets& tickets) {
+    aborted_ = true;
+    clear();
+    io.on_abort();
+    redeem(io, tickets);
+  }
+
+  void wait_oldest(const Io& io) {
+    for (const Ticket& t : inflight_.front()) io.wait(t);
+    inflight_.pop_front();
+  }
+
+  bool pipeline_;
+  bool aborted_ = false;
+  std::deque<Tickets> inflight_;  // oldest first
+  std::uint64_t unflushed_ = 0;   // commits since the last barrier
+  sim::Nanos t0_ = 0;             // entry time of the commit in progress
+};
+
+}  // namespace bsim::blk

@@ -28,80 +28,38 @@ void Ext4Mount::j_write(std::uint32_t blockno) {
   // background writeback and eviction must not write it ahead of the
   // commit record.
   sb_->bufcache().pin_journal(blockno, true);
-  if (std::find(running_txn_.begin(), running_txn_.end(), blockno) ==
-      running_txn_.end()) {
-    if (running_txn_.empty()) {
-      // First tagged block opens the running transaction (jseq_ is the
-      // sequence its records will carry).
-      sb_->bdev().trace_event(blk::TraceEv::TxnOpen, jseq_, 0, 0,
-                              blk::TraceOp::Journal);
-    }
-    running_txn_.push_back(blockno);
-  }
-}
-
-void Ext4Mount::j_wait_oldest() {
-  if (jpipeline_.empty()) return;
-  auto& bc = sb_->bufcache();
-  for (const blk::Ticket& t : jpipeline_.front()) bc.wait(t);
-  jpipeline_.pop_front();
-}
-
-void Ext4Mount::j_drain() {
-  while (!jpipeline_.empty()) j_wait_oldest();
+  // The first tagged block opens the running transaction (jseq_ is the
+  // sequence its records will carry).
+  if (jnl_.empty()) jio().trace(blk::TraceEv::TxnOpen, jseq_, 0);
+  (void)jnl_.tag(blockno);
 }
 
 Err Ext4Mount::j_commit(bool flush_device) {
-  if (jaborted_) return Err::Io;
+  if (jnl_.aborted()) return Err::Io;
   auto& bc = sb_->bufcache();
-  std::size_t written = 0;
+  const JbdIo io = jio();
 
   // No-op commit skip: a flush-commit with nothing tagged, nothing in
   // flight, and nothing written since the last FLUSH would pay a full
   // device FLUSH for no durability gain.
-  if (running_txn_.empty() && jpipeline_.empty() && !jdirty_since_flush_) {
-    jstats_.empty_commits_skipped += 1;
+  if (!jnl_.dirty() && jnl_.skip_idle()) {
     committed_seq_ = op_seq_;
     return Err::Ok;
   }
 
-  // Pipelined commit: every write of this commit (journal run, commit
-  // record, checkpoint) rides async tickets. Media effects land at
-  // submission in program order, so journal-area reuse and crash
-  // semantics are unchanged; only the completions stay outstanding,
-  // bounded by kJPipelineDepth commits (oldest redeemed first).
-  constexpr std::size_t kJPipelineDepth = 2;
-  while (jpipeline_.size() >= kJPipelineDepth) j_wait_oldest();
-  const sim::Nanos t0 = sim::now();
-  if (!running_txn_.empty()) {
-    sb_->bdev().trace_event(blk::TraceEv::TxnClose, jseq_, 0,
-                            static_cast<std::uint32_t>(running_txn_.size()),
-                            blk::TraceOp::Journal);
-  }
+  jnl_.begin_commit(io, jseq_);
+  const std::vector<std::uint32_t>& running = jnl_.blocks();
   std::vector<blk::Ticket> tickets;
   auto fail = [&](Err e) {
-    for (const blk::Ticket& t : tickets) bc.wait(t);
-    j_drain();
+    jnl_.redeem(io, tickets);
     return e;
   };
-  // Journal abort (jbd2_journal_abort): a write into the journal area
-  // failed on media, so this transaction can never become durable. The
-  // commit record for it is never issued — recovery ignores the partial
-  // record and replays nothing past the last committed seq. The tagged
-  // blocks stay journal-pinned in the cache so uncommitted state never
-  // reaches home locations; errors= policy decides the mount's fate.
-  auto abort_journal = [&](Err e) {
-    jstats_.jbd_aborted += 1;
-    jaborted_ = true;
-    running_txn_.clear();
-    sb_->fs_error(e);
-    return fail(e);
-  };
-  while (written < running_txn_.size()) {
+  std::size_t written = 0;
+  while (written < running.size()) {
     // One journal record holds as many tags as fit the descriptor block
     // (and the journal area); huge transactions split into several records.
     constexpr std::size_t kMaxTags = std::size(JDescriptor{}.blocks);
-    const std::size_t n = std::min({running_txn_.size() - written,
+    const std::size_t n = std::min({running.size() - written,
                                     static_cast<std::size_t>(super_.jblocks) - 2,
                                     kMaxTags});
     JDescriptor desc;
@@ -109,7 +67,7 @@ Err Ext4Mount::j_commit(bool flush_device) {
     desc.seq = jseq_;
     desc.n = static_cast<std::uint32_t>(n);
     for (std::size_t i = 0; i < n; ++i) {
-      desc.blocks[i] = running_txn_[written + i];
+      desc.blocks[i] = running[written + i];
     }
     // Descriptor + data into the journal region, submitted as ONE batch:
     // the run is contiguous from jstart, so the request queue merges it
@@ -124,7 +82,7 @@ Err Ext4Mount::j_commit(bool flush_device) {
       bc.mark_dirty(db.value());
       jrun.push_back(db.value());
       for (std::size_t i = 0; i < n; ++i) {
-        auto src = bc.bread(running_txn_[written + i]);
+        auto src = bc.bread(running[written + i]);
         if (!src.ok()) {
           for (auto* bh : jrun) bc.brelse(bh);
           return fail(src.error());
@@ -141,18 +99,14 @@ Err Ext4Mount::j_commit(bool flush_device) {
         jrun.push_back(dst.value());
         bc.brelse(src.value());
       }
-      tickets.push_back(bc.sync_dirty_buffers_async(jrun));
-      if (tickets.back().failed) {
-        for (auto* bh : jrun) bc.brelse(bh);
-        return abort_journal(Err::Io);
-      }
-      sb_->bdev().trace_event(blk::TraceEv::JLogWrite, jseq_, 0,
-                              static_cast<std::uint32_t>(n + 1),
-                              blk::TraceOp::Journal);
-      if (tickets.back().done > 0) {
-        jstats_.jwrite_lat.record(tickets.back().done - t0);
-      }
+      const blk::Ticket t = bc.sync_dirty_buffers_async(jrun);
       for (auto* bh : jrun) bc.brelse(bh);
+      // A failed journal write aborts the journal before the commit
+      // record: recovery replays nothing past the last committed seq.
+      if (!jnl_.stage(io, blk::TraceEv::JLogWrite, jseq_,
+                      static_cast<std::uint32_t>(n + 1), tickets, t)) {
+        return Err::Io;
+      }
     }
     // Commit record: strictly ordered after the journal data on media
     // (media effects land at submission, in submission order); only the
@@ -166,22 +120,17 @@ Err Ext4Mount::j_commit(bool flush_device) {
     bc.mark_dirty(cb.value());
     {
       kern::BufferHead* cbh = cb.value();
-      tickets.push_back(bc.sync_dirty_buffers_async(
-          std::span<kern::BufferHead* const>(&cbh, 1)));
+      const blk::Ticket t = bc.sync_dirty_buffers_async(
+          std::span<kern::BufferHead* const>(&cbh, 1));
+      bc.brelse(cbh);
       // Failed commit record: the transaction never committed — abort
       // BEFORE the checkpoint, or uncommitted state reaches home
       // locations with no durable record protecting it.
-      if (tickets.back().failed) {
-        bc.brelse(cb.value());
-        return abort_journal(Err::Io);
-      }
-      sb_->bdev().trace_event(blk::TraceEv::JCommitRecord, jseq_, 0, 1,
-                              blk::TraceOp::Journal);
-      if (tickets.back().done > 0) {
-        jstats_.record_lat.record(tickets.back().done - t0);
+      if (!jnl_.stage(io, blk::TraceEv::JCommitRecord, jseq_, 1, tickets,
+                      t)) {
+        return Err::Io;
       }
     }
-    bc.brelse(cb.value());
 
     // Checkpoint: write home locations (device write cache; durability
     // comes from the journal + the fsync-path flush). Scattered blocks,
@@ -190,7 +139,7 @@ Err Ext4Mount::j_commit(bool flush_device) {
       std::vector<kern::BufferHead*> homes;
       homes.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
-        auto bh = bc.bread(running_txn_[written + i]);
+        auto bh = bc.bread(running[written + i]);
         if (!bh.ok()) {
           for (auto* h : homes) bc.brelse(h);
           return fail(bh.error());
@@ -198,33 +147,27 @@ Err Ext4Mount::j_commit(bool flush_device) {
         bc.mark_dirty(bh.value());
         homes.push_back(bh.value());
       }
-      tickets.push_back(bc.sync_dirty_buffers_async(homes));
-      sb_->bdev().trace_event(blk::TraceEv::JCheckpoint, jseq_, 0,
-                              static_cast<std::uint32_t>(n),
-                              blk::TraceOp::Journal);
-      if (tickets.back().done > 0) {
-        jstats_.checkpoint_lat.record(tickets.back().done - t0);
-      }
+      const blk::Ticket t = bc.sync_dirty_buffers_async(homes);
       for (auto* h : homes) bc.brelse(h);
+      jnl_.stage(io, blk::TraceEv::JCheckpoint, jseq_,
+                 static_cast<std::uint32_t>(n), tickets, t);
     }
     jseq_ += 1;
     jstats_.commits += 1;
     jstats_.blocks_journaled += n;
     written += n;
   }
-  if (!running_txn_.empty()) jdirty_since_flush_ = true;
-  running_txn_.clear();
+  jnl_.close();
   committed_seq_ = op_seq_;
 
   if (flush_device) {
     // Durability barrier: every in-flight commit's transfers complete,
     // then the device FLUSH covers them.
-    for (const blk::Ticket& t : tickets) bc.wait(t);
-    j_drain();
+    jnl_.redeem(io, tickets);
     flush_start_ = sim::now();
     sb_->bdev().flush();
     flush_end_ = sim::now();
-    jdirty_since_flush_ = false;
+    jnl_.note_flushed();
     last_commit_end_ = sim::now();
     return Err::Ok;
   }
@@ -234,14 +177,7 @@ Err Ext4Mount::j_commit(bool flush_device) {
     commit_end = std::max(commit_end, t.done);
   }
   last_commit_end_ = commit_end;
-  if (!jpipeline_enabled_) {
-    for (const blk::Ticket& t : tickets) bc.wait(t);
-    return Err::Ok;
-  }
-  if (!tickets.empty()) {
-    jstats_.pipelined_commits += 1;
-    jpipeline_.push_back(std::move(tickets));
-  }
+  jnl_.retire(io, std::move(tickets));
   return Err::Ok;
 }
 
@@ -259,8 +195,8 @@ Err Ext4Mount::j_force(std::uint64_t op_seq) {
       arrival >= flush_start_ && arrival < flush_end_ + kBatchSlack;
 
   sim::ScopedLock guard(journal_lock_);
-  if (jaborted_) return Err::Io;
-  if (committed_seq_ >= op_seq && running_txn_.empty()) {
+  if (jnl_.aborted()) return Err::Io;
+  if (committed_seq_ >= op_seq && jnl_.empty()) {
     sim::current().wait_until(last_commit_end_);
     jstats_.shared_commits += 1;
     return Err::Ok;
@@ -268,7 +204,7 @@ Err Ext4Mount::j_force(std::uint64_t op_seq) {
   if (shares_flush) {
     const sim::Nanos ride_until = flush_end_;
     BSIM_TRY(j_commit(/*flush_device=*/false));
-    j_drain();  // fsync durability claim: transfers complete before return
+    jnl_.drain(jio());  // fsync durability claim: transfers complete first
     sim::current().wait_until(ride_until);
     jstats_.shared_commits += 1;
     return Err::Ok;
@@ -808,14 +744,8 @@ Err Ext4Mount::write_through_journal(kern::Inode& inode, std::uint64_t off,
   if (off + done > e->d.size) e->d.size = off + done;
   BSIM_TRY(iupdate(inode));
   op_seq_ += 1;
-  // Stripe-aware clustering: align the threshold commit to whole stripe
-  // rows so the checkpoint hands each member a full merged share.
-  std::size_t threshold = kTxnCommitThreshold;
-  const std::uint64_t width = sb_->bdev().stripe_width_blocks();
-  if (width > 0 && width < threshold) {
-    threshold -= threshold % static_cast<std::size_t>(width);
-  }
-  if (running_txn_.size() >= threshold) {
+  if (jnl_.size() >= blk::commit_threshold(0, kTxnCommitThreshold,
+                                           sb_->bdev().stripe_width_blocks())) {
     sim::ScopedLock guard(journal_lock_);
     BSIM_TRY(j_commit(/*flush_device=*/false));
   }
@@ -1396,10 +1326,10 @@ class Ext4FsType final : public kern::FileSystemType {
                                         std::string_view opts) override {
     auto sb = std::make_unique<kern::SuperBlock>(dev, 16384);
     sb->fs_name = name_;
-    auto mnt = std::make_unique<Ext4Mount>(*sb);
+    auto mnt =
+        std::make_unique<Ext4Mount>(*sb, blk::parse_mount_opts(opts).value());
     sb->fs_info = mnt.get();
     sb->s_op = mnt.get();
-    mnt->set_pipeline(blk::parse_mount_opts(opts).value().pipeline);
     Err e = mnt->mount_init();
     if (e != Err::Ok) return e;
     Ext4Mount* m = mnt.get();
@@ -1414,7 +1344,7 @@ class Ext4FsType final : public kern::FileSystemType {
       w.field("pipelined_commits", js.pipelined_commits);
       w.field("empty_commits_skipped", js.empty_commits_skipped);
       w.field("jbd_aborted", js.jbd_aborted);
-      sim::dump_histogram(w, "jwrite_lat", js.jwrite_lat);
+      sim::dump_histogram(w, "jwrite_lat", js.write_lat);
       sim::dump_histogram(w, "record_lat", js.record_lat);
       sim::dump_histogram(w, "checkpoint_lat", js.checkpoint_lat);
       w.end_object();

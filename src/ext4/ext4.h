@@ -2,31 +2,27 @@
 // See layout.h for what is and is not reproduced relative to real ext4.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "blockdev/journal.h"
+#include "blockdev/opts.h"
 #include "ext4/layout.h"
 #include "kernel/kernel.h"
 #include "sim/stats.h"
 
 namespace bsim::ext4 {
 
-struct JournalStats {
-  std::uint64_t commits = 0;
+/// Journal counters; the stage latencies take one sample per journal
+/// record, and write_lat covers the descriptor+data journal run.
+struct JournalStats : blk::JournalCounters {
+  std::uint64_t commits = 0;  // journal records (commit blocks) written
   std::uint64_t blocks_journaled = 0;
   std::uint64_t shared_commits = 0;  // fsyncs satisfied by group commit
   std::uint64_t recoveries = 0;
-  std::uint64_t pipelined_commits = 0;  // returned with transfers in flight
-  std::uint64_t empty_commits_skipped = 0;  // flush-commit with nothing to do
   std::uint64_t jbd_aborted = 0;  // journal aborts (failed journal write)
-  // ---- commit-stage latency (commit entry -> stage transfer completion,
-  // one sample per journal record) ----
-  sim::LatencyHistogram jwrite_lat;      // descriptor+data journal run
-  sim::LatencyHistogram record_lat;      // commit record (the commit point)
-  sim::LatencyHistogram checkpoint_lat;  // home-location batch
 };
 
 /// Block-mapping accounting: the regression stat for the readahead path.
@@ -46,15 +42,17 @@ class Ext4Mount final : public kern::InodeOps,
                         public kern::SuperOps,
                         public kern::AddressSpaceOps {
  public:
-  explicit Ext4Mount(kern::SuperBlock& sb) : sb_(&sb) {}
+  Ext4Mount(kern::SuperBlock& sb, const blk::MountOpts& opts)
+      : sb_(&sb), jnl_(jstats_, opts.pipeline) {}
 
   kern::Err mount_init();
   void dispose_inode(kern::Inode& inode);
 
   [[nodiscard]] const JournalStats& journal_stats() const { return jstats_; }
-  /// "-o nopipeline": redeem every commit's tickets before returning
-  /// (the unpipelined oracle for the ablation/crash differentials).
-  void set_pipeline(bool on) { jpipeline_enabled_ = on; }
+  /// Commits whose transfers are still outstanding (tests/diagnostics).
+  [[nodiscard]] std::size_t inflight_commits() const {
+    return jnl_.inflight();
+  }
   [[nodiscard]] const MapStats& map_stats() const { return mstats_; }
   [[nodiscard]] std::uint64_t free_blocks_total() const;
   [[nodiscard]] std::uint64_t free_inodes_total() const;
@@ -111,21 +109,31 @@ class Ext4Mount final : public kern::InodeOps,
   };
 
   // ---- JBD2-style journal ----
+  /// The journal engine's binding to the buffer cache.
+  struct JbdIo {
+    using Ticket = blk::Ticket;
+    Ext4Mount& m;
+
+    static const blk::Ticket& bio(const Ticket& t) { return t; }
+    void wait(const Ticket& t) const { m.sb_->bufcache().wait(t); }
+    void trace(blk::TraceEv ev, std::uint64_t txn, std::uint32_t n) const {
+      m.sb_->bdev().trace_event(ev, txn, 0, n, blk::TraceOp::Journal);
+    }
+    void on_abort() const {
+      m.jstats_.jbd_aborted += 1;
+      m.sb_->fs_error(kern::Err::Io);
+    }
+  };
+  JbdIo jio() { return {*this}; }
   /// Tag a modified (cached, dirty) block into the running transaction
   /// (pins the buffer for the journal until its checkpoint writes it).
   void j_write(std::uint32_t blockno);
   /// Commit the running transaction (journal writes + commit record +
   /// checkpoint home blocks). Without `flush_device` the commit is
-  /// PIPELINED: every write rides an async ticket held in jpipeline_
-  /// (bounded depth; oldest redeemed first), so transaction N+1 opens
-  /// and absorbs writes while N's commit record and checkpoint are still
-  /// in flight — not just the checkpoint, as before. Journal-area reuse
-  /// is safe because all of N's writes are submitted (media order =
-  /// submission order) before N+1 copies over the area.
+  /// pipelined: its tickets go to the engine's pipeline, so transaction
+  /// N+1 opens and absorbs writes while N's records and checkpoint are
+  /// still in flight.
   kern::Err j_commit(bool flush_device);
-  /// Redeem the oldest in-flight commit / every in-flight commit.
-  void j_wait_oldest();
-  void j_drain();
   /// fsync path: make everything up to now durable; joins an in-flight
   /// group commit when possible.
   kern::Err j_force(std::uint64_t op_seq);
@@ -179,8 +187,6 @@ class Ext4Mount final : public kern::InodeOps,
   std::vector<GroupDesc> groups_;  // in-core GDT
   sim::SimMutex journal_lock_;
   sim::SimMutex alloc_lock_;
-  std::vector<std::uint32_t> running_txn_;   // tagged home blocknos
-  std::uint64_t txn_first_op_ = 0;           // op seq opening the txn
   std::uint64_t op_seq_ = 0;                 // advances per mutating op
   std::uint64_t committed_seq_ = 0;          // ops covered by last commit
   sim::Nanos last_commit_end_ = 0;
@@ -190,16 +196,8 @@ class Ext4Mount final : public kern::InodeOps,
   // (JBD2's transaction batching) instead of issuing their own.
   sim::Nanos flush_start_ = -1;
   sim::Nanos flush_end_ = -1;
-  /// Commits whose transfers are still in flight, oldest first.
-  std::deque<std::vector<blk::Ticket>> jpipeline_;
-  bool jpipeline_enabled_ = true;  // "-o nopipeline" disables
-  /// A commit wrote since the last device flush (the empty-commit /
-  /// no-op-flush skip bookkeeping).
-  bool jdirty_since_flush_ = false;
-  /// Journal aborted (a journal-area write failed on media). An aborted
-  /// journal never commits again; the mount's errors= policy was applied.
-  bool jaborted_ = false;
   JournalStats jstats_;
+  blk::Journal<JbdIo> jnl_;
   MapStats mstats_;
   std::unordered_map<std::uint32_t, DirIndex> dir_indexes_;
   std::uint32_t alloc_cursor_ = 0;  // round-robin group goal

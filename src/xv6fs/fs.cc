@@ -1045,17 +1045,10 @@ bento::Result<std::uint32_t> Xv6FileSystem::write_bulk(
   return total;
 }
 
-Err Xv6FileSystem::fsync(const Request&, SbRef sb, bento::Ino, std::uint64_t,
-                         bool) {
+Err Xv6FileSystem::fsync(const Request& req, SbRef sb, bento::Ino,
+                         std::uint64_t, bool) {
   sim::charge(sim::costs().fs_op_base);
-  BSIM_TRY(log_.force_commit(sb.get()));
-  // Durability barrier — skipped when no commit happened since the last
-  // one (a no-op fsync must not pay a device FLUSH).
-  if (log_.flush_needed()) {
-    sb->flush_all();
-    log_.note_flushed();
-  }
-  return Err::Ok;
+  return Xv6FileSystem::sync_fs(req, sb.reborrow());
 }
 
 Err Xv6FileSystem::fsyncdir(const Request& req, SbRef sb, bento::Ino ino,
@@ -1112,6 +1105,8 @@ bento::Result<StatfsOut> Xv6FileSystem::statfs(const Request&, SbRef) {
 
 Err Xv6FileSystem::sync_fs(const Request&, SbRef sb) {
   BSIM_TRY(log_.force_commit(sb.get()));
+  // Durability barrier — skipped when no commit happened since the last
+  // one (a no-op fsync must not pay a device FLUSH).
   if (log_.flush_needed()) {
     sb->flush_all();
     log_.note_flushed();
@@ -1133,7 +1128,7 @@ void Xv6FileSystem::dump_stats(sim::JsonWriter& w) const {
   w.field("empty_commits_skipped", s.empty_commits_skipped);
   w.field("flushes_skipped", s.flushes_skipped);
   w.field("log_aborted", s.log_aborted);
-  sim::dump_histogram(w, "logwrite_lat", s.logwrite_lat);
+  sim::dump_histogram(w, "logwrite_lat", s.write_lat);
   sim::dump_histogram(w, "record_lat", s.record_lat);
   sim::dump_histogram(w, "checkpoint_lat", s.checkpoint_lat);
   w.end_object();

@@ -118,6 +118,7 @@ class Xv6FileSystem : public bento::FileSystem {
   // ---- introspection (tests / benches) ----
   void dump_stats(sim::JsonWriter& w) const override;
   [[nodiscard]] const LogStats& log_stats() const { return log_.stats(); }
+  [[nodiscard]] const Log& log() const { return log_; }
   [[nodiscard]] std::uint64_t free_data_blocks() const { return free_blocks_; }
   [[nodiscard]] std::uint64_t free_inodes() const { return free_inodes_; }
   [[nodiscard]] bool restored_from_transfer() const { return restored_; }

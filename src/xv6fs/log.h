@@ -17,15 +17,9 @@
 //   put unjournaled state on media ahead of the commit record.
 //
 //   Pipelined commit — the commit's writes (log run, header, install,
-//   clear) are submitted on async tickets; media effects land at
-//   submission in program order, so crash semantics are unchanged, but
-//   the committing thread does not wait for the transfers. Transaction
-//   N+1 opens and absorbs writes while N's commit record and checkpoint
-//   are still in flight; at most `kPipelineDepth` commits stay
-//   outstanding (the oldest is redeemed first), and force_commit drains
-//   everything before fsync's durability barrier. Log-area reuse is safe
-//   because all of commit N's writes are submitted before N+1 copies
-//   over the area — only completions are outstanding.
+//   clear) are submitted on async tickets held by the journal engine's
+//   pipeline (blockdev/journal.h), and force_commit drains it before
+//   fsync's durability barrier.
 //
 // Durability has two modes:
 //   Relaxed — synchronous writes only, no device FLUSH barriers. This is
@@ -45,10 +39,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "bento/kernel_services.h"
+#include "blockdev/journal.h"
 #include "blockdev/opts.h"
 #include "kernel/errno.h"
 #include "sim/stats.h"
@@ -81,29 +75,32 @@ struct LogParams {
   bool plug;
 };
 
-struct LogStats {
+struct LogStats : blk::JournalCounters {
   std::uint64_t commits = 0;
   std::uint64_t blocks_logged = 0;
-  std::uint64_t absorbed = 0;   // log_write hits on already-logged blocks
-  std::uint64_t recoveries = 0; // non-empty header found at init
-  std::uint64_t ops_committed = 0;   // ops closed across all commits
-  std::uint64_t group_commits = 0;   // commits that closed >1 op
-  std::uint64_t pipelined_commits = 0;  // returned with transfers in flight
-  std::uint64_t empty_commits_skipped = 0;  // force_commit with nothing to do
-  std::uint64_t flushes_skipped = 0;  // fsync barriers skipped (already clean)
+  std::uint64_t recoveries = 0;   // non-empty header found at init
   std::uint64_t log_aborted = 0;  // journal aborts (failed journal write)
-  // ---- commit-stage latency (from commit entry to each stage's transfer
-  // completion; submission-order stages, so the histograms nest) ----
-  sim::LatencyHistogram logwrite_lat;    // log-run batch durable-on-ticket
-  sim::LatencyHistogram record_lat;      // commit record (the commit point)
-  sim::LatencyHistogram checkpoint_lat;  // install-to-home batch
+};
+
+/// The journal engine's binding to the capability API.
+struct LogIo {
+  using Ticket = bento::WriteTicket;
+  bento::SuperBlockCap& sb;
+  LogStats& stats;
+
+  static const blk::Ticket& bio(const Ticket& t) { return t.ticket; }
+  void wait(const Ticket& t) const { sb.wait(t); }
+  void trace(blk::TraceEv ev, std::uint64_t txn, std::uint32_t n) const {
+    sb.trace_journal(ev, txn, n);
+  }
+  void on_abort() const {
+    stats.log_aborted += 1;
+    sb.report_fs_error(kern::Err::Io);
+  }
 };
 
 class Log {
  public:
-  /// Commits whose transfers may be outstanding at once.
-  static constexpr std::size_t kPipelineDepth = 2;
-
   Log() = default;
   Log(const Log&) = delete;
   Log& operator=(const Log&) = delete;
@@ -128,26 +125,21 @@ class Log {
 
   /// Force a commit of any pending writes and drain the commit pipeline
   /// (fsync path): when this returns, every commit's transfers have
-  /// completed — the caller only adds the durability barrier.
+  /// completed — the caller only adds the durability barrier. Fails with
+  /// Err::Io once the journal has aborted (a journal write failed on
+  /// media); the mount's errors= policy has then been applied.
   kern::Err force_commit(bento::SuperBlockCap& sb);
 
   /// Does the caller's durability barrier have anything to cover? False
   /// (and counted in flushes_skipped) when no commit happened since the
   /// last note_flushed() — a no-op fsync skips the device FLUSH entirely.
-  [[nodiscard]] bool flush_needed();
-  void note_flushed() { commits_since_flush_ = 0; }
+  [[nodiscard]] bool flush_needed() { return jnl_.flush_needed(); }
+  void note_flushed() { jnl_.note_flushed(); }
 
   [[nodiscard]] const LogStats& stats() const { return stats_; }
-  /// Whether the journal has aborted (a journal write failed on media).
-  /// An aborted log never commits again: end_op/force_commit fail with
-  /// Err::Io and the mount's errors= policy has been applied.
-  [[nodiscard]] bool aborted() const { return aborted_; }
-  [[nodiscard]] Durability durability() const { return durability_; }
-  void set_durability(Durability d) { durability_ = d; }
-  [[nodiscard]] const LogParams& params() const { return params_; }
   /// Commits whose transfers are still outstanding (tests/diagnostics).
   [[nodiscard]] std::size_t inflight_commits() const {
-    return inflight_.size();
+    return jnl_.inflight();
   }
 
   /// Export/import for online upgrade: the log must be empty (committed
@@ -166,41 +158,26 @@ class Log {
 
  private:
   kern::Err commit(bento::SuperBlockCap& sb);
-  /// Redeem the oldest in-flight commit's tickets.
-  void wait_oldest(bento::SuperBlockCap& sb);
-  /// Redeem every in-flight commit (fsync / unmount barrier).
-  void drain(bento::SuperBlockCap& sb);
-  /// Pending-block count that triggers a group commit (stripe-aligned).
-  [[nodiscard]] std::size_t group_threshold(bento::SuperBlockCap& sb) const;
-  /// Install logged blocks to their home locations. With `out_tickets`
-  /// the checkpoint batch rides async tickets appended there (the
-  /// pipelined path); otherwise install waits itself (recovery).
-  kern::Err install(bento::SuperBlockCap& sb, const LogHeader& header,
-                    bool recovering,
-                    std::vector<bento::WriteTicket>* out_tickets = nullptr);
-  kern::Err write_header(bento::SuperBlockCap& sb, const LogHeader& header);
-  kern::Err write_header_async(bento::SuperBlockCap& sb,
-                               const LogHeader& header,
-                               std::vector<bento::WriteTicket>& tickets);
+  LogIo io(bento::SuperBlockCap& sb) { return {sb, stats_}; }
+  /// Write logged blocks to their home locations, from the cache or, when
+  /// `recovering`, from the log area; the batch rides the returned ticket.
+  kern::Result<bento::WriteTicket> install(bento::SuperBlockCap& sb,
+                                           const LogHeader& header,
+                                           bool recovering);
+  kern::Result<bento::WriteTicket> write_header(bento::SuperBlockCap& sb,
+                                                const LogHeader& header);
   kern::Err read_header(bento::SuperBlockCap& sb, LogHeader& out);
 
   DiskSuperblock dsb_;
   Durability durability_ = Durability::Relaxed;
   LogParams params_;
   bento::Semaphore lock_;
-  bool aborted_ = false;
   int outstanding_ = 0;
-  std::vector<std::uint32_t> pending_;
-  /// Ops closed into the currently-pending (uncommitted) transaction.
-  std::size_t ops_in_batch_ = 0;
-  /// Tickets of commits whose transfers are still in flight, oldest first.
-  std::deque<std::vector<bento::WriteTicket>> inflight_;
-  /// Commits since the last durability barrier (flush-skip bookkeeping).
-  std::uint64_t commits_since_flush_ = 0;
   /// Transaction sequence for the TO/TC/JW/JR/JK tracepoints; bumped when
   /// a fresh batch opens in begin_op.
   std::uint64_t txn_seq_ = 0;
   LogStats stats_;
+  blk::Journal<LogIo> jnl_{stats_};
 };
 
 }  // namespace bsim::xv6

@@ -44,7 +44,7 @@ void Xv6cMount::log_begin() {
   // pooled batch can be committed to make space; otherwise wait for the
   // open ops to close (xv6 sleeps on the log).
   log_lock_.lock();
-  while (log_pending_.size() +
+  while (log_txn_.size() +
              (static_cast<std::size_t>(log_outstanding_) + 1) * kMaxOpBlocks >
          kLogSize) {
     if (log_outstanding_ == 0) {
@@ -65,30 +65,22 @@ void Xv6cMount::log_write(std::uint64_t blockno) {
   // background writeback must not land it ahead of the commit record
   // (essential once group commit leaves blocks pending across ops).
   sb_->bufcache().pin_journal(blockno, true);
-  if (std::find(log_pending_.begin(), log_pending_.end(), b) !=
-      log_pending_.end()) {
-    return;  // absorbed
-  }
-  assert(log_pending_.size() < kLogSize);
-  log_pending_.push_back(b);
+  if (log_txn_.tag(b)) assert(log_txn_.size() <= kLogSize);
 }
 
 Err Xv6cMount::log_end() {
   log_lock_.lock();
   log_outstanding_ -= 1;
   Err e = Err::Ok;
-  if (log_outstanding_ == 0 && !log_pending_.empty()) {
-    log_ops_in_batch_ += 1;
-    // Group commit (the one write-path technique the C baseline shares
-    // with the Bento port): absorb ops until the batch or block
-    // threshold; fsync/sync force via log_force().
-    std::size_t block_limit = log_params_.group_dirty_blocks;
-    if (block_limit == 0) block_limit = kLogSize - kMaxOpBlocks;
-    if (log_ops_in_batch_ >=
-            std::max<std::size_t>(log_params_.max_log_batch, 1) ||
-        log_pending_.size() >= block_limit) {
-      e = log_commit();
-    }
+  // Group commit (the one write-path technique the C baseline shares
+  // with the Bento port, without the stripe alignment): absorb ops until
+  // the batch or block threshold; fsync/sync force via log_force().
+  if (log_outstanding_ == 0 && !log_txn_.empty() &&
+      log_txn_.close_op(log_params_.max_log_batch,
+                        blk::commit_threshold(log_params_.group_dirty_blocks,
+                                              kLogSize - kMaxOpBlocks,
+                                              /*stripe_width=*/0))) {
+    e = log_commit();
   }
   log_lock_.unlock();
   return e;
@@ -105,7 +97,7 @@ Err Xv6cMount::log_force() {
     log_lock_.lock();
   }
   Err e = Err::Ok;
-  if (!log_pending_.empty()) e = log_commit();
+  if (!log_txn_.empty()) e = log_commit();
   log_lock_.unlock();
   return e;
 }
@@ -123,9 +115,10 @@ Err Xv6cMount::log_header_write(const LogHeader& h) {
 
 Err Xv6cMount::log_commit() {
   auto& bc = sb_->bufcache();
+  const std::vector<std::uint32_t>& pending = log_txn_.blocks();
   // Copy to the log area.
-  for (std::size_t i = 0; i < log_pending_.size(); ++i) {
-    auto src = bc.bread(log_pending_[i]);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    auto src = bc.bread(pending[i]);
     if (!src.ok()) return src.error();
     auto dst = bc.getblk(dsb_.logstart + 1 + static_cast<std::uint32_t>(i));
     if (!dst.ok()) {
@@ -141,13 +134,11 @@ Err Xv6cMount::log_commit() {
   }
   // Commit record.
   LogHeader h;
-  h.n = static_cast<std::uint32_t>(log_pending_.size());
-  for (std::size_t i = 0; i < log_pending_.size(); ++i) {
-    h.blocks[i] = log_pending_[i];
-  }
+  h.n = static_cast<std::uint32_t>(pending.size());
+  std::copy(pending.begin(), pending.end(), h.blocks);
   BSIM_TRY(log_header_write(h));
   // Install home locations.
-  for (const std::uint32_t blockno : log_pending_) {
+  for (const std::uint32_t blockno : pending) {
     auto bh = bc.bread(blockno);
     if (!bh.ok()) return bh.error();
     bc.mark_dirty(bh.value());
@@ -157,11 +148,8 @@ Err Xv6cMount::log_commit() {
   // Clear.
   BSIM_TRY(log_header_write(LogHeader{}));
   log_stats_.commits += 1;
-  log_stats_.blocks_logged += log_pending_.size();
-  log_stats_.ops_committed += log_ops_in_batch_;
-  if (log_ops_in_batch_ > 1) log_stats_.group_commits += 1;
-  log_ops_in_batch_ = 0;
-  log_pending_.clear();
+  log_stats_.blocks_logged += pending.size();
+  log_txn_.committed();
   return Err::Ok;
 }
 

@@ -18,17 +18,16 @@
 #include <string>
 #include <unordered_map>
 
+#include "blockdev/journal.h"
 #include "kernel/kernel.h"
 #include "xv6fs/layout.h"
 #include "xv6fs/log.h"  // LogParams (group-commit tuning)
 
 namespace bsim::xv6c {
 
-struct CLogStats {
+struct CLogStats : blk::JournalCounters {
   std::uint64_t commits = 0;
   std::uint64_t blocks_logged = 0;
-  std::uint64_t ops_committed = 0;  // ops closed across all commits
-  std::uint64_t group_commits = 0;  // commits that closed >1 op
 };
 
 /// Mount-level state (lives in kern::SuperBlock::fs_info).
@@ -137,10 +136,9 @@ class Xv6cMount final : public kern::InodeOps,
   sim::SimMutex log_lock_;      // the log serializes transactions
   sim::SimMutex alloc_lock_;    // §6.1 allocation locks
   int log_outstanding_ = 0;
-  std::vector<std::uint32_t> log_pending_;
   xv6::LogParams log_params_;   // max_log_batch / group_dirty_blocks
-  std::size_t log_ops_in_batch_ = 0;
   CLogStats log_stats_;
+  blk::RunningTxn log_txn_{log_stats_};
   std::uint64_t free_blocks_ = 0;
   std::uint64_t free_inodes_ = 0;
   std::uint32_t balloc_hint_ = 0;

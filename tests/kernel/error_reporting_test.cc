@@ -7,10 +7,11 @@
 //   - A writeback failure that happened on nobody's clock (background
 //     drain) surfaces at each open descriptor's NEXT fsync — once per
 //     descriptor, never twice.
-//   - A failed journal write aborts the journal: fsync fails with EIO,
-//     the mount degrades per its errors= policy (remount-ro default:
-//     writes fail EROFS, reads keep serving; errors=continue keeps the
-//     mount writable-in-cache but the journal stays dead).
+//   - A failed journal write aborts the journal, on xv6 and ext4 alike:
+//     fsync fails with EIO, nothing stays in flight, and the mount
+//     degrades per its errors= policy (remount-ro default: writes fail
+//     EROFS, reads keep serving; errors=continue keeps the mount
+//     writable-in-cache but the journal stays dead).
 //   - A transient fault retried to success by the request queue's
 //     RetryPolicy is invisible to fsync: no residual error, no abort.
 #include <gtest/gtest.h>
@@ -65,24 +66,45 @@ constexpr std::uint64_t kBlocks = 16384;  // 64 MiB
 struct Bed {
   kern::Kernel kernel;
   blk::BlockDevice* dev = nullptr;
-  xv6::DiskSuperblock dsb;
+  /// The first payload block of the journal area: poisoning it fails the
+  /// next commit's journal run before its commit record is issued.
+  std::uint64_t journal_block = 0;
 };
 
-/// A kernel with a formatted xv6 device mounted at /mnt via Bento.
-void make_bed(Bed& bed, std::string_view opts = "") {
+/// A kernel with a device formatted for `fs` ("xv6_bento" or "ext4j")
+/// and mounted at /mnt.
+void make_bed(Bed& bed, std::string_view opts = "",
+              std::string_view fs = "xv6_bento") {
   blk::DeviceParams params;
   params.nblocks = kBlocks;
   bed.dev = &bed.kernel.add_device("ssd0", params);
-  bed.dsb = xv6::mkfs(*bed.dev, /*ninodes=*/512);
-  bento::register_bento_fs(bed.kernel, "xv6_bento", [] {
-    return std::make_unique<xv6::Xv6FileSystem>();
-  });
-  ASSERT_EQ(Err::Ok, bed.kernel.mount("xv6_bento", "ssd0", "/mnt", opts));
+  // Both journal areas open with one header block (ext4's descriptor,
+  // xv6's log header).
+  if (fs == "ext4j") {
+    bed.journal_block = ext4::mkfs(*bed.dev, /*inodes_per_group=*/512).jstart;
+  } else {
+    bed.journal_block = xv6::mkfs(*bed.dev, /*ninodes=*/512).logstart;
+  }
+  bed.journal_block += 1;
+  register_all_xv6(bed.kernel);
+  ASSERT_EQ(Err::Ok, bed.kernel.mount(fs, "ssd0", "/mnt", opts));
 }
 
-const xv6::LogStats& log_stats(kern::Kernel& kernel) {
-  auto* module = bento::BentoModule::from(*kernel.sb_at("/mnt"));
-  return static_cast<const xv6::Xv6FileSystem&>(module->fs()).log_stats();
+/// The mounted journal's abort count and in-flight commits.
+struct JournalState {
+  std::uint64_t aborts = 0;
+  std::size_t inflight = 0;
+};
+
+JournalState journal_state(kern::Kernel& kernel) {
+  kern::SuperBlock* sb = kernel.sb_at("/mnt");
+  if (sb->fs_name == "ext4j") {
+    const auto* mnt = static_cast<const ext4::Ext4Mount*>(sb->fs_info);
+    return {mnt->journal_stats().jbd_aborted, mnt->inflight_commits()};
+  }
+  const auto& fs = static_cast<const xv6::Xv6FileSystem&>(
+      bento::BentoModule::from(*sb)->fs());
+  return {fs.log_stats().log_aborted, fs.log().inflight_commits()};
 }
 
 TEST(WritebackErrseq, BackgroundFailureReportedOncePerDescriptor) {
@@ -133,11 +155,15 @@ TEST(WritebackErrseq, BackgroundFailureReportedOncePerDescriptor) {
   EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
 }
 
-TEST(JournalAbort, FailedJournalWriteFlipsMountReadOnly) {
+/// Journal abort on each journaled file system: the xv6 log on Bento and
+/// ext4's jbd share one commit engine, so one failure behaviour.
+class JournalAbort : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(JournalAbort, FailedJournalWriteFlipsMountReadOnly) {
   sim::SimThread thread(0);
   sim::ScopedThread in(thread);
   Bed bed;
-  make_bed(bed);  // default policy: errors=remount-ro
+  make_bed(bed, "", GetParam());  // default policy: errors=remount-ro
   auto& kernel = bed.kernel;
   auto& p = kernel.proc();
 
@@ -147,9 +173,9 @@ TEST(JournalAbort, FailedJournalWriteFlipsMountReadOnly) {
   ASSERT_TRUE(kernel.write(p, keep.value(), as_bytes("survives")).ok());
   ASSERT_EQ(Err::Ok, kernel.fsync(p, keep.value()));
 
-  // Poison the journal area: the log run's first payload block. The next
-  // commit's stage-1 write fails before the commit record is ever issued.
-  bed.dev->inject_write_error(bed.dsb.logstart + 1);
+  // Poison the journal area: the journal run's first payload block. The
+  // next commit's journal write fails before its commit record is issued.
+  bed.dev->inject_write_error(bed.journal_block);
   auto fd = kernel.open(p, "/mnt/doomed", kern::kOCreat | kern::kORdWr);
   ASSERT_TRUE(fd.ok());
   ASSERT_TRUE(kernel.write(p, fd.value(), as_bytes("never durable")).ok());
@@ -158,7 +184,9 @@ TEST(JournalAbort, FailedJournalWriteFlipsMountReadOnly) {
   kern::SuperBlock* sb = kernel.sb_at("/mnt");
   EXPECT_TRUE(sb->read_only());
   EXPECT_EQ(sb->fs_error_seen(), Err::Io);
-  EXPECT_EQ(log_stats(kernel).log_aborted, 1u);
+  EXPECT_EQ(journal_state(kernel).aborts, 1u);
+  // The abort redeemed every outstanding ticket, the pipeline's included.
+  EXPECT_EQ(journal_state(kernel).inflight, 0u);
 
   // Writes fail with EROFS across the mutating syscalls...
   auto w = kernel.write(p, fd.value(), as_bytes("x"));
@@ -172,7 +200,7 @@ TEST(JournalAbort, FailedJournalWriteFlipsMountReadOnly) {
   // ...and a second fsync keeps failing (the journal never recovers in
   // this mount), but does NOT double-count the abort.
   EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);
-  EXPECT_EQ(log_stats(kernel).log_aborted, 1u);
+  EXPECT_EQ(journal_state(kernel).aborts, 1u);
 
   // Reads keep serving: the pre-abort committed file is intact.
   std::vector<std::byte> buf(16);
@@ -185,15 +213,15 @@ TEST(JournalAbort, FailedJournalWriteFlipsMountReadOnly) {
   EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
 }
 
-TEST(JournalAbort, ErrorsContinueKeepsServingWithoutRoFlip) {
+TEST_P(JournalAbort, ErrorsContinueKeepsServingWithoutRoFlip) {
   sim::SimThread thread(0);
   sim::ScopedThread in(thread);
   Bed bed;
-  make_bed(bed, "errors=continue");
+  make_bed(bed, "errors=continue", GetParam());
   auto& kernel = bed.kernel;
   auto& p = kernel.proc();
 
-  bed.dev->inject_write_error(bed.dsb.logstart + 1);
+  bed.dev->inject_write_error(bed.journal_block);
   auto fd = kernel.open(p, "/mnt/f", kern::kOCreat | kern::kORdWr);
   ASSERT_TRUE(fd.ok());
   ASSERT_TRUE(kernel.write(p, fd.value(), as_bytes("data")).ok());
@@ -201,6 +229,7 @@ TEST(JournalAbort, ErrorsContinueKeepsServingWithoutRoFlip) {
 
   kern::SuperBlock* sb = kernel.sb_at("/mnt");
   EXPECT_EQ(sb->fs_error_seen(), Err::Io);
+  EXPECT_EQ(journal_state(kernel).inflight, 0u);
   EXPECT_FALSE(sb->read_only());  // continue: no EROFS flip...
   EXPECT_TRUE(kernel.write(p, fd.value(), as_bytes("more")).ok());
   // ...but the journal stays aborted: durability is gone for good.
@@ -209,6 +238,44 @@ TEST(JournalAbort, ErrorsContinueKeepsServingWithoutRoFlip) {
   EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
   EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
 }
+
+TEST_P(JournalAbort, AbortOutsideFsyncLeavesNothingInFlight) {
+  sim::SimThread thread(0);
+  sim::ScopedThread in(thread);
+  Bed bed;
+  make_bed(bed, "errors=continue", GetParam());
+  auto& kernel = bed.kernel;
+  auto& p = kernel.proc();
+
+  // Unsynced files until a group commit is in flight (xv6 commits every
+  // max_log_batch ops; ext4's writeback on close commits at its block
+  // threshold). Each file is 600 KiB.
+  const std::vector<std::byte> data(600 << 10, std::byte{0x5a});
+  int n = 0;
+  auto write_file = [&] {
+    auto fd = kernel.open(p, "/mnt/f" + std::to_string(n++),
+                          kern::kOCreat | kern::kORdWr);
+    if (!fd.ok()) return;
+    (void)kernel.write(p, fd.value(), data);
+    (void)kernel.close(p, fd.value());
+  };
+  while (journal_state(kernel).inflight == 0 && n < 64) write_file();
+  ASSERT_GT(journal_state(kernel).inflight, 0u);
+
+  // The next commit aborts inside an operation, not inside fsync: the
+  // commit still in flight from before the abort is redeemed with it.
+  bed.dev->inject_write_error(bed.journal_block);
+  while (journal_state(kernel).aborts == 0 && n < 128) write_file();
+  EXPECT_EQ(journal_state(kernel).aborts, 1u);
+  EXPECT_EQ(journal_state(kernel).inflight, 0u);
+  EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Fs, JournalAbort,
+                         ::testing::Values("xv6_bento", "ext4j"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(TransientRetry, RetriedToSuccessLeavesNoResidualError) {
   sim::SimThread thread(0);
@@ -230,7 +297,7 @@ TEST(TransientRetry, RetriedToSuccessLeavesNoResidualError) {
   EXPECT_GE(bed.dev->queue().stats().retry_successes, 1u);
 
   // No residual: no abort, no RO flip, no error at the next fsync.
-  EXPECT_EQ(log_stats(kernel).log_aborted, 0u);
+  EXPECT_EQ(journal_state(kernel).aborts, 0u);
   EXPECT_FALSE(kernel.sb_at("/mnt")->read_only());
   EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Ok);
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -24,6 +25,31 @@ inline std::span<const std::byte> as_bytes(std::string_view s) {
 
 inline std::string to_string(std::span<const std::byte> b) {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
+
+/// A fresh plain device holding `src`'s logical image (untimed).
+inline std::unique_ptr<blk::BlockDevice> copy_device(blk::BlockDevice& src) {
+  blk::DeviceParams p;
+  p.nblocks = src.nblocks();
+  auto dst = std::make_unique<blk::BlockDevice>(p);
+  std::array<std::byte, blk::kBlockSize> buf{};
+  for (std::uint64_t b = 0; b < src.nblocks(); ++b) {
+    src.read_untimed(b, buf);
+    dst->write_untimed(b, buf);
+  }
+  return dst;
+}
+
+/// Do two devices hold bit-identical logical images?
+inline bool images_equal(blk::BlockDevice& a, blk::BlockDevice& b) {
+  if (a.nblocks() != b.nblocks()) return false;
+  std::array<std::byte, blk::kBlockSize> ba{}, bb{};
+  for (std::uint64_t blk = 0; blk < a.nblocks(); ++blk) {
+    a.read_untimed(blk, ba);
+    b.read_untimed(blk, bb);
+    if (ba != bb) return false;
+  }
+  return true;
 }
 
 /// Register all three xv6 deployments (paper §6.2) with a kernel:

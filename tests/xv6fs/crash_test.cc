@@ -23,18 +23,6 @@ using kern::Err;
 
 constexpr std::uint64_t kBlocks = 8192;  // 32 MiB images
 
-std::unique_ptr<blk::BlockDevice> copy_device(blk::BlockDevice& src) {
-  blk::DeviceParams p;
-  p.nblocks = src.nblocks();
-  auto dst = std::make_unique<blk::BlockDevice>(p);
-  std::array<std::byte, blk::kBlockSize> buf{};
-  for (std::uint64_t b = 0; b < src.nblocks(); ++b) {
-    src.read_untimed(b, buf);
-    dst->write_untimed(b, buf);
-  }
-  return dst;
-}
-
 /// The volume layouts the sweeps run against. Every layout has the same
 /// LOGICAL size, so images compare bit-for-bit across layouts.
 enum class DevKind { Plain, Striped4, Mirror2, Parity4 };
@@ -55,17 +43,6 @@ bool mirror_members_identical(blk::MirroredDevice& md) {
     md.member(0).read_untimed(blk, a);
     md.member(1).read_untimed(blk, b);
     if (a != b) return false;
-  }
-  return true;
-}
-
-bool images_equal(blk::BlockDevice& a, blk::BlockDevice& b) {
-  if (a.nblocks() != b.nblocks()) return false;
-  std::array<std::byte, blk::kBlockSize> ba{}, bb{};
-  for (std::uint64_t blk = 0; blk < a.nblocks(); ++blk) {
-    a.read_untimed(blk, ba);
-    b.read_untimed(blk, bb);
-    if (ba != bb) return false;
   }
   return true;
 }
