@@ -20,6 +20,7 @@
 
 #include "bento/kernel_services.h"
 #include "bento/ownership.h"
+#include "blockdev/opts.h"
 #include "kernel/errno.h"
 #include "kernel/types.h"
 #include "sim/jsonw.h"
@@ -110,11 +111,12 @@ class FileSystem {
   [[nodiscard]] virtual std::string_view version() const { return "v1"; }
 
   // ---- lifecycle ----
-  /// Mount-option delivery, called by the mounting driver BEFORE init()
-  /// with the "-o" string Kernel::mount validated. File systems read the
-  /// fields they use from blk::parse_mount_opts; wrapper file systems
-  /// forward to the file system they stack over. Default: ignore it.
-  virtual void apply_mount_opts(std::string_view opts) { (void)opts; }
+  /// Mount-option delivery: the module calls it with the options
+  /// Kernel::mount parsed BEFORE init() or restore_state(), on every
+  /// instance it runs (an upgrade's successor included). File systems
+  /// read the fields they use; wrapper file systems forward to the file
+  /// system they stack over. Default: ignore them.
+  virtual void apply_mount_opts(const blk::MountOpts& opts) { (void)opts; }
   /// Append this file system's stats objects (each with a "struct" key
   /// naming its type) to an OPEN JSON array — the unified snapshot hook
   /// (Kernel::dump_stats). Wrapper file systems also forward to the file

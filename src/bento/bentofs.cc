@@ -28,16 +28,20 @@ kern::Stat to_stat(const FileAttr& a) {
 
 }  // namespace
 
-BentoModule::BentoModule(kern::SuperBlock& sb, std::unique_ptr<FileSystem> fs)
-    : BentoModule(sb, std::move(fs),
+BentoModule::BentoModule(kern::SuperBlock& sb, std::unique_ptr<FileSystem> fs,
+                         const blk::MountOpts& opts)
+    : BentoModule(sb, std::move(fs), opts,
                   std::make_unique<KernelBlockBackend>(sb.bufcache())) {}
 
 BentoModule::BentoModule(kern::SuperBlock& sb, std::unique_ptr<FileSystem> fs,
+                         const blk::MountOpts& opts,
                          std::unique_ptr<BlockBackend> backend)
     : sb_(&sb),
       backend_(std::move(backend)),
       cap_(SuperBlockCap::Key{}, *backend_),
+      opts_(opts),
       fs_(std::move(fs)) {
+  fs_->apply_mount_opts(opts_);
   // Route journal-abort notifications into the kernel superblock's
   // errors= policy (covers both the kernel and the FUSE deployment —
   // FuseModule passes through this constructor too).
@@ -106,6 +110,9 @@ Err BentoModule::upgrade(std::unique_ptr<FileSystem> next) {
   TransferableState state = fs_->prepare_transfer(mkreq(), borrow());
   assert(ledger_.balanced());
 
+  // The successor runs under the same mount, so it gets the same options
+  // whether it adopts the old state or cold-attaches.
+  next->apply_mount_opts(opts_);
   Err e = next->restore_state(mkreq(), borrow(), std::move(state));
   if (e == Err::NoSys) {
     // Successor has no transfer support: cold-attach like a fresh mount.
@@ -397,13 +404,12 @@ Err BentoModule::writepages(kern::Inode& inode,
 // ---- BentoFsType ----
 
 Result<kern::SuperBlock*> BentoFsType::mount(blk::BlockDevice& dev,
-                                             std::string_view opts) {
+                                             const blk::MountOpts& opts) {
   auto sb = std::make_unique<kern::SuperBlock>(dev, /*buffer_cache=*/16384);
   sb->fs_name = name_;
-  auto module = std::make_unique<BentoModule>(*sb, factory_());
+  auto module = std::make_unique<BentoModule>(*sb, factory_(), opts);
   sb->fs_info = module.get();
   sb->s_op = module.get();
-  module->fs().apply_mount_opts(opts);
   Err e = module->mount_init();
   if (e != Err::Ok) return e;
   // Background writeback for the kernel-Bento deployment: threshold
@@ -412,9 +418,7 @@ Result<kern::SuperBlock*> BentoFsType::mount(blk::BlockDevice& dev,
   // the journal pins them (BufferHead::jdirty) and the drain skips
   // pinned buffers, so WAL ordering holds.
   // "-o noflusher" keeps the old writer-context behaviour (ablations).
-  kern::FlusherParams fp;
-  fp.drain_buffers = true;
-  kern::maybe_attach_flusher(*sb, opts, fp);
+  kern::maybe_attach_flusher(*sb, opts);
   // Join the unified stats snapshot; fs() resolves at dump time, so
   // online upgrades report the live instance's stats.
   BentoModule* mod = module.get();

@@ -40,9 +40,13 @@ class BentoModule : public kern::InodeOps,
                           public kern::AddressSpaceOps {
  public:
   /// Kernel deployment: block I/O through the superblock's buffer cache.
-  BentoModule(kern::SuperBlock& sb, std::unique_ptr<FileSystem> fs);
+  /// The module keeps the mount's `opts` and applies them to `fs` and to
+  /// every successor an upgrade installs.
+  BentoModule(kern::SuperBlock& sb, std::unique_ptr<FileSystem> fs,
+              const blk::MountOpts& opts);
   /// Custom backend (used by the FUSE driver's userspace deployment).
   BentoModule(kern::SuperBlock& sb, std::unique_ptr<FileSystem> fs,
+              const blk::MountOpts& opts,
               std::unique_ptr<BlockBackend> backend);
   ~BentoModule() override = default;
 
@@ -124,6 +128,7 @@ class BentoModule : public kern::InodeOps,
   std::unique_ptr<BlockBackend> backend_;
   SuperBlockCap cap_;
   BorrowLedger ledger_;
+  blk::MountOpts opts_;
   std::unique_ptr<FileSystem> fs_;
   std::uint64_t next_unique_ = 1;
   ModuleStats mstats_;
@@ -137,7 +142,7 @@ class BentoFsType final : public kern::FileSystemType {
 
   [[nodiscard]] std::string_view name() const override { return name_; }
   Result<kern::SuperBlock*> mount(blk::BlockDevice& dev,
-                                  std::string_view opts) override;
+                                  const blk::MountOpts& opts) override;
   void kill_sb(kern::SuperBlock* sb) override;
 
  private:

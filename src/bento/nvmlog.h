@@ -66,7 +66,7 @@ class NvmLogFs final : public FileSystem {
 
   /// Mount options concern the stacked-over file system (journal tuning
   /// etc.); forward them.
-  void apply_mount_opts(std::string_view opts) override {
+  void apply_mount_opts(const blk::MountOpts& opts) override {
     lower_->apply_mount_opts(opts);
   }
 

@@ -1,11 +1,13 @@
 // The mount-option vocabulary. A mount-option string is the only
 // description of a volume and its deployment: Kernel::add_volume builds
-// the device tree from it, Kernel::mount arms tracing, retry and the
-// errors= policy from it, and each file system type tunes itself from the
-// same string. One declarative table (kMountOptTable, the shape of Linux's
-// fs_parameter_spec) both parses and validates it, so the vocabulary
-// cannot drift from its consumers: a token outside the table, a malformed
-// number, or a number out of its entry's range rejects the whole string.
+// the device tree from it, and Kernel::mount parses it once, arms
+// tracing, retry and the errors= policy, then hands the typed MountOpts
+// to the file system type, which passes them on to the layers it builds
+// (as Linux's fs_context does). One declarative table (kMountOptTable,
+// the shape of Linux's fs_parameter_spec) both parses and validates the
+// string, so the vocabulary cannot drift from its consumers: a token
+// outside the table, a malformed number, or a number out of its entry's
+// range rejects the whole string.
 //
 // Syntax: ","/" "-separated tokens; a number is a whole decimal that fits
 // in 32 bits ("chunk=16k" is malformed, not 16). Tokens apply left to

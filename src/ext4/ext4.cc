@@ -1323,11 +1323,10 @@ class Ext4FsType final : public kern::FileSystemType {
   [[nodiscard]] std::string_view name() const override { return name_; }
 
   kern::Result<kern::SuperBlock*> mount(blk::BlockDevice& dev,
-                                        std::string_view opts) override {
+                                        const blk::MountOpts& opts) override {
     auto sb = std::make_unique<kern::SuperBlock>(dev, 16384);
     sb->fs_name = name_;
-    auto mnt =
-        std::make_unique<Ext4Mount>(*sb, blk::parse_mount_opts(opts).value());
+    auto mnt = std::make_unique<Ext4Mount>(*sb, opts);
     sb->fs_info = mnt.get();
     sb->s_op = mnt.get();
     Err e = mnt->mount_init();

@@ -12,9 +12,10 @@ using kern::Err;
 
 FuseModule::FuseModule(kern::SuperBlock& sb,
                        std::unique_ptr<bento::FileSystem> fs,
+                       const blk::MountOpts& opts,
                        std::unique_ptr<bento::BlockBackend> backend,
                        std::unique_ptr<kern::Process> daemon, int devfd)
-    : BentoModule(sb, std::move(fs), std::move(backend)),
+    : BentoModule(sb, std::move(fs), opts, std::move(backend)),
       daemon_(std::move(daemon)),
       devfd_(devfd) {}
 
@@ -218,8 +219,8 @@ Err FuseModule::readpages(kern::Inode& inode, std::uint64_t first_pgoff,
   return Err::Ok;
 }
 
-kern::Result<kern::SuperBlock*> FuseFsType::mount(blk::BlockDevice& dev,
-                                                  std::string_view opts) {
+kern::Result<kern::SuperBlock*> FuseFsType::mount(
+    blk::BlockDevice& dev, const blk::MountOpts& opts) {
   // The daemon opens the disk with O_DIRECT, like the paper's baseline.
   auto daemon = kernel_->new_process();
   const std::string devname = kernel_->device_name_of(&dev);
@@ -228,23 +229,21 @@ kern::Result<kern::SuperBlock*> FuseFsType::mount(blk::BlockDevice& dev,
                           kern::kORdWr | kern::kODirect);
   if (!fd.ok()) return fd.error();
 
-  const blk::MountOpts mo = blk::parse_mount_opts(opts).value();
-
   auto sb = std::make_unique<kern::SuperBlock>(dev, /*buffer_cache=*/16384);
   sb->fs_name = name_;
+  // "-o io_uring": the daemon batches its block I/O (§8.1).
   auto backend = std::make_unique<bento::UserBlockBackend>(
       *kernel_, *daemon, fd.value(), dev.nblocks(), /*cache_blocks=*/4096,
-      /*use_uring=*/mo.io_uring);  // "-o io_uring": batched daemon I/O (§8.1)
+      /*use_uring=*/opts.io_uring);
   auto module =
-      std::make_unique<FuseModule>(*sb, factory_(), std::move(backend),
+      std::make_unique<FuseModule>(*sb, factory_(), opts, std::move(backend),
                                    std::move(daemon), fd.value());
   // "-o extfuse": attach the eBPF metadata caches (paper §2.2, [5]).
-  if (mo.extfuse) {
+  if (opts.extfuse) {
     module->attach_extfuse(std::make_unique<ExtFuseFilter>());
   }
   sb->fs_info = static_cast<bento::BentoModule*>(module.get());
   sb->s_op = module.get();
-  module->fs().apply_mount_opts(opts);
   Err e = module->mount_init();
   if (e != Err::Ok) return e;
   FuseModule* mod = module.get();

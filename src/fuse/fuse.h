@@ -34,6 +34,7 @@ struct FuseConnStats {
 class FuseModule final : public bento::BentoModule {
  public:
   FuseModule(kern::SuperBlock& sb, std::unique_ptr<bento::FileSystem> fs,
+             const blk::MountOpts& opts,
              std::unique_ptr<bento::BlockBackend> backend,
              std::unique_ptr<kern::Process> daemon, int devfd);
 
@@ -105,7 +106,7 @@ class FuseFsType final : public kern::FileSystemType {
 
   [[nodiscard]] std::string_view name() const override { return name_; }
   kern::Result<kern::SuperBlock*> mount(blk::BlockDevice& dev,
-                                        std::string_view opts) override;
+                                        const blk::MountOpts& opts) override;
   void kill_sb(kern::SuperBlock* sb) override;
 
  private:

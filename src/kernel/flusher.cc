@@ -40,26 +40,22 @@ std::size_t Flusher::shard_buffer_limit() const {
   return std::max<std::size_t>(1, whole / nshards_);
 }
 
-bool Flusher::wake_due(const Inode* hint,
-                       std::size_t page_threshold) const {
-  if (hint != nullptr && page_threshold != 0 && owns(*hint) &&
-      hint->mapping.nr_dirty() >= page_threshold) {
+bool Flusher::wake_due(const Inode* hint) const {
+  if (hint != nullptr && owns(*hint) &&
+      hint->mapping.nr_dirty() >= params_.dirty_pages_threshold) {
     return true;
   }
-  if (params_.drain_buffers) {
-    const BufferCache& bc = sb_->bufcache();
-    const std::size_t dirty =
-        nshards_ > 1 ? bc.nr_dirty_shard(shard_) : bc.nr_dirty();
-    if (dirty >= shard_buffer_limit()) return true;
-  }
-  return false;
+  const BufferCache& bc = sb_->bufcache();
+  const std::size_t dirty =
+      nshards_ > 1 ? bc.nr_dirty_shard(shard_) : bc.nr_dirty();
+  return dirty >= shard_buffer_limit();
 }
 
-void Flusher::poke(Inode* hint, std::size_t page_threshold) {
+void Flusher::poke(Inode* hint) {
   if (running_) return;  // poked from flusher context; already draining
   stats_.pokes += 1;
   const bool timer_due = sim::now() >= next_timer_;
-  const bool threshold = wake_due(hint, page_threshold);
+  const bool threshold = wake_due(hint);
   if (timer_due || threshold) {
     stats_.wakeups += 1;
     if (threshold) stats_.threshold_wakeups += 1;
@@ -122,7 +118,7 @@ void Flusher::run_cycle(bool timer_due) {
     const std::size_t shard_dirty =
         nshards_ > 1 ? sb_->bufcache().nr_dirty_shard(shard_)
                      : sb_->bufcache().nr_dirty();
-    if (params_.drain_buffers && shard_dirty > 0) {
+    if (shard_dirty > 0) {
       stats_.buffers_flushed += sb_->bufcache().flush_dirty_async(
           params_.max_batch, params_.queue_depth, shard_, nshards_,
           params_.use_plug);
@@ -138,11 +134,10 @@ void Flusher::run_cycle(bool timer_due) {
 
 void Flusher::wait_idle() { sim::current().wait_until(thread_.now()); }
 
-void maybe_attach_flusher(SuperBlock& sb, std::string_view opts,
+void maybe_attach_flusher(SuperBlock& sb, const blk::MountOpts& opts,
                           FlusherParams params) {
-  const blk::MountOpts mo = blk::parse_mount_opts(opts).value();
-  if (!mo.flusher) return;
-  params.use_plug = mo.plug;
+  if (!opts.flusher) return;
+  params.use_plug = opts.plug;
   // One flusher per member device: a plain device gets one; a striped
   // volume gets fan_out() of them, each owning one member's writeback
   // and backpressure.

@@ -33,22 +33,32 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "sim/stats.h"
 #include "sim/thread.h"
 #include "sim/time.h"
 
+namespace bsim::blk {
+struct MountOpts;
+}  // namespace bsim::blk
+
 namespace bsim::kern {
 
 class Inode;
 class SuperBlock;
 
+/// Dirty pages per inode that trigger writeback: the flusher's default
+/// wake threshold, and with "-o noflusher" the point where
+/// generic_file_write drains the inode in the writer's context.
+inline constexpr std::size_t kDirtyPagesThreshold = 256;
+
+/// Tuning for one flusher. Mounts attach flushers with the defaults
+/// (maybe_attach_flusher); only `use_plug` follows a mount option
+/// ("-o noplug"). The other fields are set by unit tests.
 struct FlusherParams {
-  /// Drain when an inode accumulates this many dirty pages (the trigger
-  /// that used to run writeback in writer context).
-  std::size_t dirty_pages_threshold = 256;
+  /// Drain when an inode accumulates this many dirty pages.
+  std::size_t dirty_pages_threshold = kDirtyPagesThreshold;
   /// Drain when the buffer cache's dirty fraction exceeds this (of its
   /// capacity, for bounded caches).
   double dirty_ratio = 0.10;
@@ -70,11 +80,6 @@ struct FlusherParams {
   std::size_t max_batch = 256;
   /// Async batches kept in flight while draining buffers (QD>1).
   std::size_t queue_depth = 4;
-  /// Whether to drain the buffer cache at all. Journaling file systems
-  /// that must order metadata behind their journal manage buffer
-  /// writeback themselves and leave this off. (Journal-pinned buffers
-  /// are skipped by the drain either way; see BufferHead::jdirty.)
-  bool drain_buffers = false;
   /// Drain the buffer batches under one request plug (one cross-batch
   /// merged elevator pass per wake) instead of QD>1 ticket juggling.
   /// "-o noplug" turns this off (the ablation escape hatch).
@@ -120,24 +125,14 @@ class Flusher {
   /// whether to wake; any drain runs on the flusher's own clock, starting
   /// no earlier than the poke. `hint` is the inode the writer dirtied
   /// (may be null for metadata-only pokes).
-  void poke(Inode* hint) { poke(hint, params_.dirty_pages_threshold); }
-
-  /// Same, with the caller's per-write dirty-page threshold (the
-  /// GenericWriteOptions knob): it overrides the flusher's default for
-  /// the hint-inode trigger so the two knobs cannot drift. 0 disables the
-  /// hint trigger for this poke (the timer and buffer ratio still apply).
-  void poke(Inode* hint, std::size_t page_threshold);
+  void poke(Inode* hint);
 
   /// Foreground durability barrier: advance the calling thread past all
   /// writeback the flusher has completed.
   void wait_idle();
 
   /// Would a poke right now wake the flusher? (exposed for tests)
-  [[nodiscard]] bool wake_due(const Inode* hint) const {
-    return wake_due(hint, params_.dirty_pages_threshold);
-  }
-  [[nodiscard]] bool wake_due(const Inode* hint,
-                              std::size_t page_threshold) const;
+  [[nodiscard]] bool wake_due(const Inode* hint) const;
 
   [[nodiscard]] const FlusherStats& stats() const { return stats_; }
   [[nodiscard]] sim::Nanos last_completion() const { return thread_.now(); }
@@ -164,9 +159,9 @@ class Flusher {
 
 /// Mount-time helper shared by the deployments that opt in to background
 /// writeback: attach one flusher per member device of `sb`'s volume
-/// (`bdev().fan_out()`; exactly one for a plain device) unless the mount
-/// options contain "noflusher" (the writer-context ablation escape hatch).
-void maybe_attach_flusher(SuperBlock& sb, std::string_view opts,
+/// (`bdev().fan_out()`; exactly one for a plain device) unless `opts`
+/// say "noflusher" (the writer-context ablation escape hatch).
+void maybe_attach_flusher(SuperBlock& sb, const blk::MountOpts& opts,
                           FlusherParams params = {});
 
 }  // namespace bsim::kern

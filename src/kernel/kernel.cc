@@ -151,7 +151,7 @@ Err Kernel::mount(std::string_view fstype, std::string_view devname,
   if (mo->trace > 0) dev->arm_trace(mo->trace, std::string{devname});
   dev->set_retry_policy(mo->retry);
 
-  auto sb = type->mount(*dev, opts);
+  auto sb = type->mount(*dev, *mo);
   if (!sb.ok()) return sb.error();
   // Error behaviour (ext4's errors= option, honored for every FS here):
   // what a journal abort / unrecoverable FS error does to the mount.

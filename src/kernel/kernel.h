@@ -80,6 +80,9 @@ class Kernel {
   std::unique_ptr<Process> new_process();
 
   // ---- mount management ----
+  /// Parse `opts` (Inval when it does not parse), arm the device tree
+  /// from them, and hand the typed blk::MountOpts to the file system
+  /// type's mount(). No layer below parses the string again.
   Err mount(std::string_view fstype, std::string_view devname,
             std::string_view mountpoint, std::string_view opts = "");
   Err umount(std::string_view mountpoint);

@@ -55,11 +55,9 @@ Flusher* SuperBlock::flusher_for(const Inode* hint) {
   return flushers_[hint->ino() % flushers_.size()].get();
 }
 
-void SuperBlock::poke_flushers(Inode* hint, std::size_t page_threshold) {
+void SuperBlock::poke_flushers(Inode* hint) {
   Flusher* owner = flusher_for(hint);
-  for (auto& f : flushers_) {
-    f->poke(f.get() == owner ? hint : nullptr, page_threshold);
-  }
+  for (auto& f : flushers_) f->poke(f.get() == owner ? hint : nullptr);
 }
 
 void SuperBlock::fs_error(Err e) {
@@ -245,8 +243,7 @@ Result<std::uint64_t> generic_file_read(Inode& inode, std::uint64_t off,
 }
 
 Result<std::uint64_t> generic_file_write(Inode& inode, std::uint64_t off,
-                                         std::span<const std::byte> in,
-                                         const GenericWriteOptions& opts) {
+                                         std::span<const std::byte> in) {
   assert(inode.aops != nullptr);
   std::uint64_t done = 0;
   while (done < in.size()) {
@@ -281,12 +278,11 @@ Result<std::uint64_t> generic_file_write(Inode& inode, std::uint64_t off,
   // balance_dirty_pages analogue. With a flusher attached, the drain runs
   // on the background thread's clock (the writer is only charged the
   // poke); without one, writers are throttled by doing the writeback
-  // themselves once the inode accumulates enough dirty pages. The
-  // caller's dirty_threshold governs the trigger in both cases.
+  // themselves once the inode accumulates kDirtyPagesThreshold dirty
+  // pages, the flusher's default trigger.
   if (inode.sb().flusher() != nullptr) {
-    inode.sb().poke_flushers(&inode, opts.dirty_threshold);
-  } else if (opts.dirty_threshold != 0 &&
-             inode.mapping.nr_dirty() >= opts.dirty_threshold) {
+    inode.sb().poke_flushers(&inode);
+  } else if (inode.mapping.nr_dirty() >= kDirtyPagesThreshold) {
     BSIM_TRY(generic_writeback(inode));
   }
   return done;

@@ -221,7 +221,7 @@ class SuperBlock {
   /// shard's buffer threshold and periodic timer still fire, so dirty
   /// state on members no writer's inode hashes to keeps draining, but an
   /// unowned member's backlog never throttles this writer.
-  void poke_flushers(Inode* hint, std::size_t page_threshold);
+  void poke_flushers(Inode* hint);
 
   // ---- dirty-inode list (the per-bdi b_dirty list) ----
   /// Register an inode whose mapping just became dirty. Called by
@@ -272,11 +272,11 @@ class FileSystemType {
  public:
   virtual ~FileSystemType() = default;
   [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Build a SuperBlock over `dev`. `opts` is the mount-option string,
-  /// already validated by Kernel::mount (read it with
-  /// blk::parse_mount_opts).
+  /// Build a SuperBlock over `dev`. `opts` are the mount options
+  /// Kernel::mount parsed, once, from the "-o" string; each layer below
+  /// reads the fields it uses from them.
   virtual Result<SuperBlock*> mount(blk::BlockDevice& dev,
-                                    std::string_view opts) = 0;
+                                    const blk::MountOpts& opts) = 0;
   /// Tear down a superblock produced by mount().
   virtual void kill_sb(SuperBlock* sb) = 0;
 };
@@ -289,14 +289,8 @@ class FileSystemType {
 Result<std::uint64_t> generic_file_read(Inode& inode, std::uint64_t off,
                                         std::span<std::byte> out);
 
-struct GenericWriteOptions {
-  /// Start synchronous writeback once this many pages are dirty.
-  std::size_t dirty_threshold = 256;
-};
-
 Result<std::uint64_t> generic_file_write(Inode& inode, std::uint64_t off,
-                                         std::span<const std::byte> in,
-                                         const GenericWriteOptions& opts = {});
+                                         std::span<const std::byte> in);
 
 /// Flush the inode's dirty pages through its AddressSpaceOps.
 Err generic_writeback(Inode& inode);

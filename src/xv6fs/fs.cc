@@ -60,7 +60,7 @@ Err Xv6FileSystem::init(const Request&, SbRef sb) {
   if (dsb_.magic != kMagic) return Err::Inval;
   if (dsb_.size > sb->nblocks()) return Err::Inval;
 
-  BSIM_TRY(log_.init(sb.get(), dsb_, opts_.durability, log_params_));
+  BSIM_TRY(log_.init(sb.get(), dsb_, opts_.durability, mount_opts_));
   BSIM_TRY(scan_free_counts(sb.get()));
   return Err::Ok;
 }
@@ -1165,7 +1165,7 @@ Err Xv6FileSystem::restore_state(const Request&, SbRef,
       fi == nullptr || hint == nullptr) {
     return Err::NoSys;  // caller falls back to a cold init()
   }
-  log_.adopt(*snap);
+  log_.adopt(*snap, mount_opts_);
   dsb_ = snap->dsb;
   itable_.clear();
   for (const auto& [inum, d] : *dinodes) {

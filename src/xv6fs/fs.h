@@ -44,10 +44,10 @@ class Xv6FileSystem : public bento::FileSystem {
     return opts_.version;
   }
 
-  /// Write-path tuning (group commit, pipelining, plugging) comes from
-  /// the mount-option string.
-  void apply_mount_opts(std::string_view opts) override {
-    log_params_ = LogParams(blk::parse_mount_opts(opts).value());
+  /// The log's write-path tuning (group commit, pipelining, plugging)
+  /// comes from the mount options.
+  void apply_mount_opts(const blk::MountOpts& opts) override {
+    mount_opts_ = opts;
   }
 
   // ---- bento::FileSystem ----
@@ -169,7 +169,7 @@ class Xv6FileSystem : public bento::FileSystem {
   DiskSuperblock dsb_;
   Log log_;
   Options opts_;
-  LogParams log_params_;
+  blk::MountOpts mount_opts_;
   bento::Semaphore itable_lock_;
   bento::Semaphore alloc_lock_;  // the §6.1 allocation lock
   std::unordered_map<std::uint32_t, std::unique_ptr<MemInode>> itable_;

@@ -26,12 +26,12 @@ WriteTicket submit(SuperBlockCap& sb, std::vector<BufferHeadHandle>& handles) {
 }  // namespace
 
 Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
-              Durability durability, LogParams params) {
+              Durability durability, const blk::MountOpts& opts) {
   dsb_ = dsb;
   durability_ = durability;
-  params_ = params;
+  opts_ = opts;
   outstanding_ = 0;
-  jnl_.reset(params_.pipeline);
+  jnl_.reset(opts_.pipeline);
 
   // Crash recovery: a non-empty header means a committed-but-uninstalled
   // transaction; replay it (synchronously — nothing to overlap with).
@@ -57,13 +57,13 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
   return Err::Ok;
 }
 
-void Log::adopt(const Snapshot& snap) {
+void Log::adopt(const Snapshot& snap, const blk::MountOpts& opts) {
   dsb_ = snap.dsb;
   durability_ = snap.durability;
-  params_ = snap.params;
+  opts_ = opts;
   stats_ = snap.stats;
   outstanding_ = 0;
-  jnl_.reset(params_.pipeline);
+  jnl_.reset(opts_.pipeline);
 }
 
 void Log::begin_op(SuperBlockCap& sb, std::uint32_t reserved) {
@@ -117,8 +117,8 @@ Err Log::end_op(SuperBlockCap& sb) {
   // trigger keeps kMaxOpBlocks of headroom for the next op). fsync
   // (force_commit) still commits immediately.
   if (outstanding_ == 0 && !jnl_.empty() &&
-      jnl_.close_op(params_.max_log_batch,
-                    blk::commit_threshold(params_.group_dirty_blocks,
+      jnl_.close_op(opts_.max_log_batch,
+                    blk::commit_threshold(opts_.log_blocks,
                                           kLogSize - kMaxOpBlocks,
                                           sb.stripe_width()))) {
     return commit(sb);
@@ -219,7 +219,7 @@ Err Log::commit(SuperBlockCap& sb) {
   //      Strict mode the FLUSH barrier between them is preserved, issued
   //      through the non-blocking flush so the pipeline still overlaps
   //      its completion.
-  if (params_.plug && durability_ != Durability::Strict) {
+  if (opts_.plug && durability_ != Durability::Strict) {
     sb.plug();
     plugged = true;
   }

@@ -52,29 +52,6 @@ namespace bsim::xv6 {
 
 enum class Durability { Relaxed, Strict };
 
-/// Write-path tuning, selected by mount options (blockdev/opts.h).
-struct LogParams {
-  LogParams() : LogParams(blk::MountOpts{}) {}
-  explicit LogParams(const blk::MountOpts& o)
-      : max_log_batch(o.max_log_batch),
-        group_dirty_blocks(o.log_blocks),
-        pipeline(o.pipeline),
-        plug(o.plug) {}
-
-  /// Group commit: ops absorbed into one transaction before end_op
-  /// forces a commit. 1 = commit per op (the pre-pipelining behaviour).
-  std::size_t max_log_batch;
-  /// Commit when this many blocks are pending. 0 = auto: the largest
-  /// whole-stripe-row count that still leaves kMaxOpBlocks of headroom.
-  std::size_t group_dirty_blocks;
-  /// Pipelined commits ("nopipeline" disables): submit commit writes on
-  /// async tickets and only redeem them when the pipeline depth is
-  /// exceeded (or at fsync).
-  bool pipeline;
-  /// Relaxed-mode install+clear request plugging ("noplug" disables).
-  bool plug;
-};
-
 struct LogStats : blk::JournalCounters {
   std::uint64_t commits = 0;
   std::uint64_t blocks_logged = 0;
@@ -105,9 +82,12 @@ class Log {
   Log(const Log&) = delete;
   Log& operator=(const Log&) = delete;
 
-  /// Mount-time initialization + crash recovery.
+  /// Mount-time initialization + crash recovery. The write path's tuning
+  /// comes from `opts`: max_log_batch and log_blocks (group commit),
+  /// pipeline ("nopipeline"), and plug ("noplug", Relaxed mode's
+  /// install+clear plug).
   kern::Err init(bento::SuperBlockCap& sb, const DiskSuperblock& dsb,
-                 Durability durability, LogParams params);
+                 Durability durability, const blk::MountOpts& opts);
 
   /// Open a transaction expected to touch at most `reserved` blocks
   /// (must be <= kMaxOpBlocks).
@@ -144,17 +124,16 @@ class Log {
 
   /// Export/import for online upgrade: the log must be empty (committed
   /// and drained) at transfer time; this carries geometry + stats across
-  /// versions.
+  /// versions. The adopting instance brings its own mount options.
   struct Snapshot {
     DiskSuperblock dsb;
     Durability durability = Durability::Relaxed;
-    LogParams params;
     LogStats stats;
   };
   [[nodiscard]] Snapshot snapshot() const {
-    return {dsb_, durability_, params_, stats_};
+    return {dsb_, durability_, stats_};
   }
-  void adopt(const Snapshot& snap);
+  void adopt(const Snapshot& snap, const blk::MountOpts& opts);
 
  private:
   kern::Err commit(bento::SuperBlockCap& sb);
@@ -170,7 +149,7 @@ class Log {
 
   DiskSuperblock dsb_;
   Durability durability_ = Durability::Relaxed;
-  LogParams params_;
+  blk::MountOpts opts_;
   bento::Semaphore lock_;
   int outstanding_ = 0;
   /// Transaction sequence for the TO/TC/JW/JR/JK tracepoints; bumped when

@@ -76,8 +76,8 @@ Err Xv6cMount::log_end() {
   // with the Bento port, without the stripe alignment): absorb ops until
   // the batch or block threshold; fsync/sync force via log_force().
   if (log_outstanding_ == 0 && !log_txn_.empty() &&
-      log_txn_.close_op(log_params_.max_log_batch,
-                        blk::commit_threshold(log_params_.group_dirty_blocks,
+      log_txn_.close_op(opts_.max_log_batch,
+                        blk::commit_threshold(opts_.log_blocks,
                                               kLogSize - kMaxOpBlocks,
                                               /*stripe_width=*/0))) {
     e = log_commit();
@@ -1112,13 +1112,12 @@ class Xv6cFsType final : public kern::FileSystemType {
   [[nodiscard]] std::string_view name() const override { return name_; }
 
   kern::Result<kern::SuperBlock*> mount(blk::BlockDevice& dev,
-                                        std::string_view opts) override {
+                                        const blk::MountOpts& opts) override {
     auto sb = std::make_unique<kern::SuperBlock>(dev, 16384);
     sb->fs_name = name_;
-    auto mnt = std::make_unique<Xv6cMount>(*sb);
+    auto mnt = std::make_unique<Xv6cMount>(*sb, opts);
     sb->fs_info = mnt.get();
     sb->s_op = mnt.get();
-    mnt->set_log_params(xv6::LogParams(blk::parse_mount_opts(opts).value()));
     Err e = mnt->mount_init();
     if (e != Err::Ok) return e;
     // Background writeback for the kernel (C-VFS) deployment, same
@@ -1126,9 +1125,7 @@ class Xv6cFsType final : public kern::FileSystemType {
     // deferred group commit are journal-pinned (BufferHead::jdirty), so
     // the drain cannot land them ahead of their commit record.
     // "-o noflusher" restores writer-context sync.
-    kern::FlusherParams fp;
-    fp.drain_buffers = true;
-    kern::maybe_attach_flusher(*sb, opts, fp);
+    kern::maybe_attach_flusher(*sb, opts);
     Xv6cMount* m = mnt.get();
     sb->register_stats("xv6c", [m](sim::JsonWriter& w) {
       const CLogStats& s = m->log_stats();

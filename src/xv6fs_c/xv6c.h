@@ -19,9 +19,9 @@
 #include <unordered_map>
 
 #include "blockdev/journal.h"
+#include "blockdev/opts.h"
 #include "kernel/kernel.h"
 #include "xv6fs/layout.h"
-#include "xv6fs/log.h"  // LogParams (group-commit tuning)
 
 namespace bsim::xv6c {
 
@@ -36,17 +36,17 @@ class Xv6cMount final : public kern::InodeOps,
                         public kern::SuperOps,
                         public kern::AddressSpaceOps {
  public:
-  explicit Xv6cMount(kern::SuperBlock& sb) : sb_(&sb) {}
+  /// Group-commit tuning comes from `opts` (max_log_batch, log_blocks);
+  /// the C baseline keeps its synchronous per-buffer commit path, so
+  /// pipelining is a Bento-side thing.
+  Xv6cMount(kern::SuperBlock& sb, const blk::MountOpts& opts)
+      : sb_(&sb), opts_(opts) {}
 
   kern::Err mount_init();
   /// Unmount-time cleanup of the C-style per-inode state.
   void dispose_inode(kern::Inode& inode);
 
   [[nodiscard]] const CLogStats& log_stats() const { return log_stats_; }
-  /// Group-commit tuning (parsed from mount opts by the fs type; the C
-  /// baseline keeps its synchronous per-buffer commit path — only the
-  /// cross-operation batching applies, pipelining is a Bento-side thing).
-  void set_log_params(const xv6::LogParams& p) { log_params_ = p; }
 
   // InodeOps
   kern::Result<kern::Inode*> lookup(kern::Inode& dir,
@@ -136,7 +136,7 @@ class Xv6cMount final : public kern::InodeOps,
   sim::SimMutex log_lock_;      // the log serializes transactions
   sim::SimMutex alloc_lock_;    // §6.1 allocation locks
   int log_outstanding_ = 0;
-  xv6::LogParams log_params_;   // max_log_batch / group_dirty_blocks
+  const blk::MountOpts opts_;
   CLogStats log_stats_;
   blk::RunningTxn log_txn_{log_stats_};
   std::uint64_t free_blocks_ = 0;

@@ -114,6 +114,32 @@ TEST_F(UpgradeTest, FallsBackToColdInit) {
   EXPECT_EQ(st.value().size, 1u);
 }
 
+TEST_F(UpgradeTest, ColdInitSuccessorKeepsTheMountOptions) {
+  // The module delivers the mount's options to every instance it runs:
+  // a successor that cold-attaches still commits once per op on a
+  // "nogroup" mount, instead of falling back to the default batch of 8.
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok, kernel_.mount("xv6_bento", "ssd0", "/mnt", "nogroup"));
+  auto* module = bento::BentoModule::from(*kernel_.sb_at("/mnt"));
+  auto commits = [&] {
+    return static_cast<xv6::Xv6FileSystem&>(module->fs()).log().stats().commits;
+  };
+  auto create = [&](const std::string& path) {
+    auto fd = kernel_.open(proc(), path, kern::kOCreat | kern::kOWrOnly);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  };
+
+  std::uint64_t before = commits();
+  create("/mnt/pre");
+  EXPECT_EQ(commits(), before + 1);
+
+  ASSERT_EQ(Err::Ok, module->upgrade(std::make_unique<NoTransferFs>()));
+  before = commits();
+  create("/mnt/post");
+  EXPECT_EQ(commits(), before + 1);
+}
+
 /// A successor whose restore fails outright.
 class BrokenFs final : public bento::FileSystem {
  public:

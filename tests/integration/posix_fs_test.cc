@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -354,6 +355,48 @@ TEST_P(PosixFsTest, WriteReturnsBadFOnReadOnlyFd) {
   auto w = kernel_.write(proc(), fd.value(), as_bytes("no"));
   EXPECT_EQ(w.error(), Err::BadF);
   ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+}
+
+/// Commits of the xv6 journal under a mount, for the deployments whose
+/// writes go through one (null for ext4j, whose journal is jbd).
+std::optional<std::uint64_t> xv6_commits(std::string_view fstype,
+                                         kern::SuperBlock& sb) {
+  if (fstype == "xv6_vfs") {
+    return static_cast<xv6c::Xv6cMount*>(sb.fs_info)->log_stats().commits;
+  }
+  if (fstype == "ext4j") return std::nullopt;
+  bento::FileSystem* fs = &bento::BentoModule::from(sb)->fs();
+  if (fstype == "xv6_nvmlog") fs = &static_cast<bento::NvmLogFs*>(fs)->lower();
+  return static_cast<xv6::Xv6FileSystem*>(fs)->log().stats().commits;
+}
+
+TEST_P(PosixFsTest, MountOptionsReachTheFileSystem) {
+  const std::string_view fstype = GetParam();
+  // The kernel deployments attach one flusher per member device; ext4j
+  // and the FUSE daemon attach none.
+  const bool flushes = fstype == "xv6_bento" || fstype == "xv6_nvmlog" ||
+                       fstype == "xv6_vfs";
+  kern::SuperBlock* sb = kernel_.sb_at("/mnt");
+  EXPECT_EQ(sb->flusher_count(), flushes ? sb->bdev().fan_out() : 0u);
+  // A default mount pools creates into a group commit.
+  const std::optional<std::uint64_t> pooled = xv6_commits(fstype, *sb);
+  auto fd = kernel_.open(proc(), "/mnt/pooled", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  EXPECT_EQ(xv6_commits(fstype, *sb), pooled);
+
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt", "noflusher"));
+  EXPECT_EQ(kernel_.sb_at("/mnt")->flusher_count(), 0u);
+
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt", "nogroup"));
+  sb = kernel_.sb_at("/mnt");
+  const std::optional<std::uint64_t> before = xv6_commits(fstype, *sb);
+  fd = kernel_.open(proc(), "/mnt/alone", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  if (before) EXPECT_EQ(xv6_commits(fstype, *sb), *before + 1);
 }
 
 // ---- concurrent cold reads of one file ----

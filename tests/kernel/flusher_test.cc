@@ -139,7 +139,6 @@ TEST_F(FlusherTest, PeriodicTimerDrainsBelowThreshold) {
 TEST_F(FlusherTest, DrainsDirtyBuffersThroughAsyncBatches) {
   SuperBlock sb(dev_, 0);
   FlusherParams fp;
-  fp.drain_buffers = true;
   fp.dirty_buffers_min = 16;
   fp.max_batch = 8;
   fp.queue_depth = 2;
@@ -170,7 +169,6 @@ TEST_F(FlusherTest, DefaultDrainPlugsBatchesIntoOneElevatorPass) {
   // request plug: one queue submission per wake, cross-batch merging.
   SuperBlock sb(dev_, 0);
   FlusherParams fp;
-  fp.drain_buffers = true;
   fp.dirty_buffers_min = 16;
   fp.max_batch = 8;
   fp.queue_depth = 2;
@@ -203,7 +201,6 @@ TEST_F(FlusherTest, DrainWriteErrorLandsInTheErrorSequenceOnce) {
   // caller's NEXT fsync reports it — exactly once per sampled cursor.
   SuperBlock sb(dev_, 0);
   FlusherParams fp;
-  fp.drain_buffers = true;
   fp.dirty_buffers_min = 4;
   fp.dirty_pages_threshold = 1000;
   sb.attach_flusher(std::make_unique<Flusher>(sb, fp));
@@ -304,11 +301,10 @@ TEST(FlusherSharding, BackpressureThrottlesOnlySlowMemberWriters) {
   SuperBlock sb(dev, 0);
 
   FlusherParams fp;
-  fp.drain_buffers = true;
   fp.dirty_buffers_min = 8;  // volume-wide; per-member trigger = 4
   fp.dirty_pages_threshold = 1000;
   fp.max_backlog = sim::msec(1);
-  kern::maybe_attach_flusher(sb, "", fp);
+  kern::maybe_attach_flusher(sb, blk::MountOpts{}, fp);
   ASSERT_EQ(sb.flusher_count(), 2u);  // one flusher per member device
 
   Inode& fast_file = sb.inew(10);  // ino 10 -> shard 0
@@ -337,7 +333,7 @@ TEST(FlusherSharding, BackpressureThrottlesOnlySlowMemberWriters) {
   sim::SimThread fast_writer(10);
   {
     sim::ScopedThread w(fast_writer);
-    sb.poke_flushers(&fast_file, 1000);
+    sb.poke_flushers(&fast_file);
   }
   EXPECT_EQ(bc.nr_dirty_shard(0), 0u);
   EXPECT_EQ(bc.nr_dirty_shard(1), 0u);  // courtesy wake drained the rest
@@ -353,7 +349,7 @@ TEST(FlusherSharding, BackpressureThrottlesOnlySlowMemberWriters) {
   sim::SimThread slow_writer(11);
   {
     sim::ScopedThread w(slow_writer);
-    sb.poke_flushers(&slow_file, 1000);
+    sb.poke_flushers(&slow_file);
   }
   EXPECT_GE(sb.flusher_at(1)->stats().throttle_waits, 1u);
   EXPECT_EQ(sb.flusher_at(0)->stats().throttle_waits, 0u);

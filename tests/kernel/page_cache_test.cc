@@ -340,6 +340,29 @@ TEST_F(PageCacheTest, ReaderOfInFlightPageWaitsForTheFill) {
   EXPECT_EQ(aops.reads, 1u);
 }
 
+TEST_F(PageCacheTest, WriterDrainsTheInodeAtTheDirtyThresholdWithoutAFlusher) {
+  // "-o noflusher": generic_file_write does balance_dirty_pages itself.
+  // The 255th dirty page of an inode writes nothing back; the 256th
+  // (kDirtyPagesThreshold) drains the whole inode in the writer's context.
+  ASSERT_EQ(sb_.flusher(), nullptr);
+  Inode inode(sb_, 30);
+  RecordingAops aops(true);
+  inode.aops = &aops;
+  const std::vector<std::byte> data(kPageSize, std::byte{7});
+  for (std::uint64_t pg = 0; pg < 255; ++pg) {
+    ASSERT_TRUE(generic_file_write(inode, pg * kPageSize, data).ok());
+  }
+  EXPECT_EQ(inode.mapping.nr_dirty(), 255u);
+  EXPECT_TRUE(aops.run_shapes.empty());
+
+  ASSERT_TRUE(generic_file_write(inode, 255 * kPageSize, data).ok());
+  EXPECT_EQ(kDirtyPagesThreshold, 256u);
+  EXPECT_EQ(inode.mapping.nr_dirty(), 0u);
+  ASSERT_EQ(aops.run_shapes.size(), 1u);
+  EXPECT_EQ(aops.run_shapes[0],
+            (std::pair<std::uint64_t, std::size_t>{0, 256}));
+}
+
 // ---- sequential-stream readahead (generic_file_read heuristics) ----
 
 /// Batched aops that records the shape of every ->readpages call.
