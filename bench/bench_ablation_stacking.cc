@@ -10,9 +10,11 @@
 // layer re-enters the top-level VFS (modeled by charging the measured
 // vfs_reentry cost per layer per operation).
 //
-// google-benchmark is used for (a) since direct dispatch is real C++
-// call overhead; the (b) rows add the modeled re-entry term in virtual
-// time. Printed as ns/op of 4 KiB cached reads.
+// Both rows are virtual time: (a) is what the stack charges per read (the
+// cipher work of each layer plus the xv6 read below it; a direct call
+// between layers costs nothing on the simulated clock), and (b) adds the
+// modeled re-entry term. Printed as ns/op of 4 KiB cached reads. Every
+// stack is one mount over one in-memory xv6 image, built untimed.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -21,6 +23,7 @@
 #include "bento/chacha.h"
 #include "common.h"
 #include "bento/crypt.h"
+#include "bento/user.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 #include "xv6fs/fs.h"
@@ -30,39 +33,23 @@ using namespace bsim;
 
 namespace {
 
-std::unique_ptr<bento::UserMount> make_xv6_mount() {
+/// Build a stack of `layers` CryptFs instances over xv6 (each layer uses
+/// a key derived from its depth), mounted over a formatted xv6 image.
+std::unique_ptr<bento::UserMount> make_stack(int layers) {
   blk::DeviceParams params;
   params.nblocks = 8192;
-  blk::BlockDevice scratch(params);
-  const auto dsb = xv6::mkfs(scratch, 512);
-  auto backend = std::make_unique<bento::MemBlockBackend>(8192);
-  {
-    auto cap = bento::CapTestAccess::make(*backend);
-    std::array<std::byte, blk::kBlockSize> buf{};
-    for (std::uint32_t b = 1; b <= dsb.datastart; ++b) {
-      scratch.read_untimed(b, buf);
-      auto bh = cap->getblk(b);
-      std::memcpy(bh.value().data().data(), buf.data(), buf.size());
-    }
+  blk::BlockDevice image(params);
+  xv6::mkfs(image, 512);
+  std::unique_ptr<bento::FileSystem> fs =
+      std::make_unique<xv6::Xv6FileSystem>();
+  for (int i = 0; i < layers; ++i) {
+    fs = std::make_unique<bento::CryptFs>(
+        std::move(fs),
+        bento::derive_key("layer" + std::to_string(i), "salt", 16));
   }
   auto mount = std::make_unique<bento::UserMount>(
-      std::move(backend), std::make_unique<xv6::Xv6FileSystem>());
+      std::make_unique<bento::MemBlockBackend>(image), std::move(fs));
   (void)mount->mount_init();
-  return mount;
-}
-
-/// Build a stack of `layers` CryptFs instances over xv6; returns the top
-/// mount (each layer uses a key derived from its depth).
-std::unique_ptr<bento::UserMount> make_stack(int layers) {
-  auto mount = make_xv6_mount();
-  for (int i = 0; i < layers; ++i) {
-    auto crypt = std::make_unique<bento::CryptFs>(
-        std::move(mount),
-        bento::derive_key("layer" + std::to_string(i), "salt", 16));
-    mount = std::make_unique<bento::UserMount>(
-        std::make_unique<bento::MemBlockBackend>(16), std::move(crypt));
-    (void)mount->mount_init();
-  }
   return mount;
 }
 

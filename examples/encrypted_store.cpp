@@ -7,12 +7,12 @@
 //
 // Build & run:   cmake --build build && ./build/examples/encrypted_store
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bento/crypt.h"
+#include "bento/user.h"
 #include "sim/thread.h"
 #include "xv6fs/fs.h"
 #include "xv6fs/layout.h"
@@ -25,25 +25,13 @@ std::span<const std::byte> bytes_of(std::string_view s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
 }
 
-std::unique_ptr<bento::UserMount> make_xv6_mount() {
+/// A formatted xv6 image in memory: the "disk" under the stack.
+std::unique_ptr<bento::MemBlockBackend> xv6_image() {
   blk::DeviceParams params;
   params.nblocks = 8192;
-  blk::BlockDevice scratch(params);
-  const auto dsb = xv6::mkfs(scratch, 512);
-  auto backend = std::make_unique<bento::MemBlockBackend>(8192);
-  {
-    auto cap = bento::CapTestAccess::make(*backend);
-    std::array<std::byte, blk::kBlockSize> buf{};
-    for (std::uint32_t b = 1; b <= dsb.datastart; ++b) {
-      scratch.read_untimed(b, buf);
-      auto bh = cap->getblk(b);
-      std::memcpy(bh.value().data().data(), buf.data(), buf.size());
-    }
-  }
-  auto mount = std::make_unique<bento::UserMount>(
-      std::move(backend), std::make_unique<xv6::Xv6FileSystem>());
-  (void)mount->mount_init();
-  return mount;
+  blk::BlockDevice image(params);
+  xv6::mkfs(image, 512);
+  return std::make_unique<bento::MemBlockBackend>(image);
 }
 
 void hexdump(std::string_view label, std::span<const std::byte> data) {
@@ -65,10 +53,12 @@ int main() {
                                      "bsim-demo-salt");
   std::printf("derived 256-bit key from passphrase\n");
 
-  auto crypt = std::make_unique<bento::CryptFs>(make_xv6_mount(), key);
+  // One mount, one backend: the crypt layer owns xv6 and borrows the
+  // mount's capability for it on every call.
+  auto crypt = std::make_unique<bento::CryptFs>(
+      std::make_unique<xv6::Xv6FileSystem>(), key);
   auto* fs = crypt.get();
-  bento::UserMount mount(std::make_unique<bento::MemBlockBackend>(16),
-                         std::move(crypt));
+  bento::UserMount mount(xv6_image(), std::move(crypt));
   if (mount.mount_init() != kern::Err::Ok) return 1;
 
   // Write a secret through the encrypted mount.
@@ -94,10 +84,9 @@ int main() {
               reinterpret_cast<const char*>(buf.data()));
 
   // The attacker reads the lower file system directly (stolen disk).
-  auto& lower = fs->lower();
   std::vector<std::byte> at_rest(secret.size());
-  (void)lower.fs().read(lower.mkreq(), lower.borrow(), ino, 0, 0, at_rest);
-  lower.check_borrows();
+  (void)fs->lower().read(mount.mkreq(), mount.borrow(), ino, 0, 0, at_rest);
+  mount.check_borrows();
   hexdump("\nat rest on the lower layer", at_rest);
 
   // Wrong passphrase: derive a different key and try to decrypt.

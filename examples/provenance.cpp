@@ -8,12 +8,12 @@
 //
 // Build & run:   cmake --build build && ./build/examples/provenance
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bento/provenance.h"
+#include "bento/user.h"
 #include "sim/thread.h"
 #include "xv6fs/fs.h"
 #include "xv6fs/layout.h"
@@ -26,25 +26,13 @@ std::span<const std::byte> bytes_of(std::string_view s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
 }
 
-std::unique_ptr<bento::UserMount> make_xv6_mount() {
+/// A formatted xv6 image in memory: the "disk" under the stack.
+std::unique_ptr<bento::MemBlockBackend> xv6_image() {
   blk::DeviceParams params;
   params.nblocks = 8192;
-  blk::BlockDevice scratch(params);
-  const auto dsb = xv6::mkfs(scratch, 512);
-  auto backend = std::make_unique<bento::MemBlockBackend>(8192);
-  {
-    auto cap = bento::CapTestAccess::make(*backend);
-    std::array<std::byte, blk::kBlockSize> buf{};
-    for (std::uint32_t b = 1; b <= dsb.datastart; ++b) {
-      scratch.read_untimed(b, buf);
-      auto bh = cap->getblk(b);
-      std::memcpy(bh.value().data().data(), buf.data(), buf.size());
-    }
-  }
-  auto mount = std::make_unique<bento::UserMount>(
-      std::move(backend), std::make_unique<xv6::Xv6FileSystem>());
-  (void)mount->mount_init();
-  return mount;
+  blk::BlockDevice image(params);
+  xv6::mkfs(image, 512);
+  return std::make_unique<bento::MemBlockBackend>(image);
 }
 
 const char* kind_str(const bento::ProvSource& s) {
@@ -57,10 +45,10 @@ int main() {
   sim::SimThread main_thread(0);
   sim::ScopedThread in(main_thread);
 
-  auto prov = std::make_unique<bento::ProvenanceFs>(make_xv6_mount());
+  auto prov = std::make_unique<bento::ProvenanceFs>(
+      std::make_unique<xv6::Xv6FileSystem>());
   auto* fs = prov.get();
-  bento::UserMount mount(std::make_unique<bento::MemBlockBackend>(16),
-                         std::move(prov));
+  bento::UserMount mount(xv6_image(), std::move(prov));
   if (mount.mount_init() != kern::Err::Ok) return 1;
 
   // Register the pipeline's "executables".

@@ -11,7 +11,6 @@
 //
 // Build & run:   cmake --build build && ./build/examples/userspace_debug
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,22 +69,12 @@ std::string run_on_debug_rig() {
   sim::ScopedThread in(thread);
 
   // The rig needs a formatted "disk": borrow mkfs by formatting a scratch
-  // device and copying the metadata blocks into the memory backend.
+  // device and loading its image into the memory backend.
   blk::DeviceParams params;
   params.nblocks = 16384;
   blk::BlockDevice scratch(params);
-  const auto dsb = xv6::mkfs(scratch, 1024);
-
-  auto backend = std::make_unique<bento::MemBlockBackend>(16384);
-  {
-    auto cap = bento::CapTestAccess::make(*backend);
-    std::array<std::byte, blk::kBlockSize> buf{};
-    for (std::uint32_t b = 1; b < dsb.datastart + 1; ++b) {
-      scratch.read_untimed(b, buf);
-      auto bh = cap->getblk(b);
-      std::memcpy(bh.value().data().data(), buf.data(), buf.size());
-    }
-  }
+  xv6::mkfs(scratch, 1024);
+  auto backend = std::make_unique<bento::MemBlockBackend>(scratch);
 
   bento::UserMount mount(std::move(backend),
                          std::make_unique<xv6::Xv6FileSystem>());

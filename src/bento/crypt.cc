@@ -8,10 +8,8 @@
 
 namespace bsim::bento {
 
-using kern::Err;
-
-CryptFs::CryptFs(std::unique_ptr<UserMount> lower, ChaChaKey key)
-    : lower_(std::move(lower)), key_(key) {}
+CryptFs::CryptFs(std::unique_ptr<FileSystem> lower, ChaChaKey key)
+    : StackedFs(std::move(lower)), key_(key) {}
 
 CryptFs::~CryptFs() = default;
 
@@ -34,94 +32,10 @@ void CryptFs::charge_cipher(std::size_t n) {
               static_cast<sim::Nanos>(kern::kPageSize));
 }
 
-Err CryptFs::init(const Request&, SbRef) { return Err::Ok; }
-
-void CryptFs::destroy(const Request&, SbRef) {
-  (void)lower_fs().sync_fs(lower_->mkreq(), lower_->borrow());
-  lower_->check_borrows();
-}
-
-Result<EntryOut> CryptFs::lookup(const Request&, SbRef, Ino parent,
-                                 std::string_view name) {
-  auto r = lower_fs().lookup(lower_->mkreq(), lower_->borrow(), parent, name);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<FileAttr> CryptFs::getattr(const Request&, SbRef, Ino ino) {
-  auto r = lower_fs().getattr(lower_->mkreq(), lower_->borrow(), ino);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<FileAttr> CryptFs::setattr(const Request&, SbRef, Ino ino,
-                                  const SetAttrIn& attr) {
-  auto r = lower_fs().setattr(lower_->mkreq(), lower_->borrow(), ino, attr);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<EntryOut> CryptFs::create(const Request&, SbRef, Ino parent,
-                                 std::string_view name, std::uint32_t mode) {
-  auto r = lower_fs().create(lower_->mkreq(), lower_->borrow(), parent, name,
-                             mode);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<EntryOut> CryptFs::mkdir(const Request&, SbRef, Ino parent,
-                                std::string_view name, std::uint32_t mode) {
-  auto r = lower_fs().mkdir(lower_->mkreq(), lower_->borrow(), parent, name,
-                            mode);
-  lower_->check_borrows();
-  return r;
-}
-
-Err CryptFs::unlink(const Request&, SbRef, Ino parent, std::string_view name) {
-  auto r = lower_fs().unlink(lower_->mkreq(), lower_->borrow(), parent, name);
-  lower_->check_borrows();
-  return r;
-}
-
-Err CryptFs::rmdir(const Request&, SbRef, Ino parent, std::string_view name) {
-  auto r = lower_fs().rmdir(lower_->mkreq(), lower_->borrow(), parent, name);
-  lower_->check_borrows();
-  return r;
-}
-
-Err CryptFs::rename(const Request&, SbRef, Ino old_parent,
-                    std::string_view old_name, Ino new_parent,
-                    std::string_view new_name) {
-  auto r = lower_fs().rename(lower_->mkreq(), lower_->borrow(), old_parent,
-                             old_name, new_parent, new_name);
-  lower_->check_borrows();
-  return r;
-}
-
-void CryptFs::forget(const Request&, SbRef, Ino ino) {
-  lower_fs().forget(lower_->mkreq(), lower_->borrow(), ino);
-  lower_->check_borrows();
-}
-
-Result<std::uint64_t> CryptFs::open(const Request&, SbRef, Ino ino,
-                                    int flags) {
-  auto r = lower_fs().open(lower_->mkreq(), lower_->borrow(), ino, flags);
-  lower_->check_borrows();
-  return r;
-}
-
-Err CryptFs::release(const Request&, SbRef, Ino ino, std::uint64_t fh) {
-  auto r = lower_fs().release(lower_->mkreq(), lower_->borrow(), ino, fh);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<std::uint32_t> CryptFs::read(const Request&, SbRef, Ino ino,
+Result<std::uint32_t> CryptFs::read(const Request& req, SbRef sb, Ino ino,
                                     std::uint64_t fh, std::uint64_t off,
                                     std::span<std::byte> out) {
-  auto r = lower_fs().read(lower_->mkreq(), lower_->borrow(), ino, fh, off,
-                           out);
-  lower_->check_borrows();
+  auto r = lower().read(req, sb.reborrow(), ino, fh, off, out);
   if (!r.ok()) return r;
   const std::uint32_t n = r.value();
   chacha20_xor(key_, nonce_for(ino), off, out.first(n));
@@ -130,21 +44,19 @@ Result<std::uint32_t> CryptFs::read(const Request&, SbRef, Ino ino,
   return r;
 }
 
-Result<std::uint32_t> CryptFs::write(const Request&, SbRef, Ino ino,
+Result<std::uint32_t> CryptFs::write(const Request& req, SbRef sb, Ino ino,
                                      std::uint64_t fh, std::uint64_t off,
                                      std::span<const std::byte> in) {
   std::vector<std::byte> ct(in.begin(), in.end());
   chacha20_xor(key_, nonce_for(ino), off, ct);
   charge_cipher(ct.size());
   stats_.bytes_encrypted += ct.size();
-  auto r = lower_fs().write(lower_->mkreq(), lower_->borrow(), ino, fh, off,
-                            std::span<const std::byte>(ct));
-  lower_->check_borrows();
-  return r;
+  return lower().write(req, sb.reborrow(), ino, fh, off,
+                       std::span<const std::byte>(ct));
 }
 
 Result<std::uint32_t> CryptFs::write_bulk(
-    const Request&, SbRef, Ino ino, std::uint64_t off,
+    const Request& req, SbRef sb, Ino ino, std::uint64_t off,
     std::span<const std::span<const std::byte>> pages) {
   // Encrypt every page into one contiguous scratch buffer, then re-slice;
   // page boundaries are preserved so the lower FS sees the same batch
@@ -168,50 +80,7 @@ Result<std::uint32_t> CryptFs::write_bulk(
     slices.emplace_back(ct.data() + at, p.size());
     at += p.size();
   }
-  auto r = lower_fs().write_bulk(lower_->mkreq(), lower_->borrow(), ino, off,
-                                 slices);
-  lower_->check_borrows();
-  return r;
-}
-
-Err CryptFs::fsync(const Request&, SbRef, Ino ino, std::uint64_t fh,
-                   bool datasync) {
-  auto r =
-      lower_fs().fsync(lower_->mkreq(), lower_->borrow(), ino, fh, datasync);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<std::uint64_t> CryptFs::opendir(const Request&, SbRef, Ino ino) {
-  auto r = lower_fs().opendir(lower_->mkreq(), lower_->borrow(), ino);
-  lower_->check_borrows();
-  return r;
-}
-
-Err CryptFs::releasedir(const Request&, SbRef, Ino ino, std::uint64_t fh) {
-  auto r = lower_fs().releasedir(lower_->mkreq(), lower_->borrow(), ino, fh);
-  lower_->check_borrows();
-  return r;
-}
-
-Err CryptFs::readdir(const Request&, SbRef, Ino ino, std::uint64_t& pos,
-                     const DirFiller& fill) {
-  auto r = lower_fs().readdir(lower_->mkreq(), lower_->borrow(), ino, pos,
-                              fill);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<StatfsOut> CryptFs::statfs(const Request&, SbRef) {
-  auto r = lower_fs().statfs(lower_->mkreq(), lower_->borrow());
-  lower_->check_borrows();
-  return r;
-}
-
-Err CryptFs::sync_fs(const Request&, SbRef) {
-  auto r = lower_fs().sync_fs(lower_->mkreq(), lower_->borrow());
-  lower_->check_borrows();
-  return r;
+  return lower().write_bulk(req, sb.reborrow(), ino, off, slices);
 }
 
 }  // namespace bsim::bento

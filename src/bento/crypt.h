@@ -20,48 +20,22 @@
 
 #include <memory>
 
-#include "bento/api.h"
 #include "bento/chacha.h"
-#include "bento/user.h"
+#include "bento/stacked.h"
 
 namespace bsim::bento {
 
-class CryptFs final : public FileSystem {
+class CryptFs final : public StackedFs {
  public:
-  /// `lower` must already be mount_init()ed. All calls are delegated to it
-  /// with data transformed in flight.
-  CryptFs(std::unique_ptr<UserMount> lower, ChaChaKey key);
+  /// `lower` runs on the same superblock; everything but file data passes
+  /// through to it unchanged.
+  CryptFs(std::unique_ptr<FileSystem> lower, ChaChaKey key);
   ~CryptFs() override;
 
   [[nodiscard]] std::string_view version() const override {
     return "crypt-v1";
   }
 
-  kern::Err init(const Request& req, SbRef sb) override;
-  void destroy(const Request& req, SbRef sb) override;
-
-  Result<EntryOut> lookup(const Request& req, SbRef sb, Ino parent,
-                          std::string_view name) override;
-  Result<FileAttr> getattr(const Request& req, SbRef sb, Ino ino) override;
-  Result<FileAttr> setattr(const Request& req, SbRef sb, Ino ino,
-                           const SetAttrIn& attr) override;
-  Result<EntryOut> create(const Request& req, SbRef sb, Ino parent,
-                          std::string_view name, std::uint32_t mode) override;
-  Result<EntryOut> mkdir(const Request& req, SbRef sb, Ino parent,
-                         std::string_view name, std::uint32_t mode) override;
-  kern::Err unlink(const Request& req, SbRef sb, Ino parent,
-                   std::string_view name) override;
-  kern::Err rmdir(const Request& req, SbRef sb, Ino parent,
-                  std::string_view name) override;
-  kern::Err rename(const Request& req, SbRef sb, Ino old_parent,
-                   std::string_view old_name, Ino new_parent,
-                   std::string_view new_name) override;
-  void forget(const Request& req, SbRef sb, Ino ino) override;
-
-  Result<std::uint64_t> open(const Request& req, SbRef sb, Ino ino,
-                             int flags) override;
-  kern::Err release(const Request& req, SbRef sb, Ino ino,
-                    std::uint64_t fh) override;
   Result<std::uint32_t> read(const Request& req, SbRef sb, Ino ino,
                              std::uint64_t fh, std::uint64_t off,
                              std::span<std::byte> out) override;
@@ -71,25 +45,12 @@ class CryptFs final : public FileSystem {
   Result<std::uint32_t> write_bulk(
       const Request& req, SbRef sb, Ino ino, std::uint64_t off,
       std::span<const std::span<const std::byte>> pages) override;
-  kern::Err fsync(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
-                  bool datasync) override;
-
-  Result<std::uint64_t> opendir(const Request& req, SbRef sb, Ino ino) override;
-  kern::Err releasedir(const Request& req, SbRef sb, Ino ino,
-                       std::uint64_t fh) override;
-  kern::Err readdir(const Request& req, SbRef sb, Ino ino, std::uint64_t& pos,
-                    const DirFiller& fill) override;
-  Result<StatfsOut> statfs(const Request& req, SbRef sb) override;
-  kern::Err sync_fs(const Request& req, SbRef sb) override;
 
   struct Stats {
     std::uint64_t bytes_encrypted = 0;
     std::uint64_t bytes_decrypted = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-
-  /// The lower mount, for tests that inspect ciphertext at rest.
-  [[nodiscard]] UserMount& lower() { return *lower_; }
 
  private:
   /// Per-file nonce: a fixed tag plus the inode number, so equal plaintext
@@ -99,9 +60,6 @@ class CryptFs final : public FileSystem {
   /// Charge the virtual-time cost of ciphering `n` bytes.
   static void charge_cipher(std::size_t n);
 
-  FileSystem& lower_fs() { return lower_->fs(); }
-
-  std::unique_ptr<UserMount> lower_;
   ChaChaKey key_;
   Stats stats_;
 };

@@ -67,7 +67,7 @@ std::size_t record_size(std::size_t payload_len) {
 
 NvmLogFs::NvmLogFs(std::unique_ptr<FileSystem> lower,
                    std::shared_ptr<blk::NvmRegion> nvm, Options opts)
-    : lower_(std::move(lower)), nvm_(std::move(nvm)), opts_(opts) {}
+    : StackedFs(std::move(lower)), nvm_(std::move(nvm)), opts_(opts) {}
 
 NvmLogFs::~NvmLogFs() = default;
 
@@ -131,7 +131,7 @@ void NvmLogFs::dump_stats(sim::JsonWriter& w) const {
   w.field("recovered_records", stats_.recovered_records);
   w.field("torn_records_dropped", stats_.torn_records_dropped);
   w.end_object();
-  lower_->dump_stats(w);  // the stacked file system reports too
+  StackedFs::dump_stats(w);  // the stacked file system reports too
 }
 
 // ---- log ----
@@ -251,7 +251,7 @@ Err NvmLogFs::digest(const Request& req, SbRef sb) {
         pages.emplace_back(ext.data() + at, chunk);
         at += chunk;
       }
-      auto w = lower_->write_bulk(req, sb.reborrow(), ino, off, pages);
+      auto w = lower().write_bulk(req, sb.reborrow(), ino, off, pages);
       if (!w.ok()) return w.error();
       stats_.digested_bytes += ext.size();
     }
@@ -265,21 +265,21 @@ Err NvmLogFs::digest(const Request& req, SbRef sb) {
 // ---- lifecycle ----
 
 Err NvmLogFs::init(const Request& req, SbRef sb) {
-  BSIM_TRY(lower_->init(req, sb.reborrow()));
+  BSIM_TRY(StackedFs::init(req, sb.reborrow()));
   replay_log();
   return Err::Ok;
 }
 
 void NvmLogFs::destroy(const Request& req, SbRef sb) {
   (void)digest(req, sb.reborrow());
-  lower_->destroy(req, sb.reborrow());
+  StackedFs::destroy(req, sb.reborrow());
 }
 
-// ---- namespace passthrough ----
+// ---- namespace ----
 
 Result<EntryOut> NvmLogFs::lookup(const Request& req, SbRef sb, Ino parent,
                                   std::string_view name) {
-  auto r = lower_->lookup(req, sb.reborrow(), parent, name);
+  auto r = lower().lookup(req, sb.reborrow(), parent, name);
   if (!r.ok()) return r;
   // Attributes must reflect logged-but-undigested data, or the kernel's
   // in-core inode (sized from this EntryOut) would hide it.
@@ -293,7 +293,7 @@ Result<EntryOut> NvmLogFs::lookup(const Request& req, SbRef sb, Ino parent,
 }
 
 Result<FileAttr> NvmLogFs::getattr(const Request& req, SbRef sb, Ino ino) {
-  auto r = lower_->getattr(req, sb.reborrow(), ino);
+  auto r = lower().getattr(req, sb.reborrow(), ino);
   if (!r.ok()) return r;
   auto it = pending_.find(ino);
   if (it != pending_.end()) {
@@ -321,7 +321,7 @@ Result<FileAttr> NvmLogFs::setattr(const Request& req, SbRef sb, Ino ino,
       }
     }
   }
-  auto r = lower_->setattr(req, sb.reborrow(), ino, attr);
+  auto r = lower().setattr(req, sb.reborrow(), ino, attr);
   if (r.ok()) {
     auto it = pending_.find(ino);
     if (it != pending_.end()) {
@@ -331,56 +331,25 @@ Result<FileAttr> NvmLogFs::setattr(const Request& req, SbRef sb, Ino ino,
   return r;
 }
 
-Result<EntryOut> NvmLogFs::create(const Request& req, SbRef sb, Ino parent,
-                                  std::string_view name, std::uint32_t mode) {
-  return lower_->create(req, sb.reborrow(), parent, name, mode);
-}
-
-Result<EntryOut> NvmLogFs::mkdir(const Request& req, SbRef sb, Ino parent,
-                                 std::string_view name, std::uint32_t mode) {
-  return lower_->mkdir(req, sb.reborrow(), parent, name, mode);
-}
-
 Err NvmLogFs::unlink(const Request& req, SbRef sb, Ino parent,
                      std::string_view name) {
   // The victim's pending data dies with the name (the lower inode may be
   // reused; stale extents must not resurface).
-  auto looked = lower_->lookup(req, sb.reborrow(), parent, name);
-  Err e = lower_->unlink(req, sb.reborrow(), parent, name);
+  auto looked = lower().lookup(req, sb.reborrow(), parent, name);
+  Err e = lower().unlink(req, sb.reborrow(), parent, name);
   if (e == Err::Ok && looked.ok()) drop_pending(looked.value().ino);
   return e;
-}
-
-Err NvmLogFs::rmdir(const Request& req, SbRef sb, Ino parent,
-                    std::string_view name) {
-  return lower_->rmdir(req, sb.reborrow(), parent, name);
 }
 
 Err NvmLogFs::rename(const Request& req, SbRef sb, Ino old_parent,
                      std::string_view old_name, Ino new_parent,
                      std::string_view new_name) {
   // A displaced target's pending data dies with it.
-  auto displaced = lower_->lookup(req, sb.reborrow(), new_parent, new_name);
-  Err e = lower_->rename(req, sb.reborrow(), old_parent, old_name, new_parent,
+  auto displaced = lower().lookup(req, sb.reborrow(), new_parent, new_name);
+  Err e = lower().rename(req, sb.reborrow(), old_parent, old_name, new_parent,
                          new_name);
   if (e == Err::Ok && displaced.ok()) drop_pending(displaced.value().ino);
   return e;
-}
-
-void NvmLogFs::forget(const Request& req, SbRef sb, Ino ino) {
-  lower_->forget(req, sb.reborrow(), ino);
-}
-
-// ---- file I/O ----
-
-Result<std::uint64_t> NvmLogFs::open(const Request& req, SbRef sb, Ino ino,
-                                     int flags) {
-  return lower_->open(req, sb.reborrow(), ino, flags);
-}
-
-Err NvmLogFs::release(const Request& req, SbRef sb, Ino ino,
-                      std::uint64_t fh) {
-  return lower_->release(req, sb.reborrow(), ino, fh);
 }
 
 Result<std::uint32_t> NvmLogFs::read(const Request& req, SbRef sb, Ino ino,
@@ -391,7 +360,7 @@ Result<std::uint32_t> NvmLogFs::read(const Request& req, SbRef sb, Ino ino,
   const std::uint64_t floor =
       it != pending_.end() ? it->second.size_floor : 0;
 
-  auto lower_read = lower_->read(req, sb.reborrow(), ino, fh, off, out);
+  auto lower_read = lower().read(req, sb.reborrow(), ino, fh, off, out);
   std::uint32_t n = 0;
   if (lower_read.ok()) {
     n = lower_read.value();
@@ -486,28 +455,13 @@ Err NvmLogFs::fsync(const Request&, SbRef, Ino, std::uint64_t, bool) {
 
 // ---- directories / whole-fs ----
 
-Result<std::uint64_t> NvmLogFs::opendir(const Request& req, SbRef sb,
-                                        Ino ino) {
-  return lower_->opendir(req, sb.reborrow(), ino);
-}
-
-Err NvmLogFs::releasedir(const Request& req, SbRef sb, Ino ino,
-                         std::uint64_t fh) {
-  return lower_->releasedir(req, sb.reborrow(), ino, fh);
-}
-
-Err NvmLogFs::readdir(const Request& req, SbRef sb, Ino ino,
-                      std::uint64_t& pos, const DirFiller& fill) {
-  return lower_->readdir(req, sb.reborrow(), ino, pos, fill);
-}
-
 Err NvmLogFs::fsyncdir(const Request&, SbRef, Ino, std::uint64_t, bool) {
   nvm_->persist_barrier();
   return Err::Ok;
 }
 
 Result<StatfsOut> NvmLogFs::statfs(const Request& req, SbRef sb) {
-  auto r = lower_->statfs(req, sb.reborrow());
+  auto r = lower().statfs(req, sb.reborrow());
   if (!r.ok()) return r;
   // Data held in the log consumes space the digest will need: report it
   // as used so callers see a consistent free-space trajectory.
@@ -520,7 +474,7 @@ Result<StatfsOut> NvmLogFs::statfs(const Request& req, SbRef sb) {
 Err NvmLogFs::sync_fs(const Request& req, SbRef sb) {
   BSIM_TRY(digest(req, sb.reborrow()));
   nvm_->persist_barrier();
-  return lower_->sync_fs(req, sb.reborrow());
+  return lower().sync_fs(req, sb.reborrow());
 }
 
 }  // namespace bsim::bento

@@ -4,9 +4,10 @@
 // level bugs. These operation logs can be replicated for high
 // availability [Assise]."
 //
-// NvmLogFs stacks *above* any FileSystem on the same superblock (it
-// forwards calls with a reborrowed capability — the same-trust-domain
-// composition Challenge 6 asks about). The fast path:
+// NvmLogFs stacks *above* any FileSystem on the same superblock (a
+// StackedFs: what it does not override is forwarded with a reborrowed
+// capability — the same-trust-domain composition Challenge 6 asks
+// about). The fast path:
 //
 //   write(ino, off, data)  → append one checksummed record to the NVM log
 //                            (cacheline-cost stores) + update a DRAM
@@ -39,12 +40,12 @@
 #include <memory>
 #include <vector>
 
-#include "bento/api.h"
+#include "bento/stacked.h"
 #include "blockdev/nvm.h"
 
 namespace bsim::bento {
 
-class NvmLogFs final : public FileSystem {
+class NvmLogFs final : public StackedFs {
  public:
   struct Options {
     /// Digest when the log holds this many bytes.
@@ -64,12 +65,6 @@ class NvmLogFs final : public FileSystem {
     return "nvmlog-v1";
   }
 
-  /// Mount options concern the stacked-over file system (journal tuning
-  /// etc.); forward them.
-  void apply_mount_opts(const blk::MountOpts& opts) override {
-    lower_->apply_mount_opts(opts);
-  }
-
   kern::Err init(const Request& req, SbRef sb) override;
   void destroy(const Request& req, SbRef sb) override;
 
@@ -78,23 +73,12 @@ class NvmLogFs final : public FileSystem {
   Result<FileAttr> getattr(const Request& req, SbRef sb, Ino ino) override;
   Result<FileAttr> setattr(const Request& req, SbRef sb, Ino ino,
                            const SetAttrIn& attr) override;
-  Result<EntryOut> create(const Request& req, SbRef sb, Ino parent,
-                          std::string_view name, std::uint32_t mode) override;
-  Result<EntryOut> mkdir(const Request& req, SbRef sb, Ino parent,
-                         std::string_view name, std::uint32_t mode) override;
   kern::Err unlink(const Request& req, SbRef sb, Ino parent,
                    std::string_view name) override;
-  kern::Err rmdir(const Request& req, SbRef sb, Ino parent,
-                  std::string_view name) override;
   kern::Err rename(const Request& req, SbRef sb, Ino old_parent,
                    std::string_view old_name, Ino new_parent,
                    std::string_view new_name) override;
-  void forget(const Request& req, SbRef sb, Ino ino) override;
 
-  Result<std::uint64_t> open(const Request& req, SbRef sb, Ino ino,
-                             int flags) override;
-  kern::Err release(const Request& req, SbRef sb, Ino ino,
-                    std::uint64_t fh) override;
   Result<std::uint32_t> read(const Request& req, SbRef sb, Ino ino,
                              std::uint64_t fh, std::uint64_t off,
                              std::span<std::byte> out) override;
@@ -106,12 +90,6 @@ class NvmLogFs final : public FileSystem {
       std::span<const std::span<const std::byte>> pages) override;
   kern::Err fsync(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
                   bool datasync) override;
-
-  Result<std::uint64_t> opendir(const Request& req, SbRef sb, Ino ino) override;
-  kern::Err releasedir(const Request& req, SbRef sb, Ino ino,
-                       std::uint64_t fh) override;
-  kern::Err readdir(const Request& req, SbRef sb, Ino ino, std::uint64_t& pos,
-                    const DirFiller& fill) override;
   kern::Err fsyncdir(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
                      bool datasync) override;
   Result<StatfsOut> statfs(const Request& req, SbRef sb) override;
@@ -132,7 +110,6 @@ class NvmLogFs final : public FileSystem {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   void dump_stats(sim::JsonWriter& w) const override;
   [[nodiscard]] std::size_t pending_bytes() const;
-  [[nodiscard]] FileSystem& lower() { return *lower_; }
 
  private:
   /// One file's pending data: non-overlapping extents, offset-ordered.
@@ -160,7 +137,6 @@ class NvmLogFs final : public FileSystem {
   void truncate_log();
   void drop_pending(Ino ino);
 
-  std::unique_ptr<FileSystem> lower_;
   std::shared_ptr<blk::NvmRegion> nvm_;
   Options opts_;
   std::map<Ino, Pending> pending_;

@@ -217,124 +217,37 @@ void charge_track() {
 }
 }  // namespace
 
-ProvenanceFs::ProvenanceFs(std::unique_ptr<UserMount> lower)
-    : lower_(std::move(lower)), store_(std::make_unique<ProvenanceStore>()) {}
+ProvenanceFs::ProvenanceFs(std::unique_ptr<FileSystem> lower)
+    : StackedFs(std::move(lower)),
+      store_(std::make_shared<ProvenanceStore>()) {}
 
 ProvenanceFs::~ProvenanceFs() = default;
 
-Err ProvenanceFs::init(const Request&, SbRef) { return Err::Ok; }
-
-void ProvenanceFs::destroy(const Request&, SbRef) {
-  if (lower_ == nullptr) return;  // state already transferred (§4.8)
-  (void)lower_fs().sync_fs(lower_->mkreq(), lower_->borrow());
-  lower_->check_borrows();
-}
-
-ProvenanceStore::SnapshotFn ProvenanceFs::snapshot_fn(Ino ino) {
-  return [this, ino]() -> std::vector<std::byte> {
-    auto attr = lower_fs().getattr(lower_->mkreq(), lower_->borrow(), ino);
-    lower_->check_borrows();
-    if (!attr.ok()) return {};
-    std::vector<std::byte> buf(attr.value().size);
-    auto r = lower_fs().read(lower_->mkreq(), lower_->borrow(), ino, 0, 0,
-                             buf);
-    lower_->check_borrows();
-    if (!r.ok()) return {};
-    buf.resize(r.value());
-    return buf;
-  };
-}
-
-Result<EntryOut> ProvenanceFs::lookup(const Request&, SbRef, Ino parent,
-                                      std::string_view name) {
-  auto r = lower_fs().lookup(lower_->mkreq(), lower_->borrow(), parent, name);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<FileAttr> ProvenanceFs::getattr(const Request&, SbRef, Ino ino) {
-  auto r = lower_fs().getattr(lower_->mkreq(), lower_->borrow(), ino);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<FileAttr> ProvenanceFs::setattr(const Request&, SbRef, Ino ino,
-                                       const SetAttrIn& attr) {
-  auto r = lower_fs().setattr(lower_->mkreq(), lower_->borrow(), ino, attr);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<EntryOut> ProvenanceFs::create(const Request&, SbRef, Ino parent,
-                                      std::string_view name,
-                                      std::uint32_t mode) {
-  auto r = lower_fs().create(lower_->mkreq(), lower_->borrow(), parent, name,
-                             mode);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<EntryOut> ProvenanceFs::mkdir(const Request&, SbRef, Ino parent,
-                                     std::string_view name,
-                                     std::uint32_t mode) {
-  auto r = lower_fs().mkdir(lower_->mkreq(), lower_->borrow(), parent, name,
-                            mode);
-  lower_->check_borrows();
-  return r;
-}
-
-Err ProvenanceFs::unlink(const Request&, SbRef, Ino parent,
+Err ProvenanceFs::unlink(const Request& req, SbRef sb, Ino parent,
                          std::string_view name) {
   // Resolve first so the store learns which ino died.
-  auto looked =
-      lower_fs().lookup(lower_->mkreq(), lower_->borrow(), parent, name);
-  lower_->check_borrows();
-  auto r = lower_fs().unlink(lower_->mkreq(), lower_->borrow(), parent, name);
-  lower_->check_borrows();
-  if (r == Err::Ok && looked.ok()) {
+  auto looked = lower().lookup(req, sb.reborrow(), parent, name);
+  Err e = lower().unlink(req, sb.reborrow(), parent, name);
+  if (e == Err::Ok && looked.ok()) {
     charge_track();
     store_->on_unlink(looked.value().ino);
   }
-  return r;
+  return e;
 }
 
-Err ProvenanceFs::rmdir(const Request&, SbRef, Ino parent,
-                        std::string_view name) {
-  auto r = lower_fs().rmdir(lower_->mkreq(), lower_->borrow(), parent, name);
-  lower_->check_borrows();
-  return r;
-}
-
-Err ProvenanceFs::rename(const Request&, SbRef, Ino old_parent,
-                         std::string_view old_name, Ino new_parent,
-                         std::string_view new_name) {
-  auto r = lower_fs().rename(lower_->mkreq(), lower_->borrow(), old_parent,
-                             old_name, new_parent, new_name);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<std::uint64_t> ProvenanceFs::open(const Request&, SbRef, Ino ino,
-                                         int flags) {
-  auto r = lower_fs().open(lower_->mkreq(), lower_->borrow(), ino, flags);
-  lower_->check_borrows();
-  return r;
-}
-
-Err ProvenanceFs::release(const Request&, SbRef, Ino ino, std::uint64_t fh) {
-  auto r = lower_fs().release(lower_->mkreq(), lower_->borrow(), ino, fh);
-  lower_->check_borrows();
+Err ProvenanceFs::release(const Request& req, SbRef sb, Ino ino,
+                          std::uint64_t fh) {
+  Err e = lower().release(req, sb.reborrow(), ino, fh);
   charge_track();
   store_->version_barrier(ino);
-  return r;
+  return e;
 }
 
-Result<std::uint32_t> ProvenanceFs::read(const Request& req, SbRef, Ino ino,
-                                         std::uint64_t fh, std::uint64_t off,
+Result<std::uint32_t> ProvenanceFs::read(const Request& req, SbRef sb,
+                                         Ino ino, std::uint64_t fh,
+                                         std::uint64_t off,
                                          std::span<std::byte> out) {
-  auto r = lower_fs().read(lower_->mkreq(), lower_->borrow(), ino, fh, off,
-                           out);
-  lower_->check_borrows();
+  auto r = lower().read(req, sb.reborrow(), ino, fh, off, out);
   if (r.ok()) {
     charge_track();
     store_->on_read(req.pid, ino);
@@ -342,68 +255,45 @@ Result<std::uint32_t> ProvenanceFs::read(const Request& req, SbRef, Ino ino,
   return r;
 }
 
-Result<std::uint32_t> ProvenanceFs::write(const Request& req, SbRef, Ino ino,
-                                          std::uint64_t fh, std::uint64_t off,
+Result<std::uint32_t> ProvenanceFs::write(const Request& req, SbRef sb,
+                                          Ino ino, std::uint64_t fh,
+                                          std::uint64_t off,
                                           std::span<const std::byte> in) {
   charge_track();
-  store_->on_write(req.pid, ino, snapshot_fn(ino));
-  auto r = lower_fs().write(lower_->mkreq(), lower_->borrow(), ino, fh, off,
-                            in);
-  lower_->check_borrows();
-  return r;
+  // Pre-write contents, fetched from the lower FS only if the store must
+  // retain the outgoing version.
+  store_->on_write(req.pid, ino, [&]() -> std::vector<std::byte> {
+    auto attr = lower().getattr(req, sb.reborrow(), ino);
+    if (!attr.ok()) return {};
+    std::vector<std::byte> buf(attr.value().size);
+    auto r = lower().read(req, sb.reborrow(), ino, 0, 0, buf);
+    if (!r.ok()) return {};
+    buf.resize(r.value());
+    return buf;
+  });
+  return lower().write(req, sb.reborrow(), ino, fh, off, in);
 }
 
-Err ProvenanceFs::fsync(const Request&, SbRef, Ino ino, std::uint64_t fh,
-                        bool datasync) {
-  auto r =
-      lower_fs().fsync(lower_->mkreq(), lower_->borrow(), ino, fh, datasync);
-  lower_->check_borrows();
+Err ProvenanceFs::fsync(const Request& req, SbRef sb, Ino ino,
+                        std::uint64_t fh, bool datasync) {
+  Err e = lower().fsync(req, sb.reborrow(), ino, fh, datasync);
   charge_track();
   store_->version_barrier(ino);
-  return r;
-}
-
-Err ProvenanceFs::readdir(const Request&, SbRef, Ino ino, std::uint64_t& pos,
-                          const DirFiller& fill) {
-  auto r =
-      lower_fs().readdir(lower_->mkreq(), lower_->borrow(), ino, pos, fill);
-  lower_->check_borrows();
-  return r;
-}
-
-Result<StatfsOut> ProvenanceFs::statfs(const Request&, SbRef) {
-  auto r = lower_fs().statfs(lower_->mkreq(), lower_->borrow());
-  lower_->check_borrows();
-  return r;
-}
-
-Err ProvenanceFs::sync_fs(const Request&, SbRef) {
-  if (lower_ == nullptr) return Err::Ok;  // state already transferred (§4.8)
-  auto r = lower_fs().sync_fs(lower_->mkreq(), lower_->borrow());
-  lower_->check_borrows();
-  return r;
+  return e;
 }
 
 TransferableState ProvenanceFs::prepare_transfer(const Request& req,
                                                  SbRef sb) {
-  destroy(req, sb.reborrow());
-  TransferableState state;
-  state.put("provenance.store", std::exchange(store_, nullptr));
-  state.put("provenance.lower", std::exchange(lower_, nullptr));
+  TransferableState state = StackedFs::prepare_transfer(req, sb.reborrow());
+  state.put("provenance.store", store_);
   return state;
 }
 
-Err ProvenanceFs::restore_state(const Request&, SbRef,
+Err ProvenanceFs::restore_state(const Request& req, SbRef sb,
                                 TransferableState state) {
   auto* store = state.get<std::shared_ptr<ProvenanceStore>>("provenance.store");
-  auto* lower = state.get<std::shared_ptr<UserMount>>("provenance.lower");
-  if (store == nullptr || *store == nullptr || lower == nullptr ||
-      *lower == nullptr) {
-    return Err::Inval;
-  }
-  store_ = std::move(*store);
-  lower_ = std::move(*lower);
-  return Err::Ok;
+  if (store != nullptr && *store != nullptr) store_ = *store;
+  return StackedFs::restore_state(req, sb.reborrow(), std::move(state));
 }
 
 }  // namespace bsim::bento

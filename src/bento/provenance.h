@@ -26,7 +26,8 @@
 // The provenance graph is kept in memory beside the mount, like the
 // in-memory caches the paper's online-upgrade section discusses; it is
 // surfaced through prepare_transfer()/restore_state() so an upgrade keeps
-// the graph (tested in provenance_test.cc).
+// the graph, and a running plain file system can be upgraded to one with
+// provenance tracking (tested in provenance_test.cc and upgrade_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -37,8 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "bento/api.h"
-#include "bento/user.h"
+#include "bento/stacked.h"
 
 namespace bsim::bento {
 
@@ -139,9 +139,10 @@ class ProvenanceStore {
 
 /// The stacking file system: passthrough namespace + data, with provenance
 /// observation on the read/write/fsync/release/unlink paths.
-class ProvenanceFs final : public FileSystem {
+class ProvenanceFs final : public StackedFs {
  public:
-  explicit ProvenanceFs(std::unique_ptr<UserMount> lower);
+  /// `lower` runs on the same superblock.
+  explicit ProvenanceFs(std::unique_ptr<FileSystem> lower);
   ~ProvenanceFs() override;
 
   [[nodiscard]] std::string_view version() const override {
@@ -153,30 +154,9 @@ class ProvenanceFs final : public FileSystem {
     store_->register_process(pid, std::move(image));
   }
   [[nodiscard]] ProvenanceStore& store() { return *store_; }
-  [[nodiscard]] UserMount& lower() { return *lower_; }
 
-  kern::Err init(const Request& req, SbRef sb) override;
-  void destroy(const Request& req, SbRef sb) override;
-
-  Result<EntryOut> lookup(const Request& req, SbRef sb, Ino parent,
-                          std::string_view name) override;
-  Result<FileAttr> getattr(const Request& req, SbRef sb, Ino ino) override;
-  Result<FileAttr> setattr(const Request& req, SbRef sb, Ino ino,
-                           const SetAttrIn& attr) override;
-  Result<EntryOut> create(const Request& req, SbRef sb, Ino parent,
-                          std::string_view name, std::uint32_t mode) override;
-  Result<EntryOut> mkdir(const Request& req, SbRef sb, Ino parent,
-                         std::string_view name, std::uint32_t mode) override;
   kern::Err unlink(const Request& req, SbRef sb, Ino parent,
                    std::string_view name) override;
-  kern::Err rmdir(const Request& req, SbRef sb, Ino parent,
-                  std::string_view name) override;
-  kern::Err rename(const Request& req, SbRef sb, Ino old_parent,
-                   std::string_view old_name, Ino new_parent,
-                   std::string_view new_name) override;
-
-  Result<std::uint64_t> open(const Request& req, SbRef sb, Ino ino,
-                             int flags) override;
   kern::Err release(const Request& req, SbRef sb, Ino ino,
                     std::uint64_t fh) override;
   Result<std::uint32_t> read(const Request& req, SbRef sb, Ino ino,
@@ -187,26 +167,20 @@ class ProvenanceFs final : public FileSystem {
                               std::span<const std::byte> in) override;
   kern::Err fsync(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
                   bool datasync) override;
-  kern::Err readdir(const Request& req, SbRef sb, Ino ino, std::uint64_t& pos,
-                    const DirFiller& fill) override;
-  Result<StatfsOut> statfs(const Request& req, SbRef sb) override;
-  kern::Err sync_fs(const Request& req, SbRef sb) override;
 
   // Online upgrade keeps the provenance graph (paper §4.8's "internal
   // file system state such as ... a cache of on-disk data structures").
+  // A predecessor without one (a plain file system upgraded to this
+  // layer) leaves the fresh, empty graph in place.
   TransferableState prepare_transfer(const Request& req, SbRef sb) override;
   kern::Err restore_state(const Request& req, SbRef sb,
                           TransferableState state) override;
 
  private:
-  FileSystem& lower_fs() { return lower_->fs(); }
-  /// Snapshot closure for on_write: full contents of `ino` via the lower FS.
-  ProvenanceStore::SnapshotFn snapshot_fn(Ino ino);
-
   // shared_ptr (not unique_ptr) because TransferableState is backed by
-  // std::any, which requires copy-constructible contents; ownership is
-  // still exclusive in practice.
-  std::shared_ptr<UserMount> lower_;
+  // std::any, which requires copy-constructible contents. After a
+  // transfer the successor shares the graph; the predecessor is either
+  // discarded (upgrade done) or keeps running with it (upgrade failed).
   std::shared_ptr<ProvenanceStore> store_;
 };
 

@@ -194,6 +194,21 @@ void UserBlockBackend::flush_all() {
 // ---- MemBlockBackend ----
 
 MemBlockBackend::MemBlockBackend(std::uint64_t nblocks) : nblocks_(nblocks) {}
+
+MemBlockBackend::MemBlockBackend(blk::BlockDevice& image)
+    : nblocks_(image.nblocks()) {
+  auto buf = std::make_unique<MemBuf>();
+  for (std::uint64_t b = 0; b < nblocks_; ++b) {
+    image.read_untimed(b, buf->data);
+    if (std::all_of(buf->data.begin(), buf->data.end(),
+                    [](std::byte x) { return x == std::byte{0}; })) {
+      continue;
+    }
+    blocks_.emplace(b, std::move(buf));
+    buf = std::make_unique<MemBuf>();
+  }
+}
+
 MemBlockBackend::~MemBlockBackend() = default;
 
 kern::Result<BufferHeadHandle> MemBlockBackend::bread(std::uint64_t blockno) {

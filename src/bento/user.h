@@ -93,6 +93,9 @@ class UserBlockBackend final : public BlockBackend {
 class MemBlockBackend final : public BlockBackend {
  public:
   explicit MemBlockBackend(std::uint64_t nblocks);
+  /// A backend holding a copy of `image` (an mkfs'd device), loaded
+  /// untimed. Blocks that read as zeros are left sparse.
+  explicit MemBlockBackend(blk::BlockDevice& image);
   ~MemBlockBackend() override;
 
   [[nodiscard]] std::uint64_t nblocks() const override { return nblocks_; }

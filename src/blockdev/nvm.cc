@@ -37,7 +37,8 @@ void NvmRegion::read(std::size_t off, std::span<std::byte> out) const {
   assert(off + out.size() <= working_.size() && "NVM read out of range");
   charge_if_timed(static_cast<sim::Nanos>(lines(out.size())) *
                   params_.read_per_line);
-  std::memcpy(out.data(), working_.data() + off, out.size());
+  // An empty span (a truncate record's payload) may have a null data().
+  if (!out.empty()) std::memcpy(out.data(), working_.data() + off, out.size());
 }
 
 void NvmRegion::persist_barrier() {

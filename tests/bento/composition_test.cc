@@ -6,7 +6,8 @@
 // layer, plaintext through the top.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,32 +15,12 @@
 #include "../testutil.h"
 #include "bento/crypt.h"
 #include "bento/overlay.h"
+#include "bento/provenance.h"
 
 namespace bsim::test {
 namespace {
 
 using kern::Err;
-
-std::unique_ptr<bento::UserMount> make_xv6_mount() {
-  blk::DeviceParams params;
-  params.nblocks = 8192;
-  blk::BlockDevice scratch(params);
-  const auto dsb = xv6::mkfs(scratch, 512);
-  auto backend = std::make_unique<bento::MemBlockBackend>(8192);
-  {
-    auto cap = bento::CapTestAccess::make(*backend);
-    std::array<std::byte, blk::kBlockSize> buf{};
-    for (std::uint32_t b = 1; b <= dsb.datastart; ++b) {
-      scratch.read_untimed(b, buf);
-      auto bh = cap->getblk(b);
-      std::memcpy(bh.value().data().data(), buf.data(), buf.size());
-    }
-  }
-  auto mount = std::make_unique<bento::UserMount>(
-      std::move(backend), std::make_unique<xv6::Xv6FileSystem>());
-  EXPECT_EQ(Err::Ok, mount->mount_init());
-  return mount;
-}
 
 /// crypt( overlay( lower=xv6, upper=xv6 ) )
 class CompositionTest : public ::testing::Test {
@@ -47,7 +28,7 @@ class CompositionTest : public ::testing::Test {
   void SetUp() override {
     sim::set_current(&thread_);
 
-    auto lower = make_xv6_mount();
+    auto lower = xv6_user_mount();
     // Seed the read-only image with a base file (plaintext on the image,
     // like a container base layer distributed unencrypted).
     {
@@ -60,17 +41,16 @@ class CompositionTest : public ::testing::Test {
       ASSERT_TRUE(w.ok());
       lower->check_borrows();
     }
-    auto upper = make_xv6_mount();
+    auto upper = xv6_user_mount();
+    layers_ = {lower.get(), upper.get()};
 
+    // The overlay unions two separately formatted images, each behind its
+    // own mount; the backend under the stack is never touched.
     auto overlay = std::make_unique<bento::OverlayFs>(std::move(lower),
                                                       std::move(upper));
     overlay_raw_ = overlay.get();
-    auto overlay_mount = std::make_unique<bento::UserMount>(
-        std::make_unique<bento::MemBlockBackend>(64), std::move(overlay));
-    ASSERT_EQ(Err::Ok, overlay_mount->mount_init());
-
     auto crypt = std::make_unique<bento::CryptFs>(
-        std::move(overlay_mount), bento::derive_key("stack", "salt", 64));
+        std::move(overlay), bento::derive_key("stack", "salt", 64));
     crypt_raw_ = crypt.get();
     top_ = std::make_unique<bento::UserMount>(
         std::make_unique<bento::MemBlockBackend>(64), std::move(crypt));
@@ -98,6 +78,7 @@ class CompositionTest : public ::testing::Test {
   std::unique_ptr<bento::UserMount> top_;
   bento::CryptFs* crypt_raw_ = nullptr;
   bento::OverlayFs* overlay_raw_ = nullptr;
+  std::array<bento::UserMount*, 2> layers_{};  // the overlay's lower, upper
 };
 
 TEST_F(CompositionTest, WritesThroughAllThreeLayers) {
@@ -141,17 +122,15 @@ TEST_F(CompositionTest, UpperLayerHoldsCiphertext) {
   top_->check_borrows();
 
   // Read the same file through the overlay directly (below the cipher).
-  auto& overlay_mount = crypt_raw_->lower();
-  auto looked = overlay_mount.fs().lookup(overlay_mount.mkreq(),
-                                          overlay_mount.borrow(),
-                                          bento::kRootIno, "secret.txt");
+  auto& overlay = crypt_raw_->lower();
+  auto looked = overlay.lookup(top_->mkreq(), top_->borrow(), bento::kRootIno,
+                               "secret.txt");
   ASSERT_TRUE(looked.ok());
   std::vector<std::byte> buf(msg.size());
-  auto r = overlay_mount.fs().read(overlay_mount.mkreq(),
-                                   overlay_mount.borrow(),
-                                   looked.value().ino, 0, 0, buf);
+  auto r = overlay.read(top_->mkreq(), top_->borrow(), looked.value().ino, 0,
+                        0, buf);
   ASSERT_TRUE(r.ok());
-  overlay_mount.check_borrows();
+  top_->check_borrows();
   EXPECT_NE(msg, to_string(buf));
   EXPECT_EQ(std::string::npos, to_string(buf).find("container"));
 }
@@ -185,8 +164,95 @@ TEST_F(CompositionTest, AllLedgersBalancedAfterStackedOps) {
   top_->check_borrows();
   (void)read_top(made.value().ino, 1);
   EXPECT_TRUE(top_->ledger().balanced());
-  EXPECT_TRUE(crypt_raw_->lower().ledger().balanced());
+  for (auto* layer : layers_) EXPECT_TRUE(layer->ledger().balanced());
 }
+
+// ---- every stacked layer, one over xv6 ----
+//
+// The layers share one shape (StackedFs): an op a layer leaves alone must
+// reach the file system below it with the caller's capability.
+
+struct LayerCase {
+  const char* name;
+  std::function<std::unique_ptr<bento::FileSystem>(
+      std::unique_ptr<bento::FileSystem>)>
+      over;
+};
+
+class StackedLayerTest : public ::testing::TestWithParam<LayerCase> {
+ protected:
+  void SetUp() override {
+    sim::set_current(&thread_);
+    auto xv6 = std::make_unique<xv6::Xv6FileSystem>();
+    xv6_ = xv6.get();
+    mount_ = std::make_unique<bento::UserMount>(
+        xv6_image(), GetParam().over(std::move(xv6)));
+    ASSERT_EQ(Err::Ok, mount_->mount_init());
+  }
+
+  sim::SimThread thread_{0};
+  std::unique_ptr<bento::UserMount> mount_;
+  xv6::Xv6FileSystem* xv6_ = nullptr;
+};
+
+TEST_P(StackedLayerTest, OpsTheLayerLeavesAloneReachXv6) {
+  auto& fs = mount_->fs();
+
+  // forget: an unlinked file's blocks go back to xv6's allocator.
+  const auto free0 = xv6_->free_data_blocks();
+  auto made = fs.create(mount_->mkreq(), mount_->borrow(), bento::kRootIno,
+                        "big", 0644);
+  ASSERT_TRUE(made.ok());
+  const bento::Ino ino = made.value().ino;
+  const std::vector<std::byte> data(64 << 10, std::byte{7});
+  ASSERT_TRUE(fs.write(mount_->mkreq(), mount_->borrow(), ino, 0, 0, data)
+                  .ok());
+  ASSERT_EQ(Err::Ok,
+            fs.fsync(mount_->mkreq(), mount_->borrow(), ino, 0, false));
+  ASSERT_EQ(Err::Ok, fs.unlink(mount_->mkreq(), mount_->borrow(),
+                               bento::kRootIno, "big"));
+  fs.forget(mount_->mkreq(), mount_->borrow(), ino);
+  EXPECT_EQ(xv6_->free_data_blocks(), free0);
+
+  // fsyncdir: xv6 implements it.
+  auto dir = fs.mkdir(mount_->mkreq(), mount_->borrow(), bento::kRootIno,
+                      "d", 0755);
+  ASSERT_TRUE(dir.ok());
+  auto fh = fs.opendir(mount_->mkreq(), mount_->borrow(), dir.value().ino);
+  ASSERT_TRUE(fh.ok());
+  EXPECT_EQ(Err::Ok, fs.fsyncdir(mount_->mkreq(), mount_->borrow(),
+                                 dir.value().ino, fh.value(), false));
+
+  // dump_stats: the stacked xv6 reports its journal too.
+  sim::JsonWriter w;
+  w.begin_array();
+  fs.dump_stats(w);
+  w.end_array();
+  EXPECT_NE(std::string::npos, w.str().find("\"LogStats\"")) << w.str();
+
+  mount_->check_borrows();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layers, StackedLayerTest,
+    ::testing::Values(
+        LayerCase{"crypt",
+                  [](std::unique_ptr<bento::FileSystem> lower) {
+                    return std::make_unique<bento::CryptFs>(
+                        std::move(lower), bento::derive_key("k", "s", 4));
+                  }},
+        LayerCase{"provenance",
+                  [](std::unique_ptr<bento::FileSystem> lower) {
+                    return std::make_unique<bento::ProvenanceFs>(
+                        std::move(lower));
+                  }},
+        LayerCase{"nvmlog",
+                  [](std::unique_ptr<bento::FileSystem> lower) {
+                    return std::make_unique<bento::NvmLogFs>(
+                        std::move(lower),
+                        std::make_shared<blk::NvmRegion>(blk::NvmParams{}));
+                  }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace bsim::test

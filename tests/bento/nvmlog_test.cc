@@ -24,41 +24,18 @@ class NvmLogTest : public ::testing::Test {
   void SetUp() override {
     sim::set_current(&thread_);
     nvm_ = std::make_shared<blk::NvmRegion>(blk::NvmParams{});
-    remount(/*fresh_device=*/true);
+    blk::DeviceParams params;
+    params.nblocks = 8192;
+    image_ = std::make_unique<blk::BlockDevice>(params);
+    xv6::mkfs(*image_, 512);
+    remount();
   }
 
-  /// Build (or rebuild, after a crash) the mount. The NVM region always
-  /// survives; the device survives unless fresh_device.
-  void remount(bool fresh_device) {
+  /// Build (or rebuild, after a crash) the mount from the device image.
+  /// The NVM region always survives.
+  void remount() {
     mount_.reset();
-    if (fresh_device) {
-      blk::DeviceParams params;
-      params.nblocks = 8192;
-      blk::BlockDevice scratch(params);
-      const auto dsb = xv6::mkfs(scratch, 512);
-      backend_image_.clear();
-      std::array<std::byte, blk::kBlockSize> buf{};
-      for (std::uint32_t b = 1; b <= dsb.datastart; ++b) {
-        scratch.read_untimed(b, buf);
-        backend_image_.push_back({b, buf});
-      }
-    }
-    auto backend = std::make_unique<bento::MemBlockBackend>(8192);
-    {
-      auto cap = bento::CapTestAccess::make(*backend);
-      for (const auto& [blockno, data] : backend_image_) {
-        auto bh = cap->getblk(blockno);
-        std::memcpy(bh.value().data().data(), data.data(), data.size());
-      }
-      if (!fresh_device && lower_image_) {
-        // Restore the full device image captured at crash time.
-        for (std::uint64_t b = 0; b < lower_image_->size(); ++b) {
-          auto bh = cap->getblk(b);
-          std::memcpy(bh.value().data().data(), (*lower_image_)[b].data(),
-                      blk::kBlockSize);
-        }
-      }
-    }
+    auto backend = std::make_unique<bento::MemBlockBackend>(*image_);
     backend_raw_ = backend.get();
     bento::NvmLogFs::Options opts;
     opts.digest_watermark = 4ull << 20;
@@ -75,21 +52,16 @@ class NvmLogTest : public ::testing::Test {
   /// durability question under test is the *log's*, the lower xv6 journal
   /// has its own crash suite.
   void crash_and_remount() {
-    auto image = std::make_unique<std::vector<std::array<std::byte, blk::kBlockSize>>>(
-        8192);
     {
       auto cap = bento::CapTestAccess::make(*backend_raw_);
-      for (std::uint64_t b = 0; b < 8192; ++b) {
+      for (std::uint64_t b = 0; b < image_->nblocks(); ++b) {
         auto bh = cap->getblk(b);
-        std::memcpy((*image)[b].data(), bh.value().data().data(),
-                    blk::kBlockSize);
+        image_->write_untimed(b, bh.value().data());
       }
     }
-    lower_image_ = std::move(image);
     mount_->abandon();  // power loss: no orderly unmount, no digest
     nvm_->crash();
-    mount_.reset();
-    remount(/*fresh_device=*/false);
+    remount();
   }
 
   Ino create_file(std::string_view name) {
@@ -139,10 +111,7 @@ class NvmLogTest : public ::testing::Test {
 
   sim::SimThread thread_{0};
   std::shared_ptr<blk::NvmRegion> nvm_;
-  std::vector<std::pair<std::uint32_t, std::array<std::byte, blk::kBlockSize>>>
-      backend_image_;
-  std::unique_ptr<std::vector<std::array<std::byte, blk::kBlockSize>>>
-      lower_image_;
+  std::unique_ptr<blk::BlockDevice> image_;  // the "disk" across crashes
   bento::MemBlockBackend* backend_raw_ = nullptr;
   std::unique_ptr<bento::UserMount> mount_;
   bento::NvmLogFs* fs_ = nullptr;

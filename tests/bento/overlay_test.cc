@@ -3,7 +3,6 @@
 // kernel like any other Bento module.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,28 +14,6 @@ namespace bsim::test {
 namespace {
 
 using kern::Err;
-
-/// Build a UserMount over a formatted in-memory xv6 image.
-std::unique_ptr<bento::UserMount> make_layer() {
-  blk::DeviceParams params;
-  params.nblocks = 8192;
-  blk::BlockDevice scratch(params);
-  const auto dsb = xv6::mkfs(scratch, 512);
-  auto backend = std::make_unique<bento::MemBlockBackend>(8192);
-  {
-    auto cap = bento::CapTestAccess::make(*backend);
-    std::array<std::byte, blk::kBlockSize> buf{};
-    for (std::uint32_t b = 1; b <= dsb.datastart; ++b) {
-      scratch.read_untimed(b, buf);
-      auto bh = cap->getblk(b);
-      std::memcpy(bh.value().data().data(), buf.data(), buf.size());
-    }
-  }
-  auto mount = std::make_unique<bento::UserMount>(
-      std::move(backend), std::make_unique<xv6::Xv6FileSystem>());
-  EXPECT_EQ(Err::Ok, mount->mount_init());
-  return mount;
-}
 
 void put_file(bento::UserMount& layer, bento::Ino dir, std::string_view name,
               std::string_view contents) {
@@ -53,7 +30,7 @@ class OverlayTest : public ::testing::Test {
  protected:
   void SetUp() override {
     sim::set_current(&thread_);
-    auto lower = make_layer();
+    auto lower = xv6_user_mount();
     // Pre-populate the read-only lower layer (the "container image").
     put_file(*lower, bento::kRootIno, "base.txt", "from the image");
     auto etc = lower->fs().mkdir(lower->mkreq(), lower->borrow(),
@@ -62,7 +39,7 @@ class OverlayTest : public ::testing::Test {
     put_file(*lower, etc.value().ino, "config", "default config");
     lower->check_borrows();
 
-    auto upper = make_layer();
+    auto upper = xv6_user_mount();
     lower_raw_ = lower.get();
 
     // Mount the overlay in the kernel like any other Bento module.

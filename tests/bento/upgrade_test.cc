@@ -3,10 +3,12 @@
 // failure containment (a failed upgrade leaves the old version running).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "../testutil.h"
+#include "bento/provenance.h"
 
 namespace bsim::test {
 namespace {
@@ -184,6 +186,90 @@ TEST_F(UpgradeTest, RepeatedUpgradesChainState) {
   }
   EXPECT_EQ(bento::BentoModule::from(*kernel_.sb_at("/mnt"))->stats().upgrades,
             4u);
+}
+
+TEST_F(UpgradeTest, StackedUpgradeKeepsWhatTheOldStackHadNotSynced) {
+  // A stacked mount hands over its whole stack: the old NvmLogFs syncs
+  // (digest, then xv6's pending group commit) before xv6's state moves to
+  // the successor. Without it the create below never reaches the disk.
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok,
+            kernel_.mount("xv6_nvmlog", "ssd0", "/mnt", "noflusher"));
+  auto fd = kernel_.open(proc(), "/mnt/a", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(
+      kernel_.write(proc(), fd.value(), as_bytes("twenty bytes of data")).ok());
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+
+  auto* module = bento::BentoModule::from(*kernel_.sb_at("/mnt"));
+  ASSERT_EQ(Err::Ok, module->upgrade(std::make_unique<bento::NvmLogFs>(
+                         std::make_unique<xv6::Xv6FileSystem>(),
+                         std::make_shared<blk::NvmRegion>(blk::NvmParams{}))));
+  EXPECT_TRUE(static_cast<xv6::Xv6FileSystem&>(
+                  static_cast<bento::NvmLogFs&>(module->fs()).lower())
+                  .restored_from_transfer());
+
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok, kernel_.mount("xv6_nvmlog", "ssd0", "/mnt"));
+  fd = kernel_.open(proc(), "/mnt/a", kern::kORdOnly);
+  ASSERT_TRUE(fd.ok()) << kern::err_name(fd.error());
+  std::vector<std::byte> buf(32);
+  auto r = kernel_.read(proc(), fd.value(), buf);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(to_string({buf.data(), r.value()}), "twenty bytes of data");
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+}
+
+TEST_F(UpgradeTest, RunningMountGainsProvenanceTrackingAndLosesIt) {
+  // The paper's headline upgrade: provenance tracking added to a running
+  // file system, over the same capability, with a file held open.
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok, kernel_.mount("xv6_bento", "ssd0", "/mnt", "nogroup"));
+  auto* module = bento::BentoModule::from(*kernel_.sb_at("/mnt"));
+  auto fd = kernel_.open(proc(), "/mnt/report", kern::kOCreat | kern::kORdWr);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel_.write(proc(), fd.value(), as_bytes("before ")).ok());
+
+  auto prov = std::make_unique<bento::ProvenanceFs>(
+      std::make_unique<xv6::Xv6FileSystem>());
+  auto* pfs = prov.get();
+  const sim::Nanos t0 = sim::now();
+  ASSERT_EQ(Err::Ok, module->upgrade(std::move(prov)));
+  std::printf("upgrade to provenance tracking: %.1f us virtual interruption\n",
+              static_cast<double>(sim::now() - t0) / sim::kMicrosecond);
+  EXPECT_EQ(module->fs().version(), "provenance-v1");
+  auto& xv6 = static_cast<xv6::Xv6FileSystem&>(pfs->lower());
+  EXPECT_TRUE(xv6.restored_from_transfer());
+
+  // The fd opened before the upgrade keeps working, and what it writes
+  // now is tracked.
+  const auto tracked = pfs->store().tracked_files();
+  ASSERT_TRUE(kernel_.write(proc(), fd.value(), as_bytes("after")).ok());
+  ASSERT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+  EXPECT_GT(pfs->store().tracked_files(), tracked);
+  std::vector<std::byte> buf(32);
+  auto r = kernel_.pread(proc(), fd.value(), buf, 0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(to_string({buf.data(), r.value()}), "before after");
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+
+  // The mount's options reached the stacked xv6: one create, one commit.
+  const auto commits = xv6.log().stats().commits;
+  auto made = kernel_.open(proc(), "/mnt/post", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(made.ok());
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), made.value()));
+  EXPECT_EQ(xv6.log().stats().commits, commits + 1);
+
+  // Back to plain xv6: the data stays.
+  ASSERT_EQ(Err::Ok, module->upgrade(std::make_unique<xv6::Xv6FileSystem>()));
+  EXPECT_EQ(module->fs().version(), "xv6fs-v1");
+  fd = kernel_.open(proc(), "/mnt/report", kern::kORdOnly);
+  ASSERT_TRUE(fd.ok());
+  r = kernel_.read(proc(), fd.value(), buf);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(to_string({buf.data(), r.value()}), "before after");
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  EXPECT_TRUE(kernel_.stat(proc(), "/mnt/post").ok());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "bento/bentofs.h"
 #include "bento/nvmlog.h"
+#include "bento/user.h"
 #include "ext4/ext4.h"
 #include "fuse/fuse.h"
 #include "kernel/kernel.h"
@@ -38,6 +39,25 @@ inline std::unique_ptr<blk::BlockDevice> copy_device(blk::BlockDevice& src) {
     dst->write_untimed(b, buf);
   }
   return dst;
+}
+
+/// A memory backend holding a freshly formatted xv6 image (loaded
+/// untimed), for the userspace debug rig (§4.9).
+inline std::unique_ptr<bento::MemBlockBackend> xv6_image(
+    std::uint64_t nblocks = 8192, std::uint32_t ninodes = 512) {
+  blk::DeviceParams params;
+  params.nblocks = nblocks;
+  blk::BlockDevice image(params);
+  xv6::mkfs(image, ninodes);
+  return std::make_unique<bento::MemBlockBackend>(image);
+}
+
+/// xv6 mounted on the debug rig over a fresh image of its own.
+inline std::unique_ptr<bento::UserMount> xv6_user_mount() {
+  auto mount = std::make_unique<bento::UserMount>(
+      xv6_image(), std::make_unique<xv6::Xv6FileSystem>());
+  EXPECT_EQ(kern::Err::Ok, mount->mount_init());
+  return mount;
 }
 
 /// Do two devices hold bit-identical logical images?

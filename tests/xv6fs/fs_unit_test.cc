@@ -28,22 +28,12 @@ class Xv6Rig : public ::testing::Test {
 
   void SetUp() override {
     sim::set_current(&thread_);
-    // Format via a scratch device, copy metadata into the memory backend.
+    // Format a scratch device and load its image into the memory backend.
     blk::DeviceParams params;
     params.nblocks = kBlocks;
     blk::BlockDevice scratch(params);
     dsb_ = mkfs(scratch, /*ninodes=*/1024);
-
-    auto backend = std::make_unique<bento::MemBlockBackend>(kBlocks);
-    {
-      auto cap = bento::CapTestAccess::make(*backend);
-      std::array<std::byte, kBlockSize> buf{};
-      for (std::uint32_t b = 1; b <= dsb_.datastart; ++b) {
-        scratch.read_untimed(b, buf);
-        auto bh = cap->getblk(b);
-        std::memcpy(bh.value().data().data(), buf.data(), buf.size());
-      }
-    }
+    auto backend = std::make_unique<bento::MemBlockBackend>(scratch);
     mount_ = std::make_unique<bento::UserMount>(
         std::move(backend), std::make_unique<Xv6FileSystem>());
     ASSERT_EQ(Err::Ok, mount_->mount_init());
