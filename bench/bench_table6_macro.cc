@@ -3,8 +3,11 @@
 // four file systems including the ext4 (data=journal) comparator.
 //
 // Expected shape (paper §6.6):
-//   varmail:    Bento ~= C-Kernel; FUSE ~13x slower; ext4 ~2.5x faster
-//               (group commit shares journal flushes across threads).
+//   varmail:    Bento ~= C-Kernel; FUSE ~13x slower. The paper's ext4
+//               is faster; here ext4 ~= Bento, because every fsync waits
+//               for a FLUSH that covers its commit and the journal does
+//               not yet fold concurrent fsyncs into one commit (jbd2
+//               does).
 //   fileserver: Bento ~1.3x C-Kernel (writepages batching); FUSE collapses;
 //               ext4 ~1.3x Bento (device-throughput-bound for both).
 //   untar:      Bento ~1.6x faster than C-Kernel; ext4 ~3x faster than

@@ -236,10 +236,6 @@ void NvmLogFs::drop_pending(Ino ino) { pending_.erase(ino); }
 // ---- digest ----
 
 Err NvmLogFs::digest(const Request& req, SbRef sb) {
-  if (pending_.empty()) {
-    truncate_log();
-    return Err::Ok;
-  }
   for (auto& [ino, p] : pending_) {
     for (auto& [off, ext] : p.extents) {
       // Bulk write-through: contiguous extents reach the lower FS as one
@@ -256,8 +252,11 @@ Err NvmLogFs::digest(const Request& req, SbRef sb) {
       stats_.digested_bytes += ext.size();
     }
   }
+  // The lower file system commits and FLUSHes the digested data before
+  // the truncation drops the log's copy of it.
+  BSIM_TRY(lower().sync_fs(req, sb.reborrow()));
+  if (!pending_.empty()) stats_.digests += 1;
   pending_.clear();
-  stats_.digests += 1;
   truncate_log();
   return Err::Ok;
 }
@@ -472,9 +471,7 @@ Result<StatfsOut> NvmLogFs::statfs(const Request& req, SbRef sb) {
 }
 
 Err NvmLogFs::sync_fs(const Request& req, SbRef sb) {
-  BSIM_TRY(digest(req, sb.reborrow()));
-  nvm_->persist_barrier();
-  return lower().sync_fs(req, sb.reborrow());
+  return digest(req, sb.reborrow());
 }
 
 }  // namespace bsim::bento

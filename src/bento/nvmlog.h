@@ -19,8 +19,9 @@
 //   read/getattr           → lower result overlaid with pending extents.
 //   digest                 → when the log passes its watermark (or at
 //                            sync_fs/unmount), pending extents are written
-//                            through to the lower FS in bulk and the log
-//                            is truncated. Sequential bulk writes amortize
+//                            through to the lower FS in bulk, the lower
+//                            FS syncs them, and only then is the log
+//                            truncated. Sequential bulk writes amortize
 //                            the block stack exactly as Strata's digests
 //                            do.
 //
@@ -95,8 +96,9 @@ class NvmLogFs final : public StackedFs {
   Result<StatfsOut> statfs(const Request& req, SbRef sb) override;
   kern::Err sync_fs(const Request& req, SbRef sb) override;
 
-  /// Write all pending extents through to the lower FS and truncate the
-  /// log. Public so tests and the ablation can digest deterministically.
+  /// Write all pending extents through to the lower FS, sync it, and
+  /// truncate the log. Public so tests and the ablation can digest
+  /// deterministically.
   kern::Err digest(const Request& req, SbRef sb);
 
   struct Stats {

@@ -2,9 +2,9 @@
 // baseline uses only its running transaction) and ext4's jbd
 // (ext4/ext4.h), after Linux's jbd2. The engine owns the mechanism: the
 // running transaction, the bounded commit-ticket pipeline, stage
-// recording, the abort latch and the flush-skip bookkeeping. Each file
-// system keeps its on-disk format and its commit policy (see
-// ARCHITECTURE.md, "Journal engine").
+// recording, the abort latch and fsync's durability step (force, then
+// barrier). Each file system keeps its on-disk format and its commit
+// policy (see ARCHITECTURE.md, "Journal engine").
 //
 // Pipelining only moves when tickets are redeemed: media effects land at
 // submission, in program order, so a "-o nopipeline" mount (each commit
@@ -16,6 +16,7 @@
 //   void wait(const Ticket&) const;               // redeem it
 //   void trace(TraceEv, uint64_t txn, uint32_t nblocks) const;
 //   void on_abort() const;  // count the abort, report it to errors=
+//   void flush() const;     // the device FLUSH; returns on its completion
 #pragma once
 
 #include <algorithm>
@@ -105,6 +106,7 @@ class Journal : public RunningTxn {
     clear();
     inflight_.clear();
     unflushed_ = 0;
+    flushed_at_ = 0;
     aborted_ = false;
     pipeline_ = pipeline;
   }
@@ -171,33 +173,46 @@ class Journal : public RunningTxn {
   }
 
   /// Redeem this commit's tickets, then every in-flight commit's: the
-  /// failure path, and the barrier before a device FLUSH.
+  /// failure path.
   void redeem(const Io& io, const Tickets& tickets) {
     for (const Ticket& t : tickets) io.wait(t);
     drain(io);
   }
 
-  void drain(const Io& io) {
-    while (!inflight_.empty()) wait_oldest(io);
-  }
-
-  /// Has a commit happened since the last durability barrier? False is
-  /// counted: the caller skips its device FLUSH.
-  [[nodiscard]] bool flush_needed() {
-    if (unflushed_ > 0) return true;
-    c_->flushes_skipped += 1;
-    return false;
-  }
-  [[nodiscard]] bool dirty() const { return unflushed_ > 0; }
   /// State reached the device's volatile cache outside a commit (replay).
   void mark_dirty() { unflushed_ += 1; }
-  void note_flushed() { unflushed_ = 0; }
-  /// A forced commit with nothing tagged and nothing in flight would
-  /// write nothing: true, counted as skipped.
-  bool skip_idle() {
-    if (!empty() || !inflight_.empty()) return false;
-    c_->empty_commits_skipped += 1;
-    return true;
+
+  /// fsync's commit step: commit the running transaction if it holds
+  /// anything, then redeem every in-flight commit. With nothing tagged and
+  /// nothing in flight there is nothing to do, and the force is counted
+  /// as an empty commit skipped. Returns what `commit()` returned, else
+  /// success.
+  template <class Commit>
+  auto force(const Io& io, Commit&& commit) -> decltype(commit()) {
+    decltype(commit()) result{};
+    if (empty() && inflight_.empty()) {
+      c_->empty_commits_skipped += 1;
+      return result;
+    }
+    if (!empty()) result = commit();
+    drain(io);
+    return result;
+  }
+
+  /// fsync's durability step, after force(): FLUSH the device if a commit
+  /// has closed since the last FLUSH. Otherwise that last FLUSH covers
+  /// every commit, so wait for it to complete (counted in
+  /// flushes_skipped). Either way no fsync returns before a FLUSH that
+  /// covers its commit.
+  void barrier(const Io& io) {
+    if (unflushed_ == 0) {
+      c_->flushes_skipped += 1;
+      sim::current().wait_until(flushed_at_);
+      return;
+    }
+    io.flush();
+    unflushed_ = 0;
+    flushed_at_ = sim::now();
   }
 
  private:
@@ -213,6 +228,10 @@ class Journal : public RunningTxn {
     redeem(io, tickets);
   }
 
+  void drain(const Io& io) {
+    while (!inflight_.empty()) wait_oldest(io);
+  }
+
   void wait_oldest(const Io& io) {
     for (const Ticket& t : inflight_.front()) io.wait(t);
     inflight_.pop_front();
@@ -221,7 +240,8 @@ class Journal : public RunningTxn {
   bool pipeline_;
   bool aborted_ = false;
   std::deque<Tickets> inflight_;  // oldest first
-  std::uint64_t unflushed_ = 0;   // commits since the last barrier
+  std::uint64_t unflushed_ = 0;   // commits since the last FLUSH
+  sim::Nanos flushed_at_ = 0;     // completion time of the last FLUSH
   sim::Nanos t0_ = 0;             // entry time of the commit in progress
 };
 

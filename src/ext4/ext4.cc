@@ -34,18 +34,10 @@ void Ext4Mount::j_write(std::uint32_t blockno) {
   (void)jnl_.tag(blockno);
 }
 
-Err Ext4Mount::j_commit(bool flush_device) {
+Err Ext4Mount::j_commit() {
   if (jnl_.aborted()) return Err::Io;
   auto& bc = sb_->bufcache();
   const JbdIo io = jio();
-
-  // No-op commit skip: a flush-commit with nothing tagged, nothing in
-  // flight, and nothing written since the last FLUSH would pay a full
-  // device FLUSH for no durability gain.
-  if (!jnl_.dirty() && jnl_.skip_idle()) {
-    committed_seq_ = op_seq_;
-    return Err::Ok;
-  }
 
   jnl_.begin_commit(io, jseq_);
   const std::vector<std::uint32_t>& running = jnl_.blocks();
@@ -158,58 +150,16 @@ Err Ext4Mount::j_commit(bool flush_device) {
     written += n;
   }
   jnl_.close();
-  committed_seq_ = op_seq_;
-
-  if (flush_device) {
-    // Durability barrier: every in-flight commit's transfers complete,
-    // then the device FLUSH covers them.
-    jnl_.redeem(io, tickets);
-    flush_start_ = sim::now();
-    sb_->bdev().flush();
-    flush_end_ = sim::now();
-    jnl_.note_flushed();
-    last_commit_end_ = sim::now();
-    return Err::Ok;
-  }
-
-  sim::Nanos commit_end = sim::now();
-  for (const blk::Ticket& t : tickets) {
-    commit_end = std::max(commit_end, t.done);
-  }
-  last_commit_end_ = commit_end;
   jnl_.retire(io, std::move(tickets));
   return Err::Ok;
 }
 
-Err Ext4Mount::j_force(std::uint64_t op_seq) {
-  // Group commit (JBD2 batching): if this fsync arrives while another
-  // thread's commit flush is in flight, in real time its updates would
-  // have been folded into that same transaction. Perform the journal
-  // block writes for our tags but share the expensive FLUSH.
-  // A commit that becomes ready while a flush is in flight — or within the
-  // batching window right after it (its writes were queued behind the
-  // barrier) — would have been folded into that transaction by JBD2.
-  constexpr sim::Nanos kBatchSlack = sim::usec(400);
-  const sim::Nanos arrival = sim::now();
-  const bool shares_flush =
-      arrival >= flush_start_ && arrival < flush_end_ + kBatchSlack;
-
+Err Ext4Mount::j_sync() {
   sim::ScopedLock guard(journal_lock_);
   if (jnl_.aborted()) return Err::Io;
-  if (committed_seq_ >= op_seq && jnl_.empty()) {
-    sim::current().wait_until(last_commit_end_);
-    jstats_.shared_commits += 1;
-    return Err::Ok;
-  }
-  if (shares_flush) {
-    const sim::Nanos ride_until = flush_end_;
-    BSIM_TRY(j_commit(/*flush_device=*/false));
-    jnl_.drain(jio());  // fsync durability claim: transfers complete first
-    sim::current().wait_until(ride_until);
-    jstats_.shared_commits += 1;
-    return Err::Ok;
-  }
-  return j_commit(/*flush_device=*/true);
+  BSIM_TRY(jnl_.force(jio(), [&] { return j_commit(); }));
+  jnl_.barrier(jio());
+  return Err::Ok;
 }
 
 Err Ext4Mount::j_recover() {
@@ -670,7 +620,6 @@ Err Ext4Mount::itrunc(kern::Inode& inode, std::uint64_t new_size) {
   }
   e->d.size = new_size;
   BSIM_TRY(iupdate(inode));
-  op_seq_ += 1;
   return Err::Ok;
 }
 
@@ -743,11 +692,10 @@ Err Ext4Mount::write_through_journal(kern::Inode& inode, std::uint64_t off,
   }
   if (off + done > e->d.size) e->d.size = off + done;
   BSIM_TRY(iupdate(inode));
-  op_seq_ += 1;
   if (jnl_.size() >= blk::commit_threshold(0, kTxnCommitThreshold,
                                            sb_->bdev().stripe_width_blocks())) {
     sim::ScopedLock guard(journal_lock_);
-    BSIM_TRY(j_commit(/*flush_device=*/false));
+    BSIM_TRY(j_commit());
   }
   return Err::Ok;
 }
@@ -805,7 +753,6 @@ Err Ext4Mount::dir_unlink(kern::Inode& dir, std::string_view name) {
     bc.brelse(bh.value());
     if (found) {
       idxr.value()->entries.erase(it);
-      op_seq_ += 1;
       return Err::Ok;
     }
   }
@@ -832,7 +779,6 @@ Result<kern::Inode*> Ext4Mount::create(kern::Inode& dir,
   auto inum = ialloc(kFile, mode, group_of_inode(ei(dir)->inum));
   if (!inum.ok()) return inum.error();
   BSIM_TRY(dir_link(dir, name, inum.value()));
-  op_seq_ += 1;
   return iget(inum.value());
 }
 
@@ -853,7 +799,6 @@ Result<kern::Inode*> Ext4Mount::mkdir(kern::Inode& dir, std::string_view name,
   ei(dir)->d.nlink += 1;
   BSIM_TRY(iupdate(dir));
   BSIM_TRY(iupdate(*child.value()));
-  op_seq_ += 1;
   return child.value();
 }
 
@@ -872,7 +817,6 @@ Err Ext4Mount::unlink(kern::Inode& dir, std::string_view name) {
     if (e == Err::Ok) {
       c->d.nlink -= 1;
       e = iupdate(*child.value());
-      op_seq_ += 1;
     }
   }
   sb_->iput(child.value());
@@ -911,7 +855,6 @@ Err Ext4Mount::rmdir(kern::Inode& dir, std::string_view name) {
     e = iupdate(*child.value());
     ei(dir)->d.nlink -= 1;
     if (e == Err::Ok) e = iupdate(dir);
-    op_seq_ += 1;
   }
   sb_->iput(child.value());
   return e;
@@ -979,7 +922,6 @@ Err Ext4Mount::rename(kern::Inode& old_dir, std::string_view old_name,
     }
   }
   sb_->iput(moved.value());
-  op_seq_ += 1;
   return e;
 }
 
@@ -1016,7 +958,6 @@ Err Ext4Mount::setattr(kern::Inode& inode, const kern::SetAttr& attr) {
     inode.mode = attr.mode;
   }
   BSIM_TRY(iupdate(inode));
-  op_seq_ += 1;
   inode.size = e->d.size;
   return Err::Ok;
 }
@@ -1037,7 +978,7 @@ Result<std::uint64_t> Ext4Mount::write(kern::Inode& inode, kern::FileHandle&,
 
 Err Ext4Mount::fsync(kern::Inode& inode, kern::FileHandle&, bool) {
   BSIM_TRY(kern::generic_writeback(inode));
-  return j_force(op_seq_);
+  return j_sync();
 }
 
 Err Ext4Mount::flush(kern::Inode& inode, kern::FileHandle&) {
@@ -1079,11 +1020,7 @@ Err Ext4Mount::readdir(kern::Inode& inode, std::uint64_t& pos,
 
 // ---- SuperOps ----
 
-Err Ext4Mount::sync_fs(kern::SuperBlock&, bool) {
-  sim::ScopedLock guard(journal_lock_);
-  BSIM_TRY(j_commit(/*flush_device=*/true));
-  return Err::Ok;
-}
+Err Ext4Mount::sync_fs(kern::SuperBlock&, bool) { return j_sync(); }
 
 Err Ext4Mount::statfs(kern::SuperBlock&, kern::StatFs& out) {
   out.total_blocks = 0;
@@ -1097,10 +1034,7 @@ Err Ext4Mount::statfs(kern::SuperBlock&, kern::StatFs& out) {
   return Err::Ok;
 }
 
-void Ext4Mount::put_super(kern::SuperBlock&) {
-  sim::ScopedLock guard(journal_lock_);
-  (void)j_commit(/*flush_device=*/true);
-}
+void Ext4Mount::put_super(kern::SuperBlock&) { (void)j_sync(); }
 
 void Ext4Mount::dispose_inode(kern::Inode& inode) {
   delete ei(inode);
@@ -1338,7 +1272,6 @@ class Ext4FsType final : public kern::FileSystemType {
       w.field("struct", "JournalStats");
       w.field("commits", js.commits);
       w.field("blocks_journaled", js.blocks_journaled);
-      w.field("shared_commits", js.shared_commits);
       w.field("recoveries", js.recoveries);
       w.field("pipelined_commits", js.pipelined_commits);
       w.field("empty_commits_skipped", js.empty_commits_skipped);

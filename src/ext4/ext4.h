@@ -20,7 +20,6 @@ namespace bsim::ext4 {
 struct JournalStats : blk::JournalCounters {
   std::uint64_t commits = 0;  // journal records (commit blocks) written
   std::uint64_t blocks_journaled = 0;
-  std::uint64_t shared_commits = 0;  // fsyncs satisfied by group commit
   std::uint64_t recoveries = 0;
   std::uint64_t jbd_aborted = 0;  // journal aborts (failed journal write)
 };
@@ -123,20 +122,20 @@ class Ext4Mount final : public kern::InodeOps,
       m.jstats_.jbd_aborted += 1;
       m.sb_->fs_error(kern::Err::Io);
     }
+    void flush() const { m.sb_->bdev().flush(); }
   };
   JbdIo jio() { return {*this}; }
   /// Tag a modified (cached, dirty) block into the running transaction
   /// (pins the buffer for the journal until its checkpoint writes it).
   void j_write(std::uint32_t blockno);
   /// Commit the running transaction (journal writes + commit record +
-  /// checkpoint home blocks). Without `flush_device` the commit is
-  /// pipelined: its tickets go to the engine's pipeline, so transaction
-  /// N+1 opens and absorbs writes while N's records and checkpoint are
-  /// still in flight.
-  kern::Err j_commit(bool flush_device);
-  /// fsync path: make everything up to now durable; joins an in-flight
-  /// group commit when possible.
-  kern::Err j_force(std::uint64_t op_seq);
+  /// checkpoint home blocks). The commit is pipelined: its tickets go to
+  /// the engine's pipeline, so transaction N+1 opens and absorbs writes
+  /// while N's records and checkpoint are still in flight.
+  kern::Err j_commit();
+  /// fsync, sync(2) and unmount: make everything up to now durable (the
+  /// engine's force, then its barrier).
+  kern::Err j_sync();
   kern::Err j_recover();
 
   kern::Err read_super();
@@ -187,15 +186,7 @@ class Ext4Mount final : public kern::InodeOps,
   std::vector<GroupDesc> groups_;  // in-core GDT
   sim::SimMutex journal_lock_;
   sim::SimMutex alloc_lock_;
-  std::uint64_t op_seq_ = 0;                 // advances per mutating op
-  std::uint64_t committed_seq_ = 0;          // ops covered by last commit
-  sim::Nanos last_commit_end_ = 0;
   std::uint32_t jseq_ = 1;
-  // Group commit: the interval of the most recent device flush. fsyncs
-  // whose commit lands while a flush is in flight ride its completion
-  // (JBD2's transaction batching) instead of issuing their own.
-  sim::Nanos flush_start_ = -1;
-  sim::Nanos flush_end_ = -1;
   JournalStats jstats_;
   blk::Journal<JbdIo> jnl_;
   MapStats mstats_;

@@ -1105,12 +1105,7 @@ bento::Result<StatfsOut> Xv6FileSystem::statfs(const Request&, SbRef) {
 
 Err Xv6FileSystem::sync_fs(const Request&, SbRef sb) {
   BSIM_TRY(log_.force_commit(sb.get()));
-  // Durability barrier — skipped when no commit happened since the last
-  // one (a no-op fsync must not pay a device FLUSH).
-  if (log_.flush_needed()) {
-    sb->flush_all();
-    log_.note_flushed();
-  }
+  log_.barrier(sb.get());
   return Err::Ok;
 }
 

@@ -142,13 +142,7 @@ Err Log::force_commit(SuperBlockCap& sb) {
     lock_.release();
     return Err::Io;
   }
-  // With nothing pending and nothing in flight the commit (and its
-  // header write) would be a pure no-op: skip it instead of paying for it.
-  Err e = Err::Ok;
-  if (!jnl_.skip_idle()) {
-    if (!jnl_.empty()) e = commit(sb);
-    jnl_.drain(io(sb));  // fsync semantics: transfers complete before return
-  }
+  const Err e = jnl_.force(io(sb), [&] { return commit(sb); });
   lock_.release();
   return e;
 }

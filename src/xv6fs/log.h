@@ -74,6 +74,7 @@ struct LogIo {
     stats.log_aborted += 1;
     sb.report_fs_error(kern::Err::Io);
   }
+  void flush() const { sb.flush_all(); }
 };
 
 class Log {
@@ -110,11 +111,10 @@ class Log {
   /// media); the mount's errors= policy has then been applied.
   kern::Err force_commit(bento::SuperBlockCap& sb);
 
-  /// Does the caller's durability barrier have anything to cover? False
-  /// (and counted in flushes_skipped) when no commit happened since the
-  /// last note_flushed() — a no-op fsync skips the device FLUSH entirely.
-  [[nodiscard]] bool flush_needed() { return jnl_.flush_needed(); }
-  void note_flushed() { jnl_.note_flushed(); }
+  /// fsync's durability barrier, after force_commit (blk::Journal::barrier):
+  /// a device FLUSH, or a wait for the last one when it covers every
+  /// commit already.
+  void barrier(bento::SuperBlockCap& sb) { jnl_.barrier(io(sb)); }
 
   [[nodiscard]] const LogStats& stats() const { return stats_; }
   /// Commits whose transfers are still outstanding (tests/diagnostics).

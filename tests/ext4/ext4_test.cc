@@ -1,5 +1,5 @@
 // Unit tests for the ext4 comparator: block groups, journal commit and
-// recovery, group commit, and the directory index.
+// recovery, fsync's FLUSH, and the directory index.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -75,10 +75,9 @@ TEST_F(Ext4Test, EmptyCommitSkippedWithoutPendingWrites) {
   const auto commits = mount_->journal_stats().commits;
   const auto skips = mount_->journal_stats().empty_commits_skipped;
   const auto flushes = kernel_.device("ssd0")->stats().flushes;
-  // Nothing dirtied since the fsync's flush: sync(2)'s flush-commit has
-  // nothing to make durable. (A repeated fsync takes the shared_commits
-  // fast path already; the sync_fs path is where the no-op commit used
-  // to pay a header write + FLUSH.)
+  // Nothing dirtied since the fsync's flush: sync(2) has nothing to
+  // commit and nothing to FLUSH. (The sync_fs path is where the no-op
+  // commit used to pay a header write + FLUSH.)
   ASSERT_EQ(Err::Ok, kernel_.sync(proc()));
   EXPECT_EQ(mount_->journal_stats().commits, commits);
   EXPECT_GT(mount_->journal_stats().empty_commits_skipped, skips);
@@ -186,47 +185,65 @@ TEST_F(Ext4Test, DirIndexSurvivesChurn) {
   EXPECT_EQ(entries.value().size(), 2u + 250u);
 }
 
-TEST_F(Ext4Test, GroupCommitSharesFlushes) {
-  // Two fsyncs whose commits land within one flush window share a FLUSH;
-  // exercised here through the journal's accounting by issuing commits
-  // from interleaved virtual threads in the runner.
-  // (The macro varmail benchmark shows the end-to-end effect; this test
-  // pins the mechanism.)
+TEST_F(Ext4Test, ConcurrentFsyncsReturnAfterACoveringFlush) {
+  // Eight threads each write and fsync their own file. An fsync's
+  // writeback tags its data and its force commits it in the same step,
+  // so the FLUSH that covers that commit is one issued during the fsync.
+  // No fsync may return before such a FLUSH completes.
   class Syncer final : public sim::Workload {
    public:
-    Syncer(kern::Kernel& k, std::string path, int id)
-        : kernel_(k), path_(std::move(path)), id_(id) {}
+    Syncer(kern::Kernel& k, std::string path, int& uncovered)
+        : kernel_(k), path_(std::move(path)), uncovered_(uncovered) {}
     void setup() override {
       proc_ = kernel_.new_process();
-      auto fd = kernel_.open(*proc_, path_ + std::to_string(id_),
-                             kern::kOCreat | kern::kOWrOnly);
+      auto fd = kernel_.open(*proc_, path_, kern::kOCreat | kern::kOWrOnly);
       fd_ = fd.value();
     }
     std::int64_t step() override {
       if (steps_-- == 0) return -1;
       std::vector<std::byte> data(4096, std::byte{1});
       (void)kernel_.write(*proc_, fd_, data);
-      (void)kernel_.fsync(*proc_, fd_);
+      const std::size_t before = flushes().size();
+      EXPECT_EQ(Err::Ok, kernel_.fsync(*proc_, fd_));
+      const std::vector<sim::Nanos> done = flushes();
+      bool covered = false;
+      for (std::size_t i = before; i < done.size(); ++i) {
+        covered = covered || done[i] <= sim::now();
+      }
+      if (!covered) uncovered_ += 1;
       return 4096;
     }
 
    private:
+    /// Completion times of every FLUSH so far, in issue order.
+    std::vector<sim::Nanos> flushes() const {
+      std::vector<sim::Nanos> done;
+      for (const blk::TraceEvent& e :
+           kernel_.device("ssd0")->tracer()->events()) {
+        if (e.ev == blk::TraceEv::Flush) done.push_back(e.t);
+      }
+      return done;
+    }
+
     kern::Kernel& kernel_;
     std::string path_;
-    int id_;
+    int& uncovered_;
     int steps_ = 20;
     std::unique_ptr<kern::Process> proc_;
     int fd_ = -1;
   };
 
+  kernel_.device("ssd0")->arm_trace(1 << 16, "ssd0");
+  int uncovered = 0;
   std::vector<std::unique_ptr<sim::Workload>> jobs;
   for (int i = 0; i < 8; ++i) {
-    jobs.push_back(std::make_unique<Syncer>(kernel_, "/mnt/gc", i));
+    jobs.push_back(std::make_unique<Syncer>(
+        kernel_, "/mnt/gc" + std::to_string(i), uncovered));
   }
   sim::RunnerOptions opts;
   opts.horizon = 10 * sim::kSecond;
   (void)sim::run_workloads(jobs, opts);
-  EXPECT_GT(mount_->journal_stats().shared_commits, 0u);
+  EXPECT_EQ(uncovered, 0);
 }
 
 TEST_F(Ext4Test, ReadpagesMapsExtentsOncePerRun) {

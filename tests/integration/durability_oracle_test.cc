@@ -107,12 +107,11 @@ void expect_fsynced_bytes_survive(std::string_view fstype, Rig& live,
   sim::Rng rng(1);
   live.dev->crash(/*survive_p=*/0.0, rng);
   nvm->crash();
-  auto image = copy_device(*live.dev);
 
   Rig rec(nvm);
   std::array<std::byte, blk::kBlockSize> buf{};
   for (std::uint64_t b = 0; b < kBlocks; ++b) {
-    image->read_untimed(b, buf);
+    live.dev->read_untimed(b, buf);
     rec.dev->write_untimed(b, buf);
   }
   ASSERT_EQ(Err::Ok, rec.kernel.mount(fstype, "ssd0", "/mnt", "noflusher"));
@@ -264,8 +263,9 @@ void append_and_fsync(kern::Kernel& kernel, Model& model,
 
 /// On a fresh `fstype` rig holding empty, synced /mnt/a and /mnt/b, run
 /// `script`, then crash and check what it fsynced.
-void crash_after_script(const char* fstype,
-                        const std::function<void(kern::Kernel&, Model&)>& script) {
+void crash_after_script(
+    const char* fstype,
+    const std::function<void(kern::Kernel&, Model&)>& script) {
   sim::SimThread thread(0);
   sim::ScopedThread in(thread);
   auto nvm = small_nvm();
@@ -287,10 +287,10 @@ void crash_after_script(const char* fstype,
 class DurabilityScript : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DurabilityScript, FsyncAfterThresholdCommitStillFlushes) {
-  // ext4j once returned from /b's fsync with no FLUSH: the write path's
-  // threshold commit had already closed every op of /b's writeback, so
-  // the fsync found its ops committed and skipped the barrier. The gaps
-  // put each fsync well past the previous FLUSH.
+  // The write path's threshold commit closes every op of /b's writeback
+  // before /b's fsync forces anything, so that fsync has nothing left to
+  // commit. It must still FLUSH. The gaps put each fsync well past the
+  // previous FLUSH.
   crash_after_script(GetParam(), [](kern::Kernel& k, Model& m) {
     sim::current().wait(sim::msec(5));
     append_and_fsync(k, m, "/mnt/a", 4096, 'a');
@@ -300,8 +300,8 @@ TEST_P(DurabilityScript, FsyncAfterThresholdCommitStillFlushes) {
 }
 
 TEST_P(DurabilityScript, BackToBackFsyncsBothSurvive) {
-  // ext4j once let an fsync that arrived within 400 us of another fsync's
-  // FLUSH commit without a FLUSH of its own.
+  // An fsync that closes a commit shortly after another fsync's FLUSH
+  // needs a FLUSH of its own, however short the gap.
   for (const sim::Nanos gap : {sim::Nanos{0}, sim::usec(100), sim::msec(1)}) {
     SCOPED_TRACE("gap " + std::to_string(gap) + " ns");
     crash_after_script(GetParam(), [gap](kern::Kernel& k, Model& m) {
