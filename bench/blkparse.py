@@ -22,7 +22,8 @@ stream's invariants:
     overflow — are cross-checked against DeviceStats on every LEAF
     device: D == read_requests + write_requests, M == merges,
     F == flushes. (Volume slots route without dispatching, so they carry
-    Q/C but no D.)
+    Q/C but no D.) It also prints each parity volume's stripe-cache hit
+    rate: pre-images served without a read, out of all pre-images.
 
 Exit codes: 0 = ok, 1 = malformed input, 2 = invariant/stats mismatch.
 Stdlib only; no third-party dependencies.
@@ -141,9 +142,12 @@ def cross_check(trailer, stats_path):
     except (OSError, json.JSONDecodeError) as e:
         fail(1, f"cannot read stats snapshot {stats_path}: {e}")
     dev_stats = {}
+    parity = []
     for obj in snap.get("devices", []):
         if obj.get("struct") == "DeviceStats":
             dev_stats[obj["device"]] = obj
+        elif obj.get("struct") == "ParityVolumeStats":
+            parity.append(obj)
     mismatches = 0
     checked = 0
     for c in leaf_devices(trailer.get("counts", [])):
@@ -170,6 +174,12 @@ def cross_check(trailer, stats_path):
         fail(2, f"{mismatches} trace/stats mismatches")
     print(f"blkparse.py: stats cross-check ok "
           f"({checked} counters on leaf devices)")
+    for p in parity:
+        hits = p["stripe_cache_hits"]
+        total = hits + p["rmw_read_blocks"]
+        rate = f"{100.0 * hits / total:.1f}%" if total else "-"
+        print(f"blkparse.py: {p['device']}: stripe cache {hits}/{total} "
+              f"pre-images hit ({rate})")
 
 
 def main():

@@ -88,6 +88,7 @@ AggregateDevice::ChildTickets AggregateDevice::route_batch(
 }
 
 void AggregateDevice::mark_volume_dead() {
+  forget_member_state();
   volume_dead_ = true;
   kill_armed_ = false;
   for (auto& c : children_) c->power_off();
@@ -161,6 +162,7 @@ void AggregateDevice::pokes() {
 
 void AggregateDevice::fail_member(std::size_t i) {
   assert(i < children_.size());
+  forget_member_state();
   if (rebuild_target_ == i) abort_rebuild();
   healthy_[i] = false;
   // Rebuild whose redundancy just vanished cannot make progress.
@@ -190,6 +192,7 @@ void AggregateDevice::start_rebuild(std::size_t i) {
   if (!has_rebuild_source(i)) {
     throw std::logic_error("rebuild needs a redundancy source");
   }
+  forget_member_state();
   rebuild_target_ = i;
   rebuild_cursor_ = 0;
   astats_.rebuilds_started += 1;
@@ -258,6 +261,7 @@ void AggregateDevice::complete_rebuild() {
   // promote it back to serving.
   const std::size_t t = *rebuild_target_;
   sim::current().wait_until(children_[t]->flush_nowait());
+  forget_member_state();
   healthy_[t] = true;
   rebuild_target_.reset();
   rebuild_cursor_ = children_[t]->nblocks();
@@ -346,6 +350,7 @@ void AggregateDevice::kill_after_child(std::size_t child, std::uint64_t n) {
 }
 
 void AggregateDevice::power_off() {
+  forget_member_state();
   volume_dead_ = true;
   kill_armed_ = false;
   for (auto& c : children_) c->power_off();
@@ -360,6 +365,7 @@ bool AggregateDevice::dead() const {
 }
 
 void AggregateDevice::crash(double survive_p, sim::Rng& rng) {
+  forget_member_state();
   volume_dead_ = false;
   kill_armed_ = false;
   for (auto& c : children_) c->crash(survive_p, rng);

@@ -229,6 +229,10 @@ class AggregateDevice : public BlockDevice {
   /// (>= 1). Timed on the calling — scrub — thread.
   virtual std::uint64_t scrub_step(std::uint64_t cursor);
   virtual void on_scrub_complete() {}
+  /// Member content or health changed outside route_policy: fail_member,
+  /// rebuild start and finish, power loss, crash. A volume that remembers
+  /// what its members hold forgets it here. Default: nothing remembered.
+  virtual void forget_member_state() {}
 
   /// Advance the resync/scrub while their clocks stay within the lead
   /// window of `horizon` (called from every foreground submission).

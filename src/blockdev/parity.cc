@@ -73,6 +73,9 @@ ParityDevice::ParityDevice(ParityParams pp,
   if (parity_.ndata < 2) {
     throw std::invalid_argument("parity needs at least 2 data columns");
   }
+  if (parity_.ndata >= 64) {  // stripe-cache masks: one bit per column
+    throw std::invalid_argument("parity supports at most 63 data columns");
+  }
   if (member_params.size() != parity_.ndata + 1) {
     throw std::invalid_argument("parity member count must be ndata + 1");
   }
@@ -109,6 +112,22 @@ ParityDevice::ParityDevice(ParityParams pp,
 }
 
 ParityDevice::~ParityDevice() = default;
+
+// ---- stripe cache ----
+
+void ParityDevice::StripeCache::mark(std::uint64_t mb, std::uint64_t cols) {
+  if (const auto it = index_.find(mb); it != index_.end()) {
+    it->second->second |= cols;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return;
+  }
+  lru_.emplace_front(mb, cols);
+  index_.emplace(mb, lru_.begin());
+  if (lru_.size() > capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
+  }
+}
 
 // ---- write-intent bitmap ----
 
@@ -190,6 +209,10 @@ void ParityDevice::submit_write_lines(const std::vector<Bio*>& parents,
   const std::size_t n = children_.size();
   const std::uint64_t ck = parity_.chunk_blocks;
   const bool deg = degraded();
+  // Whether the stripe cache may learn this batch's writes (step 8): only
+  // on a fully healthy array, and only if no I/O below fails.
+  bool clean = !deg;
+  if (deg) stripe_cache_.clear();
 
   // 1. Classify the batch into parity lines, keyed by the member-local
   //    line block (where both the line's data and its parity live on
@@ -220,6 +243,8 @@ void ParityDevice::submit_write_lines(const std::vector<Bio*>& parents,
   //    is always maintainable: a failed written column forces
   //    reconstruct-write, a failed unwritten column forces RMW; only a
   //    lost parity member skips the update (the region stays marked).
+  //    Each plan is priced by the reads it still needs after stripe-cache
+  //    hits.
   for (auto& [mb, line] : lines) {
     const std::uint64_t row = (mb - kBitmapBlocks) / ck;
     const std::size_t p = parity_member_of(row);
@@ -231,18 +256,24 @@ void ParityDevice::submit_write_lines(const std::vector<Bio*>& parents,
       line.plan = LinePlan::Full;
       continue;
     }
+    const std::uint64_t warm = stripe_cache_.resident(mb);
+    const auto cold = [warm](std::size_t col) {
+      return static_cast<std::size_t>(((warm >> col) & 1) == 0);
+    };
     bool rmw_ok = healthy_[p];  // a resyncing parity member is stale
     bool recon_ok = true;
+    std::size_t rmw_reads = cold(parity_.ndata);
+    std::size_t recon_reads = 0;
     for (std::size_t d = 0; d < parity_.ndata; ++d) {
       const std::size_t m = (p + 1 + d) % n;
       if (!line.newdata[d].empty()) {
         rmw_ok = rmw_ok && healthy_[m];
+        rmw_reads += cold(d);
       } else {
         recon_ok = recon_ok && healthy_[m];
+        recon_reads += cold(d);
       }
     }
-    const std::size_t rmw_reads = line.written + 1;
-    const std::size_t recon_reads = parity_.ndata - line.written;
     if (rmw_ok && (!recon_ok || rmw_reads <= recon_reads)) {
       line.plan = LinePlan::Rmw;
     } else if (recon_ok) {
@@ -259,7 +290,8 @@ void ParityDevice::submit_write_lines(const std::vector<Bio*>& parents,
   //    member (its elevator merges adjacent blocks), then a barrier —
   //    the new writes cannot be issued before the old content is in
   //    hand, so the submitter pays the RMW penalty, like md waiting on
-  //    its stripe-cache fill.
+  //    its stripe-cache fill. A pre-image the stripe cache marks resident
+  //    is copied untimed instead: the same bytes, no read.
   std::deque<BlockData> arena;
   std::vector<std::vector<Bio>> pre(n);
   // (line mb, column index | ndata for parity), aligned with pre[m] —
@@ -272,22 +304,27 @@ void ParityDevice::submit_write_lines(const std::vector<Bio*>& parents,
     const std::uint64_t row = (mb - kBitmapBlocks) / ck;
     const std::size_t p = parity_member_of(row);
     const bool rmw = line.plan == LinePlan::Rmw;
+    const std::uint64_t warm = stripe_cache_.resident(mb);
+    // Pre-image of column `col` (data column d, or ndata for the parity)
+    // held on member `m`.
+    const auto fetch = [&](std::size_t m, std::size_t col) {
+      arena.emplace_back();
+      BlockData& img = arena.back();
+      if ((warm >> col) & 1) {
+        children_[m]->read_untimed(mb, img);
+        vstats_.stripe_cache_hits += 1;
+      } else {
+        pre[m].push_back(Bio::single_read(mb, img));
+        pre_src[m].emplace_back(mb, col);
+      }
+      return &img;
+    };
     for (std::size_t d = 0; d < parity_.ndata; ++d) {
       const bool want =
           rmw ? !line.newdata[d].empty() : line.newdata[d].empty();
-      if (!want) continue;
-      const std::size_t m = (p + 1 + d) % n;
-      arena.emplace_back();
-      line.olddata[d] = &arena.back();
-      pre[m].push_back(Bio::single_read(mb, arena.back()));
-      pre_src[m].emplace_back(mb, d);
+      if (want) line.olddata[d] = fetch((p + 1 + d) % n, d);
     }
-    if (rmw) {
-      arena.emplace_back();
-      line.old_parity = &arena.back();
-      pre[p].push_back(Bio::single_read(mb, arena.back()));
-      pre_src[p].emplace_back(mb, parity_.ndata);
-    }
+    if (rmw) line.old_parity = fetch(p, parity_.ndata);
   }
   sim::Nanos prefetch_done = 0;
   for (std::size_t m = 0; m < n; ++m) {
@@ -304,6 +341,7 @@ void ParityDevice::submit_write_lines(const std::vector<Bio*>& parents,
   for (std::size_t m = 0; m < n; ++m) {
     for (std::size_t i = 0; i < pre[m].size(); ++i) {
       if (!pre[m][i].io_error) continue;
+      clean = false;
       const auto [lmb, col] = pre_src[m][i];
       LineUpdate& line = lines[lmb];
       BlockData* dst =
@@ -405,6 +443,7 @@ void ParityDevice::submit_write_lines(const std::vector<Bio*>& parents,
       Bio* parent = owners[m][i];
       parent->done_at = std::max(parent->done_at, frags[m][i].done_at);
       if (!frags[m][i].applied) parent->applied = false;
+      if (!frags[m][i].applied || frags[m][i].io_error) clean = false;
       // A failed data write is NOT absorbed by redundancy: the new parity
       // was computed against the new data, so the line is inconsistent
       // and the new data exists nowhere durable. The region stays marked
@@ -425,6 +464,7 @@ void ParityDevice::submit_write_lines(const std::vector<Bio*>& parents,
     vstats_.parity_writes += pwrites[m].size();
     for (std::size_t i = 0; i < pwrites[m].size(); ++i) {
       const LineUpdate& line = *powners[m][i];
+      if (!pwrites[m][i].applied || pwrites[m][i].io_error) clean = false;
       for (Bio* parent : line.writers) {
         parent->done_at = std::max(parent->done_at, pwrites[m][i].done_at);
       }
@@ -437,6 +477,22 @@ void ParityDevice::submit_write_lines(const std::vector<Bio*>& parents,
         if (pwrites[m][i].io_error) parent->io_error = true;
       }
     }
+  }
+
+  // 8. The stripe cache learns what this batch left on the members: its
+  //    written columns and the new parity of every line. A batch with any
+  //    error leaves member content the array cannot vouch for: drop all.
+  if (clean) {
+    const std::uint64_t parity_bit = std::uint64_t{1} << parity_.ndata;
+    for (const auto& [mb, line] : lines) {
+      std::uint64_t cols = parity_bit;
+      for (std::size_t d = 0; d < parity_.ndata; ++d) {
+        if (!line.newdata[d].empty()) cols |= std::uint64_t{1} << d;
+      }
+      stripe_cache_.mark(mb, cols);
+    }
+  } else {
+    stripe_cache_.clear();
   }
 
   for (Bio* parent : parents) {
@@ -547,6 +603,7 @@ void ParityDevice::submit_reads(const std::vector<Bio*>& parents,
   for (std::size_t m = 0; m < n; ++m) {
     for (std::size_t i = 0; i < frags[m].size(); ++i) {
       if (!frags[m][i].io_error) continue;
+      stripe_cache_.clear();  // the heal rewrites member content
       Bio* parent = owners[m][i];
       parent->io_error = false;
       vstats_.read_error_failovers += 1;
@@ -616,6 +673,7 @@ void ParityDevice::read_untimed(std::uint64_t blockno,
 
 void ParityDevice::write_untimed(std::uint64_t blockno,
                                  std::span<const std::byte> in) {
+  stripe_cache_.clear();
   const std::size_t m = data_member_of(blockno);
   const std::uint64_t mb = child_block_of(blockno);
   const std::size_t p = parity_member_of(row_of(blockno));
@@ -670,6 +728,7 @@ void ParityDevice::resync() {
   // bitmap can hold a broken line (data landed, parity did not — or the
   // other way round). Recompute those regions' parity from the data
   // columns wholesale, then retire the intent bits.
+  stripe_cache_.clear();
   for (std::size_t r = 0; r < region_dirty_.size(); ++r) {
     if (!region_dirty_[r]) continue;
     const std::uint64_t last = std::min<std::uint64_t>(
@@ -800,6 +859,7 @@ std::uint64_t ParityDevice::scrub_step(std::uint64_t cursor) {
     for (std::size_t m = 0; m < n; ++m) {
       if (m != p) xor_into(par, buf[m][i]);
     }
+    stripe_cache_.clear();
     Bio repair = Bio::single_write(mb0 + i, par);
     children_[p]->submit(repair);
     if (repair.applied) {

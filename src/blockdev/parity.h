@@ -24,6 +24,22 @@
 //     reconstruct-write from the surviving columns; with the parity
 //     member gone, data writes proceed unprotected (the region stays
 //     marked in the intent bitmap).
+//   - Stripe cache: a bounded LRU (kStripeCacheLines lines, md's default
+//     stripe_cache_size) of the columns, data and parity, whose content
+//     the array itself last wrote. A write batch that completes without
+//     error marks its written columns and its new parity; reads never
+//     populate it. A pre-image the cache marks resident is not read
+//     through the member queue: its bytes are taken untimed from the
+//     member, which is exactly what the timed read would return, since
+//     media effects land at submission. So the cache holds no bytes and
+//     cannot go stale; it changes only virtual time and read counts. The
+//     RMW-versus-reconstruct choice counts only the reads each plan still
+//     needs after hits (md's rmw/rcw count). The whole cache is dropped
+//     on a degraded batch, on any I/O error or unapplied write, on power
+//     loss and crash, on fail_member, rebuild, scrub repair, resync(),
+//     write_untimed() and a medium-error heal rewrite: after any of these
+//     the first RMW pays its reads again, as a freshly assembled md array
+//     does.
 //
 // Write hole. A parity update is two writes (data + parity) that cannot
 // be atomic across members: power loss between them leaves the line's
@@ -54,8 +70,11 @@
 #pragma once
 
 #include <deque>
+#include <list>
 #include <map>
 #include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "blockdev/aggregate.h"
@@ -83,6 +102,7 @@ struct ParityVolumeStats {
   std::uint64_t full_stripe_writes = 0;  // lines via reconstruct-write
   std::uint64_t rmw_writes = 0;          // lines via read-modify-write
   std::uint64_t rmw_read_blocks = 0;     // old data/parity blocks read
+  std::uint64_t stripe_cache_hits = 0;   // pre-images served without a read
   std::uint64_t parity_writes = 0;       // parity blocks written
   std::uint64_t bitmap_updates = 0;      // FUA intent-bitmap writes
   // ---- degraded / self-healing ----
@@ -111,6 +131,8 @@ class ParityDevice final : public AggregateDevice {
   static constexpr std::uint64_t kBitmapBlocks = 1;
   /// Stripe rows covered by one intent bit.
   static constexpr std::uint64_t kRegionRows = 64;
+  /// Parity lines the stripe cache tracks (md's stripe_cache_size default).
+  static constexpr std::size_t kStripeCacheLines = 256;
 
   /// Uniform members: `member_params.nblocks` is the PER-MEMBER size; the
   /// logical volume is ndata * (member blocks - bitmap, rounded down to
@@ -195,6 +217,13 @@ class ParityDevice final : public AggregateDevice {
   /// Marked (not yet verified) intent regions — write-hole exposure.
   [[nodiscard]] std::size_t dirty_regions() const;
 
+  /// Lines the stripe cache currently tracks.
+  [[nodiscard]] std::size_t stripe_cache_lines() const {
+    return stripe_cache_.size();
+  }
+  /// Forget every line, so the next RMW reads its pre-images again.
+  void drop_stripe_cache() { stripe_cache_.clear(); }
+
   /// An array with at most one lost member serves all I/O; it is dead
   /// only through the whole-volume kill (or every member gone).
   [[nodiscard]] bool dead() const override;
@@ -217,8 +246,34 @@ class ParityDevice final : public AggregateDevice {
   }
   std::uint64_t scrub_step(std::uint64_t cursor) override;
   void on_scrub_complete() override;
+  void forget_member_state() override { drop_stripe_cache(); }
 
  private:
+  /// The stripe cache (see the header comment): member-local line block ->
+  /// bitmask of resident columns, bit d for data column d and bit ndata
+  /// for the parity. Least recently marked lines are evicted first.
+  class StripeCache {
+   public:
+    explicit StripeCache(std::size_t capacity) : capacity_(capacity) {}
+    [[nodiscard]] std::uint64_t resident(std::uint64_t mb) const {
+      const auto it = index_.find(mb);
+      return it == index_.end() ? 0 : it->second->second;
+    }
+    /// OR `cols` into the line's mask and make it the most recent line.
+    void mark(std::uint64_t mb, std::uint64_t cols);
+    void clear() {
+      lru_.clear();
+      index_.clear();
+    }
+    [[nodiscard]] std::size_t size() const { return lru_.size(); }
+
+   private:
+    using Line = std::pair<std::uint64_t, std::uint64_t>;  // (mb, mask)
+    std::size_t capacity_;
+    std::list<Line> lru_;  // front: most recently marked
+    std::unordered_map<std::uint64_t, std::list<Line>::iterator> index_;
+  };
+
   /// How one touched line's parity gets updated (or why it does not).
   enum class LinePlan {
     Full,         // parity from new data alone (covers every column)
@@ -285,6 +340,7 @@ class ParityDevice final : public AggregateDevice {
   bool scrub_skipped_ = false;
   std::vector<bool> region_dirty_;   // in-memory intent bitmap
   BlockData bitmap_page_;            // on-media image (replicated)
+  StripeCache stripe_cache_{kStripeCacheLines};
   mutable ParityVolumeStats vstats_;
 };
 

@@ -2,6 +2,7 @@
 
 #include "blockdev/aggregate.h"
 #include "blockdev/bio.h"
+#include "blockdev/parity.h"
 
 namespace bsim::blk {
 
@@ -82,6 +83,28 @@ void dump_volume_stats(sim::JsonWriter& w, const std::string& name,
   w.end_object();
 }
 
+// The parity write path's own counters (AggregateVolumeStats carries the
+// shared ones). The stripe-cache hit rate is
+// stripe_cache_hits / (stripe_cache_hits + rmw_read_blocks).
+void dump_parity_stats(sim::JsonWriter& w, const std::string& name,
+                       const ParityVolumeStats& s) {
+  w.begin_object();
+  w.field("struct", "ParityVolumeStats");
+  w.field("device", name);
+  w.field("fragments", s.fragments);
+  w.field("full_stripe_writes", s.full_stripe_writes);
+  w.field("rmw_writes", s.rmw_writes);
+  w.field("rmw_read_blocks", s.rmw_read_blocks);
+  w.field("stripe_cache_hits", s.stripe_cache_hits);
+  w.field("parity_writes", s.parity_writes);
+  w.field("bitmap_updates", s.bitmap_updates);
+  w.field("degraded_reads", s.degraded_reads);
+  w.field("degraded_writes", s.degraded_writes);
+  w.field("reconstructed_blocks", s.reconstructed_blocks);
+  w.field("read_error_failovers", s.read_error_failovers);
+  w.end_object();
+}
+
 }  // namespace
 
 void dump_device_tree_stats(sim::JsonWriter& w, const std::string& name,
@@ -91,6 +114,9 @@ void dump_device_tree_stats(sim::JsonWriter& w, const std::string& name,
   dump_plug_stats(w, name, dev.plug_stats());
   if (auto* agg = dynamic_cast<AggregateDevice*>(&dev)) {
     dump_volume_stats(w, name, agg->aggregate_stats());
+    if (auto* par = dynamic_cast<ParityDevice*>(agg)) {
+      dump_parity_stats(w, name, par->volume_stats());
+    }
     for (std::size_t i = 0; i < agg->members(); ++i) {
       dump_device_tree_stats(w, name + "/" + std::to_string(i),
                              agg->member(i));

@@ -2,8 +2,8 @@
 //
 // Each simulated thread runs a Workload. The Runner always resumes the
 // thread with the smallest virtual clock (conservative discrete-event
-// order), so cross-thread interactions through SimMutex / devices /
-// BatchGate are causally consistent. CPU contention is modeled by scaling
+// order), so cross-thread interactions through SimMutex / SimRwLock /
+// devices are causally consistent. CPU contention is modeled by scaling
 // CPU charges by runnable_threads / cores (processor sharing), matching the
 // paper's 8-core testbed when running 32-thread filebench personalities.
 #pragma once

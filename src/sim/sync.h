@@ -118,41 +118,4 @@ class SimRwLock {
   Nanos writer_release_ = 0;
 };
 
-/// Group-commit gate (DESIGN.md §5): callers that need an expensive shared
-/// operation (e.g. a journal commit + device flush) within the same
-/// accumulation window share one instance of its cost. This is how JBD2-
-/// style transaction batching is modeled for the ext4 comparator.
-class BatchGate {
- public:
-  explicit BatchGate(Nanos window) : window_(window) {}
-
-  /// Request a batched operation at the current virtual time; `cost` is the
-  /// full cost if a new batch must be started. Returns the completion time;
-  /// the caller should wait_until() it.
-  Nanos join(Nanos cost) {
-    const Nanos t = now();
-    if (t < batch_close_ || (t >= batch_open_ && t < batch_done_)) {
-      // Join the in-flight batch: completes when the batch completes.
-      joined_ += 1;
-      return batch_done_;
-    }
-    batches_ += 1;
-    batch_open_ = t;
-    batch_close_ = t + window_;
-    batch_done_ = t + window_ + cost;
-    return batch_done_;
-  }
-
-  [[nodiscard]] std::uint64_t batches_started() const { return batches_; }
-  [[nodiscard]] std::uint64_t joins() const { return joined_; }
-
- private:
-  Nanos window_;
-  Nanos batch_open_ = -1;
-  Nanos batch_close_ = -1;
-  Nanos batch_done_ = -1;
-  std::uint64_t batches_ = 0;
-  std::uint64_t joined_ = 0;
-};
-
 }  // namespace bsim::sim

@@ -2,7 +2,8 @@
 // geometry and routing, RMW vs full-stripe write-path selection, degraded
 // reads and writes (XOR reconstruction), medium-error self-healing, scrub
 // verify/repair, hot-spare auto-rebuild, the write-intent bitmap closing
-// the write hole across crashes, RAID50 stacking, and crash-model parity
+// the write hole across crashes, the stripe cache (reads saved, drop
+// rules, byte-identical media), RAID50 stacking, and crash-model parity
 // with a single device.
 #include <gtest/gtest.h>
 
@@ -157,13 +158,10 @@ TEST_F(ParityDeviceTest, FullStripeWritesComputeParityWithoutReads) {
 
 TEST_F(ParityDeviceTest, SmallWriteTakesReadModifyWrite) {
   ParityDevice pd = make5();
-  std::vector<Bio> fill;
-  std::vector<std::array<std::byte, kBlockSize>> payloads(16);
+  // Untimed fill: the stripe cache holds none of row 0's lines.
   for (std::uint64_t b = 0; b < 16; ++b) {
-    payloads[b] = pattern(static_cast<std::uint8_t>(b));
-    fill.push_back(Bio::single_write(b, payloads[b]));
+    pd.write_untimed(b, pattern(static_cast<std::uint8_t>(b)));
   }
-  pd.submit(fill);
 
   // One block of a full line: old data + old parity read, delta XORed in.
   auto v = pattern(0xC3);
@@ -171,11 +169,198 @@ TEST_F(ParityDeviceTest, SmallWriteTakesReadModifyWrite) {
   const ParityVolumeStats& vs = pd.volume_stats();
   EXPECT_EQ(vs.rmw_writes, 1u);
   EXPECT_EQ(vs.rmw_read_blocks, 2u);  // the written column + the parity
-  EXPECT_EQ(vs.parity_writes, 5u);    // 4 full-stripe + 1 RMW
+  EXPECT_EQ(vs.stripe_cache_hits, 0u);
+  EXPECT_EQ(vs.parity_writes, 1u);
   EXPECT_TRUE(lines_consistent(pd));
   std::array<std::byte, kBlockSize> got{};
   pd.read_untimed(5, got);
   EXPECT_EQ(got, v);
+}
+
+// ---- stripe cache ----
+
+TEST_F(ParityDeviceTest, RmwOfAWarmLineReadsNothing) {
+  ParityDevice pd = make5();
+  std::vector<std::array<std::byte, kBlockSize>> payloads(16);
+  std::vector<Bio> fill;
+  for (std::uint64_t b = 0; b < 16; ++b) {
+    payloads[b] = pattern(static_cast<std::uint8_t>(b));
+    fill.push_back(Bio::single_write(b, payloads[b]));
+  }
+  pd.submit(fill);  // full-stripe: every column of row 0's lines resident
+  EXPECT_EQ(pd.stripe_cache_lines(), 4u);
+
+  auto v = pattern(0xC3);
+  pd.write(5, v);
+  const ParityVolumeStats& vs = pd.volume_stats();
+  EXPECT_EQ(vs.rmw_writes, 1u);
+  EXPECT_EQ(vs.rmw_read_blocks, 0u);
+  EXPECT_EQ(vs.stripe_cache_hits, 2u);  // old data + old parity
+  for (std::size_t m = 0; m < pd.members(); ++m) {
+    EXPECT_EQ(pd.member(m).stats().read_requests, 0u) << m;
+  }
+  EXPECT_TRUE(lines_consistent(pd));
+  std::array<std::byte, kBlockSize> got{};
+  pd.read_untimed(5, got);
+  EXPECT_EQ(got, v);
+}
+
+TEST_F(ParityDeviceTest, DropRulesMakeTheNextRmwReadAgain) {
+  enum class Event { Crash, FailMember, Resync, WriteError, WriteUntimed };
+  for (const Event ev : {Event::Crash, Event::FailMember, Event::Resync,
+                         Event::WriteError, Event::WriteUntimed}) {
+    SCOPED_TRACE(static_cast<int>(ev));
+    ParityDevice pd = make5();
+    pd.enable_crash_tracking();
+    std::vector<std::array<std::byte, kBlockSize>> payloads(16);
+    std::vector<Bio> fill;
+    for (std::uint64_t b = 0; b < 16; ++b) {
+      payloads[b] = pattern(static_cast<std::uint8_t>(b));
+      fill.push_back(Bio::single_write(b, payloads[b]));
+    }
+    pd.submit(fill);
+    pd.flush();
+    ASSERT_EQ(pd.stripe_cache_lines(), 4u);
+
+    auto junk = pattern(0x5A);
+    switch (ev) {
+      case Event::Crash: {
+        sim::Rng rng(3);
+        pd.crash(/*survive_p=*/1.0, rng);
+        break;
+      }
+      case Event::FailMember:
+        // Row 0 keeps its parity (member 4) and block 5's column
+        // (member 1), so the next write still takes RMW.
+        pd.fail_member(2);
+        break;
+      case Event::Resync:
+        pd.resync();
+        break;
+      case Event::WriteError: {
+        pd.inject_write_error(20);  // row 1: a line the cache never held
+        Bio w = Bio::single_write(20, junk);
+        pd.submit(w);
+        EXPECT_TRUE(w.io_error);
+        break;
+      }
+      case Event::WriteUntimed:
+        pd.write_untimed(40, junk);
+        break;
+    }
+    EXPECT_EQ(pd.stripe_cache_lines(), 0u);
+
+    const ParityVolumeStats before = pd.volume_stats();
+    auto v = pattern(0xC3);
+    pd.write(5, v);
+    const ParityVolumeStats& after = pd.volume_stats();
+    EXPECT_EQ(after.rmw_writes - before.rmw_writes, 1u);
+    EXPECT_EQ(after.rmw_read_blocks - before.rmw_read_blocks, 2u);
+    EXPECT_EQ(after.stripe_cache_hits, 0u);
+  }
+}
+
+TEST_F(ParityDeviceTest, WarmLinePicksThePlanWithFewerReads) {
+  ParityDevice pd = make5();
+  // Line 1 holds logical blocks 0, 4, 8, 12 (data columns 0..3).
+  auto a = pattern(0x10);
+  std::vector<Bio> three;
+  for (const std::uint64_t b : {0ULL, 4ULL, 8ULL}) {
+    three.push_back(Bio::single_write(b, a));
+  }
+  pd.submit(three);  // cold: reconstruct-write reads only column 3
+  const ParityVolumeStats& vs = pd.volume_stats();
+  EXPECT_EQ(vs.rmw_read_blocks, 1u);
+  EXPECT_EQ(vs.stripe_cache_hits, 0u);
+
+  // Columns 0..2 and the parity are now resident. Rewriting column 1:
+  // RMW needs column 1 and the parity, both cached (0 reads), where
+  // reconstruct-write would read column 3.
+  auto b = pattern(0x20);
+  pd.write(4, b);
+  EXPECT_EQ(vs.rmw_read_blocks, 1u);
+  EXPECT_EQ(vs.stripe_cache_hits, 2u);
+
+  // Writing column 3: RMW would read column 3 (cached parity aside), but
+  // reconstruct-write needs only columns 0..2, all cached: 0 reads.
+  auto c = pattern(0x30);
+  pd.write(12, c);
+  EXPECT_EQ(vs.rmw_read_blocks, 1u);
+  EXPECT_EQ(vs.stripe_cache_hits, 5u);
+
+  EXPECT_EQ(vs.rmw_writes, 3u);
+  EXPECT_TRUE(lines_consistent(pd));
+  std::array<std::byte, kBlockSize> got{};
+  for (const auto& [blk, want] :
+       {std::pair{0ULL, a}, {4ULL, b}, {8ULL, a}, {12ULL, c}}) {
+    pd.read_untimed(blk, got);
+    EXPECT_EQ(got, want) << blk;
+  }
+}
+
+TEST_F(ParityDeviceTest, StripeCacheKeepsTheMostRecentLines) {
+  ParityParams pp;
+  pp.ndata = 4;
+  pp.chunk_blocks = 4;
+  DeviceParams member;
+  member.nblocks = 1 + 80 * 4;  // 320 lines: more than the cache holds
+  ParityDevice pd(pp, member);
+  std::vector<std::array<std::byte, kBlockSize>> payloads(pd.nblocks());
+  for (std::uint64_t row = 0; row < 80; ++row) {
+    std::vector<Bio> bios;
+    for (std::uint64_t i = 0; i < 16; ++i) {
+      const std::uint64_t b = row * 16 + i;
+      payloads[b] = pattern(static_cast<std::uint8_t>(b));
+      bios.push_back(Bio::single_write(b, payloads[b]));
+    }
+    pd.submit(bios);
+  }
+  EXPECT_EQ(pd.stripe_cache_lines(), ParityDevice::kStripeCacheLines);
+
+  const ParityVolumeStats& vs = pd.volume_stats();
+  auto v = pattern(0x77);
+  pd.write(pd.nblocks() - 1, v);  // last row: resident
+  EXPECT_EQ(vs.rmw_read_blocks, 0u);
+  pd.write(0, v);  // first row: evicted long ago
+  EXPECT_EQ(vs.rmw_read_blocks, 2u);
+  EXPECT_TRUE(lines_consistent(pd));
+}
+
+TEST_F(ParityDeviceTest, StripeCacheLeavesMemberImagesByteIdentical) {
+  // The cache changes time, never bytes: the same seeded batches, on one
+  // volume with the cache warm and on another with it dropped before every
+  // batch, must leave every member block identical.
+  auto run = [](bool cold) {
+    sim::SimThread t(cold ? 41 : 42);
+    sim::ScopedThread in(t);
+    ParityDevice pd = make5();
+    sim::Rng rng(2024);
+    for (int batch = 0; batch < 200; ++batch) {
+      if (cold) pd.drop_stripe_cache();
+      const std::uint64_t nbios = rng.range(1, 6);
+      std::vector<std::array<std::byte, kBlockSize>> payloads(nbios);
+      std::vector<Bio> bios;
+      for (std::uint64_t i = 0; i < nbios; ++i) {
+        payloads[i] = pattern(static_cast<std::uint8_t>(rng.next()));
+        bios.push_back(Bio::single_write(rng.below(pd.nblocks()),
+                                         payloads[i]));
+      }
+      pd.submit(bios);
+    }
+    EXPECT_TRUE(lines_consistent(pd));
+    std::vector<std::vector<std::array<std::byte, kBlockSize>>> img;
+    for (std::size_t m = 0; m < pd.members(); ++m) {
+      img.push_back(snapshot(pd.member(m)));
+    }
+    return std::pair{img, pd.volume_stats()};
+  };
+  const auto [warm_img, warm] = run(false);
+  const auto [cold_img, cold] = run(true);
+  EXPECT_EQ(warm_img, cold_img);
+  EXPECT_EQ(cold.stripe_cache_hits, 0u);
+  EXPECT_GT(warm.stripe_cache_hits, 0u);
+  EXPECT_LT(warm.rmw_read_blocks, cold.rmw_read_blocks);
+  EXPECT_EQ(warm.parity_writes, cold.parity_writes);
 }
 
 TEST_F(ParityDeviceTest, FullStripeSequentialWriteBeatsRmwThroughput) {

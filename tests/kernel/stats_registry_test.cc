@@ -59,6 +59,8 @@ TEST(StatsRegistry, EveryKnownStatsStructIsRegistered) {
   const Deployment deployments[] = {
       {"xv6_bento", "", {"FlusherStats", "ModuleStats", "LogStats"}},
       {"xv6_bento", "stripe=4", {"AggregateVolumeStats", "LogStats"}},
+      {"xv6_bento", "parity=4",
+       {"AggregateVolumeStats", "ParityVolumeStats", "LogStats"}},
       {"xv6_nvmlog", "", {"ModuleStats", "NvmLogStats", "LogStats"}},
       {"xv6_vfs", "", {"FlusherStats", "CLogStats"}},
       {"xv6_fuse", "", {"FuseConnStats", "ModuleStats", "LogStats"}},
@@ -71,7 +73,7 @@ TEST(StatsRegistry, EveryKnownStatsStructIsRegistered) {
   std::vector<std::string> all_known = {
       "DeviceStats",    "RequestQueueStats", "PlugStats",
       "BufferCacheStats", "AddressSpaceStats", "FlusherStats",
-      "AggregateVolumeStats", "ModuleStats", "LogStats",
+      "AggregateVolumeStats", "ParityVolumeStats", "ModuleStats", "LogStats",
       "NvmLogStats",    "CLogStats",       "FuseConnStats",
       "JournalStats",   "MapStats"};
   std::string everything;

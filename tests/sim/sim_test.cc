@@ -191,35 +191,6 @@ TEST(SimRwLock, WriterWaitsForTheLastReleaseWithoutAWakeupCharge) {
   }
 }
 
-TEST(BatchGate, SharesCostWithinWindow) {
-  BatchGate gate(usec(100));
-  SimThread a(0);
-  SimThread b(1);
-  Nanos done_a = 0;
-  {
-    ScopedThread in(a);
-    done_a = gate.join(usec(500));
-    EXPECT_EQ(done_a, usec(600));  // window + cost
-  }
-  {
-    ScopedThread in(b);
-    b.wait_until(usec(50));  // arrives within the window
-    const Nanos done_b = gate.join(usec(500));
-    EXPECT_EQ(done_b, done_a);  // shares the in-flight batch
-  }
-  EXPECT_EQ(gate.batches_started(), 1u);
-  EXPECT_EQ(gate.joins(), 1u);
-
-  SimThread c(2);
-  {
-    ScopedThread in(c);
-    c.wait_until(usec(1000));  // far past the batch
-    const Nanos done_c = gate.join(usec(500));
-    EXPECT_EQ(done_c, usec(1600));
-  }
-  EXPECT_EQ(gate.batches_started(), 2u);
-}
-
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42);
   Rng b(42);
