@@ -75,7 +75,6 @@ void sum_queue_stats(blk::BlockDevice& dev, blk::RequestQueueStats& out) {
   const auto& s = dev.queue().stats();
   out.retries += s.retries;
   out.retry_successes += s.retry_successes;
-  out.deadline_expirations += s.deadline_expirations;
   if (auto* agg = dynamic_cast<blk::AggregateDevice*>(&dev)) {
     for (std::size_t i = 0; i < agg->members(); ++i) {
       sum_queue_stats(agg->member(i), out);
@@ -135,8 +134,8 @@ int main() {
   std::printf(
       "fault-path: pwrite(4K)+fsync under scheduled faults + retry, "
       "xv6-on-Bento\n");
-  std::printf("%-10s %-8s %10s %12s %10s %10s %10s\n", "volume", "state",
-              "ops/s", "p99(us)", "retries", "healed", "expired");
+  std::printf("%-10s %-8s %10s %12s %10s %10s\n", "volume", "state",
+              "ops/s", "p99(us)", "retries", "healed");
 
   JsonReport json("faultpath", "ops/s");
   const Config configs[] = {
@@ -165,13 +164,11 @@ int main() {
       }
       const Result res = run_faultpath(r, faulted);
       const char* state = faulted ? "faulted" : "healthy";
-      std::printf("%-10s %-8s %10.1f %12.1f %10llu %10llu %10llu\n", c.name,
+      std::printf("%-10s %-8s %10.1f %12.1f %10llu %10llu\n", c.name,
                   state, res.stats.ops_per_sec(),
                   static_cast<double>(res.stats.latency.quantile(0.99)) / 1e3,
                   static_cast<unsigned long long>(res.queues.retries),
-                  static_cast<unsigned long long>(res.queues.retry_successes),
-                  static_cast<unsigned long long>(
-                      res.queues.deadline_expirations));
+                  static_cast<unsigned long long>(res.queues.retry_successes));
       std::fflush(stdout);
       if (faulted) {
         json.add_config(c.name, run);

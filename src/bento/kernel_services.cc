@@ -34,10 +34,6 @@ WriteTicket BlockBackend::bh_sync_batch_async(std::span<void* const> impls) {
   return WriteTicket{};
 }
 
-void BlockBackend::bh_sync_wait(const WriteTicket& t) {
-  if (t.barrier > 0) sim::current().wait_until(t.barrier);
-}
-
 WriteTicket SuperBlockCap::sync_batch_async(
     std::span<BufferHeadHandle* const> handles) {
   std::vector<void*> impls;
@@ -82,16 +78,6 @@ void BufferHeadHandle::reset() {
 void KernelBlockBackend::flush_all() {
   cache_->sync_all();
   cache_->issue_flush();
-}
-
-WriteTicket KernelBlockBackend::flush_all_async() {
-  // Same program point as flush_all — media/durability effects land now
-  // (writeback of unpinned dirty buffers, then the device FLUSH barrier)
-  // — but the caller is not advanced; the completion rides the ticket.
-  cache_->sync_all_nowait();
-  WriteTicket t;
-  t.barrier = cache_->device().flush_nowait();
-  return t;
 }
 
 kern::Result<BufferHeadHandle> KernelBlockBackend::bread(
@@ -144,7 +130,6 @@ WriteTicket KernelBlockBackend::bh_sync_batch_async(
 
 void KernelBlockBackend::bh_sync_wait(const WriteTicket& t) {
   cache_->wait(t.ticket);
-  if (t.barrier > 0) sim::current().wait_until(t.barrier);
 }
 
 void KernelBlockBackend::bh_pin_journal(std::uint64_t blockno, bool pin) {

@@ -34,11 +34,8 @@ class BufferHeadHandle;
 /// Ticket without kernel pointers). Obtained from
 /// SuperBlockCap::sync_batch_async; redeemed with SuperBlockCap::wait.
 /// Default-constructed tickets are empty and waiting on them is a no-op.
-/// `barrier` carries the completion time of a non-blocking durability
-/// barrier (flush_all_async): waiting advances the caller past it.
 struct WriteTicket {
   blk::Ticket ticket{};
-  sim::Nanos barrier = 0;
 };
 
 /// Where block I/O goes: the two implementations embody the kernel/user
@@ -52,18 +49,6 @@ class BlockBackend {
   /// Durability barrier for everything previously written (device FLUSH in
   /// the kernel; fsync of the disk file from userspace).
   virtual void flush_all() = 0;
-
-  /// Non-blocking durability barrier: all barrier/media effects happen
-  /// NOW (same program point, so crash semantics match flush_all), but
-  /// the caller is not advanced to the barrier's completion — the
-  /// returned ticket carries it for a later wait. Backends without an
-  /// async path fall back to the synchronous barrier. This is what lets
-  /// a pipelined journal keep transaction N's commit barrier in flight
-  /// while transaction N+1 fills.
-  virtual WriteTicket flush_all_async() {
-    flush_all();
-    return WriteTicket{};
-  }
 
   /// Stripe geometry hint (blocks per full stripe row; 0 = no striping).
   [[nodiscard]] virtual std::uint64_t stripe_width() const { return 0; }
@@ -115,7 +100,7 @@ class BlockBackend {
   /// have no async device path) performs the write synchronously and
   /// returns an empty ticket.
   virtual WriteTicket bh_sync_batch_async(std::span<void* const> impls);
-  virtual void bh_sync_wait(const WriteTicket& t);
+  virtual void bh_sync_wait(const WriteTicket& t) { (void)t; }
   virtual void bh_release(void* impl) = 0;
   /// Journal pinning (jbd2-style buffer ownership): while pinned, a dirty
   /// block belongs to a running transaction and background writeback must
@@ -238,9 +223,6 @@ class SuperBlockCap {
   void wait(const WriteTicket& t) { backend_->bh_sync_wait(t); }
   /// Durability barrier.
   void flush_all() { backend_->flush_all(); }
-  /// Non-blocking durability barrier (see BlockBackend::flush_all_async):
-  /// barrier effects land now, the completion rides the ticket.
-  WriteTicket flush_all_async() { return backend_->flush_all_async(); }
   /// Journal pinning: mark `blockno`'s cached buffer as owned by the
   /// running transaction (background writeback keeps its hands off until
   /// the commit writes it). Unpinning happens implicitly at writeback.
@@ -284,7 +266,6 @@ class KernelBlockBackend final : public BlockBackend {
     return cache_->device().nblocks();
   }
   void flush_all() override;
-  WriteTicket flush_all_async() override;
   [[nodiscard]] std::uint64_t stripe_width() const override {
     return cache_->device().stripe_width_blocks();
   }

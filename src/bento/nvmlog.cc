@@ -464,9 +464,9 @@ Result<StatfsOut> NvmLogFs::statfs(const Request& req, SbRef sb) {
   if (!r.ok()) return r;
   // Data held in the log consumes space the digest will need: report it
   // as used so callers see a consistent free-space trajectory.
-  const std::uint64_t log_blocks =
+  const std::uint64_t pending_blocks =
       (pending_bytes() + kern::kPageSize - 1) / kern::kPageSize;
-  r.value().free_blocks -= std::min(r.value().free_blocks, log_blocks);
+  r.value().free_blocks -= std::min(r.value().free_blocks, pending_blocks);
   return r;
 }
 

@@ -80,16 +80,9 @@ void RequestQueue::dispatch(std::vector<Bio*>& list, sim::Nanos& last_done) {
 }
 
 void RequestQueue::retry_bio(Bio& b, sim::Nanos& last_done) {
-  const sim::Nanos deadline = policy_.deadline > 0 && b.queued_at >= 0
-                                  ? b.queued_at + policy_.deadline
-                                  : 0;
   while (b.io_error && b.retryable) {
     if (b.retries >= policy_.max_retries) break;  // exhausted: stays failed
     const sim::Nanos at = b.done_at + policy_.backoff;
-    if (deadline != 0 && at > deadline) {
-      stats_.deadline_expirations += 1;
-      break;
-    }
     b.retries += 1;
     stats_.retries += 1;
     if (Tracer* tr = dev_->tracer_.get(); tr != nullptr) {

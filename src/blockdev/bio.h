@@ -152,21 +152,17 @@ struct RequestQueueStats {
   // ---- transient-error retry policy (see RetryPolicy) ----
   std::uint64_t retries = 0;            // retry attempts issued
   std::uint64_t retry_successes = 0;    // retried bios that then completed
-  std::uint64_t deadline_expirations = 0;  // retries abandoned at deadline
 };
 
 /// Bounded-retry policy for transient failures, applied per bio by the
 /// request queue: a bio that fails with Bio::retryable set is reissued up
 /// to `max_retries` times, each attempt `backoff` after the previous
 /// failure's completion (in virtual time — the md/SCSI mid-layer requeue).
-/// `deadline` bounds the total queue residency: a retry that would start
-/// later than queued_at + deadline is abandoned and the bio stays failed.
 /// The default (max_retries = 0) disables retry entirely, keeping the
 /// zero-fault path bit-identical.
 struct RetryPolicy {
   std::uint32_t max_retries = 0;
   sim::Nanos backoff = sim::usec(50);
-  sim::Nanos deadline = 0;  // 0 = no deadline
 
   bool operator==(const RetryPolicy&) const = default;
 };

@@ -4,9 +4,7 @@
 
 namespace bsim::blk {
 
-std::size_t commit_threshold(std::size_t set, std::size_t cap,
-                             std::uint64_t stripe_width) {
-  if (set > 0) return set;
+std::size_t commit_threshold(std::size_t cap, std::uint64_t stripe_width) {
   if (stripe_width > 0 && stripe_width < cap) {
     cap -= cap % static_cast<std::size_t>(stripe_width);
   }

@@ -49,10 +49,10 @@ struct JournalCounters {
   sim::LatencyHistogram checkpoint_lat;  // install to home locations
 };
 
-/// The group-commit block trigger: `set` when the mount set one, else
-/// `cap` rounded down to whole stripe rows, so the checkpoint hands every
-/// member of a striped volume a full merged share.
-[[nodiscard]] std::size_t commit_threshold(std::size_t set, std::size_t cap,
+/// The group-commit block trigger: `cap` rounded down to whole stripe
+/// rows, so the checkpoint hands every member of a striped volume a full
+/// merged share.
+[[nodiscard]] std::size_t commit_threshold(std::size_t cap,
                                            std::uint64_t stripe_width);
 
 /// The running transaction: tagged home blocks, in tag order, and the

@@ -41,7 +41,6 @@ MirroredDevice::MirroredDevice(MirrorParams mp,
   const std::size_t n = members.size();
   adopt_children(std::move(members), std::move(spares), mirror_.rebuild_batch,
                  mirror_.rebuild_lead);
-  busy_until_.assign(n, 0);
   lat_ewma_.assign(n, 0);
   last_read_end_.assign(n, ~0ULL);
   if (mirror_.auto_scrub) arm_auto_scrub();
@@ -65,7 +64,7 @@ bool MirroredDevice::has_rebuild_source(std::size_t target) const {
 
 std::size_t MirroredDevice::pick_read_member(std::uint64_t first_block) {
   const std::size_t n = children_.size();
-  // Sequential affinity beats the policy: a read continuing the stream a
+  // Sequential affinity beats round-robin: a read continuing the stream a
   // member is already serving stays there, so the member prices it at the
   // sequential rate instead of paying a random seek on every other
   // replica (md read_balance's closest-head rule).
@@ -75,43 +74,17 @@ std::size_t MirroredDevice::pick_read_member(std::uint64_t first_block) {
       return m;
     }
   }
-  if (mirror_.policy == MirrorReadPolicy::RoundRobin) {
-    // Cycle through the members; a pick that lands on an unserving member
-    // is redirected to the next healthy one.
-    for (std::size_t step = 0; step < n; ++step) {
-      const std::size_t m = (rr_next_ + step) % n;
-      if (healthy_[m]) {
-        rr_next_ = (m + 1) % n;
-        if (step != 0) vstats_.redirected_reads += 1;
-        return m;
-      }
-    }
-    return n;  // no healthy member
-  }
-  // Shortest queue: lowest EXPECTED completion — outstanding
-  // volume-submitted work plus the member's observed-latency EWMA (a
-  // member that finishes bios slowly scores worse than an equally-deep
-  // fast one) — with DeviceStats busy as the tie-break (the long-term
-  // balance signal), then index.
-  const sim::Nanos now = sim::now();
-  std::size_t best = n;
-  sim::Nanos best_score = 0;
-  for (std::size_t m = 0; m < n; ++m) {
-    if (!healthy_[m]) continue;
-    const sim::Nanos pending = busy_until_[m] > now ? busy_until_[m] - now : 0;
-    const sim::Nanos score = pending + lat_ewma_[m];
-    if (best == n || score < best_score ||
-        (score == best_score &&
-         children_[m]->stats().busy < children_[best]->stats().busy)) {
-      best = m;
-      best_score = score;
+  // Cycle through the members; a pick that lands on an unserving member
+  // is redirected to the next healthy one.
+  for (std::size_t step = 0; step < n; ++step) {
+    const std::size_t m = (rr_next_ + step) % n;
+    if (healthy_[m]) {
+      rr_next_ = (m + 1) % n;
+      if (step != 0) vstats_.redirected_reads += 1;
+      return m;
     }
   }
-  return best;
-}
-
-void MirroredDevice::note_submission(std::size_t member, const Ticket& t) {
-  busy_until_[member] = std::max(busy_until_[member], t.done);
+  return n;  // no healthy member
 }
 
 void MirroredDevice::note_latency(std::size_t member, sim::Nanos sample) {
@@ -167,7 +140,6 @@ void MirroredDevice::submit_writes(const std::vector<Bio*>& parents,
     if (copies[m].empty()) continue;
     const Ticket t = children_[m]->submit_async(copies[m]);
     tickets.emplace_back(m, t);
-    note_submission(m, t);
     last_done = std::max(last_done, t.done);
     for (std::size_t i = 0; i < copies[m].size(); ++i) {
       Bio* parent = parents[i];
@@ -222,7 +194,6 @@ void MirroredDevice::submit_reads(const std::vector<Bio*>& parents,
     if (frags[m].empty()) continue;
     const Ticket t = children_[m]->submit_async(frags[m]);
     tickets.emplace_back(m, t);
-    note_submission(m, t);
     last_done = std::max(last_done, t.done);
     for (std::size_t i = 0; i < frags[m].size(); ++i) {
       Bio* parent = owners[m][i];
@@ -253,7 +224,6 @@ void MirroredDevice::submit_reads(const std::vector<Bio*>& parents,
         const Ticket t =
             children_[alt]->submit_async(std::span<Bio>(&retry, 1));
         tickets.emplace_back(alt, t);
-        note_submission(alt, t);
         last_read_end_[alt] = parent->end_block();
         last_done = std::max(last_done, t.done);
         parent->done_at = std::max(parent->done_at, retry.done_at);
@@ -304,12 +274,12 @@ void MirroredDevice::write_untimed(std::uint64_t blockno,
 bool MirroredDevice::rebuild_source_read(std::uint64_t start,
                                          std::uint64_t n) {
   // Resync-source selection: candidates ordered by observed
-  // completion-latency EWMA — the shortest-queue policy's signal — so the
-  // copy reads from the fastest replica instead of blindly from the first
-  // healthy one. Never-observed members (EWMA 0) and ties keep index
-  // order, which preserves the historical first-healthy pick. A medium
-  // error on the chosen source falls over to the next candidate (the
-  // failed attempt still cost its service time).
+  // read-completion-latency EWMA, so the copy reads from the fastest
+  // replica instead of blindly from the first healthy one. Never-observed
+  // members (EWMA 0) and ties keep index order, which preserves the
+  // historical first-healthy pick. A medium error on the chosen source
+  // falls over to the next candidate (the failed attempt still cost its
+  // service time).
   std::vector<std::size_t> order;
   for (std::size_t m = 0; m < children_.size(); ++m) {
     if (healthy_[m]) order.push_back(m);

@@ -10,17 +10,11 @@
 // volume hands each member its copy of the batch through `submit_async`,
 // so one caller transfers to all replicas concurrently in virtual time (a
 // mirrored write costs what a single-device write costs, not N of them).
-// Reads are balanced across the healthy members by a per-bio policy:
-//   - round-robin (`policy=rr`, default): cycle through healthy members;
-//   - shortest-queue (`policy=sq`): pick the member with the lowest
-//     expected completion time — outstanding volume-submitted work PLUS
-//     an EWMA of the member's observed per-bio completion latency
-//     (Bio::done_at), with cumulative DeviceStats::busy as the
-//     tie-break. The latency term makes an intrinsically slow replica
-//     (degraded flash, a rebuilding member) repel reads even when queue
-//     depths are momentarily equal.
-// With all members healthy an N-way mirror therefore serves ~N× the
-// random-read bandwidth of one device.
+// Reads are balanced across the healthy members per bio: a read that
+// continues a stream stays on the member already serving it (sequential
+// affinity), and every other read goes round-robin over the healthy
+// members. With all members healthy an N-way mirror therefore serves ~N×
+// the random-read bandwidth of one device.
 //
 // Member-failure fault model — distinct from the power-loss crash model:
 //   - fail_member(i): fail-stop. The member vanishes from now on (its
@@ -34,11 +28,10 @@
 //     propagates io_error when every healthy member fails it.
 //
 // Online rebuild (machinery in AggregateDevice): the resync source is the
-// healthy peer with the lowest observed completion-latency EWMA — the
-// same signal the sq read policy uses — so a slow replica is not made
-// slower by also feeding the resync. A scrub pass compares the replicas
-// block-for-block and repairs divergent copies from the first healthy
-// member.
+// healthy peer with the lowest observed read-completion-latency EWMA, so
+// a slow replica is not made slower by also feeding the resync. A scrub
+// pass compares the replicas block-for-block and repairs divergent copies
+// from the first healthy member.
 //
 // Stacking: RAID10 = StripedDevice constructed over MirroredDevice
 // members (see StripedDevice's prebuilt-children constructor). The mirror
@@ -53,11 +46,8 @@
 
 namespace bsim::blk {
 
-enum class MirrorReadPolicy : std::uint8_t { RoundRobin, ShortestQueue };
-
 struct MirrorParams {
   std::size_t nmirrors = 2;
-  MirrorReadPolicy policy = MirrorReadPolicy::RoundRobin;
   /// Hot spares kept on cold standby (deployed on fail_member).
   std::size_t nspares = 0;
   /// One replica-verification pass starts with the first submission.
@@ -69,9 +59,9 @@ struct MirrorParams {
   sim::Nanos rebuild_lead = 2 * sim::kMillisecond;
 };
 
+/// The mirroring policy's own counters (submission, rebuild, spare and
+/// scrub accounting shared by every volume lives in AggregateVolumeStats).
 struct MirrorVolumeStats {
-  std::uint64_t batches = 0;        // submit() + submit_async() calls
-  std::uint64_t bios = 0;           // logical bios submitted
   std::uint64_t replicated_writes = 0;  // member write bios produced
   std::uint64_t balanced_reads = 0;     // read bios routed by policy
   std::uint64_t sequential_affinity_reads = 0;  // kept on the stream member
@@ -79,15 +69,7 @@ struct MirrorVolumeStats {
   std::uint64_t degraded_writes = 0;  // writes served while degraded
   std::uint64_t redirected_reads = 0;   // policy pick unavailable/failed
   std::uint64_t read_error_failovers = 0;  // io_error retried on a mirror
-  std::uint64_t async_batches = 0;
-  std::uint64_t max_inflight = 0;   // peak unredeemed volume tickets
-  // ---- rebuild (maintained by AggregateDevice) ----
-  std::uint64_t rebuilds_started = 0;
-  std::uint64_t rebuilds_completed = 0;
-  std::uint64_t rebuilds_aborted = 0;   // member failed mid-rebuild
-  std::uint64_t rebuild_copied = 0;     // blocks copied by the resync
   std::uint64_t rebuild_write_intercepts = 0;  // writes ahead of cursor
-  std::uint64_t rebuild_throttle_yields = 0;   // backpressure pauses
 };
 
 class MirroredDevice final : public AggregateDevice {
@@ -95,23 +77,13 @@ class MirroredDevice final : public AggregateDevice {
   /// Uniform members: every member stores the FULL logical image, so
   /// `member_params.nblocks` is both the member and the volume size.
   MirroredDevice(MirrorParams mp, DeviceParams member_params);
-  /// Heterogeneous members (e.g. one slow replica in policy tests). All
+  /// Heterogeneous members (e.g. one slow replica in rebuild tests). All
   /// members must be the same size. Spares are shaped like the first.
   MirroredDevice(MirrorParams mp, std::vector<DeviceParams> member_params);
   ~MirroredDevice() override;
 
   [[nodiscard]] const MirrorParams& mirror() const { return mirror_; }
   [[nodiscard]] const MirrorVolumeStats& volume_stats() const {
-    const AggregateVolumeStats& a = aggregate_stats();
-    vstats_.batches = a.batches;
-    vstats_.bios = a.bios;
-    vstats_.async_batches = a.async_batches;
-    vstats_.max_inflight = a.max_inflight;
-    vstats_.rebuilds_started = a.rebuilds_started;
-    vstats_.rebuilds_completed = a.rebuilds_completed;
-    vstats_.rebuilds_aborted = a.rebuilds_aborted;
-    vstats_.rebuild_copied = a.rebuild_copied;
-    vstats_.rebuild_throttle_yields = a.rebuild_throttle_yields;
     return vstats_;
   }
 
@@ -124,9 +96,8 @@ class MirroredDevice final : public AggregateDevice {
     return *this;
   }
 
-  /// Observed completion-latency EWMA for member `i` (shortest-queue
-  /// policy input and resync-source selector; 0 until the member has
-  /// served anything).
+  /// Observed read-completion-latency EWMA for member `i` (the
+  /// resync-source selector; 0 until the member has served a read).
   [[nodiscard]] sim::Nanos member_latency_ewma(std::size_t i) const {
     return lat_ewma_[i];
   }
@@ -167,7 +138,7 @@ class MirroredDevice final : public AggregateDevice {
   /// Pick the member to serve a read bio: sequential affinity first (a
   /// read continuing a stream stays on the member whose "head" is already
   /// there, like md's read_balance, so mirrored sequential streams keep
-  /// the device's sequential pricing), then the configured policy.
+  /// the device's sequential pricing), then round-robin.
   [[nodiscard]] std::size_t pick_read_member(std::uint64_t first_block);
   [[nodiscard]] std::size_t first_healthy() const;
 
@@ -175,7 +146,6 @@ class MirroredDevice final : public AggregateDevice {
                      sim::Nanos& last_done);
   void submit_reads(const std::vector<Bio*>& parents, ChildTickets& tickets,
                     sim::Nanos& last_done);
-  void note_submission(std::size_t member, const Ticket& t);
   /// Fold one observed bio completion (done_at - submission time) into the
   /// member's latency EWMA (alpha = 1/8, like md's io-latency averaging).
   void note_latency(std::size_t member, sim::Nanos sample);
@@ -183,20 +153,15 @@ class MirroredDevice final : public AggregateDevice {
   static DeviceParams volume_params(const std::vector<DeviceParams>& members);
 
   MirrorParams mirror_;
-  /// Estimated absolute time each member's queue drains what WE submitted
-  /// (shortest-queue policy input; per-member DeviceStats break ties).
-  std::vector<sim::Nanos> busy_until_;
-  /// EWMA of observed per-member completion latency (Bio::done_at minus
-  /// submission time). The sq policy adds this to the outstanding-work
-  /// estimate, so a member that is intrinsically slow (not merely busy)
-  /// repels reads even at equal queue depth (ROADMAP follow-up).
+  /// EWMA of observed per-member read-completion latency (Bio::done_at
+  /// minus submission time): the resync source is the lowest.
   std::vector<sim::Nanos> lat_ewma_;
   /// One past the last block of the latest read routed to each member
   /// (the sequential-affinity "head position").
   std::vector<std::uint64_t> last_read_end_;
   std::size_t rr_next_ = 0;
 
-  mutable MirrorVolumeStats vstats_;
+  MirrorVolumeStats vstats_;
 };
 
 }  // namespace bsim::blk

@@ -22,8 +22,6 @@
 #include <string_view>
 
 #include "blockdev/bio.h"
-#include "blockdev/mirrored.h"
-#include "blockdev/striped.h"
 
 namespace bsim::blk {
 
@@ -53,9 +51,7 @@ struct MountOpts {
   // ---- the volume (Kernel::add_volume) ----
   std::size_t stripe = 1;    // RAID0 members (1: not striped)
   std::uint64_t chunk = 16;  // stripe and parity chunk, in blocks
-  StripeMode stripe_mode = StripeMode::Raid0;
   std::size_t mirror = 1;    // RAID1 replicas (1: not mirrored)
-  MirrorReadPolicy policy = MirrorReadPolicy::RoundRobin;
   std::size_t parity = 0;    // RAID5 data columns (<2: no parity)
   std::size_t spares = 0;    // hot spares per redundant leaf
   bool scrub = false;        // one verify pass from the first submission
@@ -68,7 +64,6 @@ struct MountOpts {
   bool plug = true;               // request plugging (flusher + journal)
   bool pipeline = true;           // pipelined journal commits (xv6, ext4)
   std::size_t max_log_batch = 8;  // xv6 group commit: ops per commit
-  std::size_t log_blocks = 0;     // xv6 group commit block trigger (0: auto)
   bool io_uring = false;          // FUSE daemon batches its block I/O
   bool extfuse = false;           // FUSE eBPF metadata caches
 
@@ -76,8 +71,8 @@ struct MountOpts {
 };
 
 enum class OptKind : std::uint8_t {
-  Flag,    // a bare word ("linear")
-  Enum,    // one value of an enumerated option ("policy=sq")
+  Flag,    // a bare word ("scrub")
+  Enum,    // one value of an enumerated option ("errors=continue")
   Number,  // "key=N", N a 32-bit decimal >= the entry's minimum
 };
 
@@ -98,13 +93,7 @@ using N = std::uint64_t;
 inline constexpr OptSpec kEntries[] = {
     {"stripe=", K::Number, 1, [](M& o, N n) { o.stripe = n; }},
     {"chunk=", K::Number, 1, [](M& o, N n) { o.chunk = n; }},
-    {"linear", K::Flag, 0,
-     [](M& o, N) { o.stripe_mode = StripeMode::Linear; }},
     {"mirror=", K::Number, 1, [](M& o, N n) { o.mirror = n; }},
-    {"policy=rr", K::Enum, 0,
-     [](M& o, N) { o.policy = MirrorReadPolicy::RoundRobin; }},
-    {"policy=sq", K::Enum, 0,
-     [](M& o, N) { o.policy = MirrorReadPolicy::ShortestQueue; }},
     {"parity=", K::Number, 0, [](M& o, N n) { o.parity = n; }},
     {"spare=", K::Number, 0, [](M& o, N n) { o.spares = n; }},
     {"scrub", K::Flag, 0, [](M& o, N) { o.scrub = true; }},
@@ -114,10 +103,6 @@ inline constexpr OptSpec kEntries[] = {
     {"retry_backoff_us=", K::Number, 0,
      [](M& o, N n) {
        o.retry.backoff = sim::usec(static_cast<sim::Nanos>(n));
-     }},
-    {"io_deadline_ms=", K::Number, 0,
-     [](M& o, N n) {
-       o.retry.deadline = sim::msec(static_cast<sim::Nanos>(n));
      }},
     {"errors=remount-ro", K::Enum, 0,
      [](M& o, N) { o.errors = ErrorsMode::RemountRo; }},
@@ -130,7 +115,6 @@ inline constexpr OptSpec kEntries[] = {
     {"nopipeline", K::Flag, 0, [](M& o, N) { o.pipeline = false; }},
     {"max_log_batch=", K::Number, 1, [](M& o, N n) { o.max_log_batch = n; }},
     {"nogroup", K::Flag, 0, [](M& o, N) { o.max_log_batch = 1; }},
-    {"log_blocks=", K::Number, 1, [](M& o, N n) { o.log_blocks = n; }},
     {"io_uring", K::Flag, 0, [](M& o, N) { o.io_uring = true; }},
     {"extfuse", K::Flag, 0, [](M& o, N) { o.extfuse = true; }},
 };

@@ -63,6 +63,15 @@ DeviceParams ParityDevice::volume_params(
   return p;
 }
 
+DeviceParams ParityDevice::member_shape(const ParityParams& pp,
+                                       DeviceParams volume) {
+  const std::uint64_t ck = std::max<std::uint64_t>(pp.chunk_blocks, 1);
+  std::uint64_t usable = (volume.nblocks + pp.ndata - 1) / pp.ndata;
+  usable = (usable + ck - 1) / ck * ck;
+  volume.nblocks = usable + kBitmapBlocks;
+  return volume;
+}
+
 ParityDevice::ParityDevice(ParityParams pp, DeviceParams member_params)
     : ParityDevice(pp, std::vector<DeviceParams>(pp.ndata + 1,
                                                  member_params)) {}

@@ -94,9 +94,9 @@ struct ParityParams {
   sim::Nanos rebuild_lead = 2 * sim::kMillisecond;
 };
 
+/// The parity policy's own counters (submission, rebuild, spare and scrub
+/// accounting shared by every volume lives in AggregateVolumeStats).
 struct ParityVolumeStats {
-  std::uint64_t batches = 0;        // submit() + submit_async() calls
-  std::uint64_t bios = 0;           // logical bios submitted
   std::uint64_t fragments = 0;      // member data bios produced
   // ---- write-path selection ----
   std::uint64_t full_stripe_writes = 0;  // lines via reconstruct-write
@@ -110,18 +110,6 @@ struct ParityVolumeStats {
   std::uint64_t degraded_writes = 0;     // write bios served while degraded
   std::uint64_t reconstructed_blocks = 0;  // blocks rebuilt by XOR
   std::uint64_t read_error_failovers = 0;  // medium errors healed by XOR
-  std::uint64_t async_batches = 0;
-  std::uint64_t max_inflight = 0;
-  // ---- rebuild + spares + scrub (maintained by AggregateDevice) ----
-  std::uint64_t rebuilds_started = 0;
-  std::uint64_t rebuilds_completed = 0;
-  std::uint64_t rebuilds_aborted = 0;
-  std::uint64_t rebuild_copied = 0;
-  std::uint64_t rebuild_throttle_yields = 0;
-  std::uint64_t spares_deployed = 0;
-  std::uint64_t scrub_steps = 0;
-  std::uint64_t scrub_mismatches = 0;
-  std::uint64_t scrub_repairs = 0;
 };
 
 class ParityDevice final : public AggregateDevice {
@@ -141,24 +129,14 @@ class ParityDevice final : public AggregateDevice {
   /// Heterogeneous members (fault/latency tests). All members must have
   /// the same usable size. Spares are shaped like the first.
   ParityDevice(ParityParams pp, std::vector<DeviceParams> member_params);
+  /// The member shape of a volume of LOGICAL size `volume.nblocks`: a data
+  /// column rounded up to whole chunks, plus the intent-bitmap head.
+  [[nodiscard]] static DeviceParams member_shape(const ParityParams& pp,
+                                                 DeviceParams volume);
   ~ParityDevice() override;
 
   [[nodiscard]] const ParityParams& parity() const { return parity_; }
   [[nodiscard]] const ParityVolumeStats& volume_stats() const {
-    const AggregateVolumeStats& a = aggregate_stats();
-    vstats_.batches = a.batches;
-    vstats_.bios = a.bios;
-    vstats_.async_batches = a.async_batches;
-    vstats_.max_inflight = a.max_inflight;
-    vstats_.rebuilds_started = a.rebuilds_started;
-    vstats_.rebuilds_completed = a.rebuilds_completed;
-    vstats_.rebuilds_aborted = a.rebuilds_aborted;
-    vstats_.rebuild_copied = a.rebuild_copied;
-    vstats_.rebuild_throttle_yields = a.rebuild_throttle_yields;
-    vstats_.spares_deployed = a.spares_deployed;
-    vstats_.scrub_steps = a.scrub_steps;
-    vstats_.scrub_mismatches = a.scrub_mismatches;
-    vstats_.scrub_repairs = a.scrub_repairs;
     return vstats_;
   }
 
@@ -341,7 +319,7 @@ class ParityDevice final : public AggregateDevice {
   std::vector<bool> region_dirty_;   // in-memory intent bitmap
   BlockData bitmap_page_;            // on-media image (replicated)
   StripeCache stripe_cache_{kStripeCacheLines};
-  mutable ParityVolumeStats vstats_;
+  ParityVolumeStats vstats_;
 };
 
 }  // namespace bsim::blk

@@ -46,7 +46,6 @@ void dump_queue_stats(sim::JsonWriter& w, const std::string& name,
   w.field("max_inflight", s.max_inflight);
   w.field("retries", s.retries);
   w.field("retry_successes", s.retry_successes);
-  w.field("deadline_expirations", s.deadline_expirations);
   w.end_object();
 }
 

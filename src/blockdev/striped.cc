@@ -12,9 +12,7 @@ DeviceParams StripedDevice::volume_params(
   assert(!children.empty());
   DeviceParams p = children.front();
   std::uint64_t usable = children.front().nblocks;
-  if (sp.mode == StripeMode::Raid0) {
-    usable -= usable % sp.chunk_blocks;
-  }
+  usable -= usable % sp.chunk_blocks;
   p.nblocks = usable * children.size();
   p.channels = 0;
   for (const DeviceParams& c : children) p.channels += c.channels;
@@ -57,22 +55,15 @@ StripedDevice::StripedDevice(StripeParams sp,
     : AggregateDevice(volume_params(sp, params_of(children))), stripe_(sp) {
   assert(!children.empty());
   stripe_.ndevices = children.size();
-  child_usable_ = children.front()->nblocks();
-  if (stripe_.mode == StripeMode::Raid0) {
-    assert(stripe_.chunk_blocks > 0);
-    child_usable_ -= child_usable_ % stripe_.chunk_blocks;
-  }
-  if (child_usable_ == 0) {
+  assert(stripe_.chunk_blocks > 0);
+  auto usable = [&](const BlockDevice& c) {
+    return c.nblocks() - c.nblocks() % stripe_.chunk_blocks;
+  };
+  if (usable(*children.front()) == 0) {
     throw std::invalid_argument("striped member smaller than one chunk");
   }
-  // Raid0 requires a uniform usable size; linear concat uses the same
-  // rule so the logical->member mapping stays a pure function.
   for (const auto& c : children) {
-    std::uint64_t usable = c->nblocks();
-    if (stripe_.mode == StripeMode::Raid0) {
-      usable -= usable % stripe_.chunk_blocks;
-    }
-    if (usable != child_usable_) {
+    if (usable(*c) != usable(*children.front())) {
       throw std::invalid_argument("striped members must be the same size");
     }
   }
@@ -82,15 +73,11 @@ StripedDevice::StripedDevice(StripeParams sp,
 StripedDevice::~StripedDevice() = default;
 
 std::size_t StripedDevice::child_of(std::uint64_t blockno) const {
-  if (stripe_.mode == StripeMode::Linear) {
-    return static_cast<std::size_t>(blockno / child_usable_);
-  }
   return static_cast<std::size_t>((blockno / stripe_.chunk_blocks) %
                                   children_.size());
 }
 
 std::uint64_t StripedDevice::child_block_of(std::uint64_t blockno) const {
-  if (stripe_.mode == StripeMode::Linear) return blockno % child_usable_;
   const std::uint64_t chunk = blockno / stripe_.chunk_blocks;
   return (chunk / children_.size()) * stripe_.chunk_blocks +
          blockno % stripe_.chunk_blocks;

@@ -1,5 +1,5 @@
-// Multi-device striped volumes: a RAID0-style (or linear-concat) aggregate
-// of N BlockDevices behind the ordinary BlockDevice interface.
+// Multi-device striped volumes: a RAID0 aggregate of N BlockDevices
+// behind the ordinary BlockDevice interface.
 //
 // The shared aggregate machinery — per-member RequestQueues, async ticket
 // fan-out/fan-in, the logical-write-bio crash model, per-member stats
@@ -17,7 +17,6 @@
 // A logical run that crosses a chunk boundary is split there; within a
 // chunk the child blocks stay consecutive, so a long sequential logical
 // run becomes N long sequential child runs that merge per child.
-// Linear mode concatenates the children instead (child = block / size).
 //
 // Crash model (see AggregateDevice):
 //   - kill_after(n) counts *logical* write bios, in the same write-sorted
@@ -36,32 +35,25 @@
 
 namespace bsim::blk {
 
-enum class StripeMode : std::uint8_t { Raid0, Linear };
-
 struct StripeParams {
   std::size_t ndevices = 2;
   std::uint64_t chunk_blocks = 16;  // 64 KiB chunks
-  StripeMode mode = StripeMode::Raid0;
 };
 
-/// Volume-level submission accounting (the member queues keep their own
-/// RequestQueueStats underneath).
+/// The striping policy's own counters (submission accounting shared by
+/// every volume lives in AggregateVolumeStats).
 struct StripeVolumeStats {
-  std::uint64_t batches = 0;        // submit() + submit_async() calls
-  std::uint64_t bios = 0;           // logical bios submitted
   std::uint64_t fragments = 0;      // child bios produced by splitting
   std::uint64_t boundary_splits = 0;  // bios that crossed a stripe boundary
-  std::uint64_t async_batches = 0;
-  std::uint64_t max_inflight = 0;   // peak unredeemed volume tickets
 };
 
 class StripedDevice final : public AggregateDevice {
  public:
   /// Uniform members: `child_params.nblocks` is the PER-CHILD size
-  /// (rounded down to a whole number of chunks in Raid0 mode).
+  /// (rounded down to a whole number of chunks).
   StripedDevice(StripeParams sp, DeviceParams child_params);
   /// Heterogeneous members (e.g. one slow shard in fault tests). All
-  /// children must have the same usable size; Raid0 requires it.
+  /// children must have the same usable size.
   StripedDevice(StripeParams sp, std::vector<DeviceParams> child_params);
   /// Prebuilt members: stacking volumes, e.g. RAID10 = a stripe whose
   /// members are MirroredDevices, RAID50 = a stripe of ParityDevices.
@@ -73,11 +65,6 @@ class StripedDevice final : public AggregateDevice {
 
   [[nodiscard]] const StripeParams& stripe() const { return stripe_; }
   [[nodiscard]] const StripeVolumeStats& volume_stats() const {
-    const AggregateVolumeStats& a = aggregate_stats();
-    vstats_.batches = a.batches;
-    vstats_.bios = a.bios;
-    vstats_.async_batches = a.async_batches;
-    vstats_.max_inflight = a.max_inflight;
     return vstats_;
   }
 
@@ -86,11 +73,9 @@ class StripedDevice final : public AggregateDevice {
   /// The member-local block number logical `blockno` maps to.
   [[nodiscard]] std::uint64_t child_block_of(std::uint64_t blockno) const;
   /// One full stripe row in logical blocks (the writeback-clustering
-  /// geometry hint). Linear concat has no row geometry.
+  /// geometry hint).
   [[nodiscard]] std::uint64_t stripe_width_blocks() const override {
-    return stripe_.mode == StripeMode::Raid0
-               ? stripe_.chunk_blocks * children_.size()
-               : 0;
+    return stripe_.chunk_blocks * children_.size();
   }
 
   void read_untimed(std::uint64_t blockno, std::span<std::byte> out) override;
@@ -128,8 +113,7 @@ class StripedDevice final : public AggregateDevice {
                                     const std::vector<DeviceParams>& children);
 
   StripeParams stripe_;
-  std::uint64_t child_usable_ = 0;  // usable blocks per member (uniform)
-  mutable StripeVolumeStats vstats_;
+  StripeVolumeStats vstats_;
 };
 
 }  // namespace bsim::blk

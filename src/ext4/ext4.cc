@@ -692,7 +692,7 @@ Err Ext4Mount::write_through_journal(kern::Inode& inode, std::uint64_t off,
   }
   if (off + done > e->d.size) e->d.size = off + done;
   BSIM_TRY(iupdate(inode));
-  if (jnl_.size() >= blk::commit_threshold(0, kTxnCommitThreshold,
+  if (jnl_.size() >= blk::commit_threshold(kTxnCommitThreshold,
                                            sb_->bdev().stripe_width_blocks())) {
     sim::ScopedLock guard(journal_lock_);
     BSIM_TRY(j_commit());

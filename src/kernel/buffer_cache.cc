@@ -256,11 +256,6 @@ void BufferCache::sync_all() {
   sync_dirty_buffers(dirty);
 }
 
-blk::Ticket BufferCache::sync_all_nowait() {
-  std::vector<BufferHead*> dirty = collect_dirty();
-  return sync_dirty_buffers_async(dirty);
-}
-
 std::size_t BufferCache::batch_end(const std::vector<BufferHead*>& dirty,
                                    std::size_t i, std::size_t max_batch) {
   std::size_t n = std::min(max_batch, dirty.size() - i);

@@ -185,12 +185,6 @@ class BufferCache {
   /// ascending block order.
   void sync_all();
 
-  /// sync_all without the batch barrier: submit the dirty set (media
-  /// effects land now, dirty state retires applied-aware as always) and
-  /// return the ticket unredeemed — the non-blocking flush barrier's
-  /// writeback half.
-  blk::Ticket sync_all_nowait();
-
   /// Background-writeback drain: every dirty buffer, ascending block
   /// order, split into batches of at most `max_batch` buffers submitted
   /// through the async path with up to `queue_depth` batches in flight;

@@ -1,6 +1,5 @@
 #include "kernel/kernel.h"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
 #include <stdexcept>
@@ -28,17 +27,6 @@ std::vector<std::string_view> split_components(std::string_view rest) {
     i = j;
   }
   return parts;
-}
-
-/// Shape one RAID5 member for a volume of LOGICAL size `params.nblocks`:
-/// a data column rounded up to whole chunks, plus the intent-bitmap head.
-blk::DeviceParams parity_member_shape(const blk::ParityParams& pp,
-                                      blk::DeviceParams params) {
-  const std::uint64_t ck = std::max<std::uint64_t>(pp.chunk_blocks, 1);
-  std::uint64_t usable = (params.nblocks + pp.ndata - 1) / pp.ndata;
-  usable = (usable + ck - 1) / ck * ck;
-  params.nblocks = usable + blk::ParityDevice::kBitmapBlocks;
-  return params;
 }
 
 }  // namespace
@@ -81,7 +69,6 @@ blk::BlockDevice& Kernel::add_volume(std::string name, std::string_view opts,
   if (!mo) throw std::invalid_argument("bad volume options");
   blk::MirrorParams mp;
   mp.nmirrors = mo->mirror;
-  mp.policy = mo->policy;
   mp.nspares = mo->spares;
   mp.auto_scrub = mo->scrub;
   blk::ParityParams pp;
@@ -92,8 +79,8 @@ blk::BlockDevice& Kernel::add_volume(std::string name, std::string_view opts,
   // One redundancy scheme per leaf: parity beats mirror.
   auto leaf = [&](blk::DeviceParams p) -> std::unique_ptr<blk::BlockDevice> {
     if (pp.ndata >= 2) {
-      return std::make_unique<blk::ParityDevice>(pp,
-                                                 parity_member_shape(pp, p));
+      return std::make_unique<blk::ParityDevice>(
+          pp, blk::ParityDevice::member_shape(pp, p));
     }
     if (mp.nmirrors > 1) return std::make_unique<blk::MirroredDevice>(mp, p);
     return std::make_unique<blk::BlockDevice>(p);
@@ -104,7 +91,7 @@ blk::BlockDevice& Kernel::add_volume(std::string name, std::string_view opts,
   std::vector<std::unique_ptr<blk::BlockDevice>> members;
   members.reserve(mo->stripe);
   for (std::size_t i = 0; i < mo->stripe; ++i) members.push_back(leaf(params));
-  const blk::StripeParams sp{mo->stripe, mo->chunk, mo->stripe_mode};
+  const blk::StripeParams sp{mo->stripe, mo->chunk};
   return add_device(std::move(name), std::make_unique<blk::StripedDevice>(
                                          sp, std::move(members)));
 }

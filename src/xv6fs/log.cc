@@ -118,8 +118,7 @@ Err Log::end_op(SuperBlockCap& sb) {
   // (force_commit) still commits immediately.
   if (outstanding_ == 0 && !jnl_.empty() &&
       jnl_.close_op(opts_.max_log_batch,
-                    blk::commit_threshold(opts_.log_blocks,
-                                          kLogSize - kMaxOpBlocks,
+                    blk::commit_threshold(kLogSize - kMaxOpBlocks,
                                           sb.stripe_width()))) {
     return commit(sb);
   }
@@ -184,9 +183,7 @@ Err Log::commit(SuperBlockCap& sb) {
       return Err::Io;  // aborted: the commit record is never issued
     }
   }
-  if (durability_ == Durability::Strict) {
-    tickets.push_back(sb.flush_all_async());
-  }
+  if (durability_ == Durability::Strict) sb.flush_all();
 
   // 2. Commit point: write the header naming the logged blocks. Submitted
   //    after the log run (media order is submission order). If it fails
@@ -203,16 +200,12 @@ Err Log::commit(SuperBlockCap& sb) {
       return Err::Io;
     }
   }
-  if (durability_ == Durability::Strict) {
-    tickets.push_back(sb.flush_all_async());
-  }
+  if (durability_ == Durability::Strict) sb.flush_all();
 
   // 3+4. Install to home locations, then clear the header. In Relaxed
   //      mode (no durability ordering between them without barriers) the
   //      two ride ONE request plug: a single merged elevator pass. In
-  //      Strict mode the FLUSH barrier between them is preserved, issued
-  //      through the non-blocking flush so the pipeline still overlaps
-  //      its completion.
+  //      Strict mode the FLUSH barrier between them is preserved.
   if (opts_.plug && durability_ != Durability::Strict) {
     sb.plug();
     plugged = true;
@@ -225,9 +218,7 @@ Err Log::commit(SuperBlockCap& sb) {
     jnl_.stage(io, blk::TraceEv::JCheckpoint, txn_seq_, n, tickets,
                home.value());
   }
-  if (durability_ == Durability::Strict) {
-    tickets.push_back(sb.flush_all_async());
-  }
+  if (durability_ == Durability::Strict) sb.flush_all();
   {
     auto clear = write_header(sb, LogHeader{});
     if (!clear.ok()) return fail(clear.error());  // closes the plug too
@@ -238,9 +229,7 @@ Err Log::commit(SuperBlockCap& sb) {
     tickets.push_back(sb.unplug());
     jnl_.latency(blk::TraceEv::JCheckpoint, tickets.back());
   }
-  if (durability_ == Durability::Strict) {
-    tickets.push_back(sb.flush_all_async());
-  }
+  if (durability_ == Durability::Strict) sb.flush_all();
 
   stats_.commits += 1;
   stats_.blocks_logged += n;
@@ -260,12 +249,12 @@ kern::Result<WriteTicket> Log::install(SuperBlockCap& sb,
   if (recovering) {
     // Replay from the log area into the home locations; the log-area
     // reads are one contiguous batched run.
-    std::vector<std::uint64_t> log_blocks;
-    log_blocks.reserve(header.n);
+    std::vector<std::uint64_t> logged;
+    logged.reserve(header.n);
     for (std::uint32_t i = 0; i < header.n; ++i) {
-      log_blocks.push_back(dsb_.logstart + 1 + i);
+      logged.push_back(dsb_.logstart + 1 + i);
     }
-    auto srcs = sb.bread_batch(log_blocks);
+    auto srcs = sb.bread_batch(logged);
     if (!srcs.ok()) return srcs.error();
     for (std::uint32_t i = 0; i < header.n; ++i) {
       auto dst = sb.getblk(header.blocks[i]);

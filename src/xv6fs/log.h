@@ -28,10 +28,10 @@
 //             request plug (one merged elevator pass) — there is no
 //             ordering claim between them without barriers.
 //   Strict  — FLUSH before the commit record and after install, making the
-//             commit point durable against power loss. The barriers are
-//             issued through the non-blocking flush (flush_all_async), so
-//             pipelining overlaps their completion too. The crash-
-//             consistency property tests run in this mode.
+//             commit point durable against power loss. Each barrier is a
+//             synchronous flush_all (writeback of unpinned dirty buffers,
+//             then the device FLUSH), so the committing thread waits for
+//             it. The crash-consistency property tests run in this mode.
 //
 // Note on the contribution: this file is "file system code" in the paper's
 // sense — it runs entirely against capability types (SuperBlockCap,
@@ -84,7 +84,7 @@ class Log {
   Log& operator=(const Log&) = delete;
 
   /// Mount-time initialization + crash recovery. The write path's tuning
-  /// comes from `opts`: max_log_batch and log_blocks (group commit),
+  /// comes from `opts`: max_log_batch (group commit),
   /// pipeline ("nopipeline"), and plug ("noplug", Relaxed mode's
   /// install+clear plug).
   kern::Err init(bento::SuperBlockCap& sb, const DiskSuperblock& dsb,

@@ -76,10 +76,7 @@ Err Xv6cMount::log_end() {
   // with the Bento port, without the stripe alignment): absorb ops until
   // the batch or block threshold; fsync/sync force via log_force().
   if (log_outstanding_ == 0 && !log_txn_.empty() &&
-      log_txn_.close_op(opts_.max_log_batch,
-                        blk::commit_threshold(opts_.log_blocks,
-                                              kLogSize - kMaxOpBlocks,
-                                              /*stripe_width=*/0))) {
+      log_txn_.close_op(opts_.max_log_batch, kLogSize - kMaxOpBlocks)) {
     e = log_commit();
   }
   log_lock_.unlock();

@@ -36,7 +36,7 @@ class Xv6cMount final : public kern::InodeOps,
                         public kern::SuperOps,
                         public kern::AddressSpaceOps {
  public:
-  /// Group-commit tuning comes from `opts` (max_log_batch, log_blocks);
+  /// Group-commit tuning comes from `opts` (max_log_batch);
   /// the C baseline keeps its synchronous per-buffer commit path, so
   /// pipelining is a Bento-side thing.
   Xv6cMount(kern::SuperBlock& sb, const blk::MountOpts& opts)

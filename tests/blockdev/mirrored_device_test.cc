@@ -1,5 +1,5 @@
 // Unit tests for RAID1 mirrored volumes (blockdev/mirrored.h): write
-// replication, read balancing (round-robin and shortest-queue), the
+// replication, read balancing (round-robin, sequential affinity), the
 // member-failure fault model (fail-stop + injected read errors), degraded
 // service, the online rebuild (resync cursor, write interception,
 // backpressure), RAID10 stacking, and crash-model parity with one device.
@@ -24,12 +24,10 @@ class MirroredDeviceTest : public ::testing::Test {
   void SetUp() override { sim::set_current(&thread_); }
   void TearDown() override { sim::set_current(nullptr); }
 
-  /// 2-way mirror, 64 blocks, round-robin reads.
-  static MirroredDevice make2(
-      MirrorReadPolicy policy = MirrorReadPolicy::RoundRobin) {
+  /// 2-way mirror, 64 blocks.
+  static MirroredDevice make2() {
     MirrorParams mp;
     mp.nmirrors = 2;
-    mp.policy = policy;
     DeviceParams member;
     member.nblocks = 64;
     return MirroredDevice(mp, member);
@@ -153,70 +151,6 @@ TEST_F(MirroredDeviceTest, SequentialStreamSticksToOneMember) {
   // The streams were priced sequentially (first read of each is random).
   EXPECT_GE(md.member(0).stats().seq_read_blocks, 15u);
   EXPECT_GE(md.member(1).stats().seq_read_blocks, 15u);
-}
-
-TEST_F(MirroredDeviceTest, ShortestQueueAvoidsTheBusyMember) {
-  // Heterogeneous mirror: member 1 is 50x slower at random reads. The
-  // shortest-queue policy should route the bulk of a read burst to the
-  // fast member once the slow one's queue backs up.
-  MirrorParams mp;
-  mp.nmirrors = 2;
-  mp.policy = MirrorReadPolicy::ShortestQueue;
-  std::vector<DeviceParams> members(2);
-  members[0].nblocks = members[1].nblocks = 64;
-  members[0].channels = members[1].channels = 1;
-  members[1].read_lat_rand = members[0].read_lat_rand * 50;
-  MirroredDevice md(mp, members);
-
-  auto data = pattern(1);
-  for (std::uint64_t b = 0; b < 32; ++b) md.write(b, data);
-
-  std::array<std::array<std::byte, kBlockSize>, 32> bufs{};
-  std::vector<Bio> reads;
-  for (std::uint64_t b = 0; b < 32; ++b) {
-    reads.push_back(Bio::single_read((b * 7) % 32, bufs[b]));
-  }
-  md.submit(reads);
-  EXPECT_GT(md.member(0).stats().reads, md.member(1).stats().reads * 3);
-}
-
-TEST_F(MirroredDeviceTest, ShortestQueueLatencyEwmaRepelsTheSlowMember) {
-  // ISSUE 5 satellite (ROADMAP follow-up): the sq policy factors an EWMA
-  // of OBSERVED per-member completion latency (Bio::done_at), not queue
-  // depth alone. One bio at a time means both members always have an
-  // EMPTY queue at pick time — depth alone would ping-pong 50/50 between
-  // a fast and an artificially slow member; the latency EWMA learns the
-  // slow one and keeps reads off it.
-  MirrorParams mp;
-  mp.nmirrors = 2;
-  mp.policy = MirrorReadPolicy::ShortestQueue;
-  std::vector<DeviceParams> members(2);
-  members[0].nblocks = members[1].nblocks = 64;
-  members[0].channels = members[1].channels = 1;
-  members[1].read_lat_rand = members[0].read_lat_rand * 10;
-  members[1].read_lat_seq = members[0].read_lat_seq * 10;
-  members[1].write_xfer = members[0].write_xfer * 10;
-  MirroredDevice md(mp, members);
-
-  auto data = pattern(2);
-  for (std::uint64_t b = 0; b < 32; ++b) md.write(b, data);
-
-  std::array<std::byte, kBlockSize> buf{};
-  const auto r0 = md.member(0).stats().reads;
-  const auto r1 = md.member(1).stats().reads;
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    // One scattered bio at a time, fully drained between picks: every
-    // pick sees equal (zero) pending work on both members, and stride 3
-    // never continues a stream (+1), so sequential affinity stays out of
-    // the picture — the latency EWMA is the only discriminating signal.
-    Bio rd = Bio::single_read((i * 3) % 64, buf);
-    md.wait(md.submit_async(std::span<Bio>(&rd, 1)));
-    sim::current().wait_until(sim::now() + sim::kMillisecond);  // queues idle
-  }
-  const auto fast = md.member(0).stats().reads - r0;
-  const auto slow = md.member(1).stats().reads - r1;
-  EXPECT_GT(fast, slow * 5) << "fast=" << fast << " slow=" << slow;
-  EXPECT_GT(md.member_latency_ewma(1), md.member_latency_ewma(0));
 }
 
 TEST_F(MirroredDeviceTest, MirroredRandomReadsScaleWithMembers) {
@@ -387,8 +321,8 @@ TEST_F(MirroredDeviceTest, RebuildLeavesMembersBitIdentical) {
   EXPECT_FALSE(md.rebuild_active());
   EXPECT_FALSE(md.degraded());
   EXPECT_TRUE(members_identical(md, 0, 1));
-  EXPECT_EQ(md.volume_stats().rebuild_copied, md.nblocks());
-  EXPECT_EQ(md.volume_stats().rebuilds_completed, 1u);
+  EXPECT_EQ(md.aggregate_stats().rebuild_copied, md.nblocks());
+  EXPECT_EQ(md.aggregate_stats().rebuilds_completed, 1u);
 }
 
 TEST_F(MirroredDeviceTest, RebuildInterceptsForegroundWrites) {
@@ -412,7 +346,7 @@ TEST_F(MirroredDeviceTest, RebuildInterceptsForegroundWrites) {
     md.write(b, pattern(static_cast<std::uint8_t>(0x40 + b)));
   }
   EXPECT_GT(md.volume_stats().rebuild_write_intercepts, 0u);
-  EXPECT_GT(md.volume_stats().rebuild_throttle_yields, 0u);  // backpressure
+  EXPECT_GT(md.aggregate_stats().rebuild_throttle_yields, 0u);  // backpressure
   md.finish_rebuild();
   EXPECT_TRUE(members_identical(md, 0, 1));
 }
@@ -447,7 +381,7 @@ TEST_F(MirroredDeviceTest, FailTargetDuringRebuildAborts) {
   md.start_rebuild(1);
   md.fail_member(1);  // the replacement dies mid-resync
   EXPECT_FALSE(md.rebuild_active());
-  EXPECT_EQ(md.volume_stats().rebuilds_aborted, 1u);
+  EXPECT_EQ(md.aggregate_stats().rebuilds_aborted, 1u);
   EXPECT_TRUE(md.degraded());
   // The volume still serves from the survivor.
   std::array<std::byte, kBlockSize> buf{};
@@ -485,16 +419,15 @@ TEST_F(MirroredDeviceTest, FailSourceDuringRebuildFallsOverOrAborts) {
   md2.start_rebuild(1);
   md2.fail_member(0);
   EXPECT_FALSE(md2.rebuild_active());
-  EXPECT_EQ(md2.volume_stats().rebuilds_aborted, 1u);
+  EXPECT_EQ(md2.aggregate_stats().rebuilds_aborted, 1u);
 }
 
 TEST_F(MirroredDeviceTest, RebuildSourcePrefersTheFastReplicaByEwma) {
-  // Resync-source selection reuses the read policy's latency EWMA: with
+  // Resync-source selection uses the members' read-latency EWMA: with
   // one replica an order of magnitude slower, the copy must come off a
   // fast member, not blindly off the first healthy index.
   MirrorParams mp;
   mp.nmirrors = 3;
-  mp.policy = MirrorReadPolicy::ShortestQueue;
   mp.rebuild_batch = 8;
   mp.rebuild_lead = sim::usec(20);
   std::vector<DeviceParams> members(3);
@@ -508,8 +441,8 @@ TEST_F(MirroredDeviceTest, RebuildSourcePrefersTheFastReplicaByEwma) {
   for (std::uint64_t b = 0; b < 64; ++b) {
     md.write(b, pattern(static_cast<std::uint8_t>(b)));
   }
-  // Seed the EWMAs: scattered single-bio reads observe both members'
-  // latencies (the sq policy tries each at least once).
+  // Seed the EWMAs: scattered single-bio reads observe every member's
+  // latency (round-robin visits each in turn).
   std::array<std::byte, kBlockSize> buf{};
   for (std::uint64_t i = 0; i < 16; ++i) {
     Bio rd = Bio::single_read((i * 3) % 64, buf);

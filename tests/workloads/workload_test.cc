@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "blockdev/mirrored.h"
+#include "blockdev/striped.h"
 #include "bugs/bugs.h"
 #include "workloads/macro.h"
 #include "workloads/micro.h"
@@ -203,12 +205,11 @@ TEST(TestBedVolumes, MountOptsSelectMirrorStripeAndRaid10) {
     BedOptions opts;
     opts.fs = fs;
     opts.device_blocks = 32768;
-    opts.mount_opts = "mirror=2,policy=sq";
+    opts.mount_opts = "mirror=2";
     TestBed bed(opts);
     auto* mirror = dynamic_cast<blk::MirroredDevice*>(&bed.device());
     ASSERT_NE(mirror, nullptr) << fs;
     EXPECT_EQ(mirror->members(), 2u) << fs;
-    EXPECT_EQ(mirror->mirror().policy, blk::MirrorReadPolicy::ShortestQueue);
     EXPECT_EQ(mirror->nblocks(), 32768u) << fs;  // replicas are free
     // mkfs reached both replicas (untimed writes replicate too).
     std::array<std::byte, blk::kBlockSize> a{}, b{};

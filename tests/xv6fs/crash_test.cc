@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "../testutil.h"
+#include "blockdev/mirrored.h"
 #include "xv6fs/fsck.h"
 
 namespace bsim::test {
@@ -325,6 +326,32 @@ INSTANTIATE_TEST_SUITE_P(CrashPointSweep, TornCommit,
                            return "k" + std::to_string(info.param.kill_after) +
                                   "_s" + std::to_string(info.param.seed);
                          });
+
+TEST(StrictCommit, DeadDeviceLeavesNoTicketUnredeemed) {
+  // Every Strict commit redeems what it submitted, even after the device
+  // stopped persisting: no writeback ticket outlives its fsync.
+  sim::SimThread thread(0);
+  sim::ScopedThread in(thread);
+  kern::Kernel kernel;
+  auto& dev = add_test_device(kernel, DevKind::Plain);
+  xv6::mkfs(dev, /*ninodes=*/512);
+  register_strict(kernel);
+  ASSERT_EQ(Err::Ok, kernel.mount("xv6_strict", "ssd0", "/mnt"));
+  dev.enable_crash_tracking();
+  dev.kill_after(5);
+
+  auto& p = kernel.proc();
+  for (int i = 0; i < 10; ++i) {
+    auto fd = kernel.open(p, "/mnt/f" + std::to_string(i),
+                          kern::kOCreat | kern::kORdWr);
+    ASSERT_TRUE(fd.ok()) << i;
+    const std::string data(3000, static_cast<char>('a' + i));
+    (void)kernel.write(p, fd.value(), as_bytes(data));
+    (void)kernel.fsync(p, fd.value());
+    (void)kernel.close(p, fd.value());
+  }
+  EXPECT_EQ(dev.queue().inflight(), 0u);
+}
 
 // ---- Striped volumes: the same sweeps on a 4-way RAID0 volume ----
 //
