@@ -41,7 +41,7 @@ int main() {
       commits = fs.log_stats().commits;
       blocks = fs.log_stats().blocks_logged;
     } else {
-      auto* mnt = static_cast<xv6c::Xv6cMount*>(sb->fs_info);
+      auto* mnt = sb->fs<xv6c::Xv6cMount>();
       commits = mnt->log_stats().commits;
       blocks = mnt->log_stats().blocks_logged;
     }

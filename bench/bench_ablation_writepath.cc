@@ -59,8 +59,7 @@ FsRow fs_seq_write(const std::string& fs, int ndev, const char* opts) {
   FsRow row;
   row.mbps = stats.mbytes_per_sec();
   if (fs == "xv6_vfs") {
-    auto* mnt = static_cast<xv6c::Xv6cMount*>(
-        bed.kernel().sb_at("/mnt")->fs_info);
+    auto* mnt = bed.kernel().sb_at("/mnt")->fs<xv6c::Xv6cMount>();
     row.log_commits = mnt->log_stats().commits;
   }
   return row;

@@ -93,8 +93,7 @@ int main() {
     (void)kernel.fsync(p, fd2.value());
     (void)kernel.close(p, fd2.value());
   }
-  auto* module = static_cast<fuse::FuseModule*>(
-      bento::BentoModule::from(*kernel.sb_at("/mnt2")));
+  auto* module = kernel.sb_at("/mnt2")->fs<fuse::FuseModule>();
   std::printf("\nFUSE daemon over io_uring: %llu requests through the "
               "transport\n",
               static_cast<unsigned long long>(

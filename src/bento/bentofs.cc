@@ -49,10 +49,6 @@ BentoModule::BentoModule(kern::SuperBlock& sb, std::unique_ptr<FileSystem> fs,
       [this](kern::Err e) { sb_->fs_error(e); });
 }
 
-BentoModule* BentoModule::from(kern::SuperBlock& sb) {
-  return static_cast<BentoModule*>(sb.fs_info);
-}
-
 Request BentoModule::mkreq() {
   Request req;
   req.unique = next_unique_++;
@@ -401,28 +397,26 @@ Err BentoModule::writepages(kern::Inode& inode,
   return Err::Ok;
 }
 
-// ---- BentoFsType ----
+// ---- registration ----
 
-Result<kern::SuperBlock*> BentoFsType::mount(blk::BlockDevice& dev,
-                                             const blk::MountOpts& opts) {
-  auto sb = std::make_unique<kern::SuperBlock>(dev, /*buffer_cache=*/16384);
-  sb->fs_name = name_;
-  auto module = std::make_unique<BentoModule>(*sb, factory_(), opts);
-  sb->fs_info = module.get();
-  sb->s_op = module.get();
-  Err e = module->mount_init();
-  if (e != Err::Ok) return e;
+namespace {
+
+Result<std::unique_ptr<kern::SuperOps>> fill_super(const FsFactory& factory,
+                                                   kern::SuperBlock& sb,
+                                                   const blk::MountOpts& opts) {
+  auto module = std::make_unique<BentoModule>(sb, factory(), opts);
+  BSIM_TRY(module->mount_init());
   // Background writeback for the kernel-Bento deployment: threshold
   // writeback moves off the writer's clock. Buffer draining is safe even
   // with group commit leaving journaled blocks dirty across operations:
   // the journal pins them (BufferHead::jdirty) and the drain skips
   // pinned buffers, so WAL ordering holds.
   // "-o noflusher" keeps the old writer-context behaviour (ablations).
-  kern::maybe_attach_flusher(*sb, opts);
+  kern::maybe_attach_flusher(sb, opts);
   // Join the unified stats snapshot; fs() resolves at dump time, so
   // online upgrades report the live instance's stats.
   BentoModule* mod = module.get();
-  sb->register_stats("bento", [mod](sim::JsonWriter& w) {
+  sb.register_stats("bento", [mod](sim::JsonWriter& w) {
     w.begin_object();
     w.field("struct", "ModuleStats");
     w.field("dispatches", mod->stats().dispatches);
@@ -430,24 +424,18 @@ Result<kern::SuperBlock*> BentoFsType::mount(blk::BlockDevice& dev,
     w.end_object();
     mod->fs().dump_stats(w);
   });
-  module.release();  // owned via sb->fs_info, reclaimed in kill_sb
-  return sb.release();
+  return std::unique_ptr<kern::SuperOps>(std::move(module));
 }
 
-void BentoFsType::kill_sb(kern::SuperBlock* sb) {
-  if (sb == nullptr) return;
-  std::unique_ptr<kern::SuperBlock> owned_sb(sb);
-  std::unique_ptr<BentoModule> module(BentoModule::from(*sb));
-  sb->sync_all();          // flush page cache + fs metadata
-  module->put_super(*sb);  // fs->destroy
-  sb->fs_info = nullptr;
-  sb->s_op = nullptr;
-}
+}  // namespace
 
 void register_bento_fs(kern::Kernel& kernel, std::string name,
                        FsFactory factory) {
-  kernel.register_fs(
-      std::make_unique<BentoFsType>(std::move(name), std::move(factory)));
+  kernel.register_fs(std::move(name),
+                     [factory = std::move(factory)](
+                         kern::SuperBlock& sb, const blk::MountOpts& opts) {
+                       return fill_super(factory, sb, opts);
+                     });
 }
 
 }  // namespace bsim::bento

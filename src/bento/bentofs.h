@@ -62,8 +62,10 @@ class BentoModule : public kern::InodeOps,
   [[nodiscard]] const ModuleStats& stats() const { return mstats_; }
   [[nodiscard]] kern::SuperBlock& super() { return *sb_; }
 
-  /// The module mounted at `sb` (sb.fs_info), or null if not a Bento mount.
-  static BentoModule* from(kern::SuperBlock& sb);
+  /// The module mounted at `sb`, or null if not a Bento mount.
+  static BentoModule* from(kern::SuperBlock& sb) {
+    return sb.fs<BentoModule>();
+  }
 
   // ---- InodeOps ----
   Result<kern::Inode*> lookup(kern::Inode& dir, std::string_view name) override;
@@ -134,23 +136,8 @@ class BentoModule : public kern::InodeOps,
   ModuleStats mstats_;
 };
 
-/// The mountable type: `register_bento_fs` is the insmod analogue.
-class BentoFsType final : public kern::FileSystemType {
- public:
-  BentoFsType(std::string name, FsFactory factory)
-      : name_(std::move(name)), factory_(std::move(factory)) {}
-
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  Result<kern::SuperBlock*> mount(blk::BlockDevice& dev,
-                                  const blk::MountOpts& opts) override;
-  void kill_sb(kern::SuperBlock* sb) override;
-
- private:
-  std::string name_;
-  FsFactory factory_;
-};
-
-/// Register a Bento file system module with the kernel.
+/// Register a Bento file system module with the kernel (the insmod
+/// analogue): each mount runs `factory`'s file system under a BentoModule.
 void register_bento_fs(kern::Kernel& kernel, std::string name,
                        FsFactory factory);
 

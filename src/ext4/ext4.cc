@@ -205,9 +205,12 @@ Err Ext4Mount::j_recover() {
     bc.mark_dirty(dst.value());
     homes.push_back(dst.value());
   }
-  bc.sync_dirty_buffers(homes);
+  const Err e = bc.sync_dirty_buffers(homes);
   for (auto* h : homes) bc.brelse(h);
   for (auto* s : srcs.value()) bc.brelse(s);
+  // A failed home write keeps the descriptor on media: the mount fails and
+  // the next one replays again (jbd2's "recovery failed").
+  if (e != Err::Ok) return e;
   // Clear the descriptor so replay is not repeated.
   auto zb = bc.getblk(super_.jstart);
   if (!zb.ok()) return zb.error();
@@ -1036,9 +1039,11 @@ Err Ext4Mount::statfs(kern::SuperBlock&, kern::StatFs& out) {
 
 void Ext4Mount::put_super(kern::SuperBlock&) { (void)j_sync(); }
 
-void Ext4Mount::dispose_inode(kern::Inode& inode) {
-  delete ei(inode);
-  inode.fs_priv = nullptr;
+Ext4Mount::~Ext4Mount() {
+  sb_->for_each_inode([](kern::Inode& inode) {
+    delete ei(inode);
+    inode.fs_priv = nullptr;
+  });
 }
 
 void Ext4Mount::evict_inode(kern::Inode& inode) {
@@ -1251,68 +1256,42 @@ Err Ext4Mount::writepages(kern::Inode& inode,
 
 namespace {
 
-class Ext4FsType final : public kern::FileSystemType {
- public:
-  explicit Ext4FsType(std::string name) : name_(std::move(name)) {}
-  [[nodiscard]] std::string_view name() const override { return name_; }
-
-  kern::Result<kern::SuperBlock*> mount(blk::BlockDevice& dev,
-                                        const blk::MountOpts& opts) override {
-    auto sb = std::make_unique<kern::SuperBlock>(dev, 16384);
-    sb->fs_name = name_;
-    auto mnt = std::make_unique<Ext4Mount>(*sb, opts);
-    sb->fs_info = mnt.get();
-    sb->s_op = mnt.get();
-    Err e = mnt->mount_init();
-    if (e != Err::Ok) return e;
-    Ext4Mount* m = mnt.get();
-    sb->register_stats("ext4", [m](sim::JsonWriter& w) {
-      const JournalStats& js = m->journal_stats();
-      w.begin_object();
-      w.field("struct", "JournalStats");
-      w.field("commits", js.commits);
-      w.field("blocks_journaled", js.blocks_journaled);
-      w.field("recoveries", js.recoveries);
-      w.field("pipelined_commits", js.pipelined_commits);
-      w.field("empty_commits_skipped", js.empty_commits_skipped);
-      w.field("jbd_aborted", js.jbd_aborted);
-      sim::dump_histogram(w, "jwrite_lat", js.write_lat);
-      sim::dump_histogram(w, "record_lat", js.record_lat);
-      sim::dump_histogram(w, "checkpoint_lat", js.checkpoint_lat);
-      w.end_object();
-      const MapStats& ms = m->map_stats();
-      w.begin_object();
-      w.field("struct", "MapStats");
-      w.field("bmap_calls", ms.bmap_calls);
-      w.field("map_runs", ms.map_runs);
-      w.field("map_run_blocks", ms.map_run_blocks);
-      w.field("map_indirect_reads", ms.map_indirect_reads);
-      w.field("readpages_calls", ms.readpages_calls);
-      w.end_object();
-    });
-    mnt.release();
-    return sb.release();
-  }
-
-  void kill_sb(kern::SuperBlock* sb) override {
-    if (sb == nullptr) return;
-    std::unique_ptr<kern::SuperBlock> owned(sb);
-    std::unique_ptr<Ext4Mount> mnt(static_cast<Ext4Mount*>(sb->fs_info));
-    sb->sync_all();
-    mnt->put_super(*sb);
-    sb->for_each_inode([&](kern::Inode& i) { mnt->dispose_inode(i); });
-    sb->fs_info = nullptr;
-    sb->s_op = nullptr;
-  }
-
- private:
-  std::string name_;
-};
+kern::Result<std::unique_ptr<kern::SuperOps>> fill_super(
+    kern::SuperBlock& sb, const blk::MountOpts& opts) {
+  auto mnt = std::make_unique<Ext4Mount>(sb, opts);
+  BSIM_TRY(mnt->mount_init());
+  Ext4Mount* m = mnt.get();
+  sb.register_stats("ext4", [m](sim::JsonWriter& w) {
+    const JournalStats& js = m->journal_stats();
+    w.begin_object();
+    w.field("struct", "JournalStats");
+    w.field("commits", js.commits);
+    w.field("blocks_journaled", js.blocks_journaled);
+    w.field("recoveries", js.recoveries);
+    w.field("pipelined_commits", js.pipelined_commits);
+    w.field("empty_commits_skipped", js.empty_commits_skipped);
+    w.field("jbd_aborted", js.jbd_aborted);
+    sim::dump_histogram(w, "jwrite_lat", js.write_lat);
+    sim::dump_histogram(w, "record_lat", js.record_lat);
+    sim::dump_histogram(w, "checkpoint_lat", js.checkpoint_lat);
+    w.end_object();
+    const MapStats& ms = m->map_stats();
+    w.begin_object();
+    w.field("struct", "MapStats");
+    w.field("bmap_calls", ms.bmap_calls);
+    w.field("map_runs", ms.map_runs);
+    w.field("map_run_blocks", ms.map_run_blocks);
+    w.field("map_indirect_reads", ms.map_indirect_reads);
+    w.field("readpages_calls", ms.readpages_calls);
+    w.end_object();
+  });
+  return std::unique_ptr<kern::SuperOps>(std::move(mnt));
+}
 
 }  // namespace
 
 void register_ext4(kern::Kernel& kernel, std::string name) {
-  kernel.register_fs(std::make_unique<Ext4FsType>(std::move(name)));
+  kernel.register_fs(std::move(name), fill_super);
 }
 
 }  // namespace bsim::ext4

@@ -43,9 +43,10 @@ class Ext4Mount final : public kern::InodeOps,
  public:
   Ext4Mount(kern::SuperBlock& sb, const blk::MountOpts& opts)
       : sb_(&sb), jnl_(jstats_, opts.pipeline) {}
+  /// Frees the per-inode state of every inode still cached.
+  ~Ext4Mount() override;
 
   kern::Err mount_init();
-  void dispose_inode(kern::Inode& inode);
 
   [[nodiscard]] const JournalStats& journal_stats() const { return jstats_; }
   /// Commits whose transfers are still outstanding (tests/diagnostics).

@@ -19,6 +19,10 @@ FuseModule::FuseModule(kern::SuperBlock& sb,
       daemon_(std::move(daemon)),
       devfd_(devfd) {}
 
+FuseModule::~FuseModule() {
+  (void)daemon_->kernel().close(*daemon_, devfd_);
+}
+
 void FuseModule::channel(std::size_t payload_in, std::size_t payload_out) {
   const auto& c = sim::costs();
   const std::size_t pages_in = (payload_in + kern::kPageSize - 1) / kern::kPageSize;
@@ -219,35 +223,35 @@ Err FuseModule::readpages(kern::Inode& inode, std::uint64_t first_pgoff,
   return Err::Ok;
 }
 
-kern::Result<kern::SuperBlock*> FuseFsType::mount(
-    blk::BlockDevice& dev, const blk::MountOpts& opts) {
+namespace {
+
+kern::Result<std::unique_ptr<kern::SuperOps>> fill_super(
+    kern::Kernel& kernel, const bento::FsFactory& factory, kern::SuperBlock& sb,
+    const blk::MountOpts& opts) {
   // The daemon opens the disk with O_DIRECT, like the paper's baseline.
-  auto daemon = kernel_->new_process();
-  const std::string devname = kernel_->device_name_of(&dev);
+  // Nothing before this touched the device or the clock: building the
+  // superblock is free.
+  auto daemon = kernel.new_process();
+  const std::string devname = kernel.device_name_of(&sb.bdev());
   if (devname.empty()) return Err::NoDev;
-  auto fd = kernel_->open(*daemon, "/dev/" + devname,
-                          kern::kORdWr | kern::kODirect);
+  auto fd = kernel.open(*daemon, "/dev/" + devname,
+                        kern::kORdWr | kern::kODirect);
   if (!fd.ok()) return fd.error();
 
-  auto sb = std::make_unique<kern::SuperBlock>(dev, /*buffer_cache=*/16384);
-  sb->fs_name = name_;
   // "-o io_uring": the daemon batches its block I/O (§8.1).
   auto backend = std::make_unique<bento::UserBlockBackend>(
-      *kernel_, *daemon, fd.value(), dev.nblocks(), /*cache_blocks=*/4096,
+      kernel, *daemon, fd.value(), sb.bdev().nblocks(), /*cache_blocks=*/4096,
       /*use_uring=*/opts.io_uring);
   auto module =
-      std::make_unique<FuseModule>(*sb, factory_(), opts, std::move(backend),
+      std::make_unique<FuseModule>(sb, factory(), opts, std::move(backend),
                                    std::move(daemon), fd.value());
   // "-o extfuse": attach the eBPF metadata caches (paper §2.2, [5]).
   if (opts.extfuse) {
     module->attach_extfuse(std::make_unique<ExtFuseFilter>());
   }
-  sb->fs_info = static_cast<bento::BentoModule*>(module.get());
-  sb->s_op = module.get();
-  Err e = module->mount_init();
-  if (e != Err::Ok) return e;
+  BSIM_TRY(module->mount_init());
   FuseModule* mod = module.get();
-  sb->register_stats("fuse", [mod](sim::JsonWriter& w) {
+  sb.register_stats("fuse", [mod](sim::JsonWriter& w) {
     w.begin_object();
     w.field("struct", "FuseConnStats");
     w.field("requests", mod->conn_stats().requests);
@@ -260,26 +264,18 @@ kern::Result<kern::SuperBlock*> FuseFsType::mount(
     w.end_object();
     mod->fs().dump_stats(w);
   });
-  module.release();  // owned via sb->fs_info, reclaimed in kill_sb
-  return sb.release();
+  return std::unique_ptr<kern::SuperOps>(std::move(module));
 }
 
-void FuseFsType::kill_sb(kern::SuperBlock* sb) {
-  if (sb == nullptr) return;
-  std::unique_ptr<kern::SuperBlock> owned_sb(sb);
-  std::unique_ptr<FuseModule> module(
-      static_cast<FuseModule*>(bento::BentoModule::from(*sb)));
-  sb->sync_all();
-  module->put_super(*sb);
-  (void)kernel_->close(module->daemon(), module->devfd());
-  sb->fs_info = nullptr;
-  sb->s_op = nullptr;
-}
+}  // namespace
 
 void register_fuse_fs(kern::Kernel& kernel, std::string name,
                       bento::FsFactory factory) {
-  kernel.register_fs(std::make_unique<FuseFsType>(kernel, std::move(name),
-                                                  std::move(factory)));
+  kernel.register_fs(std::move(name),
+                     [&kernel, factory = std::move(factory)](
+                         kern::SuperBlock& sb, const blk::MountOpts& opts) {
+                       return fill_super(kernel, factory, sb, opts);
+                     });
 }
 
 }  // namespace bsim::fuse

@@ -37,10 +37,10 @@ class FuseModule final : public bento::BentoModule {
              const blk::MountOpts& opts,
              std::unique_ptr<bento::BlockBackend> backend,
              std::unique_ptr<kern::Process> daemon, int devfd);
+  /// The daemon closes its disk.
+  ~FuseModule() override;
 
   [[nodiscard]] const FuseConnStats& conn_stats() const { return conn_; }
-  [[nodiscard]] kern::Process& daemon() { return *daemon_; }
-  [[nodiscard]] int devfd() const { return devfd_; }
 
   /// Attach an ExtFUSE eBPF filter (paper §2.2, [5]): verified programs
   /// that answer lookup/getattr from in-kernel BPF maps, skipping the
@@ -95,24 +95,6 @@ class FuseModule final : public bento::BentoModule {
   int devfd_;
   std::unique_ptr<ExtFuseFilter> filter_;
   FuseConnStats conn_;
-};
-
-/// Mountable type for a FUSE file system ("fuse -o writeback_cache").
-class FuseFsType final : public kern::FileSystemType {
- public:
-  FuseFsType(kern::Kernel& kernel, std::string name,
-             bento::FsFactory factory)
-      : kernel_(&kernel), name_(std::move(name)), factory_(std::move(factory)) {}
-
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  kern::Result<kern::SuperBlock*> mount(blk::BlockDevice& dev,
-                                        const blk::MountOpts& opts) override;
-  void kill_sb(kern::SuperBlock* sb) override;
-
- private:
-  kern::Kernel* kernel_;
-  std::string name_;
-  bento::FsFactory factory_;
 };
 
 /// Register a userspace (FUSE) file system with the kernel. The factory's

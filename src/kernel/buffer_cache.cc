@@ -138,7 +138,7 @@ void BufferCache::brelse(BufferHead* bh) {
   outstanding_refs_ -= 1;
 }
 
-void BufferCache::sync_dirty_buffer(BufferHead* bh) {
+Err BufferCache::sync_dirty_buffer(BufferHead* bh) {
   assert(bh != nullptr && bh->cache == this);
   blk::Bio bio = blk::Bio::single_write(bh->blockno, bh->bytes());
   dev_.submit(bio);
@@ -147,14 +147,19 @@ void BufferCache::sync_dirty_buffer(BufferHead* bh) {
   if (bio.io_error) {
     wb_err_[dev_.child_of(bh->blockno)].record(Err::Io);
     wb_last_err_ = Err::Io;
-  } else if (bio.applied) {
+    return Err::Io;
+  }
+  if (bio.applied) {
     set_clean(bh);
     stats_.writebacks += 1;
   }
+  return Err::Ok;
 }
 
-void BufferCache::sync_dirty_buffers(std::span<BufferHead* const> bhs) {
-  dev_.wait(sync_dirty_buffers_async(bhs));
+Err BufferCache::sync_dirty_buffers(std::span<BufferHead* const> bhs) {
+  const blk::Ticket t = sync_dirty_buffers_async(bhs);
+  dev_.wait(t);
+  return t.failed ? Err::Io : Err::Ok;
 }
 
 blk::Ticket BufferCache::sync_dirty_buffers_async(

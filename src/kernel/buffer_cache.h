@@ -117,16 +117,18 @@ class BufferCache {
   }
 
   /// Synchronously write one buffer to the device (timed). Like Linux's
-  /// sync_dirty_buffer this waits for the transfer, not for a cache FLUSH.
-  void sync_dirty_buffer(BufferHead* bh);
+  /// sync_dirty_buffer this waits for the transfer, not for a cache FLUSH,
+  /// and returns Io when the write failed.
+  Err sync_dirty_buffer(BufferHead* bh);
 
   /// Batched writeback: one request-queue submission for all `bhs`
   /// (journal commit paths hand their whole log run here). Counts one
   /// writeback per buffer. A buffer's dirty bit is cleared only if its
   /// write command actually executed — under the crash model's
   /// kill_after, bios at or past the kill point never reach media and
-  /// their buffers stay dirty (they were NOT written back).
-  void sync_dirty_buffers(std::span<BufferHead* const> bhs);
+  /// their buffers stay dirty (they were NOT written back). Returns Io
+  /// when any write of the batch failed.
+  Err sync_dirty_buffers(std::span<BufferHead* const> bhs);
 
   /// Non-barrier batched writeback: same submission (and the same
   /// applied-aware dirty clearing, which happens at submission time when

@@ -29,26 +29,28 @@ std::vector<std::string_view> split_components(std::string_view rest) {
   return parts;
 }
 
+/// The one teardown, for umount and for a mount whose fill_super failed
+/// (Linux's kill_block_super): write back what the mount holds and let the
+/// file system release it, then destroy its state and the superblock. A
+/// failed fill_super left no state, so there is nothing to write back.
+void kill_super(std::unique_ptr<SuperBlock> sb) {
+  if (sb->s_op != nullptr) {
+    sb->sync_all();
+    sb->s_op->put_super(*sb);
+  }
+}
+
 }  // namespace
 
 Kernel::Kernel() { default_proc_ = std::make_unique<Process>(*this); }
 
 Kernel::~Kernel() {
-  // Unmount in reverse registration order; file systems flush themselves.
-  for (auto& m : mounts_) {
-    if (m.sb != nullptr && m.type != nullptr) m.type->kill_sb(m.sb);
-    m.sb = nullptr;
-  }
+  // Unmount longest mountpoint first; file systems flush themselves.
+  for (auto& m : mounts_) kill_super(std::move(m.sb));
 }
 
-void Kernel::register_fs(std::unique_ptr<FileSystemType> type) {
-  std::string key{type->name()};
-  fs_types_[key] = std::move(type);
-}
-
-FileSystemType* Kernel::fs_type(std::string_view name) {
-  auto it = fs_types_.find(std::string{name});
-  return it == fs_types_.end() ? nullptr : it->second.get();
+void Kernel::register_fs(std::string name, FillSuper fill_super) {
+  fs_types_[std::move(name)] = std::move(fill_super);
 }
 
 blk::BlockDevice& Kernel::add_device(std::string name,
@@ -110,7 +112,7 @@ std::string Kernel::device_name_of(const blk::BlockDevice* dev) const {
 
 SuperBlock* Kernel::sb_at(std::string_view mountpoint) {
   for (auto& m : mounts_) {
-    if (m.mountpoint == mountpoint) return m.sb;
+    if (m.mountpoint == mountpoint) return m.sb.get();
   }
   return nullptr;
 }
@@ -121,8 +123,8 @@ std::unique_ptr<Process> Kernel::new_process() {
 
 Err Kernel::mount(std::string_view fstype, std::string_view devname,
                   std::string_view mountpoint, std::string_view opts) {
-  FileSystemType* type = fs_type(fstype);
-  if (type == nullptr) return Err::NoDev;
+  auto type = fs_types_.find(std::string{fstype});
+  if (type == fs_types_.end()) return Err::NoDev;
   blk::BlockDevice* dev = device(devname);
   if (dev == nullptr) return Err::NoDev;
   if (mountpoint.empty() || mountpoint.front() != '/') return Err::Inval;
@@ -138,13 +140,20 @@ Err Kernel::mount(std::string_view fstype, std::string_view devname,
   if (mo->trace > 0) dev->arm_trace(mo->trace, std::string{devname});
   dev->set_retry_policy(mo->retry);
 
-  auto sb = type->mount(*dev, *mo);
-  if (!sb.ok()) return sb.error();
+  auto sb = std::make_unique<SuperBlock>(*dev, /*buffer_cache_blocks=*/16384);
+  sb->fs_name = fstype;
   // Error behaviour (ext4's errors= option, honored for every FS here):
-  // what a journal abort / unrecoverable FS error does to the mount.
-  sb.value()->errors_mode = mo->errors;
-  mounts_.push_back(Mount{std::string{mountpoint}, sb.value(), type,
-                          std::string{devname}});
+  // what a journal abort / unrecoverable FS error does to the mount,
+  // journal replay included.
+  sb->errors_mode = mo->errors;
+  auto fs = type->second(*sb, *mo);
+  if (!fs.ok()) {
+    kill_super(std::move(sb));
+    return fs.error();
+  }
+  sb->s_op = std::move(fs.value());
+  mounts_.push_back(
+      Mount{std::string{mountpoint}, std::move(sb), std::string{devname}});
   std::sort(mounts_.begin(), mounts_.end(), [](const Mount& a, const Mount& b) {
     return a.mountpoint.size() > b.mountpoint.size();
   });
@@ -154,7 +163,7 @@ Err Kernel::mount(std::string_view fstype, std::string_view devname,
 Err Kernel::umount(std::string_view mountpoint) {
   for (auto it = mounts_.begin(); it != mounts_.end(); ++it) {
     if (it->mountpoint == mountpoint) {
-      it->type->kill_sb(it->sb);
+      kill_super(std::move(it->sb));
       mounts_.erase(it);
       return Err::Ok;
     }
@@ -187,7 +196,7 @@ Result<Kernel::PathTarget> Kernel::walk_parent(std::string_view path) {
   std::string_view rest;
   auto m = mount_for(path, &rest);
   if (!m.ok()) return m.error();
-  SuperBlock* sb = m.value()->sb;
+  SuperBlock* sb = m.value()->sb.get();
 
   auto parts = split_components(rest);
   if (parts.empty()) return Err::Inval;  // the mountpoint itself
@@ -229,7 +238,7 @@ Result<Inode*> Kernel::walk_full(std::string_view path, SuperBlock** sb_out) {
   std::string_view rest;
   auto m = mount_for(path, &rest);
   if (!m.ok()) return m.error();
-  SuperBlock* sb = m.value()->sb;
+  SuperBlock* sb = m.value()->sb.get();
   if (sb_out != nullptr) *sb_out = sb;
 
   Inode* cur = sb->root;
@@ -687,9 +696,7 @@ Result<StatFs> Kernel::statfs(Process&, std::string_view path) {
 
 Err Kernel::sync(Process&) {
   charge_syscall();
-  for (auto& m : mounts_) {
-    if (m.sb != nullptr) BSIM_TRY(m.sb->sync_all());
-  }
+  for (auto& m : mounts_) BSIM_TRY(m.sb->sync_all());
   return Err::Ok;
 }
 

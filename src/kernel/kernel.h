@@ -56,8 +56,8 @@ class Kernel {
   Kernel& operator=(const Kernel&) = delete;
 
   // ---- configuration (not syscalls; untimed) ----
-  void register_fs(std::unique_ptr<FileSystemType> type);
-  [[nodiscard]] FileSystemType* fs_type(std::string_view name);
+  /// Register a file system type (insmod): `name` mounts via `fill_super`.
+  void register_fs(std::string name, FillSuper fill_super);
   blk::BlockDevice& add_device(std::string name, blk::DeviceParams params);
   /// Register a prebuilt (possibly aggregate) device under `name`.
   blk::BlockDevice& add_device(std::string name,
@@ -81,10 +81,13 @@ class Kernel {
 
   // ---- mount management ----
   /// Parse `opts` (Inval when it does not parse), arm the device tree
-  /// from them, and hand the typed blk::MountOpts to the file system
-  /// type's mount(). No layer below parses the string again.
+  /// from them, build the superblock and hand it, with the typed
+  /// blk::MountOpts, to the type's FillSuper. No layer below parses the
+  /// string again.
   Err mount(std::string_view fstype, std::string_view devname,
             std::string_view mountpoint, std::string_view opts = "");
+  /// Tear the mount down: sync_all, the file system's put_super, then
+  /// destroy its state and the superblock.
   Err umount(std::string_view mountpoint);
 
   // ---- syscalls ----
@@ -131,8 +134,7 @@ class Kernel {
 
   struct Mount {
     std::string mountpoint;
-    SuperBlock* sb = nullptr;
-    FileSystemType* type = nullptr;
+    std::unique_ptr<SuperBlock> sb;
     std::string devname;
   };
 
@@ -160,7 +162,7 @@ class Kernel {
   Result<std::uint64_t> bdev_write(OpenFile& f, std::span<const std::byte> in,
                                    std::uint64_t off);
 
-  std::unordered_map<std::string, std::unique_ptr<FileSystemType>> fs_types_;
+  std::unordered_map<std::string, FillSuper> fs_types_;
   std::unordered_map<std::string, std::unique_ptr<blk::BlockDevice>> devices_;
   std::vector<Mount> mounts_;  // kept sorted by mountpoint length, desc
   std::unique_ptr<Process> default_proc_;

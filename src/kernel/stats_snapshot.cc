@@ -96,11 +96,9 @@ std::string Kernel::dump_stats() {
   w.key("mounts");
   w.begin_array();
   for (const Mount& m : mounts_) {
-    if (m.sb == nullptr) continue;
     w.begin_object();
     w.field("mountpoint", m.mountpoint);
-    w.field("fs", m.sb->fs_name.empty() ? std::string{m.type->name()}
-                                        : m.sb->fs_name);
+    w.field("fs", m.sb->fs_name);
     w.field("device", m.devname);
     w.key("stats");
     w.begin_array();

@@ -130,19 +130,32 @@ class Inode {
   bool on_dirty_list_ = false;  // membership in sb's dirty-inode list
 };
 
-/// An in-core superblock: one mounted file system instance.
+/// An in-core superblock: one mounted file system instance. Kernel::mount
+/// builds it over the device and hands it to the type's FillSuper; the
+/// state that returns (the type's SuperOps) is owned here, as `s_op`.
 class SuperBlock {
  public:
   SuperBlock(blk::BlockDevice& dev, std::size_t buffer_cache_blocks)
       : bufcache_(dev, buffer_cache_blocks) {}
+  /// The file system's state goes first: it may still reach into the
+  /// inode cache (per-inode state) while it is destroyed.
+  ~SuperBlock() { s_op.reset(); }
 
   SuperBlock(const SuperBlock&) = delete;
   SuperBlock& operator=(const SuperBlock&) = delete;
 
-  SuperOps* s_op = nullptr;
+  /// The file system's state: its SuperOps and its private superblock
+  /// data in one object.
+  std::unique_ptr<SuperOps> s_op;
   Inode* root = nullptr;
-  void* fs_info = nullptr;  // FS-private superblock state
   std::string fs_name;
+
+  /// The file system's state as its concrete type, or null when this
+  /// superblock holds another type.
+  template <class Fs>
+  [[nodiscard]] Fs* fs() {
+    return dynamic_cast<Fs*>(s_op.get());
+  }
 
   // ---- error behaviour (the ext4 `errors=` mount option) ----
   /// What a detected file-system error (journal abort, failed metadata
@@ -267,19 +280,16 @@ class SuperBlock {
   std::unordered_map<std::string, Ino> dcache_;
 };
 
-/// A mountable file system type (registered with the Kernel).
-class FileSystemType {
- public:
-  virtual ~FileSystemType() = default;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Build a SuperBlock over `dev`. `opts` are the mount options
-  /// Kernel::mount parsed, once, from the "-o" string; each layer below
-  /// reads the fields it uses from them.
-  virtual Result<SuperBlock*> mount(blk::BlockDevice& dev,
-                                    const blk::MountOpts& opts) = 0;
-  /// Tear down a superblock produced by mount().
-  virtual void kill_sb(SuperBlock* sb) = 0;
-};
+/// A mountable file system type is its fill_super (Linux's mount_bdev +
+/// fill_super + kill_block_super split). Kernel::mount builds the
+/// SuperBlock over the device and sets fs_name and errors_mode; the type's
+/// FillSuper then builds the file system's state on it (reads the on-disk
+/// super, replays the journal, sets `root`, attaches flushers, registers
+/// stats) and returns that state, which the superblock owns from then on.
+/// `opts` are the mount options Kernel::mount parsed, once, from the "-o"
+/// string. On failure FillSuper frees what it built and returns the error.
+using FillSuper = std::function<Result<std::unique_ptr<SuperOps>>(
+    SuperBlock& sb, const blk::MountOpts& opts)>;
 
 // ---- Generic page-cache-backed file helpers (generic_file_read_iter /
 // generic_perform_write analogues). File systems whose FileOps use the page

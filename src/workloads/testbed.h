@@ -1,9 +1,10 @@
 // A ready-to-measure deployment: kernel + formatted device + one mounted
 // file system, addressable by the names the paper's evaluation uses:
-//   "xv6_bento" — xv6 on kernel Bento           (paper: Bento)
-//   "xv6_vfs"   — xv6 on the raw VFS, in C style (paper: C-Kernel)
-//   "xv6_fuse"  — xv6 behind the FUSE transport  (paper: FUSE)
-//   "ext4j"     — the ext4 comparator, data=journal (paper: Ext4)
+//   "xv6_bento"  — xv6 on kernel Bento           (paper: Bento)
+//   "xv6_nvmlog" — xv6_bento under a Strata-style NVM op-log (paper §3)
+//   "xv6_vfs"    — xv6 on the raw VFS, in C style (paper: C-Kernel)
+//   "xv6_fuse"   — xv6 behind the FUSE transport  (paper: FUSE)
+//   "ext4j"      — the ext4 comparator, data=journal (paper: Ext4)
 #pragma once
 
 #include <memory>
@@ -31,6 +32,28 @@ struct BedOptions {
   std::string mount_opts;
 };
 
+/// Register the five deployments above with `kernel`. Each xv6_nvmlog
+/// mount logs to `nvm` (a fresh region when none is given) and digests
+/// as `nvmlog` says.
+inline void register_deployments(kern::Kernel& kernel,
+                                 std::shared_ptr<blk::NvmRegion> nvm = {},
+                                 bento::NvmLogFs::Options nvmlog = {}) {
+  bento::register_bento_fs(kernel, "xv6_bento", [] {
+    return std::make_unique<xv6::Xv6FileSystem>();
+  });
+  bento::register_bento_fs(kernel, "xv6_nvmlog", [nvm, nvmlog] {
+    return std::make_unique<bento::NvmLogFs>(
+        std::make_unique<xv6::Xv6FileSystem>(),
+        nvm ? nvm : std::make_shared<blk::NvmRegion>(blk::NvmParams{}),
+        nvmlog);
+  });
+  xv6c::register_xv6c(kernel, "xv6_vfs");
+  fuse::register_fuse_fs(kernel, "xv6_fuse", [] {
+    return std::make_unique<xv6::Xv6FileSystem>();
+  });
+  ext4::register_ext4(kernel, "ext4j");
+}
+
 /// Builds the full stack for one deployment. The mountpoint is /mnt.
 class TestBed {
  public:
@@ -42,20 +65,7 @@ class TestBed {
     } else {
       xv6::mkfs(dev, opts_.ninodes);
     }
-    bento::register_bento_fs(kernel_, "xv6_bento", [] {
-      return std::make_unique<xv6::Xv6FileSystem>();
-    });
-    // xv6 with a Strata-style NVM op-log prepended (paper §3).
-    bento::register_bento_fs(kernel_, "xv6_nvmlog", [] {
-      return std::make_unique<bento::NvmLogFs>(
-          std::make_unique<xv6::Xv6FileSystem>(),
-          std::make_shared<blk::NvmRegion>(blk::NvmParams{}));
-    });
-    xv6c::register_xv6c(kernel_, "xv6_vfs");
-    fuse::register_fuse_fs(kernel_, "xv6_fuse", [] {
-      return std::make_unique<xv6::Xv6FileSystem>();
-    });
-    ext4::register_ext4(kernel_, "ext4j");
+    register_deployments(kernel_);
 
     sim::ScopedThread in(boot_);
     const kern::Err e =

@@ -5,7 +5,7 @@
 // BufferHeadHandle, Semaphore — and never sees a kernel pointer. The same
 // instance runs in three deployments:
 //   - kernel Bento (BentoModule + KernelBlockBackend),
-//   - FUSE userspace (FuseFsType + UserBlockBackend),
+//   - FUSE userspace (FuseModule + UserBlockBackend),
 //   - the debugging rig (UserMount + MemBlockBackend),
 // which is the paper's compatibility/velocity story in code.
 //

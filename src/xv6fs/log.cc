@@ -43,6 +43,9 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
     if (!home.ok()) return home.error();
     if (durability_ == Durability::Strict) sb.flush_all();
     sb.wait(home.value());
+    // A failed home write keeps the header on media: the mount fails and
+    // the next one replays again (jbd2's "recovery failed").
+    if (home.value().ticket.failed) return Err::Io;
     auto clear = write_header(sb, LogHeader{});
     if (!clear.ok()) return clear.error();
     sb.wait(clear.value());

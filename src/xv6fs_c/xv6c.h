@@ -30,7 +30,8 @@ struct CLogStats : blk::JournalCounters {
   std::uint64_t blocks_logged = 0;
 };
 
-/// Mount-level state (lives in kern::SuperBlock::fs_info).
+/// Mount-level state: what the "xv6_vfs" fill_super returns, owned by the
+/// kern::SuperBlock.
 class Xv6cMount final : public kern::InodeOps,
                         public kern::FileOps,
                         public kern::SuperOps,
@@ -41,10 +42,10 @@ class Xv6cMount final : public kern::InodeOps,
   /// pipelining is a Bento-side thing.
   Xv6cMount(kern::SuperBlock& sb, const blk::MountOpts& opts)
       : sb_(&sb), opts_(opts) {}
+  /// Frees the C-style per-inode state of every inode still cached.
+  ~Xv6cMount() override;
 
   kern::Err mount_init();
-  /// Unmount-time cleanup of the C-style per-inode state.
-  void dispose_inode(kern::Inode& inode);
 
   [[nodiscard]] const CLogStats& log_stats() const { return log_stats_; }
 

@@ -35,7 +35,7 @@ std::unique_ptr<blk::BlockDevice> run_trace(std::string_view volume,
   params.nblocks = kBlocks;
   auto& dev = kernel.add_volume("ssd0", volume, params);
   ext4::mkfs(dev, /*inodes_per_group=*/4096);
-  register_all_xv6(kernel);
+  wl::register_deployments(kernel);
   EXPECT_EQ(Err::Ok, kernel.mount("ext4j", "ssd0", "/mnt", opts));
   dev.enable_crash_tracking();
   dev.kill_after(kill_point);
@@ -53,8 +53,7 @@ std::unique_ptr<blk::BlockDevice> run_trace(std::string_view volume,
     (void)kernel.close(p, fd.value());
   }
   if (pipelined_out != nullptr) {
-    const auto* mnt =
-        static_cast<const ext4::Ext4Mount*>(kernel.sb_at("/mnt")->fs_info);
+    const auto* mnt = kernel.sb_at("/mnt")->fs<ext4::Ext4Mount>();
     *pipelined_out = mnt->journal_stats().pipelined_commits;
   }
   sim::Rng crash_rng(77);
@@ -74,7 +73,7 @@ std::unique_ptr<blk::BlockDevice> recover_image(blk::BlockDevice& survivor) {
     survivor.read_untimed(b, buf);
     dev.write_untimed(b, buf);
   }
-  register_all_xv6(kernel);
+  wl::register_deployments(kernel);
   EXPECT_EQ(Err::Ok, kernel.mount("ext4j", "ssd0", "/mnt"));
   EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
   return copy_device(dev);

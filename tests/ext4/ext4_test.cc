@@ -21,9 +21,9 @@ class Ext4Test : public ::testing::Test {
     params.nblocks = 65536;  // 256 MiB
     auto& dev = kernel_.add_device("ssd0", params);
     ext4::mkfs(dev, /*inodes_per_group=*/4096);
-    register_all_xv6(kernel_);
+    wl::register_deployments(kernel_);
     ASSERT_EQ(Err::Ok, kernel_.mount("ext4j", "ssd0", "/mnt"));
-    mount_ = static_cast<ext4::Ext4Mount*>(kernel_.sb_at("/mnt")->fs_info);
+    mount_ = kernel_.sb_at("/mnt")->fs<ext4::Ext4Mount>();
     ASSERT_NE(mount_, nullptr);
   }
 
@@ -120,7 +120,7 @@ TEST_F(Ext4Test, JournalRecoveryReplaysCommittedTransaction) {
     dev->read_untimed(b, buf);
     dev2.write_untimed(b, buf);
   }
-  register_all_xv6(kernel2);
+  wl::register_deployments(kernel2);
   ASSERT_EQ(Err::Ok, kernel2.mount("ext4j", "ssd0", "/mnt"));
   auto fd2 = kernel2.open(kernel2.proc(), "/mnt/r", kern::kORdOnly);
   ASSERT_TRUE(fd2.ok());
@@ -264,7 +264,7 @@ TEST_F(Ext4Test, ReadpagesMapsExtentsOncePerRun) {
   ASSERT_EQ(Err::Ok, kernel_.sync(proc()));
   ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
   ASSERT_EQ(Err::Ok, kernel_.mount("ext4j", "ssd0", "/mnt"));
-  mount_ = static_cast<ext4::Ext4Mount*>(kernel_.sb_at("/mnt")->fs_info);
+  mount_ = kernel_.sb_at("/mnt")->fs<ext4::Ext4Mount>();
 
   const auto before = mount_->map_stats();
   fd = kernel_.open(proc(), "/mnt/big", kern::kORdOnly);

@@ -22,10 +22,9 @@ class ExtFuseTest : public ::testing::Test {
     params.nblocks = 32768;
     auto& dev = kernel_.add_device("ssd0", params);
     xv6::mkfs(dev, 4096);
-    register_all_xv6(kernel_);
+    wl::register_deployments(kernel_);
     ASSERT_EQ(Err::Ok, kernel_.mount("xv6_fuse", "ssd0", "/mnt", "extfuse"));
-    module_ = static_cast<fuse::FuseModule*>(
-        bento::BentoModule::from(*kernel_.sb_at("/mnt")));
+    module_ = kernel_.sb_at("/mnt")->fs<fuse::FuseModule>();
     ASSERT_NE(nullptr, module_);
     ASSERT_NE(nullptr, module_->extfuse());
   }
@@ -50,8 +49,7 @@ TEST_F(ExtFuseTest, MountWithoutOptionHasNoFilter) {
   auto& dev = kernel_.add_device("ssd1", params);
   xv6::mkfs(dev, 4096);
   ASSERT_EQ(Err::Ok, kernel_.mount("xv6_fuse", "ssd1", "/mnt2"));
-  auto* plain = static_cast<fuse::FuseModule*>(
-      bento::BentoModule::from(*kernel_.sb_at("/mnt2")));
+  auto* plain = kernel_.sb_at("/mnt2")->fs<fuse::FuseModule>();
   ASSERT_NE(nullptr, plain);
   EXPECT_EQ(nullptr, plain->extfuse());
   ASSERT_EQ(Err::Ok, kernel_.umount("/mnt2"));

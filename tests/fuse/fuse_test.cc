@@ -21,10 +21,9 @@ class FuseTest : public ::testing::Test {
     params.nblocks = 32768;
     auto& dev = kernel_.add_device("ssd0", params);
     xv6::mkfs(dev, 4096);
-    register_all_xv6(kernel_);
+    wl::register_deployments(kernel_);
     ASSERT_EQ(Err::Ok, kernel_.mount("xv6_fuse", "ssd0", "/mnt"));
-    module_ = static_cast<fuse::FuseModule*>(
-        bento::BentoModule::from(*kernel_.sb_at("/mnt")));
+    module_ = kernel_.sb_at("/mnt")->fs<fuse::FuseModule>();
     ASSERT_NE(module_, nullptr);
   }
 

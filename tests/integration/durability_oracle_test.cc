@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -61,19 +63,8 @@ struct Rig {
     blk::DeviceParams params;
     params.nblocks = kBlocks;
     dev = &kernel.add_device("ssd0", params);
-    bento::register_bento_fs(kernel, "xv6_bento", [] {
-      return std::make_unique<xv6::Xv6FileSystem>();
-    });
-    bento::register_bento_fs(kernel, "xv6_nvmlog", [nvm] {
-      return std::make_unique<bento::NvmLogFs>(
-          std::make_unique<xv6::Xv6FileSystem>(), nvm,
-          bento::NvmLogFs::Options{kDigestBytes});
-    });
-    xv6c::register_xv6c(kernel, "xv6_vfs");
-    fuse::register_fuse_fs(kernel, "xv6_fuse", [] {
-      return std::make_unique<xv6::Xv6FileSystem>();
-    });
-    ext4::register_ext4(kernel, "ext4j");
+    wl::register_deployments(kernel, nvm,
+                             bento::NvmLogFs::Options{kDigestBytes});
   }
 
   /// Format "ssd0" for `fstype` and mount it at /mnt. "noflusher" keeps
@@ -314,6 +305,80 @@ TEST_P(DurabilityScript, BackToBackFsyncsBothSurvive) {
 
 INSTANTIATE_TEST_SUITE_P(AllDeployments, DurabilityScript,
                          ::testing::ValuesIn(kDeployments),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+/// Format "ssd0" for `fstype` and plant one committed transaction that
+/// journal replay has not installed yet: it carries `bytes` for block
+/// `home`. Returns the journal block whose contents mark the transaction
+/// committed (the xv6 log header, ext4's descriptor).
+std::uint64_t plant_committed_txn(std::string_view fstype,
+                                  blk::BlockDevice& dev, std::uint32_t home,
+                                  std::span<const std::byte> bytes) {
+  std::array<std::byte, blk::kBlockSize> buf{};
+  if (fstype == "ext4j") {
+    const ext4::Super s = ext4::mkfs(dev, /*inodes_per_group=*/512);
+    ext4::JDescriptor desc;
+    desc.magic = ext4::kJDescMagic;
+    desc.seq = 1;
+    desc.n = 1;
+    desc.blocks[0] = home;
+    std::memcpy(buf.data(), &desc, sizeof(desc));
+    dev.write_untimed(s.jstart, buf);
+    dev.write_untimed(s.jstart + 1, bytes);
+    buf.fill(std::byte{0});
+    const ext4::JCommit commit{ext4::kJCommitMagic, desc.seq};
+    std::memcpy(buf.data(), &commit, sizeof(commit));
+    dev.write_untimed(s.jstart + 2, buf);
+    return s.jstart;
+  }
+  const xv6::DiskSuperblock s = xv6::mkfs(dev, /*ninodes=*/512);
+  xv6::LogHeader header;
+  header.n = 1;
+  header.blocks[0] = home;
+  std::memcpy(buf.data(), &header, sizeof(header));
+  dev.write_untimed(s.logstart, buf);
+  dev.write_untimed(s.logstart + 1, bytes);
+  return s.logstart;
+}
+
+class ReplayWriteError : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ReplayWriteError, FailedHomeWriteFailsTheMountAndKeepsTheJournal) {
+  // jbd2's "recovery failed": a replay whose home write fails must fail
+  // the mount and leave the transaction in the journal. Clearing it would
+  // lose the committed bytes for good, even once the sector is repaired.
+  sim::SimThread thread(0);
+  sim::ScopedThread in(thread);
+  Rig rig(small_nvm());
+  const auto home = static_cast<std::uint32_t>(kBlocks - 1);  // a free block
+  std::array<std::byte, blk::kBlockSize> committed{};
+  committed.fill(std::byte{0x5a});
+  const std::uint64_t mark =
+      plant_committed_txn(GetParam(), *rig.dev, home, committed);
+  std::array<std::byte, blk::kBlockSize> planted{};
+  std::array<std::byte, blk::kBlockSize> now{};
+  rig.dev->read_untimed(mark, planted);
+
+  rig.dev->inject_write_error(home);
+  EXPECT_EQ(Err::Io, rig.kernel.mount(GetParam(), "ssd0", "/mnt"));
+  EXPECT_EQ(nullptr, rig.kernel.sb_at("/mnt"));
+  rig.dev->read_untimed(mark, now);
+  EXPECT_TRUE(planted == now) << "the failed replay cleared the journal";
+
+  rig.dev->clear_write_error(home);
+  ASSERT_EQ(Err::Ok, rig.kernel.mount(GetParam(), "ssd0", "/mnt"));
+  ASSERT_EQ(Err::Ok, rig.kernel.umount("/mnt"));
+  rig.dev->read_untimed(home, now);
+  EXPECT_TRUE(committed == now) << "the committed bytes never reached home";
+}
+
+// xv6_fuse is not here: its daemon writes synchronously through the /dev
+// file and hands the journal an empty ticket.
+INSTANTIATE_TEST_SUITE_P(VerifiedJournals, ReplayWriteError,
+                         ::testing::Values("xv6_bento", "xv6_nvmlog",
+                                           "xv6_vfs", "ext4j"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

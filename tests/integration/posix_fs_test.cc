@@ -29,7 +29,7 @@ class PosixFsTest : public ::testing::TestWithParam<const char*> {
     } else {
       xv6::mkfs(dev, /*ninodes=*/4096);
     }
-    register_all_xv6(kernel_);
+    wl::register_deployments(kernel_);
     ASSERT_EQ(kern::Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
   }
 
@@ -362,7 +362,7 @@ TEST_P(PosixFsTest, WriteReturnsBadFOnReadOnlyFd) {
 std::optional<std::uint64_t> xv6_commits(std::string_view fstype,
                                          kern::SuperBlock& sb) {
   if (fstype == "xv6_vfs") {
-    return static_cast<xv6c::Xv6cMount*>(sb.fs_info)->log_stats().commits;
+    return sb.fs<xv6c::Xv6cMount>()->log_stats().commits;
   }
   if (fstype == "ext4j") return std::nullopt;
   bento::FileSystem* fs = &bento::BentoModule::from(sb)->fs();

@@ -66,7 +66,7 @@ class RandomOps : public ::testing::TestWithParam<Case> {
     } else {
       xv6::mkfs(dev, 4096);
     }
-    register_all_xv6(kernel_);
+    wl::register_deployments(kernel_);
     ASSERT_EQ(Err::Ok, kernel_.mount(GetParam().fs, "ssd0", "/mnt",
                                      GetParam().mount_opts));
   }
@@ -304,7 +304,7 @@ TEST(StripedDifferential, FinalImageBitIdenticalToSingleDevice) {
       kernels[k] = std::make_unique<kern::Kernel>();
       devs[k] = &add_ssd0(*kernels[k], k == 0 ? "" : "stripe=4");
       xv6::mkfs(*devs[k], 4096);
-      register_all_xv6(*kernels[k]);
+      wl::register_deployments(*kernels[k]);
       ASSERT_EQ(Err::Ok, kernels[k]->mount("xv6_bento", "ssd0", "/mnt",
                                            "noflusher"));
       run_mutation_trace(*kernels[k], seed);
@@ -336,7 +336,7 @@ TEST(MirroredDifferential, FinalImageAndReplicasBitIdentical) {
       kernels[k] = std::make_unique<kern::Kernel>();
       devs[k] = &add_ssd0(*kernels[k], k == 0 ? "" : "mirror=2");
       xv6::mkfs(*devs[k], 4096);
-      register_all_xv6(*kernels[k]);
+      wl::register_deployments(*kernels[k]);
       ASSERT_EQ(Err::Ok, kernels[k]->mount("xv6_bento", "ssd0", "/mnt",
                                            "noflusher"));
       run_mutation_trace(*kernels[k], seed);
@@ -373,7 +373,7 @@ TEST(ParityDifferential, FinalImageBitIdenticalHealthyAndDegraded) {
       kernels[k] = std::make_unique<kern::Kernel>();
       devs[k] = &add_ssd0(*kernels[k], k == 0 ? "" : "parity=4");
       xv6::mkfs(*devs[k], 4096);
-      register_all_xv6(*kernels[k]);
+      wl::register_deployments(*kernels[k]);
       ASSERT_EQ(Err::Ok, kernels[k]->mount("xv6_bento", "ssd0", "/mnt",
                                            "noflusher"));
       run_mutation_trace(*kernels[k], seed);

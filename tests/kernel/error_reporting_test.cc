@@ -86,7 +86,7 @@ void make_bed(Bed& bed, std::string_view opts = "",
     bed.journal_block = xv6::mkfs(*bed.dev, /*ninodes=*/512).logstart;
   }
   bed.journal_block += 1;
-  register_all_xv6(bed.kernel);
+  wl::register_deployments(bed.kernel);
   ASSERT_EQ(Err::Ok, bed.kernel.mount(fs, "ssd0", "/mnt", opts));
 }
 
@@ -99,7 +99,7 @@ struct JournalState {
 JournalState journal_state(kern::Kernel& kernel) {
   kern::SuperBlock* sb = kernel.sb_at("/mnt");
   if (sb->fs_name == "ext4j") {
-    const auto* mnt = static_cast<const ext4::Ext4Mount*>(sb->fs_info);
+    const auto* mnt = sb->fs<ext4::Ext4Mount>();
     return {mnt->journal_stats().jbd_aborted, mnt->inflight_commits()};
   }
   const auto& fs = static_cast<const xv6::Xv6FileSystem&>(

@@ -51,6 +51,30 @@ TEST_F(SyscallTest, MountErrors) {
   EXPECT_EQ(kernel_.mount("xv6_bento", "ssd0", "relative"), Err::Inval);
   EXPECT_EQ(kernel_.mount("xv6_bento", "ssd0", "/mnt"), Err::Busy);
   EXPECT_EQ(kernel_.umount("/nothing"), Err::NoEnt);
+
+  // A fill_super that fails (no file system on the device) frees what it
+  // built and leaves no mount behind; the same type then mounts a
+  // formatted device.
+  blk::DeviceParams params;
+  params.nblocks = 8192;
+  kernel_.add_device("blank", params);
+  auto& formatted = kernel_.add_device("ssd1", params);
+  for (const std::string fs :
+       {"xv6_bento", "xv6_nvmlog", "xv6_vfs", "xv6_fuse", "ext4j"}) {
+    SCOPED_TRACE(fs);
+    EXPECT_EQ(kernel_.mount(fs, "blank", "/m2"), Err::Inval);
+    EXPECT_EQ(kernel_.sb_at("/m2"), nullptr);
+    if (fs == "ext4j") {
+      ext4::mkfs(formatted, /*inodes_per_group=*/512);
+    } else {
+      xv6::mkfs(formatted, /*ninodes=*/512);
+    }
+    ASSERT_EQ(kernel_.mount(fs, "ssd1", "/m2"), Err::Ok);
+    auto fd = kernel_.open(proc(), "/m2/f", kern::kOCreat | kern::kOWrOnly);
+    ASSERT_TRUE(fd.ok());
+    EXPECT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+    ASSERT_EQ(kernel_.umount("/m2"), Err::Ok);
+  }
 }
 
 TEST_F(SyscallTest, MountRejectsUnknownOptionTokens) {

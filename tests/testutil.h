@@ -14,6 +14,7 @@
 #include "fuse/fuse.h"
 #include "kernel/kernel.h"
 #include "sim/thread.h"
+#include "workloads/testbed.h"
 #include "xv6fs/fs.h"
 #include "xv6fs/layout.h"
 #include "xv6fs_c/xv6c.h"
@@ -72,25 +73,6 @@ inline bool images_equal(blk::BlockDevice& a, blk::BlockDevice& b) {
   return true;
 }
 
-/// Register all three xv6 deployments (paper §6.2) with a kernel:
-/// "xv6_bento" (kernel Bento), "xv6_vfs" (C baseline), "xv6_fuse"
-/// (userspace via the FUSE transport).
-inline void register_all_xv6(kern::Kernel& kernel) {
-  bento::register_bento_fs(kernel, "xv6_bento", [] {
-    return std::make_unique<xv6::Xv6FileSystem>();
-  });
-  bento::register_bento_fs(kernel, "xv6_nvmlog", [] {
-    return std::make_unique<bento::NvmLogFs>(
-        std::make_unique<xv6::Xv6FileSystem>(),
-        std::make_shared<blk::NvmRegion>(blk::NvmParams{}));
-  });
-  xv6c::register_xv6c(kernel, "xv6_vfs");
-  fuse::register_fuse_fs(kernel, "xv6_fuse", [] {
-    return std::make_unique<xv6::Xv6FileSystem>();
-  });
-  ext4::register_ext4(kernel, "ext4j");
-}
-
 /// A kernel with one device formatted as xv6 and mounted via BentoFS.
 class BentoXv6Fixture : public ::testing::Test {
  protected:
@@ -100,7 +82,7 @@ class BentoXv6Fixture : public ::testing::Test {
     params.nblocks = 32768;  // 128 MiB
     auto& dev = kernel_.add_device("ssd0", params);
     xv6::mkfs(dev, /*ninodes=*/4096);
-    register_all_xv6(kernel_);
+    wl::register_deployments(kernel_);
     ASSERT_EQ(kern::Err::Ok,
               kernel_.mount("xv6_bento", "ssd0", "/mnt"));
   }
