@@ -23,15 +23,22 @@ kern::Result<std::vector<BufferHeadHandle>> BlockBackend::bread_batch(
   return out;
 }
 
-void BlockBackend::bh_sync_batch(std::span<void* const> impls) {
-  for (void* impl : impls) bh_sync(impl);
+kern::Err BlockBackend::bh_sync_batch(std::span<void* const> impls) {
+  kern::Err result = kern::Err::Ok;
+  for (void* impl : impls) {
+    const kern::Err e = bh_sync(impl);
+    if (e != kern::Err::Ok) result = e;
+  }
+  return result;
 }
 
 WriteTicket BlockBackend::bh_sync_batch_async(std::span<void* const> impls) {
   // Unbatched userspace default: no async device path, so the write is
-  // synchronous and the ticket comes back already redeemed.
-  bh_sync_batch(impls);
-  return WriteTicket{};
+  // synchronous and the ticket comes back already redeemed, carrying the
+  // write's failure for the journal to check.
+  WriteTicket t;
+  t.ticket.failed = bh_sync_batch(impls) != kern::Err::Ok;
+  return t;
 }
 
 WriteTicket SuperBlockCap::sync_batch_async(
@@ -62,9 +69,9 @@ void BufferHeadHandle::set_dirty() {
   owner_->bh_set_dirty(impl_);
 }
 
-void BufferHeadHandle::sync() {
+kern::Err BufferHeadHandle::sync() {
   assert(owner_ != nullptr);
-  owner_->bh_sync(impl_);
+  return owner_->bh_sync(impl_);
 }
 
 void BufferHeadHandle::reset() {
@@ -114,8 +121,8 @@ void KernelBlockBackend::bh_set_dirty(void* impl) {
   cache_->mark_dirty(static_cast<kern::BufferHead*>(impl));
 }
 
-void KernelBlockBackend::bh_sync(void* impl) {
-  cache_->sync_dirty_buffer(static_cast<kern::BufferHead*>(impl));
+kern::Err KernelBlockBackend::bh_sync(void* impl) {
+  return cache_->sync_dirty_buffer(static_cast<kern::BufferHead*>(impl));
 }
 
 WriteTicket KernelBlockBackend::bh_sync_batch_async(

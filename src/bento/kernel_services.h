@@ -88,17 +88,19 @@ class BlockBackend {
   virtual std::span<std::byte> bh_data(void* impl) = 0;
   virtual void bh_set_dirty(void* impl) = 0;
   /// Synchronous durable write of this block (sync_dirty_buffer in the
-  /// kernel; pwrite + whole-file fsync from userspace — §6.4).
-  virtual void bh_sync(void* impl) = 0;
+  /// kernel; pwrite + whole-file fsync from userspace — §6.4). Io when the
+  /// write failed; the block then stays dirty.
+  virtual kern::Err bh_sync(void* impl) = 0;
   /// Batched synchronous write of many blocks: one request-queue
   /// submission in the kernel; from userspace the pwrites batch but the
   /// whole-file fsync is paid once for the batch. Default loops bh_sync.
-  virtual void bh_sync_batch(std::span<void* const> impls);
+  /// Io when any write failed; each failed block stays dirty.
+  virtual kern::Err bh_sync_batch(std::span<void* const> impls);
   /// Non-barrier batched write: submit and return a ticket the caller
   /// redeems with bh_sync_wait, so a journal can overlap its checkpoint
   /// with subsequent work (QD>1). The default (userspace backends, which
   /// have no async device path) performs the write synchronously and
-  /// returns an empty ticket.
+  /// returns an empty ticket, marked failed when the write failed.
   virtual WriteTicket bh_sync_batch_async(std::span<void* const> impls);
   virtual void bh_sync_wait(const WriteTicket& t) { (void)t; }
   virtual void bh_release(void* impl) = 0;
@@ -153,8 +155,8 @@ class BufferHeadHandle {
   /// Mark the buffer dirty (mark_buffer_dirty).
   void set_dirty();
 
-  /// Synchronously make this block durable.
-  void sync();
+  /// Synchronously make this block durable; Io when the write failed.
+  kern::Err sync();
 
   /// Explicit early release (otherwise the destructor does it).
   void reset();
@@ -283,7 +285,7 @@ class KernelBlockBackend final : public BlockBackend {
   kern::Result<BufferHeadHandle> getblk(std::uint64_t blockno) override;
   std::span<std::byte> bh_data(void* impl) override;
   void bh_set_dirty(void* impl) override;
-  void bh_sync(void* impl) override;
+  kern::Err bh_sync(void* impl) override;
   WriteTicket bh_sync_batch_async(std::span<void* const> impls) override;
   void bh_sync_wait(const WriteTicket& t) override;
   void bh_release(void* impl) override;

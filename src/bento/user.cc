@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
+#include <vector>
 
 namespace bsim::bento {
 
@@ -24,25 +26,35 @@ void UserBlockBackend::ring_write(const UserBuf& buf) {
   const std::span<const std::byte> data{buf.data.data(), buf.data.size()};
   const std::uint64_t off = buf.blockno * blk::kBlockSize;
   if (ring_->prep_write(fd_, data, off, buf.blockno) == kern::Err::Again) {
-    ring_finish(/*fsync=*/false);
+    ring_submit();
     (void)ring_->prep_write(fd_, data, off, buf.blockno);
   }
   stats_.pwrites += 1;
 }
 
-void UserBlockBackend::ring_finish(bool fsync) {
+void UserBlockBackend::ring_submit() {
+  (void)ring_->submit();
+  stats_.uring_enters += 1;
+  while (const auto cqe = ring_->pop_cqe()) {
+    if (cqe->err == kern::Err::Ok) continue;
+    ring_failed_ = true;
+    // A pwrite's user_data is its block number (the fsync's matches none):
+    // a block whose write failed stays dirty.
+    auto it = cache_.find(cqe->user_data);
+    if (it != cache_.end()) it->second->dirty = true;
+  }
+}
+
+kern::Err UserBlockBackend::ring_finish(bool fsync) {
   if (fsync) {
     if (ring_->prep_fsync(fd_, /*datasync=*/false, ~0ULL) == kern::Err::Again) {
-      ring_finish(/*fsync=*/false);
+      ring_submit();
       (void)ring_->prep_fsync(fd_, /*datasync=*/false, ~0ULL);
     }
     stats_.fsyncs += 1;
   }
-  if (ring_->sq_pending() == 0 && !fsync) return;
-  (void)ring_->submit();
-  stats_.uring_enters += 1;
-  while (ring_->pop_cqe().has_value()) {
-  }
+  if (ring_->sq_pending() > 0 || fsync) ring_submit();
+  return std::exchange(ring_failed_, false) ? kern::Err::Io : kern::Err::Ok;
 }
 
 UserBlockBackend::~UserBlockBackend() = default;
@@ -117,27 +129,15 @@ void UserBlockBackend::bh_set_dirty(void* impl) {
   static_cast<UserBuf*>(impl)->dirty = true;
 }
 
-void UserBlockBackend::bh_sync(void* impl) {
+kern::Err UserBlockBackend::bh_sync(void* impl) {
   // The §6.4 behaviour: one durable block write from userspace costs a
   // pwrite plus an fsync of the entire disk file. With io_uring the two
   // ops share one crossing — but the whole-file fsync semantics (and its
   // host-side cost) remain.
-  auto* buf = static_cast<UserBuf*>(impl);
-  if (ring_ != nullptr) {
-    ring_write(*buf);
-    ring_finish(/*fsync=*/true);
-    buf->dirty = false;
-    return;
-  }
-  (void)kernel_->pwrite(*proc_, fd_, {buf->data.data(), buf->data.size()},
-                        buf->blockno * blk::kBlockSize);
-  (void)kernel_->fsync(*proc_, fd_);
-  stats_.pwrites += 1;
-  stats_.fsyncs += 1;
-  buf->dirty = false;
+  return bh_sync_batch({&impl, 1});
 }
 
-void UserBlockBackend::bh_sync_batch(std::span<void* const> impls) {
+kern::Err UserBlockBackend::bh_sync_batch(std::span<void* const> impls) {
   // A batched commit run from userspace: the pwrites are unavoidable, but
   // the whole-file fsync — §6.4's dominant term — is paid once for the
   // run instead of once per block. With io_uring the pwrites and the
@@ -148,18 +148,23 @@ void UserBlockBackend::bh_sync_batch(std::span<void* const> impls) {
       ring_write(*buf);
       buf->dirty = false;
     }
-    ring_finish(/*fsync=*/true);
-    return;
+    return ring_finish(/*fsync=*/true);
   }
+  kern::Err result = kern::Err::Ok;
   for (void* impl : impls) {
     auto* buf = static_cast<UserBuf*>(impl);
-    (void)kernel_->pwrite(*proc_, fd_, {buf->data.data(), buf->data.size()},
-                          buf->blockno * blk::kBlockSize);
+    auto w = kernel_->pwrite(*proc_, fd_, {buf->data.data(), buf->data.size()},
+                             buf->blockno * blk::kBlockSize);
     stats_.pwrites += 1;
-    buf->dirty = false;
+    if (w.ok()) {
+      buf->dirty = false;
+    } else {
+      result = w.error();
+    }
   }
-  (void)kernel_->fsync(*proc_, fd_);
+  const kern::Err synced = kernel_->fsync(*proc_, fd_);
   stats_.fsyncs += 1;
+  return result != kern::Err::Ok ? result : synced;
 }
 
 void UserBlockBackend::bh_release(void* impl) {
@@ -169,26 +174,11 @@ void UserBlockBackend::bh_release(void* impl) {
 }
 
 void UserBlockBackend::flush_all() {
-  if (ring_ != nullptr) {
-    for (auto& [blockno, buf] : cache_) {
-      if (buf->dirty) {
-        ring_write(*buf);
-        buf->dirty = false;
-      }
-    }
-    ring_finish(/*fsync=*/true);
-    return;
-  }
+  std::vector<void*> dirty;
   for (auto& [blockno, buf] : cache_) {
-    if (buf->dirty) {
-      (void)kernel_->pwrite(*proc_, fd_, {buf->data.data(), buf->data.size()},
-                            blockno * blk::kBlockSize);
-      stats_.pwrites += 1;
-      buf->dirty = false;
-    }
+    if (buf->dirty) dirty.push_back(buf.get());
   }
-  (void)kernel_->fsync(*proc_, fd_);
-  stats_.fsyncs += 1;
+  (void)bh_sync_batch(dirty);
 }
 
 // ---- MemBlockBackend ----

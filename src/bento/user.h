@@ -52,8 +52,8 @@ class UserBlockBackend final : public BlockBackend {
   kern::Result<BufferHeadHandle> getblk(std::uint64_t blockno) override;
   std::span<std::byte> bh_data(void* impl) override;
   void bh_set_dirty(void* impl) override;
-  void bh_sync(void* impl) override;
-  void bh_sync_batch(std::span<void* const> impls) override;
+  kern::Err bh_sync(void* impl) override;
+  kern::Err bh_sync_batch(std::span<void* const> impls) override;
   void bh_release(void* impl) override;
 
  private:
@@ -72,9 +72,14 @@ class UserBlockBackend final : public BlockBackend {
   kern::Result<UserBuf*> get_buf(std::uint64_t blockno, bool read);
   void evict_if_needed();
   /// Queue one block pwrite on the ring, submitting first if the SQ is
-  /// full; then drain completions if `finish`.
+  /// full. The caller clears the block's dirty bit; a failed completion
+  /// sets it again.
   void ring_write(const UserBuf& buf);
-  void ring_finish(bool fsync);
+  /// One io_uring_enter for what is queued, then drain the completions.
+  void ring_submit();
+  /// Queue an fsync if asked, submit what is queued, and drain. Io when a
+  /// completion drained since the last ring_finish failed.
+  kern::Err ring_finish(bool fsync);
 
   kern::Kernel* kernel_;
   kern::Process* proc_;
@@ -84,6 +89,7 @@ class UserBlockBackend final : public BlockBackend {
   std::unordered_map<std::uint64_t, std::unique_ptr<UserBuf>> cache_;
   std::list<std::uint64_t> lru_;
   std::unique_ptr<kern::IoUring> ring_;  // null unless use_uring
+  bool ring_failed_ = false;  // a completion failed since ring_finish
   Stats stats_;
 };
 
@@ -106,7 +112,7 @@ class MemBlockBackend final : public BlockBackend {
   kern::Result<BufferHeadHandle> getblk(std::uint64_t blockno) override;
   std::span<std::byte> bh_data(void* impl) override;
   void bh_set_dirty(void* impl) override;
-  void bh_sync(void*) override {}
+  kern::Err bh_sync(void*) override { return kern::Err::Ok; }
   void bh_release(void* impl) override;
 
  private:

@@ -96,7 +96,15 @@ class Journal : public RunningTxn {
  public:
   using Ticket = typename Io::Ticket;
   using Tickets = std::vector<Ticket>;
-  static constexpr std::size_t kPipelineDepth = 2;
+  /// Commits in flight before the next begin_commit redeems the oldest.
+  /// A device has 8 channels (DeviceParams::channels), and a pipelined
+  /// commit keeps two long transfers busy on each member it touches: its
+  /// merged log run and its merged install. So four commits fill the
+  /// device: one device then writes at its limit, 8 channels x 4 KiB per
+  /// 15 us of transfer and destage, halved because data goes through the
+  /// journal. A shallower pipeline leaves channels idle, and buffered
+  /// writeback then throttles the writer on the pipeline.
+  static constexpr std::size_t kPipelineDepth = 4;
 
   explicit Journal(JournalCounters& counters, bool pipeline = true)
       : RunningTxn(counters), pipeline_(pipeline) {}

@@ -421,6 +421,7 @@ Result<std::uint64_t> Kernel::bdev_read(OpenFile& f, std::span<std::byte> out,
                  out.subspan(static_cast<std::size_t>(done), dev.block_size()));
   }
   if (!bio.empty()) dev.submit(bio);
+  if (bio.io_error) return Err::Io;
   return static_cast<std::uint64_t>(out.size());
 }
 
@@ -438,6 +439,7 @@ Result<std::uint64_t> Kernel::bdev_write(OpenFile& f,
                   in.subspan(static_cast<std::size_t>(done), dev.block_size()));
   }
   if (!bio.empty()) dev.submit(bio);
+  if (bio.io_error) return Err::Io;
   return static_cast<std::uint64_t>(in.size());
 }
 

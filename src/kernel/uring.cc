@@ -65,6 +65,7 @@ unsigned IoUring::drain_bdev_run(const Sqe& first, OpenFile& of,
 
   auto& dev = *of.bdev;
   std::vector<blk::Bio> bios;
+  std::vector<std::size_t> bio_cqe;  // bios[j] completes cqes[bio_cqe[j]]
   std::vector<Cqe> cqes(run.size());
   bios.reserve(run.size());
   for (std::size_t i = 0; i < run.size(); ++i) {
@@ -97,6 +98,7 @@ unsigned IoUring::drain_bdev_run(const Sqe& first, OpenFile& of,
       continue;
     }
     bios.push_back(std::move(bio));
+    bio_cqe.push_back(i);
     cqes[i].res = len;
   }
   stats_.bdev_batches += bios.size() > 1 ? 1 : 0;
@@ -109,6 +111,13 @@ unsigned IoUring::drain_bdev_run(const Sqe& first, OpenFile& of,
     // record: a plugged device may defer dispatch and keep pointers into
     // them until its plug closes.
     const blk::Ticket t = dev.submit_async(bios);
+    // A bio's failure is known once it dispatches: at submission, unless
+    // a plug defers it.
+    for (std::size_t j = 0; j < bios.size(); ++j) {
+      if (!bios[j].io_error) continue;
+      cqes[bio_cqe[j]].err = Err::Io;
+      cqes[bio_cqe[j]].res = 0;
+    }
     inflight.push_back(InflightRun{&dev, t, std::move(bios)});
     stats_.async_runs += 1;
     stats_.max_inflight_runs =

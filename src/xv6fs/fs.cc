@@ -197,34 +197,22 @@ Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb) {
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value().data();
     sim::charge(300);  // bit scan within the block
-    for (std::uint32_t i = 0; i < kBitsPerBlock; ++i) {
-      // A full byte has no free bit. Skipping it saves host time only: the
-      // scan's virtual cost is the flat charge above.
-      if (i % 8 == 0 && bytes[i / 8] == std::byte{0xFF}) {
-        i += 7;
-        continue;
-      }
-      const std::uint64_t blockno =
-          static_cast<std::uint64_t>(bi) * kBitsPerBlock + i;
-      if (blockno >= dsb_.size) break;
-      if (blockno < dsb_.datastart) continue;
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) {
-        continue;
-      }
-      bytes[i / 8] |= std::byte{1} << (i % 8);
-      bh.value().set_dirty();
-      log_.log_write(sb, dsb_.bmapstart + bi);
-      balloc_hint_ = bi;
-      free_blocks_ -= 1;
+    const std::uint32_t i = first_free_bit(dsb_, bi, bytes);
+    if (i == kBitsPerBlock) continue;
+    const auto blockno = static_cast<std::uint32_t>(bi * kBitsPerBlock + i);
+    bytes[i / 8] |= std::byte{1} << (i % 8);
+    bh.value().set_dirty();
+    log_.log_write(sb, dsb_.bmapstart + bi);
+    balloc_hint_ = bi;
+    free_blocks_ -= 1;
 
-      // bzero: fresh blocks must read back as zeroes.
-      auto zb = sb.getblk(static_cast<std::uint32_t>(blockno));
-      if (!zb.ok()) return zb.error();
-      std::memset(zb.value().data().data(), 0, kBlockSize);
-      zb.value().set_dirty();
-      log_.log_write(sb, static_cast<std::uint32_t>(blockno));
-      return static_cast<std::uint32_t>(blockno);
-    }
+    // bzero: fresh blocks must read back as zeroes.
+    auto zb = sb.getblk(blockno);
+    if (!zb.ok()) return zb.error();
+    std::memset(zb.value().data().data(), 0, kBlockSize);
+    zb.value().set_dirty();
+    log_.log_write(sb, blockno);
+    return blockno;
   }
   return Err::NoSpc;
 }

@@ -320,33 +320,26 @@ Result<std::uint32_t> Xv6cMount::balloc() {
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value()->bytes();
     sim::charge(300);
-    for (std::uint32_t i = 0; i < xv6::kBitsPerBlock; ++i) {
-      // A full byte has no free bit. Skipping it saves host time only: the
-      // scan's virtual cost is the flat charge above.
-      if (i % 8 == 0 && bytes[i / 8] == std::byte{0xFF}) {
-        i += 7;
-        continue;
-      }
-      const std::uint64_t blockno =
-          static_cast<std::uint64_t>(bi) * xv6::kBitsPerBlock + i;
-      if (blockno >= dsb_.size) break;
-      if (blockno < dsb_.datastart) continue;
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) continue;
-      bytes[i / 8] |= std::byte{1} << (i % 8);
-      bc.mark_dirty(bh.value());
-      log_write(dsb_.bmapstart + bi);
+    const std::uint32_t i = xv6::first_free_bit(dsb_, bi, bytes);
+    if (i == xv6::kBitsPerBlock) {
       bc.brelse(bh.value());
-      balloc_hint_ = bi;
-      free_blocks_ -= 1;
-      auto zb = bc.getblk(blockno);
-      if (!zb.ok()) return zb.error();
-      std::memset(zb.value()->bytes().data(), 0, kBlockSize);
-      bc.mark_dirty(zb.value());
-      log_write(blockno);
-      bc.brelse(zb.value());
-      return static_cast<std::uint32_t>(blockno);
+      continue;
     }
+    const auto blockno =
+        static_cast<std::uint32_t>(bi * xv6::kBitsPerBlock + i);
+    bytes[i / 8] |= std::byte{1} << (i % 8);
+    bc.mark_dirty(bh.value());
+    log_write(dsb_.bmapstart + bi);
     bc.brelse(bh.value());
+    balloc_hint_ = bi;
+    free_blocks_ -= 1;
+    auto zb = bc.getblk(blockno);
+    if (!zb.ok()) return zb.error();
+    std::memset(zb.value()->bytes().data(), 0, kBlockSize);
+    bc.mark_dirty(zb.value());
+    log_write(blockno);
+    bc.brelse(zb.value());
+    return blockno;
   }
   return Err::NoSpc;
 }

@@ -374,11 +374,9 @@ TEST_P(ReplayWriteError, FailedHomeWriteFailsTheMountAndKeepsTheJournal) {
   EXPECT_TRUE(committed == now) << "the committed bytes never reached home";
 }
 
-// xv6_fuse is not here: its daemon writes synchronously through the /dev
-// file and hands the journal an empty ticket.
 INSTANTIATE_TEST_SUITE_P(VerifiedJournals, ReplayWriteError,
                          ::testing::Values("xv6_bento", "xv6_nvmlog",
-                                           "xv6_vfs", "ext4j"),
+                                           "xv6_vfs", "xv6_fuse", "ext4j"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

@@ -143,6 +143,41 @@ TEST_F(UringTest, DeviceFileRespectsODirectAlignment) {
   EXPECT_EQ(Err::Inval, c2->err);
 }
 
+TEST_F(UringTest, DeviceFileReportsMediaErrors) {
+  // A bio that fails on media fails its pread/pwrite, as a syscall and as
+  // a CQE, while a healthy neighbour in the same ring batch succeeds.
+  const int fd = open_file("/dev/ssd0", kern::kORdWr | kern::kODirect);
+  auto* dev = kernel_.device("ssd0");
+  const std::uint64_t bad_read = 20020;
+  const std::uint64_t bad_write = 20021;
+  const std::uint64_t good = 20022;
+  dev->inject_read_error(bad_read);
+  dev->inject_write_error(bad_write);
+  std::vector<std::byte> page(4096, std::byte{0x3c});
+
+  EXPECT_EQ(Err::Io, kernel_.pread(proc(), fd, page, bad_read * 4096).error());
+  EXPECT_EQ(Err::Io,
+            kernel_.pwrite(proc(), fd, page, bad_write * 4096).error());
+
+  IoUring ring(kernel_, proc());
+  ASSERT_EQ(Err::Ok, ring.prep_write(fd, page, bad_write * 4096, 1));
+  ASSERT_EQ(Err::Ok, ring.prep_write(fd, page, good * 4096, 2));
+  ASSERT_TRUE(ring.submit().ok());
+  auto c1 = ring.pop_cqe();
+  auto c2 = ring.pop_cqe();
+  ASSERT_TRUE(c1 && c2);
+  EXPECT_EQ(Err::Io, c1->err);
+  EXPECT_EQ(Err::Ok, c2->err);
+  EXPECT_EQ(4096U, c2->res);
+
+  std::vector<std::byte> out(4096);
+  ASSERT_EQ(Err::Ok, ring.prep_read(fd, out, bad_read * 4096, 3));
+  ASSERT_TRUE(ring.submit().ok());
+  auto c3 = ring.pop_cqe();
+  ASSERT_TRUE(c3);
+  EXPECT_EQ(Err::Io, c3->err);
+}
+
 TEST_F(UringTest, FsyncSqeIsDurableOnDeviceFile) {
   const int fd = open_file("/dev/ssd0", kern::kORdWr | kern::kODirect);
   IoUring ring(kernel_, proc());
@@ -252,6 +287,44 @@ TEST_F(UringTest, UserBlockBackendBatchesDurableWrites) {
   kernel_.device("ssd0")->read_untimed(20007, check);
   EXPECT_EQ(std::byte{0x42}, check[0]);
   (void)kernel_.close(*daemon, fd.value());
+}
+
+TEST_F(UringTest, UserBlockBackendReportsAFailedWriteAndKeepsTheBlockDirty) {
+  // A durable write whose pwrite fails returns Io, with and without the
+  // ring, and leaves the block dirty: once the sector is repaired, the
+  // next flush_all writes it.
+  for (const bool use_uring : {false, true}) {
+    SCOPED_TRACE(use_uring ? "uring" : "syscalls");
+    auto daemon = kernel_.new_process();
+    auto fd = kernel_.open(*daemon, "/dev/ssd0",
+                           kern::kORdWr | kern::kODirect);
+    ASSERT_TRUE(fd.ok());
+    bento::UserBlockBackend backend(kernel_, *daemon, fd.value(),
+                                    kernel_.device("ssd0")->nblocks(),
+                                    /*cache_blocks=*/64, use_uring);
+    auto cap = bento::CapTestAccess::make(backend);
+    const std::uint64_t blockno = use_uring ? 20011 : 20012;
+    auto* dev = kernel_.device("ssd0");
+    dev->inject_write_error(blockno);
+    {
+      auto bh = cap->getblk(blockno);
+      ASSERT_TRUE(bh.ok());
+      bh.value().data()[0] = std::byte{0x66};
+      bh.value().set_dirty();
+      EXPECT_EQ(Err::Io, bh.value().sync());
+    }
+    std::array<std::byte, 4096> check{};
+    dev->read_untimed(blockno, check);
+    EXPECT_NE(std::byte{0x66}, check[0]);
+
+    dev->clear_write_error(blockno);
+    const std::uint64_t pwrites = backend.io_stats().pwrites;
+    backend.flush_all();
+    EXPECT_EQ(pwrites + 1, backend.io_stats().pwrites);
+    dev->read_untimed(blockno, check);
+    EXPECT_EQ(std::byte{0x66}, check[0]);
+    (void)kernel_.close(*daemon, fd.value());
+  }
 }
 
 TEST_F(UringTest, EmptySubmitPaysOneCrossingOnly) {

@@ -73,6 +73,13 @@ inline bool images_equal(blk::BlockDevice& a, blk::BlockDevice& b) {
   return true;
 }
 
+/// What a crash-differential trace saw of its journal: the pipelined
+/// commit count, and the most commits in flight after any syscall.
+struct PipelineObs {
+  std::uint64_t pipelined_commits = 0;
+  std::size_t peak_inflight = 0;
+};
+
 /// A kernel with one device formatted as xv6 and mounted via BentoFS.
 class BentoXv6Fixture : public ::testing::Test {
  protected:

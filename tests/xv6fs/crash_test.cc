@@ -8,6 +8,7 @@
 // image must be structurally consistent and every fsync'd file intact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -493,13 +494,13 @@ INSTANTIATE_TEST_SUITE_P(SurvivalSweep, SurvivalDifferential,
 // bit-identical to the unpipelined oracle ("-o nopipeline"), on plain,
 // striped, and mirrored mounts alike.
 
-/// Run the mixed fsync-density trace with the device set to die after
+/// Run the mixed fsync-density trace (or, with `burst`, a burst of
+/// namespace ops and no fsync) with the device set to die after
 /// `kill_point` write commands; return the surviving logical image.
-/// `pipelined_commits_out` (optional) receives the journal's pipelined
-/// commit count, so the sweep can prove commits actually overlapped.
+/// `obs` (optional) lets the sweep prove that commits overlapped.
 std::unique_ptr<blk::BlockDevice> run_pipelined_trace(
     DevKind kind, std::uint64_t kill_point, std::uint64_t seed,
-    std::string_view opts, std::uint64_t* pipelined_commits_out = nullptr) {
+    std::string_view opts, PipelineObs* obs = nullptr, bool burst = false) {
   kern::Kernel kernel;
   auto& dev = add_test_device(kernel, kind);
   xv6::mkfs(dev, /*ninodes=*/512);
@@ -507,30 +508,51 @@ std::unique_ptr<blk::BlockDevice> run_pipelined_trace(
   EXPECT_EQ(Err::Ok, kernel.mount("xv6_strict", "ssd0", "/mnt", opts));
   dev.enable_crash_tracking();
   dev.kill_after(kill_point);
+  const auto& fs = static_cast<const xv6::Xv6FileSystem&>(
+      bento::BentoModule::from(*kernel.sb_at("/mnt"))->fs());
+  std::size_t peak = 0;
+  auto sample = [&] { peak = std::max(peak, fs.log().inflight_commits()); };
 
   auto& p = kernel.proc();
   sim::Rng rng(seed);
   (void)kernel.mkdir(p, "/mnt/dir");
-  for (int i = 0; i < 15; ++i) {
-    const std::string path = "/mnt/dir/f" + std::to_string(i);
-    auto fd = kernel.open(p, path, kern::kOCreat | kern::kORdWr);
-    if (!fd.ok()) break;
-    std::string data(rng.range(100, 30000), 'y');
-    (void)kernel.write(p, fd.value(), as_bytes(data));
-    // Only every third file forces a commit: in between, ops pool into
-    // the running transaction and threshold commits go out pipelined.
-    if (i % 3 == 2) (void)kernel.fsync(p, fd.value());
-    (void)kernel.close(p, fd.value());
-    if (i >= 2 && rng.chance(0.4)) {
-      (void)kernel.unlink(p, "/mnt/dir/f" + std::to_string(i - 2));
+  if (burst) {
+    // A burst of creates and unlinks with no fsync: every max_log_batch
+    // operations close a group commit, and nothing drains the pipeline,
+    // so it fills to its depth and stays full until the crash.
+    for (int i = 0; i < 48; ++i) {
+      auto fd = kernel.open(p, "/mnt/dir/b" + std::to_string(i),
+                            kern::kOCreat | kern::kORdWr);
+      if (!fd.ok()) break;
+      (void)kernel.close(p, fd.value());
+      if (i >= 4 && rng.chance(0.3)) {
+        (void)kernel.unlink(p, "/mnt/dir/b" + std::to_string(i - 4));
+      }
+      sample();
+    }
+  } else {
+    for (int i = 0; i < 15; ++i) {
+      const std::string path = "/mnt/dir/f" + std::to_string(i);
+      auto fd = kernel.open(p, path, kern::kOCreat | kern::kORdWr);
+      if (!fd.ok()) break;
+      sample();
+      std::string data(rng.range(100, 30000), 'y');
+      (void)kernel.write(p, fd.value(), as_bytes(data));
+      sample();
+      // Only every third file forces a commit: in between, ops pool into
+      // the running transaction and threshold commits go out pipelined.
+      if (i % 3 == 2) (void)kernel.fsync(p, fd.value());
+      (void)kernel.close(p, fd.value());
+      sample();
+      if (i >= 2 && rng.chance(0.4)) {
+        (void)kernel.unlink(p, "/mnt/dir/f" + std::to_string(i - 2));
+        sample();
+      }
     }
   }
-  if (pipelined_commits_out != nullptr) {
-    auto* module = bento::BentoModule::from(*kernel.sb_at("/mnt"));
-    *pipelined_commits_out = static_cast<const xv6::Xv6FileSystem&>(
-                                 module->fs())
-                                 .log_stats()
-                                 .pipelined_commits;
+  if (obs != nullptr) {
+    obs->pipelined_commits = fs.log_stats().pipelined_commits;
+    obs->peak_inflight = peak;
   }
   sim::Rng crash_rng(seed + 77);
   dev.crash(/*survive_p=*/0.0, crash_rng);
@@ -541,25 +563,30 @@ struct PipelinedCase {
   DevKind kind;
   std::uint64_t kill_after;
   std::uint64_t seed;
+  bool burst = false;
 };
 
 class PipelinedTornDifferential
     : public ::testing::TestWithParam<PipelinedCase> {};
 
 TEST_P(PipelinedTornDifferential, RecoveryBitIdenticalToUnpipelinedOracle) {
-  const auto [kind, kill_point, seed] = GetParam();
+  const auto [kind, kill_point, seed, burst] = GetParam();
   sim::SimThread thread(0);
   sim::ScopedThread in(thread);
 
   // "-o noflusher" keeps writeback a pure function of the op trace (the
   // pipelined run and the oracle have different virtual-time behaviour,
   // which must not be allowed to move timer-driven wakes).
-  std::uint64_t pipelined = 0;
+  PipelineObs obs;
   auto piped = run_pipelined_trace(kind, kill_point, seed, "noflusher",
-                                   &pipelined);
+                                   &obs, burst);
   auto oracle = run_pipelined_trace(kind, kill_point, seed,
-                                    "noflusher,nopipeline");
-  EXPECT_GT(pipelined, 0u) << "trace never overlapped commits";
+                                    "noflusher,nopipeline", nullptr, burst);
+  EXPECT_GT(obs.pipelined_commits, 0u) << "trace never overlapped commits";
+  if (burst) {
+    EXPECT_EQ(obs.peak_inflight, blk::Journal<xv6::LogIo>::kPipelineDepth)
+        << "burst never filled the commit pipeline";
+  }
   EXPECT_TRUE(images_equal(*piped, *oracle))
       << "surviving images diverged at kill_after=" << kill_point;
   auto rec_piped = recover_image(*piped);
@@ -579,6 +606,12 @@ std::vector<PipelinedCase> pipelined_cases() {
       cases.push_back({kind, k, 21ULL});
     }
     cases.push_back({kind, 260ULL, 22ULL});
+    // The burst trace first fills the pipeline near write command 24 and
+    // keeps it full until it ends near write command 60: k22 lands as the
+    // last commit that fills it goes out, the others while it is full.
+    for (std::uint64_t k : {22ULL, 27ULL, 33ULL, 41ULL, 52ULL}) {
+      cases.push_back({kind, k, 23ULL, /*burst=*/true});
+    }
   }
   return cases;
 }
@@ -593,7 +626,8 @@ INSTANTIATE_TEST_SUITE_P(CrashPointSweep, PipelinedTornDifferential,
                                    : "mirror2";
                            return std::string(kind) + "_k" +
                                   std::to_string(info.param.kill_after) +
-                                  "_s" + std::to_string(info.param.seed);
+                                  "_s" + std::to_string(info.param.seed) +
+                                  (info.param.burst ? "_burst" : "");
                          });
 
 TEST(PipelinedTornConsistency, DefaultMountRecoversAtEveryKillPoint) {

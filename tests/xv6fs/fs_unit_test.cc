@@ -368,5 +368,34 @@ TEST(Xv6InodeLock, ReadersShareItAndAWriterWaitsForTheLast) {
   mount.check_borrows();
 }
 
+TEST(Xv6Bitmap, FirstFreeBitSkipsFullWordsAndKeepsToTheDataRange) {
+  // Bitmap block 1 covers blocks kBitsPerBlock .. 2 * kBitsPerBlock - 1.
+  DiskSuperblock dsb;
+  dsb.datastart = kBitsPerBlock + 3;
+  dsb.size = kBitsPerBlock + 200;
+  std::vector<std::byte> bits(kBlockSize, std::byte{0xFF});
+  EXPECT_EQ(kBitsPerBlock, first_free_bit(dsb, 1, bits));  // all taken
+
+  // A free bit below datastart names no data block.
+  bits[0] = std::byte{0xFE};
+  EXPECT_EQ(kBitsPerBlock, first_free_bit(dsb, 1, bits));
+  // Bit 5 of byte 17, in word 2, past the full word 1: bit 141.
+  bits[17] = ~(std::byte{1} << 5);
+  EXPECT_EQ(141u, first_free_bit(dsb, 1, bits));
+  // A free bit at or past the device's end ends the scan.
+  bits[17] = std::byte{0xFF};
+  bits[25] = std::byte{0x00};  // bit 200: the first past the end
+  EXPECT_EQ(kBitsPerBlock, first_free_bit(dsb, 1, bits));
+  // The first free bit wins, even inside a word with earlier full bytes.
+  bits[25] = std::byte{0xFF};
+  bits[3] = std::byte{0x7F};  // bit 31
+  bits[4] = std::byte{0x00};
+  EXPECT_EQ(31u, first_free_bit(dsb, 1, bits));
+  // Unaligned contents: no alignment is assumed.
+  std::vector<std::byte> shifted(kBlockSize + 1, std::byte{0xFF});
+  std::memcpy(shifted.data() + 1, bits.data(), kBlockSize);
+  EXPECT_EQ(31u, first_free_bit(dsb, 1, {shifted.data() + 1, kBlockSize}));
+}
+
 }  // namespace
 }  // namespace bsim::xv6
