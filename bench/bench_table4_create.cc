@@ -3,9 +3,12 @@
 // Expected shape (paper §6.5.3): Bento slightly ahead of C-Kernel (batched
 // data writeback => fewer transactions per created file), FUSE ~50x slower
 // (every transaction block write is pwrite + whole-disk-file fsync).
-// Creates are far slower than deletes (Table 5) because xv6's ialloc
-// linearly scans the inode table, which grows with the live file count,
-// and each create carries 16KB of journaled data.
+// Creates are slower than deletes (Table 5) because each create carries
+// 16KB of data, and xv6 journals data: its four blocks go through the log
+// with the bitmap, inode and directory blocks, while a delete logs only
+// metadata. The live file count no longer matters: ialloc resumes at a
+// first-free cursor and examines about one inode per create (Bento 1t
+// 25,488 creates/s; 2,135 when it scanned the inode table from inode 1).
 #include "common.h"
 
 using namespace bsim;

@@ -42,6 +42,10 @@ struct JournalCounters {
   std::uint64_t pipelined_commits = 0;  // returned with transfers in flight
   std::uint64_t empty_commits_skipped = 0;  // forced, with nothing to do
   std::uint64_t flushes_skipped = 0;  // fsync barriers skipped (clean)
+  // begin_commits that stalled on a full pipeline until its oldest commit
+  // completed, and the virtual time they stalled.
+  std::uint64_t slot_waits = 0;
+  sim::Nanos slot_wait_ns = 0;
   // Commit entry -> each stage's transfer completion (the stages are in
   // submission order, so the histograms nest).
   sim::LatencyHistogram write_lat;       // journal run
@@ -127,8 +131,13 @@ class Journal : public RunningTxn {
   /// Every write of an in-flight commit is already submitted, so reusing
   /// the journal area after this cannot reorder anything on media.
   void begin_commit(const Io& io, std::uint64_t txn) {
+    const sim::Nanos start = sim::now();
     while (inflight_.size() >= kPipelineDepth) wait_oldest(io);
     t0_ = sim::now();
+    if (t0_ > start) {
+      c_->slot_waits += 1;
+      c_->slot_wait_ns += t0_ - start;
+    }
     if (!empty()) {
       io.trace(TraceEv::TxnClose, txn, static_cast<std::uint32_t>(size()));
     }

@@ -1270,6 +1270,8 @@ kern::Result<std::unique_ptr<kern::SuperOps>> fill_super(
     w.field("recoveries", js.recoveries);
     w.field("pipelined_commits", js.pipelined_commits);
     w.field("empty_commits_skipped", js.empty_commits_skipped);
+    w.field("slot_waits", js.slot_waits);
+    w.field("slot_wait_ns", js.slot_wait_ns);
     w.field("jbd_aborted", js.jbd_aborted);
     sim::dump_histogram(w, "jwrite_lat", js.write_lat);
     sim::dump_histogram(w, "record_lat", js.record_lat);

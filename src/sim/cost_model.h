@@ -42,7 +42,9 @@ struct CostModel {
   Nanos fs_op_base = 200;
   /// Per-dirent cost of a linear directory scan (xv6 has no dir index).
   Nanos dir_scan_per_entry = 15;
-  /// Per-inode cost of xv6's linear free-inode scan in ialloc.
+  /// Per-inode cost of xv6's free-inode scan in ialloc, charged for each
+  /// inode examined. The scan resumes at a cursor below which every inode
+  /// is allocated, so a create usually examines one inode.
   Nanos ialloc_scan_per_inode = 12;
   /// Per-call overhead of the batched ->readpages readahead path...
   Nanos readpages_batch_overhead = 1200;

@@ -66,8 +66,9 @@ Err Xv6FileSystem::init(const Request&, SbRef sb) {
 }
 
 Err Xv6FileSystem::scan_free_counts(Cap& sb) {
-  // Count free inodes (the same linear structure ialloc scans).
+  // Count free inodes, and start ialloc's cursor at the first of them.
   free_inodes_ = 0;
+  ialloc_hint_ = dsb_.ninodes;
   const std::uint32_t ninodeblocks =
       (dsb_.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
   for (std::uint32_t b = 0; b < ninodeblocks; ++b) {
@@ -80,6 +81,7 @@ Err Xv6FileSystem::scan_free_counts(Cap& sb) {
       if (inum == 0 || inum >= dsb_.ninodes) continue;
       if (dinodes[i].type == static_cast<std::uint16_t>(InodeKind::Free)) {
         free_inodes_ += 1;
+        ialloc_hint_ = std::min(ialloc_hint_, inum);
       }
     }
   }
@@ -144,37 +146,30 @@ Err Xv6FileSystem::iupdate(Cap& sb, MemInode& mi) {
 Result<std::uint32_t> Xv6FileSystem::ialloc(Cap& sb, InodeKind kind,
                                             std::uint32_t mode) {
   bento::SemGuard guard(alloc_lock_);
-  // xv6's linear scan over the inode table: cost grows with live files.
-  const std::uint32_t ninodeblocks =
-      (dsb_.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
-  for (std::uint32_t b = 0; b < ninodeblocks; ++b) {
-    auto bh = sb.bread(dsb_.inodestart + b);
+  while (ialloc_hint_ < dsb_.ninodes) {
+    const std::uint32_t iblock = dsb_.inode_block(ialloc_hint_);
+    auto bh = sb.bread(iblock);
     if (!bh.ok()) return bh.error();
     auto* dinodes = reinterpret_cast<Dinode*>(bh.value().data().data());
-    for (std::uint32_t i = 0; i < kInodesPerBlock; ++i) {
-      const std::uint32_t inum = b * kInodesPerBlock + i;
-      if (inum == 0 || inum >= dsb_.ninodes) continue;
-      sim::charge(sim::costs().ialloc_scan_per_inode);
-      if (dinodes[i].type != static_cast<std::uint16_t>(InodeKind::Free)) {
-        continue;
-      }
-      dinodes[i] = Dinode{};
-      dinodes[i].type = static_cast<std::uint16_t>(kind);
-      dinodes[i].nlink = 1;
-      dinodes[i].mode = mode;
-      bh.value().set_dirty();
-      log_.log_write(sb, dsb_.inodestart + b);
-      free_inodes_ -= 1;
+    const std::uint32_t inum = first_free_inode(dsb_, dinodes, ialloc_hint_);
+    if (inum == 0) continue;
+    Dinode& d = dinodes[inum % kInodesPerBlock];
+    d = Dinode{};
+    d.type = static_cast<std::uint16_t>(kind);
+    d.nlink = 1;
+    d.mode = mode;
+    bh.value().set_dirty();
+    log_.log_write(sb, iblock);
+    free_inodes_ -= 1;
 
-      // Refresh/insert the in-core copy.
-      bento::SemGuard tguard(itable_lock_);
-      auto mi = std::make_unique<MemInode>();
-      mi->inum = inum;
-      mi->valid = true;
-      mi->d = dinodes[i];
-      itable_[inum] = std::move(mi);
-      return inum;
-    }
+    // Refresh/insert the in-core copy.
+    bento::SemGuard tguard(itable_lock_);
+    auto mi = std::make_unique<MemInode>();
+    mi->inum = inum;
+    mi->valid = true;
+    mi->d = d;
+    itable_[inum] = std::move(mi);
+    return inum;
   }
   return Err::NoSpc;
 }
@@ -184,6 +179,7 @@ Err Xv6FileSystem::ifree(Cap& sb, MemInode& mi) {
   BSIM_TRY(iupdate(sb, mi));
   mi.valid = false;
   free_inodes_ += 1;
+  ialloc_hint_ = std::min(ialloc_hint_, mi.inum);
   return Err::Ok;
 }
 
@@ -1116,6 +1112,8 @@ void Xv6FileSystem::dump_stats(sim::JsonWriter& w) const {
   w.field("pipelined_commits", s.pipelined_commits);
   w.field("empty_commits_skipped", s.empty_commits_skipped);
   w.field("flushes_skipped", s.flushes_skipped);
+  w.field("slot_waits", s.slot_waits);
+  w.field("slot_wait_ns", s.slot_wait_ns);
   w.field("log_aborted", s.log_aborted);
   sim::dump_histogram(w, "logwrite_lat", s.write_lat);
   sim::dump_histogram(w, "record_lat", s.record_lat);
@@ -1138,6 +1136,7 @@ bento::TransferableState Xv6FileSystem::prepare_transfer(const Request& req,
   state.put("xv6.free_blocks", free_blocks_);
   state.put("xv6.free_inodes", free_inodes_);
   state.put("xv6.balloc_hint", balloc_hint_);
+  state.put("xv6.ialloc_hint", ialloc_hint_);
   state.put("xv6.prev_version", std::string(version()));
   return state;
 }
@@ -1150,8 +1149,9 @@ Err Xv6FileSystem::restore_state(const Request&, SbRef,
   auto* fb = state.get<std::uint64_t>("xv6.free_blocks");
   auto* fi = state.get<std::uint64_t>("xv6.free_inodes");
   auto* hint = state.get<std::uint32_t>("xv6.balloc_hint");
+  auto* ihint = state.get<std::uint32_t>("xv6.ialloc_hint");
   if (snap == nullptr || dinodes == nullptr || fb == nullptr ||
-      fi == nullptr || hint == nullptr) {
+      fi == nullptr || hint == nullptr || ihint == nullptr) {
     return Err::NoSys;  // caller falls back to a cold init()
   }
   log_.adopt(*snap, mount_opts_);
@@ -1167,6 +1167,7 @@ Err Xv6FileSystem::restore_state(const Request&, SbRef,
   free_blocks_ = *fb;
   free_inodes_ = *fi;
   balloc_hint_ = *hint;
+  ialloc_hint_ = *ihint;
   restored_ = true;
   return Err::Ok;
 }

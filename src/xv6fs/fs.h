@@ -13,8 +13,10 @@
 //   - every metadata operation is a synchronous log transaction;
 //   - file data goes through the log too (hence the ext4 data=journal
 //     comparison in §6);
-//   - ialloc does xv6's linear scan over the inode table, so creates slow
-//     down as the file count grows;
+//   - ialloc scans the inode table for the first free inode, as xv6 does,
+//     but resumes at a cursor below which every inode is allocated, so a
+//     create examines about one inode however many files are live (the
+//     numbers it hands out are the ones a scan from inode 1 would);
 //   - inode and block allocation are protected by locks the paper added
 //     (§6.1).
 #pragma once
@@ -176,6 +178,9 @@ class Xv6FileSystem : public bento::FileSystem {
   std::uint64_t free_blocks_ = 0;
   std::uint64_t free_inodes_ = 0;
   std::uint32_t balloc_hint_ = 0;
+  /// ialloc's cursor: the lowest inode that may be free. Every inode below
+  /// it is allocated; ifree lowers it, mount seeds it.
+  std::uint32_t ialloc_hint_ = 1;
   bool restored_ = false;
 };
 

@@ -14,11 +14,15 @@
 // identical" file systems.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <span>
 
 #include "blockdev/device.h"
+#include "sim/cost_model.h"
+#include "sim/thread.h"
 
 namespace bsim::xv6 {
 
@@ -107,6 +111,30 @@ struct DiskSuperblock {
     }
   }
   return kBitsPerBlock;
+}
+
+/// Scan the inode block that holds inode `cursor` (its dinodes `di`) for a
+/// free inode, from `cursor` on. Returns it, or 0 if the block holds none
+/// there, and leaves `cursor` just past the last inode examined. Each inode
+/// examined costs ialloc_scan_per_inode. ialloc's cursor is the lowest inode
+/// that may be free: every inode below it is allocated, so resuming there
+/// finds the first free inode, as a scan from inode 1 would.
+[[nodiscard]] inline std::uint32_t first_free_inode(
+    const DiskSuperblock& dsb, const Dinode* di, std::uint32_t& cursor) {
+  assert(cursor != 0 && cursor < dsb.ninodes);
+  const std::uint32_t start = cursor;
+  const std::uint32_t end = std::min(
+      (cursor / kInodesPerBlock + 1) * kInodesPerBlock, dsb.ninodes);
+  std::uint32_t found = 0;
+  while (cursor < end && found == 0) {
+    if (di[cursor % kInodesPerBlock].type ==
+        static_cast<std::uint16_t>(InodeKind::Free)) {
+      found = cursor;
+    }
+    cursor += 1;
+  }
+  sim::charge((cursor - start) * sim::costs().ialloc_scan_per_inode);
+  return found;
 }
 
 /// Log header block (commit record). n == 0 means the log is empty.

@@ -193,6 +193,7 @@ Err Xv6cMount::read_dsb() {
 Err Xv6cMount::scan_free_counts() {
   auto& bc = sb_->bufcache();
   free_inodes_ = 0;
+  ialloc_hint_ = dsb_.ninodes;
   const std::uint32_t niblocks =
       (dsb_.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
   for (std::uint32_t b = 0; b < niblocks; ++b) {
@@ -203,6 +204,7 @@ Err Xv6cMount::scan_free_counts() {
       const std::uint32_t inum = b * kInodesPerBlock + i;
       if (inum != 0 && inum < dsb_.ninodes && di[i].type == kFree) {
         free_inodes_ += 1;
+        ialloc_hint_ = std::min(ialloc_hint_, inum);
       }
     }
     bc.brelse(bh.value());
@@ -285,28 +287,26 @@ Err Xv6cMount::iupdate(kern::Inode& inode) {
 Result<std::uint32_t> Xv6cMount::ialloc(InodeKind kind, std::uint32_t mode) {
   sim::ScopedLock guard(alloc_lock_);
   auto& bc = sb_->bufcache();
-  const std::uint32_t niblocks =
-      (dsb_.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
-  for (std::uint32_t b = 0; b < niblocks; ++b) {
-    auto bh = bc.bread(dsb_.inodestart + b);
+  while (ialloc_hint_ < dsb_.ninodes) {
+    const std::uint32_t iblock = dsb_.inode_block(ialloc_hint_);
+    auto bh = bc.bread(iblock);
     if (!bh.ok()) return bh.error();
     auto* di = reinterpret_cast<Dinode*>(bh.value()->bytes().data());
-    for (std::uint32_t i = 0; i < kInodesPerBlock; ++i) {
-      const std::uint32_t inum = b * kInodesPerBlock + i;
-      if (inum == 0 || inum >= dsb_.ninodes) continue;
-      sim::charge(sim::costs().ialloc_scan_per_inode);
-      if (di[i].type != kFree) continue;
-      di[i] = Dinode{};
-      di[i].type = static_cast<std::uint16_t>(kind);
-      di[i].nlink = 1;
-      di[i].mode = mode;
-      bc.mark_dirty(bh.value());
-      log_write(dsb_.inodestart + b);
+    const std::uint32_t inum = xv6::first_free_inode(dsb_, di, ialloc_hint_);
+    if (inum == 0) {
       bc.brelse(bh.value());
-      free_inodes_ -= 1;
-      return inum;
+      continue;
     }
+    Dinode& d = di[inum % kInodesPerBlock];
+    d = Dinode{};
+    d.type = static_cast<std::uint16_t>(kind);
+    d.nlink = 1;
+    d.mode = mode;
+    bc.mark_dirty(bh.value());
+    log_write(iblock);
     bc.brelse(bh.value());
+    free_inodes_ -= 1;
+    return inum;
   }
   return Err::NoSpc;
 }
@@ -1046,6 +1046,7 @@ void Xv6cMount::evict_inode(kern::Inode& inode) {
     c->d = Dinode{};
     (void)iupdate(inode);
     free_inodes_ += 1;
+    ialloc_hint_ = std::min(ialloc_hint_, c->inum);
     (void)log_end();
   }
   delete c;  // manual lifetime management, C style

@@ -143,6 +143,9 @@ class Xv6cMount final : public kern::InodeOps,
   std::uint64_t free_blocks_ = 0;
   std::uint64_t free_inodes_ = 0;
   std::uint32_t balloc_hint_ = 0;
+  /// ialloc's cursor: the lowest inode that may be free. Every inode below
+  /// it is allocated; evict_inode lowers it, mount seeds it.
+  std::uint32_t ialloc_hint_ = 1;
 };
 
 /// Register the VFS C baseline ("xv6_vfs") with the kernel.

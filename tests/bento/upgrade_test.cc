@@ -9,6 +9,7 @@
 
 #include "../testutil.h"
 #include "bento/provenance.h"
+#include "xv6fs/fsck.h"
 
 namespace bsim::test {
 namespace {
@@ -91,6 +92,40 @@ TEST_F(UpgradeTest, OpenFilesSurviveUpgrade) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(to_string({buf.data(), r.value()}), "before after");
   ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+}
+
+TEST_F(UpgradeTest, SuccessorAllocatesTheInodeFreedBeforeTheUpgrade) {
+  // ialloc's cursor moves with the state: the successor hands out the
+  // lowest free inode, which v1 freed, and then resumes past the others.
+  auto create = [&](const std::string& path) -> kern::Ino {
+    auto fd = kernel_.open(proc(), path, kern::kOCreat | kern::kOWrOnly);
+    EXPECT_TRUE(fd.ok());
+    if (!fd.ok()) return 0;
+    EXPECT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+    auto st = kernel_.stat(proc(), path);
+    EXPECT_TRUE(st.ok());
+    return st.ok() ? st.value().ino : 0;
+  };
+  std::vector<kern::Ino> inos;
+  for (int i = 0; i < 10; ++i) {
+    inos.push_back(create("/mnt/f" + std::to_string(i)));
+  }
+  ASSERT_EQ(Err::Ok, kernel_.unlink(proc(), "/mnt/f2"));
+
+  auto* module = bento::BentoModule::from(*kernel_.sb_at("/mnt"));
+  xv6::Xv6FileSystem::Options v2;
+  v2.version = "xv6fs-v2";
+  ASSERT_EQ(Err::Ok,
+            module->upgrade(std::make_unique<xv6::Xv6FileSystem>(v2)));
+  ASSERT_TRUE(
+      static_cast<xv6::Xv6FileSystem&>(module->fs()).restored_from_transfer());
+
+  EXPECT_EQ(create("/mnt/after"), inos[2]);
+  EXPECT_EQ(create("/mnt/after2"), inos.back() + 1);
+
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  auto report = xv6::fsck(*kernel_.device("ssd0"));
+  EXPECT_TRUE(report.ok) << report.summary();
 }
 
 /// A file system with no transfer support: upgrade falls back to init().

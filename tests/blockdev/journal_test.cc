@@ -116,6 +116,42 @@ TEST_F(JournalTest, PipelineHoldsDepthCommitsThenRedeemsExactlyTheOldest) {
   EXPECT_EQ(jnl_.inflight(), kDepth - 1);
 }
 
+TEST_F(JournalTest, AFullPipelineCountsOneSlotWaitOfTheOldestCommitsLength) {
+  // Four commits go out at t = 0, each completing 100 us after the last.
+  for (std::uint64_t txn = 0; txn < kDepth; ++txn) {
+    ASSERT_TRUE(commit(txn, sim::usec(100) * static_cast<Nanos>(txn + 1)));
+  }
+  EXPECT_EQ(counters_.slot_waits, 0u);
+  EXPECT_EQ(counters_.slot_wait_ns, 0);
+
+  // The fifth begin_commit starts at t = 30 us and waits for the oldest
+  // commit, which completes at 100 us: one wait of 70 us.
+  sim::current().wait(sim::usec(30));
+  jnl_.tag(99);
+  jnl_.begin_commit(io_, kDepth);
+  EXPECT_EQ(counters_.slot_waits, 1u);
+  EXPECT_EQ(counters_.slot_wait_ns, sim::usec(70));
+
+  // A begin_commit with a free slot waits for nothing and counts nothing.
+  jnl_.begin_commit(io_, kDepth + 1);
+  EXPECT_EQ(counters_.slot_waits, 1u);
+  EXPECT_EQ(counters_.slot_wait_ns, sim::usec(70));
+}
+
+TEST_F(JournalTest, AFullPipelineWhoseOldestCommitIsDoneCountsNoSlotWait) {
+  for (std::uint64_t txn = 0; txn < kDepth; ++txn) {
+    ASSERT_TRUE(commit(txn, sim::usec(100) * static_cast<Nanos>(txn + 1)));
+  }
+  // At t = 150 us the oldest commit has completed: redeeming it to free
+  // its slot takes no time, so the caller never stalled.
+  sim::current().wait(sim::usec(150));
+  jnl_.tag(99);
+  jnl_.begin_commit(io_, kDepth);
+  EXPECT_EQ(log_.redeemed, ids(0));
+  EXPECT_EQ(counters_.slot_waits, 0u);
+  EXPECT_EQ(counters_.slot_wait_ns, 0);
+}
+
 TEST_F(JournalTest, ForceCommitsTheRunningTxnAndDrainsEveryCommitInFlight) {
   for (std::uint64_t txn = 0; txn < kDepth; ++txn) {
     ASSERT_TRUE(commit(txn, sim::usec(100) * static_cast<Nanos>(txn + 1)));

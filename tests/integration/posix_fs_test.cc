@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdlib>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "../testutil.h"
+#include "sim/rng.h"
+#include "xv6fs/fsck.h"
 
 namespace bsim::test {
 namespace {
@@ -530,6 +535,177 @@ TEST_P(Xv6IndirectColdReadTest, MissBehindAnInFlightIndirectBlockWaitsForIt) {
   // b reads its data block only once a's indirect block has arrived.
   EXPECT_GE(b.now() - t0, sim::usec(5) + 2 * read_lat_);
   ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd));
+}
+
+/// ialloc on every xv6 deployment: the allocation cursor hands out the
+/// inode a scan of the whole table from inode 1 would, and a create costs
+/// the same however many files are live.
+class Xv6InodeAllocTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    sim::set_current(&thread_);
+    blk::DeviceParams params;
+    params.nblocks = 32768;  // 128 MiB
+    dev_ = &kernel_.add_device("ssd0", params);
+    xv6::mkfs(*dev_, /*ninodes=*/8192);
+    wl::register_deployments(kernel_);
+    ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
+  }
+
+  kern::Process& proc() { return kernel_.proc(); }
+
+  /// The lowest free inode on the device after a sync: the reference scan
+  /// of the whole inode table (untimed).
+  std::uint32_t lowest_free_inode() {
+    EXPECT_EQ(Err::Ok, kernel_.sync(proc()));
+    const xv6::DiskSuperblock dsb = xv6::read_superblock(*dev_);
+    alignas(xv6::Dinode) std::array<std::byte, blk::kBlockSize> buf{};
+    for (std::uint32_t inum = 1; inum < dsb.ninodes; ++inum) {
+      if (inum == 1 || inum % xv6::kInodesPerBlock == 0) {
+        dev_->read_untimed(dsb.inode_block(inum), buf);
+      }
+      const auto* di = reinterpret_cast<const xv6::Dinode*>(buf.data());
+      if (di[inum % xv6::kInodesPerBlock].type ==
+          static_cast<std::uint16_t>(xv6::InodeKind::Free)) {
+        return inum;
+      }
+    }
+    return 0;
+  }
+
+  /// Create `path` (a directory if `dir`) and return its inode number.
+  kern::Ino make(const std::string& path, bool dir) {
+    if (dir) {
+      EXPECT_EQ(Err::Ok, kernel_.mkdir(proc(), path)) << path;
+    } else {
+      auto fd = kernel_.open(proc(), path, kern::kOCreat | kern::kOWrOnly);
+      EXPECT_TRUE(fd.ok()) << path;
+      if (!fd.ok()) return 0;
+      EXPECT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+    }
+    auto st = kernel_.stat(proc(), path);
+    EXPECT_TRUE(st.ok()) << path;
+    return st.ok() ? st.value().ino : 0;
+  }
+
+  /// Virtual time of creating `path`, from a synced, idle file system.
+  sim::Nanos timed_create(const std::string& path) {
+    EXPECT_EQ(Err::Ok, kernel_.sync(proc()));
+    const sim::Nanos t0 = thread_.now();
+    auto fd = kernel_.open(proc(), path, kern::kOCreat | kern::kOWrOnly);
+    const sim::Nanos took = thread_.now() - t0;
+    EXPECT_TRUE(fd.ok()) << path;
+    if (fd.ok()) {
+      EXPECT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+    }
+    return took;
+  }
+
+  void expect_fsck_clean() {
+    ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+    auto report = xv6::fsck(*dev_);
+    EXPECT_TRUE(report.ok) << report.summary();
+  }
+
+  sim::SimThread thread_{0};
+  kern::Kernel kernel_;
+  blk::BlockDevice* dev_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(Xv6Deployments, Xv6InodeAllocTest,
+                         ::testing::Values("xv6_bento", "xv6_fuse",
+                                           "xv6_nvmlog", "xv6_vfs"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST_P(Xv6InodeAllocTest, EveryNewInodeIsTheLowestFree) {
+  // A seeded mix of creates, mkdirs, unlinks and rmdirs: frees open holes
+  // below the cursor, which the next creates must fill lowest first.
+  sim::Rng rng(22);
+  std::vector<std::string> dirs{"/mnt"};
+  std::vector<std::string> files;
+  std::map<std::string, int> children{{"/mnt", 0}};
+  auto parent_of = [](const std::string& path) {
+    return path.substr(0, path.rfind('/'));
+  };
+  int next_name = 0;
+  int creates = 0;
+  int frees = 0;
+  for (int op = 0; op < 2500; ++op) {
+    const auto pick = rng.below(10);
+    if (pick < 6) {  // create (4 in 10) or mkdir (2 in 10)
+      const bool dir = pick >= 4;
+      const std::string parent = dirs[rng.below(dirs.size())];
+      const std::string path = parent + "/n" + std::to_string(next_name++);
+      const std::uint32_t expect = lowest_free_inode();
+      ASSERT_EQ(make(path, dir), expect) << "op " << op << ": " << path;
+      children[parent] += 1;
+      if (dir) {
+        dirs.push_back(path);
+        children[path] = 0;
+      } else {
+        files.push_back(path);
+      }
+      creates += 1;
+    } else if (pick < 9 && !files.empty()) {  // unlink
+      const std::size_t i = rng.below(files.size());
+      ASSERT_EQ(Err::Ok, kernel_.unlink(proc(), files[i])) << files[i];
+      children[parent_of(files[i])] -= 1;
+      files[i] = files.back();
+      files.pop_back();
+      frees += 1;
+    } else if (pick == 9) {  // rmdir, if some directory is empty
+      for (std::size_t i = 1; i < dirs.size(); ++i) {
+        if (children[dirs[i]] != 0) continue;
+        ASSERT_EQ(Err::Ok, kernel_.rmdir(proc(), dirs[i])) << dirs[i];
+        children[parent_of(dirs[i])] -= 1;
+        children.erase(dirs[i]);
+        dirs[i] = dirs.back();
+        dirs.pop_back();
+        frees += 1;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(creates, 1000);
+  EXPECT_GT(frees, 500);
+  expect_fsck_clean();
+}
+
+TEST_P(Xv6InodeAllocTest, CreateCostDoesNotGrowWithLiveInodes) {
+  // Two empty probe directories first, so that reaching either costs the
+  // same however full the table gets. Then fill it with no frees.
+  make("/mnt/p1", true);
+  make("/mnt/p2", true);
+  make("/mnt/fill", true);
+  std::uint32_t live = 4;  // root, p1, p2, fill
+  std::string dir;
+  std::uint32_t in_dir = 64;
+  auto fill_to = [&](std::uint32_t target) {
+    for (; live < target; ++live) {
+      if (in_dir == 64) {  // short directories keep their scans cheap
+        dir = "/mnt/fill/d" + std::to_string(live);
+        ASSERT_EQ(Err::Ok, kernel_.mkdir(proc(), dir));
+        in_dir = 0;
+        continue;
+      }
+      auto fd = kernel_.open(proc(), dir + "/f" + std::to_string(in_dir++),
+                             kern::kOCreat | kern::kOWrOnly);
+      ASSERT_TRUE(fd.ok());
+      ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+    }
+  };
+  fill_to(63);
+  ASSERT_TRUE(kernel_.stat(proc(), "/mnt/p1").ok());
+  const sim::Nanos few = timed_create("/mnt/p1/x");  // the 64th live inode
+  live += 1;
+  fill_to(4095);
+  ASSERT_TRUE(kernel_.stat(proc(), "/mnt/p2").ok());
+  const sim::Nanos many = timed_create("/mnt/p2/x");  // the 4,096th
+  EXPECT_LE(std::abs(many - few), sim::costs().buffer_lookup)
+      << "64 live: " << few << " ns, 4096 live: " << many << " ns";
+  expect_fsck_clean();
 }
 
 TEST_F(BentoXv6Fixture, BorrowLedgerBalancedAfterWorkload) {

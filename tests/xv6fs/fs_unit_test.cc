@@ -397,5 +397,37 @@ TEST(Xv6Bitmap, FirstFreeBitSkipsFullWordsAndKeepsToTheDataRange) {
   EXPECT_EQ(31u, first_free_bit(dsb, 1, {shifted.data() + 1, kBlockSize}));
 }
 
+TEST(Xv6Inodes, FirstFreeInodeResumesAtTheCursorAndChargesWhatItExamines) {
+  sim::SimThread thread(0);
+  sim::ScopedThread scope(thread);
+  const sim::Nanos per_inode = sim::costs().ialloc_scan_per_inode;
+  // Inode block 1 holds inodes 64..127; the table ends at inode 100.
+  DiskSuperblock dsb;
+  dsb.ninodes = 100;
+  std::vector<Dinode> di(kInodesPerBlock);
+  for (Dinode& d : di) d.type = static_cast<std::uint16_t>(InodeKind::File);
+  di[70 % kInodesPerBlock].type = static_cast<std::uint16_t>(InodeKind::Free);
+  di[90 % kInodesPerBlock].type = static_cast<std::uint16_t>(InodeKind::Free);
+
+  // From 66: examines 66..70, takes 70 and leaves the cursor past it.
+  std::uint32_t cursor = 66;
+  EXPECT_EQ(70u, first_free_inode(dsb, di.data(), cursor));
+  EXPECT_EQ(71u, cursor);
+  EXPECT_EQ(5 * per_inode, thread.now());
+  // A cursor past a free inode does not see it: 90 is next.
+  EXPECT_EQ(90u, first_free_inode(dsb, di.data(), cursor));
+  EXPECT_EQ(91u, cursor);
+  // Nothing free before the table's end: 0, with the cursor at the end.
+  const sim::Nanos before = thread.now();
+  EXPECT_EQ(0u, first_free_inode(dsb, di.data(), cursor));
+  EXPECT_EQ(100u, cursor);
+  EXPECT_EQ(9 * per_inode, thread.now() - before);
+  // A block with nothing free leaves the cursor at the next block.
+  dsb.ninodes = 200;
+  cursor = 91;
+  EXPECT_EQ(0u, first_free_inode(dsb, di.data(), cursor));
+  EXPECT_EQ(2 * kInodesPerBlock, cursor);
+}
+
 }  // namespace
 }  // namespace bsim::xv6
