@@ -8,7 +8,9 @@ baseline, then checks:
      in the same report IMPROVED (the masking case the gate exists for),
   2. changes within the threshold pass,
   3. a legacy (untagged, MBps-unit) bandwidth drop still fails,
-  4. tracked-only rows (direction "") never gate.
+  4. tracked-only rows (direction "") never gate,
+  5. count rows tagged direction "down" in an MBps report gate on a rise,
+     not on a fall, and TREND.md gives their unit per cell.
 
 Run: test_trend_gate.py [path/to/trend.py]. Exit 0 = all cases pass.
 """
@@ -48,6 +50,16 @@ def fsynclat_rows(mbps, p50, p99):
     ]
 
 
+def writeback_rows(mbps, commits, blocks):
+    return [
+        {"series": "Bento", "label": "MBps", "value": mbps},
+        {"series": "Bento", "label": "log_commits", "value": commits,
+         "unit": "commits", "direction": "down"},
+        {"series": "Bento", "label": "blocks_logged", "value": blocks,
+         "unit": "blocks", "direction": "down"},
+    ]
+
+
 def main():
     failures = []
 
@@ -65,6 +77,8 @@ def main():
             {"series": "Bento", "label": "seq", "value": 500.0},
             {"series": "Bento-scaling", "label": "seq", "value": 3.0},
         ])
+        write_report(base_dir, "writeback", "MBps",
+                     writeback_rows(mbps=400.0, commits=100, blocks=25_000))
         rc, out = run_trend(base_dir)
         check("baseline aggregates", rc == 0, out)
         baseline = os.path.join(base_dir, "BENCH_TREND.json")
@@ -126,6 +140,30 @@ def main():
         check("TREND.md marks gated series",
               "fsync-lat.p99 [ns]*" in md and "fsync-lat.p50 [ns] " in md.replace("|", " "),
               md)
+
+        # 5. commit and logged-block counts fall by 90% (bigger
+        #    transactions): must PASS; a rise beyond the threshold: FAIL.
+        cur = os.path.join(tmp, "counts_fall")
+        os.mkdir(cur)
+        write_report(cur, "writeback", "MBps",
+                     writeback_rows(mbps=400.0, commits=10, blocks=2_500))
+        rc, out = run_trend(cur, baseline)
+        check("count rows tagged down pass when they fall", rc == 0, out)
+        cur = os.path.join(tmp, "counts_rise")
+        os.mkdir(cur)
+        write_report(cur, "writeback", "MBps",
+                     writeback_rows(mbps=400.0, commits=150, blocks=25_000))
+        rc, out = run_trend(cur, baseline)
+        check("count rows tagged down fail when they rise",
+              rc == 2 and "writeback/Bento/log_commits" in out, out)
+
+        # A series whose rows differ in unit labels each cell, not the
+        # header.
+        with open(os.path.join(cur, "TREND.md")) as f:
+            md = f.read()
+        check("TREND.md labels mixed-unit cells",
+              "| label | Bento* |" in md and "| log_commits | 150 commits |"
+              in md and "| MBps | 400 |" in md, md)
 
     if failures:
         for name, detail in failures:

@@ -131,7 +131,8 @@ def render_markdown(reports):
             lines.append("")
         # Pivot: one row per label, one column per series. A series'
         # header carries its unit (when it differs from the report's)
-        # and the gated mark.
+        # and the gated mark; a series whose rows differ in unit carries
+        # the unit in each cell instead.
         series, labels = [], []
         cells = {}
         sunits, sgated = {}, {}
@@ -141,15 +142,15 @@ def render_markdown(reports):
                 series.append(s)
             if row["label"] not in labels:
                 labels.append(row["label"])
-            cells[(s, row["label"])] = row["value"]
-            sunits[s] = row_unit(rep, row)
+            cells[(s, row["label"])] = (row["value"], row_unit(rep, row))
+            sunits.setdefault(s, set()).add(row_unit(rep, row))
             if row_direction(rep, row) is not None:
                 sgated[s] = True
         heads = []
         for s in series:
             head = s
-            if sunits.get(s) and sunits[s] != unit:
-                head += f" [{sunits[s]}]"
+            if len(sunits[s]) == 1 and unit not in sunits[s]:
+                head += f" [{next(iter(sunits[s]))}]"
             if sgated.get(s):
                 head += "*"
             heads.append(head)
@@ -158,8 +159,13 @@ def render_markdown(reports):
         for label in labels:
             vals = []
             for s in series:
-                v = cells.get((s, label))
-                vals.append("" if v is None else f"{v:g}")
+                cell = cells.get((s, label))
+                if cell is None:
+                    vals.append("")
+                elif len(sunits[s]) > 1 and cell[1] != unit:
+                    vals.append(f"{cell[0]:g} {cell[1]}")
+                else:
+                    vals.append(f"{cell[0]:g}")
             lines.append(f"| {label} | " + " | ".join(vals) + " |")
     lines.append("")
     return "\n".join(lines)

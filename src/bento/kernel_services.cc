@@ -69,6 +69,11 @@ void BufferHeadHandle::set_dirty() {
   owner_->bh_set_dirty(impl_);
 }
 
+void BufferHeadHandle::set_drop_behind() {
+  assert(owner_ != nullptr);
+  owner_->bh_drop_behind(impl_);
+}
+
 kern::Err BufferHeadHandle::sync() {
   assert(owner_ != nullptr);
   return owner_->bh_sync(impl_);
@@ -77,6 +82,14 @@ kern::Err BufferHeadHandle::sync() {
 void BufferHeadHandle::reset() {
   if (owner_ != nullptr) {
     owner_->bh_release(impl_);
+    owner_ = nullptr;
+    impl_ = nullptr;
+  }
+}
+
+void BufferHeadHandle::forget() {
+  if (owner_ != nullptr) {
+    owner_->bh_forget(impl_);
     owner_ = nullptr;
     impl_ = nullptr;
   }
@@ -121,6 +134,10 @@ void KernelBlockBackend::bh_set_dirty(void* impl) {
   cache_->mark_dirty(static_cast<kern::BufferHead*>(impl));
 }
 
+void KernelBlockBackend::bh_drop_behind(void* impl) {
+  cache_->mark_drop_behind(static_cast<kern::BufferHead*>(impl));
+}
+
 kern::Err KernelBlockBackend::bh_sync(void* impl) {
   return cache_->sync_dirty_buffer(static_cast<kern::BufferHead*>(impl));
 }
@@ -151,6 +168,10 @@ WriteTicket KernelBlockBackend::io_unplug() {
 
 void KernelBlockBackend::bh_release(void* impl) {
   cache_->brelse(static_cast<kern::BufferHead*>(impl));
+}
+
+void KernelBlockBackend::bh_forget(void* impl) {
+  cache_->bforget(static_cast<kern::BufferHead*>(impl));
 }
 
 std::unique_ptr<SuperBlockCap> CapTestAccess::make(BlockBackend& backend) {

@@ -87,6 +87,10 @@ class BlockBackend {
   virtual kern::Result<BufferHeadHandle> getblk(std::uint64_t blockno) = 0;
   virtual std::span<std::byte> bh_data(void* impl) = 0;
   virtual void bh_set_dirty(void* impl) = 0;
+  /// The block holds regular-file data: drop it behind once it is clean
+  /// (kern::BufferHead::drop_behind). Default no-op (userspace backends
+  /// keep no bounded cache of their own).
+  virtual void bh_drop_behind(void* impl) { (void)impl; }
   /// Synchronous durable write of this block (sync_dirty_buffer in the
   /// kernel; pwrite + whole-file fsync from userspace — §6.4). Io when the
   /// write failed; the block then stays dirty.
@@ -104,6 +108,9 @@ class BlockBackend {
   virtual WriteTicket bh_sync_batch_async(std::span<void* const> impls);
   virtual void bh_sync_wait(const WriteTicket& t) { (void)t; }
   virtual void bh_release(void* impl) = 0;
+  /// Release, and drop the block from a kernel cache (bforget). Default:
+  /// release only.
+  virtual void bh_forget(void* impl) { bh_release(impl); }
   /// Journal pinning (jbd2-style buffer ownership): while pinned, a dirty
   /// block belongs to a running transaction and background writeback must
   /// not touch it. Default no-op (userspace backends have no background
@@ -155,11 +162,20 @@ class BufferHeadHandle {
   /// Mark the buffer dirty (mark_buffer_dirty).
   void set_dirty();
 
+  /// Declare the block regular-file data, which the cache may drop ahead
+  /// of metadata once it is written (cleared when the block is next
+  /// obtained with getblk).
+  void set_drop_behind();
+
   /// Synchronously make this block durable; Io when the write failed.
   kern::Err sync();
 
   /// Explicit early release (otherwise the destructor does it).
   void reset();
+
+  /// Release, and let the cache drop the block once it is clean: for a
+  /// block written once and not read back while mounted.
+  void forget();
 
  private:
   friend class BlockBackend;
@@ -285,10 +301,12 @@ class KernelBlockBackend final : public BlockBackend {
   kern::Result<BufferHeadHandle> getblk(std::uint64_t blockno) override;
   std::span<std::byte> bh_data(void* impl) override;
   void bh_set_dirty(void* impl) override;
+  void bh_drop_behind(void* impl) override;
   kern::Err bh_sync(void* impl) override;
   WriteTicket bh_sync_batch_async(std::span<void* const> impls) override;
   void bh_sync_wait(const WriteTicket& t) override;
   void bh_release(void* impl) override;
+  void bh_forget(void* impl) override;
   void bh_pin_journal(std::uint64_t blockno, bool pin) override;
   void io_plug() override;
   WriteTicket io_unplug() override;

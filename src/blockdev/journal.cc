@@ -1,7 +1,5 @@
 #include "blockdev/journal.h"
 
-#include <algorithm>
-
 namespace bsim::blk {
 
 std::size_t commit_threshold(std::size_t cap, std::uint64_t stripe_width) {
@@ -12,7 +10,7 @@ std::size_t commit_threshold(std::size_t cap, std::uint64_t stripe_width) {
 }
 
 bool RunningTxn::tag(std::uint32_t blockno) {
-  if (std::find(blocks_.begin(), blocks_.end(), blockno) != blocks_.end()) {
+  if (!tagged_.insert(blockno).second) {
     c_->absorbed += 1;
     return false;
   }

@@ -19,10 +19,10 @@
 //   void flush() const;     // the device FLUSH; returns on its completion
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -68,10 +68,11 @@ class RunningTxn {
   /// False (and counted) when `blockno` is already tagged: absorption.
   bool tag(std::uint32_t blockno);
   /// Close one more operation into the transaction (group commit). True
-  /// when the batch is full: `max_ops` operations, or `max_blocks` blocks.
+  /// when the batch is full: `max_ops` operations (0: no op cap), or
+  /// `max_blocks` blocks.
   bool close_op(std::size_t max_ops, std::size_t max_blocks) {
     ops_ += 1;
-    return ops_ >= std::max<std::size_t>(max_ops, 1) || size() >= max_blocks;
+    return (max_ops != 0 && ops_ >= max_ops) || size() >= max_blocks;
   }
 
   [[nodiscard]] const std::vector<std::uint32_t>& blocks() const {
@@ -84,6 +85,7 @@ class RunningTxn {
   void committed();
   void clear() {
     blocks_.clear();
+    tagged_.clear();
     ops_ = 0;
   }
 
@@ -92,6 +94,7 @@ class RunningTxn {
 
  private:
   std::vector<std::uint32_t> blocks_;
+  std::unordered_set<std::uint32_t> tagged_;  // blocks_, for membership
   std::size_t ops_ = 0;
 };
 

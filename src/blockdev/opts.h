@@ -63,7 +63,7 @@ struct MountOpts {
   bool flusher = true;            // background writeback threads
   bool plug = true;               // request plugging (flusher + journal)
   bool pipeline = true;           // pipelined journal commits (xv6, ext4)
-  std::size_t max_log_batch = 8;  // xv6 group commit: ops per commit
+  std::size_t max_log_batch = 0;  // xv6 group commit: op cap (0: none)
   bool io_uring = false;          // FUSE daemon batches its block I/O
   bool extfuse = false;           // FUSE eBPF metadata caches
 

@@ -96,6 +96,7 @@ Result<BufferHead*> BufferCache::getblk(std::uint64_t blockno) {
   auto r = lookup_or_create(blockno);
   if (!r.ok()) return r;
   r.value()->uptodate = true;  // caller fully overwrites; see header
+  r.value()->drop_behind = false;
   return r;
 }
 
@@ -136,6 +137,26 @@ void BufferCache::brelse(BufferHead* bh) {
   bh->refcount -= 1;
   assert(outstanding_refs_ > 0);
   outstanding_refs_ -= 1;
+  demote(bh);
+}
+
+void BufferCache::bforget(BufferHead* bh) {
+  brelse(bh);
+  if (bh->refcount > 0 || bh->dirty || bh->plug_held) return;
+  drop(bh->blockno);
+}
+
+void BufferCache::drop(std::uint64_t blockno) {
+  auto pos = lru_pos_.find(blockno);
+  lru_.erase(pos->second);
+  lru_pos_.erase(pos);
+  map_.erase(blockno);
+}
+
+void BufferCache::demote(BufferHead* bh) {
+  if (!bh->drop_behind || bh->dirty || bh->refcount > 0) return;
+  auto pos = lru_pos_.find(bh->blockno);
+  if (pos != lru_pos_.end()) lru_.splice(lru_.end(), lru_, pos->second);
 }
 
 Err BufferCache::sync_dirty_buffer(BufferHead* bh) {
@@ -371,9 +392,7 @@ void BufferCache::evict_if_needed() {
       if (bio.applied) stats_.writebacks += 1;
     }
     stats_.evictions += 1;
-    lru_.erase(std::next(it).base());
-    lru_pos_.erase(blockno);
-    map_.erase(mit);
+    drop(blockno);  // not through `it`: set_clean may have demoted it
     return;
   }
   // Everything referenced: allow temporary overshoot (kernel would block).

@@ -43,6 +43,12 @@ struct BufferHead {
   /// buffer's bytes); eviction must keep it resident until the plug
   /// closes.
   bool plug_held = false;
+  /// Holds regular-file data (set by the file system's write path,
+  /// cleared by getblk when the block is reused). Once clean and
+  /// unreferenced such a buffer goes to the cold end of the LRU: file
+  /// data streaming through the journal must not evict the metadata the
+  /// next operation reads (drop-behind).
+  bool drop_behind = false;
   /// Virtual time the buffer's read from the device completed. A bread
   /// whose clock is still before it found the read in flight and waits
   /// for it rather than seeing the data early.
@@ -101,11 +107,17 @@ class BufferCache {
   /// Get a buffer without reading the device. The buffer is marked
   /// uptodate: the caller is declaring it will fully overwrite the block,
   /// and a later bread() must return the in-cache contents, never re-read
-  /// stale device state over them.
+  /// stale device state over them. It loses any drop-behind mark: its
+  /// new contents may be anything.
   Result<BufferHead*> getblk(std::uint64_t blockno);
 
   /// Drop one reference.
   void brelse(BufferHead* bh);
+
+  /// Drop one reference, then the buffer itself if it is now clean,
+  /// unreferenced and not held by a plug: a block written once and not
+  /// read again while mounted (a journal's log-area copy).
+  void bforget(BufferHead* bh);
 
   void mark_dirty(BufferHead* bh) {
     if (!bh->dirty) {
@@ -115,6 +127,9 @@ class BufferCache {
       shard_dirty_[dev_.child_of(bh->blockno)] += 1;
     }
   }
+
+  /// The buffer holds regular-file data (see BufferHead::drop_behind).
+  void mark_drop_behind(BufferHead* bh) { bh->drop_behind = true; }
 
   /// Synchronously write one buffer to the device (timed). Like Linux's
   /// sync_dirty_buffer this waits for the transfer, not for a cache FLUSH,
@@ -239,8 +254,13 @@ class BufferCache {
       auto& cnt = shard_dirty_[dev_.child_of(bh->blockno)];
       assert(cnt > 0);
       cnt -= 1;
+      demote(bh);
     }
   }
+  /// Move a clean, unreferenced drop-behind buffer to the LRU's cold end.
+  void demote(BufferHead* bh);
+  /// Remove a cached block from the LRU and the cache.
+  void drop(std::uint64_t blockno);
   /// Clear dirty state for the applied bios of one (possibly deferred)
   /// writeback batch and count the writebacks.
   void retire_batch(std::span<BufferHead* const> bhs,

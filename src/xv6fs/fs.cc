@@ -183,6 +183,13 @@ Err Xv6FileSystem::ifree(Cap& sb, MemInode& mi) {
   return Err::Ok;
 }
 
+void Xv6FileSystem::discard(Cap& sb, std::uint32_t inum) {
+  auto mi = iget(sb, inum);
+  if (!mi.ok()) return;
+  (void)itrunc(sb, *mi.value(), 0);
+  (void)ifree(sb, *mi.value());
+}
+
 // ---- block allocation ----
 
 Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb) {
@@ -388,6 +395,9 @@ Result<std::uint32_t> Xv6FileSystem::writei(Cap& sb, MemInode& mi,
     if (!bh.ok()) return bh.error();
     std::memcpy(bh.value().data().data() + within, in.data() + done, chunk);
     bh.value().set_dirty();
+    if (mi.d.type == static_cast<std::uint16_t>(InodeKind::File)) {
+      bh.value().set_drop_behind();
+    }
     log_.log_write(sb, addr.value());
     done += chunk;
   }
@@ -700,7 +710,10 @@ Result<EntryOut> Xv6FileSystem::create(const Request&, SbRef sb,
 
   auto inum = ialloc(sb.get(), InodeKind::File, mode);
   if (!inum.ok()) return inum.error();
-  BSIM_TRY(dirlink(sb.get(), dir, name, inum.value()));
+  if (const Err e = dirlink(sb.get(), dir, name, inum.value()); e != Err::Ok) {
+    discard(sb.get(), inum.value());
+    return e;
+  }
   BSIM_TRY(txn.finish());
 
   auto child = iget(sb.get(), inum.value());
@@ -734,9 +747,13 @@ Result<EntryOut> Xv6FileSystem::mkdir(const Request&, SbRef sb,
   MemInode& child = *childr.value();
 
   child.d.nlink = 2;  // "." plus the parent entry
-  BSIM_TRY(dirlink(sb.get(), child, ".", inum.value()));
-  BSIM_TRY(dirlink(sb.get(), child, "..", dir.inum));
-  BSIM_TRY(dirlink(sb.get(), dir, name, inum.value()));
+  Err e = dirlink(sb.get(), child, ".", inum.value());
+  if (e == Err::Ok) e = dirlink(sb.get(), child, "..", dir.inum);
+  if (e == Err::Ok) e = dirlink(sb.get(), dir, name, inum.value());
+  if (e != Err::Ok) {
+    discard(sb.get(), inum.value());
+    return e;
+  }
   dir.d.nlink += 1;  // the child's ".."
   BSIM_TRY(iupdate(sb.get(), dir));
   BSIM_TRY(iupdate(sb.get(), child));

@@ -141,6 +141,9 @@ class Xv6FileSystem : public bento::FileSystem {
   kern::Result<std::uint32_t> ialloc(Cap& sb, InodeKind kind,
                                      std::uint32_t mode);
   kern::Err ifree(Cap& sb, MemInode& mi);
+  /// Undo an ialloc whose directory link failed: free the inode and any
+  /// blocks it was given, in the caller's transaction.
+  void discard(Cap& sb, std::uint32_t inum);
 
   // block allocation
   kern::Result<std::uint32_t> balloc(Cap& sb);
@@ -153,7 +156,7 @@ class Xv6FileSystem : public bento::FileSystem {
                                     std::span<std::byte> out);
   kern::Result<std::uint32_t> writei(Cap& sb, MemInode& mi, std::uint64_t off,
                                      std::span<const std::byte> in);
-  /// Free all blocks beyond `keep_blocks`; runs its own transactions.
+  /// Free all blocks beyond `new_size`, in the caller's transaction.
   kern::Err itrunc(Cap& sb, MemInode& mi, std::uint64_t new_size);
   kern::Err zero_block_tail(Cap& sb, MemInode& mi, std::uint64_t from);
 

@@ -95,6 +95,7 @@ void Log::begin_op(SuperBlockCap& sb, std::uint32_t reserved) {
   // A fresh batch (nothing open, nothing pooled) opens a new transaction.
   if (outstanding_ == 0 && jnl_.empty()) {
     txn_seq_ += 1;
+    txn_start_ = sim::now();
     io(sb).trace(blk::TraceEv::TxnOpen, txn_seq_, 0);
   }
   outstanding_ += 1;
@@ -116,14 +117,14 @@ Err Log::end_op(SuperBlockCap& sb) {
   bento::SemGuard guard(lock_);
   assert(outstanding_ > 0);
   outstanding_ -= 1;
-  // Group commit: keep absorbing ops until the batch is full (the block
-  // trigger keeps kMaxOpBlocks of headroom for the next op). fsync
-  // (force_commit) still commits immediately.
-  if (outstanding_ == 0 && !jnl_.empty() &&
-      jnl_.close_op(opts_.max_log_batch,
-                    blk::commit_threshold(kLogSize - kMaxOpBlocks,
-                                          sb.stripe_width()))) {
-    return commit(sb);
+  // Group commit: keep absorbing ops until the transaction is full (the
+  // block trigger keeps kMaxOpBlocks of headroom for the next op) or old.
+  // fsync (force_commit) still commits immediately.
+  if (outstanding_ == 0 && !jnl_.empty()) {
+    const bool full = jnl_.close_op(
+        opts_.max_log_batch,
+        blk::commit_threshold(kLogSize - kMaxOpBlocks, sb.stripe_width()));
+    if (full || sim::now() - txn_start_ >= kCommitAge) return commit(sb);
   }
   return Err::Ok;
 }
@@ -181,8 +182,11 @@ Err Log::commit(SuperBlockCap& sb) {
       dst.value().set_dirty();
       dsts.push_back(std::move(dst.value()));
     }
-    if (!jnl_.stage(io, blk::TraceEv::JLogWrite, txn_seq_, n, tickets,
-                    submit(sb, dsts))) {
+    const WriteTicket run = submit(sb, dsts);
+    // Nothing reads the log area back before the next mount's recovery,
+    // so the cache need not keep the copies once they are written.
+    for (BufferHeadHandle& dst : dsts) dst.forget();
+    if (!jnl_.stage(io, blk::TraceEv::JLogWrite, txn_seq_, n, tickets, run)) {
       return Err::Io;  // aborted: the commit record is never issued
     }
   }

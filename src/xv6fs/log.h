@@ -8,13 +8,17 @@
 // Two throughput mechanisms sit on top of the base protocol (both jbd2
 // techniques; see ISSUE 5 / ARCHITECTURE.md write path):
 //
-//   Group commit — end_op no longer commits the moment the op count
-//   drains. Ops accumulate into one running transaction until
-//   `max_log_batch` ops have closed or the pending dirty-block count
-//   reaches a stripe-width-aligned threshold; fsync (force_commit) still
-//   forces immediately. While blocks are pending they are PINNED in the
-//   buffer cache (BufferHead::jdirty), so background writeback cannot
-//   put unjournaled state on media ahead of the commit record.
+//   Group commit — end_op does not commit the moment the op count
+//   drains. Ops accumulate into one running transaction, sized like a
+//   jbd2 transaction by log space and age rather than by op count: it
+//   commits when its tagged blocks reach a stripe-width-aligned threshold
+//   (the log minus one op's worst case), or when an op closes on a
+//   transaction older than kCommitAge. fsync, sync and unmount
+//   (force_commit) force it immediately. A `max_log_batch=N` mount
+//   ("nogroup" is N = 1) also commits after N closed ops. While blocks
+//   are pending they are PINNED in the buffer cache (BufferHead::jdirty),
+//   so background writeback cannot put unjournaled state on media ahead
+//   of the commit record.
 //
 //   Pipelined commit — the commit's writes (log run, header, install,
 //   clear) are submitted on async tickets held by the journal engine's
@@ -46,6 +50,7 @@
 #include "blockdev/opts.h"
 #include "kernel/errno.h"
 #include "sim/stats.h"
+#include "sim/time.h"
 #include "xv6fs/layout.h"
 
 namespace bsim::xv6 {
@@ -79,12 +84,16 @@ struct LogIo {
 
 class Log {
  public:
+  /// jbd2's default commit interval: an op that closes on a running
+  /// transaction at least this old commits it.
+  static constexpr sim::Nanos kCommitAge = 5 * sim::kSecond;
+
   Log() = default;
   Log(const Log&) = delete;
   Log& operator=(const Log&) = delete;
 
   /// Mount-time initialization + crash recovery. The write path's tuning
-  /// comes from `opts`: max_log_batch (group commit),
+  /// comes from `opts`: max_log_batch (an op cap on group commit),
   /// pipeline ("nopipeline"), and plug ("noplug", Relaxed mode's
   /// install+clear plug).
   kern::Err init(bento::SuperBlockCap& sb, const DiskSuperblock& dsb,
@@ -99,9 +108,9 @@ class Log {
   /// it until the commit writes it).
   void log_write(bento::SuperBlockCap& sb, std::uint32_t blockno);
 
-  /// Close the transaction; commits when no other operation is open AND
-  /// the group-commit batch is full (max_log_batch ops or the pending
-  /// dirty-block threshold).
+  /// Close the operation; commits when no other operation is open AND
+  /// the running transaction is full (the block threshold, or the mount's
+  /// max_log_batch ops) or older than kCommitAge.
   kern::Err end_op(bento::SuperBlockCap& sb);
 
   /// Force a commit of any pending writes and drain the commit pipeline
@@ -153,8 +162,9 @@ class Log {
   bento::Semaphore lock_;
   int outstanding_ = 0;
   /// Transaction sequence for the TO/TC/JW/JR/JK tracepoints; bumped when
-  /// a fresh batch opens in begin_op.
+  /// a fresh batch opens in begin_op, which stamps its start time.
   std::uint64_t txn_seq_ = 0;
+  sim::Nanos txn_start_ = 0;
   LogStats stats_;
   blk::Journal<LogIo> jnl_{stats_};
 };

@@ -31,6 +31,11 @@ using xv6::kNIndirect;
 using xv6::LogHeader;
 
 namespace {
+/// Ops per commit when the mount sets no max_log_batch. The Bento port
+/// sizes its transactions by log space instead; the C baseline commits
+/// synchronously inside ->writepage, where a bigger transaction stalls
+/// the flusher for longer.
+constexpr std::size_t kDefaultLogBatch = 8;
 constexpr std::uint16_t kFree = static_cast<std::uint16_t>(InodeKind::Free);
 constexpr std::uint16_t kDir = static_cast<std::uint16_t>(InodeKind::Dir);
 constexpr std::uint16_t kFile = static_cast<std::uint16_t>(InodeKind::File);
@@ -76,7 +81,9 @@ Err Xv6cMount::log_end() {
   // with the Bento port, without the stripe alignment): absorb ops until
   // the batch or block threshold; fsync/sync force via log_force().
   if (log_outstanding_ == 0 && !log_txn_.empty() &&
-      log_txn_.close_op(opts_.max_log_batch, kLogSize - kMaxOpBlocks)) {
+      log_txn_.close_op(opts_.max_log_batch != 0 ? opts_.max_log_batch
+                                                 : kDefaultLogBatch,
+                        kLogSize - kMaxOpBlocks)) {
     e = log_commit();
   }
   log_lock_.unlock();
@@ -450,7 +457,6 @@ Err Xv6cMount::itrunc(kern::Inode& inode, std::uint64_t new_size) {
   CInode* c = ci(inode);
   auto& bc = sb_->bufcache();
   const std::uint64_t keep = (new_size + kBlockSize - 1) / kBlockSize;
-  log_begin();
 
   for (std::uint64_t bn = keep; bn < kNDirect; ++bn) {
     if (c->d.addrs[bn] != 0) {
@@ -529,8 +535,7 @@ Err Xv6cMount::itrunc(kern::Inode& inode, std::uint64_t new_size) {
     }
   }
   c->d.size = new_size;
-  BSIM_TRY(iupdate(inode));
-  return log_end();
+  return iupdate(inode);
 }
 
 // ---- directories ----
@@ -588,6 +593,7 @@ Err Xv6cMount::write_through_log(kern::Inode& inode, std::uint64_t off,
     if (!bh.ok()) return bh.error();
     std::memcpy(bh.value()->bytes().data() + within, in.data() + done, chunk);
     bc.mark_dirty(bh.value());
+    if (c->d.type == kFile) bc.mark_drop_behind(bh.value());
     log_write(addr.value());
     bc.brelse(bh.value());
     done += chunk;
@@ -667,6 +673,18 @@ Result<bool> Xv6cMount::dir_empty(kern::Inode& dir) {
   return true;
 }
 
+void Xv6cMount::iput_in_op(kern::Inode* inode) {
+  evict_in_op_ = true;
+  sb_->iput(inode);
+  evict_in_op_ = false;
+}
+
+void Xv6cMount::discard(kern::Inode* inode) {
+  ci(*inode)->d.nlink = 0;
+  (void)iupdate(*inode);
+  iput_in_op(inode);  // the last reference: evict_inode frees it
+}
+
 // ---- InodeOps ----
 
 Result<kern::Inode*> Xv6cMount::lookup(kern::Inode& dir,
@@ -694,6 +712,8 @@ Result<kern::Inode*> Xv6cMount::create(kern::Inode& dir,
   }
   Err e = dir_link(dir, name, inum.value());
   if (e != Err::Ok) {
+    auto child = iget(inum.value());
+    if (child.ok()) discard(child.value());
     (void)log_end();
     return e;
   }
@@ -725,13 +745,16 @@ Result<kern::Inode*> Xv6cMount::mkdir(kern::Inode& dir, std::string_view name,
   Err e = dir_link(*child.value(), ".", inum.value());
   if (e == Err::Ok) e = dir_link(*child.value(), "..", ci(dir)->inum);
   if (e == Err::Ok) e = dir_link(dir, name, inum.value());
-  if (e == Err::Ok) {
-    ci(dir)->d.nlink += 1;
-    e = iupdate(dir);
+  if (e != Err::Ok) {
+    discard(child.value());
+    (void)log_end();
+    return e;
   }
+  ci(dir)->d.nlink += 1;
+  e = iupdate(dir);
   if (e == Err::Ok) e = iupdate(*child.value());
   if (e != Err::Ok) {
-    sb_->iput(child.value());
+    iput_in_op(child.value());
     (void)log_end();
     return e;
   }
@@ -754,7 +777,7 @@ Err Xv6cMount::unlink(kern::Inode& dir, std::string_view name) {
   }
   CInode* cc = ci(*child.value());
   if (cc->d.type == kDir) {
-    sb_->iput(child.value());
+    iput_in_op(child.value());
     (void)log_end();
     return Err::IsDir;
   }
@@ -763,7 +786,7 @@ Err Xv6cMount::unlink(kern::Inode& dir, std::string_view name) {
     cc->d.nlink -= 1;
     e = iupdate(*child.value());
   }
-  sb_->iput(child.value());
+  iput_in_op(child.value());
   if (e != Err::Ok) {
     (void)log_end();
     return e;
@@ -803,7 +826,7 @@ Err Xv6cMount::rmdir(kern::Inode& dir, std::string_view name) {
     ci(dir)->d.nlink -= 1;
     e = iupdate(dir);
   }
-  sb_->iput(child.value());
+  iput_in_op(child.value());
   if (e != Err::Ok) {
     (void)log_end();
     return e;
@@ -826,12 +849,12 @@ Err Xv6cMount::rename(kern::Inode& old_dir, std::string_view old_name,
     auto target = dir_scan(new_dir, new_name, nullptr);
     if (target.ok()) {
       if (target.value() == inum.value()) {
-        sb_->iput(moved.value());
+        iput_in_op(moved.value());
         return Err::Ok;
       }
       auto victim = iget(target.value());
       if (!victim.ok()) {
-        sb_->iput(moved.value());
+        iput_in_op(moved.value());
         return victim.error();
       }
       CInode* vc = ci(*victim.value());
@@ -853,13 +876,13 @@ Err Xv6cMount::rename(kern::Inode& old_dir, std::string_view old_name,
         ci(new_dir)->d.nlink -= 1;
         e = iupdate(new_dir);
       }
-      sb_->iput(victim.value());
+      iput_in_op(victim.value());
       if (e != Err::Ok) {
-        sb_->iput(moved.value());
+        iput_in_op(moved.value());
         return e;
       }
     } else if (target.error() != Err::NoEnt) {
-      sb_->iput(moved.value());
+      iput_in_op(moved.value());
       return target.error();
     }
 
@@ -877,7 +900,7 @@ Err Xv6cMount::rename(kern::Inode& old_dir, std::string_view old_name,
         if (e == Err::Ok) e = iupdate(new_dir);
       }
     }
-    sb_->iput(moved.value());
+    iput_in_op(moved.value());
     return e;
   };
   Err e = do_rename();
@@ -911,7 +934,13 @@ Err Xv6cMount::setattr(kern::Inode& inode, const kern::SetAttr& attr) {
   CInode* c = ci(inode);
   if (attr.set_size && attr.size < c->d.size) {
     kern::generic_truncate_pagecache(inode, attr.size);
-    BSIM_TRY(itrunc(inode, attr.size));
+    log_begin();
+    Err te = itrunc(inode, attr.size);
+    if (te != Err::Ok) {
+      (void)log_end();
+      return te;
+    }
+    BSIM_TRY(log_end());
     log_begin();
     Err ze = zero_block_tail(inode, attr.size);
     if (ze != Err::Ok) {
@@ -1041,13 +1070,22 @@ void Xv6cMount::evict_inode(kern::Inode& inode) {
   CInode* c = ci(inode);
   if (c == nullptr) return;
   if (c->d.nlink == 0) {
+    // Under an unlink, rmdir or rename (iput_in_op) the truncate and the
+    // free join the caller's op: a nested log_begin would wait for that op
+    // to close, which it cannot do before this returns. Otherwise each is
+    // an op of its own.
+    const bool own_ops = !evict_in_op_;
+    if (own_ops) log_begin();
     (void)itrunc(inode, 0);
-    log_begin();
+    if (own_ops) {
+      (void)log_end();
+      log_begin();
+    }
     c->d = Dinode{};
     (void)iupdate(inode);
     free_inodes_ += 1;
     ialloc_hint_ = std::min(ialloc_hint_, c->inum);
-    (void)log_end();
+    if (own_ops) (void)log_end();
   }
   delete c;  // manual lifetime management, C style
   inode.fs_priv = nullptr;

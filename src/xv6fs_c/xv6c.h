@@ -37,7 +37,7 @@ class Xv6cMount final : public kern::InodeOps,
                         public kern::SuperOps,
                         public kern::AddressSpaceOps {
  public:
-  /// Group-commit tuning comes from `opts` (max_log_batch);
+  /// Group-commit tuning comes from `opts` (max_log_batch, default 8);
   /// the C baseline keeps its synchronous per-buffer commit path, so
   /// pipelining is a Bento-side thing.
   Xv6cMount(kern::SuperBlock& sb, const blk::MountOpts& opts)
@@ -110,6 +110,12 @@ class Xv6cMount final : public kern::InodeOps,
   kern::Err scan_free_counts();
 
   kern::Result<kern::Inode*> iget(std::uint32_t inum);
+  /// Drop a reference inside an open op: if this evicts the inode, its
+  /// truncate and free join that op.
+  void iput_in_op(kern::Inode* inode);
+  /// Undo an ialloc whose directory link failed: free the inode and any
+  /// blocks it was given, in the caller's op.
+  void discard(kern::Inode* inode);
   static CInode* ci(kern::Inode& inode) {
     return static_cast<CInode*>(inode.fs_priv);
   }
@@ -119,6 +125,7 @@ class Xv6cMount final : public kern::InodeOps,
   kern::Err bfree(std::uint32_t blockno);
   kern::Result<std::uint32_t> bmap(kern::Inode& inode, std::uint64_t bn,
                                    bool alloc);
+  /// Free blocks past `new_size`, inside the caller's op.
   kern::Err itrunc(kern::Inode& inode, std::uint64_t new_size);
   kern::Err zero_block_tail(kern::Inode& inode, std::uint64_t from);
 
@@ -137,6 +144,7 @@ class Xv6cMount final : public kern::InodeOps,
   sim::SimMutex log_lock_;      // the log serializes transactions
   sim::SimMutex alloc_lock_;    // §6.1 allocation locks
   int log_outstanding_ = 0;
+  bool evict_in_op_ = false;    // set by iput_in_op for evict_inode
   const blk::MountOpts opts_;
   CLogStats log_stats_;
   blk::RunningTxn log_txn_{log_stats_};

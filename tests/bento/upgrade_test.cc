@@ -154,7 +154,7 @@ TEST_F(UpgradeTest, FallsBackToColdInit) {
 TEST_F(UpgradeTest, ColdInitSuccessorKeepsTheMountOptions) {
   // The module delivers the mount's options to every instance it runs:
   // a successor that cold-attaches still commits once per op on a
-  // "nogroup" mount, instead of falling back to the default batch of 8.
+  // "nogroup" mount, instead of falling back to the default (no op cap).
   ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
   ASSERT_EQ(Err::Ok, kernel_.mount("xv6_bento", "ssd0", "/mnt", "nogroup"));
   auto* module = bento::BentoModule::from(*kernel_.sb_at("/mnt"));

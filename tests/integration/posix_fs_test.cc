@@ -708,6 +708,130 @@ TEST_P(Xv6InodeAllocTest, CreateCostDoesNotGrowWithLiveInodes) {
   expect_fsck_clean();
 }
 
+/// xv6 on a full image: a create or mkdir that fails with ENOSPC after
+/// its inode is allocated must give the inode (and any block) back.
+class Xv6FullImageTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    sim::set_current(&thread_);
+    blk::DeviceParams params;
+    params.nblocks = 4096;  // 16 MiB
+    dev_ = &kernel_.add_device("ssd0", params);
+    xv6::mkfs(*dev_, /*ninodes=*/1024);
+    wl::register_deployments(kernel_);
+    ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
+  }
+
+  kern::Process& proc() { return kernel_.proc(); }
+
+  kern::StatFs statfs() {
+    auto st = kernel_.statfs(proc(), "/mnt");
+    EXPECT_TRUE(st.ok());
+    return st.ok() ? st.value() : kern::StatFs{};
+  }
+
+  /// Write `nblocks` blocks to a new file `path` and fsync it.
+  void write_file(const std::string& path, std::uint64_t nblocks) {
+    auto fd = kernel_.open(proc(), path, kern::kOCreat | kern::kOWrOnly);
+    ASSERT_TRUE(fd.ok()) << path;
+    const std::vector<std::byte> data(nblocks * xv6::kBlockSize,
+                                      std::byte{0x6D});
+    ASSERT_TRUE(kernel_.write(proc(), fd.value(), data).ok());
+    ASSERT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+    ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  }
+
+  /// Data plus index blocks of an xv6 file of `n` data blocks.
+  static std::uint64_t footprint(std::uint64_t n) {
+    std::uint64_t blocks = n;
+    if (n > xv6::kNDirect) blocks += 1;  // indirect
+    const std::uint64_t dbl = xv6::kNDirect + xv6::kNIndirect;
+    if (n > dbl) {
+      blocks += 1 + (n - dbl + xv6::kNIndirect - 1) / xv6::kNIndirect;
+    }
+    return blocks;
+  }
+
+  sim::SimThread thread_{0};
+  kern::Kernel kernel_;
+  blk::BlockDevice* dev_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(KernelXv6, Xv6FullImageTest,
+                         ::testing::Values("xv6_bento", "xv6_vfs"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST_P(Xv6FullImageTest, CreateAndMkdirFailingWithNoSpcLeakNothing) {
+  ASSERT_EQ(Err::Ok, kernel_.mkdir(proc(), "/mnt/sub"));
+  write_file("/mnt/sub/spare", 1);
+  // Fill every remaining data block with one file.
+  const std::uint64_t free = statfs().free_blocks;
+  std::uint64_t n = free;
+  while (footprint(n) > free) n -= 1;
+  write_file("/mnt/big", n);
+
+  // Creates in the root succeed until its directory needs a block.
+  Err failed = Err::Ok;
+  for (int i = 0; i < 1000 && failed == Err::Ok; ++i) {
+    const kern::StatFs before = statfs();
+    auto fd = kernel_.open(proc(), "/mnt/f" + std::to_string(i),
+                           kern::kOCreat | kern::kOWrOnly);
+    if (fd.ok()) {
+      ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+      continue;
+    }
+    failed = fd.error();
+    EXPECT_EQ(statfs().free_inodes, before.free_inodes);
+  }
+  ASSERT_EQ(failed, Err::NoSpc);
+
+  // One free block: the new directory's "." and ".." take it, then the
+  // root's entry finds no block.
+  ASSERT_EQ(Err::Ok, kernel_.unlink(proc(), "/mnt/sub/spare"));
+  const kern::StatFs before = statfs();
+  ASSERT_EQ(before.free_blocks, 1u);
+  EXPECT_EQ(kernel_.mkdir(proc(), "/mnt/d"), Err::NoSpc);
+  const kern::StatFs after = statfs();
+  EXPECT_EQ(after.free_inodes, before.free_inodes);
+  EXPECT_EQ(after.free_blocks, before.free_blocks);
+
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  auto report = xv6::fsck(*dev_);
+  EXPECT_TRUE(report.ok) << report.summary();
+}
+
+TEST(Xv6cNestedOp, RmdirEvictsInsideItsOpOnANearlyFullLog) {
+  // An rmdir that drops the last reference evicts the directory inside its
+  // own op. With the running transaction past kLogSize - 2 * kMaxOpBlocks
+  // blocks, a nested op could never be admitted: the eviction must join
+  // the rmdir's op rather than wait for it to close.
+  sim::SimThread thread(0);
+  sim::ScopedThread in(thread);
+  kern::Kernel kernel;
+  blk::DeviceParams params;
+  params.nblocks = 32768;
+  auto& dev = kernel.add_device("ssd0", params);
+  xv6::mkfs(dev, /*ninodes=*/4096);
+  wl::register_deployments(kernel);
+  ASSERT_EQ(Err::Ok,
+            kernel.mount("xv6_vfs", "ssd0", "/mnt", "max_log_batch=1000"));
+  auto& p = kernel.proc();
+  // Each mkdir tags about one new block (the directory's own), so 210 of
+  // them hold the transaction between 2 and 1 ops' worth short of the log.
+  for (int i = 0; i < 210; ++i) {
+    ASSERT_EQ(Err::Ok, kernel.mkdir(p, "/mnt/d" + std::to_string(i)));
+  }
+  auto* mnt = kernel.sb_at("/mnt")->fs<xv6c::Xv6cMount>();
+  ASSERT_EQ(mnt->log_stats().commits, 0u);
+  ASSERT_EQ(Err::Ok, kernel.rmdir(p, "/mnt/d0"));
+  ASSERT_EQ(Err::Ok, kernel.umount("/mnt"));
+  auto report = xv6::fsck(dev);
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.dirs, 1u + 209u);
+}
+
 TEST_F(BentoXv6Fixture, BorrowLedgerBalancedAfterWorkload) {
   // The ownership-model contract (§4.4): after any sequence of operations,
   // the file system must have returned every borrowed capability.

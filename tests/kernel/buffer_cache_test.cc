@@ -139,6 +139,93 @@ TEST_F(BufferCacheTest, ReferencedBuffersAreNotEvicted) {
   cache.brelse(pinned.value());
 }
 
+TEST_F(BufferCacheTest, DropBehindDataLeavesMetadataResident) {
+  BufferCache cache(dev_, 16);
+  const auto read_meta = [&] {
+    for (std::uint64_t b = 0; b < 8; ++b) {
+      auto bh = cache.bread(b);
+      ASSERT_TRUE(bh.ok());
+      cache.brelse(bh.value());
+    }
+  };
+  // Write 64 blocks of file data through a 16-block cache, as a journal
+  // does: each is marked, dirtied and written, half while referenced
+  // (cleaned, then released) and half after release (released dirty,
+  // then cleaned by writeback).
+  const auto stream = [&](std::uint64_t first) {
+    for (std::uint64_t b = first; b < first + 64; ++b) {
+      auto bh = cache.getblk(b);
+      ASSERT_TRUE(bh.ok());
+      cache.mark_drop_behind(bh.value());
+      bh.value()->bytes()[0] = std::byte{0x33};
+      cache.mark_dirty(bh.value());
+      if (b % 2 == 0) {
+        ASSERT_EQ(Err::Ok, cache.sync_dirty_buffer(bh.value()));
+        cache.brelse(bh.value());
+      } else {
+        cache.brelse(bh.value());
+        cache.sync_all();
+      }
+    }
+  };
+  read_meta();
+  stream(100);
+  const auto reads = dev_.stats().reads;
+  const auto hits = cache.stats().hits;
+  read_meta();  // the metadata outlived a data stream 4x the cache
+  EXPECT_EQ(dev_.stats().reads, reads);
+  EXPECT_EQ(cache.stats().hits, hits + 8);
+
+  // getblk clears the mark: a data block reused as metadata is cached
+  // like metadata again and survives the next stream.
+  auto reused = cache.getblk(163);
+  ASSERT_TRUE(reused.ok());
+  EXPECT_FALSE(reused.value()->drop_behind);
+  cache.brelse(reused.value());
+  stream(170);
+  auto again = cache.bread(163);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value(), reused.value());
+  cache.brelse(again.value());
+  EXPECT_EQ(dev_.stats().reads, reads);
+}
+
+TEST_F(BufferCacheTest, DirtyDropBehindVictimIsWrittenAndEvicted) {
+  // Eviction writes a dirty victim back, which demotes a drop-behind
+  // victim while the eviction walk still points at it; the victim, not
+  // its neighbour, must leave. Block 0, the coldest, stays referenced,
+  // so the first victim is not at the cold end.
+  BufferCache cache(dev_, 4);
+  auto held = cache.bread(0);
+  ASSERT_TRUE(held.ok());
+  for (std::uint64_t b = 1; b < 4; ++b) {
+    auto bh = cache.getblk(b);
+    ASSERT_TRUE(bh.ok());
+    cache.mark_drop_behind(bh.value());
+    bh.value()->bytes()[0] = static_cast<std::byte>(0x40 + b);
+    cache.mark_dirty(bh.value());
+    cache.brelse(bh.value());
+  }
+  for (std::uint64_t b = 10; b < 20; ++b) {
+    auto bh = cache.bread(b);
+    ASSERT_TRUE(bh.ok());
+    cache.brelse(bh.value());
+  }
+  EXPECT_LE(cache.cached_blocks(), 5u);
+  auto again = cache.bread(0);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value(), held.value());
+  cache.brelse(again.value());
+  cache.brelse(held.value());
+  for (std::uint64_t b = 1; b < 4; ++b) {
+    auto bh = cache.bread(b);
+    ASSERT_TRUE(bh.ok());
+    EXPECT_EQ(bh.value()->bytes()[0], static_cast<std::byte>(0x40 + b));
+    cache.brelse(bh.value());
+  }
+  EXPECT_LE(cache.cached_blocks(), 5u);
+}
+
 TEST_F(BufferCacheTest, OutstandingRefsTracked) {
   BufferCache cache(dev_, 16);
   EXPECT_EQ(cache.outstanding_refs(), 0u);

@@ -247,9 +247,9 @@ TEST_P(JournalAbort, AbortOutsideFsyncLeavesNothingInFlight) {
   auto& kernel = bed.kernel;
   auto& p = kernel.proc();
 
-  // Unsynced files until a group commit is in flight (xv6 commits every
-  // max_log_batch ops; ext4's writeback on close commits at its block
-  // threshold). Each file is 600 KiB.
+  // Unsynced files until a group commit is in flight (xv6 and ext4 both
+  // commit at their block thresholds as writeback fills the running
+  // transaction). Each file is 600 KiB.
   const std::vector<std::byte> data(600 << 10, std::byte{0x5a});
   int n = 0;
   auto write_file = [&] {

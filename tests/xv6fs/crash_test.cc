@@ -517,9 +517,10 @@ std::unique_ptr<blk::BlockDevice> run_pipelined_trace(
   sim::Rng rng(seed);
   (void)kernel.mkdir(p, "/mnt/dir");
   if (burst) {
-    // A burst of creates and unlinks with no fsync: every max_log_batch
-    // operations close a group commit, and nothing drains the pipeline,
-    // so it fills to its depth and stays full until the crash.
+    // A burst of creates and unlinks with no fsync: every 8 operations
+    // (the mounts ask for max_log_batch=8) close a group commit, and
+    // nothing drains the pipeline, so it fills to its depth and stays
+    // full until the crash.
     for (int i = 0; i < 48; ++i) {
       auto fd = kernel.open(p, "/mnt/dir/b" + std::to_string(i),
                             kern::kOCreat | kern::kORdWr);
@@ -577,11 +578,13 @@ TEST_P(PipelinedTornDifferential, RecoveryBitIdenticalToUnpipelinedOracle) {
   // "-o noflusher" keeps writeback a pure function of the op trace (the
   // pipelined run and the oracle have different virtual-time behaviour,
   // which must not be allowed to move timer-driven wakes).
+  // The burst commits on an explicit 8-op cadence: a transaction sized
+  // by log space alone would hold the whole burst.
   PipelineObs obs;
-  auto piped = run_pipelined_trace(kind, kill_point, seed, "noflusher",
-                                   &obs, burst);
+  const std::string opts = burst ? "noflusher,max_log_batch=8" : "noflusher";
+  auto piped = run_pipelined_trace(kind, kill_point, seed, opts, &obs, burst);
   auto oracle = run_pipelined_trace(kind, kill_point, seed,
-                                    "noflusher,nopipeline", nullptr, burst);
+                                    opts + ",nopipeline", nullptr, burst);
   EXPECT_GT(obs.pipelined_commits, 0u) << "trace never overlapped commits";
   if (burst) {
     EXPECT_EQ(obs.peak_inflight, blk::Journal<xv6::LogIo>::kPipelineDepth)

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bento/user.h"
+#include "blockdev/opts.h"
 #include "kernel/buffer_cache.h"
 #include "sim/thread.h"
 #include "xv6fs/fs.h"
@@ -28,14 +29,23 @@ class Xv6Rig : public ::testing::Test {
 
   void SetUp() override {
     sim::set_current(&thread_);
-    // Format a scratch device and load its image into the memory backend.
+    format_and_mount("");
+  }
+
+  /// Format a scratch device, load its image into the memory backend and
+  /// mount it with mount options `opts` (replacing any earlier mount).
+  void format_and_mount(std::string_view opts) {
     blk::DeviceParams params;
     params.nblocks = kBlocks;
     blk::BlockDevice scratch(params);
     dsb_ = mkfs(scratch, /*ninodes=*/1024);
     auto backend = std::make_unique<bento::MemBlockBackend>(scratch);
-    mount_ = std::make_unique<bento::UserMount>(
-        std::move(backend), std::make_unique<Xv6FileSystem>());
+    auto fs = std::make_unique<Xv6FileSystem>();
+    const auto parsed = blk::parse_mount_opts(opts);
+    ASSERT_TRUE(parsed.has_value());
+    fs->apply_mount_opts(*parsed);
+    mount_ = std::make_unique<bento::UserMount>(std::move(backend),
+                                                std::move(fs));
     ASSERT_EQ(Err::Ok, mount_->mount_init());
   }
 
@@ -138,6 +148,8 @@ TEST_F(Xv6Rig, WriteBulkMatchesLoopedWrites) {
 }
 
 TEST_F(Xv6Rig, LogAbsorbsRepeatedBlocks) {
+  // An explicit 8-op cadence, so the writes below reach a commit.
+  format_and_mount("max_log_batch=8");
   const bento::Ino ino = create_file("absorb");
   const auto before = fs().log_stats();
   // Many small writes to the same block within the same page: each write
@@ -152,18 +164,25 @@ TEST_F(Xv6Rig, LogAbsorbsRepeatedBlocks) {
   EXPECT_GT(after.absorbed, before.absorbed);  // data block re-logged
 }
 
-TEST_F(Xv6Rig, GroupCommitAbsorbsOpsUntilTheBatchFills) {
-  // Satellite (ISSUE 5): end_op no longer commits per closed op; up to
-  // max_log_batch ops pool into one transaction, and fsync still forces.
+TEST_F(Xv6Rig, GroupCommitDoesNotCountOps) {
+  // end_op sizes a transaction by log space and age, not by op count:
+  // twenty closed ops (well past the old 8-op cadence) still pool.
   const bento::Ino ino = create_file("group");
-  // The create closed one op (still pooling); the three writes below stay
-  // well inside one max_log_batch window.
+  std::vector<std::byte> chunk(256, std::byte{4});
+  for (int i = 0; i < 20; ++i) {
+    write_at(ino, static_cast<std::uint64_t>(i) * 256, chunk);
+  }
+  EXPECT_EQ(fs().log_stats().commits, 0u);
+  EXPECT_EQ(fs().log().inflight_commits(), 0u);
+}
+
+TEST_F(Xv6Rig, FsyncForcesThePooledTransaction) {
+  const bento::Ino ino = create_file("forced");
   auto snap0 = fs().log_stats();
   std::vector<std::byte> chunk(256, std::byte{4});
   for (int i = 0; i < 3; ++i) {
     write_at(ino, static_cast<std::uint64_t>(i) * 256, chunk);
   }
-  // Three closed ops < max_log_batch (8): nothing committed yet.
   EXPECT_EQ(fs().log_stats().commits, snap0.commits);
   ASSERT_EQ(Err::Ok, fs().fsync(mount_->mkreq(), mount_->borrow(), ino, 0,
                                 false));
@@ -171,7 +190,41 @@ TEST_F(Xv6Rig, GroupCommitAbsorbsOpsUntilTheBatchFills) {
   const auto after = fs().log_stats();
   EXPECT_EQ(after.commits, snap0.commits + 1);    // ONE commit for all ops
   EXPECT_GT(after.group_commits, snap0.group_commits);
-  EXPECT_GE(after.ops_committed, snap0.ops_committed + 3);
+  EXPECT_EQ(after.ops_committed, snap0.ops_committed + 4);  // create + 3
+}
+
+TEST_F(Xv6Rig, GroupCommitCommitsAtTheBlockThreshold) {
+  // Each one-block append tags one new block (its data block; the bitmap
+  // and inode blocks absorb), so the transaction reaches the threshold,
+  // the log less one op's worst case, exactly: the op that closes on it
+  // commits it, and none before does.
+  const bento::Ino ino = create_file("threshold");
+  const std::vector<std::byte> block(kBlockSize, std::byte{5});
+  std::uint64_t bn = 0;
+  while (fs().log_stats().commits == 0 && bn < kLogSize) {
+    write_at(ino, bn * kBlockSize, block);
+    bn += 1;
+  }
+  const auto stats = fs().log_stats();
+  EXPECT_EQ(stats.commits, 1u);
+  EXPECT_EQ(stats.blocks_logged, kLogSize - kMaxOpBlocks);
+}
+
+TEST_F(Xv6Rig, GroupCommitCommitsAnAgedTransaction) {
+  // The create opens the transaction (a few microseconds before it
+  // returns); an op closing on it short of Log::kCommitAge pools, the
+  // first one past the age commits it.
+  const bento::Ino ino = create_file("aged");
+  const sim::Nanos opened = thread_.now();
+  std::vector<std::byte> chunk(64, std::byte{8});
+  thread_.wait_until(opened + Log::kCommitAge - sim::msec(1));
+  write_at(ino, 0, chunk);
+  EXPECT_EQ(fs().log_stats().commits, 0u);
+  thread_.wait_until(opened + Log::kCommitAge);
+  write_at(ino, 64, chunk);
+  const auto stats = fs().log_stats();
+  EXPECT_EQ(stats.commits, 1u);
+  EXPECT_EQ(stats.ops_committed, 3u);
 }
 
 TEST_F(Xv6Rig, EmptyForceCommitAndFlushAreSkipped) {
