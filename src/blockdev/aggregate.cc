@@ -150,10 +150,6 @@ sim::Nanos AggregateDevice::flush_nowait_impl() {
 }
 
 void AggregateDevice::pokes() {
-  if (auto_scrub_ && !scrub_on_) {
-    auto_scrub_ = false;
-    start_scrub();
-  }
   rebuild_poke(sim::now());
   scrub_poke(sim::now());
 }

@@ -207,11 +207,6 @@ class AggregateDevice : public BlockDevice {
   /// instant) — distinct from individual member death.
   [[nodiscard]] bool volume_killed() const { return volume_dead_; }
 
-  /// Defer one scrub pass to the first foreground submission (volumes
-  /// built with a "scrub" mount option are constructed outside any
-  /// simulated thread, so the pass cannot start in the constructor).
-  void arm_auto_scrub() { auto_scrub_ = true; }
-
   // ---- redundancy-policy hooks ----
   /// Fill rebuild_buf_[0..n) with the content of member-local blocks
   /// [start, start+n) of the rebuild target, reading peers through their
@@ -267,7 +262,6 @@ class AggregateDevice : public BlockDevice {
   sim::SimThread rebuild_thread_{-16};
 
   // Scrub pass.
-  bool auto_scrub_ = false;  // start one pass at the first submission
   bool scrub_on_ = false;
   std::uint64_t scrub_cursor_ = 0;
   sim::SimThread scrub_thread_{-17};

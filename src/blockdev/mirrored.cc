@@ -43,7 +43,6 @@ MirroredDevice::MirroredDevice(MirrorParams mp,
                  mirror_.rebuild_lead);
   lat_ewma_.assign(n, 0);
   last_read_end_.assign(n, ~0ULL);
-  if (mirror_.auto_scrub) arm_auto_scrub();
 }
 
 MirroredDevice::~MirroredDevice() = default;

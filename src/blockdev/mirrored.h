@@ -20,8 +20,8 @@
 //   - fail_member(i): fail-stop. The member vanishes from now on (its
 //     content freezes); no further reads or writes are routed to it. The
 //     volume keeps serving from the survivors ("degraded mode"). With a
-//     hot spare configured ("spare=N"), the spare takes over the slot and
-//     rebuilds automatically.
+//     hot spare configured (MirrorParams::nspares), the spare takes over
+//     the slot and rebuilds automatically.
 //   - BlockDevice::inject_read_error(b) on a member: reads of that block
 //     fail on that member only (Bio::io_error). The volume retries the
 //     bio on another healthy member (read_error_failovers) and only
@@ -50,8 +50,6 @@ struct MirrorParams {
   std::size_t nmirrors = 2;
   /// Hot spares kept on cold standby (deployed on fail_member).
   std::size_t nspares = 0;
-  /// One replica-verification pass starts with the first submission.
-  bool auto_scrub = false;
   /// Blocks copied per rebuild step (one read + one write submission).
   std::size_t rebuild_batch = 64;
   /// Backpressure: how far the rebuild clock may run ahead of the thread

@@ -53,8 +53,6 @@ struct MountOpts {
   std::uint64_t chunk = 16;  // stripe and parity chunk, in blocks
   std::size_t mirror = 1;    // RAID1 replicas (1: not mirrored)
   std::size_t parity = 0;    // RAID5 data columns (<2: no parity)
-  std::size_t spares = 0;    // hot spares per redundant leaf
-  bool scrub = false;        // one verify pass from the first submission
   // ---- the device tree, armed before the file system mounts ----
   std::size_t trace = 0;     // trace-ring capacity in events (0: off)
   RetryPolicy retry;         // bounded retry of transient errors
@@ -71,7 +69,7 @@ struct MountOpts {
 };
 
 enum class OptKind : std::uint8_t {
-  Flag,    // a bare word ("scrub")
+  Flag,    // a bare word ("noflusher")
   Enum,    // one value of an enumerated option ("errors=continue")
   Number,  // "key=N", N a 32-bit decimal >= the entry's minimum
 };
@@ -95,8 +93,6 @@ inline constexpr OptSpec kEntries[] = {
     {"chunk=", K::Number, 1, [](M& o, N n) { o.chunk = n; }},
     {"mirror=", K::Number, 1, [](M& o, N n) { o.mirror = n; }},
     {"parity=", K::Number, 0, [](M& o, N n) { o.parity = n; }},
-    {"spare=", K::Number, 0, [](M& o, N n) { o.spares = n; }},
-    {"scrub", K::Flag, 0, [](M& o, N) { o.scrub = true; }},
     {"trace=", K::Number, 0, [](M& o, N n) { o.trace = n; }},
     {"retries=", K::Number, 0,
      [](M& o, N n) { o.retry.max_retries = static_cast<std::uint32_t>(n); }},

@@ -117,7 +117,6 @@ ParityDevice::ParityDevice(ParityParams pp,
   }
   adopt_children(std::move(members), std::move(spares), parity_.rebuild_batch,
                  parity_.rebuild_lead);
-  if (parity_.auto_scrub) arm_auto_scrub();
 }
 
 ParityDevice::~ParityDevice() = default;

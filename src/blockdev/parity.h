@@ -61,7 +61,7 @@
 //
 // Rebuild/self-healing: fail_member + start_rebuild resync a replaced
 // member by XOR-reconstructing its blocks from the survivors; hot spares
-// ("spare=N") deploy and rebuild automatically on fail_member.
+// (ParityParams::nspares) deploy and rebuild automatically on fail_member.
 //
 // Stacking: RAID50 = StripedDevice over ParityDevice members. The
 // parity volume reports fan_out() == 1 — like a mirror it IS one
@@ -87,8 +87,6 @@ struct ParityParams {
   std::uint64_t chunk_blocks = 16;  // 64 KiB chunks
   /// Hot spares kept on cold standby (deployed on fail_member).
   std::size_t nspares = 0;
-  /// One parity-verification pass starts with the first submission.
-  bool auto_scrub = false;
   /// Blocks regenerated per rebuild step.
   std::size_t rebuild_batch = 64;
   sim::Nanos rebuild_lead = 2 * sim::kMillisecond;

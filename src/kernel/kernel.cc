@@ -71,13 +71,9 @@ blk::BlockDevice& Kernel::add_volume(std::string name, std::string_view opts,
   if (!mo) throw std::invalid_argument("bad volume options");
   blk::MirrorParams mp;
   mp.nmirrors = mo->mirror;
-  mp.nspares = mo->spares;
-  mp.auto_scrub = mo->scrub;
   blk::ParityParams pp;
   pp.ndata = mo->parity;
   pp.chunk_blocks = mo->chunk;
-  pp.nspares = mo->spares;
-  pp.auto_scrub = mo->scrub;
   // One redundancy scheme per leaf: parity beats mirror.
   auto leaf = [&](blk::DeviceParams p) -> std::unique_ptr<blk::BlockDevice> {
     if (pp.ndata >= 2) {

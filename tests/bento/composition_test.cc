@@ -1,20 +1,21 @@
 // Composition tests (paper §3.4 / Challenge 6): Bento's answer to
 // stackable file systems is direct FileSystem-to-FileSystem dispatch, so
-// the layers must compose arbitrarily. We stack three deep — encryption
-// over an overlay over xv6 — and check the combined semantics: container-
-// style upper/lower merging underneath, ciphertext at rest in the upper
-// layer, plaintext through the top.
+// the layers must compose. We stack three deep — encryption over
+// provenance over xv6, one mount over one xv6 image — and check the
+// combined semantics: plaintext through the top, provenance recorded in
+// the middle, ciphertext at rest in xv6, and one ledger for the whole
+// stack.
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "../testutil.h"
 #include "bento/crypt.h"
-#include "bento/overlay.h"
 #include "bento/provenance.h"
 
 namespace bsim::test {
@@ -22,149 +23,158 @@ namespace {
 
 using kern::Err;
 
-/// crypt( overlay( lower=xv6, upper=xv6 ) )
+/// crypt( provenance( xv6 ) ) over one xv6 image.
 class CompositionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     sim::set_current(&thread_);
+    mount_ = std::make_unique<bento::UserMount>(xv6_image(), make_stack());
+    ASSERT_EQ(Err::Ok, mount_->mount_init());
+  }
 
-    auto lower = xv6_user_mount();
-    // Seed the read-only image with a base file (plaintext on the image,
-    // like a container base layer distributed unencrypted).
-    {
-      auto& fs = lower->fs();
-      auto made = fs.create(lower->mkreq(), lower->borrow(), bento::kRootIno,
-                            "base.txt", 0644);
-      ASSERT_TRUE(made.ok());
-      auto w = fs.write(lower->mkreq(), lower->borrow(), made.value().ino, 0,
-                        0, as_bytes("image contents"));
-      ASSERT_TRUE(w.ok());
-      lower->check_borrows();
-    }
-    auto upper = xv6_user_mount();
-    layers_ = {lower.get(), upper.get()};
-
-    // The overlay unions two separately formatted images, each behind its
-    // own mount; the backend under the stack is never touched.
-    auto overlay = std::make_unique<bento::OverlayFs>(std::move(lower),
-                                                      std::move(upper));
-    overlay_raw_ = overlay.get();
+  /// A fresh stack; the raw pointers name its layers from now on.
+  std::unique_ptr<bento::FileSystem> make_stack() {
+    auto xv6 = std::make_unique<xv6::Xv6FileSystem>();
+    xv6_ = xv6.get();
+    auto prov = std::make_unique<bento::ProvenanceFs>(std::move(xv6));
+    prov_ = prov.get();
     auto crypt = std::make_unique<bento::CryptFs>(
-        std::move(overlay), bento::derive_key("stack", "salt", 64));
-    crypt_raw_ = crypt.get();
-    top_ = std::make_unique<bento::UserMount>(
-        std::make_unique<bento::MemBlockBackend>(64), std::move(crypt));
-    ASSERT_EQ(Err::Ok, top_->mount_init());
+        std::move(prov), bento::derive_key("stack", "salt", 64));
+    crypt_ = crypt.get();
+    return crypt;
   }
 
-  bento::Ino lookup_top(std::string_view name) {
-    auto r = crypt_raw_->lookup(top_->mkreq(), top_->borrow(),
-                                bento::kRootIno, name);
-    EXPECT_TRUE(r.ok()) << name;
-    top_->check_borrows();
-    return r.ok() ? r.value().ino : 0;
+  bento::Request req_as(std::uint32_t pid) {
+    auto r = mount_->mkreq();
+    r.pid = pid;
+    return r;
   }
 
-  std::string read_top(bento::Ino ino, std::size_t n) {
+  bento::Ino create_top(std::string_view name) {
+    auto made = crypt_->create(mount_->mkreq(), mount_->borrow(),
+                               bento::kRootIno, name, 0644);
+    EXPECT_TRUE(made.ok()) << name;
+    EXPECT_TRUE(mount_->ledger().balanced());
+    return made.ok() ? made.value().ino : 0;
+  }
+
+  void write_top(bento::Ino ino, std::string_view data,
+                 std::uint32_t pid = 0) {
+    auto w = crypt_->write(req_as(pid), mount_->borrow(), ino, 0, 0,
+                           as_bytes(data));
+    ASSERT_TRUE(w.ok());
+    EXPECT_TRUE(mount_->ledger().balanced());
+  }
+
+  /// Read `n` bytes at offset 0 from `layer`, one of the stack's layers.
+  std::string read_at(bento::FileSystem& layer, bento::Ino ino, std::size_t n,
+                      std::uint32_t pid = 0) {
     std::vector<std::byte> buf(n);
-    auto r = crypt_raw_->read(top_->mkreq(), top_->borrow(), ino, 0, 0, buf);
+    auto r = layer.read(req_as(pid), mount_->borrow(), ino, 0, 0, buf);
     EXPECT_TRUE(r.ok());
-    top_->check_borrows();
-    buf.resize(r.value());
+    EXPECT_TRUE(mount_->ledger().balanced());
+    buf.resize(r.ok() ? r.value() : 0);
     return to_string(buf);
   }
 
   sim::SimThread thread_{0};
-  std::unique_ptr<bento::UserMount> top_;
-  bento::CryptFs* crypt_raw_ = nullptr;
-  bento::OverlayFs* overlay_raw_ = nullptr;
-  std::array<bento::UserMount*, 2> layers_{};  // the overlay's lower, upper
+  std::unique_ptr<bento::UserMount> mount_;
+  bento::CryptFs* crypt_ = nullptr;
+  bento::ProvenanceFs* prov_ = nullptr;
+  xv6::Xv6FileSystem* xv6_ = nullptr;
 };
 
 TEST_F(CompositionTest, WritesThroughAllThreeLayers) {
-  auto made = crypt_raw_->create(top_->mkreq(), top_->borrow(),
-                                 bento::kRootIno, "new.txt", 0644);
-  ASSERT_TRUE(made.ok());
-  top_->check_borrows();
-  auto w = crypt_raw_->write(top_->mkreq(), top_->borrow(), made.value().ino,
-                             0, 0, as_bytes("through the stack"));
-  ASSERT_TRUE(w.ok());
-  top_->check_borrows();
-  EXPECT_EQ("through the stack", read_top(made.value().ino, 17));
-}
-
-TEST_F(CompositionTest, CopyUpHappensBelowTheCipher) {
-  // NOTE: the base file was written unencrypted into the lower image, so
-  // reading it through the crypt layer yields cipher-decoded bytes — this
-  // test exercises the *write* path: writing to a lower-layer file
-  // triggers the overlay's copy-up, and the new upper-layer bytes are the
-  // crypt layer's ciphertext.
-  const auto ino = lookup_top("base.txt");
+  const auto ino = create_top("new.txt");
   ASSERT_NE(0U, ino);
-  const auto before = overlay_raw_->copy_ups();
-  auto w = crypt_raw_->write(top_->mkreq(), top_->borrow(), ino, 0, 0,
-                             as_bytes("REWRITTEN-BY-CRYPT"));
-  ASSERT_TRUE(w.ok());
-  top_->check_borrows();
-  EXPECT_GT(overlay_raw_->copy_ups(), before);
-  EXPECT_EQ("REWRITTEN-BY-CRYPT", read_top(ino, 18));
+  prov_->register_process(1, "tool");
+  write_top(ino, "through the stack", 1);
+
+  // The provenance layer recorded the write: the version's one input is
+  // the writer's image.
+  const std::set<bento::ProvSource> writer{bento::ProvSource::img("tool")};
+  EXPECT_EQ(writer, prov_->store().sources_of(ino));
+  EXPECT_EQ("through the stack", read_at(*crypt_, ino, 17));
+  // xv6 holds the bytes, and they are what the layer above it sees.
+  auto attr = xv6_->getattr(mount_->mkreq(), mount_->borrow(), ino);
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(17U, attr.value().size);
+  EXPECT_EQ(read_at(*xv6_, ino, 17), read_at(crypt_->lower(), ino, 17));
 }
 
-TEST_F(CompositionTest, UpperLayerHoldsCiphertext) {
-  auto made = crypt_raw_->create(top_->mkreq(), top_->borrow(),
-                                 bento::kRootIno, "secret.txt", 0644);
-  ASSERT_TRUE(made.ok());
-  top_->check_borrows();
-  const std::string msg = "nothing to see in the container layer";
-  auto w = crypt_raw_->write(top_->mkreq(), top_->borrow(), made.value().ino,
-                             0, 0, as_bytes(msg));
-  ASSERT_TRUE(w.ok());
-  top_->check_borrows();
+TEST_F(CompositionTest, Xv6HoldsCiphertext) {
+  const auto ino = create_top("secret.txt");
+  ASSERT_NE(0U, ino);
+  const std::string msg = "nothing to see in the lower image";
+  write_top(ino, msg);
 
-  // Read the same file through the overlay directly (below the cipher).
-  auto& overlay = crypt_raw_->lower();
-  auto looked = overlay.lookup(top_->mkreq(), top_->borrow(), bento::kRootIno,
-                               "secret.txt");
-  ASSERT_TRUE(looked.ok());
-  std::vector<std::byte> buf(msg.size());
-  auto r = overlay.read(top_->mkreq(), top_->borrow(), looked.value().ino, 0,
-                        0, buf);
-  ASSERT_TRUE(r.ok());
-  top_->check_borrows();
-  EXPECT_NE(msg, to_string(buf));
-  EXPECT_EQ(std::string::npos, to_string(buf).find("container"));
+  // Read the same file below the cipher, through the provenance layer.
+  const auto below = read_at(crypt_->lower(), ino, msg.size());
+  EXPECT_EQ(msg.size(), below.size());
+  EXPECT_NE(msg, below);
+  EXPECT_EQ(std::string::npos, below.find("lower image"));
 }
 
 TEST_F(CompositionTest, ReaddirComposesThroughTheStack) {
-  auto made = crypt_raw_->create(top_->mkreq(), top_->borrow(),
-                                 bento::kRootIno, "upper-only.txt", 0644);
-  ASSERT_TRUE(made.ok());
-  top_->check_borrows();
+  ASSERT_NE(0U, create_top("a.txt"));
+  ASSERT_NE(0U, create_top("b.txt"));
 
   std::vector<std::string> names;
   std::uint64_t pos = 0;
-  auto rd = crypt_raw_->readdir(top_->mkreq(), top_->borrow(),
-                                bento::kRootIno, pos,
-                                [&](const kern::DirEnt& e) {
-                                  names.push_back(e.name);
-                                  return true;
-                                });
+  auto rd = crypt_->readdir(mount_->mkreq(), mount_->borrow(),
+                            bento::kRootIno, pos, [&](const kern::DirEnt& e) {
+                              names.push_back(e.name);
+                              return true;
+                            });
   EXPECT_EQ(Err::Ok, rd);
-  top_->check_borrows();
-  // Both the lower-image file and the new file are visible, merged.
-  EXPECT_NE(names.end(), std::find(names.begin(), names.end(), "base.txt"));
-  EXPECT_NE(names.end(),
-            std::find(names.begin(), names.end(), "upper-only.txt"));
+  EXPECT_TRUE(mount_->ledger().balanced());
+  EXPECT_NE(names.end(), std::find(names.begin(), names.end(), "a.txt"));
+  EXPECT_NE(names.end(), std::find(names.begin(), names.end(), "b.txt"));
 }
 
-TEST_F(CompositionTest, AllLedgersBalancedAfterStackedOps) {
-  auto made = crypt_raw_->create(top_->mkreq(), top_->borrow(),
-                                 bento::kRootIno, "bal.txt", 0644);
-  ASSERT_TRUE(made.ok());
-  top_->check_borrows();
-  (void)read_top(made.value().ino, 1);
-  EXPECT_TRUE(top_->ledger().balanced());
-  for (auto* layer : layers_) EXPECT_TRUE(layer->ledger().balanced());
+TEST_F(CompositionTest, LedgerBalancedAfterStackedOps) {
+  // One mount, one ledger: every layer borrows the capability the mount
+  // lends the top.
+  const auto ino = create_top("bal.txt");
+  ASSERT_NE(0U, ino);
+  write_top(ino, "x");
+  (void)read_at(*crypt_, ino, 1);
+  EXPECT_EQ(Err::Ok, crypt_->fsync(mount_->mkreq(), mount_->borrow(), ino, 0,
+                                   false));
+  EXPECT_EQ(Err::Ok, crypt_->unlink(mount_->mkreq(), mount_->borrow(),
+                                    bento::kRootIno, "bal.txt"));
+  EXPECT_TRUE(mount_->ledger().balanced());
+}
+
+TEST_F(CompositionTest, UpgradeMovesTheWholeStack) {
+  // pid 1 writes and reads a file: the store holds a version and a read set.
+  const auto in = create_top("in.txt");
+  ASSERT_NE(0U, in);
+  write_top(in, "before the upgrade", 1);
+  ASSERT_EQ("before the upgrade", read_at(*crypt_, in, 18, 1));
+  const auto tracked = prov_->store().tracked_files();
+  ASSERT_EQ(1U, tracked);
+
+  // Upgrade to a fresh stack. The state passes down through the stateless
+  // cipher: provenance adopts the old graph, xv6 its in-memory state.
+  ASSERT_EQ(Err::Ok, mount_->upgrade(make_stack()));
+  EXPECT_TRUE(mount_->ledger().balanced());
+  EXPECT_TRUE(xv6_->restored_from_transfer());
+  EXPECT_EQ(tracked, prov_->store().tracked_files());
+  EXPECT_EQ("before the upgrade", read_at(*crypt_, in, 18, 1));
+
+  // pid 1's read set came along: what it writes now derives from in.txt.
+  const auto out = create_top("out.txt");
+  ASSERT_NE(0U, out);
+  write_top(out, "derived", 1);
+  const auto sources = prov_->store().sources_of(out);
+  EXPECT_TRUE(std::any_of(sources.begin(), sources.end(),
+                          [&](const bento::ProvSource& s) {
+                            return s.kind ==
+                                       bento::ProvSource::Kind::FileVersion &&
+                                   s.ino == in;
+                          }));
+  EXPECT_TRUE(mount_->ledger().balanced());
 }
 
 // ---- every stacked layer, one over xv6 ----

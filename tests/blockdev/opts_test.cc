@@ -32,8 +32,6 @@ const Case kCases[] = {
     {"chunk=", "chunk=32", [](const MountOpts& o) { return o.chunk == 32; }},
     {"mirror=", "mirror=3", [](const MountOpts& o) { return o.mirror == 3; }},
     {"parity=", "parity=4", [](const MountOpts& o) { return o.parity == 4; }},
-    {"spare=", "spare=2", [](const MountOpts& o) { return o.spares == 2; }},
-    {"scrub", "scrub", [](const MountOpts& o) { return o.scrub; }},
     {"trace=", "trace=500", [](const MountOpts& o) { return o.trace == 500; }},
     {"retries=", "retries=3",
      [](const MountOpts& o) { return o.retry.max_retries == 3; }},
@@ -98,13 +96,14 @@ TEST(MountOptTable, RejectsUnknownMalformedAndOutOfRangeTokens) {
         "stripe=-1", "retries=4294967296", "trace=99999999999999999999",
         "chunk=0",
         "stripe=0", "mirror=0", "max_log_batch=0", "linear", "policy=rr",
-        "policy=sq", "log_blocks=96", "io_deadline_ms=7"}) {
+        "policy=sq", "log_blocks=96", "io_deadline_ms=7", "spare=1",
+        "scrub"}) {
     EXPECT_FALSE(parse_mount_opts(bad).has_value()) << bad;
   }
   // The documented "off" values stay valid.
   for (const std::string_view ok :
        {"", " , ", "stripe=1", "mirror=1", "parity=0", "parity=1",
-        "retries=0", "trace=0", "spare=0"}) {
+        "retries=0", "trace=0"}) {
     EXPECT_TRUE(parse_mount_opts(ok).has_value()) << ok;
   }
 }
