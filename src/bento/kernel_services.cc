@@ -1,5 +1,7 @@
 #include "bento/kernel_services.h"
 
+#include <algorithm>
+
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -41,6 +43,21 @@ WriteTicket BlockBackend::bh_sync_batch_async(std::span<void* const> impls) {
   return t;
 }
 
+WriteTicket BlockBackend::bh_write_run(std::uint64_t start,
+                                       std::span<void* const> impls) {
+  std::vector<BufferHeadHandle> dsts;  // released once the batch is written
+  std::vector<void*> dst_impls;
+  for (std::size_t i = 0; i < impls.size(); ++i) {
+    auto dst = getblk(start + i);
+    if (!dst.ok()) return WriteTicket{blk::Ticket{.failed = true}};
+    std::ranges::copy(bh_data(impls[i]), dst.value().data().begin());
+    dst.value().set_dirty();
+    dst_impls.push_back(dst.value().impl_);
+    dsts.push_back(std::move(dst.value()));
+  }
+  return bh_sync_batch_async(dst_impls);
+}
+
 WriteTicket SuperBlockCap::sync_batch_async(
     std::span<BufferHeadHandle* const> handles) {
   std::vector<void*> impls;
@@ -50,6 +67,17 @@ WriteTicket SuperBlockCap::sync_batch_async(
     impls.push_back(h->impl_);
   }
   return backend_->bh_sync_batch_async(impls);
+}
+
+WriteTicket SuperBlockCap::write_run(std::uint64_t start,
+                                     std::span<BufferHeadHandle* const> srcs) {
+  std::vector<void*> impls;
+  impls.reserve(srcs.size());
+  for (BufferHeadHandle* h : srcs) {
+    assert(h != nullptr && *h && "write_run from an empty handle");
+    impls.push_back(h->impl_);
+  }
+  return backend_->bh_write_run(start, impls);
 }
 
 std::span<std::byte> BufferHeadHandle::data() {
@@ -87,12 +115,10 @@ void BufferHeadHandle::reset() {
   }
 }
 
-void BufferHeadHandle::forget() {
-  if (owner_ != nullptr) {
-    owner_->bh_forget(impl_);
-    owner_ = nullptr;
-    impl_ = nullptr;
-  }
+BufferHeadHandle BufferHeadHandle::dup() const {
+  assert(owner_ != nullptr && "dup of an empty BufferHeadHandle");
+  owner_->bh_get(impl_);
+  return BufferHeadHandle(*owner_, impl_, blockno_);
 }
 
 void KernelBlockBackend::flush_all() {
@@ -156,8 +182,23 @@ void KernelBlockBackend::bh_sync_wait(const WriteTicket& t) {
   cache_->wait(t.ticket);
 }
 
+WriteTicket KernelBlockBackend::bh_write_run(std::uint64_t start,
+                                             std::span<void* const> impls) {
+  std::vector<std::span<const std::byte>> srcs;
+  srcs.reserve(impls.size());
+  for (void* impl : impls) {
+    srcs.push_back(static_cast<kern::BufferHead*>(impl)->bytes());
+  }
+  return WriteTicket{cache_->write_run(start, srcs)};
+}
+
 void KernelBlockBackend::bh_pin_journal(std::uint64_t blockno, bool pin) {
   cache_->pin_journal(blockno, pin);
+}
+
+void KernelBlockBackend::invalidate_range(std::uint64_t first,
+                                          std::uint64_t n) {
+  cache_->invalidate(first, n);
 }
 
 void KernelBlockBackend::io_plug() { cache_->plug(); }
@@ -170,8 +211,8 @@ void KernelBlockBackend::bh_release(void* impl) {
   cache_->brelse(static_cast<kern::BufferHead*>(impl));
 }
 
-void KernelBlockBackend::bh_forget(void* impl) {
-  cache_->bforget(static_cast<kern::BufferHead*>(impl));
+void KernelBlockBackend::bh_get(void* impl) {
+  cache_->bget(static_cast<kern::BufferHead*>(impl));
 }
 
 std::unique_ptr<SuperBlockCap> CapTestAccess::make(BlockBackend& backend) {

@@ -107,10 +107,16 @@ class BlockBackend {
   /// returns an empty ticket, marked failed when the write failed.
   virtual WriteTicket bh_sync_batch_async(std::span<void* const> impls);
   virtual void bh_sync_wait(const WriteTicket& t) { (void)t; }
+  /// Write the blocks `impls` hold to [start, start + impls.size()) without
+  /// caching the destinations: a journal's log run from the buffers its
+  /// transaction holds. The kernel builds the bios from the buffers' bytes
+  /// (BufferCache::write_run). The default gets each destination block,
+  /// copies into it and writes the batch with bh_sync_batch_async.
+  virtual WriteTicket bh_write_run(std::uint64_t start,
+                                   std::span<void* const> impls);
+  /// One more reference to a held block (get_bh): no lookup.
+  virtual void bh_get(void* impl) = 0;
   virtual void bh_release(void* impl) = 0;
-  /// Release, and drop the block from a kernel cache (bforget). Default:
-  /// release only.
-  virtual void bh_forget(void* impl) { bh_release(impl); }
   /// Journal pinning (jbd2-style buffer ownership): while pinned, a dirty
   /// block belongs to a running transaction and background writeback must
   /// not touch it. Default no-op (userspace backends have no background
@@ -118,6 +124,13 @@ class BlockBackend {
   virtual void bh_pin_journal(std::uint64_t blockno, bool pin) {
     (void)blockno;
     (void)pin;
+  }
+  /// Drop the clean, unreferenced cached blocks of [first, first + n).
+  /// Default no-op: the default bh_write_run goes through the backend's
+  /// own cache, which therefore never goes stale.
+  virtual void invalidate_range(std::uint64_t first, std::uint64_t n) {
+    (void)first;
+    (void)n;
   }
   /// Request plugging (blk_plug): accumulate async batch writes and
   /// dispatch them as one merged pass at unplug. Defaults are no-ops.
@@ -170,16 +183,16 @@ class BufferHeadHandle {
   /// Synchronously make this block durable; Io when the write failed.
   kern::Err sync();
 
+  /// Another handle on the same block, holding one more reference
+  /// (get_bh): no cache lookup.
+  [[nodiscard]] BufferHeadHandle dup() const;
+
   /// Explicit early release (otherwise the destructor does it).
   void reset();
 
-  /// Release, and let the cache drop the block once it is clean: for a
-  /// block written once and not read back while mounted.
-  void forget();
-
  private:
   friend class BlockBackend;
-  friend class SuperBlockCap;  // sync_batch_async gathers impl pointers
+  friend class SuperBlockCap;  // batch writes gather impl pointers
   BufferHeadHandle(BlockBackend& owner, void* impl, std::uint64_t blockno)
       : owner_(&owner), impl_(impl), blockno_(blockno) {}
 
@@ -239,6 +252,17 @@ class SuperBlockCap {
   WriteTicket sync_batch_async(std::span<BufferHeadHandle* const> handles);
   /// Redeem a ticket from sync_batch_async (no-op when already complete).
   void wait(const WriteTicket& t) { backend_->bh_sync_wait(t); }
+  /// Write the contents of `srcs` to the consecutive blocks from `start`,
+  /// WITHOUT waiting and without caching the destinations (a journal's log
+  /// run, straight from the buffers the transaction holds). Redeemed with
+  /// wait(). Nothing may have cached the destinations (see invalidate).
+  WriteTicket write_run(std::uint64_t start,
+                        std::span<BufferHeadHandle* const> srcs);
+  /// Drop the clean, unreferenced cached blocks of [first, first + n):
+  /// recovery's reads of a log area that write_run later overwrites.
+  void invalidate(std::uint64_t first, std::uint64_t n) {
+    backend_->invalidate_range(first, n);
+  }
   /// Durability barrier.
   void flush_all() { backend_->flush_all(); }
   /// Journal pinning: mark `blockno`'s cached buffer as owned by the
@@ -305,9 +329,12 @@ class KernelBlockBackend final : public BlockBackend {
   kern::Err bh_sync(void* impl) override;
   WriteTicket bh_sync_batch_async(std::span<void* const> impls) override;
   void bh_sync_wait(const WriteTicket& t) override;
+  WriteTicket bh_write_run(std::uint64_t start,
+                           std::span<void* const> impls) override;
+  void bh_get(void* impl) override;
   void bh_release(void* impl) override;
-  void bh_forget(void* impl) override;
   void bh_pin_journal(std::uint64_t blockno, bool pin) override;
+  void invalidate_range(std::uint64_t first, std::uint64_t n) override;
   void io_plug() override;
   WriteTicket io_unplug() override;
 

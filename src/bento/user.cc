@@ -167,6 +167,12 @@ kern::Err UserBlockBackend::bh_sync_batch(std::span<void* const> impls) {
   return result != kern::Err::Ok ? result : synced;
 }
 
+void UserBlockBackend::bh_get(void* impl) {
+  auto* buf = static_cast<UserBuf*>(impl);
+  assert(buf->refcount > 0);
+  buf->refcount += 1;
+}
+
 void UserBlockBackend::bh_release(void* impl) {
   auto* buf = static_cast<UserBuf*>(impl);
   assert(buf->refcount > 0);
@@ -221,6 +227,12 @@ std::span<std::byte> MemBlockBackend::bh_data(void* impl) {
 }
 
 void MemBlockBackend::bh_set_dirty(void*) {}
+
+void MemBlockBackend::bh_get(void* impl) {
+  auto* buf = static_cast<MemBuf*>(impl);
+  assert(buf->refcount > 0);
+  buf->refcount += 1;
+}
 
 void MemBlockBackend::bh_release(void* impl) {
   auto* buf = static_cast<MemBuf*>(impl);

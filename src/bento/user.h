@@ -54,6 +54,7 @@ class UserBlockBackend final : public BlockBackend {
   void bh_set_dirty(void* impl) override;
   kern::Err bh_sync(void* impl) override;
   kern::Err bh_sync_batch(std::span<void* const> impls) override;
+  void bh_get(void* impl) override;
   void bh_release(void* impl) override;
 
  private:
@@ -113,6 +114,7 @@ class MemBlockBackend final : public BlockBackend {
   std::span<std::byte> bh_data(void* impl) override;
   void bh_set_dirty(void* impl) override;
   kern::Err bh_sync(void*) override { return kern::Err::Ok; }
+  void bh_get(void* impl) override;
   void bh_release(void* impl) override;
 
  private:

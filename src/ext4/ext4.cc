@@ -1,6 +1,7 @@
 #include "ext4/ext4.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -61,65 +62,55 @@ Err Ext4Mount::j_commit() {
     for (std::size_t i = 0; i < n; ++i) {
       desc.blocks[i] = running[written + i];
     }
-    // Descriptor + data into the journal region, submitted as ONE batch:
-    // the run is contiguous from jstart, so the request queue merges it
-    // into a single multi-block device command (JBD2 writes a transaction
-    // the same way).
-    {
-      std::vector<kern::BufferHead*> jrun;
-      jrun.reserve(n + 1);
-      auto db = bc.getblk(super_.jstart);
-      if (!db.ok()) return fail(db.error());
-      std::memcpy(db.value()->bytes().data(), &desc, sizeof(desc));
-      bc.mark_dirty(db.value());
-      jrun.push_back(db.value());
-      for (std::size_t i = 0; i < n; ++i) {
-        auto src = bc.bread(running[written + i]);
-        if (!src.ok()) {
-          for (auto* bh : jrun) bc.brelse(bh);
-          return fail(src.error());
-        }
-        auto dst = bc.getblk(super_.jstart + 1 + static_cast<std::uint32_t>(i));
-        if (!dst.ok()) {
-          bc.brelse(src.value());
-          for (auto* bh : jrun) bc.brelse(bh);
-          return fail(dst.error());
-        }
-        std::memcpy(dst.value()->bytes().data(), src.value()->bytes().data(),
-                    kBlockSize);
-        bc.mark_dirty(dst.value());
-        jrun.push_back(dst.value());
-        bc.brelse(src.value());
+    // Read each journaled buffer once: the journal copy is written
+    // straight from it and the checkpoint reuses it.
+    std::vector<kern::BufferHead*> homes;
+    homes.reserve(n);
+    const auto release = [&] {
+      for (kern::BufferHead* bh : homes) bc.brelse(bh);
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      auto bh = bc.bread(running[written + i]);
+      if (!bh.ok()) {
+        release();
+        return fail(bh.error());
       }
-      const blk::Ticket t = bc.sync_dirty_buffers_async(jrun);
-      for (auto* bh : jrun) bc.brelse(bh);
+      homes.push_back(bh.value());
+    }
+    // Descriptor + data into the journal region, submitted as ONE batch
+    // that never enters the cache: the run is contiguous from jstart, so
+    // the request queue merges it into a single multi-block device
+    // command (JBD2 writes a transaction the same way).
+    {
+      std::vector<std::span<const std::byte>> jrun;
+      jrun.reserve(n + 1);
+      jrun.push_back(std::as_bytes(std::span(&desc, 1)));
+      for (kern::BufferHead* bh : homes) jrun.push_back(bh->bytes());
       // A failed journal write aborts the journal before the commit
       // record: recovery replays nothing past the last committed seq.
       if (!jnl_.stage(io, blk::TraceEv::JLogWrite, jseq_,
-                      static_cast<std::uint32_t>(n + 1), tickets, t)) {
+                      static_cast<std::uint32_t>(n + 1), tickets,
+                      bc.write_run(super_.jstart, jrun))) {
+        release();
         return Err::Io;
       }
     }
     // Commit record: strictly ordered after the journal data on media
     // (media effects land at submission, in submission order); only the
     // transfer completions ride the tickets.
-    JCommit commit;
-    commit.magic = kJCommitMagic;
-    commit.seq = jseq_;
-    auto cb = bc.getblk(super_.jstart + 1 + static_cast<std::uint32_t>(n));
-    if (!cb.ok()) return fail(cb.error());
-    std::memcpy(cb.value()->bytes().data(), &commit, sizeof(commit));
-    bc.mark_dirty(cb.value());
     {
-      kern::BufferHead* cbh = cb.value();
-      const blk::Ticket t = bc.sync_dirty_buffers_async(
-          std::span<kern::BufferHead* const>(&cbh, 1));
-      bc.brelse(cbh);
+      JCommit commit;
+      commit.magic = kJCommitMagic;
+      commit.seq = jseq_;
+      std::array<std::byte, kBlockSize> cblock{};
+      std::memcpy(cblock.data(), &commit, sizeof(commit));
+      const std::span<const std::byte> crun = cblock;
       // Failed commit record: the transaction never committed — abort
       // BEFORE the checkpoint, or uncommitted state reaches home
       // locations with no durable record protecting it.
       if (!jnl_.stage(io, blk::TraceEv::JCommitRecord, jseq_, 1, tickets,
-                      t)) {
+                      bc.write_run(super_.jstart + 1 + n, {&crun, 1}))) {
+        release();
         return Err::Io;
       }
     }
@@ -127,23 +118,11 @@ Err Ext4Mount::j_commit() {
     // Checkpoint: write home locations (device write cache; durability
     // comes from the journal + the fsync-path flush). Scattered blocks,
     // one batch: requests spread across the device's channels.
-    {
-      std::vector<kern::BufferHead*> homes;
-      homes.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        auto bh = bc.bread(running[written + i]);
-        if (!bh.ok()) {
-          for (auto* h : homes) bc.brelse(h);
-          return fail(bh.error());
-        }
-        bc.mark_dirty(bh.value());
-        homes.push_back(bh.value());
-      }
-      const blk::Ticket t = bc.sync_dirty_buffers_async(homes);
-      for (auto* h : homes) bc.brelse(h);
-      jnl_.stage(io, blk::TraceEv::JCheckpoint, jseq_,
-                 static_cast<std::uint32_t>(n), tickets, t);
-    }
+    for (kern::BufferHead* bh : homes) bc.mark_dirty(bh);
+    jnl_.stage(io, blk::TraceEv::JCheckpoint, jseq_,
+               static_cast<std::uint32_t>(n), tickets,
+               bc.sync_dirty_buffers_async(homes));
+    release();
     jseq_ += 1;
     jstats_.commits += 1;
     jstats_.blocks_journaled += n;
@@ -263,6 +242,9 @@ Err Ext4Mount::gdt_update(std::uint32_t g) {
 Err Ext4Mount::mount_init() {
   BSIM_TRY(read_super());
   BSIM_TRY(j_recover());
+  // Commits write the journal area behind the cache: drop what recovery
+  // read there.
+  sb_->bufcache().invalidate(super_.jstart, super_.jblocks);
   auto root = iget(kRootInum);
   if (!root.ok()) return root.error();
   sb_->root = root.value();

@@ -140,12 +140,6 @@ void BufferCache::brelse(BufferHead* bh) {
   demote(bh);
 }
 
-void BufferCache::bforget(BufferHead* bh) {
-  brelse(bh);
-  if (bh->refcount > 0 || bh->dirty || bh->plug_held) return;
-  drop(bh->blockno);
-}
-
 void BufferCache::drop(std::uint64_t blockno) {
   auto pos = lru_pos_.find(blockno);
   lru_.erase(pos->second);
@@ -166,8 +160,7 @@ Err BufferCache::sync_dirty_buffer(BufferHead* bh) {
   // A write command that never executed (crash-model kill point) did not
   // write the buffer back: it must stay dirty.
   if (bio.io_error) {
-    wb_err_[dev_.child_of(bh->blockno)].record(Err::Io);
-    wb_last_err_ = Err::Io;
+    record_wb_error(bh->blockno);
     return Err::Io;
   }
   if (bio.applied) {
@@ -211,6 +204,25 @@ blk::Ticket BufferCache::sync_dirty_buffers_async(
   return t;
 }
 
+blk::Ticket BufferCache::write_run(
+    std::uint64_t start, std::span<const std::span<const std::byte>> srcs) {
+  assert(!dev_.plugged() && "write_run bios read live buffer bytes");
+  if (srcs.empty()) return blk::Ticket{};
+  // One bio per block, as a buffer batch submits them: the queue merges
+  // the run into one multi-block command.
+  std::vector<blk::Bio> bios;
+  bios.reserve(srcs.size());
+  for (std::size_t i = 0; i < srcs.size(); ++i) {
+    assert(!map_.contains(start + i) && "write_run under a cached block");
+    bios.push_back(blk::Bio::single_write(start + i, srcs[i]));
+  }
+  const blk::Ticket t = dev_.submit_async(bios);
+  for (const blk::Bio& bio : bios) {
+    if (bio.io_error) record_wb_error(bio.vecs.front().blockno);
+  }
+  return t;
+}
+
 void BufferCache::retire_batch(std::span<BufferHead* const> bhs,
                                std::span<const blk::Bio> bios) {
   assert(bhs.size() == bios.size());
@@ -220,8 +232,7 @@ void BufferCache::retire_batch(std::span<BufferHead* const> bhs,
       // model's silent swallow, which leaves io_error clear): the buffer
       // stays dirty AND the failure is parked in the shard's error
       // sequence for the next fsync/sync to report.
-      wb_err_[dev_.child_of(bios[i].vecs.front().blockno)].record(Err::Io);
-      wb_last_err_ = Err::Io;
+      record_wb_error(bios[i].vecs.front().blockno);
       continue;
     }
     if (!bios[i].applied) continue;
@@ -366,6 +377,16 @@ void BufferCache::invalidate() {
       it = map_.erase(it);
     } else {
       ++it;
+    }
+  }
+}
+
+void BufferCache::invalidate(std::uint64_t first, std::uint64_t n) {
+  for (std::uint64_t b = first; b < first + n; ++b) {
+    auto it = map_.find(b);
+    if (it != map_.end() && it->second->refcount == 0 &&
+        !it->second->dirty && !it->second->plug_held) {
+      drop(b);
     }
   }
 }

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -114,10 +115,13 @@ class BufferCache {
   /// Drop one reference.
   void brelse(BufferHead* bh);
 
-  /// Drop one reference, then the buffer itself if it is now clean,
-  /// unreferenced and not held by a plug: a block written once and not
-  /// read again while mounted (a journal's log-area copy).
-  void bforget(BufferHead* bh);
+  /// Take one more reference to a buffer the caller already holds (get_bh):
+  /// no lookup, no LRU move.
+  void bget(BufferHead* bh) {
+    assert(bh != nullptr && bh->cache == this && bh->refcount > 0);
+    bh->refcount += 1;
+    outstanding_refs_ += 1;
+  }
 
   void mark_dirty(BufferHead* bh) {
     if (!bh->dirty) {
@@ -137,7 +141,7 @@ class BufferCache {
   Err sync_dirty_buffer(BufferHead* bh);
 
   /// Batched writeback: one request-queue submission for all `bhs`
-  /// (journal commit paths hand their whole log run here). Counts one
+  /// (a journal install hands its whole checkpoint here). Counts one
   /// writeback per buffer. A buffer's dirty bit is cleared only if its
   /// write command actually executed — under the crash model's
   /// kill_after, bios at or past the kill point never reach media and
@@ -155,6 +159,17 @@ class BufferCache {
   /// merged elevator pass, and dirty state is retired then, applied-aware
   /// as always.
   blk::Ticket sync_dirty_buffers_async(std::span<BufferHead* const> bhs);
+
+  /// Write `srcs` to the consecutive blocks [start, start + srcs.size())
+  /// straight from the caller's bytes, as one async batch that never enters
+  /// the cache: a journal's log run, written from the buffers its
+  /// transaction holds (jbd2_journal_write_metadata_buffer). No destination
+  /// may be cached, or it would go stale. The queue must not be plugged:
+  /// media effects land at submission, so the bios read the source bytes
+  /// before this returns. A failed write is recorded in the writeback error
+  /// sequence, as for a buffer.
+  blk::Ticket write_run(std::uint64_t start,
+                        std::span<const std::span<const std::byte>> srcs);
 
   /// Redeem a ticket from sync_dirty_buffers_async (timed).
   void wait(const blk::Ticket& t) { dev_.wait(t); }
@@ -226,6 +241,10 @@ class BufferCache {
 
   /// Drop all clean, unreferenced buffers (tests / remount).
   void invalidate();
+  /// Drop the clean, unreferenced buffers of [first, first + n): a journal
+  /// area that recovery read through the cache, before write_run
+  /// overwrites it behind the cache's back.
+  void invalidate(std::uint64_t first, std::uint64_t n);
 
   [[nodiscard]] const BufferCacheStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t cached_blocks() const { return map_.size(); }
@@ -261,6 +280,12 @@ class BufferCache {
   void demote(BufferHead* bh);
   /// Remove a cached block from the LRU and the cache.
   void drop(std::uint64_t blockno);
+  /// A device write error on `blockno`: park it in its shard's writeback
+  /// error sequence for the next fsync/sync to report.
+  void record_wb_error(std::uint64_t blockno) {
+    wb_err_[dev_.child_of(blockno)].record(Err::Io);
+    wb_last_err_ = Err::Io;
+  }
   /// Clear dirty state for the applied bios of one (possibly deferred)
   /// writeback batch and count the writebacks.
   void retire_batch(std::span<BufferHead* const> bhs,

@@ -105,6 +105,7 @@ Err Xv6FileSystem::scan_free_counts(Cap& sb) {
 
 void Xv6FileSystem::destroy(const Request&, SbRef sb) {
   (void)log_.force_commit(sb.get());
+  log_.release_buffers();
   sb->flush_all();
 }
 
@@ -139,7 +140,7 @@ Err Xv6FileSystem::iupdate(Cap& sb, MemInode& mi) {
   auto* dinodes = reinterpret_cast<Dinode*>(bh.value().data().data());
   dinodes[mi.inum % kInodesPerBlock] = mi.d;
   bh.value().set_dirty();
-  log_.log_write(sb, dsb_.inode_block(mi.inum));
+  log_.log_write(sb, bh.value());
   return Err::Ok;
 }
 
@@ -159,7 +160,7 @@ Result<std::uint32_t> Xv6FileSystem::ialloc(Cap& sb, InodeKind kind,
     d.nlink = 1;
     d.mode = mode;
     bh.value().set_dirty();
-    log_.log_write(sb, iblock);
+    log_.log_write(sb, bh.value());
     free_inodes_ -= 1;
 
     // Refresh/insert the in-core copy.
@@ -192,7 +193,7 @@ void Xv6FileSystem::discard(Cap& sb, std::uint32_t inum) {
 
 // ---- block allocation ----
 
-Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb) {
+Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb, bool zero) {
   bento::SemGuard guard(alloc_lock_);
   for (std::uint32_t step = 0; step < dsb_.nbitmap; ++step) {
     const std::uint32_t bi = (balloc_hint_ + step) % dsb_.nbitmap;
@@ -205,16 +206,17 @@ Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb) {
     const auto blockno = static_cast<std::uint32_t>(bi * kBitsPerBlock + i);
     bytes[i / 8] |= std::byte{1} << (i % 8);
     bh.value().set_dirty();
-    log_.log_write(sb, dsb_.bmapstart + bi);
+    log_.log_write(sb, bh.value());
     balloc_hint_ = bi;
     free_blocks_ -= 1;
+    if (!zero) return blockno;
 
     // bzero: fresh blocks must read back as zeroes.
     auto zb = sb.getblk(blockno);
     if (!zb.ok()) return zb.error();
     std::memset(zb.value().data().data(), 0, kBlockSize);
     zb.value().set_dirty();
-    log_.log_write(sb, blockno);
+    log_.log_write(sb, zb.value());
     return blockno;
   }
   return Err::NoSpc;
@@ -230,7 +232,7 @@ Err Xv6FileSystem::bfree(Cap& sb, std::uint32_t blockno) {
          "freeing a free block");
   bytes[i / 8] &= ~(std::byte{1} << (i % 8));
   bh.value().set_dirty();
-  log_.log_write(sb, dsb_.bitmap_block(blockno));
+  log_.log_write(sb, bh.value());
   free_blocks_ += 1;
   return Err::Ok;
 }
@@ -238,13 +240,14 @@ Err Xv6FileSystem::bfree(Cap& sb, std::uint32_t blockno) {
 // ---- block mapping ----
 
 Result<std::uint32_t> Xv6FileSystem::bmap(Cap& sb, MemInode& mi,
-                                          std::uint64_t bn, bool alloc) {
+                                          std::uint64_t bn, bool alloc,
+                                          bool overwrite) {
   if (bn >= kMaxFileBlocks) return Err::FBig;
 
   if (bn < kNDirect) {
     std::uint32_t addr = mi.d.addrs[bn];
     if (addr == 0 && alloc) {
-      auto r = balloc(sb);
+      auto r = balloc(sb, !overwrite);
       if (!r.ok()) return r;
       addr = r.value();
       mi.d.addrs[bn] = addr;
@@ -266,12 +269,12 @@ Result<std::uint32_t> Xv6FileSystem::bmap(Cap& sb, MemInode& mi,
         reinterpret_cast<std::uint32_t*>(bh.value().data().data());
     std::uint32_t addr = entries[bn];
     if (addr == 0 && alloc) {
-      auto r = balloc(sb);
+      auto r = balloc(sb, !overwrite);
       if (!r.ok()) return r;
       addr = r.value();
       entries[bn] = addr;
       bh.value().set_dirty();
-      log_.log_write(sb, mi.d.indirect);
+      log_.log_write(sb, bh.value());
     }
     return addr;
   }
@@ -298,19 +301,19 @@ Result<std::uint32_t> Xv6FileSystem::bmap(Cap& sb, MemInode& mi,
     mid = r.value();
     l1e[outer] = mid;
     l1.value().set_dirty();
-    log_.log_write(sb, mi.d.dindirect);
+    log_.log_write(sb, l1.value());
   }
   auto l2 = sb.bread(mid);
   if (!l2.ok()) return l2.error();
   auto* l2e = reinterpret_cast<std::uint32_t*>(l2.value().data().data());
   std::uint32_t addr = l2e[inner];
   if (addr == 0 && alloc) {
-    auto r = balloc(sb);
+    auto r = balloc(sb, !overwrite);
     if (!r.ok()) return r;
     addr = r.value();
     l2e[inner] = addr;
     l2.value().set_dirty();
-    log_.log_write(sb, mid);
+    log_.log_write(sb, l2.value());
   }
   return addr;
 }
@@ -373,9 +376,8 @@ Result<std::uint32_t> Xv6FileSystem::readi(Cap& sb, MemInode& mi,
   return static_cast<std::uint32_t>(done);
 }
 
-Result<std::uint32_t> Xv6FileSystem::writei(Cap& sb, MemInode& mi,
-                                            std::uint64_t off,
-                                            std::span<const std::byte> in) {
+Result<std::uint32_t> Xv6FileSystem::write_data(
+    Cap& sb, MemInode& mi, std::uint64_t off, std::span<const std::byte> in) {
   if (off + in.size() > kMaxFileBlocks * kBlockSize) return Err::FBig;
   std::uint64_t done = 0;
   while (done < in.size()) {
@@ -384,26 +386,36 @@ Result<std::uint32_t> Xv6FileSystem::writei(Cap& sb, MemInode& mi,
     const std::size_t within = static_cast<std::size_t>(pos % kBlockSize);
     const std::size_t chunk = static_cast<std::size_t>(
         std::min<std::uint64_t>(kBlockSize - within, in.size() - done));
-    auto addr = bmap(sb, mi, bn, /*alloc=*/true);
-    if (!addr.ok()) return addr.error();
     // Full-block overwrite: no read-modify-write — getblk declares the
     // block fully overwritten, so an uncached overwrite costs no device
     // read (the block_write_begin full-page shortcut; on the flusher's
     // clock each avoided read was a synchronous ~12us stall per block).
-    auto bh = chunk == kBlockSize ? sb.getblk(addr.value())
-                                  : sb.bread(addr.value());
+    // Nor is a newly allocated block zeroed first. A partial write keeps
+    // the zeroing: the rest of the block must read back as zeros.
+    const bool full = chunk == kBlockSize;
+    auto addr = bmap(sb, mi, bn, /*alloc=*/true, /*overwrite=*/full);
+    if (!addr.ok()) return addr.error();
+    auto bh = full ? sb.getblk(addr.value()) : sb.bread(addr.value());
     if (!bh.ok()) return bh.error();
     std::memcpy(bh.value().data().data() + within, in.data() + done, chunk);
     bh.value().set_dirty();
     if (mi.d.type == static_cast<std::uint16_t>(InodeKind::File)) {
       bh.value().set_drop_behind();
     }
-    log_.log_write(sb, addr.value());
+    log_.log_write(sb, bh.value());
     done += chunk;
   }
   if (off + done > mi.d.size) mi.d.size = off + done;
-  BSIM_TRY(iupdate(sb, mi));
   return static_cast<std::uint32_t>(done);
+}
+
+Result<std::uint32_t> Xv6FileSystem::writei(Cap& sb, MemInode& mi,
+                                            std::uint64_t off,
+                                            std::span<const std::byte> in) {
+  auto w = write_data(sb, mi, off, in);
+  if (!w.ok()) return w;
+  BSIM_TRY(iupdate(sb, mi));
+  return w;
 }
 
 // Zero the on-disk bytes from `from` to the end of its block (if the
@@ -420,7 +432,7 @@ Err Xv6FileSystem::zero_block_tail(Cap& sb, MemInode& mi,
   if (!bh.ok()) return bh.error();
   std::memset(bh.value().data().data() + within, 0, kBlockSize - within);
   bh.value().set_dirty();
-  log_.log_write(sb, addr.value());
+  log_.log_write(sb, bh.value());
   return Err::Ok;
 }
 
@@ -455,7 +467,7 @@ Err Xv6FileSystem::itrunc(Cap& sb, MemInode& mi, std::uint64_t new_size) {
     }
     if (touched) {
       bh.value().set_dirty();
-      log_.log_write(sb, mi.d.indirect);
+      log_.log_write(sb, bh.value());
     }
     if (keep_ind == 0) {
       BSIM_TRY(bfree(sb, mi.d.indirect));
@@ -489,7 +501,7 @@ Err Xv6FileSystem::itrunc(Cap& sb, MemInode& mi, std::uint64_t new_size) {
       }
       if (l2_touched) {
         l2.value().set_dirty();
-        log_.log_write(sb, l1e[outer]);
+        log_.log_write(sb, l2.value());
       }
       if (start == 0) {
         BSIM_TRY(bfree(sb, l1e[outer]));
@@ -499,7 +511,7 @@ Err Xv6FileSystem::itrunc(Cap& sb, MemInode& mi, std::uint64_t new_size) {
     }
     if (l1_touched) {
       l1.value().set_dirty();
-      log_.log_write(sb, mi.d.dindirect);
+      log_.log_write(sb, l1.value());
     }
     if (keep_d == 0) {
       BSIM_TRY(bfree(sb, mi.d.dindirect));
@@ -597,7 +609,7 @@ Err Xv6FileSystem::dirunlink(Cap& sb, MemInode& dir, std::string_view name) {
                       strnlen(entries[i].name, kDirNameLen))) {
         entries[i] = Dirent{};
         bh.value().set_dirty();
-        log_.log_write(sb, addr.value());
+        log_.log_write(sb, bh.value());
         return Err::Ok;
       }
     }
@@ -1032,7 +1044,7 @@ bento::Result<std::uint32_t> Xv6FileSystem::write_bulk(
   bento::SemGuard guard(mi.lock);
 
   // The ->writepages advantage: many pages per transaction instead of a
-  // transaction per page.
+  // transaction per page, and one inode update per transaction.
   constexpr std::size_t kPagesPerTxn = kMaxOpBlocks - 16;
   std::uint32_t total = 0;
   std::size_t i = 0;
@@ -1041,11 +1053,16 @@ bento::Result<std::uint32_t> Xv6FileSystem::write_bulk(
     const std::size_t n = std::min(kPagesPerTxn, pages.size() - i);
     TxnGuard txn(log_, sb.get(), kMaxOpBlocks);
     for (std::size_t j = 0; j < n; ++j) {
-      auto w = writei(sb.get(), mi, pos, pages[i + j]);
-      if (!w.ok()) return w.error();
+      auto w = write_data(sb.get(), mi, pos, pages[i + j]);
+      if (!w.ok()) {
+        // The pages written so far, and their blocks, stay in the file.
+        (void)iupdate(sb.get(), mi);
+        return w.error();
+      }
       pos += w.value();
       total += w.value();
     }
+    BSIM_TRY(iupdate(sb.get(), mi));
     BSIM_TRY(txn.finish());
     i += n;
   }

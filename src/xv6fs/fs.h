@@ -146,14 +146,24 @@ class Xv6FileSystem : public bento::FileSystem {
   void discard(Cap& sb, std::uint32_t inum);
 
   // block allocation
-  kern::Result<std::uint32_t> balloc(Cap& sb);
+  /// Allocate a block, zeroed in the transaction unless `zero` is false:
+  /// the caller overwrites all of it in the same transaction.
+  kern::Result<std::uint32_t> balloc(Cap& sb, bool zero = true);
   kern::Err bfree(Cap& sb, std::uint32_t blockno);
 
   // block mapping & data I/O (inside an open transaction for writes)
+  /// `overwrite`: the caller writes the whole of block `bn` in this
+  /// transaction, so a newly allocated one is not zeroed (index blocks
+  /// always are).
   kern::Result<std::uint32_t> bmap(Cap& sb, MemInode& mi, std::uint64_t bn,
-                                   bool alloc);
+                                   bool alloc, bool overwrite = false);
   kern::Result<std::uint32_t> readi(Cap& sb, MemInode& mi, std::uint64_t off,
                                     std::span<std::byte> out);
+  /// writei without the inode update: write_bulk updates the inode once
+  /// per transaction instead of once per page.
+  kern::Result<std::uint32_t> write_data(Cap& sb, MemInode& mi,
+                                         std::uint64_t off,
+                                         std::span<const std::byte> in);
   kern::Result<std::uint32_t> writei(Cap& sb, MemInode& mi, std::uint64_t off,
                                      std::span<const std::byte> in);
   /// Free all blocks beyond `new_size`, in the caller's transaction.

@@ -32,6 +32,7 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
   opts_ = opts;
   outstanding_ = 0;
   jnl_.reset(opts_.pipeline);
+  held_.clear();
 
   // Crash recovery: a non-empty header means a committed-but-uninstalled
   // transaction; replay it (synchronously — nothing to overlap with).
@@ -39,8 +40,10 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
   BSIM_TRY(read_header(sb, header));
   if (header.n > 0) {
     stats_.recoveries += 1;
-    auto home = install(sb, header, /*recovering=*/true);
+    auto home = replay(sb, header);
     if (!home.ok()) return home.error();
+    // Commits write the log area behind the cache: drop what replay read.
+    sb.invalidate(dsb_.logstart + 1, header.n);
     if (durability_ == Durability::Strict) sb.flush_all();
     sb.wait(home.value());
     // A failed home write keeps the header on media: the mount fails and
@@ -67,6 +70,7 @@ void Log::adopt(const Snapshot& snap, const blk::MountOpts& opts) {
   stats_ = snap.stats;
   outstanding_ = 0;
   jnl_.reset(opts_.pipeline);
+  held_.clear();
 }
 
 void Log::begin_op(SuperBlockCap& sb, std::uint32_t reserved) {
@@ -102,14 +106,16 @@ void Log::begin_op(SuperBlockCap& sb, std::uint32_t reserved) {
   lock_.release();
 }
 
-void Log::log_write(SuperBlockCap& sb, std::uint32_t blockno) {
+void Log::log_write(SuperBlockCap& sb, const BufferHeadHandle& bh) {
   assert(outstanding_ > 0 && "log_write outside a transaction");
   // The journal owns this dirty buffer until the commit installs it:
   // background writeback must not land it on media ahead of the commit
   // record (the group-commit WAL invariant).
+  const auto blockno = static_cast<std::uint32_t>(bh.blockno());
   sb.pin_journal(blockno);
   if (jnl_.tag(blockno)) {
     assert(jnl_.size() <= kLogSize && "transaction overflows the log");
+    if (!jnl_.aborted()) held_.push_back(bh.dup());
   }
 }
 
@@ -153,10 +159,14 @@ Err Log::force_commit(SuperBlockCap& sb) {
 Err Log::commit(SuperBlockCap& sb) {
   if (jnl_.aborted()) return Err::Io;
   if (jnl_.empty()) return Err::Ok;
+  assert(held_.size() == jnl_.size());
   const LogIo io = this->io(sb);
   jnl_.begin_commit(io, txn_seq_);
   const std::vector<std::uint32_t>& pending = jnl_.blocks();
   const auto n = static_cast<std::uint32_t>(pending.size());
+  std::vector<BufferHeadHandle*> bufs;
+  bufs.reserve(n);
+  for (BufferHeadHandle& bh : held_) bufs.push_back(&bh);
 
   std::vector<WriteTicket> tickets;
   bool plugged = false;
@@ -165,30 +175,21 @@ Err Log::commit(SuperBlockCap& sb) {
     jnl_.redeem(io, tickets);
     return e;
   };
+  // A failed journal write aborts the journal, which drops the running
+  // transaction; its buffers go with it (they stay journal-pinned).
+  auto stage = [&](blk::TraceEv ev, std::uint32_t nblocks,
+                   const WriteTicket& t) {
+    if (jnl_.stage(io, ev, txn_seq_, nblocks, tickets, t)) return true;
+    held_.clear();
+    return false;
+  };
 
-  // 1. Copy modified blocks into the log area and submit the whole run as
-  //    ONE async batch: the log area is contiguous, so the request queue
-  //    merges it into a single multi-block device command.
-  {
-    std::vector<BufferHeadHandle> dsts;
-    dsts.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      auto src = sb.bread(pending[i]);  // cached: holds the new contents
-      if (!src.ok()) return fail(src.error());
-      auto dst = sb.getblk(dsb_.logstart + 1 + i);
-      if (!dst.ok()) return fail(dst.error());
-      std::memcpy(dst.value().data().data(), src.value().data().data(),
-                  kBlockSize);
-      dst.value().set_dirty();
-      dsts.push_back(std::move(dst.value()));
-    }
-    const WriteTicket run = submit(sb, dsts);
-    // Nothing reads the log area back before the next mount's recovery,
-    // so the cache need not keep the copies once they are written.
-    for (BufferHeadHandle& dst : dsts) dst.forget();
-    if (!jnl_.stage(io, blk::TraceEv::JLogWrite, txn_seq_, n, tickets, run)) {
-      return Err::Io;  // aborted: the commit record is never issued
-    }
+  // 1. Write the held buffers into the log area as ONE async batch: the
+  //    log area is contiguous, so the request queue merges it into a
+  //    single multi-block device command.
+  if (!stage(blk::TraceEv::JLogWrite, n,
+             sb.write_run(dsb_.logstart + 1, bufs))) {
+    return Err::Io;  // aborted: the commit record is never issued
   }
   if (durability_ == Durability::Strict) sb.flush_all();
 
@@ -202,29 +203,25 @@ Err Log::commit(SuperBlockCap& sb) {
   {
     auto rec = write_header(sb, header);
     if (!rec.ok()) return fail(rec.error());
-    if (!jnl_.stage(io, blk::TraceEv::JCommitRecord, txn_seq_, 1, tickets,
-                    rec.value())) {
-      return Err::Io;
-    }
+    if (!stage(blk::TraceEv::JCommitRecord, 1, rec.value())) return Err::Io;
   }
   if (durability_ == Durability::Strict) sb.flush_all();
 
-  // 3+4. Install to home locations, then clear the header. In Relaxed
-  //      mode (no durability ordering between them without barriers) the
-  //      two ride ONE request plug: a single merged elevator pass. In
-  //      Strict mode the FLUSH barrier between them is preserved.
+  // 3+4. Install the held buffers to their home locations, then clear the
+  //      header. In Relaxed mode (no durability ordering between them
+  //      without barriers) the two ride ONE request plug: a single merged
+  //      elevator pass. In Strict mode the FLUSH barrier between them is
+  //      preserved. Home locations are scattered, so the install typically
+  //      stays several requests, spread across the device's channels.
   if (opts_.plug && durability_ != Durability::Strict) {
     sb.plug();
     plugged = true;
   }
-  {
-    auto home = install(sb, header, /*recovering=*/false);
-    if (!home.ok()) return fail(home.error());
-    // Under a plug the install ticket is synthetic (done = 0); the real
-    // completion rides the unplug ticket, recorded below instead.
-    jnl_.stage(io, blk::TraceEv::JCheckpoint, txn_seq_, n, tickets,
-               home.value());
-  }
+  for (BufferHeadHandle* bh : bufs) bh->set_dirty();
+  // Under a plug the install ticket is synthetic (done = 0); the real
+  // completion rides the unplug ticket, recorded below instead.
+  jnl_.stage(io, blk::TraceEv::JCheckpoint, txn_seq_, n, tickets,
+             sb.sync_batch_async(bufs));
   if (durability_ == Durability::Strict) sb.flush_all();
   {
     auto clear = write_header(sb, LogHeader{});
@@ -241,44 +238,30 @@ Err Log::commit(SuperBlockCap& sb) {
   stats_.commits += 1;
   stats_.blocks_logged += n;
   jnl_.close();
+  held_.clear();
   jnl_.retire(io, std::move(tickets));
   return Err::Ok;
 }
 
-kern::Result<WriteTicket> Log::install(SuperBlockCap& sb,
-                                       const LogHeader& header,
-                                       bool recovering) {
-  // Home locations are scattered, so the batch typically stays several
-  // requests — but those spread across the device's channels instead of
-  // serializing on one.
+kern::Result<WriteTicket> Log::replay(SuperBlockCap& sb,
+                                      const LogHeader& header) {
+  // The log-area reads are one contiguous batched run.
+  std::vector<std::uint64_t> logged;
+  logged.reserve(header.n);
+  for (std::uint32_t i = 0; i < header.n; ++i) {
+    logged.push_back(dsb_.logstart + 1 + i);
+  }
+  auto srcs = sb.bread_batch(logged);
+  if (!srcs.ok()) return srcs.error();
   std::vector<BufferHeadHandle> dsts;
   dsts.reserve(header.n);
-  if (recovering) {
-    // Replay from the log area into the home locations; the log-area
-    // reads are one contiguous batched run.
-    std::vector<std::uint64_t> logged;
-    logged.reserve(header.n);
-    for (std::uint32_t i = 0; i < header.n; ++i) {
-      logged.push_back(dsb_.logstart + 1 + i);
-    }
-    auto srcs = sb.bread_batch(logged);
-    if (!srcs.ok()) return srcs.error();
-    for (std::uint32_t i = 0; i < header.n; ++i) {
-      auto dst = sb.getblk(header.blocks[i]);
-      if (!dst.ok()) return dst.error();
-      std::memcpy(dst.value().data().data(),
-                  srcs.value()[i].data().data(), kBlockSize);
-      dst.value().set_dirty();
-      dsts.push_back(std::move(dst.value()));
-    }
-  } else {
-    // The cache already holds the new contents; write them home.
-    for (std::uint32_t i = 0; i < header.n; ++i) {
-      auto bh = sb.bread(header.blocks[i]);
-      if (!bh.ok()) return bh.error();
-      bh.value().set_dirty();
-      dsts.push_back(std::move(bh.value()));
-    }
+  for (std::uint32_t i = 0; i < header.n; ++i) {
+    auto dst = sb.getblk(header.blocks[i]);
+    if (!dst.ok()) return dst.error();
+    std::memcpy(dst.value().data().data(), srcs.value()[i].data().data(),
+                kBlockSize);
+    dst.value().set_dirty();
+    dsts.push_back(std::move(dst.value()));
   }
   return submit(sb, dsts);
 }

@@ -1,9 +1,17 @@
 // The xv6 write-ahead log, ported to the Bento kernel-services API.
 //
 // Transactions follow xv6's protocol: modified blocks are recorded via
-// log_write while a transaction is open; a commit copies the new contents
+// log_write while a transaction is open; a commit writes the new contents
 // into the log area, writes the header (the commit point), installs the
 // blocks to their home locations, then clears the header.
+//
+// The running transaction holds its buffers, as jbd2's journal_head does:
+// the first log_write of a block keeps one more reference to the caller's
+// buffer. The commit writes the log run straight from those buffers
+// (SuperBlockCap::write_run: the log area never enters the buffer cache)
+// and installs from the same references, so it looks up no logged block.
+// The references go when the commit has submitted its install, when the
+// journal aborts, and at mount, upgrade and unmount.
 //
 // Two throughput mechanisms sit on top of the base protocol (both jbd2
 // techniques; see ISSUE 5 / ARCHITECTURE.md write path):
@@ -103,10 +111,11 @@ class Log {
   /// (must be <= kMaxOpBlocks).
   void begin_op(bento::SuperBlockCap& sb, std::uint32_t reserved);
 
-  /// Record a modified block in the running transaction (with absorption).
-  /// Pins the block's buffer for the journal (background writeback skips
-  /// it until the commit writes it).
-  void log_write(bento::SuperBlockCap& sb, std::uint32_t blockno);
+  /// Record the modified block `bh` in the running transaction (with
+  /// absorption); the first record of a block keeps a reference to its
+  /// buffer until the commit. Pins the buffer for the journal (background
+  /// writeback skips it until the commit writes it).
+  void log_write(bento::SuperBlockCap& sb, const bento::BufferHeadHandle& bh);
 
   /// Close the operation; commits when no other operation is open AND
   /// the running transaction is full (the block threshold, or the mount's
@@ -124,6 +133,10 @@ class Log {
   /// a device FLUSH, or a wait for the last one when it covers every
   /// commit already.
   void barrier(bento::SuperBlockCap& sb) { jnl_.barrier(io(sb)); }
+
+  /// Unmount: let go of the buffers a running transaction still holds,
+  /// which is only the case when its commit failed.
+  void release_buffers() { held_.clear(); }
 
   [[nodiscard]] const LogStats& stats() const { return stats_; }
   /// Commits whose transfers are still outstanding (tests/diagnostics).
@@ -147,11 +160,10 @@ class Log {
  private:
   kern::Err commit(bento::SuperBlockCap& sb);
   LogIo io(bento::SuperBlockCap& sb) { return {sb, stats_}; }
-  /// Write logged blocks to their home locations, from the cache or, when
-  /// `recovering`, from the log area; the batch rides the returned ticket.
-  kern::Result<bento::WriteTicket> install(bento::SuperBlockCap& sb,
-                                           const LogHeader& header,
-                                           bool recovering);
+  /// Recovery: copy the log area into the home locations named by
+  /// `header`; the batch rides the returned ticket.
+  kern::Result<bento::WriteTicket> replay(bento::SuperBlockCap& sb,
+                                          const LogHeader& header);
   kern::Result<bento::WriteTicket> write_header(bento::SuperBlockCap& sb,
                                                 const LogHeader& header);
   kern::Err read_header(bento::SuperBlockCap& sb, LogHeader& out);
@@ -167,6 +179,10 @@ class Log {
   sim::Nanos txn_start_ = 0;
   LogStats stats_;
   blk::Journal<LogIo> jnl_{stats_};
+  /// One reference per tagged block, in jnl_.blocks() order (jbd2's
+  /// journal_head list). Empty after an abort: an aborted journal never
+  /// commits, so it holds nothing.
+  std::vector<bento::BufferHeadHandle> held_;
 };
 
 }  // namespace bsim::xv6

@@ -120,35 +120,40 @@ Err Xv6cMount::log_header_write(const LogHeader& h) {
 Err Xv6cMount::log_commit() {
   auto& bc = sb_->bufcache();
   const std::vector<std::uint32_t>& pending = log_txn_.blocks();
-  // Copy to the log area.
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    auto src = bc.bread(pending[i]);
-    if (!src.ok()) return src.error();
-    auto dst = bc.getblk(dsb_.logstart + 1 + static_cast<std::uint32_t>(i));
-    if (!dst.ok()) {
-      bc.brelse(src.value());
-      return dst.error();
+  // Read each logged buffer once: its log copy is written straight from
+  // it (the log area never enters the cache), and the install reuses it.
+  std::vector<BufferHead*> bufs;
+  bufs.reserve(pending.size());
+  const auto release = [&] {
+    for (BufferHead* bh : bufs) bc.brelse(bh);
+  };
+  for (const std::uint32_t blockno : pending) {
+    auto bh = bc.bread(blockno);
+    if (!bh.ok()) {
+      release();
+      return bh.error();
     }
-    std::memcpy(dst.value()->bytes().data(), src.value()->bytes().data(),
-                kBlockSize);
-    bc.mark_dirty(dst.value());
-    bc.sync_dirty_buffer(dst.value());
-    bc.brelse(dst.value());
-    bc.brelse(src.value());
+    bufs.push_back(bh.value());
+  }
+  // Copy to the log area, one synchronous write per block.
+  for (std::size_t i = 0; i < bufs.size(); ++i) {
+    const std::span<const std::byte> src = bufs[i]->bytes();
+    bc.wait(bc.write_run(dsb_.logstart + 1 + i, {&src, 1}));
   }
   // Commit record.
   LogHeader h;
   h.n = static_cast<std::uint32_t>(pending.size());
   std::copy(pending.begin(), pending.end(), h.blocks);
-  BSIM_TRY(log_header_write(h));
-  // Install home locations.
-  for (const std::uint32_t blockno : pending) {
-    auto bh = bc.bread(blockno);
-    if (!bh.ok()) return bh.error();
-    bc.mark_dirty(bh.value());
-    bc.sync_dirty_buffer(bh.value());
-    bc.brelse(bh.value());
+  if (const Err e = log_header_write(h); e != Err::Ok) {
+    release();
+    return e;
   }
+  // Install home locations.
+  for (BufferHead* bh : bufs) {
+    bc.mark_dirty(bh);
+    bc.sync_dirty_buffer(bh);
+  }
+  release();
   // Clear.
   BSIM_TRY(log_header_write(LogHeader{}));
   log_stats_.commits += 1;
@@ -183,6 +188,8 @@ Err Xv6cMount::log_recover() {
     // the next one replays again (jbd2's "recovery failed").
     if (e != Err::Ok) return e;
   }
+  // Commits write the log area behind the cache: drop what replay read.
+  bc.invalidate(dsb_.logstart + 1, h.n);
   return log_header_write(LogHeader{});
 }
 
@@ -318,7 +325,7 @@ Result<std::uint32_t> Xv6cMount::ialloc(InodeKind kind, std::uint32_t mode) {
   return Err::NoSpc;
 }
 
-Result<std::uint32_t> Xv6cMount::balloc() {
+Result<std::uint32_t> Xv6cMount::balloc(bool zero) {
   sim::ScopedLock guard(alloc_lock_);
   auto& bc = sb_->bufcache();
   for (std::uint32_t step = 0; step < dsb_.nbitmap; ++step) {
@@ -340,6 +347,7 @@ Result<std::uint32_t> Xv6cMount::balloc() {
     bc.brelse(bh.value());
     balloc_hint_ = bi;
     free_blocks_ -= 1;
+    if (!zero) return blockno;  // the caller overwrites all of it
     auto zb = bc.getblk(blockno);
     if (!zb.ok()) return zb.error();
     std::memset(zb.value()->bytes().data(), 0, kBlockSize);
@@ -366,7 +374,7 @@ Err Xv6cMount::bfree(std::uint32_t blockno) {
 }
 
 Result<std::uint32_t> Xv6cMount::bmap(kern::Inode& inode, std::uint64_t bn,
-                                      bool alloc) {
+                                      bool alloc, bool overwrite) {
   CInode* c = ci(inode);
   auto& bc = sb_->bufcache();
   if (bn >= xv6::kMaxFileBlocks) return Err::FBig;
@@ -374,7 +382,7 @@ Result<std::uint32_t> Xv6cMount::bmap(kern::Inode& inode, std::uint64_t bn,
   if (bn < kNDirect) {
     std::uint32_t addr = c->d.addrs[bn];
     if (addr == 0 && alloc) {
-      auto r = balloc();
+      auto r = balloc(!overwrite);
       if (!r.ok()) return r;
       addr = c->d.addrs[bn] = r.value();
     }
@@ -394,7 +402,7 @@ Result<std::uint32_t> Xv6cMount::bmap(kern::Inode& inode, std::uint64_t bn,
     auto* e = reinterpret_cast<std::uint32_t*>(bh.value()->bytes().data());
     std::uint32_t addr = e[bn];
     if (addr == 0 && alloc) {
-      auto r = balloc();
+      auto r = balloc(!overwrite);
       if (!r.ok()) {
         bc.brelse(bh.value());
         return r;
@@ -440,7 +448,7 @@ Result<std::uint32_t> Xv6cMount::bmap(kern::Inode& inode, std::uint64_t bn,
   auto* l2e = reinterpret_cast<std::uint32_t*>(l2.value()->bytes().data());
   std::uint32_t addr = l2e[inner];
   if (addr == 0 && alloc) {
-    auto r = balloc();
+    auto r = balloc(!overwrite);
     if (!r.ok()) {
       bc.brelse(l2.value());
       return r;
@@ -583,13 +591,14 @@ Err Xv6cMount::write_through_log(kern::Inode& inode, std::uint64_t off,
     const std::size_t within = static_cast<std::size_t>(pos % kBlockSize);
     const std::size_t chunk = static_cast<std::size_t>(
         std::min<std::uint64_t>(kBlockSize - within, in.size() - done));
-    auto addr = bmap(inode, bn, true);
+    // Full-block overwrite skips the read-modify-write, and the zeroing
+    // of a newly allocated block (same shortcuts as the Bento port's
+    // writei; the C baseline keeps its per-page transactions — these are
+    // block-layer savings, not batching).
+    const bool full = chunk == kBlockSize;
+    auto addr = bmap(inode, bn, /*alloc=*/true, /*overwrite=*/full);
     if (!addr.ok()) return addr.error();
-    // Full-block overwrite skips the read-modify-write (same shortcut as
-    // the Bento port's writei; the C baseline keeps its per-page
-    // transactions — this is a block-layer saving, not batching).
-    auto bh = chunk == kBlockSize ? bc.getblk(addr.value())
-                                  : bc.bread(addr.value());
+    auto bh = full ? bc.getblk(addr.value()) : bc.bread(addr.value());
     if (!bh.ok()) return bh.error();
     std::memcpy(bh.value()->bytes().data() + within, in.data() + done, chunk);
     bc.mark_dirty(bh.value());

@@ -121,10 +121,13 @@ class Xv6cMount final : public kern::InodeOps,
   }
   kern::Err iupdate(kern::Inode& inode);
   kern::Result<std::uint32_t> ialloc(xv6::InodeKind kind, std::uint32_t mode);
-  kern::Result<std::uint32_t> balloc();
+  /// Allocate a block, zeroed unless the caller overwrites all of it.
+  kern::Result<std::uint32_t> balloc(bool zero = true);
   kern::Err bfree(std::uint32_t blockno);
+  /// `overwrite`: the caller writes the whole of block `bn`, so a newly
+  /// allocated one is not zeroed (index blocks always are).
   kern::Result<std::uint32_t> bmap(kern::Inode& inode, std::uint64_t bn,
-                                   bool alloc);
+                                   bool alloc, bool overwrite = false);
   /// Free blocks past `new_size`, inside the caller's op.
   kern::Err itrunc(kern::Inode& inode, std::uint64_t new_size);
   kern::Err zero_block_tail(kern::Inode& inode, std::uint64_t from);

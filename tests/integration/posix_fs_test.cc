@@ -318,6 +318,42 @@ TEST_P(PosixFsTest, PersistsAcrossRemount) {
   ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
 }
 
+TEST_P(PosixFsTest, PartialWriteToAReusedBlockReadsZerosBeforeIt) {
+  // Free the blocks of a file full of 0xAB, so the next allocation reuses
+  // one; then a 10-byte pwrite at offset 100 of a fresh file must read
+  // back 100 zero bytes before it once it is on media.
+  auto fd = kernel_.open(proc(), "/mnt/old", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  const std::vector<std::byte> old(4 * kern::kPageSize, std::byte{0xAB});
+  ASSERT_TRUE(kernel_.write(proc(), fd.value(), old).ok());
+  ASSERT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  ASSERT_EQ(Err::Ok, kernel_.unlink(proc(), "/mnt/old"));
+  ASSERT_EQ(Err::Ok, kernel_.sync(proc()));
+
+  fd = kernel_.open(proc(), "/mnt/fresh", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(
+      kernel_.pwrite(proc(), fd.value(), as_bytes("0123456789"), 100).ok());
+  ASSERT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  ASSERT_EQ(Err::Ok, kernel_.sync(proc()));
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
+
+  fd = kernel_.open(proc(), "/mnt/fresh", kern::kORdOnly);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::byte> buf(200, std::byte{0xFF});
+  auto r = kernel_.pread(proc(), fd.value(), buf, 0);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.value(), 110u);
+  for (std::size_t i = 0; i < 100; ++i) {
+    ASSERT_EQ(buf[i], std::byte{0}) << "byte " << i;
+  }
+  EXPECT_EQ(to_string({buf.data() + 100, 10}), "0123456789");
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+}
+
 TEST_P(PosixFsTest, ManyFilesInOneDirectory) {
   ASSERT_EQ(Err::Ok, kernel_.mkdir(proc(), "/mnt/many"));
   for (int i = 0; i < 300; ++i) {

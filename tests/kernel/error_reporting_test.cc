@@ -210,6 +210,8 @@ TEST_P(JournalAbort, FailedJournalWriteFlipsMountReadOnly) {
 
   EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
   EXPECT_EQ(Err::Ok, kernel.close(p, keep.value()));
+  // The aborted transaction let go of the buffers it held.
+  EXPECT_EQ(kernel.sb_at("/mnt")->bufcache().outstanding_refs(), 0u);
   EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
 }
 
@@ -236,6 +238,8 @@ TEST_P(JournalAbort, ErrorsContinueKeepsServingWithoutRoFlip) {
   EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);
 
   EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
+  // The aborted transaction let go of the buffers it held.
+  EXPECT_EQ(kernel.sb_at("/mnt")->bufcache().outstanding_refs(), 0u);
   EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
 }
 
@@ -268,6 +272,8 @@ TEST_P(JournalAbort, AbortOutsideFsyncLeavesNothingInFlight) {
   while (journal_state(kernel).aborts == 0 && n < 128) write_file();
   EXPECT_EQ(journal_state(kernel).aborts, 1u);
   EXPECT_EQ(journal_state(kernel).inflight, 0u);
+  // The aborted transaction let go of the buffers it held.
+  EXPECT_EQ(kernel.sb_at("/mnt")->bufcache().outstanding_refs(), 0u);
   EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
 }
 

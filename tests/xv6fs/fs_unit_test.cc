@@ -4,6 +4,8 @@
 // allocator accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -145,6 +147,66 @@ TEST_F(Xv6Rig, WriteBulkMatchesLoopedWrites) {
   write_at(b, kBlockSize, page1);
 
   EXPECT_EQ(read_at(a, 0, 2 * kBlockSize), read_at(b, 0, 2 * kBlockSize));
+}
+
+TEST_F(Xv6Rig, FullPageWriteBulkTagsTheInodeOnceAndZeroesNothing) {
+  // From an empty running transaction, k full pages to a fresh file tag
+  // the bitmap block (absorbed k - 1 times), k data blocks and the inode
+  // block, each once. Zeroing a data block that writei then overwrites,
+  // or updating the inode once per page, would show as more absorptions.
+  const bento::Ino ino = create_file("bulk");
+  ASSERT_EQ(Err::Ok, fs().fsync(mount_->mkreq(), mount_->borrow(), ino, 0,
+                                false));
+  mount_->check_borrows();
+  constexpr std::size_t kPages = 8;
+  std::vector<std::vector<std::byte>> data;
+  std::vector<std::span<const std::byte>> pages;
+  for (std::size_t i = 0; i < kPages; ++i) {
+    data.emplace_back(kBlockSize, static_cast<std::byte>(i + 1));
+  }
+  for (const auto& d : data) pages.emplace_back(d);
+  const auto before = fs().log_stats();
+  auto r = fs().write_bulk(mount_->mkreq(), mount_->borrow(), ino, 0, pages);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), kPages * kBlockSize);
+  mount_->check_borrows();
+  ASSERT_EQ(Err::Ok, fs().fsync(mount_->mkreq(), mount_->borrow(), ino, 0,
+                                false));
+  mount_->check_borrows();
+  const auto after = fs().log_stats();
+  EXPECT_EQ(after.absorbed - before.absorbed, kPages - 1);
+  EXPECT_EQ(after.blocks_logged - before.blocks_logged, kPages + 2);
+  for (std::size_t i = 0; i < kPages; ++i) {
+    EXPECT_EQ(read_at(ino, i * kBlockSize, kBlockSize), data[i]) << i;
+  }
+}
+
+TEST_F(Xv6Rig, PartialWriteToAReusedBlockReadsZerosAroundIt) {
+  // A block freed by a truncate still holds its old bytes. Reallocated
+  // under a partial write, it must read back zeros around the bytes
+  // written: balloc zeroes every block that writei does not fully
+  // overwrite.
+  const bento::Ino old = create_file("old");
+  write_at(old, 0, std::vector<std::byte>(4 * kBlockSize, std::byte{0xAB}));
+  bento::SetAttrIn shrink;
+  shrink.set_size = true;
+  shrink.size = 0;
+  ASSERT_TRUE(
+      fs().setattr(mount_->mkreq(), mount_->borrow(), old, shrink).ok());
+  mount_->check_borrows();
+
+  const bento::Ino ino = create_file("fresh");
+  const std::vector<std::byte> payload(10, std::byte{0x5C});
+  write_at(ino, 100, payload);
+  const std::byte last{0x77};
+  write_at(ino, kBlockSize - 1, {&last, 1});
+  const auto got = read_at(ino, 0, kBlockSize);
+  ASSERT_EQ(got.size(), kBlockSize);
+  for (std::size_t i = 0; i < kBlockSize - 1; ++i) {
+    const bool written = i >= 100 && i < 110;
+    ASSERT_EQ(got[i], written ? payload[i - 100] : std::byte{0}) << i;
+  }
+  EXPECT_EQ(got[kBlockSize - 1], last);
 }
 
 TEST_F(Xv6Rig, LogAbsorbsRepeatedBlocks) {
@@ -419,6 +481,111 @@ TEST(Xv6InodeLock, ReadersShareItAndAWriterWaitsForTheLast) {
   // read); it first waits for the later of the two shared releases.
   EXPECT_GE(w.now(), std::max(r1.now(), r2.now()));
   mount.check_borrows();
+}
+
+TEST(Xv6HeldBuffers, ForcedCommitLooksUpNoLoggedBlockAndCachesNoLogBlock) {
+  // The running transaction holds a reference to each buffer it tags, so
+  // its commit writes the log run and installs from those references: it
+  // looks up no logged block (three lookups per block before), and the log
+  // area never enters the cache. The header block is looked up twice, for
+  // the commit record and for its clear.
+  sim::SimThread main(0);
+  sim::ScopedThread in_main(main);
+  blk::DeviceParams params;
+  params.nblocks = 16384;
+  blk::BlockDevice dev(params);
+  const DiskSuperblock dsb = mkfs(dev, /*ninodes=*/1024);
+  kern::BufferCache cache(dev, /*capacity=*/0);
+  bento::UserMount mount(std::make_unique<bento::KernelBlockBackend>(cache),
+                         std::make_unique<Xv6FileSystem>());
+  ASSERT_EQ(Err::Ok, mount.mount_init());
+  auto& fs = static_cast<Xv6FileSystem&>(mount.fs());
+
+  auto created =
+      fs.create(mount.mkreq(), mount.borrow(), kRootIno, "held", 0644);
+  ASSERT_TRUE(created.ok());
+  const bento::Ino ino = created.value().ino;
+  for (std::uint64_t bn = 0; bn < 8; ++bn) {
+    const std::vector<std::byte> block(kBlockSize, std::byte{0x42});
+    ASSERT_TRUE(fs.write(mount.mkreq(), mount.borrow(), ino, 0,
+                         bn * kBlockSize, block)
+                    .ok());
+  }
+  mount.check_borrows();
+  ASSERT_EQ(fs.log_stats().commits, 0u);
+  // One reference per tagged block, held by the running transaction.
+  const std::uint64_t held = cache.outstanding_refs();
+  EXPECT_GT(held, 8u);
+
+  const auto lookups = [&] {
+    return cache.stats().hits + cache.stats().misses;
+  };
+  const std::uint64_t before = lookups();
+  ASSERT_EQ(Err::Ok, fs.sync_fs(mount.mkreq(), mount.borrow()));
+  mount.check_borrows();
+  EXPECT_EQ(lookups() - before, 2u);
+  EXPECT_EQ(fs.log_stats().commits, 1u);
+  EXPECT_EQ(fs.log_stats().blocks_logged, held);
+  EXPECT_EQ(cache.outstanding_refs(), 0u);
+
+  // Every block of the log run misses: none was cached.
+  const std::uint64_t misses = cache.stats().misses;
+  for (std::uint64_t i = 0; i < held; ++i) {
+    auto bh = cache.bread(dsb.logstart + 1 + i);
+    ASSERT_TRUE(bh.ok());
+    cache.brelse(bh.value());
+  }
+  EXPECT_EQ(cache.stats().misses - misses, held);
+  cache.invalidate(dsb.logstart + 1, held);
+}
+
+TEST(Xv6HeldBuffers, RecoveryDropsTheLogAreaItRead) {
+  // Replay reads the log area through the cache; commits write it behind
+  // the cache. A copy left cached by recovery would go stale under the
+  // next commit's log run and be read back in place of the media.
+  sim::SimThread main(0);
+  sim::ScopedThread in_main(main);
+  blk::DeviceParams params;
+  params.nblocks = 16384;
+  blk::BlockDevice dev(params);
+  const DiskSuperblock dsb = mkfs(dev, /*ninodes=*/1024);
+  // A committed transaction that never reached home: its header names one
+  // free data block, whose new contents sit in the log area.
+  const std::uint32_t home = dsb.size - 1;
+  std::array<std::byte, kBlockSize> logged{};
+  logged.fill(std::byte{0x6D});
+  dev.write_untimed(dsb.logstart + 1, logged);
+  LogHeader header;
+  header.n = 1;
+  header.blocks[0] = home;
+  std::array<std::byte, kBlockSize> hblock{};
+  std::memcpy(hblock.data(), &header, sizeof(header));
+  dev.write_untimed(dsb.logstart, hblock);
+
+  kern::BufferCache cache(dev, /*capacity=*/0);
+  bento::UserMount mount(std::make_unique<bento::KernelBlockBackend>(cache),
+                         std::make_unique<Xv6FileSystem>());
+  ASSERT_EQ(Err::Ok, mount.mount_init());
+  auto& fs = static_cast<Xv6FileSystem&>(mount.fs());
+  EXPECT_EQ(fs.log_stats().recoveries, 1u);
+  std::array<std::byte, kBlockSize> got{};
+  dev.read_untimed(home, got);
+  EXPECT_EQ(got, logged);
+
+  // One commit writes the log area again, then read its first block back.
+  auto created =
+      fs.create(mount.mkreq(), mount.borrow(), kRootIno, "after", 0644);
+  ASSERT_TRUE(created.ok());
+  ASSERT_EQ(Err::Ok, fs.sync_fs(mount.mkreq(), mount.borrow()));
+  mount.check_borrows();
+  ASSERT_EQ(fs.log_stats().commits, 1u);
+  dev.read_untimed(dsb.logstart + 1, got);
+  EXPECT_NE(got, logged);
+  auto bh = cache.bread(dsb.logstart + 1);
+  ASSERT_TRUE(bh.ok());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), bh.value()->bytes().begin()));
+  cache.brelse(bh.value());
+  cache.invalidate(dsb.logstart + 1, 1);
 }
 
 TEST(Xv6Bitmap, FirstFreeBitSkipsFullWordsAndKeepsToTheDataRange) {
