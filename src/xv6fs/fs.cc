@@ -54,52 +54,44 @@ bool name_ok(std::string_view name) {
 // ---- lifecycle ----
 
 Err Xv6FileSystem::init(const Request&, SbRef sb) {
-  auto bh = sb->bread(1);
-  if (!bh.ok()) return bh.error();
-  std::memcpy(&dsb_, bh.value().data().data(), sizeof(dsb_));
-  if (dsb_.magic != kMagic) return Err::Inval;
+  BSIM_TRY(read_dsb(sb.get()));
   if (dsb_.size > sb->nblocks()) return Err::Inval;
-
   BSIM_TRY(log_.init(sb.get(), dsb_, opts_.durability, mount_opts_));
-  BSIM_TRY(scan_free_counts(sb.get()));
+  // Replay may have installed a newer superblock (a raised ninitblocks).
+  BSIM_TRY(read_dsb(sb.get()));
+
+  FreeCounts counts;
+  BSIM_TRY(count_free(
+      dsb_,
+      [&](std::uint32_t blockno, auto&& use) -> Err {
+        auto bh = sb->bread(blockno);
+        if (!bh.ok()) return bh.error();
+        use(bh.value().data());
+        return Err::Ok;
+      },
+      counts));
+  free_inodes_ = counts.inodes;
+  free_blocks_ = counts.blocks;
+  ialloc_hint_ = counts.ialloc_cursor;
   return Err::Ok;
 }
 
-Err Xv6FileSystem::scan_free_counts(Cap& sb) {
-  // Count free inodes, and start ialloc's cursor at the first of them.
-  free_inodes_ = 0;
-  ialloc_hint_ = dsb_.ninodes;
-  const std::uint32_t ninodeblocks =
-      (dsb_.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
-  for (std::uint32_t b = 0; b < ninodeblocks; ++b) {
-    auto bh = sb.bread(dsb_.inodestart + b);
-    if (!bh.ok()) return bh.error();
-    const auto* dinodes =
-        reinterpret_cast<const Dinode*>(bh.value().data().data());
-    for (std::uint32_t i = 0; i < kInodesPerBlock; ++i) {
-      const std::uint32_t inum = b * kInodesPerBlock + i;
-      if (inum == 0 || inum >= dsb_.ninodes) continue;
-      if (dinodes[i].type == static_cast<std::uint16_t>(InodeKind::Free)) {
-        free_inodes_ += 1;
-        ialloc_hint_ = std::min(ialloc_hint_, inum);
-      }
-    }
-  }
-  // Count free data blocks from the bitmap.
-  free_blocks_ = 0;
-  for (std::uint32_t b = 0; b < dsb_.nbitmap; ++b) {
-    auto bh = sb.bread(dsb_.bmapstart + b);
-    if (!bh.ok()) return bh.error();
-    const auto bytes = bh.value().data();
-    for (std::uint32_t i = 0; i < kBitsPerBlock; ++i) {
-      const std::uint64_t blockno =
-          static_cast<std::uint64_t>(b) * kBitsPerBlock + i;
-      if (blockno >= dsb_.size) break;
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) == std::byte{0}) {
-        free_blocks_ += 1;
-      }
-    }
-  }
+Err Xv6FileSystem::read_dsb(Cap& sb) {
+  auto bh = sb.bread(1);
+  if (!bh.ok()) return bh.error();
+  std::memcpy(&dsb_, bh.value().data().data(), sizeof(dsb_));
+  return dsb_.magic == kMagic && dsb_.ninitblocks_valid() ? Err::Ok
+                                                          : Err::Inval;
+}
+
+Err Xv6FileSystem::log_dsb(Cap& sb) {
+  auto bh = sb.getblk(1);
+  if (!bh.ok()) return bh.error();
+  auto bytes = bh.value().data();
+  std::memset(bytes.data(), 0, kBlockSize);
+  std::memcpy(bytes.data(), &dsb_, sizeof(dsb_));
+  bh.value().set_dirty();
+  log_.log_write(sb, bh.value());
   return Err::Ok;
 }
 
@@ -117,6 +109,7 @@ Result<Xv6FileSystem::MemInode*> Xv6FileSystem::iget(Cap& sb,
   bento::SemGuard guard(itable_lock_);
   auto it = itable_.find(inum);
   if (it != itable_.end() && it->second->valid) return it->second.get();
+  if (!dsb_.inode_initialised(inum)) return Err::Stale;  // free, no I/O
 
   auto bh = sb.bread(dsb_.inode_block(inum));
   if (!bh.ok()) return bh.error();
@@ -148,9 +141,23 @@ Result<std::uint32_t> Xv6FileSystem::ialloc(Cap& sb, InodeKind kind,
                                             std::uint32_t mode) {
   bento::SemGuard guard(alloc_lock_);
   while (ialloc_hint_ < dsb_.ninodes) {
+    // The cursor reaches the first uninitialised block only when every
+    // inode below it is allocated: take that block without a read.
+    const bool fresh = !dsb_.inode_initialised(ialloc_hint_);
     const std::uint32_t iblock = dsb_.inode_block(ialloc_hint_);
-    auto bh = sb.bread(iblock);
+    auto bh = fresh ? sb.getblk(iblock) : sb.bread(iblock);
     if (!bh.ok()) return bh.error();
+    if (fresh) {
+      // Zero-fill the block and raise the count in this transaction, so
+      // that the two commit together.
+      assert(iblock == dsb_.inodestart + dsb_.ninitblocks);
+      std::memset(bh.value().data().data(), 0, kBlockSize);
+      dsb_.ninitblocks += 1;
+      if (const Err e = log_dsb(sb); e != Err::Ok) {
+        dsb_.ninitblocks -= 1;
+        return e;
+      }
+    }
     auto* dinodes = reinterpret_cast<Dinode*>(bh.value().data().data());
     const std::uint32_t inum = first_free_inode(dsb_, dinodes, ialloc_hint_);
     if (inum == 0) continue;
@@ -1162,6 +1169,7 @@ bento::TransferableState Xv6FileSystem::prepare_transfer(const Request& req,
   (void)sync_fs(req, sb.reborrow());
   bento::TransferableState state;
   state.put("xv6.log", log_.snapshot());
+  state.put("xv6.dsb", dsb_);
   std::unordered_map<std::uint32_t, Dinode> dinodes;
   for (const auto& [inum, mi] : itable_) {
     if (mi->valid) dinodes.emplace(inum, mi->d);
@@ -1178,18 +1186,19 @@ bento::TransferableState Xv6FileSystem::prepare_transfer(const Request& req,
 Err Xv6FileSystem::restore_state(const Request&, SbRef,
                                  bento::TransferableState state) {
   auto* snap = state.get<Log::Snapshot>("xv6.log");
+  auto* dsb = state.get<DiskSuperblock>("xv6.dsb");
   auto* dinodes =
       state.get<std::unordered_map<std::uint32_t, Dinode>>("xv6.itable");
   auto* fb = state.get<std::uint64_t>("xv6.free_blocks");
   auto* fi = state.get<std::uint64_t>("xv6.free_inodes");
   auto* hint = state.get<std::uint32_t>("xv6.balloc_hint");
   auto* ihint = state.get<std::uint32_t>("xv6.ialloc_hint");
-  if (snap == nullptr || dinodes == nullptr || fb == nullptr ||
-      fi == nullptr || hint == nullptr || ihint == nullptr) {
+  if (snap == nullptr || dsb == nullptr || dinodes == nullptr ||
+      fb == nullptr || fi == nullptr || hint == nullptr || ihint == nullptr) {
     return Err::NoSys;  // caller falls back to a cold init()
   }
   log_.adopt(*snap, mount_opts_);
-  dsb_ = snap->dsb;
+  dsb_ = *dsb;
   itable_.clear();
   for (const auto& [inum, d] : *dinodes) {
     auto mi = std::make_unique<MemInode>();

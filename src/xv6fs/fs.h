@@ -17,6 +17,8 @@
 //     but resumes at a cursor below which every inode is allocated, so a
 //     create examines about one inode however many files are live (the
 //     numbers it hands out are the ones a scan from inode 1 would);
+//   - mount reads only the initialised inode blocks (layout.h,
+//     ninitblocks), and ialloc zero-fills the next one when it gets there;
 //   - inode and block allocation are protected by locks the paper added
 //     (§6.1).
 #pragma once
@@ -179,8 +181,14 @@ class Xv6FileSystem : public bento::FileSystem {
   kern::Result<bool> dir_empty(Cap& sb, MemInode& dir);
 
   bento::FileAttr attr_of(const MemInode& mi) const;
-  kern::Err scan_free_counts(Cap& sb);
+  /// Read the superblock into dsb_ and check it.
+  kern::Err read_dsb(Cap& sb);
+  /// Log dsb_ as block 1 in the open transaction (no read: the whole
+  /// block is rewritten).
+  kern::Err log_dsb(Cap& sb);
 
+  /// The in-core superblock, the only copy: ialloc raises ninitblocks here
+  /// and logs it; an upgrade carries it across.
   DiskSuperblock dsb_;
   Log log_;
   Options opts_;

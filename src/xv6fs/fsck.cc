@@ -44,6 +44,10 @@ class Checker {
     std::memcpy(&sb_, buf, sizeof(sb_));
     if (sb_.magic != kMagic) fail("bad superblock magic");
     if (sb_.size > dev_.nblocks()) fail("superblock size beyond device");
+    if (!sb_.ninitblocks_valid()) {
+      fail("superblock ninitblocks=" + std::to_string(sb_.ninitblocks) +
+           " outside 1.." + std::to_string(sb_.ninodeblocks()));
+    }
   }
 
   void check_log_empty() {
@@ -52,15 +56,6 @@ class Checker {
     LogHeader lh;
     std::memcpy(&lh, buf, sizeof(lh));
     if (lh.n != 0) fail("log not empty (recovery was not run?)");
-  }
-
-  Dinode read_dinode(std::uint32_t inum) {
-    std::byte buf[kBlockSize];
-    read_block(sb_.inode_block(inum), buf);
-    Dinode d;
-    std::memcpy(&d, buf + (inum % kInodesPerBlock) * sizeof(Dinode),
-                sizeof(d));
-    return d;
   }
 
   /// Claim a data block for an inode; detects double references.
@@ -126,9 +121,17 @@ class Checker {
     }
   }
 
+  /// Every inode of the initialised blocks; the rest of the table holds
+  /// only free inodes by definition, so it is not read.
   void scan_inodes() {
-    for (std::uint32_t inum = 1; inum < sb_.ninodes; ++inum) {
-      const Dinode d = read_dinode(inum);
+    alignas(Dinode) std::byte buf[kBlockSize];
+    for (std::uint32_t inum = 1;
+         inum < sb_.ninodes && sb_.inode_initialised(inum); ++inum) {
+      if (inum == 1 || inum % kInodesPerBlock == 0) {
+        read_block(sb_.inode_block(inum), buf);
+      }
+      const Dinode& d =
+          reinterpret_cast<const Dinode*>(buf)[inum % kInodesPerBlock];
       if (d.type == static_cast<std::uint16_t>(InodeKind::Free)) continue;
       if (d.type != static_cast<std::uint16_t>(InodeKind::Dir) &&
           d.type != static_cast<std::uint16_t>(InodeKind::File)) {
@@ -193,6 +196,12 @@ class Checker {
       for (const Dirent& de : read_dir(inum, d)) {
         const std::string name(de.name, strnlen(de.name, kDirNameLen));
         auto it = live_.find(de.inum);
+        if (de.inum < sb_.ninodes && !sb_.inode_initialised(de.inum)) {
+          fail("dirent '" + name + "' in dir " + std::to_string(inum) +
+               " points to inode " + std::to_string(de.inum) +
+               " past the initialised inode blocks");
+          continue;
+        }
         if (it == live_.end()) {
           fail("dirent '" + name + "' in dir " + std::to_string(inum) +
                " points to free inode " + std::to_string(de.inum));

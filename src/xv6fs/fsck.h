@@ -5,6 +5,9 @@
 // invariant — valid superblock, every reachable block allocated exactly
 // once and marked in the bitmap, no bitmap leaks, directory entries
 // pointing at live inodes, and link counts matching directory references.
+// Only the initialised inode blocks are read: the superblock's count must
+// fit the inode table, and a directory entry naming an inode past it means
+// the count fell behind an allocation.
 #pragma once
 
 #include <string>

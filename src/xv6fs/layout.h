@@ -4,6 +4,13 @@
 //   [ 0: boot | 1: superblock | log (header + data) | inode blocks |
 //     free bitmap | data blocks ]
 //
+// Only the first `ninitblocks` inode blocks are initialised, as ext4's
+// uninit_bg leaves the tail of each group's inode table: mkfs writes the
+// root's block alone, and every block at or past the count holds only free
+// inodes whatever its bytes. Mount reads just the initialised blocks;
+// ialloc zero-fills the next block when its cursor reaches it, without a
+// device read, and raises the count in the same transaction.
+//
 // Divergences from stock xv6, exactly the ones the paper made:
 //   - double-indirect blocks so files up to 4 GB can be created (§6.1);
 //   - allocation locks around inode and block-number allocation (§6.1);
@@ -21,6 +28,7 @@
 #include <span>
 
 #include "blockdev/device.h"
+#include "kernel/errno.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -82,9 +90,23 @@ struct DiskSuperblock {
   std::uint32_t bmapstart = 0;
   std::uint32_t datastart = 0;
   std::uint32_t ndata = 0;       // data blocks
+  /// Initialised inode blocks, from inodestart: the blocks past them hold
+  /// only free inodes. At least 1 (the root's block), at most
+  /// ninodeblocks().
+  std::uint32_t ninitblocks = 0;
 
+  [[nodiscard]] std::uint32_t ninodeblocks() const {
+    return (ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
+  }
   [[nodiscard]] std::uint32_t inode_block(std::uint32_t inum) const {
     return inodestart + inum / kInodesPerBlock;
+  }
+  [[nodiscard]] bool ninitblocks_valid() const {
+    return ninitblocks >= 1 && ninitblocks <= ninodeblocks();
+  }
+  /// Does inode `inum` lie in an initialised inode block?
+  [[nodiscard]] bool inode_initialised(std::uint32_t inum) const {
+    return inum / kInodesPerBlock < ninitblocks;
   }
   [[nodiscard]] std::uint32_t bitmap_block(std::uint32_t blockno) const {
     return bmapstart + blockno / kBitsPerBlock;
@@ -135,6 +157,58 @@ struct DiskSuperblock {
   }
   sim::charge((cursor - start) * sim::costs().ialloc_scan_per_inode);
   return found;
+}
+
+/// What mount learns from the allocation metadata: the free inodes and
+/// data blocks statfs reports, and ialloc's starting cursor.
+struct FreeCounts {
+  std::uint64_t inodes = 0;
+  std::uint64_t blocks = 0;
+  std::uint32_t ialloc_cursor = 0;
+};
+
+/// Mount-time accounting, shared by every xv6 deployment. It reads the
+/// initialised inode blocks and the bitmap, one block at a time, through
+/// `read(blockno, use)`, which reads the block and calls `use` with its
+/// bytes. Every inode of an uninitialised block counts free without a
+/// read, and the cursor starts at the first free inode.
+template <class ReadBlock>
+kern::Err count_free(const DiskSuperblock& dsb, ReadBlock&& read,
+                     FreeCounts& out) {
+  out = FreeCounts{};
+  const std::uint64_t first_uninit =
+      static_cast<std::uint64_t>(dsb.ninitblocks) * kInodesPerBlock;
+  out.ialloc_cursor =
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(first_uninit,
+                                                         dsb.ninodes));
+  out.inodes = dsb.ninodes - out.ialloc_cursor;
+  for (std::uint32_t b = 0; b < dsb.ninitblocks; ++b) {
+    BSIM_TRY(read(dsb.inodestart + b, [&](std::span<const std::byte> bytes) {
+      const auto* di = reinterpret_cast<const Dinode*>(bytes.data());
+      for (std::uint32_t i = 0; i < kInodesPerBlock; ++i) {
+        const std::uint32_t inum = b * kInodesPerBlock + i;
+        if (inum == 0 || inum >= dsb.ninodes ||
+            di[i].type != static_cast<std::uint16_t>(InodeKind::Free)) {
+          continue;
+        }
+        out.inodes += 1;
+        out.ialloc_cursor = std::min(out.ialloc_cursor, inum);
+      }
+    }));
+  }
+  for (std::uint32_t b = 0; b < dsb.nbitmap; ++b) {
+    BSIM_TRY(read(dsb.bmapstart + b, [&](std::span<const std::byte> bits) {
+      for (std::uint32_t i = 0; i < kBitsPerBlock; ++i) {
+        const std::uint64_t blockno =
+            static_cast<std::uint64_t>(b) * kBitsPerBlock + i;
+        if (blockno >= dsb.size) break;
+        if ((bits[i / 8] & (std::byte{1} << (i % 8))) == std::byte{0}) {
+          out.blocks += 1;
+        }
+      }
+    }));
+  }
+  return kern::Err::Ok;
 }
 
 /// Log header block (commit record). n == 0 means the log is empty.

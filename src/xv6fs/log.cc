@@ -27,7 +27,7 @@ WriteTicket submit(SuperBlockCap& sb, std::vector<BufferHeadHandle>& handles) {
 
 Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
               Durability durability, const blk::MountOpts& opts) {
-  dsb_ = dsb;
+  logstart_ = dsb.logstart;
   durability_ = durability;
   opts_ = opts;
   outstanding_ = 0;
@@ -43,7 +43,7 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
     auto home = replay(sb, header);
     if (!home.ok()) return home.error();
     // Commits write the log area behind the cache: drop what replay read.
-    sb.invalidate(dsb_.logstart + 1, header.n);
+    sb.invalidate(logstart_ + 1, header.n);
     if (durability_ == Durability::Strict) sb.flush_all();
     sb.wait(home.value());
     // A failed home write keeps the header on media: the mount fails and
@@ -64,7 +64,7 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
 }
 
 void Log::adopt(const Snapshot& snap, const blk::MountOpts& opts) {
-  dsb_ = snap.dsb;
+  logstart_ = snap.logstart;
   durability_ = snap.durability;
   opts_ = opts;
   stats_ = snap.stats;
@@ -188,7 +188,7 @@ Err Log::commit(SuperBlockCap& sb) {
   //    log area is contiguous, so the request queue merges it into a
   //    single multi-block device command.
   if (!stage(blk::TraceEv::JLogWrite, n,
-             sb.write_run(dsb_.logstart + 1, bufs))) {
+             sb.write_run(logstart_ + 1, bufs))) {
     return Err::Io;  // aborted: the commit record is never issued
   }
   if (durability_ == Durability::Strict) sb.flush_all();
@@ -249,7 +249,7 @@ kern::Result<WriteTicket> Log::replay(SuperBlockCap& sb,
   std::vector<std::uint64_t> logged;
   logged.reserve(header.n);
   for (std::uint32_t i = 0; i < header.n; ++i) {
-    logged.push_back(dsb_.logstart + 1 + i);
+    logged.push_back(logstart_ + 1 + i);
   }
   auto srcs = sb.bread_batch(logged);
   if (!srcs.ok()) return srcs.error();
@@ -268,7 +268,7 @@ kern::Result<WriteTicket> Log::replay(SuperBlockCap& sb,
 
 kern::Result<WriteTicket> Log::write_header(SuperBlockCap& sb,
                                             const LogHeader& header) {
-  auto bh = sb.getblk(dsb_.logstart);
+  auto bh = sb.getblk(logstart_);
   if (!bh.ok()) return bh.error();
   std::memcpy(bh.value().data().data(), &header, sizeof(header));
   bh.value().set_dirty();
@@ -278,7 +278,7 @@ kern::Result<WriteTicket> Log::write_header(SuperBlockCap& sb,
 }
 
 Err Log::read_header(SuperBlockCap& sb, LogHeader& out) {
-  auto bh = sb.bread(dsb_.logstart);
+  auto bh = sb.bread(logstart_);
   if (!bh.ok()) return bh.error();
   std::memcpy(&out, bh.value().data().data(), sizeof(out));
   return Err::Ok;

@@ -145,15 +145,17 @@ class Log {
   }
 
   /// Export/import for online upgrade: the log must be empty (committed
-  /// and drained) at transfer time; this carries geometry + stats across
-  /// versions. The adopting instance brings its own mount options.
+  /// and drained) at transfer time; this carries the log's place + stats
+  /// across versions. The adopting instance brings its own mount options.
+  /// The superblock is the file system's to carry: it changes outside the
+  /// log (ialloc raises ninitblocks), so the log keeps no copy of it.
   struct Snapshot {
-    DiskSuperblock dsb;
+    std::uint32_t logstart = 0;
     Durability durability = Durability::Relaxed;
     LogStats stats;
   };
   [[nodiscard]] Snapshot snapshot() const {
-    return {dsb_, durability_, stats_};
+    return {logstart_, durability_, stats_};
   }
   void adopt(const Snapshot& snap, const blk::MountOpts& opts);
 
@@ -168,7 +170,7 @@ class Log {
                                                 const LogHeader& header);
   kern::Err read_header(bento::SuperBlockCap& sb, LogHeader& out);
 
-  DiskSuperblock dsb_;
+  std::uint32_t logstart_ = 0;  // the header block; the log run follows
   Durability durability_ = Durability::Relaxed;
   blk::MountOpts opts_;
   bento::Semaphore lock_;

@@ -25,10 +25,9 @@ DiskSuperblock mkfs(blk::BlockDevice& dev, std::uint32_t ninodes) {
   sb.logstart = 2;
   sb.ninodes = ninodes;
   sb.inodestart = sb.logstart + sb.nlog;
-  const std::uint32_t ninodeblocks =
-      (ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
+  sb.ninitblocks = 1;  // the root's block; ialloc initialises the rest
   sb.nbitmap = (sb.size + kBitsPerBlock - 1) / kBitsPerBlock;
-  sb.bmapstart = sb.inodestart + ninodeblocks;
+  sb.bmapstart = sb.inodestart + sb.ninodeblocks();
   sb.datastart = sb.bmapstart + sb.nbitmap;
   if (sb.datastart + 16 >= sb.size) {
     throw std::invalid_argument("device too small for xv6 file system");
@@ -40,12 +39,6 @@ DiskSuperblock mkfs(blk::BlockDevice& dev, std::uint32_t ninodes) {
   // Empty log.
   LogHeader lh;
   put_block(dev, sb.logstart, &lh, sizeof(lh));
-
-  // Zero the inode blocks.
-  std::array<std::byte, kBlockSize> zero{};
-  for (std::uint32_t b = 0; b < ninodeblocks; ++b) {
-    dev.write_untimed(sb.inodestart + b, zero);
-  }
 
   // Bitmap: mark metadata blocks (everything below datastart) in use.
   for (std::uint32_t b = 0; b < sb.nbitmap; ++b) {
@@ -71,8 +64,8 @@ DiskSuperblock mkfs(blk::BlockDevice& dev, std::uint32_t ninodes) {
     dev.write_untimed(sb.bitmap_block(root_data), bits);
   }
   {
+    // The one initialised inode block: the root, every other inode free.
     std::array<std::byte, kBlockSize> iblock{};
-    dev.read_untimed(sb.inode_block(kRootInum), iblock);
     auto* dinodes = reinterpret_cast<Dinode*>(iblock.data());
     Dinode& root = dinodes[kRootInum % kInodesPerBlock];
     root.type = static_cast<std::uint16_t>(InodeKind::Dir);

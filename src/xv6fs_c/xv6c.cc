@@ -201,50 +201,41 @@ Err Xv6cMount::read_dsb() {
   if (!bh.ok()) return bh.error();
   std::memcpy(&dsb_, bh.value()->bytes().data(), sizeof(dsb_));
   bc.brelse(bh.value());
-  return dsb_.magic == xv6::kMagic ? Err::Ok : Err::Inval;
+  return dsb_.magic == xv6::kMagic && dsb_.ninitblocks_valid() ? Err::Ok
+                                                               : Err::Inval;
 }
 
-Err Xv6cMount::scan_free_counts() {
+Err Xv6cMount::log_dsb() {
   auto& bc = sb_->bufcache();
-  free_inodes_ = 0;
-  ialloc_hint_ = dsb_.ninodes;
-  const std::uint32_t niblocks =
-      (dsb_.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
-  for (std::uint32_t b = 0; b < niblocks; ++b) {
-    auto bh = bc.bread(dsb_.inodestart + b);
-    if (!bh.ok()) return bh.error();
-    const auto* di = reinterpret_cast<const Dinode*>(bh.value()->bytes().data());
-    for (std::uint32_t i = 0; i < kInodesPerBlock; ++i) {
-      const std::uint32_t inum = b * kInodesPerBlock + i;
-      if (inum != 0 && inum < dsb_.ninodes && di[i].type == kFree) {
-        free_inodes_ += 1;
-        ialloc_hint_ = std::min(ialloc_hint_, inum);
-      }
-    }
-    bc.brelse(bh.value());
-  }
-  free_blocks_ = 0;
-  for (std::uint32_t b = 0; b < dsb_.nbitmap; ++b) {
-    auto bh = bc.bread(dsb_.bmapstart + b);
-    if (!bh.ok()) return bh.error();
-    const auto bytes = bh.value()->bytes();
-    for (std::uint32_t i = 0; i < xv6::kBitsPerBlock; ++i) {
-      const std::uint64_t blockno =
-          static_cast<std::uint64_t>(b) * xv6::kBitsPerBlock + i;
-      if (blockno >= dsb_.size) break;
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) == std::byte{0}) {
-        free_blocks_ += 1;
-      }
-    }
-    bc.brelse(bh.value());
-  }
+  auto bh = bc.getblk(1);
+  if (!bh.ok()) return bh.error();
+  std::memset(bh.value()->bytes().data(), 0, kBlockSize);
+  std::memcpy(bh.value()->bytes().data(), &dsb_, sizeof(dsb_));
+  bc.mark_dirty(bh.value());
+  log_write(1);
+  bc.brelse(bh.value());
   return Err::Ok;
 }
 
 Err Xv6cMount::mount_init() {
   BSIM_TRY(read_dsb());
   BSIM_TRY(log_recover());
-  BSIM_TRY(scan_free_counts());
+  BSIM_TRY(read_dsb());  // replay may have raised ninitblocks
+  auto& bc = sb_->bufcache();
+  xv6::FreeCounts counts;
+  BSIM_TRY(xv6::count_free(
+      dsb_,
+      [&](std::uint32_t blockno, auto&& use) -> Err {
+        auto bh = bc.bread(blockno);
+        if (!bh.ok()) return bh.error();
+        use(bh.value()->bytes());
+        bc.brelse(bh.value());
+        return Err::Ok;
+      },
+      counts));
+  free_inodes_ = counts.inodes;
+  free_blocks_ = counts.blocks;
+  ialloc_hint_ = counts.ialloc_cursor;
   auto root = iget(xv6::kRootInum);
   if (!root.ok()) return root.error();
   sb_->root = root.value();  // keep the mount's root reference
@@ -256,6 +247,7 @@ Err Xv6cMount::mount_init() {
 Result<kern::Inode*> Xv6cMount::iget(std::uint32_t inum) {
   if (inum == 0 || inum >= dsb_.ninodes) return Err::Stale;
   if (kern::Inode* cached = sb_->iget_cached(inum)) return cached;
+  if (!dsb_.inode_initialised(inum)) return Err::Stale;  // free, no I/O
 
   auto& bc = sb_->bufcache();
   auto bh = bc.bread(dsb_.inode_block(inum));
@@ -302,9 +294,22 @@ Result<std::uint32_t> Xv6cMount::ialloc(InodeKind kind, std::uint32_t mode) {
   sim::ScopedLock guard(alloc_lock_);
   auto& bc = sb_->bufcache();
   while (ialloc_hint_ < dsb_.ninodes) {
+    // The first uninitialised block: take it without a read, zero it and
+    // raise the count in this op, so that the two commit together.
+    const bool fresh = !dsb_.inode_initialised(ialloc_hint_);
     const std::uint32_t iblock = dsb_.inode_block(ialloc_hint_);
-    auto bh = bc.bread(iblock);
+    auto bh = fresh ? bc.getblk(iblock) : bc.bread(iblock);
     if (!bh.ok()) return bh.error();
+    if (fresh) {
+      assert(iblock == dsb_.inodestart + dsb_.ninitblocks);
+      std::memset(bh.value()->bytes().data(), 0, kBlockSize);
+      dsb_.ninitblocks += 1;
+      if (const Err e = log_dsb(); e != Err::Ok) {
+        dsb_.ninitblocks -= 1;
+        bc.brelse(bh.value());
+        return e;
+      }
+    }
     auto* di = reinterpret_cast<Dinode*>(bh.value()->bytes().data());
     const std::uint32_t inum = xv6::first_free_inode(dsb_, di, ialloc_hint_);
     if (inum == 0) {

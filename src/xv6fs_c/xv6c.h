@@ -107,7 +107,8 @@ class Xv6cMount final : public kern::InodeOps,
   kern::Err log_header_write(const xv6::LogHeader& h);
 
   kern::Err read_dsb();
-  kern::Err scan_free_counts();
+  /// Log dsb_ as block 1 in the open op.
+  kern::Err log_dsb();
 
   kern::Result<kern::Inode*> iget(std::uint32_t inum);
   /// Drop a reference inside an open op: if this evicts the inode, its

@@ -151,6 +151,67 @@ TEST_F(UpgradeTest, FallsBackToColdInit) {
   EXPECT_EQ(st.value().size, 1u);
 }
 
+TEST_F(UpgradeTest, InitialisedInodeBlockCountSurvivesWarmAndColdUpgrades) {
+  // Inode 63 is the last of inode block 0, the one mkfs initialised. A
+  // warm transfer between its create and inode 64's leaves the successor
+  // to initialise block 1; a second one right after must keep the raised
+  // count, or its next create would zero block 1 under inode 64. A cold
+  // attach then reads the count back from the superblock.
+  auto* module = bento::BentoModule::from(*kernel_.sb_at("/mnt"));
+  auto create = [&](const std::string& path) -> kern::Ino {
+    auto fd = kernel_.open(proc(), path, kern::kOCreat | kern::kOWrOnly);
+    EXPECT_TRUE(fd.ok()) << path;
+    if (!fd.ok()) return 0;
+    EXPECT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+    auto st = kernel_.stat(proc(), path);
+    EXPECT_TRUE(st.ok()) << path;
+    return st.ok() ? st.value().ino : 0;
+  };
+  auto warm_upgrade = [&] {
+    ASSERT_EQ(Err::Ok,
+              module->upgrade(std::make_unique<xv6::Xv6FileSystem>()));
+    ASSERT_TRUE(static_cast<xv6::Xv6FileSystem&>(module->fs())
+                    .restored_from_transfer());
+  };
+  auto ninitblocks = [&] {
+    EXPECT_EQ(Err::Ok, kernel_.sync(proc()));
+    return xv6::read_superblock(*kernel_.device("ssd0")).ninitblocks;
+  };
+  for (int i = 2; i < 63; ++i) create("/mnt/f" + std::to_string(i));
+  EXPECT_EQ(create("/mnt/last0"), 63u);
+  EXPECT_EQ(ninitblocks(), 1u);
+
+  warm_upgrade();
+  EXPECT_EQ(create("/mnt/first1"), 64u);
+  EXPECT_EQ(ninitblocks(), 2u);
+  const auto free_before = kernel_.statfs(proc(), "/mnt");
+  ASSERT_TRUE(free_before.ok());
+
+  warm_upgrade();
+  auto free_after = kernel_.statfs(proc(), "/mnt");
+  ASSERT_TRUE(free_after.ok());
+  EXPECT_EQ(free_after.value().free_inodes, free_before.value().free_inodes);
+  EXPECT_EQ(create("/mnt/second1"), 65u);
+  EXPECT_TRUE(kernel_.stat(proc(), "/mnt/first1").ok());
+
+  ASSERT_EQ(Err::Ok, module->upgrade(std::make_unique<NoTransferFs>()));
+  ASSERT_FALSE(static_cast<xv6::Xv6FileSystem&>(module->fs())
+                   .restored_from_transfer());
+  free_after = kernel_.statfs(proc(), "/mnt");
+  ASSERT_TRUE(free_after.ok());
+  EXPECT_EQ(free_after.value().free_inodes,
+            free_before.value().free_inodes - 1);
+  EXPECT_EQ(create("/mnt/cold1"), 66u);
+  EXPECT_EQ(ninitblocks(), 2u);
+  for (int i = 67; i < 129; ++i) create("/mnt/g" + std::to_string(i));
+  EXPECT_EQ(ninitblocks(), 3u);  // inode 128 opened block 2
+
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  auto report = xv6::fsck(*kernel_.device("ssd0"));
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.files, 127u);  // inodes 2..128
+}
+
 TEST_F(UpgradeTest, ColdInitSuccessorKeepsTheMountOptions) {
   // The module delivers the mount's options to every instance it runs:
   // a successor that cold-attaches still commits once per op on a

@@ -744,6 +744,109 @@ TEST_P(Xv6InodeAllocTest, CreateCostDoesNotGrowWithLiveInodes) {
   expect_fsck_clean();
 }
 
+/// Mount cost on the xv6 deployments, on the bench's 262,144-inode table
+/// (4,096 inode blocks): mount reads the superblock, the log header, the
+/// initialised inode blocks and the bitmap, and none of the table past
+/// them. Its counts match a brute-force scan of the whole table.
+class Xv6MountCostTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    sim::set_current(&thread_);
+    blk::DeviceParams params;
+    params.nblocks = 32768;  // 128 MiB
+    dev_ = &kernel_.add_device("ssd0", params);
+    xv6::mkfs(*dev_, /*ninodes=*/262'144);
+    wl::register_deployments(kernel_);
+  }
+
+  kern::Process& proc() { return kernel_.proc(); }
+
+  /// Mount, and check the device reads it took against the bound.
+  void mount_and_count_reads() {
+    const blk::DeviceStats before = dev_->stats();
+    ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
+    const blk::DeviceStats& after = dev_->stats();
+    const xv6::DiskSuperblock dsb = xv6::read_superblock(*dev_);
+    const std::uint64_t bound = 2 + dsb.ninitblocks + dsb.nbitmap;
+    EXPECT_LE(after.read_requests - before.read_requests, bound);
+    EXPECT_LE(after.reads - before.reads, bound);
+  }
+
+  /// The free inodes and the lowest of them, by reading every inode block
+  /// (untimed).
+  std::pair<std::uint64_t, std::uint32_t> brute_force_free_inodes() {
+    const xv6::DiskSuperblock dsb = xv6::read_superblock(*dev_);
+    alignas(xv6::Dinode) std::array<std::byte, blk::kBlockSize> buf{};
+    std::uint64_t free = 0;
+    std::uint32_t lowest = 0;
+    for (std::uint32_t inum = 1; inum < dsb.ninodes; ++inum) {
+      if (inum == 1 || inum % xv6::kInodesPerBlock == 0) {
+        dev_->read_untimed(dsb.inode_block(inum), buf);
+      }
+      const auto* di = reinterpret_cast<const xv6::Dinode*>(buf.data());
+      if (di[inum % xv6::kInodesPerBlock].type ==
+          static_cast<std::uint16_t>(xv6::InodeKind::Free)) {
+        free += 1;
+        if (lowest == 0) lowest = inum;
+      }
+    }
+    return {free, lowest};
+  }
+
+  sim::SimThread thread_{0};
+  kern::Kernel kernel_;
+  blk::BlockDevice* dev_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(Xv6Deployments, Xv6MountCostTest,
+                         ::testing::Values("xv6_bento", "xv6_vfs",
+                                           "xv6_fuse"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST_P(Xv6MountCostTest, FreshImageMountReadsNoUninitialisedInodeBlock) {
+  mount_and_count_reads();
+  EXPECT_EQ(1u, xv6::read_superblock(*dev_).ninitblocks);
+  auto st = kernel_.statfs(proc(), "/mnt");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().free_inodes, brute_force_free_inodes().first);
+  EXPECT_EQ(st.value().free_inodes, 262'144u - 2);  // inode 0 and the root
+}
+
+TEST_P(Xv6MountCostTest, AgedImageRemountsToTheBruteForceCounts) {
+  ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
+  for (int i = 0; i < 200; ++i) {
+    auto fd = kernel_.open(proc(), "/mnt/a" + std::to_string(i),
+                           kern::kOCreat | kern::kOWrOnly);
+    ASSERT_TRUE(fd.ok()) << i;
+    ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  }
+  // 50 holes scattered over inode blocks 0..3.
+  for (int i = 3; i < 200; i += 4) {
+    ASSERT_EQ(Err::Ok, kernel_.unlink(proc(), "/mnt/a" + std::to_string(i)));
+  }
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  EXPECT_EQ(4u, xv6::read_superblock(*dev_).ninitblocks);
+
+  mount_and_count_reads();
+  const auto [free, lowest] = brute_force_free_inodes();
+  EXPECT_EQ(free, 262'144u - 2 - 150);
+  auto st = kernel_.statfs(proc(), "/mnt");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().free_inodes, free);
+  auto fd = kernel_.open(proc(), "/mnt/next", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  auto next = kernel_.stat(proc(), "/mnt/next");
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.value().ino, lowest);
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  auto report = xv6::fsck(*dev_);
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.files, 151u);
+}
+
 /// xv6 on a full image: a create or mkdir that fails with ENOSPC after
 /// its inode is allocated must give the inode (and any block) back.
 class Xv6FullImageTest : public ::testing::TestWithParam<const char*> {

@@ -252,6 +252,53 @@ TEST(Fsck, DetectsCorruption) {
   EXPECT_FALSE(report.ok);
 }
 
+TEST(Fsck, ChecksTheInitialisedInodeBlockCount) {
+  sim::SimThread thread(0);
+  sim::ScopedThread in(thread);
+  kern::Kernel kernel;
+  auto& dev = add_test_device(kernel, DevKind::Plain);
+  xv6::mkfs(dev, /*ninodes=*/512);  // 8 inode blocks
+  wl::register_deployments(kernel);
+  ASSERT_EQ(Err::Ok, kernel.mount("xv6_bento", "ssd0", "/mnt"));
+  auto& p = kernel.proc();
+  for (int i = 0; i < static_cast<int>(xv6::kInodesPerBlock); ++i) {
+    auto fd = kernel.open(p, "/mnt/f" + std::to_string(i),
+                          kern::kOCreat | kern::kOWrOnly);
+    ASSERT_TRUE(fd.ok()) << i;
+    ASSERT_EQ(Err::Ok, kernel.close(p, fd.value()));
+  }
+  ASSERT_EQ(Err::Ok, kernel.umount("/mnt"));
+  xv6::DiskSuperblock sb = xv6::read_superblock(dev);
+  ASSERT_EQ(2u, sb.ninitblocks);  // "f63" is inode 65, in block 1
+  EXPECT_TRUE(xv6::fsck(dev).ok) << xv6::fsck(dev).summary();
+
+  const auto write_super = [&](std::uint32_t ninitblocks) {
+    sb.ninitblocks = ninitblocks;
+    std::array<std::byte, blk::kBlockSize> buf{};
+    std::memcpy(buf.data(), &sb, sizeof(sb));
+    dev.write_untimed(1, buf);
+  };
+  // A count that fell behind an allocation: two directory entries name
+  // inodes past it.
+  write_super(1);
+  auto report = xv6::fsck(dev);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.summary().find("past the initialised inode blocks"),
+            std::string::npos)
+      << report.summary();
+  // A count beyond the inode table, and a zero count.
+  for (const std::uint32_t bad : {9u, 0u}) {
+    write_super(bad);
+    report = xv6::fsck(dev);
+    EXPECT_FALSE(report.ok) << bad;
+    EXPECT_NE(report.summary().find("ninitblocks"), std::string::npos)
+        << report.summary();
+  }
+  // Mount refuses the same superblock.
+  EXPECT_EQ(Err::Inval, kernel.mount("xv6_bento", "ssd0", "/mnt"));
+  EXPECT_EQ(Err::Inval, kernel.mount("xv6_vfs", "ssd0", "/mnt"));
+}
+
 TEST(LogRecovery, ReplaysCommittedTransaction) {
   // Simulate a crash after the commit record but before install: write a
   // valid log (header + payload) by hand, then mount — recovery must
@@ -942,6 +989,118 @@ TEST(MirrorMemberLossThenCrash, RecoversFromTheSurvivor) {
     }
   }
 }
+
+// ---- Inode-block initialisation under a torn commit ----
+//
+// A 512-inode image has 8 inode blocks, and mkfs initialises only the
+// root's. With block 0 full (inodes 2..63 taken), the next create
+// zero-fills block 1 and raises the superblock's count in one transaction.
+// The device dies at each write of that transaction's commit, every
+// earlier write surviving. Recovery must then leave an image on which more
+// creates stay fsck-clean. A mount that kept the superblock it read before
+// replay would take block 1 for uninitialised and zero a block that holds
+// a live inode. The Bento port runs in Strict mode (xv6_strict), as in
+// the sweeps above: Relaxed mode's install and header clear share one
+// plug with no ordering between them, so a device that dies in between
+// can keep the clear and lose part of the install.
+
+constexpr int kBlock0Files = xv6::kInodesPerBlock - 2;  // inodes 2..63
+
+/// Fill inode block 0 on a fresh `fs` mount and sync; then, with the
+/// device dying after `kill_point` more writes, create and fsync
+/// "/mnt/fresh". Returns the image the writes before the kill left.
+std::unique_ptr<blk::BlockDevice> run_init_trace(const char* fs,
+                                                 std::uint64_t kill_point) {
+  kern::Kernel kernel;
+  auto& dev = add_test_device(kernel, DevKind::Plain);
+  xv6::mkfs(dev, /*ninodes=*/512);
+  wl::register_deployments(kernel);
+  register_strict(kernel);
+  EXPECT_EQ(Err::Ok, kernel.mount(fs, "ssd0", "/mnt"));
+  auto& p = kernel.proc();
+  for (int i = 0; i < kBlock0Files; ++i) {
+    auto fd = kernel.open(p, "/mnt/f" + std::to_string(i),
+                          kern::kOCreat | kern::kOWrOnly);
+    EXPECT_TRUE(fd.ok()) << i;
+    if (fd.ok()) EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
+  }
+  EXPECT_EQ(Err::Ok, kernel.sync(p));
+  EXPECT_EQ(1u, xv6::read_superblock(dev).ninitblocks);
+
+  dev.enable_crash_tracking();
+  dev.kill_after(kill_point);
+  auto fd = kernel.open(p, "/mnt/fresh", kern::kOCreat | kern::kOWrOnly);
+  EXPECT_TRUE(fd.ok());
+  if (fd.ok()) {
+    (void)kernel.fsync(p, fd.value());
+    (void)kernel.close(p, fd.value());
+  }
+  sim::Rng crash_rng(kill_point + 7);
+  dev.crash(/*survive_p=*/1.0, crash_rng);
+  return copy_device(dev);
+}
+
+/// Mount the survivor with `fs` (recovery runs), check block 0's files,
+/// create 70 more (into inode blocks 1 and 2), unmount and fsck. Returns
+/// whether "/mnt/fresh" survived the crash.
+bool recover_and_grow(const char* fs, blk::BlockDevice& survivor) {
+  kern::Kernel kernel;
+  blk::DeviceParams params;
+  params.nblocks = survivor.nblocks();
+  auto& dev = kernel.add_device("ssd0", params);
+  std::array<std::byte, blk::kBlockSize> buf{};
+  for (std::uint64_t b = 0; b < survivor.nblocks(); ++b) {
+    survivor.read_untimed(b, buf);
+    dev.write_untimed(b, buf);
+  }
+  wl::register_deployments(kernel);
+  register_strict(kernel);
+  EXPECT_EQ(Err::Ok, kernel.mount(fs, "ssd0", "/mnt"));
+  auto& p = kernel.proc();
+  for (int i = 0; i < kBlock0Files; ++i) {
+    EXPECT_TRUE(kernel.stat(p, "/mnt/f" + std::to_string(i)).ok()) << i;
+  }
+  const bool fresh = kernel.stat(p, "/mnt/fresh").ok();
+  for (int i = 0; i < 70; ++i) {
+    auto fd = kernel.open(p, "/mnt/g" + std::to_string(i),
+                          kern::kOCreat | kern::kOWrOnly);
+    EXPECT_TRUE(fd.ok()) << i;
+    if (fd.ok()) EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
+  }
+  EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
+  const auto report = xv6::fsck(dev);
+  EXPECT_TRUE(report.ok) << report.summary();
+  EXPECT_EQ(report.files, kBlock0Files + 70u + (fresh ? 1 : 0));
+  EXPECT_EQ(3u, xv6::read_superblock(dev).ninitblocks);
+  return fresh;
+}
+
+class InodeBlockInitCrash : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(InodeBlockInitCrash, EveryKillPointRecoversAndGrowsClean) {
+  // Kill points from before the commit's first write to past its last:
+  // the sweep must see the create both lost and kept.
+  int kept = 0;
+  int lost = 0;
+  for (std::uint64_t k = 0; k <= 24; ++k) {
+    sim::SimThread thread(0);
+    sim::ScopedThread in(thread);
+    auto survivor = run_init_trace(GetParam(), k);
+    (recover_and_grow(GetParam(), *survivor) ? kept : lost) += 1;
+    if (HasFailure()) {
+      ADD_FAILURE() << "kill_after=" << k;
+      return;
+    }
+  }
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(lost, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(KernelXv6, InodeBlockInitCrash,
+                         ::testing::Values("xv6_strict", "xv6_vfs"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace bsim::test
