@@ -169,9 +169,7 @@ Err Log::commit(SuperBlockCap& sb) {
   for (BufferHeadHandle& bh : held_) bufs.push_back(&bh);
 
   std::vector<WriteTicket> tickets;
-  bool plugged = false;
   auto fail = [&](Err e) {
-    if (plugged) tickets.push_back(sb.unplug());
     jnl_.redeem(io, tickets);
     return e;
   };
@@ -207,31 +205,32 @@ Err Log::commit(SuperBlockCap& sb) {
   }
   if (durability_ == Durability::Strict) sb.flush_all();
 
-  // 3+4. Install the held buffers to their home locations, then clear the
-  //      header. In Relaxed mode (no durability ordering between them
-  //      without barriers) the two ride ONE request plug: a single merged
-  //      elevator pass. In Strict mode the FLUSH barrier between them is
-  //      preserved. Home locations are scattered, so the install typically
-  //      stays several requests, spread across the device's channels.
-  if (opts_.plug && durability_ != Durability::Strict) {
-    sb.plug();
-    plugged = true;
-  }
+  // 3. Install the held buffers to their home locations. Home locations
+  //    are scattered, so the install typically stays several requests,
+  //    spread across the device's channels; in Relaxed mode they ride one
+  //    request plug (a single merged elevator pass).
+  const bool plugged = opts_.plug && durability_ != Durability::Strict;
+  if (plugged) sb.plug();
   for (BufferHeadHandle* bh : bufs) bh->set_dirty();
   // Under a plug the install ticket is synthetic (done = 0); the real
   // completion rides the unplug ticket, recorded below instead.
   jnl_.stage(io, blk::TraceEv::JCheckpoint, txn_seq_, n, tickets,
              sb.sync_batch_async(bufs));
-  if (durability_ == Durability::Strict) sb.flush_all();
-  {
-    auto clear = write_header(sb, LogHeader{});
-    if (!clear.ok()) return fail(clear.error());  // closes the plug too
-    tickets.push_back(clear.value());
-  }
   if (plugged) {
-    plugged = false;
     tickets.push_back(sb.unplug());
     jnl_.latency(blk::TraceEv::JCheckpoint, tickets.back());
+  }
+  if (durability_ == Durability::Strict) sb.flush_all();
+
+  // 4. Clear the header, submitted after the install's plug has closed:
+  //    media order is submission order, so a device that dies partway
+  //    through the install still holds the header, and recovery replays
+  //    the whole transaction. Inside the plug the elevator would sort the
+  //    clear (the lowest block) ahead of the home writes.
+  {
+    auto clear = write_header(sb, LogHeader{});
+    if (!clear.ok()) return fail(clear.error());
+    tickets.push_back(clear.value());
   }
   if (durability_ == Durability::Strict) sb.flush_all();
 

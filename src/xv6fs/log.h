@@ -36,9 +36,9 @@
 // Durability has two modes:
 //   Relaxed — synchronous writes only, no device FLUSH barriers. This is
 //             how the paper's implementation behaves on the PM981. The
-//             install batch and header clear additionally share one
-//             request plug (one merged elevator pass) — there is no
-//             ordering claim between them without barriers.
+//             install batch rides one request plug (one merged elevator
+//             pass); the header clear is submitted after it closes, so it
+//             reaches media after every home write.
 //   Strict  — FLUSH before the commit record and after install, making the
 //             commit point durable against power loss. Each barrier is a
 //             synchronous flush_all (writeback of unpinned dirty buffers,
@@ -103,7 +103,7 @@ class Log {
   /// Mount-time initialization + crash recovery. The write path's tuning
   /// comes from `opts`: max_log_batch (an op cap on group commit),
   /// pipeline ("nopipeline"), and plug ("noplug", Relaxed mode's
-  /// install+clear plug).
+  /// install plug).
   kern::Err init(bento::SuperBlockCap& sb, const DiskSuperblock& dsb,
                  Durability durability, const blk::MountOpts& opts);
 

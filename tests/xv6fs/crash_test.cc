@@ -999,10 +999,10 @@ TEST(MirrorMemberLossThenCrash, RecoversFromTheSurvivor) {
 // earlier write surviving. Recovery must then leave an image on which more
 // creates stay fsck-clean. A mount that kept the superblock it read before
 // replay would take block 1 for uninitialised and zero a block that holds
-// a live inode. The Bento port runs in Strict mode (xv6_strict), as in
-// the sweeps above: Relaxed mode's install and header clear share one
-// plug with no ordering between them, so a device that dies in between
-// can keep the clear and lose part of the install.
+// a live inode. The Bento port runs in both of its modes: Strict
+// (xv6_strict, as in the sweeps above) and Relaxed (xv6_bento), whose
+// header clear follows the install's plug, so a device that dies partway
+// through the install keeps the header.
 
 constexpr int kBlock0Files = xv6::kInodesPerBlock - 2;  // inodes 2..63
 
@@ -1097,7 +1097,8 @@ TEST_P(InodeBlockInitCrash, EveryKillPointRecoversAndGrowsClean) {
 }
 
 INSTANTIATE_TEST_SUITE_P(KernelXv6, InodeBlockInitCrash,
-                         ::testing::Values("xv6_strict", "xv6_vfs"),
+                         ::testing::Values("xv6_strict", "xv6_bento",
+                                           "xv6_vfs"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
