@@ -9,12 +9,12 @@
 // transactions issue per-block O_DIRECT writes each followed by an fsync
 // of the whole disk file (§6.4).
 //
-// Measured shape: Bento is well ahead of C-Kernel, not level with it. At
-// 32KB seq-1t Bento writes 1143.1 MBps and C-Kernel 156.6 (Bento wrote
-// 574.0 when the journal engine kept two commits in flight instead of
-// four). The gap is the baseline's: xv6c commits synchronously, per
-// buffer, outside the journal engine's commit pipeline, so it is bound by
-// its own commit waits, not by the device.
+// Measured shape: Bento ~= C-Kernel. At 32KB seq-1t Bento writes 1179.1
+// MBps and C-Kernel 1152.8. Both commit through the journal engine's
+// pipeline with one commit policy (blk::OpJournal); C-Kernel wrote 158.9
+// when xv6c committed synchronously, per buffer, every 8 ops. Bento is
+// ahead by 1-3% everywhere but random 1024KB, where C-Kernel writes 1415.5
+// and Bento 1155.6.
 #include "common.h"
 
 using namespace bsim;

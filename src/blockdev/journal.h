@@ -1,10 +1,12 @@
-// The journal commit engine under the xv6 log (xv6fs/log.h; the C
-// baseline uses only its running transaction) and ext4's jbd
-// (ext4/ext4.h), after Linux's jbd2. The engine owns the mechanism: the
-// running transaction, the bounded commit-ticket pipeline, stage
-// recording, the abort latch and fsync's durability step (force, then
-// barrier). Each file system keeps its on-disk format and its commit
-// policy (see ARCHITECTURE.md, "Journal engine").
+// The journal commit engine under the xv6 log (xv6fs/log.h and the C
+// baseline, xv6fs_c/xv6c.h) and ext4's jbd (ext4/ext4.h), after Linux's
+// jbd2. The engine owns the mechanism: the running transaction, the
+// bounded commit-ticket pipeline, stage recording, the abort latch and
+// fsync's durability step (force, then barrier). Each file system keeps
+// its on-disk format. The two xv6 file systems also share one commit
+// policy, OpJournal below: when an op may start, when the running
+// transaction commits and how a force waits for open ops. ext4 keeps its
+// own (see ARCHITECTURE.md, "Journal engine").
 //
 // Pipelining only moves when tickets are redeemed: media effects land at
 // submission, in program order, so a "-o nopipeline" mount (each commit
@@ -19,6 +21,7 @@
 //   void flush() const;     // the device FLUSH; returns on its completion
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -27,8 +30,10 @@
 #include <vector>
 
 #include "blockdev/bio.h"
+#include "blockdev/opts.h"
 #include "blockdev/trace.h"
 #include "sim/stats.h"
+#include "sim/sync.h"
 #include "sim/thread.h"
 
 namespace bsim::blk {
@@ -206,9 +211,11 @@ class Journal : public RunningTxn {
   /// anything, then redeem every in-flight commit. With nothing tagged and
   /// nothing in flight there is nothing to do, and the force is counted
   /// as an empty commit skipped. Returns what `commit()` returned, else
-  /// success.
+  /// success. An aborted journal returns what `commit()` returns at
+  /// once, which must be its failure.
   template <class Commit>
   auto force(const Io& io, Commit&& commit) -> decltype(commit()) {
+    if (aborted_) return commit();
     decltype(commit()) result{};
     if (empty() && inflight_.empty()) {
       c_->empty_commits_skipped += 1;
@@ -263,6 +270,113 @@ class Journal : public RunningTxn {
   std::uint64_t unflushed_ = 0;   // commits since the last FLUSH
   sim::Nanos flushed_at_ = 0;     // completion time of the last FLUSH
   sim::Nanos t0_ = 0;             // entry time of the commit in progress
+};
+
+/// xv6's op protocol over the engine, shared by the xv6 log (xv6::Log)
+/// and the C baseline (xv6c::Xv6cMount), which differ only in how they
+/// write a commit. Each op declares that it logs at most `max_op_blocks`
+/// blocks of a `log_blocks`-block log.
+///   - An op starts only once its log space is reserved: the running
+///     transaction plus the worst case of every open op, this one
+///     included, fits the log. With no op open the running transaction
+///     commits to make space; otherwise the op waits for the open ones to
+///     close (xv6 sleeps on the log; here it yields 10 us of virtual time
+///     and checks again).
+///   - The last open op to close commits the running transaction when its
+///     tags reach the stripe-aligned commit_threshold(log_blocks -
+///     max_op_blocks), when it is kCommitAge old, or at the mount's
+///     max_log_batch op cap ("nogroup" is 1; 0 means none).
+///   - A force (fsync, sync, unmount) first waits for the open ops to
+///     close, since pinned blocks reach media only through a commit, then
+///     runs the engine's force.
+template <class Io>
+class OpJournal : public Journal<Io> {
+ public:
+  /// jbd2's default commit interval: an op that closes on a running
+  /// transaction at least this old commits it.
+  static constexpr sim::Nanos kCommitAge = 5 * sim::kSecond;
+
+  OpJournal(JournalCounters& counters, std::size_t log_blocks,
+            std::size_t max_op_blocks)
+      : Journal<Io>(counters),
+        log_blocks_(log_blocks),
+        max_op_blocks_(max_op_blocks) {}
+
+  /// Mount: the engine's reset, the mount's op cap, no op open.
+  void reset(const MountOpts& opts) {
+    Journal<Io>::reset(opts.pipeline);
+    max_ops_ = opts.max_log_batch;
+    open_ops_ = 0;
+  }
+
+  /// Admit one op (see the class comment); `commit()` commits the running
+  /// transaction. The first op of a fresh transaction opens it (TO).
+  template <class Commit>
+  void begin_op(const Io& io, Commit&& commit) {
+    lock_.lock();
+    while (this->size() + (open_ops_ + 1) * max_op_blocks_ > log_blocks_) {
+      if (this->aborted()) break;  // nothing will ever commit
+      if (open_ops_ == 0) {
+        (void)commit();
+      } else {
+        poll();
+      }
+    }
+    if (open_ops_ == 0 && this->empty()) {
+      txn_ += 1;
+      txn_start_ = sim::now();
+      io.trace(TraceEv::TxnOpen, txn_, 0);
+    }
+    open_ops_ += 1;
+    lock_.unlock();
+  }
+
+  /// Close one op; the last one out commits a full or old transaction
+  /// (see the class comment). Returns what `commit()` returned, else
+  /// success.
+  template <class Commit>
+  auto end_op(std::uint64_t stripe_width, Commit&& commit)
+      -> decltype(commit()) {
+    sim::ScopedLock guard(lock_);
+    assert(open_ops_ > 0);
+    open_ops_ -= 1;
+    if (open_ops_ == 0 && !this->empty()) {
+      const bool full = this->close_op(
+          max_ops_, commit_threshold(log_blocks_ - max_op_blocks_,
+                                     stripe_width));
+      if (full || sim::now() - txn_start_ >= kCommitAge) return commit();
+    }
+    return {};
+  }
+
+  /// fsync's commit step: wait for the open ops to close, then the
+  /// engine's force (Journal::force). The caller adds the barrier.
+  template <class Commit>
+  auto force(const Io& io, Commit&& commit) -> decltype(commit()) {
+    sim::ScopedLock guard(lock_);
+    while (open_ops_ > 0) poll();
+    return Journal<Io>::force(io, commit);
+  }
+
+  [[nodiscard]] bool in_op() const { return open_ops_ > 0; }
+  /// The running transaction's sequence number (the tracepoints' txn).
+  [[nodiscard]] std::uint64_t txn() const { return txn_; }
+
+ private:
+  /// Let the open ops run for 10 us, with the lock released.
+  void poll() {
+    lock_.unlock();
+    sim::current().wait_until(sim::now() + sim::usec(10));
+    lock_.lock();
+  }
+
+  const std::size_t log_blocks_;
+  const std::size_t max_op_blocks_;
+  std::size_t max_ops_ = 0;
+  std::size_t open_ops_ = 0;
+  sim::SimMutex lock_;
+  std::uint64_t txn_ = 0;
+  sim::Nanos txn_start_ = 0;
 };
 
 }  // namespace bsim::blk

@@ -135,7 +135,6 @@ Err Ext4Mount::j_commit() {
 
 Err Ext4Mount::j_sync() {
   sim::ScopedLock guard(journal_lock_);
-  if (jnl_.aborted()) return Err::Io;
   BSIM_TRY(jnl_.force(jio(), [&] { return j_commit(); }));
   jnl_.barrier(jio());
   return Err::Ok;

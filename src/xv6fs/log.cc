@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "sim/thread.h"
-
 namespace bsim::xv6 {
 
 using bento::BufferHeadHandle;
@@ -30,8 +28,7 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
   logstart_ = dsb.logstart;
   durability_ = durability;
   opts_ = opts;
-  outstanding_ = 0;
-  jnl_.reset(opts_.pipeline);
+  jnl_.reset(opts_);
   held_.clear();
 
   // Crash recovery: a non-empty header means a committed-but-uninstalled
@@ -68,46 +65,18 @@ void Log::adopt(const Snapshot& snap, const blk::MountOpts& opts) {
   durability_ = snap.durability;
   opts_ = opts;
   stats_ = snap.stats;
-  outstanding_ = 0;
-  jnl_.reset(opts_.pipeline);
+  jnl_.reset(opts_);
   held_.clear();
 }
 
 void Log::begin_op(SuperBlockCap& sb, std::uint32_t reserved) {
   assert(reserved <= kMaxOpBlocks);
   (void)reserved;
-  // xv6's log-space reservation, made group-commit-safe: every open op
-  // may still log up to kMaxOpBlocks, so admission requires headroom for
-  // ALL of them (pending + (outstanding+1)*kMaxOpBlocks <= kLogSize —
-  // exactly xv6's begin_op condition). With nothing outstanding we can
-  // commit the pooled batch to make space; otherwise wait for the open
-  // ops to close (xv6 sleeps on the log; here we yield virtual time and
-  // re-check — the open ops only need bounded device time to finish).
-  lock_.acquire();
-  while (jnl_.size() +
-             (static_cast<std::size_t>(outstanding_) + 1) * kMaxOpBlocks >
-         kLogSize) {
-    if (jnl_.aborted()) break;  // nothing will ever commit; admission is moot
-    if (outstanding_ == 0) {
-      (void)commit(sb);
-    } else {
-      lock_.release();
-      sim::current().wait_until(sim::now() + sim::usec(10));
-      lock_.acquire();
-    }
-  }
-  // A fresh batch (nothing open, nothing pooled) opens a new transaction.
-  if (outstanding_ == 0 && jnl_.empty()) {
-    txn_seq_ += 1;
-    txn_start_ = sim::now();
-    io(sb).trace(blk::TraceEv::TxnOpen, txn_seq_, 0);
-  }
-  outstanding_ += 1;
-  lock_.release();
+  jnl_.begin_op(io(sb), [&] { return commit(sb); });
 }
 
 void Log::log_write(SuperBlockCap& sb, const BufferHeadHandle& bh) {
-  assert(outstanding_ > 0 && "log_write outside a transaction");
+  assert(jnl_.in_op() && "log_write outside a transaction");
   // The journal owns this dirty buffer until the commit installs it:
   // background writeback must not land it on media ahead of the commit
   // record (the group-commit WAL invariant).
@@ -120,40 +89,11 @@ void Log::log_write(SuperBlockCap& sb, const BufferHeadHandle& bh) {
 }
 
 Err Log::end_op(SuperBlockCap& sb) {
-  bento::SemGuard guard(lock_);
-  assert(outstanding_ > 0);
-  outstanding_ -= 1;
-  // Group commit: keep absorbing ops until the transaction is full (the
-  // block trigger keeps kMaxOpBlocks of headroom for the next op) or old.
-  // fsync (force_commit) still commits immediately.
-  if (outstanding_ == 0 && !jnl_.empty()) {
-    const bool full = jnl_.close_op(
-        opts_.max_log_batch,
-        blk::commit_threshold(kLogSize - kMaxOpBlocks, sb.stripe_width()));
-    if (full || sim::now() - txn_start_ >= kCommitAge) return commit(sb);
-  }
-  return Err::Ok;
+  return jnl_.end_op(sb.stripe_width(), [&] { return commit(sb); });
 }
 
 Err Log::force_commit(SuperBlockCap& sb) {
-  lock_.acquire();
-  // fsync's durability claim covers the pooled transaction, and pooled
-  // blocks are journal-pinned (invisible to flush_all's writeback), so
-  // the commit below is the ONLY thing that can persist them: wait for
-  // any open ops to close first rather than returning with data pinned
-  // in memory (xv6 sleeps here too).
-  while (outstanding_ > 0) {
-    lock_.release();
-    sim::current().wait_until(sim::now() + sim::usec(10));
-    lock_.acquire();
-  }
-  if (jnl_.aborted()) {
-    lock_.release();
-    return Err::Io;
-  }
-  const Err e = jnl_.force(io(sb), [&] { return commit(sb); });
-  lock_.release();
-  return e;
+  return jnl_.force(io(sb), [&] { return commit(sb); });
 }
 
 Err Log::commit(SuperBlockCap& sb) {
@@ -161,7 +101,8 @@ Err Log::commit(SuperBlockCap& sb) {
   if (jnl_.empty()) return Err::Ok;
   assert(held_.size() == jnl_.size());
   const LogIo io = this->io(sb);
-  jnl_.begin_commit(io, txn_seq_);
+  const std::uint64_t txn = jnl_.txn();
+  jnl_.begin_commit(io, txn);
   const std::vector<std::uint32_t>& pending = jnl_.blocks();
   const auto n = static_cast<std::uint32_t>(pending.size());
   std::vector<BufferHeadHandle*> bufs;
@@ -177,7 +118,7 @@ Err Log::commit(SuperBlockCap& sb) {
   // transaction; its buffers go with it (they stay journal-pinned).
   auto stage = [&](blk::TraceEv ev, std::uint32_t nblocks,
                    const WriteTicket& t) {
-    if (jnl_.stage(io, ev, txn_seq_, nblocks, tickets, t)) return true;
+    if (jnl_.stage(io, ev, txn, nblocks, tickets, t)) return true;
     held_.clear();
     return false;
   };
@@ -214,7 +155,7 @@ Err Log::commit(SuperBlockCap& sb) {
   for (BufferHeadHandle* bh : bufs) bh->set_dirty();
   // Under a plug the install ticket is synthetic (done = 0); the real
   // completion rides the unplug ticket, recorded below instead.
-  jnl_.stage(io, blk::TraceEv::JCheckpoint, txn_seq_, n, tickets,
+  jnl_.stage(io, blk::TraceEv::JCheckpoint, txn, n, tickets,
              sb.sync_batch_async(bufs));
   if (plugged) {
     tickets.push_back(sb.unplug());

@@ -14,7 +14,7 @@
 // journal aborts, and at mount, upgrade and unmount.
 //
 // Two throughput mechanisms sit on top of the base protocol (both jbd2
-// techniques; see ISSUE 5 / ARCHITECTURE.md write path):
+// techniques; see ARCHITECTURE.md write path):
 //
 //   Group commit — end_op does not commit the moment the op count
 //   drains. Ops accumulate into one running transaction, sized like a
@@ -26,7 +26,9 @@
 //   ("nogroup" is N = 1) also commits after N closed ops. While blocks
 //   are pending they are PINNED in the buffer cache (BufferHead::jdirty),
 //   so background writeback cannot put unjournaled state on media ahead
-//   of the commit record.
+//   of the commit record. This policy (admission, commit trigger and the
+//   force's wait for open ops) is blk::OpJournal, which the C baseline
+//   (xv6fs_c/xv6c.h) runs too; this file supplies the commit itself.
 //
 //   Pipelined commit — the commit's writes (log run, header, install,
 //   clear) are submitted on async tickets held by the journal engine's
@@ -92,9 +94,8 @@ struct LogIo {
 
 class Log {
  public:
-  /// jbd2's default commit interval: an op that closes on a running
-  /// transaction at least this old commits it.
-  static constexpr sim::Nanos kCommitAge = 5 * sim::kSecond;
+  using Journal = blk::OpJournal<LogIo>;
+  static constexpr sim::Nanos kCommitAge = Journal::kCommitAge;
 
   Log() = default;
   Log(const Log&) = delete;
@@ -173,14 +174,8 @@ class Log {
   std::uint32_t logstart_ = 0;  // the header block; the log run follows
   Durability durability_ = Durability::Relaxed;
   blk::MountOpts opts_;
-  bento::Semaphore lock_;
-  int outstanding_ = 0;
-  /// Transaction sequence for the TO/TC/JW/JR/JK tracepoints; bumped when
-  /// a fresh batch opens in begin_op, which stamps its start time.
-  std::uint64_t txn_seq_ = 0;
-  sim::Nanos txn_start_ = 0;
   LogStats stats_;
-  blk::Journal<LogIo> jnl_{stats_};
+  Journal jnl_{stats_, kLogSize, kMaxOpBlocks};
   /// One reference per tagged block, in jnl_.blocks() order (jbd2's
   /// journal_head list). Empty after an abort: an aborted journal never
   /// commits, so it holds nothing.

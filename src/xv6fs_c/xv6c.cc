@@ -31,134 +31,129 @@ using xv6::kNIndirect;
 using xv6::LogHeader;
 
 namespace {
-/// Ops per commit when the mount sets no max_log_batch. The Bento port
-/// sizes its transactions by log space instead; the C baseline commits
-/// synchronously inside ->writepage, where a bigger transaction stalls
-/// the flusher for longer.
-constexpr std::size_t kDefaultLogBatch = 8;
 constexpr std::uint16_t kFree = static_cast<std::uint16_t>(InodeKind::Free);
 constexpr std::uint16_t kDir = static_cast<std::uint16_t>(InodeKind::Dir);
 constexpr std::uint16_t kFile = static_cast<std::uint16_t>(InodeKind::File);
 }  // namespace
 
 // ---- log ----
+//
+// When an op starts and when a transaction commits is blk::OpJournal's,
+// shared with the Bento port; what a commit writes is below.
 
 void Xv6cMount::log_begin() {
-  // xv6's log-space reservation (group-commit-safe): admission needs
-  // headroom for every open op's worst case. With none outstanding the
-  // pooled batch can be committed to make space; otherwise wait for the
-  // open ops to close (xv6 sleeps on the log).
-  log_lock_.lock();
-  while (log_txn_.size() +
-             (static_cast<std::size_t>(log_outstanding_) + 1) * kMaxOpBlocks >
-         kLogSize) {
-    if (log_outstanding_ == 0) {
-      (void)log_commit();
-    } else {
-      log_lock_.unlock();
-      sim::current().wait_until(sim::now() + sim::usec(10));
-      log_lock_.lock();
-    }
-  }
-  log_outstanding_ += 1;
-  log_lock_.unlock();
+  jnl_.begin_op(io(), [&] { return log_commit(); });
 }
 
 void Xv6cMount::log_write(std::uint64_t blockno) {
+  assert(jnl_.in_op() && "log_write outside a transaction");
   const auto b = static_cast<std::uint32_t>(blockno);
   // The journal owns the dirty buffer until its commit installs it:
   // background writeback must not land it ahead of the commit record
   // (essential once group commit leaves blocks pending across ops).
   sb_->bufcache().pin_journal(blockno, true);
-  if (log_txn_.tag(b)) assert(log_txn_.size() <= kLogSize);
+  if (jnl_.tag(b)) assert(jnl_.size() <= kLogSize);
 }
 
 Err Xv6cMount::log_end() {
-  log_lock_.lock();
-  log_outstanding_ -= 1;
-  Err e = Err::Ok;
-  // Group commit (the one write-path technique the C baseline shares
-  // with the Bento port, without the stripe alignment): absorb ops until
-  // the batch or block threshold; fsync/sync force via log_force().
-  if (log_outstanding_ == 0 && !log_txn_.empty() &&
-      log_txn_.close_op(opts_.max_log_batch != 0 ? opts_.max_log_batch
-                                                 : kDefaultLogBatch,
-                        kLogSize - kMaxOpBlocks)) {
-    e = log_commit();
-  }
-  log_lock_.unlock();
-  return e;
+  return jnl_.end_op(sb_->bdev().stripe_width_blocks(),
+                     [&] { return log_commit(); });
 }
 
 Err Xv6cMount::log_force() {
-  log_lock_.lock();
-  // Pooled blocks are journal-pinned (sync_all skips them), so this
-  // commit is the only path that persists them: wait for open ops to
-  // close instead of returning with the fsync'd data still in memory.
-  while (log_outstanding_ > 0) {
-    log_lock_.unlock();
-    sim::current().wait_until(sim::now() + sim::usec(10));
-    log_lock_.lock();
-  }
-  Err e = Err::Ok;
-  if (!log_txn_.empty()) e = log_commit();
-  log_lock_.unlock();
-  return e;
+  return jnl_.force(io(), [&] { return log_commit(); });
 }
 
-Err Xv6cMount::log_header_write(const LogHeader& h) {
+Result<blk::Ticket> Xv6cMount::log_header_write(const LogHeader& h) {
   auto& bc = sb_->bufcache();
   auto bh = bc.getblk(dsb_.logstart);
   if (!bh.ok()) return bh.error();
   std::memcpy(bh.value()->bytes().data(), &h, sizeof(h));
   bc.mark_dirty(bh.value());
-  bc.sync_dirty_buffer(bh.value());
+  const blk::Ticket t = bc.sync_dirty_buffers_async({&bh.value(), 1});
   bc.brelse(bh.value());
-  return Err::Ok;
+  return t;
 }
 
 Err Xv6cMount::log_commit() {
+  if (jnl_.aborted()) return Err::Io;
+  if (jnl_.empty()) return Err::Ok;
   auto& bc = sb_->bufcache();
-  const std::vector<std::uint32_t>& pending = log_txn_.blocks();
+  const CLogIo io = this->io();
+  const std::uint64_t txn = jnl_.txn();
+  jnl_.begin_commit(io, txn);
+  const std::vector<std::uint32_t>& pending = jnl_.blocks();
+  const auto n = static_cast<std::uint32_t>(pending.size());
   // Read each logged buffer once: its log copy is written straight from
   // it (the log area never enters the cache), and the install reuses it.
   std::vector<BufferHead*> bufs;
-  bufs.reserve(pending.size());
+  bufs.reserve(n);
   const auto release = [&] {
     for (BufferHead* bh : bufs) bc.brelse(bh);
+    bufs.clear();
+  };
+  std::vector<blk::Ticket> tickets;
+  const auto fail = [&](Err e) {
+    release();
+    jnl_.redeem(io, tickets);
+    return e;
   };
   for (const std::uint32_t blockno : pending) {
     auto bh = bc.bread(blockno);
-    if (!bh.ok()) {
-      release();
-      return bh.error();
-    }
+    if (!bh.ok()) return fail(bh.error());
     bufs.push_back(bh.value());
   }
-  // Copy to the log area, one synchronous write per block.
-  for (std::size_t i = 0; i < bufs.size(); ++i) {
-    const std::span<const std::byte> src = bufs[i]->bytes();
-    bc.wait(bc.write_run(dsb_.logstart + 1 + i, {&src, 1}));
-  }
-  // Commit record.
-  LogHeader h;
-  h.n = static_cast<std::uint32_t>(pending.size());
-  std::copy(pending.begin(), pending.end(), h.blocks);
-  if (const Err e = log_header_write(h); e != Err::Ok) {
+  // A failed journal write aborts the journal, which drops the running
+  // transaction; its blocks stay journal-pinned.
+  const auto stage = [&](blk::TraceEv ev, std::uint32_t nblocks,
+                         const blk::Ticket& t) {
+    if (jnl_.stage(io, ev, txn, nblocks, tickets, t)) return true;
     release();
-    return e;
+    return false;
+  };
+
+  // 1. The log run: one async batch straight from the buffers.
+  {
+    std::vector<std::span<const std::byte>> run;
+    run.reserve(n);
+    for (BufferHead* bh : bufs) run.push_back(bh->bytes());
+    if (!stage(blk::TraceEv::JLogWrite, n,
+               bc.write_run(dsb_.logstart + 1, run))) {
+      return Err::Io;  // aborted: the commit record is never issued
+    }
   }
-  // Install home locations.
-  for (BufferHead* bh : bufs) {
-    bc.mark_dirty(bh);
-    bc.sync_dirty_buffer(bh);
+  // 2. Commit record, after the log run in submission (= media) order.
+  LogHeader h;
+  h.n = n;
+  std::copy(pending.begin(), pending.end(), h.blocks);
+  {
+    auto rec = log_header_write(h);
+    if (!rec.ok()) return fail(rec.error());
+    if (!stage(blk::TraceEv::JCommitRecord, 1, rec.value())) return Err::Io;
+  }
+  // 3. Install the buffers to their home locations under one plug (the
+  //    plugged ticket is synthetic; the unplug ticket carries the
+  //    completion).
+  if (opts_.plug) bc.plug();
+  for (BufferHead* bh : bufs) bc.mark_dirty(bh);
+  jnl_.stage(io, blk::TraceEv::JCheckpoint, txn, n, tickets,
+             bc.sync_dirty_buffers_async(bufs));
+  if (opts_.plug) {
+    tickets.push_back(bc.unplug());
+    jnl_.latency(blk::TraceEv::JCheckpoint, tickets.back());
   }
   release();
-  // Clear.
-  BSIM_TRY(log_header_write(LogHeader{}));
+  // 4. Clear the header once the install's plug has closed, so that it
+  //    reaches media after every home write.
+  {
+    auto clear = log_header_write(LogHeader{});
+    if (!clear.ok()) return fail(clear.error());
+    tickets.push_back(clear.value());
+  }
   log_stats_.commits += 1;
-  log_stats_.blocks_logged += pending.size();
-  log_txn_.committed();
+  log_stats_.blocks_logged += n;
+  jnl_.close();
+  jnl_.retire(io, std::move(tickets));
   return Err::Ok;
 }
 
@@ -190,7 +185,13 @@ Err Xv6cMount::log_recover() {
   }
   // Commits write the log area behind the cache: drop what replay read.
   bc.invalidate(dsb_.logstart + 1, h.n);
-  return log_header_write(LogHeader{});
+  auto clear = log_header_write(LogHeader{});
+  if (!clear.ok()) return clear.error();
+  bc.wait(clear.value());
+  // Replayed state sits in the volatile device cache; make sure the first
+  // fsync does not skip its barrier.
+  jnl_.mark_dirty();
+  return Err::Ok;
 }
 
 // ---- mount ----
@@ -1005,8 +1006,7 @@ Result<std::uint64_t> Xv6cMount::write(kern::Inode& inode, kern::FileHandle&,
 Err Xv6cMount::fsync(kern::Inode& inode, kern::FileHandle&, bool) {
   BSIM_TRY(kern::generic_writeback(inode));
   BSIM_TRY(log_force());  // group commit may have left ops pending
-  sb_->bufcache().sync_all();
-  sb_->bufcache().issue_flush();
+  jnl_.barrier(io());
   return Err::Ok;
 }
 
@@ -1051,8 +1051,7 @@ Err Xv6cMount::readdir(kern::Inode& inode, std::uint64_t& pos,
 
 Err Xv6cMount::sync_fs(kern::SuperBlock&, bool) {
   BSIM_TRY(log_force());
-  sb_->bufcache().sync_all();
-  sb_->bufcache().issue_flush();
+  jnl_.barrier(io());
   return Err::Ok;
 }
 
@@ -1068,8 +1067,7 @@ Err Xv6cMount::statfs(kern::SuperBlock&, kern::StatFs& out) {
 
 void Xv6cMount::put_super(kern::SuperBlock&) {
   (void)log_force();  // commit the group-commit tail before unmount
-  sb_->bufcache().sync_all();
-  sb_->bufcache().issue_flush();
+  io().flush();
 }
 
 Xv6cMount::~Xv6cMount() {

@@ -9,8 +9,14 @@
 //     bread/brelse pair here is a bug opportunity the Bento version
 //     structurally cannot have — see the bug study in src/bugs.)
 //   - Writeback uses the single-page ->writepage path, not ->writepages;
-//     each flushed page is its own log transaction. This is why Bento wins
+//     each flushed page is its own log operation. This is why Bento wins
 //     on large writes and untar (§6.5.2, §6.6.3).
+//   - Its recovery, block map, allocators and directories are its own.
+// The log is not a difference: as in the Bento port, blk::OpJournal
+// decides when an op starts and when a transaction commits (by log space,
+// age or the mount's max_log_batch), and a commit stages its log run,
+// commit record, install and header clear through the journal engine's
+// pipeline (blockdev/journal.h). fsync is the engine's force + barrier.
 // On-disk format is identical to src/xv6fs (both are "the xv6 file
 // system"), so images are interchangeable between the two.
 #pragma once
@@ -28,6 +34,7 @@ namespace bsim::xv6c {
 struct CLogStats : blk::JournalCounters {
   std::uint64_t commits = 0;
   std::uint64_t blocks_logged = 0;
+  std::uint64_t log_aborted = 0;  // journal aborts (failed journal write)
 };
 
 /// Mount-level state: what the "xv6_vfs" fill_super returns, owned by the
@@ -37,17 +44,23 @@ class Xv6cMount final : public kern::InodeOps,
                         public kern::SuperOps,
                         public kern::AddressSpaceOps {
  public:
-  /// Group-commit tuning comes from `opts` (max_log_batch, default 8);
-  /// the C baseline keeps its synchronous per-buffer commit path, so
-  /// pipelining is a Bento-side thing.
+  /// The log's tuning comes from `opts`: max_log_batch (an op cap on
+  /// group commit), pipeline ("nopipeline") and plug ("noplug", the
+  /// install plug), as on the Bento port.
   Xv6cMount(kern::SuperBlock& sb, const blk::MountOpts& opts)
-      : sb_(&sb), opts_(opts) {}
+      : sb_(&sb), opts_(opts) {
+    jnl_.reset(opts);
+  }
   /// Frees the C-style per-inode state of every inode still cached.
   ~Xv6cMount() override;
 
   kern::Err mount_init();
 
   [[nodiscard]] const CLogStats& log_stats() const { return log_stats_; }
+  /// Commits whose transfers are still outstanding (tests/diagnostics).
+  [[nodiscard]] std::size_t inflight_commits() const {
+    return jnl_.inflight();
+  }
 
   // InodeOps
   kern::Result<kern::Inode*> lookup(kern::Inode& dir,
@@ -95,16 +108,37 @@ class Xv6cMount final : public kern::InodeOps,
     xv6::Dinode d;
   };
 
-  // xv6-style log, open-coded over the buffer cache.
+  // xv6-style log over the buffer cache; its policy is blk::OpJournal's.
+  /// The journal engine's binding to the buffer cache.
+  struct CLogIo {
+    using Ticket = blk::Ticket;
+    Xv6cMount& m;
+
+    static const blk::Ticket& bio(const Ticket& t) { return t; }
+    void wait(const Ticket& t) const { m.sb_->bufcache().wait(t); }
+    void trace(blk::TraceEv ev, std::uint64_t txn, std::uint32_t n) const {
+      m.sb_->bdev().trace_event(ev, txn, 0, n, blk::TraceOp::Journal);
+    }
+    void on_abort() const {
+      m.log_stats_.log_aborted += 1;
+      m.sb_->fs_error(kern::Err::Io);
+    }
+    void flush() const {
+      m.sb_->bufcache().sync_all();
+      m.sb_->bufcache().issue_flush();
+    }
+  };
+  CLogIo io() { return {*this}; }
   void log_begin();
   void log_write(std::uint64_t blockno);
   kern::Err log_end();
-  /// Commit anything pending regardless of the group-commit batch (the
-  /// fsync / sync / unmount barrier).
+  /// Commit anything pending regardless of the group-commit batch and
+  /// drain the pipeline (the fsync / sync / unmount commit step).
   kern::Err log_force();
   kern::Err log_commit();
   kern::Err log_recover();
-  kern::Err log_header_write(const xv6::LogHeader& h);
+  /// Write the log header (commit record or clear) as an async batch.
+  kern::Result<blk::Ticket> log_header_write(const xv6::LogHeader& h);
 
   kern::Err read_dsb();
   /// Log dsb_ as block 1 in the open op.
@@ -145,13 +179,11 @@ class Xv6cMount final : public kern::InodeOps,
 
   kern::SuperBlock* sb_;
   xv6::DiskSuperblock dsb_;
-  sim::SimMutex log_lock_;      // the log serializes transactions
   sim::SimMutex alloc_lock_;    // §6.1 allocation locks
-  int log_outstanding_ = 0;
   bool evict_in_op_ = false;    // set by iput_in_op for evict_inode
   const blk::MountOpts opts_;
   CLogStats log_stats_;
-  blk::RunningTxn log_txn_{log_stats_};
+  blk::OpJournal<CLogIo> jnl_{log_stats_, xv6::kLogSize, xv6::kMaxOpBlocks};
   std::uint64_t free_blocks_ = 0;
   std::uint64_t free_inodes_ = 0;
   std::uint32_t balloc_hint_ = 0;

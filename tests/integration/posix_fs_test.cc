@@ -941,6 +941,41 @@ TEST_P(Xv6FullImageTest, CreateAndMkdirFailingWithNoSpcLeakNothing) {
   EXPECT_TRUE(report.ok) << report.summary();
 }
 
+/// Log commits on the C baseline after 64 unsynced creates on a fresh
+/// mount with `opts`.
+std::uint64_t xv6c_commits_after_creates(std::string_view opts) {
+  sim::SimThread thread(0);
+  sim::ScopedThread in(thread);
+  kern::Kernel kernel;
+  blk::DeviceParams params;
+  params.nblocks = 32768;
+  auto& dev = kernel.add_device("ssd0", params);
+  xv6::mkfs(dev, /*ninodes=*/4096);
+  wl::register_deployments(kernel);
+  EXPECT_EQ(Err::Ok, kernel.mount("xv6_vfs", "ssd0", "/mnt", opts));
+  auto& p = kernel.proc();
+  for (int i = 0; i < 64; ++i) {
+    auto fd = kernel.open(p, "/mnt/f" + std::to_string(i),
+                          kern::kOCreat | kern::kOWrOnly);
+    EXPECT_TRUE(fd.ok()) << i;
+    if (fd.ok()) EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
+  }
+  const std::uint64_t commits =
+      kernel.sb_at("/mnt")->fs<xv6c::Xv6cMount>()->log_stats().commits;
+  EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
+  auto report = xv6::fsck(dev);
+  EXPECT_TRUE(report.ok) << report.summary();
+  return commits;
+}
+
+TEST(Xv6cGroupCommit, CommitsByLogSpaceUnlessTheMountCapsOps) {
+  // The C baseline runs the Bento port's commit policy: 64 creates fill a
+  // few blocks of the log, far short of the commit threshold, so nothing
+  // commits before an fsync. An explicit op cap commits every 8 creates.
+  EXPECT_EQ(xv6c_commits_after_creates(""), 0u);
+  EXPECT_EQ(xv6c_commits_after_creates("max_log_batch=8"), 8u);
+}
+
 TEST(Xv6cNestedOp, RmdirEvictsInsideItsOpOnANearlyFullLog) {
   // An rmdir that drops the last reference evicts the directory inside its
   // own op. With the running transaction past kLogSize - 2 * kMaxOpBlocks

@@ -71,8 +71,8 @@ struct Bed {
   std::uint64_t journal_block = 0;
 };
 
-/// A kernel with a device formatted for `fs` ("xv6_bento" or "ext4j")
-/// and mounted at /mnt.
+/// A kernel with a device formatted for `fs` ("xv6_bento", "xv6_vfs" or
+/// "ext4j") and mounted at /mnt.
 void make_bed(Bed& bed, std::string_view opts = "",
               std::string_view fs = "xv6_bento") {
   blk::DeviceParams params;
@@ -101,6 +101,10 @@ JournalState journal_state(kern::Kernel& kernel) {
   if (sb->fs_name == "ext4j") {
     const auto* mnt = sb->fs<ext4::Ext4Mount>();
     return {mnt->journal_stats().jbd_aborted, mnt->inflight_commits()};
+  }
+  if (sb->fs_name == "xv6_vfs") {
+    const auto* mnt = sb->fs<xv6c::Xv6cMount>();
+    return {mnt->log_stats().log_aborted, mnt->inflight_commits()};
   }
   const auto& fs = static_cast<const xv6::Xv6FileSystem&>(
       bento::BentoModule::from(*sb)->fs());
@@ -155,8 +159,9 @@ TEST(WritebackErrseq, BackgroundFailureReportedOncePerDescriptor) {
   EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
 }
 
-/// Journal abort on each journaled file system: the xv6 log on Bento and
-/// ext4's jbd share one commit engine, so one failure behaviour.
+/// Journal abort on each journaled file system: the xv6 log on Bento, the
+/// C baseline's xv6 log and ext4's jbd share one commit engine, so one
+/// failure behaviour.
 class JournalAbort : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(JournalAbort, FailedJournalWriteFlipsMountReadOnly) {
@@ -278,7 +283,7 @@ TEST_P(JournalAbort, AbortOutsideFsyncLeavesNothingInFlight) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Fs, JournalAbort,
-                         ::testing::Values("xv6_bento", "ext4j"),
+                         ::testing::Values("xv6_bento", "xv6_vfs", "ext4j"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
