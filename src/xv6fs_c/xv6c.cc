@@ -1174,8 +1174,18 @@ kern::Result<std::unique_ptr<kern::SuperOps>> fill_super(
     w.field("struct", "CLogStats");
     w.field("commits", s.commits);
     w.field("blocks_logged", s.blocks_logged);
+    w.field("absorbed", s.absorbed);
     w.field("ops_committed", s.ops_committed);
     w.field("group_commits", s.group_commits);
+    w.field("pipelined_commits", s.pipelined_commits);
+    w.field("empty_commits_skipped", s.empty_commits_skipped);
+    w.field("flushes_skipped", s.flushes_skipped);
+    w.field("slot_waits", s.slot_waits);
+    w.field("slot_wait_ns", s.slot_wait_ns);
+    w.field("log_aborted", s.log_aborted);
+    sim::dump_histogram(w, "logwrite_lat", s.write_lat);
+    sim::dump_histogram(w, "record_lat", s.record_lat);
+    sim::dump_histogram(w, "checkpoint_lat", s.checkpoint_lat);
     w.end_object();
   });
   return std::unique_ptr<kern::SuperOps>(std::move(mnt));
