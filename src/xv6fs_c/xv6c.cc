@@ -134,14 +134,12 @@ Err Xv6cMount::log_commit() {
   // 3. Install the buffers to their home locations under one plug (the
   //    plugged ticket is synthetic; the unplug ticket carries the
   //    completion).
-  if (opts_.plug) bc.plug();
+  bc.plug();
   for (BufferHead* bh : bufs) bc.mark_dirty(bh);
   jnl_.stage(io, blk::TraceEv::JCheckpoint, txn, n, tickets,
              bc.sync_dirty_buffers_async(bufs));
-  if (opts_.plug) {
-    tickets.push_back(bc.unplug());
-    jnl_.latency(blk::TraceEv::JCheckpoint, tickets.back());
-  }
+  tickets.push_back(bc.unplug());
+  jnl_.latency(blk::TraceEv::JCheckpoint, tickets.back());
   release();
   // 4. Clear the header once the install's plug has closed, so that it
   //    reaches media after every home write.

@@ -9,8 +9,11 @@
 //     bread/brelse pair here is a bug opportunity the Bento version
 //     structurally cannot have — see the bug study in src/bugs.)
 //   - Writeback uses the single-page ->writepage path, not ->writepages;
-//     each flushed page is its own log operation. This is why Bento wins
-//     on large writes and untar (§6.5.2, §6.6.3).
+//     each flushed page is its own log operation. Group commit batches
+//     those ops by log space, so the per-page cost is CPU, not I/O: on
+//     fig 4's seq and 32/128 KB rows and Table 5 the two are level, and
+//     the rows that still differ from the paper (rnd 1024 KB, Table 4 at
+//     32 threads, fileserver, untar) are ROADMAP item 11.
 //   - Its recovery, block map, allocators and directories are its own.
 // The log is not a difference: as in the Bento port, blk::OpJournal
 // decides when an op starts and when a transaction commits (by log space,
@@ -45,10 +48,9 @@ class Xv6cMount final : public kern::InodeOps,
                         public kern::AddressSpaceOps {
  public:
   /// The log's tuning comes from `opts`: max_log_batch (an op cap on
-  /// group commit), pipeline ("nopipeline") and plug ("noplug", the
-  /// install plug), as on the Bento port.
+  /// group commit) and pipeline ("nopipeline"), as on the Bento port.
   Xv6cMount(kern::SuperBlock& sb, const blk::MountOpts& opts)
-      : sb_(&sb), opts_(opts) {
+      : sb_(&sb) {
     jnl_.reset(opts);
   }
   /// Frees the C-style per-inode state of every inode still cached.
@@ -181,7 +183,6 @@ class Xv6cMount final : public kern::InodeOps,
   xv6::DiskSuperblock dsb_;
   sim::SimMutex alloc_lock_;    // §6.1 allocation locks
   bool evict_in_op_ = false;    // set by iput_in_op for evict_inode
-  const blk::MountOpts opts_;
   CLogStats log_stats_;
   blk::OpJournal<CLogIo> jnl_{log_stats_, xv6::kLogSize, xv6::kMaxOpBlocks};
   std::uint64_t free_blocks_ = 0;
