@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -10,11 +11,18 @@
 
 namespace bsim::sim {
 
-/// Log-bucketed latency histogram over virtual nanoseconds.
-/// Buckets are powers of two from 1ns up to ~17 minutes.
+/// Log-linear latency histogram over virtual nanoseconds
+/// (HdrHistogram-style). Values below 2 * kSub ns each have their own
+/// bucket; above that every octave [2^e, 2^(e+1)) is split into kSub
+/// equal sub-buckets, up to ~18 minutes. A quantile is the upper bound
+/// of its sub-bucket, so it is never below the exact nearest-rank
+/// value and at most 1/kSub (3.1%) above it: half the trend gate's 10%.
 class LatencyHistogram {
  public:
-  static constexpr int kBuckets = 40;
+  static constexpr int kSubBits = 5;
+  static constexpr int kSub = 1 << kSubBits;
+  static constexpr int kOctaves = 40;  // values >= 2^40 ns share the last bucket
+  static constexpr int kBuckets = 2 * kSub + (kOctaves - kSubBits - 1) * kSub;
 
   void record(Nanos v) {
     if (v < 0) v = 0;
@@ -32,7 +40,7 @@ class LatencyHistogram {
     return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
   }
 
-  /// Approximate quantile: the upper bound of the bucket containing it,
+  /// Nearest-rank quantile, rounded up to its bucket's upper bound and
   /// clamped to [min, max] so no quantile reports a value never seen
   /// beyond the extremes.
   [[nodiscard]] Nanos quantile(double q) const {
@@ -41,7 +49,7 @@ class LatencyHistogram {
     std::uint64_t seen = 0;
     for (int i = 0; i < kBuckets; ++i) {
       seen += buckets_[i];
-      if (seen > target) return std::clamp(Nanos{1} << i, min_, max_);
+      if (seen > target) return std::clamp(upper_bound(i), min_, max_);
     }
     return max_;
   }
@@ -58,9 +66,20 @@ class LatencyHistogram {
 
  private:
   static int bucket_for(Nanos v) {
-    int b = 0;
-    while (b < kBuckets - 1 && (Nanos{1} << b) < v) ++b;
-    return b;
+    if (v < 2 * kSub) return static_cast<int>(v);
+    const int e = std::bit_width(static_cast<std::uint64_t>(v)) - 1;
+    if (e >= kOctaves) return kBuckets - 1;
+    const int shift = e - kSubBits;
+    return 2 * kSub + (e - kSubBits - 1) * kSub +
+           static_cast<int>((v >> shift) - kSub);
+  }
+
+  static Nanos upper_bound(int i) {
+    if (i < 2 * kSub) return i;
+    const int octave = (i - 2 * kSub) / kSub;  // 0 for [2 * kSub, 4 * kSub)
+    const int sub = (i - 2 * kSub) % kSub;
+    const int shift = octave + 1;
+    return ((Nanos{kSub + sub + 1}) << shift) - 1;
   }
 
   std::array<std::uint64_t, kBuckets> buckets_{};

@@ -2,6 +2,9 @@
 // deterministic RNG, histogram, and the multi-thread runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/cost_model.h"
 #include "sim/rng.h"
 #include "sim/runner.h"
@@ -238,7 +241,7 @@ TEST(LatencyHistogram, MeanMinMaxQuantiles) {
 TEST(LatencyHistogram, QuantilesStayWithinObservedRange) {
   // Property: on any sample, min <= p50 <= p99 <= p99.9 <= max. The
   // bucket upper bound alone can exceed max (941.6 us lands in the
-  // 1048.6 us bucket).
+  // bucket that ends at 950.3 us).
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng(seed);
     LatencyHistogram h;
@@ -259,6 +262,32 @@ TEST(LatencyHistogram, QuantilesStayWithinObservedRange) {
   LatencyHistogram one;
   one.record(941'600);
   EXPECT_EQ(one.quantile(0.99), 941'600);
+}
+
+TEST(LatencyHistogram, QuantileIsWithinHalfTheTrendGateOfTheExactValue) {
+  // Property: a quantile is never below the exact nearest-rank value
+  // and at most 5% above it, half bench/trend.py's 10% gate, so a gated
+  // p50/p99 row moves only when the latency it reports moves.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    LatencyHistogram h;
+    std::vector<Nanos> vals;
+    const std::uint64_t n = rng.range(1, 2000);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      // Spread over many octaves, from exact buckets to seconds.
+      const auto v = static_cast<Nanos>(rng.below(std::uint64_t{1} << rng.range(1, 32)));
+      h.record(v);
+      vals.push_back(v);
+    }
+    std::sort(vals.begin(), vals.end());
+    for (double q : {0.5, 0.9, 0.99, 0.999}) {
+      const Nanos exact = vals[static_cast<std::size_t>(q * static_cast<double>(n))];
+      const Nanos got = h.quantile(q);
+      EXPECT_GE(got, exact) << "seed " << seed << " q " << q;
+      EXPECT_LE(static_cast<double>(got), static_cast<double>(exact) * 1.05)
+          << "seed " << seed << " q " << q;
+    }
+  }
 }
 
 TEST(LatencyHistogram, Merge) {
