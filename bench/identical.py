@@ -5,23 +5,24 @@ what they leave behind.
 The simulation runs in virtual time, so two builds that model the same
 thing produce the same bytes. This script runs every `bench_*` binary
 (BUILD/bench) and `example_*` binary (BUILD/examples) of each build, each
-in a working directory of its own, at most --jobs at once, and compares:
+in a working directory of its own, at most nproc at once, and compares:
 
   BENCH_*.json   row by row (series, label), with the relative change
   STATS_*.json   key by key (nested keys joined with '.')
   TRACE_*.jsonl  at the first differing event
-  example stdout line by line, with wall-clock lines masked
+  example stdout line by line (no example prints host time)
 
 It prints "identical", or the moved rows sorted by |change| and every
 other difference (a missing file, a trace or stdout that differs, an exit
 status), and then each binary's wall time on both sides. Exit status: 0
 identical, 1 different, 2 usage error.
 
-  identical.py BUILD_A BUILD_B [--out DIR] [--jobs N] [--only REGEX]
+  identical.py BUILD_A BUILD_B [--out DIR]
   identical.py --runs RUN_A RUN_B
 
---runs compares two output trees of an earlier run (OUT/a and OUT/b, one
-directory per binary) without running anything.
+The runs go to OUT/a and OUT/b, one directory per binary; --out must
+name a new or empty directory. --runs compares two such trees of an
+earlier run without running anything.
 """
 
 import argparse
@@ -30,15 +31,12 @@ import json
 import math
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
 import time
 
 ARTIFACT_RE = re.compile(r"^(BENCH_.*\.json|STATS_.*\.json|TRACE_.*\.jsonl)$")
-# Lines that report host time rather than virtual time.
-WALL_RE = re.compile(r"(?i)\b(wall|host)[ -]?(time|clock|seconds|s)?\b")
 STDOUT = "stdout.txt"
 META = "meta.json"
 
@@ -60,37 +58,30 @@ def binaries(build):
     return found
 
 
-def run_one(path, workdir, timeout):
+def run_one(path, workdir):
     """Run `path` in `workdir`; keep its stdout and its exit status and
     wall time in META."""
     os.makedirs(workdir, exist_ok=True)
     start = time.monotonic()
     with open(os.path.join(workdir, STDOUT), "w") as out:
-        try:
-            rc = subprocess.run([path], cwd=workdir, stdout=out,
-                                stderr=subprocess.DEVNULL,
-                                timeout=timeout).returncode
-        except subprocess.TimeoutExpired:
-            rc = "timeout"
+        rc = subprocess.run([path], cwd=workdir, stdout=out,
+                            stderr=subprocess.DEVNULL).returncode
     wall = time.monotonic() - start
     with open(os.path.join(workdir, META), "w") as f:
         json.dump({"returncode": rc, "wall_s": wall}, f)
     return rc
 
 
-def run_builds(build_a, build_b, out, jobs, only, timeout):
-    plan = []
-    for side, build in (("a", build_a), ("b", build_b)):
-        for name, path in binaries(build):
-            if only and not re.search(only, name):
-                continue
-            plan.append((name, side, path))
+def run_builds(build_a, build_b, out):
+    plan = [(name, side, path)
+            for side, build in (("a", build_a), ("b", build_b))
+            for name, path in binaries(build)]
     # Each binary's two runs go out next to each other, so their wall
     # times meet the same load.
     plan.sort(key=lambda p: (p[0], p[1]))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_one, path, os.path.join(out, side, name),
-                               timeout)
+    with concurrent.futures.ThreadPoolExecutor(
+            max_workers=os.cpu_count() or 1) as pool:
+        futures = [pool.submit(run_one, path, os.path.join(out, side, name))
                    for name, side, path in plan]
         for f in futures:
             f.result()
@@ -157,13 +148,9 @@ def first_difference(lines_a, lines_b):
     return None
 
 
-def read_lines(path, mask=False):
+def read_lines(path):
     with open(path, errors="replace") as f:
-        lines = f.read().splitlines()
-    if mask:
-        lines = ["<wall-clock line>" if WALL_RE.search(l) else l
-                 for l in lines]
-    return lines
+        return f.read().splitlines()
 
 
 def short(text, width=60):
@@ -217,7 +204,7 @@ def compare_runs(run_a, run_b):
         if name.startswith("example_"):
             pa, pb = os.path.join(da, STDOUT), os.path.join(db, STDOUT)
             if os.path.exists(pa) and os.path.exists(pb):
-                la, lb = read_lines(pa, True), read_lines(pb, True)
+                la, lb = read_lines(pa), read_lines(pb)
                 d = first_difference(la, lb)
                 if d:
                     n = sum(x != y for x, y in zip(la, lb)) + abs(
@@ -274,13 +261,9 @@ def main():
     ap.add_argument("b", help="build dir B (with --runs: run tree B)")
     ap.add_argument("--runs", action="store_true",
                     help="compare two existing run trees; run nothing")
-    ap.add_argument("--out", help="where the runs go (default: a new "
-                                  "temporary directory, kept)")
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="binaries run at once (default: nproc)")
-    ap.add_argument("--only", help="run only binaries matching this regex")
-    ap.add_argument("--timeout", type=float, default=3600,
-                    help="seconds before a binary is stopped")
+    ap.add_argument("--out", help="a new or empty directory for the runs "
+                                  "(default: a new temporary directory, "
+                                  "kept)")
     args = ap.parse_args()
 
     if args.runs:
@@ -292,12 +275,10 @@ def main():
                       file=sys.stderr)
                 return 2
         out = args.out or tempfile.mkdtemp(prefix="identical-")
-        if os.path.exists(os.path.join(out, "a")) or os.path.exists(
-                os.path.join(out, "b")):
-            shutil.rmtree(os.path.join(out, "a"), ignore_errors=True)
-            shutil.rmtree(os.path.join(out, "b"), ignore_errors=True)
-        run_a, run_b = run_builds(args.a, args.b, out, max(1, args.jobs),
-                                  args.only, args.timeout)
+        if os.path.isdir(out) and os.listdir(out):
+            print(f"--out {out} is not empty", file=sys.stderr)
+            return 2
+        run_a, run_b = run_builds(args.a, args.b, out)
         print(f"runs: {run_a} {run_b}")
     return report(*compare_runs(run_a, run_b))
 

@@ -4,12 +4,12 @@
 Fabricates run trees (one directory per binary, as identical.py leaves
 them) and checks that identical.py --runs reports:
 
-  1. "identical" for two equal trees, where an example's stdout differs
-     only in a wall-clock line and the wall times differ;
+  1. "identical" for two equal trees whose wall times differ;
   2. exactly one moved row, with its relative change, when one BENCH row
      moved;
   3. the missing file when one side lacks a STATS file;
-  4. the first differing event of a trace.
+  4. the first differing event of a trace;
+  5. the first differing line of an example's stdout.
 
 Run: test_identical.py [path/to/identical.py]. Exit 0 = all cases pass.
 """
@@ -31,7 +31,7 @@ def write(path, text):
 
 
 def make_tree(root, create=1000.0, stats=True, trace_op="W",
-              wall_line="wall time 1.20 s", wall_s=3.0):
+              virtual_line="virtual 1.237 ms", wall_s=3.0):
     bench = os.path.join(root, "bench_table4_create")
     write(os.path.join(bench, "BENCH_table4_create.json"), json.dumps({
         "bench": "table4_create", "schema_version": 2, "unit": "creates/s",
@@ -49,7 +49,7 @@ def make_tree(root, create=1000.0, stats=True, trace_op="W",
           json.dumps({"returncode": 0, "wall_s": wall_s}))
     example = os.path.join(root, "example_quickstart")
     write(os.path.join(example, "stdout.txt"),
-          f"created 3 files\n{wall_line}\nvirtual 1.237 ms\n")
+          f"created 3 files\n{virtual_line}\n")
     write(os.path.join(example, "meta.json"),
           json.dumps({"returncode": 0, "wall_s": 0.1}))
 
@@ -72,7 +72,7 @@ def main():
         make_tree(a)
 
         same = os.path.join(tmp, "same")
-        make_tree(same, wall_line="wall time 9.87 s", wall_s=4.5)
+        make_tree(same, wall_s=4.5)
         rc, out = run(a, same)
         check(rc == 0 and out.splitlines()[0] == "identical",
               "1. equal trees must be identical", out)
@@ -101,6 +101,13 @@ def main():
         rc, out = run(a, traced)
         check(rc == 1 and "first differing event #1" in out,
               "4. a trace differs at its second event", out)
+
+        printed = os.path.join(tmp, "printed")
+        make_tree(printed, virtual_line="virtual 1.934 ms")
+        rc, out = run(a, printed)
+        check(rc == 1 and "example_quickstart/stdout: 1 line(s) differ, "
+              "first at line 2" in out,
+              "5. an example's stdout differs at its second line", out)
 
     for f in failures:
         print("FAIL:", f)
