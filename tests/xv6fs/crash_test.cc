@@ -539,26 +539,48 @@ INSTANTIATE_TEST_SUITE_P(SurvivalSweep, SurvivalDifferential,
 // program order (media effects land at submission), so for any kill
 // point the surviving image — and therefore recovery — must be
 // bit-identical to the unpipelined oracle ("-o nopipeline"), on plain,
-// striped, and mirrored mounts alike.
+// striped, and mirrored mounts alike, and on both xv6 commit paths: the
+// Bento port (xv6_strict) and the C baseline (xv6_vfs), which stage
+// their commits through the same journal engine.
+
+/// The mounted xv6 journal's pipeline: commits so far that returned
+/// with their transfers in flight, and commits in flight now.
+struct PipelineState {
+  std::uint64_t pipelined_commits = 0;
+  std::size_t inflight = 0;
+};
+
+PipelineState pipeline_state(kern::SuperBlock& sb) {
+  if (sb.fs_name == "xv6_vfs") {
+    const auto* mnt = sb.fs<xv6c::Xv6cMount>();
+    return {mnt->log_stats().pipelined_commits, mnt->inflight_commits()};
+  }
+  const auto& fs = static_cast<const xv6::Xv6FileSystem&>(
+      bento::BentoModule::from(sb)->fs());
+  return {fs.log_stats().pipelined_commits, fs.log().inflight_commits()};
+}
 
 /// Run the mixed fsync-density trace (or, with `burst`, a burst of
-/// namespace ops and no fsync) with the device set to die after
-/// `kill_point` write commands; return the surviving logical image.
-/// `obs` (optional) lets the sweep prove that commits overlapped.
+/// namespace ops and no fsync) on an `fs` mount with the device set to
+/// die after `kill_point` write commands; return the surviving logical
+/// image. `obs` (optional) lets the sweep prove that commits overlapped.
 std::unique_ptr<blk::BlockDevice> run_pipelined_trace(
-    DevKind kind, std::uint64_t kill_point, std::uint64_t seed,
-    std::string_view opts, PipelineObs* obs = nullptr, bool burst = false) {
+    const char* fs, DevKind kind, std::uint64_t kill_point,
+    std::uint64_t seed, std::string_view opts, PipelineObs* obs = nullptr,
+    bool burst = false) {
   kern::Kernel kernel;
   auto& dev = add_test_device(kernel, kind);
   xv6::mkfs(dev, /*ninodes=*/512);
+  wl::register_deployments(kernel);
   register_strict(kernel);
-  EXPECT_EQ(Err::Ok, kernel.mount("xv6_strict", "ssd0", "/mnt", opts));
+  EXPECT_EQ(Err::Ok, kernel.mount(fs, "ssd0", "/mnt", opts));
   dev.enable_crash_tracking();
   dev.kill_after(kill_point);
-  const auto& fs = static_cast<const xv6::Xv6FileSystem&>(
-      bento::BentoModule::from(*kernel.sb_at("/mnt"))->fs());
+  kern::SuperBlock& sb = *kernel.sb_at("/mnt");
   std::size_t peak = 0;
-  auto sample = [&] { peak = std::max(peak, fs.log().inflight_commits()); };
+  auto sample = [&] {
+    peak = std::max(peak, pipeline_state(sb).inflight);
+  };
 
   auto& p = kernel.proc();
   sim::Rng rng(seed);
@@ -599,7 +621,7 @@ std::unique_ptr<blk::BlockDevice> run_pipelined_trace(
     }
   }
   if (obs != nullptr) {
-    obs->pipelined_commits = fs.log_stats().pipelined_commits;
+    obs->pipelined_commits = pipeline_state(sb).pipelined_commits;
     obs->peak_inflight = peak;
   }
   sim::Rng crash_rng(seed + 77);
@@ -608,6 +630,7 @@ std::unique_ptr<blk::BlockDevice> run_pipelined_trace(
 }
 
 struct PipelinedCase {
+  const char* fs;
   DevKind kind;
   std::uint64_t kill_after;
   std::uint64_t seed;
@@ -618,19 +641,22 @@ class PipelinedTornDifferential
     : public ::testing::TestWithParam<PipelinedCase> {};
 
 TEST_P(PipelinedTornDifferential, RecoveryBitIdenticalToUnpipelinedOracle) {
-  const auto [kind, kill_point, seed, burst] = GetParam();
+  const auto [fs, kind, kill_point, seed, burst] = GetParam();
   sim::SimThread thread(0);
   sim::ScopedThread in(thread);
 
   // "-o noflusher" keeps writeback a pure function of the op trace (the
   // pipelined run and the oracle have different virtual-time behaviour,
   // which must not be allowed to move timer-driven wakes).
-  // The burst commits on an explicit 8-op cadence: a transaction sized
-  // by log space alone would hold the whole burst.
+  // Both traces commit on an explicit 8-op cadence. A transaction sized
+  // by log space alone would hold the whole burst, and on xv6_vfs the
+  // mixed trace would commit only at its fsyncs, each of which drains
+  // the pipeline, so no commit would overlap the next.
   PipelineObs obs;
-  const std::string opts = burst ? "noflusher,max_log_batch=8" : "noflusher";
-  auto piped = run_pipelined_trace(kind, kill_point, seed, opts, &obs, burst);
-  auto oracle = run_pipelined_trace(kind, kill_point, seed,
+  const std::string opts = "noflusher,max_log_batch=8";
+  auto piped =
+      run_pipelined_trace(fs, kind, kill_point, seed, opts, &obs, burst);
+  auto oracle = run_pipelined_trace(fs, kind, kill_point, seed,
                                     opts + ",nopipeline", nullptr, burst);
   EXPECT_GT(obs.pipelined_commits, 0u) << "trace never overlapped commits";
   if (burst) {
@@ -650,17 +676,21 @@ std::vector<PipelinedCase> pipelined_cases() {
   // Kill points spread so several land inside the overlap window of one
   // commit while the next transaction is filling (the trace issues
   // ~1500+ write commands; commits happen every ~3 files).
-  for (const DevKind kind :
-       {DevKind::Plain, DevKind::Striped4, DevKind::Mirror2}) {
-    for (std::uint64_t k : {9ULL, 47ULL, 150ULL, 430ULL, 900ULL}) {
-      cases.push_back({kind, k, 21ULL});
-    }
-    cases.push_back({kind, 260ULL, 22ULL});
-    // The burst trace first fills the pipeline near write command 24 and
-    // keeps it full until it ends near write command 60: k22 lands as the
-    // last commit that fills it goes out, the others while it is full.
-    for (std::uint64_t k : {22ULL, 27ULL, 33ULL, 41ULL, 52ULL}) {
-      cases.push_back({kind, k, 23ULL, /*burst=*/true});
+  for (const char* fs : {"xv6_strict", "xv6_vfs"}) {
+    for (const DevKind kind :
+         {DevKind::Plain, DevKind::Striped4, DevKind::Mirror2}) {
+      for (std::uint64_t k : {9ULL, 47ULL, 150ULL, 430ULL, 900ULL}) {
+        cases.push_back({fs, kind, k, 21ULL});
+      }
+      cases.push_back({fs, kind, 260ULL, 22ULL});
+      // The burst trace first fills the pipeline near write command 24
+      // and keeps it full until it ends near write command 60 (46 on
+      // xv6_vfs, whose burst commits fewer times): k22 lands as the last
+      // commit that fills it goes out, the others while it is full.
+      const bool vfs = std::string_view(fs) == "xv6_vfs";
+      for (std::uint64_t k : {22ULL, 27ULL, 33ULL, 41ULL, vfs ? 45ULL : 52ULL}) {
+        cases.push_back({fs, kind, k, 23ULL, /*burst=*/true});
+      }
     }
   }
   return cases;
@@ -674,7 +704,8 @@ INSTANTIATE_TEST_SUITE_P(CrashPointSweep, PipelinedTornDifferential,
                                : info.param.kind == DevKind::Striped4
                                    ? "striped4"
                                    : "mirror2";
-                           return std::string(kind) + "_k" +
+                           return std::string(info.param.fs) + "_" + kind +
+                                  "_k" +
                                   std::to_string(info.param.kill_after) +
                                   "_s" + std::to_string(info.param.seed) +
                                   (info.param.burst ? "_burst" : "");
@@ -686,7 +717,8 @@ TEST(PipelinedTornConsistency, DefaultMountRecoversAtEveryKillPoint) {
   for (const std::uint64_t k : {23ULL, 88ULL, 260ULL, 700ULL}) {
     sim::SimThread thread(0);
     sim::ScopedThread in(thread);
-    auto survivor = run_pipelined_trace(DevKind::Striped4, k, 21, "");
+    auto survivor =
+        run_pipelined_trace("xv6_strict", DevKind::Striped4, k, 21, "");
     (void)recover_image(*survivor);  // asserts mount + fsck internally
   }
 }
