@@ -4,12 +4,12 @@
 // "off"  mounts with -o noflusher: every threshold writeback runs on the
 //        writer's clock, exactly the pre-flusher behaviour.
 // "on"   is the default mount: a per-device flusher thread drains dirty
-//        pages/buffers in large elevator-sorted batches through the async
-//        request path, so the writer only pays the poke.
+//        pages through the file system's ->writepages on its own clock,
+//        so the writer only pays the poke.
 //
 // Expected shape: buffered-write throughput rises with the flusher on —
 // the writer no longer serializes on its own writeback and pipelines with
-// the drain inside the bounded max_backlog window — but stays device-
+// the drain inside the bounded kMaxBacklog window — but stays device-
 // bound at steady state (balance_dirty_pages-style throttling caps the
 // in-flight backlog). The FUSE row is unaffected (no flusher — its
 // collapse is the §6.4 transport).

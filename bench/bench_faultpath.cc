@@ -9,9 +9,9 @@
 // The schedule is tuned so every scheduled fault is healed by a retry
 // (backoff 200us > down window 50us): the bench FAILS its own run if no
 // retry succeeded, so CI notices when the retry path stops engaging.
-// The traces these runs dump contain requeue (R) events and retried
-// bios; CI uploads them as artifacts but does NOT run blkparse's
-// event-count cross-check over them.
+// The traces these runs dump contain requeue (R) events: a retried
+// command is traced as R instead of D, and CI's blkparse cross-check
+// compares D + R with the device's request count.
 #include "common.h"
 
 #include "blockdev/aggregate.h"
@@ -149,8 +149,8 @@ int main() {
     run.horizon = 30 * sim::kSecond;
     run.max_ops = 1'500;
     // Bounded retry heals every scheduled fault: the 200us backoff always
-    // clears the 50us down window. Trace ring armed for the artifact
-    // upload (retried bios — do not blkparse).
+    // clears the 50us down window. Trace ring armed for CI's blkparse
+    // cross-check and the artifact upload.
     run.mount_opts =
         join_opts({c.volume, "retries=4,retry_backoff_us=200,trace=200000"});
     run.stats_path = std::string("STATS_faultpath_") + c.name + ".json";

@@ -5,7 +5,7 @@ Input is the ring dump produced by blk::Tracer::dump_jsonl (armed with the
 "trace=N" mount option; benches write it via BenchRun::trace_path):
 
   line 1   {"type": "header", "schema": 1, "capacity": N, "devices": [...]}
-  ...      {"t": ns, "ev": "Q|P|U|M|D|C|X|F|TO|TC|JW|JR|JK", "dev": i,
+  ...      {"t": ns, "ev": "Q|M|D|C|R|X|F|TO|TC|JW|JR|JK", "dev": i,
             "id": n, ["parent": n,] "block": n, "n": n, "op": "R|W|F|J"}
   last     {"type": "trailer", "emitted": N, "dropped": N, "counts": [...]}
 
@@ -20,10 +20,12 @@ stream's invariants:
   - with --stats STATS.json (a Kernel::dump_stats snapshot), the
     trailer's exact per-device event counts — which survive ring
     overflow — are cross-checked against DeviceStats on every LEAF
-    device: D == read_requests + write_requests, M == merges,
-    F == flushes. (Volume slots route without dispatching, so they carry
-    Q/C but no D.) It also prints each parity volume's stripe-cache hit
-    rate: pre-images served without a read, out of all pre-images.
+    device: D + R == read_requests + write_requests (a command the
+    request queue reissues after a transient error is traced as R, not
+    D), M == merges, F == flushes. (Volume slots route without
+    dispatching, so they carry Q/C but no D.) It also prints each parity
+    volume's stripe-cache hit rate: pre-images served without a read,
+    out of all pre-images.
 
 Exit codes: 0 = ok, 1 = malformed input, 2 = invariant/stats mismatch.
 Stdlib only; no third-party dependencies.
@@ -158,7 +160,7 @@ def cross_check(trailer, stats_path):
             mismatches += 1
             continue
         pairs = [
-            ("D", c.get("D", 0),
+            ("D+R", c.get("D", 0) + c.get("R", 0),
              s["read_requests"] + s["write_requests"],
              "read_requests+write_requests"),
             ("M", c.get("M", 0), s["merges"], "merges"),

@@ -38,11 +38,11 @@ import sys
 # table is readable without the source.
 NOTES = {
     "writepath": (
-        "Write-path ablation (ISSUE 5): buffered sequential writes through "
+        "Write-path ablation: buffered sequential writes through "
         "xv6-on-Bento on 1/2/4/8-member RAID0 volumes. `Bento-seqwrite` is "
         "the full configuration (pipelined journal commits + cross-op group "
-        "commit + request-queue plugging); the `-nopipeline`/`-nogroup`/"
-        "`-noplug` series each disable one mechanism. `*-scaling` is the "
+        "commit); the `-nopipeline`/`-nogroup` series each disable one "
+        "mechanism. `*-scaling` is the "
         "8-member/1-member ratio (gate: >=2.5x full). The C-kernel rows "
         "track the per-page ->writepage path's journal commit count with "
         "group commit on vs off (gate: >=5x fewer)."

@@ -407,10 +407,7 @@ Result<std::unique_ptr<kern::SuperOps>> fill_super(const FsFactory& factory,
   auto module = std::make_unique<BentoModule>(sb, factory(), opts);
   BSIM_TRY(module->mount_init());
   // Background writeback for the kernel-Bento deployment: threshold
-  // writeback moves off the writer's clock. Buffer draining is safe even
-  // with group commit leaving journaled blocks dirty across operations:
-  // the journal pins them (BufferHead::jdirty) and the drain skips
-  // pinned buffers, so WAL ordering holds.
+  // page writeback moves off the writer's clock.
   // "-o noflusher" keeps the old writer-context behaviour (ablations).
   kern::maybe_attach_flusher(sb, opts);
   // Join the unified stats snapshot; fs() resolves at dump time, so

@@ -201,12 +201,6 @@ void KernelBlockBackend::invalidate_range(std::uint64_t first,
   cache_->invalidate(first, n);
 }
 
-void KernelBlockBackend::io_plug() { cache_->plug(); }
-
-WriteTicket KernelBlockBackend::io_unplug() {
-  return WriteTicket{cache_->unplug()};
-}
-
 void KernelBlockBackend::bh_release(void* impl) {
   cache_->brelse(static_cast<kern::BufferHead*>(impl));
 }

@@ -118,9 +118,9 @@ class BlockBackend {
   virtual void bh_get(void* impl) = 0;
   virtual void bh_release(void* impl) = 0;
   /// Journal pinning (jbd2-style buffer ownership): while pinned, a dirty
-  /// block belongs to a running transaction and background writeback must
-  /// not touch it. Default no-op (userspace backends have no background
-  /// writeback racing the journal).
+  /// block belongs to a running transaction and writeback outside its
+  /// commit (sync, eviction) must not touch it. Default no-op (userspace
+  /// backends have no such writeback racing the journal).
   virtual void bh_pin_journal(std::uint64_t blockno, bool pin) {
     (void)blockno;
     (void)pin;
@@ -132,10 +132,6 @@ class BlockBackend {
     (void)first;
     (void)n;
   }
-  /// Request plugging (blk_plug): accumulate async batch writes and
-  /// dispatch them as one merged pass at unplug. Defaults are no-ops.
-  virtual void io_plug() {}
-  virtual WriteTicket io_unplug() { return WriteTicket{}; }
 
   /// For subclasses constructing handles.
   static BufferHeadHandle make_handle(BlockBackend& owner, void* impl,
@@ -266,15 +262,12 @@ class SuperBlockCap {
   /// Durability barrier.
   void flush_all() { backend_->flush_all(); }
   /// Journal pinning: mark `blockno`'s cached buffer as owned by the
-  /// running transaction (background writeback keeps its hands off until
-  /// the commit writes it). Unpinning happens implicitly at writeback.
+  /// running transaction (writeback outside the commit keeps its hands
+  /// off until the commit writes it). Unpinning happens implicitly at
+  /// writeback.
   void pin_journal(std::uint64_t blockno, bool pin = true) {
     backend_->bh_pin_journal(blockno, pin);
   }
-  /// Request plugging: batch several sync_batch_async submissions into
-  /// one merged elevator pass (closed by unplug; see blockdev/device.h).
-  void plug() { backend_->io_plug(); }
-  WriteTicket unplug() { return backend_->io_unplug(); }
   /// Stripe geometry hint for write clustering (0 = no striping).
   [[nodiscard]] std::uint64_t stripe_width() const {
     return backend_->stripe_width();
@@ -335,8 +328,6 @@ class KernelBlockBackend final : public BlockBackend {
   void bh_release(void* impl) override;
   void bh_pin_journal(std::uint64_t blockno, bool pin) override;
   void invalidate_range(std::uint64_t first, std::uint64_t n) override;
-  void io_plug() override;
-  WriteTicket io_unplug() override;
 
  private:
   kern::BufferCache* cache_;

@@ -42,8 +42,7 @@ AggregateDevice::ChildTickets AggregateDevice::route_batch(
   astats_.batches += 1;
   astats_.bios += bios.size();
   // Logical bios queue at the volume: Q lands on the volume's trace slot
-  // (members trace their fragments separately). Idempotent for bios the
-  // plug layer already stamped.
+  // (members trace their fragments separately).
   for (Bio* b : bios) note_bio_queued(*b);
 
   // Mirror the single-device queue's crash-count order: writes are counted

@@ -173,8 +173,7 @@ class AggregateDevice : public BlockDevice {
                       std::size_t rebuild_batch = 64,
                       sim::Nanos rebuild_lead = 2 * sim::kMillisecond);
 
-  // ---- submission skeleton (BlockDevice impl hooks; the public entry
-  // points add the plug layer) ----
+  // ---- submission skeleton (BlockDevice impl hooks) ----
   sim::Nanos submit_impl(std::span<Bio* const> bios) override;
   Ticket submit_async_impl(std::span<Bio* const> bios) override;
   sim::Nanos wait_impl(const Ticket& t) override;

@@ -13,7 +13,7 @@
 //     occupies up to `DeviceParams::channels` channels *concurrently* in
 //     virtual time, and
 //   - either waits until every request completes (`submit`, synchronous at
-//     the batch boundary, like submit_bio_wait over a plugged queue) or
+//     the batch boundary, like submit_bio_wait) or
 //     returns a Ticket the caller redeems later (`submit_async`/`wait`),
 //     so one simulated thread can keep several batches in flight across
 //     the device's channels (QD>1).
@@ -87,7 +87,7 @@ struct Bio {
   /// Retry attempts the request queue made for this bio (0 on the
   /// zero-fault path).
   std::uint32_t retries = 0;
-  /// Virtual time the bio entered a queue (plug accumulation or request
+  /// Virtual time the bio entered a queue (a volume's or a request
   /// queue, whichever first; -1 = not yet queued). The Q→D queue-wait
   /// histograms are derived from this; set once, never reset.
   sim::Nanos queued_at = -1;
@@ -167,9 +167,9 @@ struct RetryPolicy {
   bool operator==(const RetryPolicy&) const = default;
 };
 
-/// Value-batch to pointer-batch conversion (the device layer's plug and
-/// the queue's span<Bio> convenience overloads both funnel through the
-/// pointer shape).
+/// Value-batch to pointer-batch conversion (the device layer's entry
+/// points and the queue's span<Bio> convenience overloads both funnel
+/// through the pointer shape).
 inline std::vector<Bio*> bio_ptrs(std::span<Bio> bios) {
   std::vector<Bio*> ptrs;
   ptrs.reserve(bios.size());
@@ -209,8 +209,8 @@ class RequestQueue {
   /// Reads and writes in one batch must not overlap block ranges (no
   /// consumer mixes them; a batch is one direction of one subsystem).
   sim::Nanos submit(std::span<Bio> bios);
-  /// Pointer-batch form (the device layer's plug/unplug path hands the
-  /// accumulated bios over as pointers; same semantics).
+  /// Pointer-batch form (the device layer's impl hooks hand the batch
+  /// over as pointers; same semantics).
   sim::Nanos submit(std::span<Bio* const> bios);
 
   /// One-bio convenience (the scalar read/write path).

@@ -167,17 +167,6 @@ class Journal : public RunningTxn {
     return true;
   }
 
-  /// Record stage `ev`'s latency from `t`, if `t` has a completion time
-  /// (a plugged submission's ticket has none; its unplug ticket does).
-  void latency(TraceEv ev, const Ticket& t) {
-    const sim::Nanos done = Io::bio(t).done;
-    if (done <= 0) return;
-    (ev == TraceEv::JLogWrite       ? c_->write_lat
-     : ev == TraceEv::JCommitRecord ? c_->record_lat
-                                    : c_->checkpoint_lat)
-        .record(done - t0_);
-  }
-
   /// Every record of the running transaction is submitted: it now needs a
   /// durability barrier, and a new transaction opens.
   void close() {
@@ -243,6 +232,17 @@ class Journal : public RunningTxn {
   }
 
  private:
+  /// Record stage `ev`'s latency from `t`, if `t` carries a batch (an
+  /// empty ticket has no completion time).
+  void latency(TraceEv ev, const Ticket& t) {
+    const sim::Nanos done = Io::bio(t).done;
+    if (done <= 0) return;
+    (ev == TraceEv::JLogWrite       ? c_->write_lat
+     : ev == TraceEv::JCommitRecord ? c_->record_lat
+                                    : c_->checkpoint_lat)
+        .record(done - t0_);
+  }
+
   /// A journal write failed on media (jbd2_journal_abort): the running
   /// transaction can never become durable. Its commit record is never
   /// issued, so recovery replays none of it, and its blocks stay

@@ -59,7 +59,6 @@ struct MountOpts {
   // ---- the mount ----
   ErrorsMode errors = ErrorsMode::RemountRo;
   bool flusher = true;            // background writeback threads
-  bool plug = true;               // request plugging (flusher + journal)
   bool pipeline = true;           // pipelined journal commits (xv6, ext4)
   std::size_t max_log_batch = 0;  // xv6 group commit: op cap (0: none)
   bool io_uring = false;          // FUSE daemon batches its block I/O
@@ -107,7 +106,6 @@ inline constexpr OptSpec kEntries[] = {
     {"errors=panic", K::Enum, 0, [](M& o, N) { o.errors = ErrorsMode::Panic; }},
     {"rw", K::Flag, 0, [](M&, N) {}},  // mounts are read-write already
     {"noflusher", K::Flag, 0, [](M& o, N) { o.flusher = false; }},
-    {"noplug", K::Flag, 0, [](M& o, N) { o.plug = false; }},
     {"nopipeline", K::Flag, 0, [](M& o, N) { o.pipeline = false; }},
     {"max_log_batch=", K::Number, 1, [](M& o, N n) { o.max_log_batch = n; }},
     {"nogroup", K::Flag, 0, [](M& o, N) { o.max_log_batch = 1; }},

@@ -11,11 +11,11 @@
 
 namespace bsim::blk {
 
-/// Append the stats objects of `dev` (DeviceStats, RequestQueueStats,
-/// PlugStats; plus AggregateVolumeStats, ParityVolumeStats for parity
-/// volumes, and each member's objects for aggregate volumes) to an OPEN
-/// JSON array on `w`. `name` labels the
-/// device ("disk0", "vol/2", ...); member devices get "name/<i>".
+/// Append the stats objects of `dev` (DeviceStats, RequestQueueStats;
+/// plus AggregateVolumeStats, ParityVolumeStats for parity volumes, and
+/// each member's objects for aggregate volumes) to an OPEN JSON array on
+/// `w`. `name` labels the device ("disk0", "vol/2", ...); member devices
+/// get "name/<i>".
 void dump_device_tree_stats(sim::JsonWriter& w, const std::string& name,
                             BlockDevice& dev);
 

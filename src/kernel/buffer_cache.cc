@@ -11,7 +11,6 @@ namespace bsim::kern {
 BufferCache::BufferCache(blk::BlockDevice& dev, std::size_t capacity)
     : dev_(dev),
       capacity_(capacity),
-      shard_dirty_(dev.fan_out(), 0),
       wb_err_(dev.fan_out()) {}
 
 BufferCache::~BufferCache() = default;
@@ -185,28 +184,28 @@ blk::Ticket BufferCache::sync_dirty_buffers_async(
     assert(bh != nullptr && bh->cache == this);
     bios.push_back(blk::Bio::single_write(bh->blockno, bh->bytes()));
   }
-  if (dev_.plugged()) {
-    // Deferred: the device only accumulates the batch, so media effects
-    // (and with them `applied`) land at unplug. Keep the bios and the
-    // buffer list alive until then; dirty state is retired when the plug
-    // closes (BufferCache::unplug), with the same applied-aware rule.
-    plug_held_.push_back(PluggedBatch{std::move(bios), {}});
-    PluggedBatch& pb = plug_held_.back();
-    pb.bhs.assign(bhs.begin(), bhs.end());
-    for (BufferHead* bh : pb.bhs) bh->plug_held = true;
-    return dev_.submit_async(pb.bios);
-  }
   const blk::Ticket t = dev_.submit_async(bios);
   // Media effects land at submission; only the wait is deferred. Clear
   // dirty state for exactly the bios whose write command executed — an
   // early kill leaves the tail of the batch dirty for the next sync.
-  retire_batch(bhs, bios);
+  for (std::size_t i = 0; i < bhs.size(); ++i) {
+    if (bios[i].io_error) {
+      // A device write error (io_error discriminates it from the crash
+      // model's silent swallow, which leaves io_error clear): the buffer
+      // stays dirty AND the failure is parked in the shard's error
+      // sequence for the next fsync/sync to report.
+      record_wb_error(bhs[i]->blockno);
+      continue;
+    }
+    if (!bios[i].applied) continue;
+    set_clean(bhs[i]);
+    stats_.writebacks += 1;
+  }
   return t;
 }
 
 blk::Ticket BufferCache::write_run(
     std::uint64_t start, std::span<const std::span<const std::byte>> srcs) {
-  assert(!dev_.plugged() && "write_run bios read live buffer bytes");
   if (srcs.empty()) return blk::Ticket{};
   // One bio per block, as a buffer batch submits them: the queue merges
   // the run into one multi-block command.
@@ -223,55 +222,20 @@ blk::Ticket BufferCache::write_run(
   return t;
 }
 
-void BufferCache::retire_batch(std::span<BufferHead* const> bhs,
-                               std::span<const blk::Bio> bios) {
-  assert(bhs.size() == bios.size());
-  for (std::size_t i = 0; i < bhs.size(); ++i) {
-    if (bios[i].io_error) {
-      // A device write error (io_error discriminates it from the crash
-      // model's silent swallow, which leaves io_error clear): the buffer
-      // stays dirty AND the failure is parked in the shard's error
-      // sequence for the next fsync/sync to report.
-      record_wb_error(bios[i].vecs.front().blockno);
-      continue;
-    }
-    if (!bios[i].applied) continue;
-    set_clean(bhs[i]);
-    stats_.writebacks += 1;
-  }
-}
-
-blk::Ticket BufferCache::unplug() {
-  const blk::Ticket t = dev_.unplug();
-  if (dev_.plugged()) return t;  // nested: the outermost unplug retires
-  for (PluggedBatch& pb : plug_held_) {
-    retire_batch(pb.bhs, pb.bios);
-    for (BufferHead* bh : pb.bhs) bh->plug_held = false;
-  }
-  plug_held_.clear();
-  return t;
-}
-
 void BufferCache::pin_journal(std::uint64_t blockno, bool pin) {
   auto it = map_.find(blockno);
   if (it == map_.end()) return;
   it->second->jdirty = pin && it->second->dirty;
 }
 
-std::vector<BufferHead*> BufferCache::collect_dirty(std::size_t shard,
-                                                    std::size_t nshards) {
+std::vector<BufferHead*> BufferCache::collect_dirty() {
   // The dirty-block index is already in ascending block order; the walk
-  // is O(dirty), not O(cached) — a wake on a huge, mostly-clean cache
-  // never touches the clean population. A shard-filtered walk still
-  // scans the whole (volume-wide) index, so N per-member flushers pay
-  // N x dirty per round; splitting the index per shard would shave that
-  // host-time factor but complicate the ordered full-volume walk that
-  // sync_all needs.
+  // is O(dirty), not O(cached) — a sync on a huge, mostly-clean cache
+  // never touches the clean population.
   std::vector<BufferHead*> dirty;
   dirty.reserve(dirty_index_.size());
   for (const std::uint64_t blockno : dirty_index_) {
     stats_.dirty_scanned += 1;
-    if (nshards > 1 && dev_.child_of(blockno) % nshards != shard) continue;
     auto it = map_.find(blockno);
     assert(it != map_.end() && it->second->dirty);
     // A journal-pinned buffer belongs to an uncommitted transaction:
@@ -291,77 +255,6 @@ void BufferCache::sync_all() {
   // batch, in ascending block order so adjacent blocks merge.
   std::vector<BufferHead*> dirty = collect_dirty();
   sync_dirty_buffers(dirty);
-}
-
-std::size_t BufferCache::batch_end(const std::vector<BufferHead*>& dirty,
-                                   std::size_t i, std::size_t max_batch) {
-  std::size_t n = std::min(max_batch, dirty.size() - i);
-  const std::uint64_t width = dev_.stripe_width_blocks();
-  // Stripe-aware clustering: trim the batch boundary back to a stripe-row
-  // edge so no sub-batch splits a row between two submissions — each
-  // member then sees its share of a row as one contiguous run instead of
-  // a sliver now and the rest in the next batch. A row larger than
-  // max_batch cannot be kept whole; keep the full batch then.
-  if (width > 0 && i + n < dirty.size()) {
-    const auto row = [&](std::size_t k) { return dirty[k]->blockno / width; };
-    std::size_t j = n;
-    while (j > 1 && row(i + j - 1) == row(i + j)) j -= 1;
-    if (j > 1 || row(i) != row(i + 1)) {
-      if (j != n) stats_.stripe_aligned_batches += 1;
-      n = j;
-    }
-  }
-  return i + n;
-}
-
-std::size_t BufferCache::flush_dirty_async(std::size_t max_batch,
-                                           std::size_t queue_depth,
-                                           std::size_t shard,
-                                           std::size_t nshards,
-                                           bool use_plug) {
-  assert(max_batch > 0 && queue_depth > 0);
-  const std::size_t before = nr_dirty_;
-  std::vector<BufferHead*> dirty = collect_dirty(shard, nshards);
-
-  if (use_plug && !dirty.empty()) {
-    // blk_plug-style drain: every sub-batch accumulates under one plug
-    // and dispatches at unplug as a single elevator pass, so batches that
-    // are adjacent on disk (or on a member device) merge across batch
-    // boundaries. QD management is moot — the one pass occupies all
-    // channels at once.
-    plug();
-    std::size_t i = 0;
-    while (i < dirty.size()) {
-      const std::size_t end = batch_end(dirty, i, max_batch);
-      (void)sync_dirty_buffers_async(
-          std::span<BufferHead* const>(dirty.data() + i, end - i));
-      i = end;
-    }
-    const blk::Ticket t = unplug();
-    dev_.wait(t);
-    return before - nr_dirty_;
-  }
-
-  std::vector<blk::Ticket> inflight;
-  inflight.reserve(queue_depth);
-  std::size_t i = 0;
-  while (i < dirty.size()) {
-    const std::size_t end = batch_end(dirty, i, max_batch);
-    if (inflight.size() == queue_depth) {
-      // Redeem the oldest ticket to keep at most `queue_depth` batches in
-      // flight (wait order does not affect determinism; see bio.h).
-      dev_.wait(inflight.front());
-      inflight.erase(inflight.begin());
-    }
-    const blk::Ticket t = sync_dirty_buffers_async(
-        std::span<BufferHead* const>(dirty.data() + i, end - i));
-    if (t.valid()) inflight.push_back(t);
-    i = end;
-  }
-  for (const blk::Ticket& t : inflight) dev_.wait(t);
-  // Report what was actually cleaned: commands the crash model swallowed
-  // leave their buffers dirty and are not writebacks.
-  return before - nr_dirty_;
 }
 
 void BufferCache::issue_flush() { dev_.flush(); }
@@ -385,7 +278,7 @@ void BufferCache::invalidate(std::uint64_t first, std::uint64_t n) {
   for (std::uint64_t b = first; b < first + n; ++b) {
     auto it = map_.find(b);
     if (it != map_.end() && it->second->refcount == 0 &&
-        !it->second->dirty && !it->second->plug_held) {
+        !it->second->dirty) {
       drop(b);
     }
   }
@@ -401,8 +294,8 @@ void BufferCache::evict_if_needed() {
     BufferHead* bh = mit->second.get();
     if (bh->refcount > 0) continue;
     // Journal-pinned victims must not be written outside their commit
-    // (WAL); plug-held victims back a deferred in-flight write. Both stay.
-    if (bh->jdirty || bh->plug_held) continue;
+    // (WAL); they stay.
+    if (bh->jdirty) continue;
     if (bh->dirty) {
       blk::Bio bio = blk::Bio::single_write(blockno, bh->bytes());
       dev_.submit(bio);

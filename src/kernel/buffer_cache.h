@@ -10,7 +10,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 #include <set>
@@ -35,15 +34,11 @@ struct BufferHead {
   bool uptodate = false;
   bool dirty = false;
   /// Journal-pinned (jbd2's "managed by the journal"): the block belongs
-  /// to a running/uncommitted transaction. Background writeback
-  /// (collect_dirty, sync_all, eviction) must NOT write it to media — the
-  /// journal commit is the only path allowed to, or WAL ordering breaks.
-  /// Cleared when the commit path writes the buffer (set_clean).
+  /// to a running/uncommitted transaction. Writeback outside the commit
+  /// (sync_all, eviction) must NOT write it to media — the journal commit
+  /// is the only path allowed to, or WAL ordering breaks. Cleared when
+  /// the commit path writes the buffer (set_clean).
   bool jdirty = false;
-  /// Held by an open request plug (a deferred async write references this
-  /// buffer's bytes); eviction must keep it resident until the plug
-  /// closes.
-  bool plug_held = false;
   /// Holds regular-file data (set by the file system's write path,
   /// cleared by getblk when the block is reused). Once clean and
   /// unreferenced such a buffer goes to the cold end of the LRU: file
@@ -69,16 +64,13 @@ struct BufferCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t writebacks = 0;
   std::uint64_t evictions = 0;
-  /// Objects examined while gathering dirty buffers for writeback. With
-  /// the dirty-block index a drain scans O(dirty) entries, not the whole
-  /// cache — the flusher full-walk regression stat.
+  /// Objects examined while gathering dirty buffers for sync_all. With
+  /// the dirty-block index a sync scans O(dirty) entries, not the whole
+  /// cache.
   std::uint64_t dirty_scanned = 0;
-  /// Dirty buffers skipped by background writeback because a journal
-  /// transaction owns them (BufferHead::jdirty).
+  /// Dirty buffers sync_all skipped because a journal transaction owns
+  /// them (BufferHead::jdirty).
   std::uint64_t jdirty_skipped = 0;
-  /// flush_dirty_async batches whose boundary was trimmed to a stripe-row
-  /// edge (the stripe-aware clustering regression stat).
-  std::uint64_t stripe_aligned_batches = 0;
 };
 
 class BufferCache {
@@ -128,7 +120,6 @@ class BufferCache {
       bh->dirty = true;
       nr_dirty_ += 1;
       dirty_index_.insert(bh->blockno);
-      shard_dirty_[dev_.child_of(bh->blockno)] += 1;
     }
   }
 
@@ -154,38 +145,24 @@ class BufferCache {
   /// media effects land), but the caller redeems the returned ticket
   /// later, so several batches can be in flight (QD>1). An empty span
   /// returns an empty ticket.
-  /// Under an open plug (see plug()) the submission is DEFERRED: the
-  /// cache keeps the bios alive, dispatch happens at unplug in one
-  /// merged elevator pass, and dirty state is retired then, applied-aware
-  /// as always.
   blk::Ticket sync_dirty_buffers_async(std::span<BufferHead* const> bhs);
 
   /// Write `srcs` to the consecutive blocks [start, start + srcs.size())
   /// straight from the caller's bytes, as one async batch that never enters
   /// the cache: a journal's log run, written from the buffers its
   /// transaction holds (jbd2_journal_write_metadata_buffer). No destination
-  /// may be cached, or it would go stale. The queue must not be plugged:
-  /// media effects land at submission, so the bios read the source bytes
-  /// before this returns. A failed write is recorded in the writeback error
-  /// sequence, as for a buffer.
+  /// may be cached, or it would go stale. Media effects land at
+  /// submission, so the bios read the source bytes before this returns. A
+  /// failed write is recorded in the writeback error sequence, as for a
+  /// buffer.
   blk::Ticket write_run(std::uint64_t start,
                         std::span<const std::span<const std::byte>> srcs);
 
   /// Redeem a ticket from sync_dirty_buffers_async (timed).
   void wait(const blk::Ticket& t) { dev_.wait(t); }
 
-  // ---- request plugging (blk_plug over the buffer cache) ----
-  /// Open a plug on the backing device: subsequent async writebacks
-  /// accumulate and dispatch as ONE cross-batch-merged submission at
-  /// unplug. The cache owns the deferred bios and retires dirty state
-  /// when the plug closes (or when a sync operation flushes it early).
-  void plug() { dev_.plug(); }
-  /// Close the plug, dispatch, retire deferred dirty state; returns the
-  /// combined batch's ticket (empty when nothing accumulated).
-  blk::Ticket unplug();
-
   /// Journal pinning: while `pin` is set the buffer is owned by a running
-  /// transaction — background drains and eviction skip it (see
+  /// transaction — sync_all and eviction skip it (see
   /// BufferHead::jdirty). No-op when the block is not cached.
   void pin_journal(std::uint64_t blockno, bool pin);
 
@@ -213,28 +190,9 @@ class BufferCache {
     return wb_err_[shard];
   }
 
-  /// Write back every dirty buffer (timed) as one batched submission in
-  /// ascending block order.
+  /// Write back every dirty buffer not pinned by a journal (timed) as
+  /// one batched submission in ascending block order.
   void sync_all();
-
-  /// Background-writeback drain: every dirty buffer, ascending block
-  /// order, split into batches of at most `max_batch` buffers submitted
-  /// through the async path with up to `queue_depth` batches in flight;
-  /// waits for all of them before returning. Returns the number of
-  /// buffers actually written back (a dead device's swallowed commands
-  /// leave their buffers dirty and are not counted). `shard`/`nshards`
-  /// restrict the drain to buffers whose block maps to that member
-  /// device (`device().child_of`) — the per-device flusher's share; the
-  /// defaults drain everything.
-  /// `use_plug` accumulates the batches under one request plug (one
-  /// elevator pass with cross-batch merging) instead of redeeming QD>1
-  /// tickets; batch boundaries are trimmed to stripe-row edges either way
-  /// when the volume has striping geometry (stripe-aware clustering).
-  std::size_t flush_dirty_async(std::size_t max_batch,
-                                std::size_t queue_depth,
-                                std::size_t shard = 0,
-                                std::size_t nshards = 1,
-                                bool use_plug = true);
 
   /// Issue a device cache FLUSH (timed) — blkdev_issue_flush.
   void issue_flush();
@@ -248,15 +206,8 @@ class BufferCache {
 
   [[nodiscard]] const BufferCacheStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t cached_blocks() const { return map_.size(); }
-  /// Currently dirty buffers (the flusher's wake threshold input).
+  /// Currently dirty buffers.
   [[nodiscard]] std::size_t nr_dirty() const { return nr_dirty_; }
-  /// Dirty buffers bound to one member device of a striped volume
-  /// (`shard` indexes device().fan_out(); per-device flusher threshold).
-  [[nodiscard]] std::size_t nr_dirty_shard(std::size_t shard) const {
-    return shard < shard_dirty_.size() ? shard_dirty_[shard] : 0;
-  }
-  /// Capacity in blocks (0 = unbounded); dirty ratio = nr_dirty/capacity.
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] blk::BlockDevice& device() { return dev_; }
   [[nodiscard]] std::uint64_t outstanding_refs() const { return outstanding_refs_; }
 
@@ -270,9 +221,6 @@ class BufferCache {
       assert(nr_dirty_ > 0);
       nr_dirty_ -= 1;
       dirty_index_.erase(bh->blockno);
-      auto& cnt = shard_dirty_[dev_.child_of(bh->blockno)];
-      assert(cnt > 0);
-      cnt -= 1;
       demote(bh);
     }
   }
@@ -286,35 +234,15 @@ class BufferCache {
     wb_err_[dev_.child_of(blockno)].record(Err::Io);
     wb_last_err_ = Err::Io;
   }
-  /// Clear dirty state for the applied bios of one (possibly deferred)
-  /// writeback batch and count the writebacks.
-  void retire_batch(std::span<BufferHead* const> bhs,
-                    std::span<const blk::Bio> bios);
-  /// Pick the end of the next flush batch: at most `max_batch` buffers,
-  /// trimmed back to a stripe-row boundary when the device has striping
-  /// geometry (so no sub-batch splits a row across two submissions).
-  std::size_t batch_end(const std::vector<BufferHead*>& dirty, std::size_t i,
-                        std::size_t max_batch);
-  /// Gather (this shard's slice of) the dirty set in ascending block
+  /// Gather the dirty set not pinned by a journal in ascending block
   /// order — an O(dirty) walk of the dirty-block index.
-  std::vector<BufferHead*> collect_dirty(std::size_t shard = 0,
-                                         std::size_t nshards = 1);
+  std::vector<BufferHead*> collect_dirty();
 
   blk::BlockDevice& dev_;
   std::size_t capacity_;
-  /// Batches deferred by an open plug: the cache must keep the bios (the
-  /// device holds pointers into them) and the buffer list (to retire
-  /// dirty state at unplug) alive until the plug closes.
-  struct PluggedBatch {
-    std::vector<blk::Bio> bios;
-    std::vector<BufferHead*> bhs;
-  };
-  std::deque<PluggedBatch> plug_held_;
   /// Dirty blocknos, ordered (the tagged-radix analogue): writeback walks
   /// this, never the whole map.
   std::set<std::uint64_t> dirty_index_;
-  /// Dirty count per member device of a striped volume (size fan_out()).
-  std::vector<std::size_t> shard_dirty_;
   /// Per-member-device writeback error sequences (size fan_out()).
   std::vector<ErrSeq> wb_err_;
   Err wb_last_err_ = Err::Ok;

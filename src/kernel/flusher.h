@@ -1,6 +1,6 @@
 // Background writeback: a per-device flusher thread (pdflush / the
-// per-bdi flusher in Linux terms) that drains dirty pages and dirty
-// buffers OFF the writer's clock.
+// per-bdi flusher in Linux terms) that drains dirty pages OFF the
+// writer's clock.
 //
 // Before this existed, every sync ran in writer context at queue depth 1:
 // generic_file_write did its own threshold writeback, and fsync paths
@@ -9,18 +9,18 @@
 //
 //   - Writers poke() it from the generic write path (the
 //     balance_dirty_pages hook). The flusher decides whether to wake —
-//     an inode crossed its dirty-page threshold, the buffer cache
-//     crossed its dirty ratio, or the kupdated-style periodic timer
-//     expired — and, if so, drains on ITS OWN virtual clock. The writer
-//     is not charged; the device channels are occupied at flusher time,
-//     so foreground I/O submitted meanwhile queues behind it exactly as
-//     real background writeback competes for the device.
+//     an inode crossed its dirty-page threshold, or the kupdated-style
+//     periodic timer expired — and, if so, drains on ITS OWN virtual
+//     clock. The writer is not charged; the device channels are occupied
+//     at flusher time, so foreground I/O submitted meanwhile queues
+//     behind it exactly as real background writeback competes for the
+//     device.
 //   - Dirty pages drain through the file system's normal ->writepages
 //     path (generic_writeback), so journaling semantics are unchanged —
 //     the work just happens on the flusher thread.
-//   - Dirty buffers drain in large elevator-sorted batches through the
-//     request queue's ASYNC path (BufferCache::flush_dirty_async), with
-//     several batches in flight across the device channels (QD>1).
+//   - Dirty buffers are not drained here: a journaled file system pins
+//     each buffer it dirties to a transaction (BufferHead::jdirty), and
+//     that transaction's commit writes it.
 //   - Durability barriers (fsync / sync(2)) call wait_idle() so the
 //     foreground thread cannot observe "durable" at a clock earlier than
 //     the background writeback it depends on. Device FLUSH additionally
@@ -48,43 +48,24 @@ namespace bsim::kern {
 class Inode;
 class SuperBlock;
 
-/// Dirty pages per inode that trigger writeback: the flusher's default
-/// wake threshold, and with "-o noflusher" the point where
-/// generic_file_write drains the inode in the writer's context.
+/// Dirty pages per inode that trigger writeback: the flusher's wake
+/// threshold, and with "-o noflusher" the point where generic_file_write
+/// drains the inode in the writer's context.
 inline constexpr std::size_t kDirtyPagesThreshold = 256;
 
-/// Tuning for one flusher. Mounts attach flushers with the defaults
-/// (maybe_attach_flusher); only `use_plug` follows a mount option
-/// ("-o noplug"). The other fields are set by unit tests.
-struct FlusherParams {
-  /// Drain when an inode accumulates this many dirty pages.
-  std::size_t dirty_pages_threshold = kDirtyPagesThreshold;
-  /// Drain when the buffer cache's dirty fraction exceeds this (of its
-  /// capacity, for bounded caches).
-  double dirty_ratio = 0.10;
-  /// Absolute dirty-buffer trigger for unbounded caches (capacity 0).
-  std::size_t dirty_buffers_min = 1024;
-  /// kupdated-style periodic writeback: a poke after this much virtual
-  /// time drains everything even below the thresholds.
-  sim::Nanos period = 30 * sim::kMillisecond;
-  /// Backpressure (the dirty-limit half of balance_dirty_pages): the
-  /// writer may run at most this much virtual time ahead of the
-  /// background writeback it triggered. Within the window, writes
-  /// complete at memory speed and drains pipeline with foreground work;
-  /// once the device falls further behind, the writer is throttled to
-  /// the drain rate — so steady-state buffered-write throughput stays
-  /// device-bound (with a bounded in-flight bonus) instead of becoming
-  /// an unbounded-dirty-memory measurement.
-  sim::Nanos max_backlog = 16 * sim::kMillisecond;
-  /// Buffers per async submission when draining the buffer cache.
-  std::size_t max_batch = 256;
-  /// Async batches kept in flight while draining buffers (QD>1).
-  std::size_t queue_depth = 4;
-  /// Drain the buffer batches under one request plug (one cross-batch
-  /// merged elevator pass per wake) instead of QD>1 ticket juggling.
-  /// "-o noplug" turns this off (the ablation escape hatch).
-  bool use_plug = true;
-};
+/// kupdated-style periodic writeback: a poke this much virtual time after
+/// the last timer wake drains everything, even below the threshold.
+inline constexpr sim::Nanos kFlushPeriod = 30 * sim::kMillisecond;
+
+/// Backpressure (the dirty-limit half of balance_dirty_pages): the writer
+/// may run at most this much virtual time ahead of the background
+/// writeback it triggered. Within the window, writes complete at memory
+/// speed and drains pipeline with foreground work; once the device falls
+/// further behind, the writer is throttled to the drain rate — so
+/// steady-state buffered-write throughput stays device-bound (with a
+/// bounded in-flight bonus) instead of becoming an unbounded-dirty-memory
+/// measurement.
+inline constexpr sim::Nanos kMaxBacklog = 16 * sim::kMillisecond;
 
 struct FlusherStats {
   std::uint64_t pokes = 0;              // writer-side hook invocations
@@ -92,7 +73,6 @@ struct FlusherStats {
   std::uint64_t threshold_wakeups = 0;  // woken by a dirty threshold
   std::uint64_t timer_wakeups = 0;      // woken by the periodic timer
   std::uint64_t pages_flushed = 0;
-  std::uint64_t buffers_flushed = 0;
   std::uint64_t throttle_waits = 0;   // pokes that hit the backlog limit
   sim::Nanos throttled = 0;           // total writer time spent throttled
   std::uint64_t errors = 0;  // writeback errors swallowed in background
@@ -108,15 +88,14 @@ struct FlusherStats {
 /// One background writeback thread for one *member device* of a mounted
 /// superblock. A plain device gets exactly one (shard 0 of 1); a striped
 /// volume gets one per member: inodes shard across them by inode number
-/// (an inode belongs to one flusher, like one bdi), dirty buffers shard
-/// by which member their block maps to, and the balance_dirty_pages
-/// backpressure is therefore *per device* — a writer bound to a slow
-/// member throttles against that member's flusher only.
+/// (an inode belongs to one flusher, like one bdi), and the
+/// balance_dirty_pages backpressure is therefore *per device* — a writer
+/// bound to a slow member throttles against that member's flusher only.
 /// Owned by the SuperBlock; file systems opt in at mount.
 class Flusher {
  public:
-  explicit Flusher(SuperBlock& sb, FlusherParams params = {},
-                   std::size_t shard = 0, std::size_t nshards = 1);
+  explicit Flusher(SuperBlock& sb, std::size_t shard = 0,
+                   std::size_t nshards = 1);
 
   Flusher(const Flusher&) = delete;
   Flusher& operator=(const Flusher&) = delete;
@@ -136,7 +115,6 @@ class Flusher {
 
   [[nodiscard]] const FlusherStats& stats() const { return stats_; }
   [[nodiscard]] sim::Nanos last_completion() const { return thread_.now(); }
-  [[nodiscard]] const FlusherParams& params() const { return params_; }
   /// Which member device this flusher serves (0 of 1 for plain devices).
   [[nodiscard]] std::size_t shard() const { return shard_; }
   [[nodiscard]] std::size_t nshards() const { return nshards_; }
@@ -145,10 +123,8 @@ class Flusher {
 
  private:
   void run_cycle(bool timer_due);
-  [[nodiscard]] std::size_t shard_buffer_limit() const;
 
   SuperBlock* sb_;
-  FlusherParams params_;
   std::size_t shard_ = 0;
   std::size_t nshards_ = 1;
   sim::SimThread thread_;
@@ -161,7 +137,6 @@ class Flusher {
 /// writeback: attach one flusher per member device of `sb`'s volume
 /// (`bdev().fan_out()`; exactly one for a plain device) unless `opts`
 /// say "noflusher" (the writer-context ablation escape hatch).
-void maybe_attach_flusher(SuperBlock& sb, const blk::MountOpts& opts,
-                          FlusherParams params = {});
+void maybe_attach_flusher(SuperBlock& sb, const blk::MountOpts& opts);
 
 }  // namespace bsim::kern

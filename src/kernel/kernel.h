@@ -120,7 +120,7 @@ class Kernel {
 
   // ---- unified stats snapshot (untimed; see kernel/stats_snapshot.cc) ----
   /// One JSON document covering every device tree (DeviceStats with
-  /// latency histograms, RequestQueueStats, PlugStats, volume stats) and
+  /// latency histograms, RequestQueueStats, volume stats) and
   /// every mount (buffer cache, page cache, flushers, plus whatever the
   /// file system registered via SuperBlock::register_stats).
   [[nodiscard]] std::string dump_stats();

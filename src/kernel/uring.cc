@@ -107,18 +107,15 @@ unsigned IoUring::drain_bdev_run(const Sqe& first, OpenFile& of,
     // drain continues, so consecutive runs (different ops or fds) overlap
     // across the device channels — QD>1 from one submitting thread. The
     // barrier is wait_inflight(), before any ordering-sensitive SQE and
-    // before io_uring_enter returns. The bios move into the inflight
-    // record: a plugged device may defer dispatch and keep pointers into
-    // them until its plug closes.
+    // before io_uring_enter returns.
     const blk::Ticket t = dev.submit_async(bios);
-    // A bio's failure is known once it dispatches: at submission, unless
-    // a plug defers it.
+    // A bio's failure is known at submission, when it dispatches.
     for (std::size_t j = 0; j < bios.size(); ++j) {
       if (!bios[j].io_error) continue;
       cqes[bio_cqe[j]].err = Err::Io;
       cqes[bio_cqe[j]].res = 0;
     }
-    inflight.push_back(InflightRun{&dev, t, std::move(bios)});
+    inflight.push_back(InflightRun{&dev, t});
     stats_.async_runs += 1;
     stats_.max_inflight_runs =
         std::max<std::uint64_t>(stats_.max_inflight_runs, inflight.size());

@@ -231,9 +231,9 @@ class SuperBlock {
   /// Writer-side writeback hook: poke the hint-inode's own flusher (which
   /// may throttle the caller against its member's backlog) and give every
   /// OTHER member's flusher a courtesy wake check with no hint — their
-  /// shard's buffer threshold and periodic timer still fire, so dirty
-  /// state on members no writer's inode hashes to keeps draining, but an
-  /// unowned member's backlog never throttles this writer.
+  /// periodic timer still fires, so dirty pages of inodes no writer is
+  /// poking keep draining, but an unowned member's backlog never
+  /// throttles this writer.
   void poke_flushers(Inode* hint);
 
   // ---- dirty-inode list (the per-bdi b_dirty list) ----

@@ -48,8 +48,8 @@ class Xv6FileSystem : public bento::FileSystem {
     return opts_.version;
   }
 
-  /// The log's write-path tuning (group commit, pipelining, plugging)
-  /// comes from the mount options.
+  /// The log's write-path tuning (group commit, pipelining) comes from
+  /// the mount options.
   void apply_mount_opts(const blk::MountOpts& opts) override {
     mount_opts_ = opts;
   }

@@ -27,8 +27,7 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
               Durability durability, const blk::MountOpts& opts) {
   logstart_ = dsb.logstart;
   durability_ = durability;
-  opts_ = opts;
-  jnl_.reset(opts_);
+  jnl_.reset(opts);
   held_.clear();
 
   // Crash recovery: a non-empty header means a committed-but-uninstalled
@@ -63,9 +62,8 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
 void Log::adopt(const Snapshot& snap, const blk::MountOpts& opts) {
   logstart_ = snap.logstart;
   durability_ = snap.durability;
-  opts_ = opts;
   stats_ = snap.stats;
-  jnl_.reset(opts_);
+  jnl_.reset(opts);
   held_.clear();
 }
 
@@ -146,28 +144,19 @@ Err Log::commit(SuperBlockCap& sb) {
   }
   if (durability_ == Durability::Strict) sb.flush_all();
 
-  // 3. Install the held buffers to their home locations. Home locations
-  //    are scattered, so the install typically stays several requests,
-  //    spread across the device's channels; in Relaxed mode they ride one
-  //    request plug (a single merged elevator pass).
-  const bool plugged = opts_.plug && durability_ != Durability::Strict;
-  if (plugged) sb.plug();
+  // 3. Install the held buffers to their home locations as ONE async
+  //    batch. Home locations are scattered, so the install typically
+  //    stays several requests, spread across the device's channels.
   for (BufferHeadHandle* bh : bufs) bh->set_dirty();
-  // Under a plug the install ticket is synthetic (done = 0); the real
-  // completion rides the unplug ticket, recorded below instead.
   jnl_.stage(io, blk::TraceEv::JCheckpoint, txn, n, tickets,
              sb.sync_batch_async(bufs));
-  if (plugged) {
-    tickets.push_back(sb.unplug());
-    jnl_.latency(blk::TraceEv::JCheckpoint, tickets.back());
-  }
   if (durability_ == Durability::Strict) sb.flush_all();
 
-  // 4. Clear the header, submitted after the install's plug has closed:
+  // 4. Clear the header as its own batch, submitted after the install:
   //    media order is submission order, so a device that dies partway
   //    through the install still holds the header, and recovery replays
-  //    the whole transaction. Inside the plug the elevator would sort the
-  //    clear (the lowest block) ahead of the home writes.
+  //    the whole transaction. In the install's batch the elevator would
+  //    sort the clear (the lowest block) ahead of the home writes.
   {
     auto clear = write_header(sb, LogHeader{});
     if (!clear.ok()) return fail(clear.error());

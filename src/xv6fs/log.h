@@ -25,10 +25,11 @@
 //   (force_commit) force it immediately. A `max_log_batch=N` mount
 //   ("nogroup" is N = 1) also commits after N closed ops. While blocks
 //   are pending they are PINNED in the buffer cache (BufferHead::jdirty),
-//   so background writeback cannot put unjournaled state on media ahead
-//   of the commit record. This policy (admission, commit trigger and the
-//   force's wait for open ops) is blk::OpJournal, which the C baseline
-//   (xv6fs_c/xv6c.h) runs too; this file supplies the commit itself.
+//   so writeback outside the commit cannot put unjournaled state on media
+//   ahead of the commit record. This policy (admission, commit trigger
+//   and the force's wait for open ops) is blk::OpJournal, which the C
+//   baseline (xv6fs_c/xv6c.h) runs too; this file supplies the commit
+//   itself.
 //
 //   Pipelined commit — the commit's writes (log run, header, install,
 //   clear) are submitted on async tickets held by the journal engine's
@@ -38,9 +39,8 @@
 // Durability has two modes:
 //   Relaxed — synchronous writes only, no device FLUSH barriers. This is
 //             how the paper's implementation behaves on the PM981. The
-//             install batch rides one request plug (one merged elevator
-//             pass); the header clear is submitted after it closes, so it
-//             reaches media after every home write.
+//             header clear is its own batch, submitted after the install
+//             batch, so it reaches media after every home write.
 //   Strict  — FLUSH before the commit record and after install, making the
 //             commit point durable against power loss. Each barrier is a
 //             synchronous flush_all (writeback of unpinned dirty buffers,
@@ -102,9 +102,8 @@ class Log {
   Log& operator=(const Log&) = delete;
 
   /// Mount-time initialization + crash recovery. The write path's tuning
-  /// comes from `opts`: max_log_batch (an op cap on group commit),
-  /// pipeline ("nopipeline"), and plug ("noplug", Relaxed mode's
-  /// install plug).
+  /// comes from `opts`: max_log_batch (an op cap on group commit) and
+  /// pipeline ("nopipeline").
   kern::Err init(bento::SuperBlockCap& sb, const DiskSuperblock& dsb,
                  Durability durability, const blk::MountOpts& opts);
 
@@ -114,8 +113,8 @@ class Log {
 
   /// Record the modified block `bh` in the running transaction (with
   /// absorption); the first record of a block keeps a reference to its
-  /// buffer until the commit. Pins the buffer for the journal (background
-  /// writeback skips it until the commit writes it).
+  /// buffer until the commit. Pins the buffer for the journal (writeback
+  /// outside the commit skips it until the commit writes it).
   void log_write(bento::SuperBlockCap& sb, const bento::BufferHeadHandle& bh);
 
   /// Close the operation; commits when no other operation is open AND
@@ -173,7 +172,6 @@ class Log {
 
   std::uint32_t logstart_ = 0;  // the header block; the log run follows
   Durability durability_ = Durability::Relaxed;
-  blk::MountOpts opts_;
   LogStats stats_;
   Journal jnl_{stats_, kLogSize, kMaxOpBlocks};
   /// One reference per tagged block, in jnl_.blocks() order (jbd2's

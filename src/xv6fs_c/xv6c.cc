@@ -131,17 +131,12 @@ Err Xv6cMount::log_commit() {
     if (!rec.ok()) return fail(rec.error());
     if (!stage(blk::TraceEv::JCommitRecord, 1, rec.value())) return Err::Io;
   }
-  // 3. Install the buffers to their home locations under one plug (the
-  //    plugged ticket is synthetic; the unplug ticket carries the
-  //    completion).
-  bc.plug();
+  // 3. Install the buffers to their home locations as one async batch.
   for (BufferHead* bh : bufs) bc.mark_dirty(bh);
   jnl_.stage(io, blk::TraceEv::JCheckpoint, txn, n, tickets,
              bc.sync_dirty_buffers_async(bufs));
-  tickets.push_back(bc.unplug());
-  jnl_.latency(blk::TraceEv::JCheckpoint, tickets.back());
   release();
-  // 4. Clear the header once the install's plug has closed, so that it
+  // 4. Clear the header as its own batch after the install, so that it
   //    reaches media after every home write.
   {
     auto clear = log_header_write(LogHeader{});
@@ -1159,10 +1154,8 @@ kern::Result<std::unique_ptr<kern::SuperOps>> fill_super(
     kern::SuperBlock& sb, const blk::MountOpts& opts) {
   auto mnt = std::make_unique<Xv6cMount>(sb, opts);
   BSIM_TRY(mnt->mount_init());
-  // Background writeback for the kernel (C-VFS) deployment, same
-  // rationale as the Bento mount: WAL-ordered buffers left dirty by a
-  // deferred group commit are journal-pinned (BufferHead::jdirty), so
-  // the drain cannot land them ahead of their commit record.
+  // Background writeback for the kernel (C-VFS) deployment, as on the
+  // Bento mount: threshold page writeback moves off the writer's clock.
   // "-o noflusher" restores writer-context sync.
   kern::maybe_attach_flusher(sb, opts);
   Xv6cMount* m = mnt.get();

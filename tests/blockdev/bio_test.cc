@@ -416,12 +416,13 @@ TEST_F(BioTest, ScalarSyncOnDeadDeviceKeepsBufferDirty) {
   cache.brelse(bh.value());
 }
 
-TEST_F(BioTest, FlushDirtyAsyncDrainsWithMultipleBatchesInFlight) {
+TEST_F(BioTest, AsyncWritebackKeepsSeveralBatchesInFlight) {
   auto p = small_params();
   BlockDevice dev(p);
   kern::BufferCache cache(dev, 0);
 
-  // 64 scattered dirty buffers (stride 2 prevents merging into one run).
+  // 64 scattered dirty buffers (stride 2 prevents merging into one run),
+  // written back as four async batches before any is redeemed.
   std::vector<kern::BufferHead*> held;
   for (std::uint64_t i = 0; i < 64; ++i) {
     auto bh = cache.getblk(i * 2);
@@ -429,87 +430,23 @@ TEST_F(BioTest, FlushDirtyAsyncDrainsWithMultipleBatchesInFlight) {
     cache.mark_dirty(bh.value());
     held.push_back(bh.value());
   }
-  const std::size_t written =
-      cache.flush_dirty_async(/*max_batch=*/16, /*queue_depth=*/4,
-                              /*shard=*/0, /*nshards=*/1, /*use_plug=*/false);
-  EXPECT_EQ(written, 64u);
+  std::vector<Ticket> tickets;
+  for (std::size_t i = 0; i < held.size(); i += 16) {
+    tickets.push_back(cache.sync_dirty_buffers_async(
+        std::span<kern::BufferHead* const>(held.data() + i, 16)));
+  }
+  // Dirty state retires at submission, when media effects land.
   EXPECT_EQ(cache.nr_dirty(), 0u);
+  EXPECT_EQ(cache.stats().writebacks, 64u);
+  EXPECT_EQ(dev.queue().inflight(), 4u);
+  for (const Ticket& t : tickets) cache.wait(t);
   EXPECT_EQ(dev.queue().stats().async_batches, 4u);  // 64/16
-  EXPECT_GE(dev.queue().stats().max_inflight, 2u);   // QD>1 achieved
+  EXPECT_EQ(dev.queue().stats().max_inflight, 4u);   // QD>1 achieved
   EXPECT_EQ(dev.queue().inflight(), 0u);             // all redeemed
   for (auto* bh : held) {
     EXPECT_FALSE(bh->dirty);
     cache.brelse(bh);
   }
-}
-
-TEST_F(BioTest, FlushDirtyAsyncPlugMergesBatchesIntoOnePass) {
-  // The default (plugged) drain: the same sub-batch structure
-  // accumulates under one request plug and dispatches as ONE elevator
-  // pass — cross-batch merging instead of QD juggling.
-  auto p = small_params();
-  BlockDevice dev(p);
-  kern::BufferCache cache(dev, 0);
-
-  std::vector<kern::BufferHead*> held;
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    auto bh = cache.getblk(i);  // contiguous: merges into ONE request
-    ASSERT_TRUE(bh.ok());
-    cache.mark_dirty(bh.value());
-    held.push_back(bh.value());
-  }
-  const std::size_t written =
-      cache.flush_dirty_async(/*max_batch=*/16, /*queue_depth=*/4);
-  EXPECT_EQ(written, 64u);
-  EXPECT_EQ(cache.nr_dirty(), 0u);
-  EXPECT_EQ(dev.plug_stats().plugs, 1u);
-  EXPECT_EQ(dev.plug_stats().plugged_batches, 4u);  // 64/16 accumulated
-  EXPECT_EQ(dev.plug_stats().plugged_bios, 64u);
-  EXPECT_EQ(dev.queue().stats().async_batches, 1u);  // one merged pass
-  // Cross-batch merging: the four 16-block sub-batches are adjacent on
-  // disk, so the single pass merges them into ONE 64-block command —
-  // impossible without the plug (each sub-batch would be its own
-  // request at best).
-  EXPECT_EQ(dev.stats().write_requests, 1u);
-  EXPECT_EQ(dev.stats().max_request_blocks, 64u);
-  EXPECT_EQ(dev.queue().inflight(), 0u);
-  for (auto* bh : held) {
-    EXPECT_FALSE(bh->dirty);
-    cache.brelse(bh);
-  }
-}
-
-TEST_F(BioTest, PlugDeferredTicketsResolveOnWaitAndSyncOpsFlushEarly) {
-  auto p = small_params();
-  BlockDevice dev(p);
-
-  std::array<std::byte, blk::kBlockSize> a{}, b{}, r{};
-  a.fill(std::byte{0xAA});
-  b.fill(std::byte{0xBB});
-  dev.plug();
-  Bio wa = Bio::single_write(3, a);
-  Bio wb = Bio::single_write(4, b);
-  const Ticket ta = dev.submit_async(std::span<Bio>(&wa, 1));
-  const Ticket tb = dev.submit_async(std::span<Bio>(&wb, 1));
-  // Deferred: nothing dispatched, media untouched, applied unset.
-  EXPECT_EQ(dev.stats().writes, 0u);
-  EXPECT_FALSE(wa.applied);
-  // A synchronous read is a barrier: it flushes the plug first, so it
-  // observes the plugged writes (and the window stays open).
-  Bio rd = Bio::single_read(3, r);
-  dev.submit(rd);
-  EXPECT_TRUE(dev.plugged());
-  EXPECT_TRUE(wa.applied);
-  EXPECT_EQ(r, a);
-  EXPECT_EQ(dev.plug_stats().forced_flushes, 1u);
-  // The pre-flush tickets resolved to the dispatched batch; waiting them
-  // (in any order) is harmless and the unplug of an empty window too.
-  dev.wait(tb);
-  dev.wait(ta);
-  const Ticket rest = dev.unplug();
-  EXPECT_FALSE(rest.valid());
-  EXPECT_FALSE(dev.plugged());
-  EXPECT_TRUE(wb.applied);
 }
 
 // ---- batched buffer-cache writeback ----

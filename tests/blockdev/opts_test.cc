@@ -45,7 +45,6 @@ const Case kCases[] = {
      [](const MountOpts& o) { return o.errors == ErrorsMode::Panic; }},
     {"rw", "rw", [](const MountOpts& o) { return o == MountOpts{}; }},
     {"noflusher", "noflusher", [](const MountOpts& o) { return !o.flusher; }},
-    {"noplug", "noplug", [](const MountOpts& o) { return !o.plug; }},
     {"nopipeline", "nopipeline",
      [](const MountOpts& o) { return !o.pipeline; }},
     {"max_log_batch=", "max_log_batch=4",

@@ -128,8 +128,9 @@ TEST(WritebackErrseq, BackgroundFailureReportedOncePerDescriptor) {
   ASSERT_EQ(Err::Ok, kernel.fsync(p, fd1.value()));
 
   // Fail a metadata writeback on NOBODY's clock: dirty an idle block and
-  // drain it into an injected device write error (the background-flusher
-  // shape — the writer system call that dirtied it returned long ago).
+  // write it back into an injected device write error, the way a journal
+  // install does (an async batch, redeemed later), long after the writer
+  // system call that dirtied it returned.
   kern::SuperBlock* sb = kernel.sb_at("/mnt");
   auto& bc = sb->bufcache();
   const std::uint64_t victim = kBlocks - 1;
@@ -137,7 +138,8 @@ TEST(WritebackErrseq, BackgroundFailureReportedOncePerDescriptor) {
   ASSERT_TRUE(bh.ok());
   bc.mark_dirty(bh.value());
   bed.dev->inject_write_error(victim);
-  (void)bc.flush_dirty_async(/*max_batch=*/8, /*queue_depth=*/1);
+  kern::BufferHead* const batch[] = {bh.value()};
+  bc.wait(bc.sync_dirty_buffers_async(batch));
   bed.dev->clear_write_error(victim);
   bc.brelse(bh.value());
   EXPECT_EQ(bc.wb_err_seq(), 1u);

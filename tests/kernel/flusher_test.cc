@@ -1,6 +1,6 @@
 // Unit + integration tests for the background flusher: threshold and
-// periodic-timer wakes, drains off the writer's clock, QD>1 buffer
-// draining, the fsync catch-up barrier, and the mount opt-out.
+// periodic-timer wakes, drains off the writer's clock, per-device
+// backpressure, the fsync catch-up barrier, and the mount opt-out.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -19,8 +19,8 @@ using kern::AddressSpaceOps;
 using kern::Err;
 using kern::FileType;
 using kern::Flusher;
-using kern::FlusherParams;
 using kern::Inode;
+using kern::kDirtyPagesThreshold;
 using kern::PageRun;
 using kern::SuperBlock;
 
@@ -82,30 +82,29 @@ TEST_F(FlusherTest, ThresholdWakeDrainsOffTheWriterClock) {
   CountingAops aops;
   Inode& inode = make_file(sb, 10, aops);
 
-  FlusherParams fp;
-  fp.dirty_pages_threshold = 8;
-  sb.attach_flusher(std::make_unique<Flusher>(sb, fp));
+  sb.attach_flusher(std::make_unique<Flusher>(sb));
   Flusher* f = sb.flusher();
   ASSERT_NE(f, nullptr);
 
   // Below the threshold: the poke is a no-op.
-  dirty_pages(inode, 0, 4);
+  constexpr std::size_t kHalf = kDirtyPagesThreshold / 2;
+  dirty_pages(inode, 0, kHalf);
   EXPECT_FALSE(f->wake_due(&inode));
   f->poke(&inode);
-  EXPECT_EQ(inode.mapping.nr_dirty(), 4u);
+  EXPECT_EQ(inode.mapping.nr_dirty(), kHalf);
   EXPECT_EQ(f->stats().wakeups, 0u);
 
   // Crossing it wakes the flusher, which drains EVERYTHING — on its own
   // clock: the writer's virtual time must not advance.
-  dirty_pages(inode, 4, 4);
+  dirty_pages(inode, kHalf, kDirtyPagesThreshold - kHalf);
   EXPECT_TRUE(f->wake_due(&inode));
   const sim::Nanos writer_before = sim::now();
   f->poke(&inode);
   EXPECT_EQ(sim::now(), writer_before);
   EXPECT_EQ(inode.mapping.nr_dirty(), 0u);
-  EXPECT_EQ(aops.pages, 8u);
+  EXPECT_EQ(aops.pages, kDirtyPagesThreshold);
   EXPECT_EQ(f->stats().threshold_wakeups, 1u);
-  EXPECT_EQ(f->stats().pages_flushed, 8u);
+  EXPECT_EQ(f->stats().pages_flushed, kDirtyPagesThreshold);
   // The flusher's clock advanced past the poke point (it did timed work).
   EXPECT_GT(f->last_completion(), writer_before);
 
@@ -119,118 +118,18 @@ TEST_F(FlusherTest, PeriodicTimerDrainsBelowThreshold) {
   CountingAops aops;
   Inode& inode = make_file(sb, 10, aops);
 
-  FlusherParams fp;
-  fp.dirty_pages_threshold = 1000;  // unreachable
-  fp.period = sim::msec(5);
-  sb.attach_flusher(std::make_unique<Flusher>(sb, fp));
+  sb.attach_flusher(std::make_unique<Flusher>(sb));
   Flusher* f = sb.flusher();
 
-  dirty_pages(inode, 0, 3);
-  f->poke(&inode);  // before the period: nothing
+  dirty_pages(inode, 0, 3);  // far below the threshold
+  f->poke(&inode);           // before the period: nothing
   EXPECT_EQ(inode.mapping.nr_dirty(), 3u);
 
-  sim::current().wait(sim::msec(6));  // kupdated interval elapses
+  sim::current().wait(kern::kFlushPeriod);  // kupdated interval elapses
   f->poke(&inode);
   EXPECT_EQ(inode.mapping.nr_dirty(), 0u);
   EXPECT_EQ(f->stats().timer_wakeups, 1u);
   EXPECT_EQ(f->stats().pages_flushed, 3u);
-}
-
-TEST_F(FlusherTest, DrainsDirtyBuffersThroughAsyncBatches) {
-  SuperBlock sb(dev_, 0);
-  FlusherParams fp;
-  fp.dirty_buffers_min = 16;
-  fp.max_batch = 8;
-  fp.queue_depth = 2;
-  fp.use_plug = false;  // this test pins down the QD>1 ticket path
-  sb.attach_flusher(std::make_unique<Flusher>(sb, fp));
-  Flusher* f = sb.flusher();
-
-  auto& bc = sb.bufcache();
-  std::vector<kern::BufferHead*> held;
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    auto bh = bc.getblk(i * 3);  // scattered
-    ASSERT_TRUE(bh.ok());
-    bc.mark_dirty(bh.value());
-    held.push_back(bh.value());
-  }
-  EXPECT_TRUE(f->wake_due(nullptr));
-  f->poke(nullptr);
-  EXPECT_EQ(bc.nr_dirty(), 0u);
-  EXPECT_EQ(f->stats().buffers_flushed, 32u);
-  EXPECT_EQ(dev_.queue().stats().async_batches, 4u);  // 32 / 8
-  EXPECT_GE(dev_.queue().stats().max_inflight, 2u);   // QD>1
-  EXPECT_EQ(dev_.queue().inflight(), 0u);
-  for (auto* bh : held) bc.brelse(bh);
-}
-
-TEST_F(FlusherTest, DefaultDrainPlugsBatchesIntoOneElevatorPass) {
-  // The default drain (use_plug on) accumulates the sub-batches under a
-  // request plug: one queue submission per wake, cross-batch merging.
-  SuperBlock sb(dev_, 0);
-  FlusherParams fp;
-  fp.dirty_buffers_min = 16;
-  fp.max_batch = 8;
-  fp.queue_depth = 2;
-  sb.attach_flusher(std::make_unique<Flusher>(sb, fp));
-  Flusher* f = sb.flusher();
-
-  auto& bc = sb.bufcache();
-  std::vector<kern::BufferHead*> held;
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    auto bh = bc.getblk(100 + i);  // contiguous: merges into one request
-    ASSERT_TRUE(bh.ok());
-    bc.mark_dirty(bh.value());
-    held.push_back(bh.value());
-  }
-  const auto wreq_before = dev_.stats().write_requests;
-  f->poke(nullptr);
-  EXPECT_EQ(bc.nr_dirty(), 0u);
-  EXPECT_EQ(f->stats().buffers_flushed, 32u);
-  EXPECT_EQ(dev_.plug_stats().plugs, 1u);
-  EXPECT_EQ(dev_.plug_stats().plugged_batches, 4u);  // 32 / 8
-  EXPECT_EQ(dev_.queue().stats().async_batches, 1u);  // one merged pass
-  EXPECT_EQ(dev_.stats().write_requests - wreq_before, 1u);  // one command
-  EXPECT_EQ(dev_.queue().inflight(), 0u);
-  for (auto* bh : held) bc.brelse(bh);
-}
-
-TEST_F(FlusherTest, DrainWriteErrorLandsInTheErrorSequenceOnce) {
-  // An EIO on the flusher's own clock (the writer returned long ago) must
-  // surface through the buffer cache's writeback error sequence so the
-  // caller's NEXT fsync reports it — exactly once per sampled cursor.
-  SuperBlock sb(dev_, 0);
-  FlusherParams fp;
-  fp.dirty_buffers_min = 4;
-  fp.dirty_pages_threshold = 1000;
-  sb.attach_flusher(std::make_unique<Flusher>(sb, fp));
-  Flusher* f = sb.flusher();
-
-  auto& bc = sb.bufcache();
-  kern::ErrSeqCursor cur = bc.wb_err_sample();  // "fd opened here"
-  dev_.inject_write_error(7);
-  std::vector<kern::BufferHead*> held;
-  for (std::uint64_t b = 5; b < 13; ++b) {
-    auto bh = bc.getblk(b);
-    ASSERT_TRUE(bh.ok());
-    bc.mark_dirty(bh.value());
-    held.push_back(bh.value());
-  }
-  f->poke(nullptr);
-
-  // Block 7's write failed; the rest drained. The failed buffer stays
-  // dirty (the write never happened) and the failure is sequenced.
-  EXPECT_EQ(bc.nr_dirty(), 1u);
-  EXPECT_EQ(bc.wb_err_seq(), 1u);
-  EXPECT_EQ(bc.wb_err_check(cur), Err::Io);  // reported at "fsync"...
-  EXPECT_EQ(bc.wb_err_check(cur), Err::Ok);  // ...exactly once
-
-  // A cursor sampled after the failure (a later open) sees nothing.
-  kern::ErrSeqCursor later = bc.wb_err_sample();
-  EXPECT_EQ(bc.wb_err_check(later), Err::Ok);
-
-  dev_.clear_write_error(7);
-  for (auto* bh : held) bc.brelse(bh);
 }
 
 TEST_F(FlusherTest, MultipleInodesAllDrain) {
@@ -239,16 +138,14 @@ TEST_F(FlusherTest, MultipleInodesAllDrain) {
   Inode& a = make_file(sb, 1, aops);
   Inode& b = make_file(sb, 2, aops);
 
-  FlusherParams fp;
-  fp.dirty_pages_threshold = 8;
-  sb.attach_flusher(std::make_unique<Flusher>(sb, fp));
+  sb.attach_flusher(std::make_unique<Flusher>(sb));
 
-  dirty_pages(a, 0, 8);   // at threshold
-  dirty_pages(b, 10, 3);  // below — drained anyway once awake
+  dirty_pages(a, 0, kDirtyPagesThreshold);  // at threshold
+  dirty_pages(b, 0, 3);  // below — drained anyway once awake
   sb.flusher()->poke(&a);
   EXPECT_EQ(a.mapping.nr_dirty(), 0u);
   EXPECT_EQ(b.mapping.nr_dirty(), 0u);
-  EXPECT_EQ(sb.flusher()->stats().pages_flushed, 11u);
+  EXPECT_EQ(sb.flusher()->stats().pages_flushed, kDirtyPagesThreshold + 3);
 }
 
 TEST_F(FlusherTest, WakeScansOnlyDirtyInodes) {
@@ -263,27 +160,50 @@ TEST_F(FlusherTest, WakeScansOnlyDirtyInodes) {
   Inode& d1 = make_file(sb, 1, aops);
   Inode& d2 = make_file(sb, 2, aops);
   Inode& d3 = make_file(sb, 3, aops);
-  dirty_pages(d1, 0, 4);
+  dirty_pages(d1, 0, kDirtyPagesThreshold);
   dirty_pages(d2, 0, 4);
   dirty_pages(d3, 0, 4);
   EXPECT_EQ(sb.dirty_inode_count(), 3u);
 
-  FlusherParams fp;
-  fp.dirty_pages_threshold = 4;
-  sb.attach_flusher(std::make_unique<Flusher>(sb, fp));
+  sb.attach_flusher(std::make_unique<Flusher>(sb));
   Flusher* f = sb.flusher();
   f->poke(&d1);
-  EXPECT_EQ(f->stats().pages_flushed, 12u);  // all three dirty inodes
+  // All three dirty inodes.
+  EXPECT_EQ(f->stats().pages_flushed, kDirtyPagesThreshold + 8);
   EXPECT_EQ(f->stats().inodes_scanned, 3u)
       << "a wake must walk the dirty list, not all " << sb.cached_inodes()
       << " cached inodes";
   EXPECT_EQ(sb.dirty_inode_count(), 3u);  // pruned lazily at next wake
-  dirty_pages(d1, 0, 4);
+  dirty_pages(d1, 0, kDirtyPagesThreshold);
   f->poke(&d1);
   // Second wake re-scans the 3 list entries, prunes the 2 now-clean ones.
   EXPECT_EQ(f->stats().inodes_scanned, 6u);
   EXPECT_EQ(sb.dirty_inode_count(), 1u);
 }
+
+/// Writes each page of an inode to its own block on the inode's member
+/// device of a two-member striped volume (even chunks live on member 0,
+/// odd on 1), one synchronous write per page on the caller's clock.
+class MemberAops final : public AddressSpaceOps {
+ public:
+  explicit MemberAops(blk::BlockDevice& dev) : dev_(&dev) {}
+
+  Err readpage(Inode&, std::uint64_t, std::span<std::byte> out) override {
+    std::memset(out.data(), 0, out.size());
+    return Err::Ok;
+  }
+  Err writepage(Inode& inode, std::uint64_t pgoff,
+                std::span<const std::byte> data) override {
+    const std::uint64_t member = inode.ino() % 2;
+    dev_->write((2 * pgoff + member) * kChunkBlocks, data);
+    return Err::Ok;
+  }
+
+  static constexpr std::uint64_t kChunkBlocks = 4;
+
+ private:
+  blk::BlockDevice* dev_;
+};
 
 TEST(FlusherSharding, BackpressureThrottlesOnlySlowMemberWriters) {
   // Two-speed striped volume: member 1's transfers are ~300x slower than
@@ -293,70 +213,62 @@ TEST(FlusherSharding, BackpressureThrottlesOnlySlowMemberWriters) {
   sim::ScopedThread in(boot);
   blk::StripeParams sp;
   sp.ndevices = 2;
-  sp.chunk_blocks = 4;
+  sp.chunk_blocks = MemberAops::kChunkBlocks;
   std::vector<blk::DeviceParams> members(2);
   members[0].nblocks = members[1].nblocks = 4096;
   members[1].write_xfer = sim::usec(2000);  // the slow shard
   blk::StripedDevice dev(sp, members);
   SuperBlock sb(dev, 0);
 
-  FlusherParams fp;
-  fp.dirty_buffers_min = 8;  // volume-wide; per-member trigger = 4
-  fp.dirty_pages_threshold = 1000;
-  fp.max_backlog = sim::msec(1);
-  kern::maybe_attach_flusher(sb, blk::MountOpts{}, fp);
+  kern::maybe_attach_flusher(sb, blk::MountOpts{});
   ASSERT_EQ(sb.flusher_count(), 2u);  // one flusher per member device
 
+  MemberAops aops(dev);
   Inode& fast_file = sb.inew(10);  // ino 10 -> shard 0
   Inode& slow_file = sb.inew(11);  // ino 11 -> shard 1
   fast_file.type = slow_file.type = FileType::Regular;
+  fast_file.aops = slow_file.aops = &aops;
   ASSERT_EQ(sb.flusher_for(&fast_file), sb.flusher_at(0));
   ASSERT_EQ(sb.flusher_for(&slow_file), sb.flusher_at(1));
+  ASSERT_EQ(dev.child_of(MemberAops::kChunkBlocks), 1u);
 
-  // 16 dirty buffers per member: even chunks live on member 0, odd on 1.
-  auto& bc = sb.bufcache();
-  std::vector<kern::BufferHead*> held;
-  for (std::uint64_t chunk = 0; chunk < 32; ++chunk) {
-    auto bh = bc.getblk(chunk * 4);
-    ASSERT_TRUE(bh.ok());
-    bc.mark_dirty(bh.value());
-    held.push_back(bh.value());
-  }
-  ASSERT_EQ(bc.nr_dirty_shard(0), 16u);
-  ASSERT_EQ(bc.nr_dirty_shard(1), 16u);
+  auto dirty_all = [](Inode& inode) {
+    for (std::uint64_t pg = 0; pg < kDirtyPagesThreshold; ++pg) {
+      inode.mapping.find_or_alloc(pg).uptodate = true;
+      inode.mapping.mark_dirty(pg);
+    }
+  };
 
-  // A writer bound to the FAST member pokes through the normal writer
-  // hook: its own flusher drains shard 0 and may throttle it; the slow
-  // member's flusher gets a courtesy wake — it drains ITS shard too (no
-  // member starves just because no writer's inode hashes to it), but an
-  // unowned member's backlog can never throttle this writer.
-  sim::SimThread fast_writer(10);
-  {
-    sim::ScopedThread w(fast_writer);
-    sb.poke_flushers(&fast_file);
-  }
-  EXPECT_EQ(bc.nr_dirty_shard(0), 0u);
-  EXPECT_EQ(bc.nr_dirty_shard(1), 0u);  // courtesy wake drained the rest
-  EXPECT_EQ(sb.flusher_at(0)->stats().buffers_flushed, 16u);
-  EXPECT_EQ(sb.flusher_at(1)->stats().buffers_flushed, 16u);
-  EXPECT_EQ(sb.flusher_at(0)->stats().throttle_waits, 0u);
-  EXPECT_EQ(sb.flusher_at(1)->stats().throttle_waits, 0u);
-  EXPECT_EQ(fast_writer.now(), 0);  // never throttled, never charged
-
-  // A writer bound to the SLOW member: that member's drain is now far
-  // past the backlog window, so THIS writer (and only this one) is
-  // throttled to the slow member's drain rate.
+  // A writer bound to the SLOW member crosses its threshold: that
+  // member's flusher drains 256 pages at 2 ms each, far past the backlog
+  // window, so THIS writer is throttled to the slow member's drain rate.
+  dirty_all(slow_file);
   sim::SimThread slow_writer(11);
   {
     sim::ScopedThread w(slow_writer);
     sb.poke_flushers(&slow_file);
   }
+  EXPECT_EQ(slow_file.mapping.nr_dirty(), 0u);
+  EXPECT_EQ(sb.flusher_at(1)->stats().pages_flushed, kDirtyPagesThreshold);
   EXPECT_GE(sb.flusher_at(1)->stats().throttle_waits, 1u);
-  EXPECT_EQ(sb.flusher_at(0)->stats().throttle_waits, 0u);
-  EXPECT_GT(slow_writer.now(), sim::msec(1));  // held back by backpressure
+  EXPECT_GT(slow_writer.now(), kern::kMaxBacklog);  // held back
   EXPECT_GT(sb.flusher_at(1)->last_completion(), slow_writer.now());
 
-  for (auto* bh : held) bc.brelse(bh);
+  // A writer bound to the FAST member: its own flusher drains shard 0
+  // and may throttle it; the slow member's flusher, still far behind,
+  // gets only a courtesy poke, and an unowned member's backlog can never
+  // throttle this writer.
+  dirty_all(fast_file);
+  sim::SimThread fast_writer(10);
+  {
+    sim::ScopedThread w(fast_writer);
+    sb.poke_flushers(&fast_file);
+  }
+  EXPECT_EQ(fast_file.mapping.nr_dirty(), 0u);
+  EXPECT_EQ(sb.flusher_at(0)->stats().pages_flushed, kDirtyPagesThreshold);
+  EXPECT_EQ(sb.flusher_at(0)->stats().throttle_waits, 0u);
+  EXPECT_EQ(fast_writer.now(), 0);  // never throttled, never charged
+  EXPECT_GT(sb.flusher_at(1)->last_completion(), kern::kMaxBacklog);
 }
 
 // ---- integration: real deployments ----

@@ -54,8 +54,8 @@ TEST(StatsRegistry, EveryKnownStatsStructIsRegistered) {
   // core: ext4j journals its own writeback and FUSE drains in userspace,
   // so neither attaches kernel flusher shards.
   const std::vector<const char*> kCore = {
-      "DeviceStats", "RequestQueueStats", "PlugStats",
-      "BufferCacheStats", "AddressSpaceStats"};
+      "DeviceStats", "RequestQueueStats", "BufferCacheStats",
+      "AddressSpaceStats"};
   const Deployment deployments[] = {
       {"xv6_bento", "", {"FlusherStats", "ModuleStats", "LogStats"}},
       {"xv6_bento", "stripe=4", {"AggregateVolumeStats", "LogStats"}},
@@ -71,7 +71,7 @@ TEST(StatsRegistry, EveryKnownStatsStructIsRegistered) {
   // seen in at least one snapshot. Adding a new *Stats without wiring it
   // into dump_stats()/register_stats() fails this list.
   std::vector<std::string> all_known = {
-      "DeviceStats",    "RequestQueueStats", "PlugStats",
+      "DeviceStats",    "RequestQueueStats",
       "BufferCacheStats", "AddressSpaceStats", "FlusherStats",
       "AggregateVolumeStats", "ParityVolumeStats", "ModuleStats", "LogStats",
       "NvmLogStats",    "CLogStats",       "FuseConnStats",

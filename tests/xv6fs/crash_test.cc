@@ -563,7 +563,10 @@ PipelineState pipeline_state(kern::SuperBlock& sb) {
 /// Run the mixed fsync-density trace (or, with `burst`, a burst of
 /// namespace ops and no fsync) on an `fs` mount with the device set to
 /// die after `kill_point` write commands; return the surviving logical
-/// image. `obs` (optional) lets the sweep prove that commits overlapped.
+/// image. The mixed trace's crash keeps no unflushed write; the burst
+/// has no fsync, so its crash keeps every write issued before the kill,
+/// and the image then shows exactly what the commits wrote and in what
+/// order. `obs` (optional) lets the sweep prove that commits overlapped.
 std::unique_ptr<blk::BlockDevice> run_pipelined_trace(
     const char* fs, DevKind kind, std::uint64_t kill_point,
     std::uint64_t seed, std::string_view opts, PipelineObs* obs = nullptr,
@@ -625,7 +628,7 @@ std::unique_ptr<blk::BlockDevice> run_pipelined_trace(
     obs->peak_inflight = peak;
   }
   sim::Rng crash_rng(seed + 77);
-  dev.crash(/*survive_p=*/0.0, crash_rng);
+  dev.crash(/*survive_p=*/burst ? 1.0 : 0.0, crash_rng);
   return copy_device(dev);
 }
 
@@ -1033,8 +1036,8 @@ TEST(MirrorMemberLossThenCrash, RecoversFromTheSurvivor) {
 // replay would take block 1 for uninitialised and zero a block that holds
 // a live inode. The Bento port runs in both of its modes: Strict
 // (xv6_strict, as in the sweeps above) and Relaxed (xv6_bento), whose
-// header clear follows the install's plug, so a device that dies partway
-// through the install keeps the header.
+// header clear is its own batch after the install, so a device that dies
+// partway through the install keeps the header.
 
 constexpr int kBlock0Files = xv6::kInodesPerBlock - 2;  // inodes 2..63
 
