@@ -118,7 +118,6 @@ class BufferCache {
   void mark_dirty(BufferHead* bh) {
     if (!bh->dirty) {
       bh->dirty = true;
-      nr_dirty_ += 1;
       dirty_index_.insert(bh->blockno);
     }
   }
@@ -207,7 +206,7 @@ class BufferCache {
   [[nodiscard]] const BufferCacheStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t cached_blocks() const { return map_.size(); }
   /// Currently dirty buffers.
-  [[nodiscard]] std::size_t nr_dirty() const { return nr_dirty_; }
+  [[nodiscard]] std::size_t nr_dirty() const { return dirty_index_.size(); }
   [[nodiscard]] blk::BlockDevice& device() { return dev_; }
   [[nodiscard]] std::uint64_t outstanding_refs() const { return outstanding_refs_; }
 
@@ -218,8 +217,6 @@ class BufferCache {
     if (bh->dirty) {
       bh->dirty = false;
       bh->jdirty = false;  // the journal's write reached the device
-      assert(nr_dirty_ > 0);
-      nr_dirty_ -= 1;
       dirty_index_.erase(bh->blockno);
       demote(bh);
     }
@@ -251,7 +248,6 @@ class BufferCache {
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> lru_pos_;
   sim::SimMutex lock_;
   std::uint64_t outstanding_refs_ = 0;
-  std::size_t nr_dirty_ = 0;
   BufferCacheStats stats_;
 };
 

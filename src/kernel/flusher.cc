@@ -44,10 +44,10 @@ void Flusher::poke(Inode* hint) {
   // complete; if that is more than kMaxBacklog past the writer, the
   // dirty limit is hit and the writer waits until the backlog shrinks to
   // the window (throttling it to the drain rate at steady state).
-  // On a striped volume only the flusher that OWNS the writer's inode
-  // may throttle it: courtesy pokes (no hint, or another shard's inode)
-  // wake drains but never charge this writer an unowned member's
-  // backlog — backpressure stays per device.
+  // With several flushers only the one that OWNS the writer's inode may
+  // throttle it: courtesy pokes (no hint, or another shard's inode) wake
+  // drains but never charge this writer another flusher's backlog —
+  // backpressure stays per flusher.
   if (nshards_ > 1 && (hint == nullptr || !owns(*hint))) return;
   const sim::Nanos limit = sim::now() + kMaxBacklog;
   if (thread_.now() > limit) {
@@ -70,7 +70,7 @@ void Flusher::run_cycle(bool timer_due) {
     sim::ScopedThread in(thread_);
     thread_.wait_until(wake_at);
 
-    // Pages first: collect THIS shard's dirty inodes off the superblock's
+    // Collect THIS shard's dirty inodes off the superblock's
     // dirty-inode list (O(dirty), not a full inode-cache walk), then push
     // each through its file system's normal writeback path (batched
     // ->writepages where supported). Collecting first keeps the walk
@@ -101,9 +101,8 @@ void Flusher::wait_idle() { sim::current().wait_until(thread_.now()); }
 
 void maybe_attach_flusher(SuperBlock& sb, const blk::MountOpts& opts) {
   if (!opts.flusher) return;
-  // One flusher per member device: a plain device gets one; a striped
-  // volume gets fan_out() of them, each owning one member's writeback
-  // and backpressure.
+  // A plain device gets one flusher; a striped volume gets fan_out() of
+  // them, each owning one inode shard's writeback and backpressure.
   const std::size_t n = sb.bdev().fan_out();
   for (std::size_t i = 0; i < n; ++i) {
     sb.attach_flusher(std::make_unique<Flusher>(sb, i, n));

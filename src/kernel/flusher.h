@@ -85,12 +85,13 @@ struct FlusherStats {
   sim::LatencyHistogram wake_to_drain;
 };
 
-/// One background writeback thread for one *member device* of a mounted
-/// superblock. A plain device gets exactly one (shard 0 of 1); a striped
-/// volume gets one per member: inodes shard across them by inode number
-/// (an inode belongs to one flusher, like one bdi), and the
-/// balance_dirty_pages backpressure is therefore *per device* — a writer
-/// bound to a slow member throttles against that member's flusher only.
+/// One background page-writeback thread of a mounted superblock. A plain
+/// device gets exactly one (shard 0 of 1); a striped volume gets
+/// fan_out() of them. Inodes shard across the flushers by inode number
+/// (flusher `shard` owns the inodes with ino % nshards == shard, like one
+/// bdi per inode), while each owned inode's pages still stripe across
+/// every member. The balance_dirty_pages backpressure is *per flusher*: a
+/// writer throttles only against the flusher that owns its inode.
 /// Owned by the SuperBlock; file systems opt in at mount.
 class Flusher {
  public:
@@ -115,7 +116,7 @@ class Flusher {
 
   [[nodiscard]] const FlusherStats& stats() const { return stats_; }
   [[nodiscard]] sim::Nanos last_completion() const { return thread_.now(); }
-  /// Which member device this flusher serves (0 of 1 for plain devices).
+  /// Which inode shard this flusher owns (0 of 1 for plain devices).
   [[nodiscard]] std::size_t shard() const { return shard_; }
   [[nodiscard]] std::size_t nshards() const { return nshards_; }
   /// Does this flusher's shard own `inode`'s writeback?
@@ -134,8 +135,8 @@ class Flusher {
 };
 
 /// Mount-time helper shared by the deployments that opt in to background
-/// writeback: attach one flusher per member device of `sb`'s volume
-/// (`bdev().fan_out()`; exactly one for a plain device) unless `opts`
+/// writeback: attach `bdev().fan_out()` flushers to `sb` (exactly one
+/// for a plain device), each owning one inode shard, unless `opts`
 /// say "noflusher" (the writer-context ablation escape hatch).
 void maybe_attach_flusher(SuperBlock& sb, const blk::MountOpts& opts);
 

@@ -213,7 +213,7 @@ class SuperBlock {
   /// Attach a per-device flusher thread (file systems opt in at mount;
   /// see kernel/flusher.h). Generic write paths then hand threshold
   /// writeback to it instead of running writer-context sync. A striped
-  /// volume attaches one flusher per member device (see
+  /// volume attaches fan_out() flushers, one per inode shard (see
   /// maybe_attach_flusher); each call appends one.
   void attach_flusher(std::unique_ptr<Flusher> flusher);
   /// The lead flusher (shard 0), or null when background writeback is
@@ -226,14 +226,14 @@ class SuperBlock {
     return flushers_[i].get();
   }
   /// The flusher responsible for `hint`'s writeback (inodes shard across
-  /// the per-device flushers by inode number), or null when none.
+  /// the flushers by inode number), or null when none.
   [[nodiscard]] Flusher* flusher_for(const Inode* hint);
   /// Writer-side writeback hook: poke the hint-inode's own flusher (which
-  /// may throttle the caller against its member's backlog) and give every
-  /// OTHER member's flusher a courtesy wake check with no hint — their
-  /// periodic timer still fires, so dirty pages of inodes no writer is
-  /// poking keep draining, but an unowned member's backlog never
-  /// throttles this writer.
+  /// may throttle the caller against its own backlog) and give every
+  /// OTHER flusher a courtesy wake check with no hint — their periodic
+  /// timer still fires, so dirty pages of inodes no writer is poking keep
+  /// draining, but another flusher's backlog never throttles this
+  /// writer.
   void poke_flushers(Inode* hint);
 
   // ---- dirty-inode list (the per-bdi b_dirty list) ----

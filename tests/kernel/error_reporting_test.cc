@@ -127,22 +127,34 @@ TEST(WritebackErrseq, BackgroundFailureReportedOncePerDescriptor) {
   ASSERT_TRUE(kernel.write(p, fd1.value(), as_bytes("payload")).ok());
   ASSERT_EQ(Err::Ok, kernel.fsync(p, fd1.value()));
 
-  // Fail a metadata writeback on NOBODY's clock: dirty an idle block and
-  // write it back into an injected device write error, the way a journal
-  // install does (an async batch, redeemed later), long after the writer
-  // system call that dirtied it returned.
+  // Fail a metadata writeback on NOBODY's clock: dirty three idle blocks
+  // and write them back as one async batch, the way a journal install
+  // does (redeemed later, long after the writer system call that dirtied
+  // them returned), with an injected device write error on the middle one.
   kern::SuperBlock* sb = kernel.sb_at("/mnt");
   auto& bc = sb->bufcache();
-  const std::uint64_t victim = kBlocks - 1;
-  auto bh = bc.bread(victim);
-  ASSERT_TRUE(bh.ok());
-  bc.mark_dirty(bh.value());
+  const std::uint64_t victim = kBlocks - 2;
+  std::vector<kern::BufferHead*> batch;
+  for (std::uint64_t b = victim - 1; b <= victim + 1; ++b) {
+    auto bh = bc.bread(b);
+    ASSERT_TRUE(bh.ok());
+    bc.mark_dirty(bh.value());
+    batch.push_back(bh.value());
+  }
+  const std::size_t dirty_before = bc.nr_dirty();
   bed.dev->inject_write_error(victim);
-  kern::BufferHead* const batch[] = {bh.value()};
   bc.wait(bc.sync_dirty_buffers_async(batch));
   bed.dev->clear_write_error(victim);
-  bc.brelse(bh.value());
+
+  // The victim's write never happened, so it stays dirty; its neighbours
+  // in the same batch were written and are clean. The failure is
+  // sequenced once.
+  EXPECT_FALSE(batch[0]->dirty);
+  EXPECT_TRUE(batch[1]->dirty);
+  EXPECT_FALSE(batch[2]->dirty);
+  EXPECT_EQ(bc.nr_dirty(), dirty_before - 2);
   EXPECT_EQ(bc.wb_err_seq(), 1u);
+  for (auto* bh : batch) bc.brelse(bh);
 
   // Each pre-failure descriptor's next fsync reports it — exactly once.
   EXPECT_EQ(kernel.fsync(p, fd1.value()), Err::Io);
