@@ -3,7 +3,7 @@
 //
 // "off"  mounts with -o noflusher: every threshold writeback runs on the
 //        writer's clock, exactly the pre-flusher behaviour.
-// "on"   is the default mount: a per-device flusher thread drains dirty
+// "on"   is the default mount: the mount's flusher thread drains dirty
 //        pages through the file system's ->writepages on its own clock,
 //        so the writer only pays the poke.
 //

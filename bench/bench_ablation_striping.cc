@@ -9,7 +9,7 @@
 //                   per-member channel parallelism.
 //   Bento-seqwrite — buffered sequential writes through the full
 //                   xv6-on-Bento stack mounted on the striped volume
-//                   (per-member flushers drain in the background).
+//                   (the mount's flusher drains in the background).
 //
 // Expected shape: raw write/read bandwidth scales ~linearly with member
 // count (each member sees 1/N of the blocks and transfers concurrently);

@@ -8,7 +8,11 @@ thing produce the same bytes. This script runs every `bench_*` binary
 in a working directory of its own, at most nproc at once, and compares:
 
   BENCH_*.json   row by row (series, label), with the relative change
-  STATS_*.json   key by key (nested keys joined with '.')
+  STATS_*.json   key by key (nested keys joined with '.'); a stats object
+                 is named by its struct and device, or by its struct and
+                 its ordinal among that struct's objects where it has no
+                 device, so one object more or less is reported as missing
+                 and moves no other object's keys
   TRACE_*.jsonl  at the first differing event
   example stdout line by line (no example prints host time)
 
@@ -90,13 +94,28 @@ def run_builds(build_a, build_b, out):
 
 # ---- diffing ----
 
-def flatten(value, prefix, out):
+def flatten(value, prefix, out, objects=None):
+    """Flatten `value` into `out`. A list element that is a stats object
+    (a dict with a "struct" key) is named "[struct device]", or
+    "[struct#n]" for the n-th object of its struct without a device, and
+    its path is added to `objects`; other elements are named by index."""
     if isinstance(value, dict):
         for k, v in value.items():
-            flatten(v, f"{prefix}.{k}" if prefix else str(k), out)
+            flatten(v, f"{prefix}.{k}" if prefix else str(k), out, objects)
     elif isinstance(value, list):
+        ordinals = {}
         for i, v in enumerate(value):
-            flatten(v, f"{prefix}[{i}]", out)
+            name = str(i)
+            if isinstance(v, dict) and "struct" in v:
+                if "device" in v:
+                    name = f"{v['struct']} {v['device']}"
+                else:
+                    n = ordinals.get(v["struct"], 0)
+                    ordinals[v["struct"]] = n + 1
+                    name = f"{v['struct']}#{n}"
+                if objects is not None:
+                    objects.add(f"{prefix}[{name}]")
+            flatten(v, f"{prefix}[{name}]", out, objects)
     else:
         out[prefix] = value
     return out
@@ -115,8 +134,26 @@ def bench_rows(path):
 
 
 def stats_keys(path):
+    """(flattened keys, stats object paths) of a STATS file."""
+    objects = set()
     with open(path) as f:
-        return flatten(json.load(f), "", {})
+        keys = flatten(json.load(f), "", {}, objects)
+    return keys, objects
+
+
+def diff_stats(where, a, b, moved, other):
+    """Report each stats object only one side has as missing, and diff
+    the keys of the rest."""
+    (keys_a, objs_a), (keys_b, objs_b) = a, b
+    lone = objs_a ^ objs_b
+    for obj in sorted(lone):
+        other.append(f"{where}: {obj} missing on side "
+                     f"{'a' if obj not in objs_a else 'b'}")
+
+    def kept(keys):
+        return {k: v for k, v in keys.items()
+                if not any(k.startswith(o + ".") for o in lone)}
+    diff_keyed(where, kept(keys_a), kept(keys_b), moved)
 
 
 def rel_change(a, b):
@@ -194,7 +231,8 @@ def compare_runs(run_a, run_b):
             if fname.startswith("BENCH_"):
                 diff_keyed(where, bench_rows(pa), bench_rows(pb), moved)
             elif fname.startswith("STATS_"):
-                diff_keyed(where, stats_keys(pa), stats_keys(pb), moved)
+                diff_stats(where, stats_keys(pa), stats_keys(pb), moved,
+                           other)
             else:
                 d = first_difference(read_lines(pa), read_lines(pb))
                 if d:

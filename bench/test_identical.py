@@ -9,7 +9,9 @@ them) and checks that identical.py --runs reports:
      moved;
   3. the missing file when one side lacks a STATS file;
   4. the first differing event of a trace;
-  5. the first differing line of an example's stdout.
+  5. the first differing line of an example's stdout;
+  6. a missing stats object, and no other key moved, when one side lacks
+     a device's stats object or the last of a mount's FlusherStats.
 
 Run: test_identical.py [path/to/identical.py]. Exit 0 = all cases pass.
 """
@@ -30,8 +32,25 @@ def write(path, text):
         f.write(text)
 
 
+def volume_stats(members=(0, 1, 2), flushers=2):
+    """A stats snapshot of a striped volume and its mount."""
+    devices = [{"struct": "DeviceStats", "device": "ssd0", "writes": 30}]
+    for m in members:
+        devices.append({"struct": "DeviceStats", "device": f"ssd0/{m}",
+                        "writes": 10 + m})
+        devices.append({"struct": "RequestQueueStats",
+                        "device": f"ssd0/{m}", "batches": 5 + m})
+    stats = [{"struct": "BufferCacheStats", "hits": 7}]
+    stats += [{"struct": "FlusherStats", "wakeups": 58 + i}
+              for i in range(flushers)]
+    stats.append({"struct": "LogStats", "commits": 12})
+    return {"type": "stats_snapshot", "devices": devices,
+            "mounts": [{"mountpoint": "/mnt", "stats": stats}]}
+
+
 def make_tree(root, create=1000.0, stats=True, trace_op="W",
-              virtual_line="virtual 1.237 ms", wall_s=3.0):
+              virtual_line="virtual 1.237 ms", wall_s=3.0,
+              volume=volume_stats()):
     bench = os.path.join(root, "bench_table4_create")
     write(os.path.join(bench, "BENCH_table4_create.json"), json.dumps({
         "bench": "table4_create", "schema_version": 2, "unit": "creates/s",
@@ -42,6 +61,7 @@ def make_tree(root, create=1000.0, stats=True, trace_op="W",
     if stats:
         write(os.path.join(bench, "STATS_table4.json"),
               json.dumps({"xv6c": {"commits": 12, "blocks_logged": 300}}))
+    write(os.path.join(bench, "STATS_volume.json"), json.dumps(volume))
     write(os.path.join(bench, "TRACE_table4.jsonl"),
           '{"ev":"Q","op":"W","blk":1}\n'
           f'{{"ev":"Q","op":"{trace_op}","blk":2}}\n')
@@ -108,6 +128,17 @@ def main():
         check(rc == 1 and "example_quickstart/stdout: 1 line(s) differ, "
               "first at line 2" in out,
               "5. an example's stdout differs at its second line", out)
+
+        lean = os.path.join(tmp, "lean")
+        make_tree(lean, volume=volume_stats(members=(0, 2), flushers=1))
+        rc, out = run(a, lean)
+        for obj in ("devices[DeviceStats ssd0/1]",
+                    "devices[RequestQueueStats ssd0/1]",
+                    "mounts[0].stats[FlusherStats#1]"):
+            check(rc == 1 and f"STATS_volume.json: {obj} missing on side b"
+                  in out, f"6. {obj} must be reported missing", out)
+        check("moved row" not in out,
+              "6. no key of another object moved", out)
 
     for f in failures:
         print("FAIL:", f)

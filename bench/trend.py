@@ -72,7 +72,7 @@ NOTES = {
     ),
     "flusher": (
         "Background-writeback ablation: buffered write throughput with "
-        "the per-device flusher on vs writer-context sync, plus "
+        "the mount's flusher on vs writer-context sync, plus "
         "foreground write-latency attribution (p99 gated downward)."
     ),
 }

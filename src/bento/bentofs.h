@@ -124,7 +124,6 @@ class BentoModule : public kern::InodeOps,
   /// Insert-or-refresh the in-core inode for an EntryOut (referenced).
   kern::Inode& materialize(const EntryOut& entry);
   void refresh(kern::Inode& inode, const FileAttr& attr);
-  [[nodiscard]] BorrowLedger& mutable_ledger() { return ledger_; }
 
   kern::SuperBlock* sb_;
   std::unique_ptr<BlockBackend> backend_;

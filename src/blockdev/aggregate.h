@@ -85,16 +85,6 @@ class AggregateDevice : public BlockDevice {
     return astats_;
   }
 
-  // ---- fan-out protocol (default: expose the members; volumes that are
-  // one logical device to per-device subsystems — mirror, parity —
-  // override back to 1) ----
-  [[nodiscard]] std::size_t fan_out() const override {
-    return children_.size();
-  }
-  [[nodiscard]] BlockDevice& fan_child(std::size_t i) override {
-    return *children_[i];
-  }
-
   // ---- member failure + online rebuild + hot spares ----
   /// Fail-stop member `i`: from now on it serves no I/O and receives no
   /// writes; the volume runs degraded on the survivors. Aborts an

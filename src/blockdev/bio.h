@@ -245,7 +245,6 @@ class RequestQueue {
   /// policy. Normally set through BlockDevice::set_retry_policy, which a
   /// volume fans out to every member queue.
   void set_retry_policy(const RetryPolicy& p) { policy_ = p; }
-  [[nodiscard]] const RetryPolicy& retry_policy() const { return policy_; }
 
  private:
   /// Sort + merge + dispatch; fills done_at, returns last completion.

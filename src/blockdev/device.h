@@ -105,23 +105,8 @@ class BlockDevice {
     return dirty_.size();
   }
 
-  // ---- fan-out introspection (striped volumes; see blockdev/striped.h) --
-  /// Number of physical member devices behind this one (1 for a plain
-  /// device). Per-device subsystems (the background flusher) size
-  /// themselves by this.
-  [[nodiscard]] virtual std::size_t fan_out() const { return 1; }
-  /// Member device `i` (this device itself for a plain device).
-  [[nodiscard]] virtual BlockDevice& fan_child(std::size_t i) {
-    (void)i;
-    return *this;
-  }
-  /// Which member device owns logical block `blockno` (0 for plain).
-  [[nodiscard]] virtual std::size_t child_of(std::uint64_t blockno) const {
-    (void)blockno;
-    return 0;
-  }
   /// Geometry hint for writeback clustering: the number of logical blocks
-  /// in one full stripe row (`fan_out() * chunk_blocks` for a RAID0
+  /// in one full stripe row (`members() * chunk_blocks` for a RAID0
   /// volume), or 0 when the device has no striping geometry. Journal
   /// group commit sizes its transactions to a multiple of this so every
   /// member receives a merged request instead of fragment slivers — the
@@ -238,9 +223,6 @@ class BlockDevice {
   }
   virtual void clear_write_error(std::uint64_t blockno) {
     bad_writes_.erase(blockno);
-  }
-  [[nodiscard]] std::size_t injected_write_errors() const {
-    return bad_writes_.size();
   }
   /// Fail the next `k` bios (either direction) with a TRANSIENT error
   /// (Bio::retryable set), then heal — a controller hiccup rather than a

@@ -34,9 +34,7 @@
 // from the first healthy member.
 //
 // Stacking: RAID10 = StripedDevice constructed over MirroredDevice
-// members (see StripedDevice's prebuilt-children constructor). The mirror
-// reports fan_out() == 1 — it IS one logical device (one flusher, one
-// buffer shard); per-stripe fan-out comes from the striping layer above.
+// members (see StripedDevice's prebuilt-children constructor).
 #pragma once
 
 #include <memory>
@@ -83,15 +81,6 @@ class MirroredDevice final : public AggregateDevice {
   [[nodiscard]] const MirrorParams& mirror() const { return mirror_; }
   [[nodiscard]] const MirrorVolumeStats& volume_stats() const {
     return vstats_;
-  }
-
-  // Deliberately NOT the fan_out() protocol: a mirror is one logical
-  // device to per-device subsystems (flusher sharding, buffer shards);
-  // replicas are an internal redundancy detail.
-  [[nodiscard]] std::size_t fan_out() const override { return 1; }
-  [[nodiscard]] BlockDevice& fan_child(std::size_t i) override {
-    (void)i;
-    return *this;
   }
 
   /// Observed read-completion-latency EWMA for member `i` (the

@@ -63,10 +63,9 @@
 // member by XOR-reconstructing its blocks from the survivors; hot spares
 // (ParityParams::nspares) deploy and rebuild automatically on fail_member.
 //
-// Stacking: RAID50 = StripedDevice over ParityDevice members. The
-// parity volume reports fan_out() == 1 — like a mirror it IS one
-// logical device; stripe_width_blocks() exposes the data row so
-// writeback clustering aligns to full stripes.
+// Stacking: RAID50 = StripedDevice over ParityDevice members.
+// stripe_width_blocks() exposes the data row so writeback clustering
+// aligns to full stripes.
 #pragma once
 
 #include <deque>
@@ -138,13 +137,6 @@ class ParityDevice final : public AggregateDevice {
     return vstats_;
   }
 
-  // Like a mirror, one logical device to per-device subsystems; member
-  // fan-out is an internal redundancy detail.
-  [[nodiscard]] std::size_t fan_out() const override { return 1; }
-  [[nodiscard]] BlockDevice& fan_child(std::size_t i) override {
-    (void)i;
-    return *this;
-  }
   /// One full stripe row of DATA blocks (the writeback-clustering and
   /// group-commit alignment hint: a run covering this much, row-aligned,
   /// takes the no-read reconstruct-write path).
@@ -153,10 +145,7 @@ class ParityDevice final : public AggregateDevice {
   }
 
   // ---- geometry (exposed for tests) ----
-  /// Member holding logical block `blockno`'s data. Deliberately NOT the
-  /// fan-out protocol's child_of() (which stays 0: per-device subsystems
-  /// like the buffer-cache shards and flushers see ONE logical device —
-  /// the member split is an internal redundancy detail, like a mirror's).
+  /// Member holding logical block `blockno`'s data.
   [[nodiscard]] std::size_t data_member_of(std::uint64_t blockno) const;
   /// Member-local block `blockno` maps to.
   [[nodiscard]] std::uint64_t child_block_of(std::uint64_t blockno) const;

@@ -24,7 +24,7 @@
 //     stays comparable bio-for-bio with the same op trace on one device;
 //   - kill_after_child(i, n) arms the per-member kill instead: member i
 //     stops persisting after n more *fragment* write commands while the
-//     other members keep going — power loss of one shard mid-batch, the
+//     other members keep going — power loss of one member mid-batch, the
 //     failure mode only multi-device volumes have.
 #pragma once
 
@@ -52,7 +52,7 @@ class StripedDevice final : public AggregateDevice {
   /// Uniform members: `child_params.nblocks` is the PER-CHILD size
   /// (rounded down to a whole number of chunks).
   StripedDevice(StripeParams sp, DeviceParams child_params);
-  /// Heterogeneous members (e.g. one slow shard in fault tests). All
+  /// Heterogeneous members (e.g. one slow member in fault tests). All
   /// children must have the same usable size.
   StripedDevice(StripeParams sp, std::vector<DeviceParams> child_params);
   /// Prebuilt members: stacking volumes, e.g. RAID10 = a stripe whose
@@ -69,7 +69,8 @@ class StripedDevice final : public AggregateDevice {
   }
 
   // ---- geometry ----
-  [[nodiscard]] std::size_t child_of(std::uint64_t blockno) const override;
+  /// The member that holds logical `blockno`.
+  [[nodiscard]] std::size_t child_of(std::uint64_t blockno) const;
   /// The member-local block number logical `blockno` maps to.
   [[nodiscard]] std::uint64_t child_block_of(std::uint64_t blockno) const;
   /// One full stripe row in logical blocks (the writeback-clustering

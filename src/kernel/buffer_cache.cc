@@ -9,9 +9,7 @@
 namespace bsim::kern {
 
 BufferCache::BufferCache(blk::BlockDevice& dev, std::size_t capacity)
-    : dev_(dev),
-      capacity_(capacity),
-      wb_err_(dev.fan_out()) {}
+    : dev_(dev), capacity_(capacity) {}
 
 BufferCache::~BufferCache() = default;
 
@@ -159,7 +157,7 @@ Err BufferCache::sync_dirty_buffer(BufferHead* bh) {
   // A write command that never executed (crash-model kill point) did not
   // write the buffer back: it must stay dirty.
   if (bio.io_error) {
-    record_wb_error(bh->blockno);
+    record_wb_error();
     return Err::Io;
   }
   if (bio.applied) {
@@ -192,9 +190,9 @@ blk::Ticket BufferCache::sync_dirty_buffers_async(
     if (bios[i].io_error) {
       // A device write error (io_error discriminates it from the crash
       // model's silent swallow, which leaves io_error clear): the buffer
-      // stays dirty AND the failure is parked in the shard's error
+      // stays dirty AND the failure is parked in the writeback error
       // sequence for the next fsync/sync to report.
-      record_wb_error(bhs[i]->blockno);
+      record_wb_error();
       continue;
     }
     if (!bios[i].applied) continue;
@@ -217,7 +215,7 @@ blk::Ticket BufferCache::write_run(
   }
   const blk::Ticket t = dev_.submit_async(bios);
   for (const blk::Bio& bio : bios) {
-    if (bio.io_error) record_wb_error(bio.vecs.front().blockno);
+    if (bio.io_error) record_wb_error();
   }
   return t;
 }

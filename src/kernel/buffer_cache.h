@@ -165,29 +165,11 @@ class BufferCache {
   /// BufferHead::jdirty). No-op when the block is not cached.
   void pin_journal(std::uint64_t blockno, bool pin);
 
-  // ---- writeback error sequence (errseq_t over metadata writeback) ----
-  /// A buffer writeback that failed with a device write error (not a
-  /// crash-model swallow) is recorded per member-device shard; fsync and
-  /// sync consumers carry an ErrSeqCursor and see each failure exactly
-  /// once. The aggregate sequence is the sum over shards.
-  [[nodiscard]] std::uint64_t wb_err_seq() const {
-    std::uint64_t s = 0;
-    for (const ErrSeq& e : wb_err_) s += e.seq();
-    return s;
-  }
-  [[nodiscard]] ErrSeqCursor wb_err_sample() const {
-    return ErrSeqCursor{wb_err_seq()};
-  }
-  /// Report-once check across all shards (see ErrSeq::check).
-  [[nodiscard]] Err wb_err_check(ErrSeqCursor& c) const {
-    const std::uint64_t s = wb_err_seq();
-    if (c.seen == s) return Err::Ok;
-    c.seen = s;
-    return wb_last_err_;
-  }
-  [[nodiscard]] const ErrSeq& wb_err_shard(std::size_t shard) const {
-    return wb_err_[shard];
-  }
+  /// Writeback error sequence (errseq_t over metadata writeback): a
+  /// buffer writeback that failed with a device write error (not a
+  /// crash-model swallow) is recorded here; fsync and sync consumers carry
+  /// an ErrSeqCursor and see each failure exactly once.
+  [[nodiscard]] const ErrSeq& wb_err() const { return wb_err_; }
 
   /// Write back every dirty buffer not pinned by a journal (timed) as
   /// one batched submission in ascending block order.
@@ -225,12 +207,9 @@ class BufferCache {
   void demote(BufferHead* bh);
   /// Remove a cached block from the LRU and the cache.
   void drop(std::uint64_t blockno);
-  /// A device write error on `blockno`: park it in its shard's writeback
-  /// error sequence for the next fsync/sync to report.
-  void record_wb_error(std::uint64_t blockno) {
-    wb_err_[dev_.child_of(blockno)].record(Err::Io);
-    wb_last_err_ = Err::Io;
-  }
+  /// A device write error: park it in the writeback error sequence for
+  /// the next fsync/sync to report.
+  void record_wb_error() { wb_err_.record(Err::Io); }
   /// Gather the dirty set not pinned by a journal in ascending block
   /// order — an O(dirty) walk of the dirty-block index.
   std::vector<BufferHead*> collect_dirty();
@@ -240,9 +219,7 @@ class BufferCache {
   /// Dirty blocknos, ordered (the tagged-radix analogue): writeback walks
   /// this, never the whole map.
   std::set<std::uint64_t> dirty_index_;
-  /// Per-member-device writeback error sequences (size fan_out()).
-  std::vector<ErrSeq> wb_err_;
-  Err wb_last_err_ = Err::Ok;
+  ErrSeq wb_err_;
   std::unordered_map<std::uint64_t, std::unique_ptr<BufferHead>> map_;
   std::list<std::uint64_t> lru_;  // front = most recent
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> lru_pos_;

@@ -1,6 +1,6 @@
 #include "kernel/flusher.h"
 
-#include <algorithm>
+#include <vector>
 
 #include "blockdev/opts.h"
 #include "kernel/vfs.h"
@@ -8,31 +8,22 @@
 
 namespace bsim::kern {
 
-Flusher::Flusher(SuperBlock& sb, std::size_t shard, std::size_t nshards)
-    : sb_(&sb),
-      shard_(shard),
-      nshards_(std::max<std::size_t>(nshards, 1)),
-      thread_(-2 - static_cast<int>(shard)) {
+Flusher::Flusher(SuperBlock& sb) : sb_(&sb), thread_(-2) {
   // First periodic wake is one period after attach (mounts happen at
   // arbitrary virtual times), not at absolute time kFlushPeriod.
   const sim::SimThread* t = sim::current_or_null();
   next_timer_ = (t != nullptr ? t->now() : 0) + kFlushPeriod;
 }
 
-bool Flusher::owns(const Inode& inode) const {
-  return nshards_ <= 1 || inode.ino() % nshards_ == shard_;
+bool Flusher::wake_due(const Inode& inode) const {
+  return inode.mapping.nr_dirty() >= kDirtyPagesThreshold;
 }
 
-bool Flusher::wake_due(const Inode* hint) const {
-  return hint != nullptr && owns(*hint) &&
-         hint->mapping.nr_dirty() >= kDirtyPagesThreshold;
-}
-
-void Flusher::poke(Inode* hint) {
+void Flusher::poke(Inode& inode) {
   if (running_) return;  // poked from flusher context; already draining
   stats_.pokes += 1;
   const bool timer_due = sim::now() >= next_timer_;
-  const bool threshold = wake_due(hint);
+  const bool threshold = wake_due(inode);
   if (timer_due || threshold) {
     stats_.wakeups += 1;
     if (threshold) stats_.threshold_wakeups += 1;
@@ -44,11 +35,6 @@ void Flusher::poke(Inode* hint) {
   // complete; if that is more than kMaxBacklog past the writer, the
   // dirty limit is hit and the writer waits until the backlog shrinks to
   // the window (throttling it to the drain rate at steady state).
-  // With several flushers only the one that OWNS the writer's inode may
-  // throttle it: courtesy pokes (no hint, or another shard's inode) wake
-  // drains but never charge this writer another flusher's backlog —
-  // backpressure stays per flusher.
-  if (nshards_ > 1 && (hint == nullptr || !owns(*hint))) return;
   const sim::Nanos limit = sim::now() + kMaxBacklog;
   if (thread_.now() > limit) {
     const sim::Nanos resume = thread_.now() - kMaxBacklog;
@@ -59,8 +45,8 @@ void Flusher::poke(Inode* hint) {
 }
 
 void Flusher::run_cycle(bool timer_due) {
-  // A wake drains everything dirty (hint-first ordering would only
-  // reorder within one already-off-writer-clock cycle).
+  // A wake drains everything dirty (draining the poked inode first would
+  // only reorder within one already-off-writer-clock cycle).
   const sim::Nanos wake_at = sim::now();
   running_ = true;
   {
@@ -70,14 +56,13 @@ void Flusher::run_cycle(bool timer_due) {
     sim::ScopedThread in(thread_);
     thread_.wait_until(wake_at);
 
-    // Collect THIS shard's dirty inodes off the superblock's
-    // dirty-inode list (O(dirty), not a full inode-cache walk), then push
-    // each through its file system's normal writeback path (batched
-    // ->writepages where supported). Collecting first keeps the walk
-    // stable if FS code touches the inode cache mid-drain.
+    // Collect the dirty inodes off the superblock's dirty-inode list
+    // (O(dirty), not a full inode-cache walk), then push each through its
+    // file system's normal writeback path (batched ->writepages where
+    // supported). Collecting first keeps the walk stable if FS code
+    // touches the inode cache mid-drain.
     std::vector<Inode*> dirty;
-    sb_->collect_dirty_inodes(shard_, nshards_, dirty,
-                              stats_.inodes_scanned);
+    sb_->collect_dirty_inodes(dirty, stats_.inodes_scanned);
     for (Inode* inode : dirty) {
       const std::size_t before = inode->mapping.nr_dirty();
       if (generic_writeback(*inode) != Err::Ok) {
@@ -100,13 +85,7 @@ void Flusher::run_cycle(bool timer_due) {
 void Flusher::wait_idle() { sim::current().wait_until(thread_.now()); }
 
 void maybe_attach_flusher(SuperBlock& sb, const blk::MountOpts& opts) {
-  if (!opts.flusher) return;
-  // A plain device gets one flusher; a striped volume gets fan_out() of
-  // them, each owning one inode shard's writeback and backpressure.
-  const std::size_t n = sb.bdev().fan_out();
-  for (std::size_t i = 0; i < n; ++i) {
-    sb.attach_flusher(std::make_unique<Flusher>(sb, i, n));
-  }
+  if (opts.flusher) sb.attach_flusher(std::make_unique<Flusher>(sb));
 }
 
 }  // namespace bsim::kern

@@ -1,11 +1,11 @@
-// Background writeback: a per-device flusher thread (pdflush / the
-// per-bdi flusher in Linux terms) that drains dirty pages OFF the
-// writer's clock.
+// Background writeback: one flusher thread per mount (the per-bdi
+// flusher in Linux terms; an md volume is one backing device, so a RAID
+// mount has one too) that drains dirty pages OFF the writer's clock.
 //
 // Before this existed, every sync ran in writer context at queue depth 1:
 // generic_file_write did its own threshold writeback, and fsync paths
 // paid sync_all inline. The flusher moves the steady-state draining to a
-// dedicated simulated thread per device:
+// dedicated simulated thread:
 //
 //   - Writers poke() it from the generic write path (the
 //     balance_dirty_pages hook). The flusher decides whether to wake —
@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/stats.h"
 #include "sim/thread.h"
@@ -85,49 +84,36 @@ struct FlusherStats {
   sim::LatencyHistogram wake_to_drain;
 };
 
-/// One background page-writeback thread of a mounted superblock. A plain
-/// device gets exactly one (shard 0 of 1); a striped volume gets
-/// fan_out() of them. Inodes shard across the flushers by inode number
-/// (flusher `shard` owns the inodes with ino % nshards == shard, like one
-/// bdi per inode), while each owned inode's pages still stripe across
-/// every member. The balance_dirty_pages backpressure is *per flusher*: a
-/// writer throttles only against the flusher that owns its inode.
+/// The background page-writeback thread of a mounted superblock. Every
+/// mount with background writeback has exactly one, whatever the volume
+/// below it: each inode's pages stripe across every member anyway.
 /// Owned by the SuperBlock; file systems opt in at mount.
 class Flusher {
  public:
-  explicit Flusher(SuperBlock& sb, std::size_t shard = 0,
-                   std::size_t nshards = 1);
+  explicit Flusher(SuperBlock& sb);
 
   Flusher(const Flusher&) = delete;
   Flusher& operator=(const Flusher&) = delete;
 
   /// Writer-side hook (called with the writer's clock current). Decides
   /// whether to wake; any drain runs on the flusher's own clock, starting
-  /// no earlier than the poke. `hint` is the inode the writer dirtied
-  /// (may be null for metadata-only pokes).
-  void poke(Inode* hint);
+  /// no earlier than the poke. `inode` is the inode the writer dirtied.
+  void poke(Inode& inode);
 
   /// Foreground durability barrier: advance the calling thread past all
   /// writeback the flusher has completed.
   void wait_idle();
 
   /// Would a poke right now wake the flusher? (exposed for tests)
-  [[nodiscard]] bool wake_due(const Inode* hint) const;
+  [[nodiscard]] bool wake_due(const Inode& inode) const;
 
   [[nodiscard]] const FlusherStats& stats() const { return stats_; }
   [[nodiscard]] sim::Nanos last_completion() const { return thread_.now(); }
-  /// Which inode shard this flusher owns (0 of 1 for plain devices).
-  [[nodiscard]] std::size_t shard() const { return shard_; }
-  [[nodiscard]] std::size_t nshards() const { return nshards_; }
-  /// Does this flusher's shard own `inode`'s writeback?
-  [[nodiscard]] bool owns(const Inode& inode) const;
 
  private:
   void run_cycle(bool timer_due);
 
   SuperBlock* sb_;
-  std::size_t shard_ = 0;
-  std::size_t nshards_ = 1;
   sim::SimThread thread_;
   sim::Nanos next_timer_;
   bool running_ = false;  // reentrancy guard (poke from flusher context)
@@ -135,9 +121,8 @@ class Flusher {
 };
 
 /// Mount-time helper shared by the deployments that opt in to background
-/// writeback: attach `bdev().fan_out()` flushers to `sb` (exactly one
-/// for a plain device), each owning one inode shard, unless `opts`
-/// say "noflusher" (the writer-context ablation escape hatch).
+/// writeback: attach the mount's flusher to `sb`, unless `opts` say
+/// "noflusher" (the writer-context ablation escape hatch).
 void maybe_attach_flusher(SuperBlock& sb, const blk::MountOpts& opts);
 
 }  // namespace bsim::kern

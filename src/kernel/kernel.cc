@@ -337,7 +337,7 @@ Result<int> Kernel::open(Process& p, std::string_view path, int flags,
     // Sample the writeback error sequences (f_wb_err): errors recorded
     // before this open are not this fd's to report at fsync.
     of->fh.wb_err = of->inode->mapping.wb_err().sample();
-    of->fh.bc_wb_err = of->sb->bufcache().wb_err_sample();
+    of->fh.bc_wb_err = of->sb->bufcache().wb_err().sample();
     if ((flags & kOTrunc) != 0 && of->inode->type == FileType::Regular) {
       if (of->sb->read_only()) {
         of->sb->iput(of->inode);
@@ -537,7 +537,7 @@ Err Kernel::do_fsync(OpenFile& of, bool datasync) {
   // call itself succeeded — and advances the fd's cursor so the next
   // fsync on this fd reports clean while other fds still see their own.
   const Err we = of.inode->mapping.wb_err().check(of.fh.wb_err);
-  const Err be = of.sb->bufcache().wb_err_check(of.fh.bc_wb_err);
+  const Err be = of.sb->bufcache().wb_err().check(of.fh.bc_wb_err);
   if (e == Err::Ok) e = we != Err::Ok ? we : be;
   return e;
 }

@@ -121,7 +121,7 @@ class Kernel {
   // ---- unified stats snapshot (untimed; see kernel/stats_snapshot.cc) ----
   /// One JSON document covering every device tree (DeviceStats with
   /// latency histograms, RequestQueueStats, volume stats) and
-  /// every mount (buffer cache, page cache, flushers, plus whatever the
+  /// every mount (buffer cache, page cache, flusher, plus whatever the
   /// file system registered via SuperBlock::register_stats).
   [[nodiscard]] std::string dump_stats();
   /// Same, written to `path` (bench exit hook).

@@ -188,7 +188,6 @@ class AddressSpace {
   /// generic_file_read; update_readahead applies the stream detection and
   /// returns the speculative window to read beyond the request.
   std::size_t update_readahead(std::uint64_t first_pg, std::uint64_t last_pg);
-  [[nodiscard]] const ReadaheadState& readahead_state() const { return ra_; }
 
  private:
   Inode* owner_ = nullptr;

@@ -53,11 +53,9 @@ void dump_page_cache(sim::JsonWriter& w, SuperBlock& sb) {
   w.end_object();
 }
 
-void dump_flusher(sim::JsonWriter& w, const Flusher& f) {
-  const FlusherStats& s = f.stats();
+void dump_flusher(sim::JsonWriter& w, const FlusherStats& s) {
   w.begin_object();
   w.field("struct", "FlusherStats");
-  w.field("shard", static_cast<std::uint64_t>(f.shard()));
   w.field("pokes", s.pokes);
   w.field("wakeups", s.wakeups);
   w.field("threshold_wakeups", s.threshold_wakeups);
@@ -104,8 +102,8 @@ std::string Kernel::dump_stats() {
     w.begin_array();
     dump_buffer_cache(w, m.sb->bufcache().stats());
     dump_page_cache(w, *m.sb);
-    for (std::size_t i = 0; i < m.sb->flusher_count(); ++i) {
-      dump_flusher(w, *m.sb->flusher_at(i));
+    if (const Flusher* f = m.sb->flusher(); f != nullptr) {
+      dump_flusher(w, f->stats());
     }
     for (const auto& [name, fn] : m.sb->stats_dumpers()) fn(w);
     w.end_array();

@@ -45,21 +45,6 @@ Err FileOps::readdir(Inode&, std::uint64_t&, const DirFiller&) {
   return Err::NotDir;
 }
 
-void SuperBlock::attach_flusher(std::unique_ptr<Flusher> flusher) {
-  flushers_.push_back(std::move(flusher));
-}
-
-Flusher* SuperBlock::flusher_for(const Inode* hint) {
-  if (flushers_.empty()) return nullptr;
-  if (hint == nullptr || flushers_.size() == 1) return flushers_.front().get();
-  return flushers_[hint->ino() % flushers_.size()].get();
-}
-
-void SuperBlock::poke_flushers(Inode* hint) {
-  Flusher* owner = flusher_for(hint);
-  for (auto& f : flushers_) f->poke(f.get() == owner ? hint : nullptr);
-}
-
 void SuperBlock::fs_error(Err e) {
   if (e == Err::Ok) return;
   s_wb_err_.record(e);
@@ -83,8 +68,7 @@ void SuperBlock::mark_inode_dirty(Inode& inode) {
   dirty_inodes_.push_back(&inode);
 }
 
-void SuperBlock::collect_dirty_inodes(std::size_t shard, std::size_t nshards,
-                                      std::vector<Inode*>& out,
+void SuperBlock::collect_dirty_inodes(std::vector<Inode*>& out,
                                       std::uint64_t& scanned) {
   std::size_t keep = 0;
   for (Inode* inode : dirty_inodes_) {
@@ -94,7 +78,6 @@ void SuperBlock::collect_dirty_inodes(std::size_t shard, std::size_t nshards,
       continue;
     }
     dirty_inodes_[keep++] = inode;
-    if (nshards > 1 && inode->ino() % nshards != shard) continue;
     if (inode->type == FileType::Regular && inode->aops != nullptr) {
       out.push_back(inode);
     }
@@ -167,7 +150,7 @@ void SuperBlock::dcache_drop_dir(Inode& dir) {
 }
 
 Err SuperBlock::sync_all() {
-  for (auto& f : flushers_) f->wait_idle();
+  if (flusher_ != nullptr) flusher_->wait_idle();
   for (auto& [ino, inode] : icache_) {
     if (inode->type == FileType::Regular && inode->aops != nullptr) {
       BSIM_TRY(generic_writeback(*inode));
@@ -280,8 +263,8 @@ Result<std::uint64_t> generic_file_write(Inode& inode, std::uint64_t off,
   // poke); without one, writers are throttled by doing the writeback
   // themselves once the inode accumulates kDirtyPagesThreshold dirty
   // pages, the flusher's default trigger.
-  if (inode.sb().flusher() != nullptr) {
-    inode.sb().poke_flushers(&inode);
+  if (Flusher* f = inode.sb().flusher(); f != nullptr) {
+    f->poke(inode);
   } else if (inode.mapping.nr_dirty() >= kDirtyPagesThreshold) {
     BSIM_TRY(generic_writeback(inode));
   }

@@ -210,41 +210,23 @@ class SuperBlock {
   Err sync_all();
 
   // ---- background writeback ----
-  /// Attach a per-device flusher thread (file systems opt in at mount;
-  /// see kernel/flusher.h). Generic write paths then hand threshold
-  /// writeback to it instead of running writer-context sync. A striped
-  /// volume attaches fan_out() flushers, one per inode shard (see
-  /// maybe_attach_flusher); each call appends one.
-  void attach_flusher(std::unique_ptr<Flusher> flusher);
-  /// The lead flusher (shard 0), or null when background writeback is
-  /// off. Single-device mounts have exactly one.
-  [[nodiscard]] Flusher* flusher() {
-    return flushers_.empty() ? nullptr : flushers_.front().get();
+  /// Attach the mount's flusher thread (file systems opt in at mount; see
+  /// kernel/flusher.h). generic_file_write then pokes it instead of
+  /// running writer-context sync.
+  void attach_flusher(std::unique_ptr<Flusher> flusher) {
+    flusher_ = std::move(flusher);
   }
-  [[nodiscard]] std::size_t flusher_count() const { return flushers_.size(); }
-  [[nodiscard]] Flusher* flusher_at(std::size_t i) {
-    return flushers_[i].get();
-  }
-  /// The flusher responsible for `hint`'s writeback (inodes shard across
-  /// the flushers by inode number), or null when none.
-  [[nodiscard]] Flusher* flusher_for(const Inode* hint);
-  /// Writer-side writeback hook: poke the hint-inode's own flusher (which
-  /// may throttle the caller against its own backlog) and give every
-  /// OTHER flusher a courtesy wake check with no hint — their periodic
-  /// timer still fires, so dirty pages of inodes no writer is poking keep
-  /// draining, but another flusher's backlog never throttles this
-  /// writer.
-  void poke_flushers(Inode* hint);
+  /// The mount's flusher, or null when background writeback is off.
+  [[nodiscard]] Flusher* flusher() { return flusher_.get(); }
 
   // ---- dirty-inode list (the per-bdi b_dirty list) ----
   /// Register an inode whose mapping just became dirty. Called by
   /// AddressSpace::mark_dirty on the 0 -> 1 transition; idempotent.
   void mark_inode_dirty(Inode& inode);
-  /// Collect this shard's dirty regular inodes in dirtying order, lazily
-  /// pruning entries whose pages have drained. `scanned` accumulates how
-  /// many list entries were examined (the O(dirty) regression stat).
-  void collect_dirty_inodes(std::size_t shard, std::size_t nshards,
-                            std::vector<Inode*>& out,
+  /// Collect the dirty regular inodes in dirtying order, lazily pruning
+  /// entries whose pages have drained. `scanned` accumulates how many
+  /// list entries were examined (the O(dirty) regression stat).
+  void collect_dirty_inodes(std::vector<Inode*>& out,
                             std::uint64_t& scanned);
   [[nodiscard]] std::size_t dirty_inode_count() const {
     return dirty_inodes_.size();
@@ -271,7 +253,7 @@ class SuperBlock {
   Err fs_error_ = Err::Ok;
   ErrSeq s_wb_err_;
 
-  std::vector<std::unique_ptr<Flusher>> flushers_;
+  std::unique_ptr<Flusher> flusher_;
   std::vector<Inode*> dirty_inodes_;  // insertion (dirtying) order
   std::vector<std::pair<std::string, StatsDumper>> stats_dumpers_;
 
@@ -284,7 +266,7 @@ class SuperBlock {
 /// fill_super + kill_block_super split). Kernel::mount builds the
 /// SuperBlock over the device and sets fs_name and errors_mode; the type's
 /// FillSuper then builds the file system's state on it (reads the on-disk
-/// super, replays the journal, sets `root`, attaches flushers, registers
+/// super, replays the journal, sets `root`, attaches the flusher, registers
 /// stats) and returns that state, which the superblock owns from then on.
 /// `opts` are the mount options Kernel::mount parsed, once, from the "-o"
 /// string. On failure FillSuper frees what it built and returns the error.

@@ -52,7 +52,6 @@ class SimThread {
   }
 
   void set_cpu_scale(double s) { cpu_scale_ = s; }
-  [[nodiscard]] double cpu_scale() const { return cpu_scale_; }
   [[nodiscard]] Nanos cpu_charged() const { return cpu_charged_; }
 
  private:

@@ -61,7 +61,6 @@ TEST_F(MirroredDeviceTest, VolumeGeometryIsOneMember) {
   MirroredDevice md = make2();
   EXPECT_EQ(md.members(), 2u);
   EXPECT_EQ(md.nblocks(), 64u);  // NOT 128: replicas, not capacity
-  EXPECT_EQ(md.fan_out(), 1u);   // one logical device to flushers/shards
   EXPECT_FALSE(md.degraded());
   EXPECT_EQ(md.healthy_members(), 2u);
 }
@@ -579,7 +578,7 @@ TEST_F(MirroredDeviceTest, Raid10StripesOverMirrors) {
   StripedDevice raid10(sp, std::move(stripes));
 
   EXPECT_EQ(raid10.nblocks(), 64u);  // 2 stripes x 32; mirroring is free
-  EXPECT_EQ(raid10.fan_out(), 2u);   // per-device subsystems see stripes
+  EXPECT_EQ(raid10.members(), 2u);
 
   std::vector<std::array<std::byte, kBlockSize>> payloads;
   for (std::uint8_t i = 0; i < 32; ++i) payloads.push_back(pattern(i));

@@ -79,7 +79,6 @@ TEST_F(ParityDeviceTest, GeometryRotatesParityLeftSymmetric) {
   ParityDevice pd = make5();
   EXPECT_EQ(pd.members(), 5u);
   EXPECT_EQ(pd.nblocks(), 128u);  // 4 data columns x 8 rows x 4 blocks
-  EXPECT_EQ(pd.fan_out(), 1u);    // one logical device, like a mirror
   EXPECT_EQ(pd.stripe_width_blocks(), 16u);  // ck x ndata
 
   // Row r parks parity on member (n-1) - (r % n); data columns follow.
@@ -786,7 +785,7 @@ TEST_F(ParityDeviceTest, Raid50StripesOverParityVolumes) {
   auto* leg0 = static_cast<ParityDevice*>(legs[0].get());
   StripedDevice raid50(sp, std::move(legs));
   EXPECT_EQ(raid50.nblocks(), 64u);
-  EXPECT_EQ(raid50.fan_out(), 2u);  // stripes visible, parity hidden
+  EXPECT_EQ(raid50.members(), 2u);
 
   std::vector<std::array<std::byte, kBlockSize>> payloads(64);
   std::vector<Bio> bios;

@@ -47,7 +47,7 @@ class StripedDeviceTest : public ::testing::Test {
 
 TEST_F(StripedDeviceTest, Raid0ChunkRouting) {
   StripedDevice sd = make4();
-  EXPECT_EQ(sd.fan_out(), 4u);
+  EXPECT_EQ(sd.members(), 4u);
   EXPECT_EQ(sd.nblocks(), 256u);
 
   // chunk c (4 blocks) lives on member c % 4 at member-chunk c / 4.
@@ -86,7 +86,7 @@ TEST_F(StripedDeviceTest, BioSplitsAtStripeBoundaries) {
   EXPECT_EQ(sd.volume_stats().fragments, 4u);
   EXPECT_EQ(sd.volume_stats().boundary_splits, 1u);
   for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(sd.fan_child(c).stats().write_requests, 1u) << c;
+    EXPECT_EQ(sd.member(c).stats().write_requests, 1u) << c;
   }
   // Every block readable back through the logical address.
   for (std::uint64_t i = 0; i < 12; ++i) {
@@ -96,7 +96,7 @@ TEST_F(StripedDeviceTest, BioSplitsAtStripeBoundaries) {
   }
   // ... and physically resident on the member the mapping names.
   std::array<std::byte, kBlockSize> raw{};
-  sd.fan_child(sd.child_of(5)).read_untimed(sd.child_block_of(5), raw);
+  sd.member(sd.child_of(5)).read_untimed(sd.child_block_of(5), raw);
   EXPECT_EQ(raw, payloads[3]);
 }
 
@@ -112,8 +112,8 @@ TEST_F(StripedDeviceTest, SequentialRunMergesPerMember) {
   }
   sd.submit(bios);
   for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(sd.fan_child(c).stats().write_requests, 1u) << c;
-    EXPECT_EQ(sd.fan_child(c).stats().writes, 8u) << c;
+    EXPECT_EQ(sd.member(c).stats().write_requests, 1u) << c;
+    EXPECT_EQ(sd.member(c).stats().writes, 8u) << c;
   }
   EXPECT_EQ(sd.stats().writes, 32u);  // aggregate
 }
@@ -184,8 +184,7 @@ TEST_F(StripedDeviceTest, TicketWaitOrderIsIrrelevantAcrossMembers) {
     EXPECT_EQ(sd.inflight(), 0u);
     // Member queues drained too (child tickets redeemed either way).
     for (std::size_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(static_cast<BlockDevice&>(sd).fan_child(c).queue().inflight(),
-                0u);
+      EXPECT_EQ(sd.member(c).queue().inflight(), 0u);
     }
     return sim::now();
   };
@@ -249,8 +248,8 @@ TEST_F(StripedDeviceTest, PerChildKillCutsPowerToOneShardMidBatch) {
   EXPECT_FALSE(bios[1].applied);
   EXPECT_TRUE(bios[2].applied);
   EXPECT_TRUE(bios[3].applied);
-  EXPECT_TRUE(sd.fan_child(1).dead());
-  EXPECT_FALSE(sd.fan_child(0).dead());
+  EXPECT_TRUE(sd.member(1).dead());
+  EXPECT_FALSE(sd.member(0).dead());
   EXPECT_TRUE(sd.dead());  // a volume with a dead member is dead
 
   std::array<std::byte, kBlockSize> got{};
@@ -350,10 +349,10 @@ TEST_F(StripedDeviceTest, StatsAggregateAcrossMembers) {
   std::uint64_t writes_sum = 0, reads_sum = 0, flushes_sum = 0;
   sim::Nanos busy_sum = 0;
   for (std::size_t c = 0; c < 4; ++c) {
-    writes_sum += sd.fan_child(c).stats().writes;
-    reads_sum += sd.fan_child(c).stats().reads;
-    flushes_sum += sd.fan_child(c).stats().flushes;
-    busy_sum += sd.fan_child(c).stats().busy;
+    writes_sum += sd.member(c).stats().writes;
+    reads_sum += sd.member(c).stats().reads;
+    flushes_sum += sd.member(c).stats().flushes;
+    busy_sum += sd.member(c).stats().busy;
   }
   EXPECT_EQ(agg.writes, 16u);
   EXPECT_EQ(agg.writes, writes_sum);
@@ -375,7 +374,7 @@ TEST_F(StripedDeviceTest, ScalarReadWriteRouteThroughTheVolume) {
   std::array<std::byte, kBlockSize> got{};
   sd.read(100, got);
   EXPECT_EQ(got, data);
-  EXPECT_EQ(sd.fan_child(sd.child_of(100)).stats().writes, 1u);
+  EXPECT_EQ(sd.member(sd.child_of(100)).stats().writes, 1u);
   EXPECT_GT(sim::now(), 0);
 }
 

@@ -413,12 +413,12 @@ std::optional<std::uint64_t> xv6_commits(std::string_view fstype,
 
 TEST_P(PosixFsTest, MountOptionsReachTheFileSystem) {
   const std::string_view fstype = GetParam();
-  // The kernel deployments attach one flusher per member device; ext4j
-  // and the FUSE daemon attach none.
+  // The kernel deployments attach one flusher; ext4j and the FUSE daemon
+  // attach none.
   const bool flushes = fstype == "xv6_bento" || fstype == "xv6_nvmlog" ||
                        fstype == "xv6_vfs";
   kern::SuperBlock* sb = kernel_.sb_at("/mnt");
-  EXPECT_EQ(sb->flusher_count(), flushes ? sb->bdev().fan_out() : 0u);
+  EXPECT_EQ(flusher_stats_objects(kernel_), flushes ? 1u : 0u);
   // A default mount pools creates into a group commit.
   const std::optional<std::uint64_t> pooled = xv6_commits(fstype, *sb);
   auto fd = kernel_.open(proc(), "/mnt/pooled", kern::kOCreat | kern::kOWrOnly);
@@ -428,7 +428,8 @@ TEST_P(PosixFsTest, MountOptionsReachTheFileSystem) {
 
   ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
   ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt", "noflusher"));
-  EXPECT_EQ(kernel_.sb_at("/mnt")->flusher_count(), 0u);
+  EXPECT_EQ(kernel_.sb_at("/mnt")->flusher(), nullptr);
+  EXPECT_EQ(flusher_stats_objects(kernel_), 0u);
 
   ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
   ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt", "nogroup"));

@@ -153,7 +153,7 @@ TEST(WritebackErrseq, BackgroundFailureReportedOncePerDescriptor) {
   EXPECT_TRUE(batch[1]->dirty);
   EXPECT_FALSE(batch[2]->dirty);
   EXPECT_EQ(bc.nr_dirty(), dirty_before - 2);
-  EXPECT_EQ(bc.wb_err_seq(), 1u);
+  EXPECT_EQ(bc.wb_err().seq(), 1u);
   for (auto* bh : batch) bc.brelse(bh);
 
   // Each pre-failure descriptor's next fsync reports it — exactly once.

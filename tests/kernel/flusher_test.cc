@@ -1,14 +1,14 @@
 // Unit + integration tests for the background flusher: threshold and
-// periodic-timer wakes, drains off the writer's clock, per-device
-// backpressure, the fsync catch-up barrier, and the mount opt-out.
+// periodic-timer wakes, drains off the writer's clock, backpressure, the
+// fsync catch-up barrier, and the mount opt-out.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../testutil.h"
-#include "blockdev/striped.h"
 #include "kernel/flusher.h"
 #include "kernel/vfs.h"
 
@@ -89,17 +89,17 @@ TEST_F(FlusherTest, ThresholdWakeDrainsOffTheWriterClock) {
   // Below the threshold: the poke is a no-op.
   constexpr std::size_t kHalf = kDirtyPagesThreshold / 2;
   dirty_pages(inode, 0, kHalf);
-  EXPECT_FALSE(f->wake_due(&inode));
-  f->poke(&inode);
+  EXPECT_FALSE(f->wake_due(inode));
+  f->poke(inode);
   EXPECT_EQ(inode.mapping.nr_dirty(), kHalf);
   EXPECT_EQ(f->stats().wakeups, 0u);
 
   // Crossing it wakes the flusher, which drains EVERYTHING — on its own
   // clock: the writer's virtual time must not advance.
   dirty_pages(inode, kHalf, kDirtyPagesThreshold - kHalf);
-  EXPECT_TRUE(f->wake_due(&inode));
+  EXPECT_TRUE(f->wake_due(inode));
   const sim::Nanos writer_before = sim::now();
-  f->poke(&inode);
+  f->poke(inode);
   EXPECT_EQ(sim::now(), writer_before);
   EXPECT_EQ(inode.mapping.nr_dirty(), 0u);
   EXPECT_EQ(aops.pages, kDirtyPagesThreshold);
@@ -122,11 +122,11 @@ TEST_F(FlusherTest, PeriodicTimerDrainsBelowThreshold) {
   Flusher* f = sb.flusher();
 
   dirty_pages(inode, 0, 3);  // far below the threshold
-  f->poke(&inode);           // before the period: nothing
+  f->poke(inode);            // before the period: nothing
   EXPECT_EQ(inode.mapping.nr_dirty(), 3u);
 
   sim::current().wait(kern::kFlushPeriod);  // kupdated interval elapses
-  f->poke(&inode);
+  f->poke(inode);
   EXPECT_EQ(inode.mapping.nr_dirty(), 0u);
   EXPECT_EQ(f->stats().timer_wakeups, 1u);
   EXPECT_EQ(f->stats().pages_flushed, 3u);
@@ -142,7 +142,7 @@ TEST_F(FlusherTest, MultipleInodesAllDrain) {
 
   dirty_pages(a, 0, kDirtyPagesThreshold);  // at threshold
   dirty_pages(b, 0, 3);  // below — drained anyway once awake
-  sb.flusher()->poke(&a);
+  sb.flusher()->poke(a);
   EXPECT_EQ(a.mapping.nr_dirty(), 0u);
   EXPECT_EQ(b.mapping.nr_dirty(), 0u);
   EXPECT_EQ(sb.flusher()->stats().pages_flushed, kDirtyPagesThreshold + 3);
@@ -167,7 +167,7 @@ TEST_F(FlusherTest, WakeScansOnlyDirtyInodes) {
 
   sb.attach_flusher(std::make_unique<Flusher>(sb));
   Flusher* f = sb.flusher();
-  f->poke(&d1);
+  f->poke(d1);
   // All three dirty inodes.
   EXPECT_EQ(f->stats().pages_flushed, kDirtyPagesThreshold + 8);
   EXPECT_EQ(f->stats().inodes_scanned, 3u)
@@ -175,100 +175,69 @@ TEST_F(FlusherTest, WakeScansOnlyDirtyInodes) {
       << " cached inodes";
   EXPECT_EQ(sb.dirty_inode_count(), 3u);  // pruned lazily at next wake
   dirty_pages(d1, 0, kDirtyPagesThreshold);
-  f->poke(&d1);
+  f->poke(d1);
   // Second wake re-scans the 3 list entries, prunes the 2 now-clean ones.
   EXPECT_EQ(f->stats().inodes_scanned, 6u);
   EXPECT_EQ(sb.dirty_inode_count(), 1u);
 }
 
-/// Writes each page of an inode to its own block on the inode's member
-/// device of a two-member striped volume (even chunks live on member 0,
-/// odd on 1), one synchronous write per page on the caller's clock.
-class MemberAops final : public AddressSpaceOps {
+/// Writes each page synchronously to its own block, on the caller's
+/// clock, so a drain occupies the device for as long as its writes take.
+class DeviceAops final : public AddressSpaceOps {
  public:
-  explicit MemberAops(blk::BlockDevice& dev) : dev_(&dev) {}
+  explicit DeviceAops(blk::BlockDevice& dev) : dev_(&dev) {}
 
   Err readpage(Inode&, std::uint64_t, std::span<std::byte> out) override {
     std::memset(out.data(), 0, out.size());
     return Err::Ok;
   }
-  Err writepage(Inode& inode, std::uint64_t pgoff,
+  Err writepage(Inode&, std::uint64_t pgoff,
                 std::span<const std::byte> data) override {
-    const std::uint64_t member = inode.ino() % 2;
-    dev_->write((2 * pgoff + member) * kChunkBlocks, data);
+    dev_->write(pgoff, data);
     return Err::Ok;
   }
-
-  static constexpr std::uint64_t kChunkBlocks = 4;
 
  private:
   blk::BlockDevice* dev_;
 };
 
-TEST(FlusherSharding, BackpressureThrottlesOnlySlowMemberWriters) {
-  // Two-speed striped volume: member 1's transfers are ~300x slower than
-  // member 0's. Each member has its own flusher; per-device backpressure
-  // must throttle only writers whose inodes shard to the slow member.
-  sim::SimThread boot(0);
-  sim::ScopedThread in(boot);
-  blk::StripeParams sp;
-  sp.ndevices = 2;
-  sp.chunk_blocks = MemberAops::kChunkBlocks;
-  std::vector<blk::DeviceParams> members(2);
-  members[0].nblocks = members[1].nblocks = 4096;
-  members[1].write_xfer = sim::usec(2000);  // the slow shard
-  blk::StripedDevice dev(sp, members);
-  SuperBlock sb(dev, 0);
-
-  kern::maybe_attach_flusher(sb, blk::MountOpts{});
-  ASSERT_EQ(sb.flusher_count(), 2u);  // one flusher per member device
-
-  MemberAops aops(dev);
-  Inode& fast_file = sb.inew(10);  // ino 10 -> shard 0
-  Inode& slow_file = sb.inew(11);  // ino 11 -> shard 1
-  fast_file.type = slow_file.type = FileType::Regular;
-  fast_file.aops = slow_file.aops = &aops;
-  ASSERT_EQ(sb.flusher_for(&fast_file), sb.flusher_at(0));
-  ASSERT_EQ(sb.flusher_for(&slow_file), sb.flusher_at(1));
-  ASSERT_EQ(dev.child_of(MemberAops::kChunkBlocks), 1u);
-
-  auto dirty_all = [](Inode& inode) {
-    for (std::uint64_t pg = 0; pg < kDirtyPagesThreshold; ++pg) {
-      inode.mapping.find_or_alloc(pg).uptodate = true;
-      inode.mapping.mark_dirty(pg);
+TEST_F(FlusherTest, BackpressureThrottlesOnlyAWriterAheadOfASlowDevice) {
+  // One threshold's worth of dirty pages, drained by the flusher the
+  // writer's poke woke.
+  auto drain = [this](blk::BlockDevice& dev, sim::SimThread& writer) {
+    SuperBlock sb(dev, 0);
+    DeviceAops aops(dev);
+    Inode& inode = make_file(sb, 10, aops);
+    sb.attach_flusher(std::make_unique<Flusher>(sb));
+    dirty_pages(inode, 0, kDirtyPagesThreshold);
+    {
+      sim::ScopedThread w(writer);
+      sb.flusher()->poke(inode);
     }
+    EXPECT_EQ(inode.mapping.nr_dirty(), 0u);
+    EXPECT_EQ(sb.flusher()->stats().pages_flushed, kDirtyPagesThreshold);
+    return std::pair{sb.flusher()->stats(), sb.flusher()->last_completion()};
   };
 
-  // A writer bound to the SLOW member crosses its threshold: that
-  // member's flusher drains 256 pages at 2 ms each, far past the backlog
-  // window, so THIS writer is throttled to the slow member's drain rate.
-  dirty_all(slow_file);
-  sim::SimThread slow_writer(11);
-  {
-    sim::ScopedThread w(slow_writer);
-    sb.poke_flushers(&slow_file);
-  }
-  EXPECT_EQ(slow_file.mapping.nr_dirty(), 0u);
-  EXPECT_EQ(sb.flusher_at(1)->stats().pages_flushed, kDirtyPagesThreshold);
-  EXPECT_GE(sb.flusher_at(1)->stats().throttle_waits, 1u);
-  EXPECT_GT(slow_writer.now(), kern::kMaxBacklog);  // held back
-  EXPECT_GT(sb.flusher_at(1)->last_completion(), slow_writer.now());
+  // 256 writes at 2 ms each put the drain far past the backlog window:
+  // the writer is held back to within kMaxBacklog of it.
+  blk::DeviceParams slow_params;
+  slow_params.nblocks = 4096;
+  slow_params.write_xfer = sim::usec(2000);
+  blk::BlockDevice slow(slow_params);
+  sim::SimThread slow_writer(1);
+  const auto [slow_stats, slow_done] = drain(slow, slow_writer);
+  EXPECT_GE(slow_stats.throttle_waits, 1u);
+  EXPECT_GT(slow_writer.now(), kern::kMaxBacklog);
+  EXPECT_EQ(slow_done - slow_writer.now(), kern::kMaxBacklog);
 
-  // A writer bound to the FAST member: its own flusher drains shard 0
-  // and may throttle it; the slow member's flusher, still far behind,
-  // gets only a courtesy poke, and an unowned member's backlog can never
-  // throttle this writer.
-  dirty_all(fast_file);
-  sim::SimThread fast_writer(10);
-  {
-    sim::ScopedThread w(fast_writer);
-    sb.poke_flushers(&fast_file);
-  }
-  EXPECT_EQ(fast_file.mapping.nr_dirty(), 0u);
-  EXPECT_EQ(sb.flusher_at(0)->stats().pages_flushed, kDirtyPagesThreshold);
-  EXPECT_EQ(sb.flusher_at(0)->stats().throttle_waits, 0u);
-  EXPECT_EQ(fast_writer.now(), 0);  // never throttled, never charged
-  EXPECT_GT(sb.flusher_at(1)->last_completion(), kern::kMaxBacklog);
+  // The same drain on the default device (6 us per write) ends within
+  // the window: the writer is never throttled or charged.
+  sim::SimThread fast_writer(2);
+  const auto [fast_stats, fast_done] = drain(dev_, fast_writer);
+  EXPECT_EQ(fast_stats.throttle_waits, 0u);
+  EXPECT_EQ(fast_writer.now(), 0);
+  EXPECT_GT(fast_done, 0);
 }
 
 // ---- integration: real deployments ----

@@ -52,7 +52,7 @@ TEST(StatsRegistry, EveryKnownStatsStructIsRegistered) {
   };
   // Structs common to every kernel-side deployment. FlusherStats is not
   // core: ext4j journals its own writeback and FUSE drains in userspace,
-  // so neither attaches kernel flusher shards.
+  // so neither attaches a kernel flusher.
   const std::vector<const char*> kCore = {
       "DeviceStats", "RequestQueueStats", "BufferCacheStats",
       "AddressSpaceStats"};

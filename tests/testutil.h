@@ -21,6 +21,18 @@
 
 namespace bsim::test {
 
+/// How many flushers `kernel`'s stats snapshot reports, over every mount.
+inline std::size_t flusher_stats_objects(kern::Kernel& kernel) {
+  const std::string snap = kernel.dump_stats();
+  const std::string tag = "\"struct\": \"FlusherStats\"";
+  std::size_t n = 0;
+  for (auto at = snap.find(tag); at != std::string::npos;
+       at = snap.find(tag, at + tag.size())) {
+    n += 1;
+  }
+  return n;
+}
+
 inline std::span<const std::byte> as_bytes(std::string_view s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "../testutil.h"
 #include "blockdev/mirrored.h"
 #include "blockdev/striped.h"
 #include "bugs/bugs.h"
@@ -228,13 +229,27 @@ TEST(TestBedVolumes, MountOptsSelectMirrorStripeAndRaid10) {
   TestBed bed(raid10);
   auto* striped = dynamic_cast<blk::StripedDevice*>(&bed.device());
   ASSERT_NE(striped, nullptr);
-  EXPECT_EQ(striped->fan_out(), 2u);
+  EXPECT_EQ(striped->members(), 2u);
   EXPECT_EQ(striped->nblocks(), 32768u);
   for (std::size_t i = 0; i < 2; ++i) {
-    auto* member = dynamic_cast<blk::MirroredDevice*>(&striped->fan_child(i));
+    auto* member = dynamic_cast<blk::MirroredDevice*>(&striped->member(i));
     ASSERT_NE(member, nullptr) << i;
     EXPECT_EQ(member->members(), 2u);
   }
+}
+
+TEST(TestBedVolumes, AStripedMountHasOneFlusher) {
+  // A RAID0 volume is one backing device, like an md array under Linux's
+  // per-bdi writeback: its mount gets one flusher, not one per member.
+  BedOptions opts;
+  opts.fs = "xv6_bento";
+  opts.device_blocks = 32768;
+  opts.mount_opts = "stripe=4";
+  TestBed bed(opts);
+  auto* striped = dynamic_cast<blk::StripedDevice*>(&bed.device());
+  ASSERT_NE(striped, nullptr);
+  EXPECT_EQ(striped->members(), 4u);
+  EXPECT_EQ(test::flusher_stats_objects(bed.kernel()), 1u);
 }
 
 }  // namespace

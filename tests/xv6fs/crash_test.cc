@@ -414,7 +414,7 @@ TEST(StrictCommit, DeadDeviceLeavesNoTicketUnredeemed) {
 class StripedTornCommit : public ::testing::TestWithParam<TornCase> {};
 
 TEST_P(StripedTornCommit, EveryCrashPointRecoversConsistently) {
-  // Default mount (per-member flushers attached): every kill point must
+  // Default mount (flusher attached): every kill point must
   // still recover to a structurally consistent image.
   const auto [kill_point, seed] = GetParam();
   sim::SimThread thread(0);
