@@ -121,10 +121,7 @@ BufferHeadHandle BufferHeadHandle::dup() const {
   return BufferHeadHandle(*owner_, impl_, blockno_);
 }
 
-void KernelBlockBackend::flush_all() {
-  cache_->sync_all();
-  cache_->issue_flush();
-}
+void KernelBlockBackend::flush_all() { cache_->issue_flush(); }
 
 kern::Result<BufferHeadHandle> KernelBlockBackend::bread(
     std::uint64_t blockno) {
@@ -190,10 +187,6 @@ WriteTicket KernelBlockBackend::bh_write_run(std::uint64_t start,
     srcs.push_back(static_cast<kern::BufferHead*>(impl)->bytes());
   }
   return WriteTicket{cache_->write_run(start, srcs)};
-}
-
-void KernelBlockBackend::bh_pin_journal(std::uint64_t blockno, bool pin) {
-  cache_->pin_journal(blockno, pin);
 }
 
 void KernelBlockBackend::invalidate_range(std::uint64_t first,

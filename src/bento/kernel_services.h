@@ -46,8 +46,11 @@ class BlockBackend {
 
   [[nodiscard]] virtual std::uint64_t nblocks() const = 0;
 
-  /// Durability barrier for everything previously written (device FLUSH in
-  /// the kernel; fsync of the disk file from userspace).
+  /// Durability barrier for everything previously written: the device
+  /// FLUSH in the kernel, an fsync of the disk file from userspace. It
+  /// writes no block: a dirty block reaches media only through its
+  /// owner's write (a journal's commit or recovery), never at a barrier
+  /// or on eviction.
   virtual void flush_all() = 0;
 
   /// Stripe geometry hint (blocks per full stripe row; 0 = no striping).
@@ -117,14 +120,6 @@ class BlockBackend {
   /// One more reference to a held block (get_bh): no lookup.
   virtual void bh_get(void* impl) = 0;
   virtual void bh_release(void* impl) = 0;
-  /// Journal pinning (jbd2-style buffer ownership): while pinned, a dirty
-  /// block belongs to a running transaction and writeback outside its
-  /// commit (sync, eviction) must not touch it. Default no-op (userspace
-  /// backends have no such writeback racing the journal).
-  virtual void bh_pin_journal(std::uint64_t blockno, bool pin) {
-    (void)blockno;
-    (void)pin;
-  }
   /// Drop the clean, unreferenced cached blocks of [first, first + n).
   /// Default no-op: the default bh_write_run goes through the backend's
   /// own cache, which therefore never goes stale.
@@ -259,15 +254,8 @@ class SuperBlockCap {
   void invalidate(std::uint64_t first, std::uint64_t n) {
     backend_->invalidate_range(first, n);
   }
-  /// Durability barrier.
+  /// Durability barrier (BlockBackend::flush_all); writes no block.
   void flush_all() { backend_->flush_all(); }
-  /// Journal pinning: mark `blockno`'s cached buffer as owned by the
-  /// running transaction (writeback outside the commit keeps its hands
-  /// off until the commit writes it). Unpinning happens implicitly at
-  /// writeback.
-  void pin_journal(std::uint64_t blockno, bool pin = true) {
-    backend_->bh_pin_journal(blockno, pin);
-  }
   /// Stripe geometry hint for write clustering (0 = no striping).
   [[nodiscard]] std::uint64_t stripe_width() const {
     return backend_->stripe_width();
@@ -326,7 +314,6 @@ class KernelBlockBackend final : public BlockBackend {
                            std::span<void* const> impls) override;
   void bh_get(void* impl) override;
   void bh_release(void* impl) override;
-  void bh_pin_journal(std::uint64_t blockno, bool pin) override;
   void invalidate_range(std::uint64_t first, std::uint64_t n) override;
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <utility>
-#include <vector>
 
 namespace bsim::bento {
 
@@ -92,14 +91,10 @@ void UserBlockBackend::evict_if_needed() {
     if (mit == cache_.end()) {
       continue;
     }
-    UserBuf* buf = mit->second.get();
-    if (buf->refcount > 0) continue;
-    if (buf->dirty) {
-      (void)kernel_->pwrite(*proc_, fd_,
-                            {buf->data.data(), buf->data.size()},
-                            buf->blockno * blk::kBlockSize);
-      stats_.pwrites += 1;
-    }
+    // A dirty block stays: only its owner's write (a journal commit) may
+    // put it on media.
+    const UserBuf* buf = mit->second.get();
+    if (buf->refcount > 0 || buf->dirty) continue;
     lru_.erase(std::next(it).base());
     cache_.erase(mit);
     return;
@@ -180,11 +175,9 @@ void UserBlockBackend::bh_release(void* impl) {
 }
 
 void UserBlockBackend::flush_all() {
-  std::vector<void*> dirty;
-  for (auto& [blockno, buf] : cache_) {
-    if (buf->dirty) dirty.push_back(buf.get());
-  }
-  (void)bh_sync_batch(dirty);
+  // An empty batch is just the whole-file fsync: the barrier writes no
+  // block, so an aborted transaction's dirty blocks never reach home.
+  (void)bh_sync_batch({});
 }
 
 // ---- MemBlockBackend ----

@@ -167,6 +167,19 @@ class Journal : public RunningTxn {
     return true;
   }
 
+  /// The header clear that ends an xv6 commit went out on `t`: keep `t`
+  /// with this commit's `tickets`. It is no traced stage, but a failed
+  /// clear aborts the journal as a failed JW or JR does (jbd2 aborts when
+  /// it cannot update its journal superblock): the header on media still
+  /// names the committed transaction, and the next commit's journal run
+  /// would overwrite the blocks recovery replays. Returns false on abort.
+  bool cleared(const Io& io, Tickets& tickets, const Ticket& t) {
+    tickets.push_back(t);
+    if (!Io::bio(t).failed) return true;
+    abort(io, tickets);
+    return false;
+  }
+
   /// Every record of the running transaction is submitted: it now needs a
   /// durability barrier, and a new transaction opens.
   void close() {
@@ -244,10 +257,11 @@ class Journal : public RunningTxn {
   }
 
   /// A journal write failed on media (jbd2_journal_abort): the running
-  /// transaction can never become durable. Its commit record is never
-  /// issued, so recovery replays none of it, and its blocks stay
-  /// journal-pinned, so none reaches a home location. An aborted journal
-  /// never commits again.
+  /// transaction is dropped. If it failed before its commit record, the
+  /// record is never issued, so recovery replays none of it, and its
+  /// blocks stay dirty in the cache, where only a commit would write
+  /// them, so none reaches a home location. An aborted journal never
+  /// commits again.
   void abort(const Io& io, const Tickets& tickets) {
     aborted_ = true;
     clear();
@@ -287,8 +301,8 @@ class Journal : public RunningTxn {
 ///     max_op_blocks), when it is kCommitAge old, or at the mount's
 ///     max_log_batch op cap ("nogroup" is 1; 0 means none).
 ///   - A force (fsync, sync, unmount) first waits for the open ops to
-///     close, since pinned blocks reach media only through a commit, then
-///     runs the engine's force.
+///     close, since a tagged block reaches media only through a commit,
+///     then runs the engine's force.
 template <class Io>
 class OpJournal : public Journal<Io> {
  public:

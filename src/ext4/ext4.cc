@@ -25,10 +25,6 @@ constexpr std::size_t kTxnCommitThreshold = 2048;  // blocks
 
 void Ext4Mount::j_write(std::uint32_t blockno) {
   sim::ScopedLock guard(journal_lock_);
-  // The journal owns this dirty buffer until its checkpoint lands it:
-  // background writeback and eviction must not write it ahead of the
-  // commit record.
-  sb_->bufcache().pin_journal(blockno, true);
   // The first tagged block opens the running transaction (jseq_ is the
   // sequence its records will carry).
   if (jnl_.empty()) jio().trace(blk::TraceEv::TxnOpen, jseq_, 0);

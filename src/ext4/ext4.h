@@ -126,8 +126,8 @@ class Ext4Mount final : public kern::InodeOps,
     void flush() const { m.sb_->bdev().flush(); }
   };
   JbdIo jio() { return {*this}; }
-  /// Tag a modified (cached, dirty) block into the running transaction
-  /// (pins the buffer for the journal until its checkpoint writes it).
+  /// Tag a modified (cached, dirty) block into the running transaction;
+  /// its checkpoint is the block's only writer.
   void j_write(std::uint32_t blockno);
   /// Commit the running transaction (journal writes + commit record +
   /// checkpoint home blocks). The commit is pipelined: its tickets go to

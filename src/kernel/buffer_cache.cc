@@ -220,41 +220,6 @@ blk::Ticket BufferCache::write_run(
   return t;
 }
 
-void BufferCache::pin_journal(std::uint64_t blockno, bool pin) {
-  auto it = map_.find(blockno);
-  if (it == map_.end()) return;
-  it->second->jdirty = pin && it->second->dirty;
-}
-
-std::vector<BufferHead*> BufferCache::collect_dirty() {
-  // The dirty-block index is already in ascending block order; the walk
-  // is O(dirty), not O(cached) — a sync on a huge, mostly-clean cache
-  // never touches the clean population.
-  std::vector<BufferHead*> dirty;
-  dirty.reserve(dirty_index_.size());
-  for (const std::uint64_t blockno : dirty_index_) {
-    stats_.dirty_scanned += 1;
-    auto it = map_.find(blockno);
-    assert(it != map_.end() && it->second->dirty);
-    // A journal-pinned buffer belongs to an uncommitted transaction:
-    // writing it here would put unjournaled state on media ahead of its
-    // commit record (WAL violation). The commit path writes it.
-    if (it->second->jdirty) {
-      stats_.jdirty_skipped += 1;
-      continue;
-    }
-    dirty.push_back(it->second.get());
-  }
-  return dirty;
-}
-
-void BufferCache::sync_all() {
-  // Gather the dirty set and push it through the request queue as one
-  // batch, in ascending block order so adjacent blocks merge.
-  std::vector<BufferHead*> dirty = collect_dirty();
-  sync_dirty_buffers(dirty);
-}
-
 void BufferCache::issue_flush() { dev_.flush(); }
 
 void BufferCache::invalidate() {
@@ -284,30 +249,18 @@ void BufferCache::invalidate(std::uint64_t first, std::uint64_t n) {
 
 void BufferCache::evict_if_needed() {
   if (capacity_ == 0 || map_.size() < capacity_) return;
-  // Walk from the LRU end looking for an evictable (unreferenced) buffer.
+  // Walk from the LRU end looking for a clean, unreferenced buffer. A
+  // dirty one stays: only its owner's write (a journal commit) may put it
+  // on media.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    const std::uint64_t blockno = *it;
-    auto mit = map_.find(blockno);
-    assert(mit != map_.end());
-    BufferHead* bh = mit->second.get();
-    if (bh->refcount > 0) continue;
-    // Journal-pinned victims must not be written outside their commit
-    // (WAL); they stay.
-    if (bh->jdirty) continue;
-    if (bh->dirty) {
-      blk::Bio bio = blk::Bio::single_write(blockno, bh->bytes());
-      dev_.submit(bio);
-      set_clean(bh);
-      // A write the crash model swallowed is not a writeback — but the
-      // victim is still evicted: after power death the volatile copy is
-      // doomed either way, and eviction must keep making progress.
-      if (bio.applied) stats_.writebacks += 1;
-    }
+    const BufferHead* bh = map_.at(*it).get();
+    if (bh->refcount > 0 || bh->dirty) continue;
     stats_.evictions += 1;
-    drop(blockno);  // not through `it`: set_clean may have demoted it
+    drop(*it);
     return;
   }
-  // Everything referenced: allow temporary overshoot (kernel would block).
+  // Everything referenced or dirty: allow temporary overshoot (kernel
+  // would block).
 }
 
 const char* err_name(Err e) {

@@ -4,7 +4,11 @@
 // Buffers hold their own copy of block data (distinct from the device's
 // media state) so that a file system can modify a cached block without it
 // becoming "written" — the property journaling depends on and that the
-// crash-consistency property tests exercise.
+// crash-consistency property tests exercise. Nothing in the cache writes
+// a dirty buffer on its own: no sync-everything pass, and eviction passes
+// over dirty buffers. A dirty buffer reaches media only when its owner
+// writes it (a journal's commit or recovery), so the write-ahead rule
+// holds by construction.
 #pragma once
 
 #include <array>
@@ -12,7 +16,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <set>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -33,12 +36,6 @@ struct BufferHead {
   std::uint64_t blockno = 0;
   bool uptodate = false;
   bool dirty = false;
-  /// Journal-pinned (jbd2's "managed by the journal"): the block belongs
-  /// to a running/uncommitted transaction. Writeback outside the commit
-  /// (sync_all, eviction) must NOT write it to media — the journal commit
-  /// is the only path allowed to, or WAL ordering breaks. Cleared when
-  /// the commit path writes the buffer (set_clean).
-  bool jdirty = false;
   /// Holds regular-file data (set by the file system's write path,
   /// cleared by getblk when the block is reused). Once clean and
   /// unreferenced such a buffer goes to the cold end of the LRU: file
@@ -64,13 +61,6 @@ struct BufferCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t writebacks = 0;
   std::uint64_t evictions = 0;
-  /// Objects examined while gathering dirty buffers for sync_all. With
-  /// the dirty-block index a sync scans O(dirty) entries, not the whole
-  /// cache.
-  std::uint64_t dirty_scanned = 0;
-  /// Dirty buffers sync_all skipped because a journal transaction owns
-  /// them (BufferHead::jdirty).
-  std::uint64_t jdirty_skipped = 0;
 };
 
 class BufferCache {
@@ -118,7 +108,7 @@ class BufferCache {
   void mark_dirty(BufferHead* bh) {
     if (!bh->dirty) {
       bh->dirty = true;
-      dirty_index_.insert(bh->blockno);
+      nr_dirty_ += 1;
     }
   }
 
@@ -160,20 +150,11 @@ class BufferCache {
   /// Redeem a ticket from sync_dirty_buffers_async (timed).
   void wait(const blk::Ticket& t) { dev_.wait(t); }
 
-  /// Journal pinning: while `pin` is set the buffer is owned by a running
-  /// transaction — sync_all and eviction skip it (see
-  /// BufferHead::jdirty). No-op when the block is not cached.
-  void pin_journal(std::uint64_t blockno, bool pin);
-
   /// Writeback error sequence (errseq_t over metadata writeback): a
   /// buffer writeback that failed with a device write error (not a
   /// crash-model swallow) is recorded here; fsync and sync consumers carry
   /// an ErrSeqCursor and see each failure exactly once.
   [[nodiscard]] const ErrSeq& wb_err() const { return wb_err_; }
-
-  /// Write back every dirty buffer not pinned by a journal (timed) as
-  /// one batched submission in ascending block order.
-  void sync_all();
 
   /// Issue a device cache FLUSH (timed) — blkdev_issue_flush.
   void issue_flush();
@@ -188,7 +169,7 @@ class BufferCache {
   [[nodiscard]] const BufferCacheStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t cached_blocks() const { return map_.size(); }
   /// Currently dirty buffers.
-  [[nodiscard]] std::size_t nr_dirty() const { return dirty_index_.size(); }
+  [[nodiscard]] std::size_t nr_dirty() const { return nr_dirty_; }
   [[nodiscard]] blk::BlockDevice& device() { return dev_; }
   [[nodiscard]] std::uint64_t outstanding_refs() const { return outstanding_refs_; }
 
@@ -198,8 +179,7 @@ class BufferCache {
   void set_clean(BufferHead* bh) {
     if (bh->dirty) {
       bh->dirty = false;
-      bh->jdirty = false;  // the journal's write reached the device
-      dirty_index_.erase(bh->blockno);
+      nr_dirty_ -= 1;
       demote(bh);
     }
   }
@@ -210,15 +190,10 @@ class BufferCache {
   /// A device write error: park it in the writeback error sequence for
   /// the next fsync/sync to report.
   void record_wb_error() { wb_err_.record(Err::Io); }
-  /// Gather the dirty set not pinned by a journal in ascending block
-  /// order — an O(dirty) walk of the dirty-block index.
-  std::vector<BufferHead*> collect_dirty();
 
   blk::BlockDevice& dev_;
   std::size_t capacity_;
-  /// Dirty blocknos, ordered (the tagged-radix analogue): writeback walks
-  /// this, never the whole map.
-  std::set<std::uint64_t> dirty_index_;
+  std::size_t nr_dirty_ = 0;
   ErrSeq wb_err_;
   std::unordered_map<std::uint64_t, std::unique_ptr<BufferHead>> map_;
   std::list<std::uint64_t> lru_;  // front = most recent

@@ -48,6 +48,7 @@ void Flusher::run_cycle(bool timer_due) {
   // A wake drains everything dirty (draining the poked inode first would
   // only reorder within one already-off-writer-clock cycle).
   const sim::Nanos wake_at = sim::now();
+  const std::uint64_t flushed_before = stats_.pages_flushed;
   running_ = true;
   {
     // Everything below charges the flusher's clock, not the writer's: the
@@ -75,10 +76,11 @@ void Flusher::run_cycle(bool timer_due) {
     }
   }
   running_ = false;
-  // thread_.now() is where this cycle's writeback completed (it never
-  // moves backwards, so a no-work wake records the residual backlog of
-  // the previous cycle — 0 once the device is idle).
-  stats_.wake_to_drain.record(thread_.now() - wake_at);
+  // thread_.now() is where this cycle's writeback completed. A wake that
+  // wrote nothing drained nothing, so it records no sample.
+  if (stats_.pages_flushed > flushed_before) {
+    stats_.wake_to_drain.record(thread_.now() - wake_at);
+  }
   if (timer_due) next_timer_ = wake_at + kFlushPeriod;
 }
 

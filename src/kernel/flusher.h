@@ -4,8 +4,8 @@
 //
 // Before this existed, every sync ran in writer context at queue depth 1:
 // generic_file_write did its own threshold writeback, and fsync paths
-// paid sync_all inline. The flusher moves the steady-state draining to a
-// dedicated simulated thread:
+// paid a whole-cache writeback inline. The flusher moves the steady-state
+// draining to a dedicated simulated thread:
 //
 //   - Writers poke() it from the generic write path (the
 //     balance_dirty_pages hook). The flusher decides whether to wake —
@@ -18,9 +18,9 @@
 //   - Dirty pages drain through the file system's normal ->writepages
 //     path (generic_writeback), so journaling semantics are unchanged —
 //     the work just happens on the flusher thread.
-//   - Dirty buffers are not drained here: a journaled file system pins
-//     each buffer it dirties to a transaction (BufferHead::jdirty), and
-//     that transaction's commit writes it.
+//   - Dirty buffers are not drained here: a journaled file system tags
+//     each buffer it dirties into a transaction, and that transaction's
+//     commit is the only code that writes it.
 //   - Durability barriers (fsync / sync(2)) call wait_idle() so the
 //     foreground thread cannot observe "durable" at a clock earlier than
 //     the background writeback it depends on. Device FLUSH additionally
@@ -68,7 +68,7 @@ inline constexpr sim::Nanos kMaxBacklog = 16 * sim::kMillisecond;
 
 struct FlusherStats {
   std::uint64_t pokes = 0;              // writer-side hook invocations
-  std::uint64_t wakeups = 0;            // pokes that drained something
+  std::uint64_t wakeups = 0;            // timer or threshold wakes
   std::uint64_t threshold_wakeups = 0;  // woken by a dirty threshold
   std::uint64_t timer_wakeups = 0;      // woken by the periodic timer
   std::uint64_t pages_flushed = 0;
@@ -79,8 +79,9 @@ struct FlusherStats {
   /// wake is O(dirty inodes); before it, every wake walked the whole
   /// inode cache (the ROADMAP full-walk item).
   std::uint64_t inodes_scanned = 0;
-  /// Per wake: poke time -> the cycle's last writeback completion on the
-  /// flusher clock (how long one background drain occupies the device).
+  /// Per wake that wrote pages: poke time -> the cycle's last writeback
+  /// completion on the flusher clock (how long one background drain
+  /// occupies the device). An idle wake records nothing.
   sim::LatencyHistogram wake_to_drain;
 };
 

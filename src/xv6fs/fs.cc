@@ -91,7 +91,7 @@ Err Xv6FileSystem::log_dsb(Cap& sb) {
   std::memset(bytes.data(), 0, kBlockSize);
   std::memcpy(bytes.data(), &dsb_, sizeof(dsb_));
   bh.value().set_dirty();
-  log_.log_write(sb, bh.value());
+  log_.log_write(bh.value());
   return Err::Ok;
 }
 
@@ -133,7 +133,7 @@ Err Xv6FileSystem::iupdate(Cap& sb, MemInode& mi) {
   auto* dinodes = reinterpret_cast<Dinode*>(bh.value().data().data());
   dinodes[mi.inum % kInodesPerBlock] = mi.d;
   bh.value().set_dirty();
-  log_.log_write(sb, bh.value());
+  log_.log_write(bh.value());
   return Err::Ok;
 }
 
@@ -167,7 +167,7 @@ Result<std::uint32_t> Xv6FileSystem::ialloc(Cap& sb, InodeKind kind,
     d.nlink = 1;
     d.mode = mode;
     bh.value().set_dirty();
-    log_.log_write(sb, bh.value());
+    log_.log_write(bh.value());
     free_inodes_ -= 1;
 
     // Refresh/insert the in-core copy.
@@ -213,7 +213,7 @@ Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb, bool zero) {
     const auto blockno = static_cast<std::uint32_t>(bi * kBitsPerBlock + i);
     bytes[i / 8] |= std::byte{1} << (i % 8);
     bh.value().set_dirty();
-    log_.log_write(sb, bh.value());
+    log_.log_write(bh.value());
     balloc_hint_ = bi;
     free_blocks_ -= 1;
     if (!zero) return blockno;
@@ -223,7 +223,7 @@ Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb, bool zero) {
     if (!zb.ok()) return zb.error();
     std::memset(zb.value().data().data(), 0, kBlockSize);
     zb.value().set_dirty();
-    log_.log_write(sb, zb.value());
+    log_.log_write(zb.value());
     return blockno;
   }
   return Err::NoSpc;
@@ -239,7 +239,7 @@ Err Xv6FileSystem::bfree(Cap& sb, std::uint32_t blockno) {
          "freeing a free block");
   bytes[i / 8] &= ~(std::byte{1} << (i % 8));
   bh.value().set_dirty();
-  log_.log_write(sb, bh.value());
+  log_.log_write(bh.value());
   free_blocks_ += 1;
   return Err::Ok;
 }
@@ -281,7 +281,7 @@ Result<std::uint32_t> Xv6FileSystem::bmap(Cap& sb, MemInode& mi,
       addr = r.value();
       entries[bn] = addr;
       bh.value().set_dirty();
-      log_.log_write(sb, bh.value());
+      log_.log_write(bh.value());
     }
     return addr;
   }
@@ -308,7 +308,7 @@ Result<std::uint32_t> Xv6FileSystem::bmap(Cap& sb, MemInode& mi,
     mid = r.value();
     l1e[outer] = mid;
     l1.value().set_dirty();
-    log_.log_write(sb, l1.value());
+    log_.log_write(l1.value());
   }
   auto l2 = sb.bread(mid);
   if (!l2.ok()) return l2.error();
@@ -320,7 +320,7 @@ Result<std::uint32_t> Xv6FileSystem::bmap(Cap& sb, MemInode& mi,
     addr = r.value();
     l2e[inner] = addr;
     l2.value().set_dirty();
-    log_.log_write(sb, l2.value());
+    log_.log_write(l2.value());
   }
   return addr;
 }
@@ -409,7 +409,7 @@ Result<std::uint32_t> Xv6FileSystem::write_data(
     if (mi.d.type == static_cast<std::uint16_t>(InodeKind::File)) {
       bh.value().set_drop_behind();
     }
-    log_.log_write(sb, bh.value());
+    log_.log_write(bh.value());
     done += chunk;
   }
   if (off + done > mi.d.size) mi.d.size = off + done;
@@ -439,7 +439,7 @@ Err Xv6FileSystem::zero_block_tail(Cap& sb, MemInode& mi,
   if (!bh.ok()) return bh.error();
   std::memset(bh.value().data().data() + within, 0, kBlockSize - within);
   bh.value().set_dirty();
-  log_.log_write(sb, bh.value());
+  log_.log_write(bh.value());
   return Err::Ok;
 }
 
@@ -474,7 +474,7 @@ Err Xv6FileSystem::itrunc(Cap& sb, MemInode& mi, std::uint64_t new_size) {
     }
     if (touched) {
       bh.value().set_dirty();
-      log_.log_write(sb, bh.value());
+      log_.log_write(bh.value());
     }
     if (keep_ind == 0) {
       BSIM_TRY(bfree(sb, mi.d.indirect));
@@ -508,7 +508,7 @@ Err Xv6FileSystem::itrunc(Cap& sb, MemInode& mi, std::uint64_t new_size) {
       }
       if (l2_touched) {
         l2.value().set_dirty();
-        log_.log_write(sb, l2.value());
+        log_.log_write(l2.value());
       }
       if (start == 0) {
         BSIM_TRY(bfree(sb, l1e[outer]));
@@ -518,7 +518,7 @@ Err Xv6FileSystem::itrunc(Cap& sb, MemInode& mi, std::uint64_t new_size) {
     }
     if (l1_touched) {
       l1.value().set_dirty();
-      log_.log_write(sb, l1.value());
+      log_.log_write(l1.value());
     }
     if (keep_d == 0) {
       BSIM_TRY(bfree(sb, mi.d.dindirect));
@@ -616,7 +616,7 @@ Err Xv6FileSystem::dirunlink(Cap& sb, MemInode& dir, std::string_view name) {
                       strnlen(entries[i].name, kDirNameLen))) {
         entries[i] = Dirent{};
         bh.value().set_dirty();
-        log_.log_write(sb, bh.value());
+        log_.log_write(bh.value());
         return Err::Ok;
       }
     }

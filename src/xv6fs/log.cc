@@ -48,6 +48,10 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
     auto clear = write_header(sb, LogHeader{});
     if (!clear.ok()) return clear.error();
     sb.wait(clear.value());
+    // A failed clear fails the mount too: the header must not outlive
+    // the mount's first commit, whose log run would overwrite what it
+    // replays.
+    if (clear.value().ticket.failed) return Err::Io;
     if (durability_ == Durability::Strict) {
       sb.flush_all();
     } else {
@@ -73,14 +77,9 @@ void Log::begin_op(SuperBlockCap& sb, std::uint32_t reserved) {
   jnl_.begin_op(io(sb), [&] { return commit(sb); });
 }
 
-void Log::log_write(SuperBlockCap& sb, const BufferHeadHandle& bh) {
+void Log::log_write(const BufferHeadHandle& bh) {
   assert(jnl_.in_op() && "log_write outside a transaction");
-  // The journal owns this dirty buffer until the commit installs it:
-  // background writeback must not land it on media ahead of the commit
-  // record (the group-commit WAL invariant).
-  const auto blockno = static_cast<std::uint32_t>(bh.blockno());
-  sb.pin_journal(blockno);
-  if (jnl_.tag(blockno)) {
+  if (jnl_.tag(static_cast<std::uint32_t>(bh.blockno()))) {
     assert(jnl_.size() <= kLogSize && "transaction overflows the log");
     if (!jnl_.aborted()) held_.push_back(bh.dup());
   }
@@ -113,7 +112,7 @@ Err Log::commit(SuperBlockCap& sb) {
     return e;
   };
   // A failed journal write aborts the journal, which drops the running
-  // transaction; its buffers go with it (they stay journal-pinned).
+  // transaction and the references to its buffers (they stay dirty).
   auto stage = [&](blk::TraceEv ev, std::uint32_t nblocks,
                    const WriteTicket& t) {
     if (jnl_.stage(io, ev, txn, nblocks, tickets, t)) return true;
@@ -156,11 +155,15 @@ Err Log::commit(SuperBlockCap& sb) {
   //    media order is submission order, so a device that dies partway
   //    through the install still holds the header, and recovery replays
   //    the whole transaction. In the install's batch the elevator would
-  //    sort the clear (the lowest block) ahead of the home writes.
+  //    sort the clear (the lowest block) ahead of the home writes. A
+  //    failed clear aborts the journal (Journal::cleared).
   {
     auto clear = write_header(sb, LogHeader{});
     if (!clear.ok()) return fail(clear.error());
-    tickets.push_back(clear.value());
+    if (!jnl_.cleared(io, tickets, clear.value())) {
+      held_.clear();
+      return Err::Io;
+    }
   }
   if (durability_ == Durability::Strict) sb.flush_all();
 

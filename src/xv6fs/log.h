@@ -23,13 +23,13 @@
 //   (the log minus one op's worst case), or when an op closes on a
 //   transaction older than kCommitAge. fsync, sync and unmount
 //   (force_commit) force it immediately. A `max_log_batch=N` mount
-//   ("nogroup" is N = 1) also commits after N closed ops. While blocks
-//   are pending they are PINNED in the buffer cache (BufferHead::jdirty),
-//   so writeback outside the commit cannot put unjournaled state on media
-//   ahead of the commit record. This policy (admission, commit trigger
-//   and the force's wait for open ops) is blk::OpJournal, which the C
-//   baseline (xv6fs_c/xv6c.h) runs too; this file supplies the commit
-//   itself.
+//   ("nogroup" is N = 1) also commits after N closed ops. Pending blocks
+//   stay dirty in the cache, and nothing but the commit writes a dirty
+//   buffer (no barrier and no eviction does), so no unjournaled state
+//   reaches media ahead of the commit record. This policy (admission,
+//   commit trigger and the force's wait for open ops) is blk::OpJournal,
+//   which the C baseline (xv6fs_c/xv6c.h) runs too; this file supplies
+//   the commit itself.
 //
 //   Pipelined commit — the commit's writes (log run, header, install,
 //   clear) are submitted on async tickets held by the journal engine's
@@ -43,9 +43,9 @@
 //             batch, so it reaches media after every home write.
 //   Strict  — FLUSH before the commit record and after install, making the
 //             commit point durable against power loss. Each barrier is a
-//             synchronous flush_all (writeback of unpinned dirty buffers,
-//             then the device FLUSH), so the committing thread waits for
-//             it. The crash-consistency property tests run in this mode.
+//             synchronous flush_all (the device FLUSH alone), so the
+//             committing thread waits for it. The crash-consistency
+//             property tests run in this mode.
 //
 // Note on the contribution: this file is "file system code" in the paper's
 // sense — it runs entirely against capability types (SuperBlockCap,
@@ -113,9 +113,8 @@ class Log {
 
   /// Record the modified block `bh` in the running transaction (with
   /// absorption); the first record of a block keeps a reference to its
-  /// buffer until the commit. Pins the buffer for the journal (writeback
-  /// outside the commit skips it until the commit writes it).
-  void log_write(bento::SuperBlockCap& sb, const bento::BufferHeadHandle& bh);
+  /// buffer until the commit, which is the only writer of the block.
+  void log_write(const bento::BufferHeadHandle& bh);
 
   /// Close the operation; commits when no other operation is open AND
   /// the running transaction is full (the block threshold, or the mount's

@@ -47,12 +47,9 @@ void Xv6cMount::log_begin() {
 
 void Xv6cMount::log_write(std::uint64_t blockno) {
   assert(jnl_.in_op() && "log_write outside a transaction");
-  const auto b = static_cast<std::uint32_t>(blockno);
-  // The journal owns the dirty buffer until its commit installs it:
-  // background writeback must not land it ahead of the commit record
-  // (essential once group commit leaves blocks pending across ops).
-  sb_->bufcache().pin_journal(blockno, true);
-  if (jnl_.tag(b)) assert(jnl_.size() <= kLogSize);
+  if (jnl_.tag(static_cast<std::uint32_t>(blockno))) {
+    assert(jnl_.size() <= kLogSize);
+  }
 }
 
 Err Xv6cMount::log_end() {
@@ -104,7 +101,7 @@ Err Xv6cMount::log_commit() {
     bufs.push_back(bh.value());
   }
   // A failed journal write aborts the journal, which drops the running
-  // transaction; its blocks stay journal-pinned.
+  // transaction; its blocks stay dirty in the cache.
   const auto stage = [&](blk::TraceEv ev, std::uint32_t nblocks,
                          const blk::Ticket& t) {
     if (jnl_.stage(io, ev, txn, nblocks, tickets, t)) return true;
@@ -137,11 +134,12 @@ Err Xv6cMount::log_commit() {
              bc.sync_dirty_buffers_async(bufs));
   release();
   // 4. Clear the header as its own batch after the install, so that it
-  //    reaches media after every home write.
+  //    reaches media after every home write. A failed clear aborts the
+  //    journal (Journal::cleared).
   {
     auto clear = log_header_write(LogHeader{});
     if (!clear.ok()) return fail(clear.error());
-    tickets.push_back(clear.value());
+    if (!jnl_.cleared(io, tickets, clear.value())) return Err::Io;
   }
   log_stats_.commits += 1;
   log_stats_.blocks_logged += n;
@@ -181,6 +179,9 @@ Err Xv6cMount::log_recover() {
   auto clear = log_header_write(LogHeader{});
   if (!clear.ok()) return clear.error();
   bc.wait(clear.value());
+  // A failed clear fails the mount too: the header must not outlive the
+  // mount's first commit, whose log run would overwrite what it replays.
+  if (clear.value().failed) return Err::Io;
   // Replayed state sits in the volatile device cache; make sure the first
   // fsync does not skip its barrier.
   jnl_.mark_dirty();

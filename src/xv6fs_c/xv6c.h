@@ -125,10 +125,7 @@ class Xv6cMount final : public kern::InodeOps,
       m.log_stats_.log_aborted += 1;
       m.sb_->fs_error(kern::Err::Io);
     }
-    void flush() const {
-      m.sb_->bufcache().sync_all();
-      m.sb_->bufcache().issue_flush();
-    }
+    void flush() const { m.sb_->bufcache().issue_flush(); }
   };
   CLogIo io() { return {*this}; }
   void log_begin();

@@ -468,7 +468,7 @@ TEST_F(BioTest, BatchedWritebackMergesAndCleansBuffers) {
   }
 
   const auto before = dev.stats();
-  cache.sync_all();
+  ASSERT_EQ(kern::Err::Ok, cache.sync_dirty_buffers(held));
   const auto& after = dev.stats();
 
   EXPECT_EQ(after.writes - before.writes, 4u);

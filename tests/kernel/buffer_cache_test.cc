@@ -92,34 +92,54 @@ TEST_F(BufferCacheTest, DirtyBlockStaysInCacheUntilSync) {
   cache.brelse(bh.value());
 }
 
-TEST_F(BufferCacheTest, SyncAllWritesEveryDirtyBuffer) {
-  BufferCache cache(dev_, 16);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    auto bh = cache.bread(i);
-    ASSERT_TRUE(bh.ok());
-    bh.value()->bytes()[0] = std::byte{0x11};
-    cache.mark_dirty(bh.value());
-    cache.brelse(bh.value());
-  }
-  cache.sync_all();
-  EXPECT_EQ(cache.stats().writebacks, 4u);
-}
-
-TEST_F(BufferCacheTest, EvictionWritesDirtyVictims) {
+TEST_F(BufferCacheTest, EvictionNeitherWritesNorDropsDirtyBuffers) {
+  // Only a buffer's owner (a journal commit) writes it: eviction passes
+  // over dirty buffers, and the cache overshoots its capacity meanwhile.
+  // Once written, an unreferenced drop-behind buffer is the next victim.
   BufferCache cache(dev_, 4);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    auto bh = cache.bread(i);
+  std::vector<BufferHead*> dirty;
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    auto bh = cache.getblk(b);
     ASSERT_TRUE(bh.ok());
+    cache.mark_drop_behind(bh.value());
     bh.value()->bytes()[0] = std::byte{0x22};
     cache.mark_dirty(bh.value());
     cache.brelse(bh.value());
+    dirty.push_back(bh.value());
   }
-  EXPECT_LE(cache.cached_blocks(), 5u);  // capacity respected (1 overshoot)
-  EXPECT_GT(cache.stats().evictions, 0u);
-  // Dirty victims were written, not dropped.
+  for (std::uint64_t b = 10; b < 14; ++b) {
+    auto bh = cache.bread(b);
+    ASSERT_TRUE(bh.ok());
+    cache.brelse(bh.value());
+  }
+  // Each miss past capacity evicted a clean block, never a dirty one.
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_EQ(cache.cached_blocks(), 5u);
+  EXPECT_EQ(cache.stats().writebacks, 0u);
+  EXPECT_EQ(cache.nr_dirty(), 4u);
   std::array<std::byte, blk::kBlockSize> r{};
-  dev_.read_untimed(0, r);
-  EXPECT_EQ(r[0], std::byte{0x22});
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    dev_.read_untimed(b, r);
+    EXPECT_EQ(r[0], std::byte{0}) << "block " << b << " written on evict";
+    auto bh = cache.bread(b);
+    ASSERT_TRUE(bh.ok());
+    EXPECT_EQ(bh.value(), dirty[b]);  // still cached, contents intact
+    EXPECT_EQ(bh.value()->bytes()[0], std::byte{0x22});
+    cache.brelse(bh.value());
+  }
+
+  // Written back, the drop-behind buffers go to the cold end: the next
+  // miss evicts one of them, not the metadata block 13.
+  ASSERT_EQ(Err::Ok, cache.sync_dirty_buffers(dirty));
+  const auto reads = dev_.stats().reads;
+  auto fresh = cache.bread(20);
+  ASSERT_TRUE(fresh.ok());
+  cache.brelse(fresh.value());
+  auto meta = cache.bread(13);
+  ASSERT_TRUE(meta.ok());
+  cache.brelse(meta.value());
+  EXPECT_EQ(dev_.stats().reads, reads + 1);  // only block 20 missed
+  EXPECT_EQ(cache.stats().evictions, 4u);
 }
 
 TEST_F(BufferCacheTest, ReferencedBuffersAreNotEvicted) {
@@ -151,7 +171,7 @@ TEST_F(BufferCacheTest, DropBehindDataLeavesMetadataResident) {
   // Write 64 blocks of file data through a 16-block cache, as a journal
   // does: each is marked, dirtied and written, half while referenced
   // (cleaned, then released) and half after release (released dirty,
-  // then cleaned by writeback).
+  // then cleaned by a batched write, as an install does).
   const auto stream = [&](std::uint64_t first) {
     for (std::uint64_t b = first; b < first + 64; ++b) {
       auto bh = cache.getblk(b);
@@ -164,7 +184,7 @@ TEST_F(BufferCacheTest, DropBehindDataLeavesMetadataResident) {
         cache.brelse(bh.value());
       } else {
         cache.brelse(bh.value());
-        cache.sync_all();
+        ASSERT_EQ(Err::Ok, cache.sync_dirty_buffers({&bh.value(), 1}));
       }
     }
   };
@@ -188,42 +208,6 @@ TEST_F(BufferCacheTest, DropBehindDataLeavesMetadataResident) {
   EXPECT_EQ(again.value(), reused.value());
   cache.brelse(again.value());
   EXPECT_EQ(dev_.stats().reads, reads);
-}
-
-TEST_F(BufferCacheTest, DirtyDropBehindVictimIsWrittenAndEvicted) {
-  // Eviction writes a dirty victim back, which demotes a drop-behind
-  // victim while the eviction walk still points at it; the victim, not
-  // its neighbour, must leave. Block 0, the coldest, stays referenced,
-  // so the first victim is not at the cold end.
-  BufferCache cache(dev_, 4);
-  auto held = cache.bread(0);
-  ASSERT_TRUE(held.ok());
-  for (std::uint64_t b = 1; b < 4; ++b) {
-    auto bh = cache.getblk(b);
-    ASSERT_TRUE(bh.ok());
-    cache.mark_drop_behind(bh.value());
-    bh.value()->bytes()[0] = static_cast<std::byte>(0x40 + b);
-    cache.mark_dirty(bh.value());
-    cache.brelse(bh.value());
-  }
-  for (std::uint64_t b = 10; b < 20; ++b) {
-    auto bh = cache.bread(b);
-    ASSERT_TRUE(bh.ok());
-    cache.brelse(bh.value());
-  }
-  EXPECT_LE(cache.cached_blocks(), 5u);
-  auto again = cache.bread(0);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value(), held.value());
-  cache.brelse(again.value());
-  cache.brelse(held.value());
-  for (std::uint64_t b = 1; b < 4; ++b) {
-    auto bh = cache.bread(b);
-    ASSERT_TRUE(bh.ok());
-    EXPECT_EQ(bh.value()->bytes()[0], static_cast<std::byte>(0x40 + b));
-    cache.brelse(bh.value());
-  }
-  EXPECT_LE(cache.cached_blocks(), 5u);
 }
 
 TEST_F(BufferCacheTest, OutstandingRefsTracked) {
@@ -266,33 +250,6 @@ TEST_F(BufferCacheTest, BreadBeyondDeviceFails) {
   auto r = cache.bread(10'000);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.error(), Err::Io);
-}
-
-TEST_F(BufferCacheTest, WritebackScansOnlyDirtyBuffers) {
-  // The O(dirty) regression for the old full-map walk: syncing a cache
-  // holding many CLEAN buffers must examine only the dirty-block index.
-  BufferCache cache(dev_, 0);
-  std::vector<BufferHead*> held;
-  for (std::uint64_t b = 0; b < 200; ++b) {  // 200 clean cached buffers
-    auto bh = cache.getblk(b);
-    ASSERT_TRUE(bh.ok());
-    held.push_back(bh.value());
-  }
-  for (const std::uint64_t b : {20ULL, 120ULL, 40ULL, 180ULL, 3ULL}) {
-    cache.mark_dirty(held[b]);
-  }
-  ASSERT_EQ(cache.nr_dirty(), 5u);
-
-  cache.sync_all();
-  EXPECT_EQ(cache.nr_dirty(), 0u);
-  EXPECT_EQ(cache.stats().writebacks, 5u);
-  EXPECT_EQ(cache.stats().dirty_scanned, 5u)
-      << "writeback must walk the dirty index, not all "
-      << cache.cached_blocks() << " cached buffers";
-  // Ascending submission: the five scattered blocks arrive as five
-  // separate (non-mergeable) requests in one batch.
-  EXPECT_EQ(dev_.stats().write_requests, 5u);
-  for (auto* bh : held) cache.brelse(bh);
 }
 
 TEST_F(BufferCacheTest, InjectedReadErrorSurfacesAsIoError) {

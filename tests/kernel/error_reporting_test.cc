@@ -12,15 +12,23 @@
 //     degrades per its errors= policy (remount-ro default: writes fail
 //     EROFS, reads keep serving; errors=continue keeps the mount
 //     writable-in-cache but the journal stays dead).
+//   - Unmounting an aborted journal writes nothing home, in the kernel
+//     and behind FUSE alike: the aborted transaction's dirty blocks never
+//     reach media.
+//   - A failed xv6 header clear aborts the journal too: the header left
+//     on media would otherwise replay a later commit's journal run onto
+//     the committed transaction's home blocks.
 //   - A transient fault retried to success by the request queue's
 //     RetryPolicy is invisible to fsync: no residual error, no abort.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "../testutil.h"
 #include "kernel/errseq.h"
+#include "xv6fs/fsck.h"
 
 namespace bsim::test {
 namespace {
@@ -69,10 +77,12 @@ struct Bed {
   /// The first payload block of the journal area: poisoning it fails the
   /// next commit's journal run before its commit record is issued.
   std::uint64_t journal_block = 0;
+  /// One past the journal area, which starts at journal_block - 1.
+  std::uint64_t journal_end = 0;
 };
 
-/// A kernel with a device formatted for `fs` ("xv6_bento", "xv6_vfs" or
-/// "ext4j") and mounted at /mnt.
+/// A kernel with a device formatted for `fs` ("xv6_bento", "xv6_vfs",
+/// "xv6_fuse" or "ext4j") and mounted at /mnt.
 void make_bed(Bed& bed, std::string_view opts = "",
               std::string_view fs = "xv6_bento") {
   blk::DeviceParams params;
@@ -81,9 +91,13 @@ void make_bed(Bed& bed, std::string_view opts = "",
   // Both journal areas open with one header block (ext4's descriptor,
   // xv6's log header).
   if (fs == "ext4j") {
-    bed.journal_block = ext4::mkfs(*bed.dev, /*inodes_per_group=*/512).jstart;
+    const ext4::Super sb = ext4::mkfs(*bed.dev, /*inodes_per_group=*/512);
+    bed.journal_block = sb.jstart;
+    bed.journal_end = sb.jstart + sb.jblocks;
   } else {
-    bed.journal_block = xv6::mkfs(*bed.dev, /*ninodes=*/512).logstart;
+    const xv6::DiskSuperblock sb = xv6::mkfs(*bed.dev, /*ninodes=*/512);
+    bed.journal_block = sb.logstart;
+    bed.journal_end = sb.logstart + sb.nlog;
   }
   bed.journal_block += 1;
   wl::register_deployments(bed.kernel);
@@ -298,6 +312,183 @@ TEST_P(JournalAbort, AbortOutsideFsyncLeavesNothingInFlight) {
 
 INSTANTIATE_TEST_SUITE_P(Fs, JournalAbort,
                          ::testing::Values("xv6_bento", "xv6_vfs", "ext4j"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+/// The unmount of an aborted journal, in the kernel (xv6 on Bento, the C
+/// baseline, ext4) and in userspace (xv6 behind FUSE, on BentoKS-User).
+class AbortedUnmount : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(AbortedUnmount, WritesNothingOutsideTheJournal) {
+  sim::SimThread thread(0);
+  sim::ScopedThread in(thread);
+  Bed bed;
+  make_bed(bed, "", GetParam());
+  auto& kernel = bed.kernel;
+  auto& p = kernel.proc();
+
+  auto keep = kernel.open(p, "/mnt/keep", kern::kOCreat | kern::kORdWr);
+  ASSERT_TRUE(keep.ok());
+  ASSERT_TRUE(kernel.write(p, keep.value(), as_bytes("survives")).ok());
+  ASSERT_EQ(Err::Ok, kernel.fsync(p, keep.value()));
+  ASSERT_EQ(Err::Ok, kernel.close(p, keep.value()));
+  const auto before = copy_device(*bed.dev);
+
+  // The doomed op: its journal run fails, so the journal aborts before
+  // the commit record. Its blocks stay dirty in the cache, and nothing
+  // may write them home: not the fsync barrier, not eviction, not the
+  // unmount's sync and flush.
+  bed.dev->inject_write_error(bed.journal_block);
+  auto fd = kernel.open(p, "/mnt/doomed", kern::kOCreat | kern::kORdWr);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel.write(p, fd.value(), as_bytes("never durable")).ok());
+  EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);
+  EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
+  EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
+
+  std::array<std::byte, blk::kBlockSize> was{}, now{};
+  std::vector<std::uint64_t> moved;
+  for (std::uint64_t b = 0; b < bed.dev->nblocks(); ++b) {
+    if (b >= bed.journal_block - 1 && b < bed.journal_end) continue;
+    before->read_untimed(b, was);
+    bed.dev->read_untimed(b, now);
+    if (was != now) moved.push_back(b);
+  }
+  EXPECT_TRUE(moved.empty())
+      << moved.size() << " home blocks written after the abort, first "
+      << moved.front();
+}
+
+INSTANTIATE_TEST_SUITE_P(Fs, AbortedUnmount,
+                         ::testing::Values("xv6_bento", "xv6_vfs", "xv6_fuse",
+                                           "ext4j"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+/// A device that fails only the header clear of an xv6 commit. Once
+/// armed, the first commit record it takes (a log header naming blocks)
+/// poisons the header block, so the clear after the install fails. The
+/// device then dies right after the next journal run reaches it, before
+/// that commit's record.
+class ClearFaultDevice final : public blk::BlockDevice {
+ public:
+  using BlockDevice::BlockDevice;
+  void arm(std::uint64_t logstart) {
+    logstart_ = logstart;
+    armed_ = true;
+  }
+
+ protected:
+  sim::Nanos submit_impl(std::span<blk::Bio* const> bios) override {
+    const sim::Nanos done = BlockDevice::submit_impl(bios);
+    watch(bios);
+    return done;
+  }
+  blk::Ticket submit_async_impl(std::span<blk::Bio* const> bios) override {
+    const blk::Ticket t = BlockDevice::submit_async_impl(bios);
+    watch(bios);
+    return t;
+  }
+
+ private:
+  void watch(std::span<blk::Bio* const> bios) {
+    for (const blk::Bio* bio : bios) {
+      if (bio->op != blk::BioOp::Write) continue;
+      for (const blk::BioVec& v : bio->vecs) {
+        if (armed_ && v.blockno == logstart_) {
+          std::uint32_t n = 0;  // LogHeader::n
+          std::memcpy(&n, v.wdata.data(), sizeof(n));
+          if (n == 0) continue;
+          armed_ = false;
+          poisoned_ = true;
+          inject_write_error(logstart_);
+        } else if (poisoned_ && v.blockno == logstart_ + 1) {
+          power_off();
+        }
+      }
+    }
+  }
+
+  std::uint64_t logstart_ = 0;
+  bool armed_ = false;
+  bool poisoned_ = false;
+};
+
+class FailedHeaderClear : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(FailedHeaderClear, AbortsBeforeTheNextJournalRun) {
+  // Only the clear of /mnt/a's commit fails. Its header still names that
+  // transaction on media, so a later commit's journal run would overwrite
+  // what recovery replays onto /mnt/a's blocks, and a crash before that
+  // commit's record (here: the device dies) would corrupt them.
+  const std::string a(6000, 'a');
+  std::unique_ptr<blk::BlockDevice> survivor;
+  std::uint64_t logstart = 0;
+  {
+    sim::SimThread thread(0);
+    sim::ScopedThread in(thread);
+    kern::Kernel kernel;
+    blk::DeviceParams params;
+    params.nblocks = kBlocks;
+    auto& dev = static_cast<ClearFaultDevice&>(kernel.add_device(
+        "ssd0", std::make_unique<ClearFaultDevice>(params)));
+    logstart = xv6::mkfs(dev, /*ninodes=*/512).logstart;
+    wl::register_deployments(kernel);
+    ASSERT_EQ(Err::Ok, kernel.mount(GetParam(), "ssd0", "/mnt"));
+    auto& p = kernel.proc();
+    const auto write_synced = [&](const std::string& path,
+                                  const std::string& data) {
+      auto fd = kernel.open(p, path, kern::kOCreat | kern::kORdWr);
+      if (!fd.ok()) return;  // read-only once the journal aborted
+      (void)kernel.write(p, fd.value(), as_bytes(data));
+      (void)kernel.fsync(p, fd.value());
+      (void)kernel.close(p, fd.value());
+    };
+    dev.arm(logstart);
+    write_synced("/mnt/a", a);
+    EXPECT_EQ(journal_state(kernel).aborts, 1u);
+    write_synced("/mnt/b", std::string(a.size(), 'b'));
+    survivor = copy_device(dev);
+  }
+
+  sim::SimThread thread(0);
+  sim::ScopedThread in(thread);
+  {
+    // A recovery whose own clear fails does not mount, for the same
+    // reason: the header would outlive the mount's first commit.
+    kern::Kernel kernel;
+    blk::BlockDevice& dev = kernel.add_device("ssd0", copy_device(*survivor));
+    dev.inject_write_error(logstart);
+    wl::register_deployments(kernel);
+    EXPECT_EQ(Err::Io, kernel.mount(GetParam(), "ssd0", "/mnt"));
+  }
+
+  // Recovery replays what the header names; then /mnt/a must read back
+  // and the image must pass fsck.
+  kern::Kernel kernel;
+  blk::BlockDevice& dev = kernel.add_device("ssd0", std::move(survivor));
+  wl::register_deployments(kernel);
+  ASSERT_EQ(Err::Ok, kernel.mount(GetParam(), "ssd0", "/mnt"));
+  auto& p = kernel.proc();
+  auto fd = kernel.open(p, "/mnt/a", kern::kORdOnly);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::byte> buf(a.size() + 16);
+  auto r = kernel.read(p, fd.value(), buf);
+  ASSERT_TRUE(r.ok());
+  const std::string got = to_string({buf.data(), r.value()});
+  EXPECT_EQ(got.size(), a.size());
+  EXPECT_EQ(got.find_first_not_of('a'), std::string::npos)
+      << "/mnt/a holds another transaction's data";
+  EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
+  EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
+  const auto report = xv6::fsck(dev);
+  EXPECT_TRUE(report.ok) << report.summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(KernelXv6, FailedHeaderClear,
+                         ::testing::Values("xv6_bento", "xv6_vfs"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

@@ -130,6 +130,15 @@ TEST_F(FlusherTest, PeriodicTimerDrainsBelowThreshold) {
   EXPECT_EQ(inode.mapping.nr_dirty(), 0u);
   EXPECT_EQ(f->stats().timer_wakeups, 1u);
   EXPECT_EQ(f->stats().pages_flushed, 3u);
+  EXPECT_EQ(f->stats().wake_to_drain.count(), 1u);
+
+  // A timer wake with nothing dirty is counted as a wake, but it drained
+  // nothing, so it records no wake-to-drain sample.
+  sim::current().wait(kern::kFlushPeriod);
+  f->poke(inode);
+  EXPECT_EQ(f->stats().timer_wakeups, 2u);
+  EXPECT_EQ(f->stats().pages_flushed, 3u);
+  EXPECT_EQ(f->stats().wake_to_drain.count(), 1u);
 }
 
 TEST_F(FlusherTest, MultipleInodesAllDrain) {

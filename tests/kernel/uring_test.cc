@@ -249,7 +249,7 @@ TEST_F(UringTest, StatsTrackLifetimeCounts) {
 TEST_F(UringTest, UserBlockBackendBatchesDurableWrites) {
   // The §8.1 integration: a UserBlockBackend in uring mode performs its
   // durable block write (pwrite + whole-file fsync) as ONE submission,
-  // and flush_all batches every dirty block plus the fsync.
+  // and so does a batch of blocks with its one trailing fsync.
   auto daemon = kernel_.new_process();
   auto fd = kernel_.open(*daemon, "/dev/ssd0",
                          kern::kORdWr | kern::kODirect);
@@ -276,14 +276,22 @@ TEST_F(UringTest, UserBlockBackendBatchesDurableWrites) {
   EXPECT_EQ(std::byte{0x77}, check[0]);
 
   // Several dirty blocks + the trailing fsync ride one more submission.
+  std::vector<bento::BufferHeadHandle> batch;
   for (std::uint64_t b = 20002; b < 20010; ++b) {
     auto bh = cap->getblk(b);
     ASSERT_TRUE(bh.ok());
     bh.value().data()[0] = std::byte{0x42};
     bh.value().set_dirty();
+    batch.push_back(std::move(bh.value()));
   }
-  backend.flush_all();
+  std::vector<bento::BufferHeadHandle*> handles;
+  for (auto& bh : batch) handles.push_back(&bh);
+  const bento::WriteTicket t = cap->sync_batch_async(handles);
+  cap->wait(t);
+  EXPECT_FALSE(t.ticket.failed);
   EXPECT_EQ(2U, backend.io_stats().uring_enters);
+  EXPECT_EQ(9U, backend.io_stats().pwrites);
+  EXPECT_EQ(2U, backend.io_stats().fsyncs);
   kernel_.device("ssd0")->read_untimed(20007, check);
   EXPECT_EQ(std::byte{0x42}, check[0]);
   (void)kernel_.close(*daemon, fd.value());
@@ -291,8 +299,8 @@ TEST_F(UringTest, UserBlockBackendBatchesDurableWrites) {
 
 TEST_F(UringTest, UserBlockBackendReportsAFailedWriteAndKeepsTheBlockDirty) {
   // A durable write whose pwrite fails returns Io, with and without the
-  // ring, and leaves the block dirty: once the sector is repaired, the
-  // next flush_all writes it.
+  // ring, and leaves the block dirty: once the sector is repaired, its
+  // owner's next write of it succeeds. flush_all writes no block.
   for (const bool use_uring : {false, true}) {
     SCOPED_TRACE(use_uring ? "uring" : "syscalls");
     auto daemon = kernel_.new_process();
@@ -317,9 +325,23 @@ TEST_F(UringTest, UserBlockBackendReportsAFailedWriteAndKeepsTheBlockDirty) {
     dev->read_untimed(blockno, check);
     EXPECT_NE(std::byte{0x66}, check[0]);
 
-    dev->clear_write_error(blockno);
+    // Neither the barrier nor eviction writes the dirty block: a cache
+    // filled twice over with other blocks passes over it.
     const std::uint64_t pwrites = backend.io_stats().pwrites;
     backend.flush_all();
+    for (std::uint64_t b = 21000; b < 21000 + 2 * 64; ++b) {
+      ASSERT_TRUE(cap->getblk(b).ok());
+    }
+    EXPECT_EQ(pwrites, backend.io_stats().pwrites);
+
+    dev->clear_write_error(blockno);
+    auto bh = cap->getblk(blockno);
+    ASSERT_TRUE(bh.ok());
+    EXPECT_EQ(std::byte{0x66}, bh.value().data()[0]);  // still cached
+    bento::BufferHeadHandle* one = &bh.value();
+    const bento::WriteTicket t = cap->sync_batch_async({&one, 1});
+    cap->wait(t);
+    EXPECT_FALSE(t.ticket.failed);
     EXPECT_EQ(pwrites + 1, backend.io_stats().pwrites);
     dev->read_untimed(blockno, check);
     EXPECT_EQ(std::byte{0x66}, check[0]);
