@@ -81,17 +81,8 @@ Err FileSystem::fsync(const Request&, SbRef, Ino, std::uint64_t, bool) {
   return Err::NoSys;
 }
 
-Result<std::uint64_t> FileSystem::opendir(const Request&, SbRef, Ino) {
-  return std::uint64_t{0};
-}
-Err FileSystem::releasedir(const Request&, SbRef, Ino, std::uint64_t) {
-  return Err::Ok;
-}
 Err FileSystem::readdir(const Request&, SbRef, Ino, std::uint64_t&,
                         const DirFiller&) {
-  return Err::NoSys;
-}
-Err FileSystem::fsyncdir(const Request&, SbRef, Ino, std::uint64_t, bool) {
   return Err::NoSys;
 }
 

@@ -174,14 +174,10 @@ class FileSystem {
                     bool datasync);
 
   // ---- directories ----
-  virtual Result<std::uint64_t> opendir(const Request& req, SbRef sb,
-                                        Ino ino);
-  virtual Err releasedir(const Request& req, SbRef sb, Ino ino,
-                         std::uint64_t fh);
+  /// A directory is opened, released and fsynced through open, release
+  /// and fsync above.
   virtual Err readdir(const Request& req, SbRef sb, Ino ino,
                       std::uint64_t& pos, const DirFiller& fill);
-  virtual Err fsyncdir(const Request& req, SbRef sb, Ino ino,
-                       std::uint64_t fh, bool datasync);
 
   // ---- whole-fs ----
   virtual Result<StatfsOut> statfs(const Request& req, SbRef sb);

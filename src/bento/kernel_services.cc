@@ -25,31 +25,13 @@ kern::Result<std::vector<BufferHeadHandle>> BlockBackend::bread_batch(
   return out;
 }
 
-kern::Err BlockBackend::bh_sync_batch(std::span<void* const> impls) {
-  kern::Err result = kern::Err::Ok;
-  for (void* impl : impls) {
-    const kern::Err e = bh_sync(impl);
-    if (e != kern::Err::Ok) result = e;
-  }
-  return result;
-}
-
-WriteTicket BlockBackend::bh_sync_batch_async(std::span<void* const> impls) {
-  // Unbatched userspace default: no async device path, so the write is
-  // synchronous and the ticket comes back already redeemed, carrying the
-  // write's failure for the journal to check.
-  WriteTicket t;
-  t.ticket.failed = bh_sync_batch(impls) != kern::Err::Ok;
-  return t;
-}
-
-WriteTicket BlockBackend::bh_write_run(std::uint64_t start,
+blk::Ticket BlockBackend::bh_write_run(std::uint64_t start,
                                        std::span<void* const> impls) {
   std::vector<BufferHeadHandle> dsts;  // released once the batch is written
   std::vector<void*> dst_impls;
   for (std::size_t i = 0; i < impls.size(); ++i) {
     auto dst = getblk(start + i);
-    if (!dst.ok()) return WriteTicket{blk::Ticket{.failed = true}};
+    if (!dst.ok()) return blk::Ticket{.failed = true};
     std::ranges::copy(bh_data(impls[i]), dst.value().data().begin());
     dst.value().set_dirty();
     dst_impls.push_back(dst.value().impl_);
@@ -58,7 +40,7 @@ WriteTicket BlockBackend::bh_write_run(std::uint64_t start,
   return bh_sync_batch_async(dst_impls);
 }
 
-WriteTicket SuperBlockCap::sync_batch_async(
+blk::Ticket SuperBlockCap::sync_batch_async(
     std::span<BufferHeadHandle* const> handles) {
   std::vector<void*> impls;
   impls.reserve(handles.size());
@@ -69,7 +51,7 @@ WriteTicket SuperBlockCap::sync_batch_async(
   return backend_->bh_sync_batch_async(impls);
 }
 
-WriteTicket SuperBlockCap::write_run(std::uint64_t start,
+blk::Ticket SuperBlockCap::write_run(std::uint64_t start,
                                      std::span<BufferHeadHandle* const> srcs) {
   std::vector<void*> impls;
   impls.reserve(srcs.size());
@@ -100,11 +82,6 @@ void BufferHeadHandle::set_dirty() {
 void BufferHeadHandle::set_drop_behind() {
   assert(owner_ != nullptr);
   owner_->bh_drop_behind(impl_);
-}
-
-kern::Err BufferHeadHandle::sync() {
-  assert(owner_ != nullptr);
-  return owner_->bh_sync(impl_);
 }
 
 void BufferHeadHandle::reset() {
@@ -161,32 +138,28 @@ void KernelBlockBackend::bh_drop_behind(void* impl) {
   cache_->mark_drop_behind(static_cast<kern::BufferHead*>(impl));
 }
 
-kern::Err KernelBlockBackend::bh_sync(void* impl) {
-  return cache_->sync_dirty_buffer(static_cast<kern::BufferHead*>(impl));
-}
-
-WriteTicket KernelBlockBackend::bh_sync_batch_async(
+blk::Ticket KernelBlockBackend::bh_sync_batch_async(
     std::span<void* const> impls) {
   std::vector<kern::BufferHead*> bhs;
   bhs.reserve(impls.size());
   for (void* impl : impls) {
     bhs.push_back(static_cast<kern::BufferHead*>(impl));
   }
-  return WriteTicket{cache_->sync_dirty_buffers_async(bhs)};
+  return cache_->sync_dirty_buffers_async(bhs);
 }
 
-void KernelBlockBackend::bh_sync_wait(const WriteTicket& t) {
-  cache_->wait(t.ticket);
+void KernelBlockBackend::bh_sync_wait(const blk::Ticket& t) {
+  cache_->wait(t);
 }
 
-WriteTicket KernelBlockBackend::bh_write_run(std::uint64_t start,
+blk::Ticket KernelBlockBackend::bh_write_run(std::uint64_t start,
                                              std::span<void* const> impls) {
   std::vector<std::span<const std::byte>> srcs;
   srcs.reserve(impls.size());
   for (void* impl : impls) {
     srcs.push_back(static_cast<kern::BufferHead*>(impl)->bytes());
   }
-  return WriteTicket{cache_->write_run(start, srcs)};
+  return cache_->write_run(start, srcs);
 }
 
 void KernelBlockBackend::invalidate_range(std::uint64_t first,
@@ -205,7 +178,5 @@ void KernelBlockBackend::bh_get(void* impl) {
 std::unique_ptr<SuperBlockCap> CapTestAccess::make(BlockBackend& backend) {
   return std::make_unique<SuperBlockCap>(SuperBlockCap::Key{}, backend);
 }
-
-sim::Nanos ktime() { return sim::now(); }
 
 }  // namespace bsim::bento

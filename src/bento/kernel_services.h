@@ -7,11 +7,17 @@
 // wrapper: data() yields a correctly-sized memory region, and the
 // destructor calls brelse so "memory leaks are possible but difficult".
 //
+// A file system writes blocks only as a journal does: a batch of held
+// buffers (sync_batch_async) or a log run from them (write_run), each on
+// a blk::Ticket redeemed with wait(), and durability comes from the
+// flush_all barrier.
+//
 // The same capability surface is implemented by two backends:
 //   KernelBlockBackend  — over the in-kernel buffer cache (kernel Bento)
 //   UserBlockBackend    — over a /dev file opened O_DIRECT (userspace Bento
 //                         for FUSE deployment and debugging, §4.9)
-// which is what lets one file-system implementation run in both worlds.
+// which is what lets one file-system implementation run in both worlds
+// (plus MemBlockBackend, a device-less one for the debugging rig).
 #pragma once
 
 #include <cstdint>
@@ -30,16 +36,9 @@ namespace bsim::bento {
 class SuperBlockCap;
 class BufferHeadHandle;
 
-/// Capability for an in-flight asynchronous batch write (the bio layer's
-/// Ticket without kernel pointers). Obtained from
-/// SuperBlockCap::sync_batch_async; redeemed with SuperBlockCap::wait.
-/// Default-constructed tickets are empty and waiting on them is a no-op.
-struct WriteTicket {
-  blk::Ticket ticket{};
-};
-
-/// Where block I/O goes: the two implementations embody the kernel/user
-/// split of Figure 1.
+/// Where block I/O goes: the kernel and userspace implementations embody
+/// the kernel/user split of Figure 1. Every block write arrives as a batch
+/// (bh_sync_batch_async, or bh_write_run on top of it).
 class BlockBackend {
  public:
   virtual ~BlockBackend() = default;
@@ -94,28 +93,21 @@ class BlockBackend {
   /// (kern::BufferHead::drop_behind). Default no-op (userspace backends
   /// keep no bounded cache of their own).
   virtual void bh_drop_behind(void* impl) { (void)impl; }
-  /// Synchronous durable write of this block (sync_dirty_buffer in the
-  /// kernel; pwrite + whole-file fsync from userspace — §6.4). Io when the
-  /// write failed; the block then stays dirty.
-  virtual kern::Err bh_sync(void* impl) = 0;
-  /// Batched synchronous write of many blocks: one request-queue
-  /// submission in the kernel; from userspace the pwrites batch but the
-  /// whole-file fsync is paid once for the batch. Default loops bh_sync.
-  /// Io when any write failed; each failed block stays dirty.
-  virtual kern::Err bh_sync_batch(std::span<void* const> impls);
-  /// Non-barrier batched write: submit and return a ticket the caller
-  /// redeems with bh_sync_wait, so a journal can overlap its checkpoint
-  /// with subsequent work (QD>1). The default (userspace backends, which
-  /// have no async device path) performs the write synchronously and
-  /// returns an empty ticket, marked failed when the write failed.
-  virtual WriteTicket bh_sync_batch_async(std::span<void* const> impls);
-  virtual void bh_sync_wait(const WriteTicket& t) { (void)t; }
+  /// The one block write: submit `impls` as one batch and return a
+  /// ticket the caller redeems with bh_sync_wait, so a journal can overlap
+  /// its checkpoint with subsequent work (QD>1). The kernel submits to the
+  /// request queue (sync_dirty_buffers_async); a userspace backend, which
+  /// has no async device path, writes before it returns and hands back an
+  /// empty ticket, marked failed when a write failed. A block whose write
+  /// failed stays dirty.
+  virtual blk::Ticket bh_sync_batch_async(std::span<void* const> impls) = 0;
+  virtual void bh_sync_wait(const blk::Ticket& t) { (void)t; }
   /// Write the blocks `impls` hold to [start, start + impls.size()) without
   /// caching the destinations: a journal's log run from the buffers its
   /// transaction holds. The kernel builds the bios from the buffers' bytes
   /// (BufferCache::write_run). The default gets each destination block,
   /// copies into it and writes the batch with bh_sync_batch_async.
-  virtual WriteTicket bh_write_run(std::uint64_t start,
+  virtual blk::Ticket bh_write_run(std::uint64_t start,
                                    std::span<void* const> impls);
   /// One more reference to a held block (get_bh): no lookup.
   virtual void bh_get(void* impl) = 0;
@@ -171,9 +163,6 @@ class BufferHeadHandle {
   /// obtained with getblk).
   void set_drop_behind();
 
-  /// Synchronously make this block durable; Io when the write failed.
-  kern::Err sync();
-
   /// Another handle on the same block, holding one more reference
   /// (get_bh): no cache lookup.
   [[nodiscard]] BufferHeadHandle dup() const;
@@ -219,7 +208,6 @@ class SuperBlockCap {
   SuperBlockCap& operator=(const SuperBlockCap&) = delete;
 
   [[nodiscard]] std::uint64_t nblocks() const { return backend_->nblocks(); }
-  [[nodiscard]] std::uint32_t blocksize() const { return blk::kBlockSize; }
 
   /// Read a block through the (kernel or userspace) cache.
   kern::Result<BufferHeadHandle> bread(std::uint64_t blockno) {
@@ -240,14 +228,14 @@ class SuperBlockCap {
   /// is redeemed with wait(), letting file-system code keep a checkpoint
   /// in flight while it continues (e.g. overlapping the next journal
   /// record). Media effects land at submission, in submission order.
-  WriteTicket sync_batch_async(std::span<BufferHeadHandle* const> handles);
+  blk::Ticket sync_batch_async(std::span<BufferHeadHandle* const> handles);
   /// Redeem a ticket from sync_batch_async (no-op when already complete).
-  void wait(const WriteTicket& t) { backend_->bh_sync_wait(t); }
+  void wait(const blk::Ticket& t) { backend_->bh_sync_wait(t); }
   /// Write the contents of `srcs` to the consecutive blocks from `start`,
   /// WITHOUT waiting and without caching the destinations (a journal's log
   /// run, straight from the buffers the transaction holds). Redeemed with
   /// wait(). Nothing may have cached the destinations (see invalidate).
-  WriteTicket write_run(std::uint64_t start,
+  blk::Ticket write_run(std::uint64_t start,
                         std::span<BufferHeadHandle* const> srcs);
   /// Drop the clean, unreferenced cached blocks of [first, first + n):
   /// recovery's reads of a log area that write_run later overwrites.
@@ -307,10 +295,9 @@ class KernelBlockBackend final : public BlockBackend {
   std::span<std::byte> bh_data(void* impl) override;
   void bh_set_dirty(void* impl) override;
   void bh_drop_behind(void* impl) override;
-  kern::Err bh_sync(void* impl) override;
-  WriteTicket bh_sync_batch_async(std::span<void* const> impls) override;
-  void bh_sync_wait(const WriteTicket& t) override;
-  WriteTicket bh_write_run(std::uint64_t start,
+  blk::Ticket bh_sync_batch_async(std::span<void* const> impls) override;
+  void bh_sync_wait(const blk::Ticket& t) override;
+  blk::Ticket bh_write_run(std::uint64_t start,
                            std::span<void* const> impls) override;
   void bh_get(void* impl) override;
   void bh_release(void* impl) override;
@@ -358,8 +345,5 @@ class SharedSemGuard {
  private:
   Semaphore& s_;
 };
-
-/// Current kernel time (ktime_get analogue) in virtual nanoseconds.
-sim::Nanos ktime();
 
 }  // namespace bsim::bento

@@ -452,12 +452,7 @@ Err NvmLogFs::fsync(const Request&, SbRef, Ino, std::uint64_t, bool) {
   return Err::Ok;
 }
 
-// ---- directories / whole-fs ----
-
-Err NvmLogFs::fsyncdir(const Request&, SbRef, Ino, std::uint64_t, bool) {
-  nvm_->persist_barrier();
-  return Err::Ok;
-}
+// ---- whole-fs ----
 
 Result<StatfsOut> NvmLogFs::statfs(const Request& req, SbRef sb) {
   auto r = lower().statfs(req, sb.reborrow());

@@ -91,8 +91,6 @@ class NvmLogFs final : public StackedFs {
       std::span<const std::span<const std::byte>> pages) override;
   kern::Err fsync(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
                   bool datasync) override;
-  kern::Err fsyncdir(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
-                     bool datasync) override;
   Result<StatfsOut> statfs(const Request& req, SbRef sb) override;
   kern::Err sync_fs(const Request& req, SbRef sb) override;
 

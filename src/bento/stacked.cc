@@ -91,24 +91,9 @@ Err StackedFs::fsync(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
   return lower_->fsync(req, sb.reborrow(), ino, fh, datasync);
 }
 
-Result<std::uint64_t> StackedFs::opendir(const Request& req, SbRef sb,
-                                         Ino ino) {
-  return lower_->opendir(req, sb.reborrow(), ino);
-}
-
-Err StackedFs::releasedir(const Request& req, SbRef sb, Ino ino,
-                          std::uint64_t fh) {
-  return lower_->releasedir(req, sb.reborrow(), ino, fh);
-}
-
 Err StackedFs::readdir(const Request& req, SbRef sb, Ino ino,
                        std::uint64_t& pos, const DirFiller& fill) {
   return lower_->readdir(req, sb.reborrow(), ino, pos, fill);
-}
-
-Err StackedFs::fsyncdir(const Request& req, SbRef sb, Ino ino,
-                        std::uint64_t fh, bool datasync) {
-  return lower_->fsyncdir(req, sb.reborrow(), ino, fh, datasync);
 }
 
 Result<StatfsOut> StackedFs::statfs(const Request& req, SbRef sb) {

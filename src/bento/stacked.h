@@ -71,14 +71,8 @@ class StackedFs : public FileSystem {
   Err fsync(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
             bool datasync) override;
 
-  Result<std::uint64_t> opendir(const Request& req, SbRef sb,
-                                Ino ino) override;
-  Err releasedir(const Request& req, SbRef sb, Ino ino,
-                 std::uint64_t fh) override;
   Err readdir(const Request& req, SbRef sb, Ino ino, std::uint64_t& pos,
               const DirFiller& fill) override;
-  Err fsyncdir(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
-               bool datasync) override;
 
   Result<StatfsOut> statfs(const Request& req, SbRef sb) override;
   Err sync_fs(const Request& req, SbRef sb) override;

@@ -124,19 +124,17 @@ void UserBlockBackend::bh_set_dirty(void* impl) {
   static_cast<UserBuf*>(impl)->dirty = true;
 }
 
-kern::Err UserBlockBackend::bh_sync(void* impl) {
-  // The §6.4 behaviour: one durable block write from userspace costs a
-  // pwrite plus an fsync of the entire disk file. With io_uring the two
-  // ops share one crossing — but the whole-file fsync semantics (and its
-  // host-side cost) remain.
-  return bh_sync_batch({&impl, 1});
+blk::Ticket UserBlockBackend::bh_sync_batch_async(
+    std::span<void* const> impls) {
+  return blk::Ticket{.failed = write_and_fsync(impls) != kern::Err::Ok};
 }
 
-kern::Err UserBlockBackend::bh_sync_batch(std::span<void* const> impls) {
+kern::Err UserBlockBackend::write_and_fsync(std::span<void* const> impls) {
   // A batched commit run from userspace: the pwrites are unavoidable, but
   // the whole-file fsync — §6.4's dominant term — is paid once for the
   // run instead of once per block. With io_uring the pwrites and the
-  // trailing fsync additionally share one crossing.
+  // trailing fsync additionally share one crossing, but the whole-file
+  // fsync semantics (and its host-side cost) remain.
   if (ring_ != nullptr) {
     for (void* impl : impls) {
       auto* buf = static_cast<UserBuf*>(impl);
@@ -177,7 +175,7 @@ void UserBlockBackend::bh_release(void* impl) {
 void UserBlockBackend::flush_all() {
   // An empty batch is just the whole-file fsync: the barrier writes no
   // block, so an aborted transaction's dirty blocks never reach home.
-  (void)bh_sync_batch({});
+  (void)write_and_fsync({});
 }
 
 // ---- MemBlockBackend ----

@@ -4,9 +4,9 @@
 //
 //   UserBlockBackend — BentoKS-User: block I/O through the host file
 //       interface. The disk is opened O_DIRECT; a small userspace block
-//       cache stands in for the buffer cache; a *synchronous* block write
-//       is pwrite + fsync of the whole disk file — the §6.4 behaviour that
-//       dominates the FUSE numbers.
+//       cache stands in for the buffer cache; a batch of block writes is
+//       one pwrite per block plus one fsync of the whole disk file — the
+//       §6.4 behaviour that dominates the FUSE numbers.
 //   MemBlockBackend  — pure in-memory backend for the debugging rig and
 //       unit tests (no kernel at all).
 //   UserMount        — the framework object that owns the backend and the
@@ -27,7 +27,7 @@ namespace bsim::bento {
 /// BentoKS-User block backend over a /dev file (O_DIRECT).
 class UserBlockBackend final : public BlockBackend {
  public:
-  /// With `use_uring`, durable writes and flushes batch their pwrites and
+  /// With `use_uring`, batch writes and flushes put their pwrites and
   /// the trailing fsync into one io_uring_enter (paper §8.1) instead of
   /// one syscall each. The whole-file fsync *semantics* are unchanged —
   /// only crossing costs shrink (see bench_ablation_uring).
@@ -52,8 +52,7 @@ class UserBlockBackend final : public BlockBackend {
   kern::Result<BufferHeadHandle> getblk(std::uint64_t blockno) override;
   std::span<std::byte> bh_data(void* impl) override;
   void bh_set_dirty(void* impl) override;
-  kern::Err bh_sync(void* impl) override;
-  kern::Err bh_sync_batch(std::span<void* const> impls) override;
+  blk::Ticket bh_sync_batch_async(std::span<void* const> impls) override;
   void bh_get(void* impl) override;
   void bh_release(void* impl) override;
 
@@ -71,6 +70,9 @@ class UserBlockBackend final : public BlockBackend {
   };
 
   kern::Result<UserBuf*> get_buf(std::uint64_t blockno, bool read);
+  /// pwrite each of `impls`, then fsync the whole disk file. Io when any
+  /// write or the fsync failed; a block whose write failed stays dirty.
+  kern::Err write_and_fsync(std::span<void* const> impls);
   void evict_if_needed();
   /// Queue one block pwrite on the ring, submitting first if the SQ is
   /// full. The caller clears the block's dirty bit; a failed completion
@@ -113,7 +115,9 @@ class MemBlockBackend final : public BlockBackend {
   kern::Result<BufferHeadHandle> getblk(std::uint64_t blockno) override;
   std::span<std::byte> bh_data(void* impl) override;
   void bh_set_dirty(void* impl) override;
-  kern::Err bh_sync(void*) override { return kern::Err::Ok; }
+  blk::Ticket bh_sync_batch_async(std::span<void* const>) override {
+    return {};
+  }
   void bh_get(void* impl) override;
   void bh_release(void* impl) override;
 

@@ -12,10 +12,10 @@
 // submission, in program order, so a "-o nopipeline" mount (each commit
 // redeems its own tickets) is the oracle of the crash differentials.
 //
-// The engine is a template over the caller's I/O binding `Io`:
-//   using Ticket = ...;                           // an async write ticket
-//   static const blk::Ticket& bio(const Ticket&); // its bio-layer ticket
-//   void wait(const Ticket&) const;               // redeem it
+// Every journal write goes out on a bio-layer Ticket, from the buffer
+// cache or through the Bento capability, and the engine is a template
+// over the caller's I/O binding `Io`:
+//   void wait(const Ticket&) const;  // redeem a ticket
 //   void trace(TraceEv, uint64_t txn, uint32_t nblocks) const;
 //   void on_abort() const;  // count the abort, report it to errors=
 //   void flush() const;     // the device FLUSH; returns on its completion
@@ -106,7 +106,6 @@ class RunningTxn {
 template <class Io>
 class Journal : public RunningTxn {
  public:
-  using Ticket = typename Io::Ticket;
   using Tickets = std::vector<Ticket>;
   /// Commits in flight before the next begin_commit redeems the oldest.
   /// A device has 8 channels (DeviceParams::channels), and a pipelined
@@ -159,7 +158,7 @@ class Journal : public RunningTxn {
              Tickets& tickets, const Ticket& t) {
     tickets.push_back(t);
     io.trace(ev, txn, n);
-    if (Io::bio(t).failed && ev != TraceEv::JCheckpoint) {
+    if (t.failed && ev != TraceEv::JCheckpoint) {
       abort(io, tickets);
       return false;
     }
@@ -175,7 +174,7 @@ class Journal : public RunningTxn {
   /// would overwrite the blocks recovery replays. Returns false on abort.
   bool cleared(const Io& io, Tickets& tickets, const Ticket& t) {
     tickets.push_back(t);
-    if (!Io::bio(t).failed) return true;
+    if (!t.failed) return true;
     abort(io, tickets);
     return false;
   }
@@ -248,7 +247,7 @@ class Journal : public RunningTxn {
   /// Record stage `ev`'s latency from `t`, if `t` carries a batch (an
   /// empty ticket has no completion time).
   void latency(TraceEv ev, const Ticket& t) {
-    const sim::Nanos done = Io::bio(t).done;
+    const sim::Nanos done = t.done;
     if (done <= 0) return;
     (ev == TraceEv::JLogWrite       ? c_->write_lat
      : ev == TraceEv::JCommitRecord ? c_->record_lat

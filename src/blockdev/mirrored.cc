@@ -316,16 +316,20 @@ std::uint64_t MirroredDevice::scrub_step(std::uint64_t cursor) {
     Bio read(BioOp::Read);
     for (std::uint64_t i = 0; i < n; ++i) read.add_read(cursor + i, buf[i]);
     children_[m]->submit(read);
-    Bio repair(BioOp::Write);
+    // One repair bio per run of consecutive divergent blocks, as a batch.
+    std::vector<Bio> repairs;
     std::size_t divergent = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
       if (buf[i] == refbuf[i]) continue;
       astats_.scrub_mismatches += 1;
-      repair.add_write(cursor + i, refbuf[i]);
+      if (repairs.empty() || repairs.back().end_block() != cursor + i) {
+        repairs.emplace_back(BioOp::Write);
+      }
+      repairs.back().add_write(cursor + i, refbuf[i]);
       divergent += 1;
     }
     if (divergent > 0) {
-      children_[m]->submit(repair);
+      children_[m]->submit(repairs);
       astats_.scrub_repairs += divergent;
     }
   }

@@ -186,12 +186,18 @@ Err Ext4Mount::j_recover() {
   // the next one replays again (jbd2's "recovery failed").
   if (e != Err::Ok) return e;
   // Clear the descriptor so replay is not repeated.
+  return j_mark_empty();
+}
+
+Err Ext4Mount::j_mark_empty() {
+  auto& bc = sb_->bufcache();
   auto zb = bc.getblk(super_.jstart);
   if (!zb.ok()) return zb.error();
   std::memset(zb.value()->bytes().data(), 0, kBlockSize);
   bc.mark_dirty(zb.value());
-  bc.sync_dirty_buffer(zb.value());
+  const Err e = bc.sync_dirty_buffer(zb.value());
   bc.brelse(zb.value());
+  if (e != Err::Ok) return e;
   sb_->bdev().flush();
   return Err::Ok;
 }
@@ -1014,7 +1020,13 @@ Err Ext4Mount::statfs(kern::SuperBlock&, kern::StatFs& out) {
   return Err::Ok;
 }
 
-void Ext4Mount::put_super(kern::SuperBlock&) { (void)j_sync(); }
+void Ext4Mount::put_super(kern::SuperBlock&) {
+  // A clean unmount marks the journal empty, as jbd2 does on destroy:
+  // every commit is checkpointed and flushed, so the last descriptor
+  // would only make the next mount replay its transaction again. An
+  // aborted journal fails j_sync and keeps its descriptor for recovery.
+  if (j_sync() == Err::Ok) (void)j_mark_empty();
+}
 
 Ext4Mount::~Ext4Mount() {
   sb_->for_each_inode([](kern::Inode& inode) {

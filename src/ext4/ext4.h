@@ -111,11 +111,9 @@ class Ext4Mount final : public kern::InodeOps,
   // ---- JBD2-style journal ----
   /// The journal engine's binding to the buffer cache.
   struct JbdIo {
-    using Ticket = blk::Ticket;
     Ext4Mount& m;
 
-    static const blk::Ticket& bio(const Ticket& t) { return t; }
-    void wait(const Ticket& t) const { m.sb_->bufcache().wait(t); }
+    void wait(const blk::Ticket& t) const { m.sb_->bufcache().wait(t); }
     void trace(blk::TraceEv ev, std::uint64_t txn, std::uint32_t n) const {
       m.sb_->bdev().trace_event(ev, txn, 0, n, blk::TraceOp::Journal);
     }
@@ -138,6 +136,9 @@ class Ext4Mount final : public kern::InodeOps,
   /// engine's force, then its barrier).
   kern::Err j_sync();
   kern::Err j_recover();
+  /// Zero the descriptor at jstart and FLUSH: the journal holds nothing
+  /// to replay (after recovery, and at a clean unmount).
+  kern::Err j_mark_empty();
 
   kern::Err read_super();
   kern::Result<GroupDesc*> group(std::uint32_t g);

@@ -11,9 +11,9 @@
 //     modified fuse-rs), so cached reads/writes stay in the kernel.
 //   - The daemon side runs the identical bento::FileSystem implementation
 //     over a UserBlockBackend: block I/O goes through a /dev file opened
-//     O_DIRECT, and every durable block write costs pwrite + fsync of the
-//     whole disk file (§6.4) — the behaviour that produces FUSE's collapse
-//     on metadata- and sync-heavy workloads.
+//     O_DIRECT, and every batch of block writes costs a pwrite per block
+//     plus an fsync of the whole disk file (§6.4) — the behaviour that
+//     produces FUSE's collapse on metadata- and sync-heavy workloads.
 #pragma once
 
 #include <memory>

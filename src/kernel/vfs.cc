@@ -141,14 +141,6 @@ void SuperBlock::dcache_remove(Inode& dir, std::string_view name) {
   dcache_.erase(dkey(dir, name));
 }
 
-void SuperBlock::dcache_drop_dir(Inode& dir) {
-  const std::string prefix = std::to_string(dir.ino()) + "/";
-  for (auto it = dcache_.begin(); it != dcache_.end();) {
-    if (it->first.starts_with(prefix)) it = dcache_.erase(it);
-    else ++it;
-  }
-}
-
 Err SuperBlock::sync_all() {
   if (flusher_ != nullptr) flusher_->wait_idle();
   for (auto& [ino, inode] : icache_) {

@@ -202,7 +202,6 @@ class SuperBlock {
   Inode* dcache_lookup(Inode& dir, std::string_view name);
   void dcache_add(Inode& dir, std::string_view name, Ino child);
   void dcache_remove(Inode& dir, std::string_view name);
-  void dcache_drop_dir(Inode& dir);
 
   /// Write back all cached file pages + fs metadata (sync(2) path).
   /// Waits for the background flusher first, so "synced" is never earlier

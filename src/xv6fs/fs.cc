@@ -1082,11 +1082,6 @@ Err Xv6FileSystem::fsync(const Request& req, SbRef sb, bento::Ino,
   return Xv6FileSystem::sync_fs(req, sb.reborrow());
 }
 
-Err Xv6FileSystem::fsyncdir(const Request& req, SbRef sb, bento::Ino ino,
-                            std::uint64_t fh, bool datasync) {
-  return fsync(req, sb.reborrow(), ino, fh, datasync);
-}
-
 // ---- directories ----
 
 Err Xv6FileSystem::readdir(const Request&, SbRef sb, bento::Ino ino,

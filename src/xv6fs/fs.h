@@ -107,8 +107,6 @@ class Xv6FileSystem : public bento::FileSystem {
   kern::Err readdir(const bento::Request& req, bento::SbRef sb,
                     bento::Ino ino, std::uint64_t& pos,
                     const bento::DirFiller& fill) override;
-  kern::Err fsyncdir(const bento::Request& req, bento::SbRef sb,
-                     bento::Ino ino, std::uint64_t fh, bool datasync) override;
 
   bento::Result<bento::StatfsOut> statfs(const bento::Request& req,
                                          bento::SbRef sb) override;

@@ -8,13 +8,12 @@ namespace bsim::xv6 {
 
 using bento::BufferHeadHandle;
 using bento::SuperBlockCap;
-using bento::WriteTicket;
 using kern::Err;
 
 namespace {
 
 /// Write `handles` back as one async batch.
-WriteTicket submit(SuperBlockCap& sb, std::vector<BufferHeadHandle>& handles) {
+blk::Ticket submit(SuperBlockCap& sb, std::vector<BufferHeadHandle>& handles) {
   std::vector<BufferHeadHandle*> batch;
   batch.reserve(handles.size());
   for (auto& h : handles) batch.push_back(&h);
@@ -44,14 +43,14 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
     sb.wait(home.value());
     // A failed home write keeps the header on media: the mount fails and
     // the next one replays again (jbd2's "recovery failed").
-    if (home.value().ticket.failed) return Err::Io;
+    if (home.value().failed) return Err::Io;
     auto clear = write_header(sb, LogHeader{});
     if (!clear.ok()) return clear.error();
     sb.wait(clear.value());
     // A failed clear fails the mount too: the header must not outlive
     // the mount's first commit, whose log run would overwrite what it
     // replays.
-    if (clear.value().ticket.failed) return Err::Io;
+    if (clear.value().failed) return Err::Io;
     if (durability_ == Durability::Strict) {
       sb.flush_all();
     } else {
@@ -106,7 +105,7 @@ Err Log::commit(SuperBlockCap& sb) {
   bufs.reserve(n);
   for (BufferHeadHandle& bh : held_) bufs.push_back(&bh);
 
-  std::vector<WriteTicket> tickets;
+  std::vector<blk::Ticket> tickets;
   auto fail = [&](Err e) {
     jnl_.redeem(io, tickets);
     return e;
@@ -114,7 +113,7 @@ Err Log::commit(SuperBlockCap& sb) {
   // A failed journal write aborts the journal, which drops the running
   // transaction and the references to its buffers (they stay dirty).
   auto stage = [&](blk::TraceEv ev, std::uint32_t nblocks,
-                   const WriteTicket& t) {
+                   const blk::Ticket& t) {
     if (jnl_.stage(io, ev, txn, nblocks, tickets, t)) return true;
     held_.clear();
     return false;
@@ -175,7 +174,7 @@ Err Log::commit(SuperBlockCap& sb) {
   return Err::Ok;
 }
 
-kern::Result<WriteTicket> Log::replay(SuperBlockCap& sb,
+kern::Result<blk::Ticket> Log::replay(SuperBlockCap& sb,
                                       const LogHeader& header) {
   // The log-area reads are one contiguous batched run.
   std::vector<std::uint64_t> logged;
@@ -198,7 +197,7 @@ kern::Result<WriteTicket> Log::replay(SuperBlockCap& sb,
   return submit(sb, dsts);
 }
 
-kern::Result<WriteTicket> Log::write_header(SuperBlockCap& sb,
+kern::Result<blk::Ticket> Log::write_header(SuperBlockCap& sb,
                                             const LogHeader& header) {
   auto bh = sb.getblk(logstart_);
   if (!bh.ok()) return bh.error();

@@ -76,12 +76,10 @@ struct LogStats : blk::JournalCounters {
 
 /// The journal engine's binding to the capability API.
 struct LogIo {
-  using Ticket = bento::WriteTicket;
   bento::SuperBlockCap& sb;
   LogStats& stats;
 
-  static const blk::Ticket& bio(const Ticket& t) { return t.ticket; }
-  void wait(const Ticket& t) const { sb.wait(t); }
+  void wait(const blk::Ticket& t) const { sb.wait(t); }
   void trace(blk::TraceEv ev, std::uint64_t txn, std::uint32_t n) const {
     sb.trace_journal(ev, txn, n);
   }
@@ -163,10 +161,10 @@ class Log {
   LogIo io(bento::SuperBlockCap& sb) { return {sb, stats_}; }
   /// Recovery: copy the log area into the home locations named by
   /// `header`; the batch rides the returned ticket.
-  kern::Result<bento::WriteTicket> replay(bento::SuperBlockCap& sb,
-                                          const LogHeader& header);
-  kern::Result<bento::WriteTicket> write_header(bento::SuperBlockCap& sb,
-                                                const LogHeader& header);
+  kern::Result<blk::Ticket> replay(bento::SuperBlockCap& sb,
+                                   const LogHeader& header);
+  kern::Result<blk::Ticket> write_header(bento::SuperBlockCap& sb,
+                                         const LogHeader& header);
   kern::Err read_header(bento::SuperBlockCap& sb, LogHeader& out);
 
   std::uint32_t logstart_ = 0;  // the header block; the log run follows

@@ -113,11 +113,9 @@ class Xv6cMount final : public kern::InodeOps,
   // xv6-style log over the buffer cache; its policy is blk::OpJournal's.
   /// The journal engine's binding to the buffer cache.
   struct CLogIo {
-    using Ticket = blk::Ticket;
     Xv6cMount& m;
 
-    static const blk::Ticket& bio(const Ticket& t) { return t; }
-    void wait(const Ticket& t) const { m.sb_->bufcache().wait(t); }
+    void wait(const blk::Ticket& t) const { m.sb_->bufcache().wait(t); }
     void trace(blk::TraceEv ev, std::uint64_t txn, std::uint32_t n) const {
       m.sb_->bdev().trace_event(ev, txn, 0, n, blk::TraceOp::Journal);
     }

@@ -224,15 +224,6 @@ TEST_P(StackedLayerTest, OpsTheLayerLeavesAloneReachXv6) {
   fs.forget(mount_->mkreq(), mount_->borrow(), ino);
   EXPECT_EQ(xv6_->free_data_blocks(), free0);
 
-  // fsyncdir: xv6 implements it.
-  auto dir = fs.mkdir(mount_->mkreq(), mount_->borrow(), bento::kRootIno,
-                      "d", 0755);
-  ASSERT_TRUE(dir.ok());
-  auto fh = fs.opendir(mount_->mkreq(), mount_->borrow(), dir.value().ino);
-  ASSERT_TRUE(fh.ok());
-  EXPECT_EQ(Err::Ok, fs.fsyncdir(mount_->mkreq(), mount_->borrow(),
-                                 dir.value().ino, fh.value(), false));
-
   // dump_stats: the stacked xv6 reports its journal too.
   sim::JsonWriter w;
   w.begin_array();

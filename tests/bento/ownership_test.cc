@@ -120,7 +120,10 @@ TEST_F(CapabilityTest, SyncWritesThrough) {
   ASSERT_TRUE(bh.ok());
   bh.value().data()[0] = std::byte{0xEE};
   bh.value().set_dirty();
-  bh.value().sync();
+  BufferHeadHandle* one = &bh.value();
+  const blk::Ticket t = cap->sync_batch_async({&one, 1});
+  cap->wait(t);
+  EXPECT_FALSE(t.failed);
   std::array<std::byte, blk::kBlockSize> r{};
   dev.read_untimed(5, r);
   EXPECT_EQ(r[0], std::byte{0xEE});

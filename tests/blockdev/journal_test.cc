@@ -26,11 +26,9 @@ struct IoLog {
 /// The engine's I/O binding over plain bio tickets: wait() advances the
 /// caller to the ticket's completion, flush() takes `flush_lat`.
 struct FakeIo {
-  using Ticket = blk::Ticket;
   IoLog* log;
   Nanos flush_lat = sim::usec(800);
 
-  static const blk::Ticket& bio(const Ticket& t) { return t; }
   void wait(const Ticket& t) const {
     log->redeemed.push_back(t.id);
     sim::current().wait_until(t.done);

@@ -298,6 +298,42 @@ TEST_F(MirroredDeviceTest, ReadErrorFailsOverToTheMirror) {
   EXPECT_GE(md.member(0).stats().read_errors, 1u);
 }
 
+// ---- scrub ----
+
+TEST_F(MirroredDeviceTest, ScrubRepairsADivergentReplica) {
+  // md's "repair" sync_action: a pass compares every replica with the
+  // first healthy one and rewrites each block that differs.
+  MirroredDevice md = make2();
+  for (std::uint64_t b = 0; b < 64; ++b) {
+    md.write(b, pattern(static_cast<std::uint8_t>(b)));
+  }
+  ASSERT_TRUE(members_identical(md, 0, 1));
+  // Diverge two blocks of member 1 behind the volume's back.
+  auto junk = pattern(0xBD);
+  md.member(1).write_untimed(3, junk);
+  md.member(1).write_untimed(40, junk);
+  ASSERT_FALSE(members_identical(md, 0, 1));
+
+  md.start_scrub();
+  EXPECT_TRUE(md.scrub_active());
+  md.finish_scrub();
+  EXPECT_FALSE(md.scrub_active());
+  const AggregateVolumeStats& vs = md.aggregate_stats();
+  EXPECT_EQ(vs.scrub_mismatches, 2u);
+  EXPECT_EQ(vs.scrub_repairs, 2u);
+  EXPECT_GT(vs.scrub_steps, 0u);
+  EXPECT_TRUE(members_identical(md, 0, 1));
+  std::array<std::byte, kBlockSize> got{};
+  md.member(1).read_untimed(40, got);
+  EXPECT_EQ(got, pattern(40));
+
+  // A second pass finds the replicas in agreement.
+  md.start_scrub();
+  md.finish_scrub();
+  EXPECT_EQ(md.aggregate_stats().scrub_mismatches, 2u);
+  EXPECT_EQ(md.aggregate_stats().scrub_repairs, 2u);
+}
+
 // ---- online rebuild ----
 
 TEST_F(MirroredDeviceTest, RebuildLeavesMembersBitIdentical) {

@@ -131,6 +131,29 @@ TEST_F(Ext4Test, JournalRecoveryReplaysCommittedTransaction) {
   ASSERT_EQ(Err::Ok, kernel2.close(kernel2.proc(), fd2.value()));
 }
 
+TEST_F(Ext4Test, CleanUnmountLeavesNothingToReplay) {
+  // A clean unmount checkpoints and flushes every commit, so it marks the
+  // journal empty: the next mount finds no transaction to replay.
+  auto fd = kernel_.open(proc(), "/mnt/c", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel_.write(proc(), fd.value(), as_bytes("clean")).ok());
+  ASSERT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  ASSERT_GT(mount_->journal_stats().commits, 0u);
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+
+  ASSERT_EQ(Err::Ok, kernel_.mount("ext4j", "ssd0", "/mnt"));
+  mount_ = kernel_.sb_at("/mnt")->fs<ext4::Ext4Mount>();
+  EXPECT_EQ(mount_->journal_stats().recoveries, 0u);
+  fd = kernel_.open(proc(), "/mnt/c", kern::kORdOnly);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::byte> rbuf(32);
+  auto r = kernel_.read(proc(), fd.value(), rbuf);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(to_string({rbuf.data(), r.value()}), "clean");
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+}
+
 TEST_F(Ext4Test, AllocationUsesMultipleGroups) {
   // Write enough data that allocation must spill beyond group 0.
   auto fd = kernel_.open(proc(), "/mnt/big", kern::kOCreat | kern::kOWrOnly);

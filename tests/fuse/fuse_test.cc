@@ -73,8 +73,8 @@ TEST_F(FuseTest, PayloadBytesAccounted) {
 }
 
 TEST_F(FuseTest, DurableBlockWritesFsyncTheDiskFile) {
-  // The §6.4 behaviour: each synchronous block write from the daemon is
-  // pwrite + fsync of the whole disk file. One commit (forced here by
+  // The §6.4 behaviour: each batch of block writes from the daemon is
+  // pwrites + fsync of the whole disk file. One commit (forced here by
   // fsync — group commit would otherwise defer the create's transaction)
   // must produce several fsyncs of the backing device.
   const auto flushes_before = kernel_.device("ssd0")->stats().flushes;

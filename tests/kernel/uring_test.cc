@@ -247,8 +247,8 @@ TEST_F(UringTest, StatsTrackLifetimeCounts) {
 }
 
 TEST_F(UringTest, UserBlockBackendBatchesDurableWrites) {
-  // The §8.1 integration: a UserBlockBackend in uring mode performs its
-  // durable block write (pwrite + whole-file fsync) as ONE submission,
+  // The §8.1 integration: a UserBlockBackend in uring mode performs a
+  // one-block batch write (pwrite + whole-file fsync) as ONE submission,
   // and so does a batch of blocks with its one trailing fsync.
   auto daemon = kernel_.new_process();
   auto fd = kernel_.open(*daemon, "/dev/ssd0",
@@ -265,7 +265,10 @@ TEST_F(UringTest, UserBlockBackendBatchesDurableWrites) {
     ASSERT_TRUE(bh.ok());
     bh.value().data()[0] = std::byte{0x77};
     bh.value().set_dirty();
-    bh.value().sync();  // pwrite + fsync in one io_uring_enter
+    bento::BufferHeadHandle* one = &bh.value();
+    const blk::Ticket t = cap->sync_batch_async({&one, 1});
+    cap->wait(t);  // pwrite + fsync in one io_uring_enter
+    EXPECT_FALSE(t.failed);
   }
   EXPECT_EQ(1U, backend.io_stats().uring_enters);
   EXPECT_EQ(1U, backend.io_stats().pwrites);
@@ -286,9 +289,9 @@ TEST_F(UringTest, UserBlockBackendBatchesDurableWrites) {
   }
   std::vector<bento::BufferHeadHandle*> handles;
   for (auto& bh : batch) handles.push_back(&bh);
-  const bento::WriteTicket t = cap->sync_batch_async(handles);
+  const blk::Ticket t = cap->sync_batch_async(handles);
   cap->wait(t);
-  EXPECT_FALSE(t.ticket.failed);
+  EXPECT_FALSE(t.failed);
   EXPECT_EQ(2U, backend.io_stats().uring_enters);
   EXPECT_EQ(9U, backend.io_stats().pwrites);
   EXPECT_EQ(2U, backend.io_stats().fsyncs);
@@ -298,8 +301,8 @@ TEST_F(UringTest, UserBlockBackendBatchesDurableWrites) {
 }
 
 TEST_F(UringTest, UserBlockBackendReportsAFailedWriteAndKeepsTheBlockDirty) {
-  // A durable write whose pwrite fails returns Io, with and without the
-  // ring, and leaves the block dirty: once the sector is repaired, its
+  // A batch write whose pwrite fails comes back failed, with and without
+  // the ring, and leaves the block dirty: once the sector is repaired, its
   // owner's next write of it succeeds. flush_all writes no block.
   for (const bool use_uring : {false, true}) {
     SCOPED_TRACE(use_uring ? "uring" : "syscalls");
@@ -319,7 +322,10 @@ TEST_F(UringTest, UserBlockBackendReportsAFailedWriteAndKeepsTheBlockDirty) {
       ASSERT_TRUE(bh.ok());
       bh.value().data()[0] = std::byte{0x66};
       bh.value().set_dirty();
-      EXPECT_EQ(Err::Io, bh.value().sync());
+      bento::BufferHeadHandle* one = &bh.value();
+      const blk::Ticket t = cap->sync_batch_async({&one, 1});
+      cap->wait(t);
+      EXPECT_TRUE(t.failed);
     }
     std::array<std::byte, 4096> check{};
     dev->read_untimed(blockno, check);
@@ -339,9 +345,9 @@ TEST_F(UringTest, UserBlockBackendReportsAFailedWriteAndKeepsTheBlockDirty) {
     ASSERT_TRUE(bh.ok());
     EXPECT_EQ(std::byte{0x66}, bh.value().data()[0]);  // still cached
     bento::BufferHeadHandle* one = &bh.value();
-    const bento::WriteTicket t = cap->sync_batch_async({&one, 1});
+    const blk::Ticket t = cap->sync_batch_async({&one, 1});
     cap->wait(t);
-    EXPECT_FALSE(t.ticket.failed);
+    EXPECT_FALSE(t.failed);
     EXPECT_EQ(pwrites + 1, backend.io_stats().pwrites);
     dev->read_untimed(blockno, check);
     EXPECT_EQ(std::byte{0x66}, check[0]);
