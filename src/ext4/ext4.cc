@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "blockdev/opts.h"
+#include "kernel/bitmap.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -223,6 +224,10 @@ Err Ext4Mount::read_super() {
                 n * sizeof(GroupDesc));
     bc.brelse(gb.value());
   }
+  cursors_.resize(super_.ngroups);
+  for (std::uint32_t g = 0; g < super_.ngroups; ++g) {
+    cursors_[g] = {groups_[g].data_start - group_base(g), 0};
+  }
   return Err::Ok;
 }
 
@@ -274,6 +279,10 @@ std::uint32_t Ext4Mount::inode_block(std::uint32_t inum) const {
 
 std::uint32_t Ext4Mount::group_of_inode(std::uint32_t inum) const {
   return inum / super_.inodes_per_group;
+}
+
+std::uint32_t Ext4Mount::group_base(std::uint32_t g) const {
+  return super_.first_group + g * super_.blocks_per_group;
 }
 
 std::uint32_t Ext4Mount::group_of_block(std::uint32_t blockno) const {
@@ -336,32 +345,31 @@ Result<std::uint32_t> Ext4Mount::ialloc(std::uint16_t type,
     auto bh = bc.bread(groups_[g].inode_bitmap);
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value()->bytes();
-    sim::charge(400);  // bitmap word scan, constant-ish
-    for (std::uint32_t i = 0; i < super_.inodes_per_group; ++i) {
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) {
-        continue;
-      }
-      bytes[i / 8] |= std::byte{1} << (i % 8);
-      bc.mark_dirty(bh.value());
-      j_write(groups_[g].inode_bitmap);
+    const std::uint32_t i = kern::scan_bitmap(
+        bytes, 0, super_.inodes_per_group, cursors_[g].inode);
+    if (i == super_.inodes_per_group) {
       bc.brelse(bh.value());
-      groups_[g].free_inodes -= 1;
-      BSIM_TRY(gdt_update(g));
-      const std::uint32_t inum = g * super_.inodes_per_group + i;
-
-      auto ib = bc.bread(inode_block(inum));
-      if (!ib.ok()) return ib.error();
-      auto* di = reinterpret_cast<Dinode*>(ib.value()->bytes().data());
-      di[inum % kInodesPerBlock] = Dinode{};
-      di[inum % kInodesPerBlock].type = type;
-      di[inum % kInodesPerBlock].nlink = 1;
-      di[inum % kInodesPerBlock].mode = mode;
-      bc.mark_dirty(ib.value());
-      j_write(inode_block(inum));
-      bc.brelse(ib.value());
-      return inum;
+      continue;
     }
+    bytes[i / 8] |= std::byte{1} << (i % 8);
+    bc.mark_dirty(bh.value());
+    j_write(groups_[g].inode_bitmap);
     bc.brelse(bh.value());
+    groups_[g].free_inodes -= 1;
+    BSIM_TRY(gdt_update(g));
+    const std::uint32_t inum = g * super_.inodes_per_group + i;
+
+    auto ib = bc.bread(inode_block(inum));
+    if (!ib.ok()) return ib.error();
+    auto* di = reinterpret_cast<Dinode*>(ib.value()->bytes().data());
+    di[inum % kInodesPerBlock] = Dinode{};
+    di[inum % kInodesPerBlock].type = type;
+    di[inum % kInodesPerBlock].nlink = 1;
+    di[inum % kInodesPerBlock].mode = mode;
+    bc.mark_dirty(ib.value());
+    j_write(inode_block(inum));
+    bc.brelse(ib.value());
+    return inum;
   }
   return Err::NoSpc;
 }
@@ -378,6 +386,7 @@ Err Ext4Mount::ifree(std::uint32_t inum) {
   j_write(groups_[g].inode_bitmap);
   bc.brelse(bh.value());
   groups_[g].free_inodes += 1;
+  cursors_[g].inode = std::min(cursors_[g].inode, i);
   return gdt_update(g);
 }
 
@@ -391,30 +400,28 @@ Result<std::uint32_t> Ext4Mount::balloc(std::uint32_t goal_group) {
     auto bh = bc.bread(gd.block_bitmap);
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value()->bytes();
-    sim::charge(400);
-    const std::uint32_t base = super_.first_group + g * super_.blocks_per_group;
-    const std::uint32_t first_data = gd.data_start - base;
-    for (std::uint32_t i = first_data;
-         i < first_data + gd.data_blocks; ++i) {
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) {
-        continue;
-      }
-      bytes[i / 8] |= std::byte{1} << (i % 8);
-      bc.mark_dirty(bh.value());
-      j_write(gd.block_bitmap);
+    const std::uint32_t first_data = gd.data_start - group_base(g);
+    const std::uint32_t end = first_data + gd.data_blocks;
+    const std::uint32_t i =
+        kern::scan_bitmap(bytes, first_data, end, cursors_[g].block);
+    if (i == end) {
       bc.brelse(bh.value());
-      gd.free_blocks -= 1;
-      BSIM_TRY(gdt_update(g));
-      const std::uint32_t blockno = base + i;
-      auto zb = bc.getblk(blockno);
-      if (!zb.ok()) return zb.error();
-      std::memset(zb.value()->bytes().data(), 0, kBlockSize);
-      bc.mark_dirty(zb.value());
-      j_write(blockno);
-      bc.brelse(zb.value());
-      return blockno;
+      continue;
     }
+    bytes[i / 8] |= std::byte{1} << (i % 8);
+    bc.mark_dirty(bh.value());
+    j_write(gd.block_bitmap);
     bc.brelse(bh.value());
+    gd.free_blocks -= 1;
+    BSIM_TRY(gdt_update(g));
+    const std::uint32_t blockno = group_base(g) + i;
+    auto zb = bc.getblk(blockno);
+    if (!zb.ok()) return zb.error();
+    std::memset(zb.value()->bytes().data(), 0, kBlockSize);
+    bc.mark_dirty(zb.value());
+    j_write(blockno);
+    bc.brelse(zb.value());
+    return blockno;
   }
   return Err::NoSpc;
 }
@@ -423,8 +430,7 @@ Err Ext4Mount::bfree(std::uint32_t blockno) {
   sim::ScopedLock guard(alloc_lock_);
   auto& bc = sb_->bufcache();
   const std::uint32_t g = group_of_block(blockno);
-  const std::uint32_t base = super_.first_group + g * super_.blocks_per_group;
-  const std::uint32_t i = blockno - base;
+  const std::uint32_t i = blockno - group_base(g);
   auto bh = bc.bread(groups_[g].block_bitmap);
   if (!bh.ok()) return bh.error();
   bh.value()->bytes()[i / 8] &= ~(std::byte{1} << (i % 8));
@@ -432,6 +438,7 @@ Err Ext4Mount::bfree(std::uint32_t blockno) {
   j_write(groups_[g].block_bitmap);
   bc.brelse(bh.value());
   groups_[g].free_blocks += 1;
+  cursors_[g].block = std::min(cursors_[g].block, i);
   return gdt_update(g);
 }
 

@@ -166,6 +166,8 @@ class Ext4Mount final : public kern::InodeOps,
                     std::vector<std::uint32_t>& out);
   kern::Err itrunc(kern::Inode& inode, std::uint64_t new_size);
   kern::Err zero_block_tail(kern::Inode& inode, std::uint64_t from);
+  /// The first block of group `g`: bit 0 of its block bitmap.
+  [[nodiscard]] std::uint32_t group_base(std::uint32_t g) const;
   [[nodiscard]] std::uint32_t group_of_block(std::uint32_t blockno) const;
   [[nodiscard]] std::uint32_t group_of_inode(std::uint32_t inum) const;
 
@@ -186,6 +188,15 @@ class Ext4Mount final : public kern::InodeOps,
   kern::SuperBlock* sb_;
   Super super_;
   std::vector<GroupDesc> groups_;  // in-core GDT
+  /// First-free cursors of each group's bitmaps: every data bit of the
+  /// block bitmap below `block`, and every bit of the inode bitmap below
+  /// `inode`, is allocated. Mount starts them at the group's first data
+  /// block and first inode (no bitmap reads); bfree and ifree lower them.
+  struct GroupCursors {
+    std::uint32_t block = 0;
+    std::uint32_t inode = 0;
+  };
+  std::vector<GroupCursors> cursors_;
   sim::SimMutex journal_lock_;
   sim::SimMutex alloc_lock_;
   std::uint32_t jseq_ = 1;

@@ -46,6 +46,11 @@ struct CostModel {
   /// inode examined. The scan resumes at a cursor below which every inode
   /// is allocated, so a create usually examines one inode.
   Nanos ialloc_scan_per_inode = 12;
+  /// Per-line cost of a free-bit scan of an allocation bitmap, charged for
+  /// each 64-byte line examined (`kern::scan_bitmap`). Block and inode
+  /// bitmaps of xv6, xv6c and ext4j resume at a first-free cursor, so an
+  /// allocation usually examines one line; a whole 4 KiB bitmap is 320 ns.
+  Nanos bitmap_scan_per_line = 5;
   /// Per-call overhead of the batched ->readpages readahead path...
   Nanos readpages_batch_overhead = 1200;
   /// ...plus this much per page within the batch.

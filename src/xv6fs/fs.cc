@@ -73,6 +73,7 @@ Err Xv6FileSystem::init(const Request&, SbRef sb) {
   free_inodes_ = counts.inodes;
   free_blocks_ = counts.blocks;
   ialloc_hint_ = counts.ialloc_cursor;
+  balloc_cursors_ = std::move(counts.balloc_cursors);
   return Err::Ok;
 }
 
@@ -207,8 +208,8 @@ Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb, bool zero) {
     auto bh = sb.bread(dsb_.bmapstart + bi);
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value().data();
-    sim::charge(300);  // bit scan within the block
-    const std::uint32_t i = first_free_bit(dsb_, bi, bytes);
+    const std::uint32_t i =
+        first_free_bit(dsb_, bi, bytes, balloc_cursors_[bi]);
     if (i == kBitsPerBlock) continue;
     const auto blockno = static_cast<std::uint32_t>(bi * kBitsPerBlock + i);
     bytes[i / 8] |= std::byte{1} << (i % 8);
@@ -241,6 +242,8 @@ Err Xv6FileSystem::bfree(Cap& sb, std::uint32_t blockno) {
   bh.value().set_dirty();
   log_.log_write(bh.value());
   free_blocks_ += 1;
+  std::uint32_t& cursor = balloc_cursors_[blockno / kBitsPerBlock];
+  cursor = std::min(cursor, i);
   return Err::Ok;
 }
 
@@ -1173,6 +1176,7 @@ bento::TransferableState Xv6FileSystem::prepare_transfer(const Request& req,
   state.put("xv6.free_blocks", free_blocks_);
   state.put("xv6.free_inodes", free_inodes_);
   state.put("xv6.balloc_hint", balloc_hint_);
+  state.put("xv6.balloc_cursors", balloc_cursors_);
   state.put("xv6.ialloc_hint", ialloc_hint_);
   state.put("xv6.prev_version", std::string(version()));
   return state;
@@ -1187,9 +1191,11 @@ Err Xv6FileSystem::restore_state(const Request&, SbRef,
   auto* fb = state.get<std::uint64_t>("xv6.free_blocks");
   auto* fi = state.get<std::uint64_t>("xv6.free_inodes");
   auto* hint = state.get<std::uint32_t>("xv6.balloc_hint");
+  auto* cursors = state.get<std::vector<std::uint32_t>>("xv6.balloc_cursors");
   auto* ihint = state.get<std::uint32_t>("xv6.ialloc_hint");
   if (snap == nullptr || dsb == nullptr || dinodes == nullptr ||
-      fb == nullptr || fi == nullptr || hint == nullptr || ihint == nullptr) {
+      fb == nullptr || fi == nullptr || hint == nullptr ||
+      cursors == nullptr || ihint == nullptr) {
     return Err::NoSys;  // caller falls back to a cold init()
   }
   log_.adopt(*snap, mount_opts_);
@@ -1205,6 +1211,7 @@ Err Xv6FileSystem::restore_state(const Request&, SbRef,
   free_blocks_ = *fb;
   free_inodes_ = *fi;
   balloc_hint_ = *hint;
+  balloc_cursors_ = *cursors;
   ialloc_hint_ = *ihint;
   restored_ = true;
   return Err::Ok;

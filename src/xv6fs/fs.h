@@ -26,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "bento/api.h"
 #include "xv6fs/layout.h"
@@ -196,7 +197,11 @@ class Xv6FileSystem : public bento::FileSystem {
   std::unordered_map<std::uint32_t, std::unique_ptr<MemInode>> itable_;
   std::uint64_t free_blocks_ = 0;
   std::uint64_t free_inodes_ = 0;
+  /// The bitmap block balloc scans first: the one it last allocated from.
   std::uint32_t balloc_hint_ = 0;
+  /// balloc's cursor in each bitmap block: every data bit below it is
+  /// allocated. bfree lowers it, mount seeds it.
+  std::vector<std::uint32_t> balloc_cursors_;
   /// ialloc's cursor: the lowest inode that may be free. Every inode below
   /// it is allocated; ifree lowers it, mount seeds it.
   std::uint32_t ialloc_hint_ = 1;

@@ -26,8 +26,10 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <vector>
 
 #include "blockdev/device.h"
+#include "kernel/bitmap.h"
 #include "kernel/errno.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
@@ -113,26 +115,33 @@ struct DiskSuperblock {
   }
 };
 
+/// The bits of bitmap block `bi` that name data blocks: from the first
+/// at or past datastart to the last before the device's end.
+struct BitmapRange {
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+};
+[[nodiscard]] inline BitmapRange bitmap_range(const DiskSuperblock& dsb,
+                                              std::uint32_t bi) {
+  const std::uint64_t base = static_cast<std::uint64_t>(bi) * kBitsPerBlock;
+  auto clamp = [&](std::uint64_t blockno) {
+    return static_cast<std::uint32_t>(
+        std::clamp<std::uint64_t>(blockno, base, base + kBitsPerBlock) - base);
+  };
+  return {clamp(dsb.datastart), clamp(dsb.size)};
+}
+
 /// The first free bit of bitmap block `bi` (contents `bits`) that names a
-/// data block, or kBitsPerBlock if none does. Full 64-bit words are
-/// skipped whole. That saves host time only: callers charge the scan's
-/// virtual cost flat.
+/// data block, or kBitsPerBlock if none does. `cursor` is the block's
+/// balloc cursor: every data bit below it is allocated, so the scan
+/// resumes there, charges only the lines it examines
+/// (kern::scan_bitmap), and leaves the cursor past the bit it returns.
 [[nodiscard]] inline std::uint32_t first_free_bit(
     const DiskSuperblock& dsb, std::uint32_t bi,
-    std::span<const std::byte> bits) {
-  const std::uint64_t base = static_cast<std::uint64_t>(bi) * kBitsPerBlock;
-  for (std::uint32_t w = 0; w < kBitsPerBlock / 64; ++w) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, bits.data() + w * sizeof(word), sizeof(word));
-    if (word == ~std::uint64_t{0}) continue;
-    for (std::uint32_t i = w * 64; i < (w + 1) * 64; ++i) {
-      const std::uint64_t blockno = base + i;
-      if (blockno >= dsb.size) return kBitsPerBlock;
-      if (blockno < dsb.datastart) continue;
-      if ((bits[i / 8] & (std::byte{1} << (i % 8))) == std::byte{0}) return i;
-    }
-  }
-  return kBitsPerBlock;
+    std::span<const std::byte> bits, std::uint32_t& cursor) {
+  const BitmapRange r = bitmap_range(dsb, bi);
+  const std::uint32_t i = kern::scan_bitmap(bits, r.begin, r.end, cursor);
+  return i == r.end ? kBitsPerBlock : i;
 }
 
 /// Scan the inode block that holds inode `cursor` (its dinodes `di`) for a
@@ -160,18 +169,21 @@ struct DiskSuperblock {
 }
 
 /// What mount learns from the allocation metadata: the free inodes and
-/// data blocks statfs reports, and ialloc's starting cursor.
+/// data blocks statfs reports, ialloc's starting cursor, and balloc's
+/// cursor in each bitmap block (its first free data bit, or the end of its
+/// data bits).
 struct FreeCounts {
   std::uint64_t inodes = 0;
   std::uint64_t blocks = 0;
   std::uint32_t ialloc_cursor = 0;
+  std::vector<std::uint32_t> balloc_cursors;
 };
 
 /// Mount-time accounting, shared by every xv6 deployment. It reads the
 /// initialised inode blocks and the bitmap, one block at a time, through
 /// `read(blockno, use)`, which reads the block and calls `use` with its
 /// bytes. Every inode of an uninitialised block counts free without a
-/// read, and the cursor starts at the first free inode.
+/// read, and each cursor starts at the first free inode or data bit.
 template <class ReadBlock>
 kern::Err count_free(const DiskSuperblock& dsb, ReadBlock&& read,
                      FreeCounts& out) {
@@ -196,7 +208,11 @@ kern::Err count_free(const DiskSuperblock& dsb, ReadBlock&& read,
       }
     }));
   }
+  out.balloc_cursors.resize(dsb.nbitmap);
   for (std::uint32_t b = 0; b < dsb.nbitmap; ++b) {
+    const BitmapRange r = bitmap_range(dsb, b);
+    std::uint32_t& cursor = out.balloc_cursors[b];
+    cursor = r.end;
     BSIM_TRY(read(dsb.bmapstart + b, [&](std::span<const std::byte> bits) {
       for (std::uint32_t i = 0; i < kBitsPerBlock; ++i) {
         const std::uint64_t blockno =
@@ -204,6 +220,7 @@ kern::Err count_free(const DiskSuperblock& dsb, ReadBlock&& read,
         if (blockno >= dsb.size) break;
         if ((bits[i / 8] & (std::byte{1} << (i % 8))) == std::byte{0}) {
           out.blocks += 1;
+          if (i >= r.begin) cursor = std::min(cursor, i);
         }
       }
     }));

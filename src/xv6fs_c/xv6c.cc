@@ -231,6 +231,7 @@ Err Xv6cMount::mount_init() {
   free_inodes_ = counts.inodes;
   free_blocks_ = counts.blocks;
   ialloc_hint_ = counts.ialloc_cursor;
+  balloc_cursors_ = std::move(counts.balloc_cursors);
   auto root = iget(xv6::kRootInum);
   if (!root.ok()) return root.error();
   sb_->root = root.value();  // keep the mount's root reference
@@ -333,8 +334,8 @@ Result<std::uint32_t> Xv6cMount::balloc(bool zero) {
     auto bh = bc.bread(dsb_.bmapstart + bi);
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value()->bytes();
-    sim::charge(300);
-    const std::uint32_t i = xv6::first_free_bit(dsb_, bi, bytes);
+    const std::uint32_t i =
+        xv6::first_free_bit(dsb_, bi, bytes, balloc_cursors_[bi]);
     if (i == xv6::kBitsPerBlock) {
       bc.brelse(bh.value());
       continue;
@@ -370,6 +371,8 @@ Err Xv6cMount::bfree(std::uint32_t blockno) {
   log_write(dsb_.bitmap_block(blockno));
   bc.brelse(bh.value());
   free_blocks_ += 1;
+  std::uint32_t& cursor = balloc_cursors_[blockno / xv6::kBitsPerBlock];
+  cursor = std::min(cursor, i);
   return Err::Ok;
 }
 

@@ -26,6 +26,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "blockdev/journal.h"
 #include "blockdev/opts.h"
@@ -182,7 +183,11 @@ class Xv6cMount final : public kern::InodeOps,
   blk::OpJournal<CLogIo> jnl_{log_stats_, xv6::kLogSize, xv6::kMaxOpBlocks};
   std::uint64_t free_blocks_ = 0;
   std::uint64_t free_inodes_ = 0;
+  /// The bitmap block balloc scans first: the one it last allocated from.
   std::uint32_t balloc_hint_ = 0;
+  /// balloc's cursor in each bitmap block: every data bit below it is
+  /// allocated. bfree lowers it, mount seeds it.
+  std::vector<std::uint32_t> balloc_cursors_;
   /// ialloc's cursor: the lowest inode that may be free. Every inode below
   /// it is allocated; evict_inode lowers it, mount seeds it.
   std::uint32_t ialloc_hint_ = 1;

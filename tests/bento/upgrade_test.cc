@@ -128,6 +128,55 @@ TEST_F(UpgradeTest, SuccessorAllocatesTheInodeFreedBeforeTheUpgrade) {
   EXPECT_TRUE(report.ok) << report.summary();
 }
 
+TEST_F(UpgradeTest, SuccessorAllocatesWhatARunWithoutTheUpgradeAllocates) {
+  // balloc's per-bitmap-block cursors and ialloc's cursor move with the
+  // state. Frees before the swap open holes below both; the successor must
+  // fill them as v1 would have, so the image after the same script equals
+  // that of a run that never upgraded.
+  const std::vector<std::byte> page(blk::kBlockSize, std::byte{0x6B});
+  auto script = [&](kern::Kernel& k, bool upgrade) {
+    auto write_file = [&](const std::string& path, int blocks) {
+      auto fd = k.open(k.proc(), path, kern::kOCreat | kern::kOWrOnly);
+      ASSERT_TRUE(fd.ok()) << path;
+      for (int b = 0; b < blocks; ++b) {
+        ASSERT_TRUE(k.write(k.proc(), fd.value(), page).ok()) << path;
+      }
+      ASSERT_EQ(Err::Ok, k.close(k.proc(), fd.value()));
+    };
+    for (int i = 0; i < 12; ++i) write_file("/mnt/f" + std::to_string(i), i % 5 + 1);
+    for (int i : {2, 5, 7}) {
+      ASSERT_EQ(Err::Ok, k.unlink(k.proc(), "/mnt/f" + std::to_string(i)));
+    }
+    ASSERT_EQ(Err::Ok, k.sync(k.proc()));
+    if (upgrade) {
+      auto* module = bento::BentoModule::from(*k.sb_at("/mnt"));
+      xv6::Xv6FileSystem::Options v2;
+      v2.version = "xv6fs-v2";
+      ASSERT_EQ(Err::Ok,
+                module->upgrade(std::make_unique<xv6::Xv6FileSystem>(v2)));
+      ASSERT_TRUE(static_cast<xv6::Xv6FileSystem&>(module->fs())
+                      .restored_from_transfer());
+    }
+    for (int i = 0; i < 6; ++i) write_file("/mnt/g" + std::to_string(i), 4 - i % 4);
+    ASSERT_EQ(Err::Ok, k.umount("/mnt"));
+  };
+
+  script(kernel_, /*upgrade=*/true);
+  ASSERT_FALSE(HasFatalFailure());
+  kern::Kernel plain;
+  blk::DeviceParams params;
+  params.nblocks = kernel_.device("ssd0")->nblocks();
+  xv6::mkfs(plain.add_device("ssd0", params), /*ninodes=*/4096);
+  wl::register_deployments(plain);
+  ASSERT_EQ(Err::Ok, plain.mount("xv6_bento", "ssd0", "/mnt"));
+  script(plain, /*upgrade=*/false);
+  ASSERT_FALSE(HasFatalFailure());
+
+  EXPECT_TRUE(images_equal(*kernel_.device("ssd0"), *plain.device("ssd0")));
+  auto report = xv6::fsck(*kernel_.device("ssd0"));
+  EXPECT_TRUE(report.ok) << report.summary();
+}
+
 /// A file system with no transfer support: upgrade falls back to init().
 class NoTransferFs final : public xv6::Xv6FileSystem {
  public:

@@ -589,32 +589,94 @@ TEST(Xv6HeldBuffers, RecoveryDropsTheLogAreaItRead) {
 }
 
 TEST(Xv6Bitmap, FirstFreeBitSkipsFullWordsAndKeepsToTheDataRange) {
+  sim::SimThread thread(0);
+  sim::ScopedThread scope(thread);
   // Bitmap block 1 covers blocks kBitsPerBlock .. 2 * kBitsPerBlock - 1.
   DiskSuperblock dsb;
   dsb.datastart = kBitsPerBlock + 3;
   dsb.size = kBitsPerBlock + 200;
+  // Each scan starts from a zero cursor, as a scan from bit 0 would.
+  auto scan = [&](std::span<const std::byte> bits) {
+    std::uint32_t cursor = 0;
+    return first_free_bit(dsb, 1, bits, cursor);
+  };
   std::vector<std::byte> bits(kBlockSize, std::byte{0xFF});
-  EXPECT_EQ(kBitsPerBlock, first_free_bit(dsb, 1, bits));  // all taken
+  EXPECT_EQ(kBitsPerBlock, scan(bits));  // all taken
 
   // A free bit below datastart names no data block.
   bits[0] = std::byte{0xFE};
-  EXPECT_EQ(kBitsPerBlock, first_free_bit(dsb, 1, bits));
+  EXPECT_EQ(kBitsPerBlock, scan(bits));
   // Bit 5 of byte 17, in word 2, past the full word 1: bit 141.
   bits[17] = ~(std::byte{1} << 5);
-  EXPECT_EQ(141u, first_free_bit(dsb, 1, bits));
+  EXPECT_EQ(141u, scan(bits));
   // A free bit at or past the device's end ends the scan.
   bits[17] = std::byte{0xFF};
   bits[25] = std::byte{0x00};  // bit 200: the first past the end
-  EXPECT_EQ(kBitsPerBlock, first_free_bit(dsb, 1, bits));
+  EXPECT_EQ(kBitsPerBlock, scan(bits));
   // The first free bit wins, even inside a word with earlier full bytes.
   bits[25] = std::byte{0xFF};
   bits[3] = std::byte{0x7F};  // bit 31
   bits[4] = std::byte{0x00};
-  EXPECT_EQ(31u, first_free_bit(dsb, 1, bits));
+  EXPECT_EQ(31u, scan(bits));
   // Unaligned contents: no alignment is assumed.
   std::vector<std::byte> shifted(kBlockSize + 1, std::byte{0xFF});
   std::memcpy(shifted.data() + 1, bits.data(), kBlockSize);
-  EXPECT_EQ(31u, first_free_bit(dsb, 1, {shifted.data() + 1, kBlockSize}));
+  EXPECT_EQ(31u, scan({shifted.data() + 1, kBlockSize}));
+}
+
+TEST(Xv6Bitmap, FirstFreeBitResumesAtTheCursorAndChargesTheLinesItExamines) {
+  sim::SimThread thread(0);
+  sim::ScopedThread scope(thread);
+  const sim::Nanos per_line = sim::costs().bitmap_scan_per_line;
+  ASSERT_GT(per_line, 0);
+  constexpr std::uint32_t kLine = kern::kBitmapLineBits;  // 512 bits
+  // Bitmap block 1: data bits 3 .. 1999, so four lines hold data bits.
+  DiskSuperblock dsb;
+  dsb.datastart = kBitsPerBlock + 3;
+  dsb.size = kBitsPerBlock + 2000;
+  std::vector<std::byte> bits(kBlockSize, std::byte{0xFF});
+  auto set_free = [&](std::uint32_t i) {
+    bits[i / 8] &= ~(std::byte{1} << (i % 8));
+  };
+  set_free(1);     // below datastart
+  set_free(700);   // line 1
+  set_free(1500);  // line 2
+  set_free(2000);  // the first bit past the device's end
+
+  // From a zero cursor: skips bit 1, examines lines 0 and 1, takes 700
+  // and leaves the cursor past it.
+  std::uint32_t cursor = 0;
+  EXPECT_EQ(700u, first_free_bit(dsb, 1, bits, cursor));
+  EXPECT_EQ(701u, cursor);
+  EXPECT_EQ(2 * per_line, thread.now());
+  // A cursor past a free bit does not see it: 1500 is next, from line 1.
+  sim::Nanos before = thread.now();
+  EXPECT_EQ(1500u, first_free_bit(dsb, 1, bits, cursor));
+  EXPECT_EQ(1501u, cursor);
+  EXPECT_EQ(2 * per_line, thread.now() - before);
+  // Nothing free before the device's end: lines 2 and 3 are examined,
+  // bit 2000 is not taken, and the cursor stops at the end of the data.
+  before = thread.now();
+  EXPECT_EQ(kBitsPerBlock, first_free_bit(dsb, 1, bits, cursor));
+  EXPECT_EQ(2000u, cursor);
+  EXPECT_EQ(2 * per_line, thread.now() - before);
+  // A cursor at the end examines nothing and charges nothing.
+  before = thread.now();
+  EXPECT_EQ(kBitsPerBlock, first_free_bit(dsb, 1, bits, cursor));
+  EXPECT_EQ(before, thread.now());
+  // A free lowers the cursor (bfree): the scan finds the bit again, and
+  // a find in the cursor's own line costs one line.
+  cursor = 700;
+  before = thread.now();
+  EXPECT_EQ(700u, first_free_bit(dsb, 1, bits, cursor));
+  EXPECT_EQ(per_line, thread.now() - before);
+  // A whole bitmap with nothing free costs one charge per line.
+  dsb.size = 2 * kBitsPerBlock;
+  std::vector<std::byte> full(kBlockSize, std::byte{0xFF});
+  cursor = 0;
+  before = thread.now();
+  EXPECT_EQ(kBitsPerBlock, first_free_bit(dsb, 1, full, cursor));
+  EXPECT_EQ(kBitsPerBlock / kLine * per_line, thread.now() - before);
 }
 
 TEST(Xv6Inodes, FirstFreeInodeResumesAtTheCursorAndChargesWhatItExamines) {
