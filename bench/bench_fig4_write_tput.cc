@@ -9,12 +9,14 @@
 // transactions issue per-block O_DIRECT writes each followed by an fsync
 // of the whole disk file (§6.4).
 //
-// Measured shape: Bento ~= C-Kernel. At 32KB seq-1t Bento writes 1179.1
-// MBps and C-Kernel 1152.8. Both commit through the journal engine's
+// Measured shape: Bento ~= C-Kernel. At 32KB seq-1t Bento writes 1718.4
+// MBps and C-Kernel 1684.8. Both commit through the journal engine's
 // pipeline with one commit policy (blk::OpJournal); C-Kernel wrote 158.9
 // when xv6c committed synchronously, per buffer, every 8 ops. Bento is
-// ahead by 1-3% everywhere but random 1024KB, where C-Kernel writes 1415.5
-// and Bento 1155.6.
+// ahead by 0.8-2.0% everywhere. At 1024KB the margin is smallest (rnd-1t:
+// Bento 1654.5, C-Kernel 1640.0): with one commit in flight per device
+// channel both keep the device busy, where four in flight left Bento's
+// random writes at 1155.6 against C-Kernel's 1415.5.
 #include "common.h"
 
 using namespace bsim;

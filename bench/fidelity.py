@@ -26,10 +26,12 @@ Each claim gets one state:
 
 It reads BENCH_*.json from --dir (default: the working directory), writes
 the report to --out (default FIDELITY.md) and prints one line per claim.
-It gates nothing: the exit status is 0 whatever the states, and 2 on a
-usage error.
+With --baseline BASE it also judges every claim on the BENCH files in
+BASE (an earlier run's) and prints, and adds to the report, each claim
+whose state changed from BASE to DIR. It gates nothing: the exit status
+is 0 whatever the states, and 2 on a usage error.
 
-  fidelity.py [--dir DIR] [--out FILE] [--root REPO]
+  fidelity.py [--dir DIR] [--out FILE] [--root REPO] [--baseline BASE]
 """
 
 import argparse
@@ -207,7 +209,23 @@ def report(directory, root):
     return results
 
 
-def render(results, directory):
+def state_cell(state, notes):
+    return state if not notes else f"{state} ({'; '.join(notes)})"
+
+
+def changes(results, base_results):
+    """(claim, state in the baseline, state now) of each claim whose state,
+    per-source verdicts included, differs between the two reports."""
+    out = []
+    for (c, state, _, notes), (_, bstate, _, bnotes) in zip(results,
+                                                            base_results):
+        before, now = state_cell(bstate, bnotes), state_cell(state, notes)
+        if before != now:
+            out.append((c, before, now))
+    return out
+
+
+def render(results, directory, baseline=None, changed=()):
     counts = collections.Counter(state for _, state, _, _ in results)
     order = ("holds", "fails", "unresolved", "missing", "stale")
     lines = [
@@ -230,9 +248,16 @@ def render(results, directory):
         measured = "-" if ratio is None else f"{ratio:.3g}"
         bands = " or ".join(fmt_band(s.band) for s in c.sources)
         sources = "; ".join(f"{s.path}:{s.line}" for s in c.sources)
-        cell = state if not notes else f"{state} ({'; '.join(notes)})"
         lines.append(f"| {c.name} | {ratio_name} | {measured} | {bands} | "
-                     f"{cell} | {sources} |")
+                     f"{state_cell(state, notes)} | {sources} |")
+    if baseline is not None:
+        lines += ["", f"## State changes since `{baseline}`", ""]
+        if not changed:
+            lines.append("None.")
+        else:
+            lines += ["| claim | before | now |", "|---|---|---|"]
+            lines += [f"| {c.name} | {before} | {now} |"
+                      for c, before, now in changed]
     return "\n".join(lines) + "\n"
 
 
@@ -242,17 +267,27 @@ def main(argv):
     ap.add_argument("--out", default="FIDELITY.md", help="report path")
     ap.add_argument("--root", default=ROOT,
                     help="repository root, for the claims' sources")
+    ap.add_argument("--baseline", default=None,
+                    help="an earlier run's BENCH files, to list state changes")
     args = ap.parse_args(argv)
-    if not os.path.isdir(args.dir):
-        print(f"fidelity.py: no directory {args.dir}", file=sys.stderr)
-        return 2
+    for d in (args.dir, args.baseline):
+        if d is not None and not os.path.isdir(d):
+            print(f"fidelity.py: no directory {d}", file=sys.stderr)
+            return 2
     results = report(args.dir, args.root)
+    changed = []
+    if args.baseline is not None:
+        changed = changes(results, report(args.baseline, args.root))
     with open(args.out, "w") as f:
-        f.write(render(results, args.dir))
+        f.write(render(results, args.dir, args.baseline, changed))
     for c, state, ratio, notes in results:
         measured = "-" if ratio is None else f"{ratio:.3g}"
         extra = f" ({'; '.join(notes)})" if notes else ""
         print(f"{state:10s} {measured:>8s}  {c.name}{extra}")
+    if args.baseline is not None:
+        print(f"{len(changed)} state change(s) since {args.baseline}")
+        for c, before, now in changed:
+            print(f"changed    {c.name}: {before} -> {now}")
     return 0
 
 

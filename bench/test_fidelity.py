@@ -8,7 +8,10 @@ Fabricates BENCH files and checks that fidelity.py reports:
      verdict, and no plain holds or fails;
   3. "missing" for an absent BENCH file and for an absent row;
   4. "stale" once a header line no longer says what the claim quotes;
-  5. exit status 0 whatever the states, and 2 for a missing directory.
+  5. exit status 0 whatever the states, and 2 for a missing directory;
+  6. with --baseline, each claim whose state changed from the baseline's
+     BENCH files, and no other, printed and listed in the report; 2 for a
+     missing baseline directory.
 
 Run: test_fidelity.py [path/to/fidelity.py]. Exit 0 = all cases pass.
 """
@@ -33,11 +36,17 @@ def bench_file(directory, name, rows):
         json.dump(doc, f)
 
 
-def run(directory, root=ROOT):
+def run(directory, root=ROOT, baseline=None, stdout=None):
+    """fidelity.py's exit status and each claim's state in its report;
+    `stdout`, a list, receives the printed lines."""
     out = os.path.join(directory, "FIDELITY.md")
-    p = subprocess.run([sys.executable, FIDELITY, "--dir", directory,
-                        "--out", out, "--root", root],
-                       capture_output=True, text=True)
+    cmd = [sys.executable, FIDELITY, "--dir", directory, "--out", out,
+           "--root", root]
+    if baseline is not None:
+        cmd += ["--baseline", baseline]
+    p = subprocess.run(cmd, capture_output=True, text=True)
+    if stdout is not None:
+        stdout += p.stdout.splitlines()
     states = {}
     if p.returncode == 0:
         with open(out) as f:
@@ -109,6 +118,36 @@ def main():
 
         code, _ = run(os.path.join(d, "nowhere"))
         check(code == 2, f"5: exit {code} for a missing directory, expected 2")
+
+        # The baseline has table4 1t failing (1.5x) and no 32t rows; the
+        # current run above has 1t holding and 32t failing.
+        base = os.path.join(d, "base")
+        os.mkdir(base)
+        bench_file(base, "table4_create", {
+            ("Bento", "1t"): 150.0, ("C-Kernel", "1t"): 100.0,
+            ("FUSE", "1t"): 2.0})
+        bench_file(base, "table6_macro", {
+            ("Bento", "untar_seconds"): 1.0, ("FUSE", "untar_seconds"): 7.0,
+            ("C-Kernel", "untar_seconds"): 1.6,
+            ("Bento", "varmail_ops_per_s"): 500.0})
+        printed = []
+        code, _ = run(d, baseline=base, stdout=printed)
+        check(code == 0, f"6: exit {code}, expected 0")
+        changed = [l for l in printed if l.startswith("changed ")]
+        expect = {
+            "Table 4 1t: Bento slightly ahead of C-Kernel: fails -> holds",
+            "Table 4 32t: Bento slightly ahead of C-Kernel: missing -> fails",
+            "Table 4 32t: FUSE ~50x slower than Bento: missing -> fails"}
+        check({l.split(None, 1)[1] for l in changed} == expect,
+              f"6: changed lines {changed}")
+        check("3 state change(s) since " + base in printed,
+              f"6: summary line missing from {printed[-4:]}")
+        with open(os.path.join(d, "FIDELITY.md")) as f:
+            text = f.read()
+        check("| Table 4 1t: Bento slightly ahead of C-Kernel | fails | "
+              "holds |" in text, "6: report should list the 1t change")
+        code, _ = run(d, baseline=os.path.join(d, "nowhere"))
+        check(code == 2, f"6: exit {code} for a missing baseline, expected 2")
 
     for f in failures:
         print("FAIL:", f)

@@ -141,7 +141,6 @@ class Ext4Mount final : public kern::InodeOps,
   kern::Err j_mark_empty();
 
   kern::Err read_super();
-  kern::Result<GroupDesc*> group(std::uint32_t g);
   kern::Err gdt_update(std::uint32_t g);
 
   kern::Result<kern::Inode*> iget(std::uint32_t inum);

@@ -188,6 +188,20 @@ Result<Kernel::Mount*> Kernel::mount_for(std::string_view path,
   return Err::NoEnt;
 }
 
+Result<Inode*> Kernel::lookup_child(SuperBlock& sb, Inode& dir,
+                                    std::string_view name) {
+  Inode* child = sb.dcache_lookup(dir, name);
+  if (child != nullptr) {
+    sim::charge(sim::costs().path_component);
+    return child;
+  }
+  sim::charge(sim::costs().path_component_miss);
+  auto r = dir.iop->lookup(dir, name);
+  if (!r.ok()) return r.error();
+  sb.dcache_add(dir, name, r.value()->ino());
+  return r.value();
+}
+
 Result<Kernel::PathTarget> Kernel::walk_parent(std::string_view path) {
   std::string_view rest;
   auto m = mount_for(path, &rest);
@@ -207,21 +221,10 @@ Result<Kernel::PathTarget> Kernel::walk_parent(std::string_view path) {
       sb->iput(dir);
       return Err::NotDir;
     }
-    Inode* next = sb->dcache_lookup(*dir, parts[i]);
-    if (next != nullptr) {
-      sim::charge(sim::costs().path_component);
-    } else {
-      sim::charge(sim::costs().path_component_miss);
-      auto r = dir->iop->lookup(*dir, parts[i]);
-      if (!r.ok()) {
-        sb->iput(dir);
-        return r.error();
-      }
-      next = r.value();
-      sb->dcache_add(*dir, parts[i], next->ino());
-    }
+    auto next = lookup_child(*sb, *dir, parts[i]);
     sb->iput(dir);
-    dir = next;
+    if (!next.ok()) return next.error();
+    dir = next.value();
   }
   if (dir->type != FileType::Directory) {
     sb->iput(dir);
@@ -248,23 +251,47 @@ Result<Inode*> Kernel::walk_full(std::string_view path, SuperBlock** sb_out) {
       sb->iput(cur);
       return Err::NotDir;
     }
-    Inode* next = sb->dcache_lookup(*cur, part);
-    if (next != nullptr) {
-      sim::charge(sim::costs().path_component);
-    } else {
-      sim::charge(sim::costs().path_component_miss);
-      auto r = cur->iop->lookup(*cur, part);
-      if (!r.ok()) {
-        sb->iput(cur);
-        return r.error();
-      }
-      next = r.value();
-      sb->dcache_add(*cur, part, next->ino());
-    }
+    auto next = lookup_child(*sb, *cur, part);
     sb->iput(cur);
-    cur = next;
+    if (!next.ok()) return next.error();
+    cur = next.value();
   }
   return cur;
+}
+
+Result<Inode*> Kernel::walk_create(std::string_view path, std::uint32_t mode,
+                                   SuperBlock** sb_out, bool* created) {
+  *created = false;
+  auto target = walk_parent(path);
+  if (!target.ok()) {
+    // Inval: the mount point itself, which has no parent here and exists
+    // (or a relative path, which walk_full rejects the same way).
+    if (target.error() == Err::Inval) return walk_full(path, sb_out);
+    return target.error();
+  }
+  auto& t = target.value();
+  *sb_out = t.sb;
+  // Looked up outside the parent's rwsem, which is held across ->create
+  // alone: under it, every create in a shared directory (bench/bm mail)
+  // would hold the lock longer for its other clients.
+  auto found = lookup_child(*t.sb, *t.dir, t.last);
+  if (found.ok() || found.error() != Err::NoEnt) {
+    t.sb->iput(t.dir);
+    return found;
+  }
+  if (t.sb->read_only()) {
+    t.sb->iput(t.dir);
+    return Err::RoFs;
+  }
+  t.dir->rwsem.lock();
+  auto made = t.dir->iop->create(*t.dir, t.last, mode);
+  t.dir->rwsem.unlock();
+  if (made.ok()) {
+    t.sb->dcache_add(*t.dir, t.last, made.value()->ino());
+    *created = true;
+  }
+  t.sb->iput(t.dir);
+  return made;
 }
 
 Result<Inode*> Kernel::resolve(std::string_view path, SuperBlock** sb_out) {
@@ -293,29 +320,12 @@ Result<int> Kernel::open(Process& p, std::string_view path, int flags,
     of->bdev = dev;
   } else {
     SuperBlock* sb = nullptr;
-    auto inode = walk_full(path, &sb);
-    if (!inode.ok() && inode.error() == Err::NoEnt && (flags & kOCreat) != 0) {
-      auto target = walk_parent(path);
-      if (!target.ok()) return target.error();
-      auto& t = target.value();
-      if (t.sb->read_only()) {
-        t.sb->iput(t.dir);
-        return Err::RoFs;
-      }
-      t.dir->rwsem.lock();
-      auto created = t.dir->iop->create(*t.dir, t.last, mode);
-      t.dir->rwsem.unlock();
-      if (!created.ok()) {
-        t.sb->iput(t.dir);
-        return created.error();
-      }
-      t.sb->dcache_add(*t.dir, t.last, created.value()->ino());
-      t.sb->iput(t.dir);
-      of->sb = t.sb;
-      of->inode = created.value();
-    } else if (!inode.ok()) {
-      return inode.error();
-    } else {
+    bool created = false;
+    auto inode = (flags & kOCreat) != 0
+                     ? walk_create(path, mode, &sb, &created)
+                     : walk_full(path, &sb);
+    if (!inode.ok()) return inode.error();
+    if (!created) {
       if ((flags & kOCreat) != 0 && (flags & kOExcl) != 0) {
         sb->iput(inode.value());
         return Err::Exist;
@@ -325,9 +335,9 @@ Result<int> Kernel::open(Process& p, std::string_view path, int flags,
         sb->iput(inode.value());
         return Err::IsDir;
       }
-      of->sb = sb;
-      of->inode = inode.value();
     }
+    of->sb = sb;
+    of->inode = inode.value();
 
     Err e = of->inode->fop->open(*of->inode, of->fh);
     if (e != Err::Ok) {

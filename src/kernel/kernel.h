@@ -146,10 +146,21 @@ class Kernel {
 
   void charge_syscall();
   Result<Mount*> mount_for(std::string_view path, std::string_view* rest);
+  /// One path component: `name` in `dir`, from the dcache, else through
+  /// ->lookup (then cached). Returns the child referenced; `dir` keeps
+  /// its reference.
+  Result<Inode*> lookup_child(SuperBlock& sb, Inode& dir,
+                              std::string_view name);
   /// Walk to the parent of the final component. Caller iputs `dir`.
   Result<PathTarget> walk_parent(std::string_view path);
   /// Walk the full path to an inode (referenced).
   Result<Inode*> walk_full(std::string_view path, SuperBlock** sb_out);
+  /// open(O_CREAT)'s one walk (Linux's path_openat/lookup_open): walk to
+  /// the parent, look the final component up and, if it is absent,
+  /// create it under the parent. Returns the inode referenced;
+  /// `*created` says whether this call made it.
+  Result<Inode*> walk_create(std::string_view path, std::uint32_t mode,
+                             SuperBlock** sb_out, bool* created);
   Result<OpenFile*> file_for(Process& p, int fd);
   /// fsync(2) body, minus the syscall charge (shared with IoUring).
   Err do_fsync(OpenFile& f, bool datasync);

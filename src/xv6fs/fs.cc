@@ -565,13 +565,15 @@ Result<std::uint32_t> Xv6FileSystem::dirlookup(Cap& sb, MemInode& dir,
   return Err::NoEnt;
 }
 
-Err Xv6FileSystem::dirlink(Cap& sb, MemInode& dir, std::string_view name,
-                           std::uint32_t inum) {
-  if (name.size() >= kDirNameLen) return Err::NameTooLong;
-  // Find a free slot (linear, like dirlookup).
+Result<std::uint64_t> Xv6FileSystem::dirslot(Cap& sb, MemInode& dir,
+                                             std::string_view name) {
+  if (dir.d.type != static_cast<std::uint16_t>(InodeKind::Dir)) {
+    return Err::NotDir;
+  }
+  // The whole directory, even past the first free slot: a hole may come
+  // before the name.
   std::uint64_t slot_off = dir.d.size;
-  for (std::uint64_t off = 0; off < dir.d.size && slot_off == dir.d.size;
-       off += kBlockSize) {
+  for (std::uint64_t off = 0; off < dir.d.size; off += kBlockSize) {
     auto addr = bmap(sb, dir, off / kBlockSize, /*alloc=*/false);
     if (!addr.ok()) return addr.error();
     if (addr.value() == 0) continue;
@@ -585,11 +587,27 @@ Err Xv6FileSystem::dirlink(Cap& sb, MemInode& dir, std::string_view name,
     for (std::uint64_t i = 0; i < nents; ++i) {
       sim::charge(sim::costs().dir_scan_per_entry);
       if (entries[i].inum == 0) {
-        slot_off = off + i * sizeof(Dirent);
-        break;
+        if (slot_off == dir.d.size) slot_off = off + i * sizeof(Dirent);
+      } else if (name == std::string_view(
+                             entries[i].name,
+                             strnlen(entries[i].name, kDirNameLen))) {
+        return Err::Exist;
       }
     }
   }
+  return slot_off;
+}
+
+Err Xv6FileSystem::dirlink(Cap& sb, MemInode& dir, std::string_view name,
+                           std::uint32_t inum) {
+  auto slot_off = dirslot(sb, dir, name);
+  if (!slot_off.ok()) return slot_off.error();
+  return dirlink_at(sb, dir, slot_off.value(), name, inum);
+}
+
+Err Xv6FileSystem::dirlink_at(Cap& sb, MemInode& dir, std::uint64_t slot_off,
+                              std::string_view name, std::uint32_t inum) {
+  if (name.size() >= kDirNameLen) return Err::NameTooLong;
   Dirent de;
   de.inum = inum;
   std::memset(de.name, 0, kDirNameLen);
@@ -726,13 +744,14 @@ Result<EntryOut> Xv6FileSystem::create(const Request&, SbRef sb,
   bento::SemGuard guard(dir.lock);
 
   TxnGuard txn(log_, sb.get(), 16);
-  auto existing = dirlookup(sb.get(), dir, name);
-  if (existing.ok()) return Err::Exist;
-  if (existing.error() != Err::NoEnt) return existing.error();
+  auto slot_off = dirslot(sb.get(), dir, name);
+  if (!slot_off.ok()) return slot_off.error();
 
   auto inum = ialloc(sb.get(), InodeKind::File, mode);
   if (!inum.ok()) return inum.error();
-  if (const Err e = dirlink(sb.get(), dir, name, inum.value()); e != Err::Ok) {
+  if (const Err e =
+          dirlink_at(sb.get(), dir, slot_off.value(), name, inum.value());
+      e != Err::Ok) {
     discard(sb.get(), inum.value());
     return e;
   }
@@ -758,9 +777,8 @@ Result<EntryOut> Xv6FileSystem::mkdir(const Request&, SbRef sb,
   bento::SemGuard guard(dir.lock);
 
   TxnGuard txn(log_, sb.get(), 24);
-  auto existing = dirlookup(sb.get(), dir, name);
-  if (existing.ok()) return Err::Exist;
-  if (existing.error() != Err::NoEnt) return existing.error();
+  auto slot_off = dirslot(sb.get(), dir, name);
+  if (!slot_off.ok()) return slot_off.error();
 
   auto inum = ialloc(sb.get(), InodeKind::Dir, mode);
   if (!inum.ok()) return inum.error();
@@ -771,7 +789,9 @@ Result<EntryOut> Xv6FileSystem::mkdir(const Request&, SbRef sb,
   child.d.nlink = 2;  // "." plus the parent entry
   Err e = dirlink(sb.get(), child, ".", inum.value());
   if (e == Err::Ok) e = dirlink(sb.get(), child, "..", dir.inum);
-  if (e == Err::Ok) e = dirlink(sb.get(), dir, name, inum.value());
+  if (e == Err::Ok) {
+    e = dirlink_at(sb.get(), dir, slot_off.value(), name, inum.value());
+  }
   if (e != Err::Ok) {
     discard(sb.get(), inum.value());
     return e;

@@ -174,8 +174,17 @@ class Xv6FileSystem : public bento::FileSystem {
   // directories
   kern::Result<std::uint32_t> dirlookup(Cap& sb, MemInode& dir,
                                         std::string_view name);
+  /// One pass over `dir`, as ext2_add_link makes: Exist if `name` is
+  /// linked in it, else the offset of its first free slot (its size when
+  /// none is free), where a new entry goes.
+  kern::Result<std::uint64_t> dirslot(Cap& sb, MemInode& dir,
+                                      std::string_view name);
+  /// dirslot, then dirlink_at the slot it found.
   kern::Err dirlink(Cap& sb, MemInode& dir, std::string_view name,
                     std::uint32_t inum);
+  /// Write the entry `name` -> `inum` at `slot_off`, from dirslot.
+  kern::Err dirlink_at(Cap& sb, MemInode& dir, std::uint64_t slot_off,
+                       std::string_view name, std::uint32_t inum);
   kern::Err dirunlink(Cap& sb, MemInode& dir, std::string_view name);
   kern::Result<bool> dir_empty(Cap& sb, MemInode& dir);
 

@@ -614,14 +614,15 @@ Err Xv6cMount::write_through_log(kern::Inode& inode, std::uint64_t off,
   return iupdate(inode);
 }
 
-Err Xv6cMount::dir_link(kern::Inode& dir, std::string_view name,
-                        std::uint32_t inum) {
+Result<std::uint64_t> Xv6cMount::dir_slot(kern::Inode& dir,
+                                          std::string_view name) {
   CInode* c = ci(dir);
   auto& bc = sb_->bufcache();
-  if (name.size() >= kDirNameLen) return Err::NameTooLong;
+  if (c->d.type != kDir) return Err::NotDir;
+  // The whole directory, even past the first free slot: a hole may come
+  // before the name.
   std::uint64_t slot = c->d.size;
-  for (std::uint64_t off = 0; off < c->d.size && slot == c->d.size;
-       off += kBlockSize) {
+  for (std::uint64_t off = 0; off < c->d.size; off += kBlockSize) {
     auto addr = bmap(dir, off / kBlockSize, false);
     if (!addr.ok()) return addr.error();
     if (addr.value() == 0) continue;
@@ -634,12 +635,28 @@ Err Xv6cMount::dir_link(kern::Inode& dir, std::string_view name,
     for (std::uint64_t i = 0; i < nents; ++i) {
       sim::charge(sim::costs().dir_scan_per_entry);
       if (e[i].inum == 0) {
-        slot = off + i * sizeof(Dirent);
-        break;
+        if (slot == c->d.size) slot = off + i * sizeof(Dirent);
+      } else if (name == std::string_view(e[i].name,
+                                          strnlen(e[i].name, kDirNameLen))) {
+        bc.brelse(bh.value());
+        return Err::Exist;
       }
     }
     bc.brelse(bh.value());
   }
+  return slot;
+}
+
+Err Xv6cMount::dir_link(kern::Inode& dir, std::string_view name,
+                        std::uint32_t inum) {
+  auto slot = dir_slot(dir, name);
+  if (!slot.ok()) return slot.error();
+  return dir_link_at(dir, slot.value(), name, inum);
+}
+
+Err Xv6cMount::dir_link_at(kern::Inode& dir, std::uint64_t slot,
+                           std::string_view name, std::uint32_t inum) {
+  if (name.size() >= kDirNameLen) return Err::NameTooLong;
   Dirent de;
   de.inum = inum;
   std::memset(de.name, 0, kDirNameLen);
@@ -712,17 +729,17 @@ Result<kern::Inode*> Xv6cMount::create(kern::Inode& dir,
                                        std::uint32_t mode) {
   sim::charge(sim::costs().fs_op_base);
   log_begin();
-  auto existing = dir_scan(dir, name, nullptr);
-  if (existing.ok()) {
+  auto slot = dir_slot(dir, name);
+  if (!slot.ok()) {
     (void)log_end();
-    return Err::Exist;
+    return slot.error();
   }
   auto inum = ialloc(InodeKind::File, mode);
   if (!inum.ok()) {
     (void)log_end();
     return inum.error();
   }
-  Err e = dir_link(dir, name, inum.value());
+  Err e = dir_link_at(dir, slot.value(), name, inum.value());
   if (e != Err::Ok) {
     auto child = iget(inum.value());
     if (child.ok()) discard(child.value());
@@ -737,10 +754,10 @@ Result<kern::Inode*> Xv6cMount::mkdir(kern::Inode& dir, std::string_view name,
                                       std::uint32_t mode) {
   sim::charge(sim::costs().fs_op_base);
   log_begin();
-  auto existing = dir_scan(dir, name, nullptr);
-  if (existing.ok()) {
+  auto slot = dir_slot(dir, name);
+  if (!slot.ok()) {
     (void)log_end();
-    return Err::Exist;
+    return slot.error();
   }
   auto inum = ialloc(InodeKind::Dir, mode);
   if (!inum.ok()) {
@@ -756,7 +773,7 @@ Result<kern::Inode*> Xv6cMount::mkdir(kern::Inode& dir, std::string_view name,
   cc->d.nlink = 2;
   Err e = dir_link(*child.value(), ".", inum.value());
   if (e == Err::Ok) e = dir_link(*child.value(), "..", ci(dir)->inum);
-  if (e == Err::Ok) e = dir_link(dir, name, inum.value());
+  if (e == Err::Ok) e = dir_link_at(dir, slot.value(), name, inum.value());
   if (e != Err::Ok) {
     discard(child.value());
     (void)log_end();

@@ -168,8 +168,17 @@ class Xv6cMount final : public kern::InodeOps,
   kern::Result<std::uint32_t> dir_scan(kern::Inode& dir,
                                        std::string_view name,
                                        std::uint64_t* off_out);
+  /// One pass over `dir`, as ext2_add_link makes: Exist if `name` is
+  /// linked in it, else the offset of its first free slot (its size when
+  /// none is free), where a new entry goes.
+  kern::Result<std::uint64_t> dir_slot(kern::Inode& dir,
+                                       std::string_view name);
+  /// dir_slot, then dir_link_at the slot it found.
   kern::Err dir_link(kern::Inode& dir, std::string_view name,
                      std::uint32_t inum);
+  /// Write the entry `name` -> `inum` at `slot`, from dir_slot.
+  kern::Err dir_link_at(kern::Inode& dir, std::uint64_t slot,
+                        std::string_view name, std::uint32_t inum);
   kern::Err dir_unlink(kern::Inode& dir, std::string_view name);
   kern::Result<bool> dir_empty(kern::Inode& dir);
   kern::Err write_through_log(kern::Inode& inode, std::uint64_t off,

@@ -90,10 +90,10 @@ class JournalTest : public ::testing::Test {
   Jnl jnl_{counters_};
 };
 
-TEST_F(JournalTest, DepthIsHalfTheDeviceChannels) {
-  // Each pipelined commit keeps two long transfers on a member (the merged
-  // log run and the merged install), so this many commits fill a device.
-  EXPECT_EQ(2 * kDepth, static_cast<std::size_t>(DeviceParams{}.channels));
+TEST_F(JournalTest, DepthIsOneCommitPerDeviceChannel) {
+  // Each pipelined commit keeps about one channel busy with its log run,
+  // one merged request, so a device needs one commit per channel.
+  EXPECT_EQ(kDepth, static_cast<std::size_t>(DeviceParams{}.channels));
 }
 
 TEST_F(JournalTest, PipelineHoldsDepthCommitsThenRedeemsExactlyTheOldest) {

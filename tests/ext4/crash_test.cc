@@ -25,7 +25,7 @@ using kern::Err;
 constexpr std::uint64_t kBlocks = 65536;  // 256 MiB images
 
 /// Write nine 3-5 MB files on "ssd0" (laid out by `volume`), fsyncing
-/// every third (with `burst`, twelve files and no fsync), with the device
+/// every third (with `burst`, twenty files and no fsync), with the device
 /// set to die after `kill_point` write commands; return the surviving
 /// logical image. `obs` (optional) lets the sweep prove that commits
 /// overlapped.
@@ -49,7 +49,7 @@ std::unique_ptr<blk::BlockDevice> run_trace(std::string_view volume,
 
   auto& p = kernel.proc();
   sim::Rng rng(31);
-  for (int i = 0; i < (burst ? 12 : 9); ++i) {
+  for (int i = 0; i < (burst ? 20 : 9); ++i) {
     auto fd = kernel.open(p, "/mnt/f" + std::to_string(i),
                           kern::kOCreat | kern::kORdWr);
     if (!fd.ok()) break;
@@ -131,13 +131,14 @@ INSTANTIATE_TEST_SUITE_P(
                       Ext4CrashCase{"striped4", "stripe=4,chunk=16", 47},
                       Ext4CrashCase{"striped4", "stripe=4,chunk=16", 900},
                       Ext4CrashCase{"striped4", "stripe=4,chunk=16", 5000},
-                      // The burst fills the pipeline at its eighth file,
-                      // near write command 14,000, and keeps it full.
-                      Ext4CrashCase{"plain", "", 16000, true},
-                      Ext4CrashCase{"plain", "", 20000, true},
-                      Ext4CrashCase{"striped4", "stripe=4,chunk=16", 16000,
+                      // The burst fills the pipeline at its sixteenth
+                      // file, near write command 32,800, and keeps it full
+                      // until it ends near write command 41,000.
+                      Ext4CrashCase{"plain", "", 33000, true},
+                      Ext4CrashCase{"plain", "", 38000, true},
+                      Ext4CrashCase{"striped4", "stripe=4,chunk=16", 33000,
                                     true},
-                      Ext4CrashCase{"striped4", "stripe=4,chunk=16", 20000,
+                      Ext4CrashCase{"striped4", "stripe=4,chunk=16", 38000,
                                     true}),
     [](const auto& info) {
       return std::string(info.param.name) + "_k" +

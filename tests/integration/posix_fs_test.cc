@@ -86,6 +86,102 @@ TEST_P(PosixFsTest, OExclFailsOnExisting) {
   EXPECT_EQ(fd2.error(), Err::Exist);
 }
 
+// open(O_CREAT) walks to the parent once, then looks up and creates the
+// last component there. The cases below pin what that one walk returns.
+
+TEST_P(PosixFsTest, OCreatMakesANewNameInANestedDirectory) {
+  ASSERT_EQ(Err::Ok, kernel_.mkdir(proc(), "/mnt/a"));
+  ASSERT_EQ(Err::Ok, kernel_.mkdir(proc(), "/mnt/a/b"));
+  auto fd = kernel_.open(proc(), "/mnt/a/b/new",
+                         kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel_.write(proc(), fd.value(), as_bytes("fresh")).ok());
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  auto st = kernel_.stat(proc(), "/mnt/a/b/new");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().type, FileType::Regular);
+  EXPECT_EQ(st.value().size, 5u);
+  EXPECT_EQ(st.value().nlink, 1u);
+}
+
+// O_CREAT with O_EXCL on an existing file: OExclFailsOnExisting above.
+TEST_P(PosixFsTest, OCreatOpensAnExistingFile) {
+  auto fd = kernel_.open(proc(), "/mnt/f", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel_.write(proc(), fd.value(), as_bytes("kept")).ok());
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  const kern::Ino ino = kernel_.stat(proc(), "/mnt/f").value().ino;
+
+  // The existing file opens, neither recreated nor truncated.
+  fd = kernel_.open(proc(), "/mnt/f", kern::kOCreat | kern::kORdWr);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::byte> buf(16);
+  auto r = kernel_.read(proc(), fd.value(), buf);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(to_string({buf.data(), r.value()}), "kept");
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  EXPECT_EQ(kernel_.stat(proc(), "/mnt/f").value().ino, ino);
+}
+
+TEST_P(PosixFsTest, OCreatOnAnExistingDirectory) {
+  ASSERT_EQ(Err::Ok, kernel_.mkdir(proc(), "/mnt/d"));
+  auto wr = kernel_.open(proc(), "/mnt/d", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_FALSE(wr.ok());
+  EXPECT_EQ(wr.error(), Err::IsDir);
+  auto excl = kernel_.open(proc(), "/mnt/d",
+                           kern::kOCreat | kern::kOExcl | kern::kORdOnly);
+  ASSERT_FALSE(excl.ok());
+  EXPECT_EQ(excl.error(), Err::Exist);
+  auto rd = kernel_.open(proc(), "/mnt/d", kern::kOCreat | kern::kORdOnly);
+  ASSERT_TRUE(rd.ok());
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), rd.value()));
+  EXPECT_EQ(kernel_.stat(proc(), "/mnt/d").value().type, FileType::Directory);
+}
+
+TEST_P(PosixFsTest, OCreatOnTheMountPointOpensItsRoot) {
+  // The mount point has no parent to create under: it exists, so it opens
+  // as any existing directory does.
+  auto rd = kernel_.open(proc(), "/mnt", kern::kOCreat | kern::kORdOnly);
+  ASSERT_TRUE(rd.ok());
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), rd.value()));
+  auto wr = kernel_.open(proc(), "/mnt", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_FALSE(wr.ok());
+  EXPECT_EQ(wr.error(), Err::IsDir);
+  auto excl = kernel_.open(proc(), "/mnt/",
+                           kern::kOCreat | kern::kOExcl | kern::kORdOnly);
+  ASSERT_FALSE(excl.ok());
+  EXPECT_EQ(excl.error(), Err::Exist);
+}
+
+TEST_P(PosixFsTest, OCreatUnderAMissingParentFails) {
+  auto fd = kernel_.open(proc(), "/mnt/nodir/f",
+                         kern::kOCreat | kern::kOWrOnly);
+  ASSERT_FALSE(fd.ok());
+  EXPECT_EQ(fd.error(), Err::NoEnt);
+  EXPECT_EQ(kernel_.stat(proc(), "/mnt/nodir").error(), Err::NoEnt);
+}
+
+TEST_P(PosixFsTest, OCreatUnderARegularFileFails) {
+  auto fd = kernel_.open(proc(), "/mnt/file", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  auto under = kernel_.open(proc(), "/mnt/file/x",
+                            kern::kOCreat | kern::kOWrOnly);
+  ASSERT_FALSE(under.ok());
+  EXPECT_EQ(under.error(), Err::NotDir);
+}
+
+TEST_P(PosixFsTest, OCreatWithAnOverlongNameFails) {
+  const std::string name(kern::kNameMax + 1, 'n');
+  auto fd = kernel_.open(proc(), "/mnt/" + name,
+                         kern::kOCreat | kern::kOWrOnly);
+  ASSERT_FALSE(fd.ok());
+  EXPECT_EQ(fd.error(), Err::NameTooLong);
+  auto entries = kernel_.readdir(proc(), "/mnt");
+  ASSERT_TRUE(entries.ok());
+  for (const auto& e : entries.value()) EXPECT_NE(e.name, name);
+}
+
 TEST_P(PosixFsTest, StatReportsSizeAndType) {
   auto fd = kernel_.open(proc(), "/mnt/s", kern::kOCreat | kern::kOWrOnly);
   ASSERT_TRUE(fd.ok());
@@ -940,6 +1036,128 @@ TEST_P(Xv6FullImageTest, CreateAndMkdirFailingWithNoSpcLeakNothing) {
   ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
   auto report = xv6::fsck(*dev_);
   EXPECT_TRUE(report.ok) << report.summary();
+}
+
+/// xv6 and the C baseline create and mkdir with one pass over the parent
+/// directory. The file system's own ->create and ->mkdir are called
+/// directly, past the kernel's lookup, so the pass alone must find an
+/// existing name, pick the slot and report a failed read.
+class Xv6DirScanTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    sim::set_current(&thread_);
+    blk::DeviceParams params;
+    params.nblocks = 32768;  // 128 MiB
+    dev_ = &kernel_.add_device("ssd0", params);
+    xv6::mkfs(*dev_, /*ninodes=*/4096);
+    wl::register_deployments(kernel_);
+    ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
+  }
+
+  kern::Process& proc() { return kernel_.proc(); }
+
+  void touch(const std::string& path) {
+    auto fd = kernel_.open(proc(), path, kern::kOCreat | kern::kOWrOnly);
+    ASSERT_TRUE(fd.ok()) << path;
+    ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  }
+
+  std::vector<std::string> names(const std::string& dir) {
+    std::vector<std::string> out;
+    auto entries = kernel_.readdir(proc(), dir);
+    EXPECT_TRUE(entries.ok());
+    if (entries.ok()) {
+      for (const auto& e : entries.value()) out.push_back(e.name);
+    }
+    return out;
+  }
+
+  /// ->create (or ->mkdir) of `name` in `dir`, under its rwsem as the
+  /// kernel calls it; the new inode's reference is dropped.
+  Err fs_create(kern::Inode& dir, std::string_view name, bool mkdir) {
+    dir.rwsem.lock();
+    auto r = mkdir ? dir.iop->mkdir(dir, name, 0755)
+                   : dir.iop->create(dir, name, 0644);
+    dir.rwsem.unlock();
+    if (!r.ok()) return r.error();
+    kernel_.sb_at("/mnt")->iput(r.value());
+    return Err::Ok;
+  }
+
+  kern::StatFs statfs() {
+    auto st = kernel_.statfs(proc(), "/mnt");
+    EXPECT_TRUE(st.ok());
+    return st.ok() ? st.value() : kern::StatFs{};
+  }
+
+  sim::SimThread thread_{0};
+  kern::Kernel kernel_;
+  blk::BlockDevice* dev_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(KernelXv6, Xv6DirScanTest,
+                         ::testing::Values("xv6_bento", "xv6_vfs"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST_P(Xv6DirScanTest, AHoleBeforeTheNameDoesNotHideIt) {
+  ASSERT_EQ(Err::Ok, kernel_.mkdir(proc(), "/mnt/d"));
+  for (const char* name : {"a", "b", "c"}) touch(std::string("/mnt/d/") + name);
+  // Slots: ".", "..", a, b, c. Unlinking a leaves a hole before b and c.
+  ASSERT_EQ(Err::Ok, kernel_.unlink(proc(), "/mnt/d/a"));
+  auto dir = kernel_.resolve("/mnt/d");
+  ASSERT_TRUE(dir.ok());
+  kern::SuperBlock& sb = *kernel_.sb_at("/mnt");
+  const kern::StatFs before = statfs();
+  EXPECT_EQ(fs_create(*dir.value(), "c", /*mkdir=*/false), Err::Exist);
+  EXPECT_EQ(fs_create(*dir.value(), "b", /*mkdir=*/true), Err::Exist);
+  EXPECT_EQ(statfs().free_inodes, before.free_inodes);
+  EXPECT_EQ(names("/mnt/d"), (std::vector<std::string>{".", "..", "b", "c"}));
+
+  // A name that matches nothing takes the first hole, a's old slot; the
+  // next one goes at the end.
+  EXPECT_EQ(fs_create(*dir.value(), "e", /*mkdir=*/false), Err::Ok);
+  EXPECT_EQ(fs_create(*dir.value(), "f", /*mkdir=*/true), Err::Ok);
+  sb.iput(dir.value());
+  EXPECT_EQ(names("/mnt/d"),
+            (std::vector<std::string>{".", "..", "e", "b", "c", "f"}));
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  auto report = xv6::fsck(*dev_);
+  EXPECT_TRUE(report.ok) << report.summary();
+}
+
+TEST_P(Xv6DirScanTest, AFailedDirectoryReadAllocatesNothing) {
+  ASSERT_EQ(Err::Ok, kernel_.mkdir(proc(), "/mnt/d"));
+  touch("/mnt/d/a");
+  ASSERT_EQ(Err::Ok, kernel_.sync(proc()));
+  const kern::Ino ino = kernel_.stat(proc(), "/mnt/d").value().ino;
+  // Remount so the directory's block is read from the device again.
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
+  const xv6::DiskSuperblock dsb = xv6::read_superblock(*dev_);
+  alignas(xv6::Dinode) std::array<std::byte, blk::kBlockSize> buf{};
+  const auto inum = static_cast<std::uint32_t>(ino);
+  dev_->read_untimed(dsb.inode_block(inum), buf);
+  const auto* di = reinterpret_cast<const xv6::Dinode*>(buf.data());
+  const std::uint32_t block = di[inum % xv6::kInodesPerBlock].addrs[0];
+  ASSERT_NE(block, 0u);
+
+  auto dir = kernel_.resolve("/mnt/d");
+  ASSERT_TRUE(dir.ok());
+  ASSERT_EQ(Err::Ok, kernel_.sync(proc()));
+  dev_->inject_read_error(block);
+  const kern::StatFs before = statfs();
+  const std::uint64_t written = dev_->stats().writes;
+  EXPECT_EQ(fs_create(*dir.value(), "x", /*mkdir=*/false), Err::Io);
+  EXPECT_EQ(fs_create(*dir.value(), "y", /*mkdir=*/true), Err::Io);
+  const kern::StatFs after = statfs();
+  EXPECT_EQ(after.free_inodes, before.free_inodes);
+  EXPECT_EQ(after.free_blocks, before.free_blocks);
+  // Nothing was allocated and given back, so nothing is left to commit.
+  ASSERT_EQ(Err::Ok, kernel_.sync(proc()));
+  EXPECT_EQ(dev_->stats().writes, written);
+  kernel_.sb_at("/mnt")->iput(dir.value());
 }
 
 /// Log commits on the C baseline after 64 unsynced creates on a fresh

@@ -593,7 +593,7 @@ std::unique_ptr<blk::BlockDevice> run_pipelined_trace(
     // (the mounts ask for max_log_batch=8) close a group commit, and
     // nothing drains the pipeline, so it fills to its depth and stays
     // full until the crash.
-    for (int i = 0; i < 48; ++i) {
+    for (int i = 0; i < 96; ++i) {
       auto fd = kernel.open(p, "/mnt/dir/b" + std::to_string(i),
                             kern::kOCreat | kern::kORdWr);
       if (!fd.ok()) break;
@@ -686,12 +686,12 @@ std::vector<PipelinedCase> pipelined_cases() {
         cases.push_back({fs, kind, k, 21ULL});
       }
       cases.push_back({fs, kind, 260ULL, 22ULL});
-      // The burst trace first fills the pipeline near write command 24
-      // and keeps it full until it ends near write command 60 (46 on
-      // xv6_vfs, whose burst commits fewer times): k22 lands as the last
-      // commit that fills it goes out, the others while it is full.
+      // The burst trace first fills the pipeline at write command 52 and
+      // keeps it full until it ends at write command 124 (98 on xv6_vfs,
+      // whose burst commits fewer times): k50 lands as the last commit
+      // that fills it goes out, the others while it is full.
       const bool vfs = std::string_view(fs) == "xv6_vfs";
-      for (std::uint64_t k : {22ULL, 27ULL, 33ULL, 41ULL, vfs ? 45ULL : 52ULL}) {
+      for (std::uint64_t k : {50ULL, 60ULL, 72ULL, 86ULL, vfs ? 96ULL : 120ULL}) {
         cases.push_back({fs, kind, k, 23ULL, /*burst=*/true});
       }
     }
