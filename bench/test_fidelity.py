@@ -11,7 +11,9 @@ Fabricates BENCH files and checks that fidelity.py reports:
   5. exit status 0 whatever the states, and 2 for a missing directory;
   6. with --baseline, each claim whose state changed from the baseline's
      BENCH files, and no other, printed and listed in the report; 2 for a
-     missing baseline directory.
+     missing baseline directory;
+  7. the write-path ablation's ">=N x" gates: "fails" below N, "holds" at
+     or above it, with no upper bound.
 
 Run: test_fidelity.py [path/to/fidelity.py]. Exit 0 = all cases pass.
 """
@@ -148,6 +150,21 @@ def main():
               "holds |" in text, "6: report should list the 1t change")
         code, _ = run(d, baseline=os.path.join(d, "nowhere"))
         check(code == 2, f"6: exit {code} for a missing baseline, expected 2")
+
+    with tempfile.TemporaryDirectory() as d:
+        bench_file(d, "writepath", {
+            ("Bento-seqwrite", "1dev"): 1636.7,
+            ("Bento-seqwrite", "8dev"): 3182.2,
+            ("C-kernel-log-commits", "group"): 10.0,
+            ("C-kernel-log-commits", "nogroup"): 1000.0})
+        code, s = run(d)
+        check(code == 0, f"7: exit {code}, expected 0")
+        scaling = "Writepath: full config scales >=2.5x from 1 to 8 members"
+        commits = "Writepath: group commit cuts C-kernel commits >=5x"
+        check(s.get(scaling) == "fails",
+              f"7: 1.94x scaling should fail, got {s.get(scaling)}")
+        check(s.get(commits) == "holds",
+              f"7: 100x fewer commits should hold, got {s.get(commits)}")
 
     for f in failures:
         print("FAIL:", f)

@@ -352,21 +352,6 @@ Err BentoModule::readpages(kern::Inode& inode, std::uint64_t first_pgoff,
   return Err::Ok;
 }
 
-Err BentoModule::writepage(kern::Inode& inode, std::uint64_t pgoff,
-                           std::span<const std::byte> in) {
-  channel(in.size(), 0);
-  const std::uint64_t off = pgoff * kern::kPageSize;
-  const std::uint64_t len =
-      std::min<std::uint64_t>(kern::kPageSize,
-                              inode.size > off ? inode.size - off : 0);
-  if (len == 0) return Err::Ok;
-  auto r = fs_->write(mkreq(), borrow(), inode.ino(), 0, off,
-                      in.subspan(0, static_cast<std::size_t>(len)));
-  assert(ledger_.balanced());
-  if (!r.ok()) return r.error();
-  return Err::Ok;
-}
-
 Err BentoModule::writepages(kern::Inode& inode,
                             std::span<const kern::PageRun> runs,
                             std::size_t& completed_runs) {

@@ -106,8 +106,6 @@ class BentoModule : public kern::InodeOps,
   Err readpages(kern::Inode& inode, std::uint64_t first_pgoff,
                 std::span<const std::span<std::byte>> pages) override;
   [[nodiscard]] bool has_readpages() const override { return true; }
-  Err writepage(kern::Inode& inode, std::uint64_t pgoff,
-                std::span<const std::byte> in) override;
   Err writepages(kern::Inode& inode, std::span<const kern::PageRun> runs,
                  std::size_t& completed_runs) override;
   [[nodiscard]] bool has_writepages() const override { return true; }

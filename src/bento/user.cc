@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 namespace bsim::bento {
@@ -39,8 +40,8 @@ void UserBlockBackend::ring_submit() {
     ring_failed_ = true;
     // A pwrite's user_data is its block number (the fsync's matches none):
     // a block whose write failed stays dirty.
-    auto it = cache_.find(cqe->user_data);
-    if (it != cache_.end()) it->second->dirty = true;
+    auto it = index_.find(cqe->user_data);
+    if (it != index_.end()) it->second->dirty = true;
   }
 }
 
@@ -61,15 +62,13 @@ UserBlockBackend::~UserBlockBackend() = default;
 kern::Result<UserBlockBackend::UserBuf*> UserBlockBackend::get_buf(
     std::uint64_t blockno, bool read) {
   if (blockno >= nblocks_) return kern::Err::Io;
-  auto it = cache_.find(blockno);
-  if (it == cache_.end()) {
+  auto it = index_.find(blockno);
+  if (it == index_.end()) {
     evict_if_needed();
-    auto buf = std::make_unique<UserBuf>();
-    buf->blockno = blockno;
-    it = cache_.emplace(blockno, std::move(buf)).first;
-    lru_.push_front(blockno);
+    lru_.emplace_front().blockno = blockno;
+    it = index_.emplace(blockno, lru_.begin()).first;
   }
-  UserBuf* buf = it->second.get();
+  UserBuf* buf = &*it->second;
   if (read && !buf->uptodate) {
     auto r = kernel_->pread(*proc_, fd_, {buf->data.data(), buf->data.size()},
                             blockno * blk::kBlockSize);
@@ -85,18 +84,13 @@ kern::Result<UserBlockBackend::UserBuf*> UserBlockBackend::get_buf(
 }
 
 void UserBlockBackend::evict_if_needed() {
-  if (cache_blocks_ == 0 || cache_.size() < cache_blocks_) return;
+  if (cache_blocks_ == 0 || lru_.size() < cache_blocks_) return;
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    auto mit = cache_.find(*it);
-    if (mit == cache_.end()) {
-      continue;
-    }
     // A dirty block stays: only its owner's write (a journal commit) may
     // put it on media.
-    const UserBuf* buf = mit->second.get();
-    if (buf->refcount > 0 || buf->dirty) continue;
-    lru_.erase(std::next(it).base());
-    cache_.erase(mit);
+    if (it->refcount > 0 || it->dirty) continue;
+    index_.erase(it->blockno);
+    lru_.erase(std::prev(it.base()));
     return;
   }
 }

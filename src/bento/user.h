@@ -89,8 +89,10 @@ class UserBlockBackend final : public BlockBackend {
   int fd_;
   std::uint64_t nblocks_;
   std::size_t cache_blocks_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<UserBuf>> cache_;
-  std::list<std::uint64_t> lru_;
+  // Cached blocks in insertion order, newest first (a hit does not move a
+  // block), each living in its list node; index_ finds them by number.
+  std::list<UserBuf> lru_;
+  std::unordered_map<std::uint64_t, std::list<UserBuf>::iterator> index_;
   std::unique_ptr<kern::IoUring> ring_;  // null unless use_uring
   bool ring_failed_ = false;  // a completion failed since ring_finish
   Stats stats_;

@@ -180,12 +180,13 @@ Err Ext4Mount::j_recover() {
     bc.mark_dirty(dst.value());
     homes.push_back(dst.value());
   }
-  const Err e = bc.sync_dirty_buffers(homes);
+  const blk::Ticket t = bc.sync_dirty_buffers_async(homes);
+  bc.wait(t);
   for (auto* h : homes) bc.brelse(h);
   for (auto* s : srcs.value()) bc.brelse(s);
   // A failed home write keeps the descriptor on media: the mount fails and
   // the next one replays again (jbd2's "recovery failed").
-  if (e != Err::Ok) return e;
+  if (t.failed) return Err::Io;
   // Clear the descriptor so replay is not repeated.
   return j_mark_empty();
 }
@@ -196,9 +197,10 @@ Err Ext4Mount::j_mark_empty() {
   if (!zb.ok()) return zb.error();
   std::memset(zb.value()->bytes().data(), 0, kBlockSize);
   bc.mark_dirty(zb.value());
-  const Err e = bc.sync_dirty_buffer(zb.value());
+  const blk::Ticket t = bc.sync_dirty_buffers_async({&zb.value(), 1});
+  bc.wait(t);
   bc.brelse(zb.value());
-  if (e != Err::Ok) return e;
+  if (t.failed) return Err::Io;
   sb_->bdev().flush();
   return Err::Ok;
 }
@@ -752,6 +754,12 @@ Err Ext4Mount::dir_unlink(kern::Inode& dir, std::string_view name) {
   return Err::NoEnt;
 }
 
+void Ext4Mount::discard(kern::Inode* inode) {
+  ei(*inode)->d.nlink = 0;
+  (void)iupdate(*inode);
+  sb_->iput(inode);  // the last reference: evict_inode frees it
+}
+
 // ---- InodeOps ----
 
 Result<kern::Inode*> Ext4Mount::lookup(kern::Inode& dir,
@@ -771,7 +779,12 @@ Result<kern::Inode*> Ext4Mount::create(kern::Inode& dir,
   if (existing.error() != Err::NoEnt) return existing.error();
   auto inum = ialloc(kFile, mode, group_of_inode(ei(dir)->inum));
   if (!inum.ok()) return inum.error();
-  BSIM_TRY(dir_link(dir, name, inum.value()));
+  const Err e = dir_link(dir, name, inum.value());
+  if (e != Err::Ok) {
+    auto child = iget(inum.value());
+    if (child.ok()) discard(child.value());
+    return e;
+  }
   return iget(inum.value());
 }
 
@@ -786,12 +799,20 @@ Result<kern::Inode*> Ext4Mount::mkdir(kern::Inode& dir, std::string_view name,
   auto child = iget(inum.value());
   if (!child.ok()) return child.error();
   ei(*child.value())->d.nlink = 2;
-  BSIM_TRY(dir_link(*child.value(), ".", inum.value()));
-  BSIM_TRY(dir_link(*child.value(), "..", ei(dir)->inum));
-  BSIM_TRY(dir_link(dir, name, inum.value()));
+  Err e = dir_link(*child.value(), ".", inum.value());
+  if (e == Err::Ok) e = dir_link(*child.value(), "..", ei(dir)->inum);
+  if (e == Err::Ok) e = dir_link(dir, name, inum.value());
+  if (e != Err::Ok) {
+    discard(child.value());
+    return e;
+  }
   ei(dir)->d.nlink += 1;
-  BSIM_TRY(iupdate(dir));
-  BSIM_TRY(iupdate(*child.value()));
+  e = iupdate(dir);
+  if (e == Err::Ok) e = iupdate(*child.value());
+  if (e != Err::Ok) {
+    sb_->iput(child.value());
+    return e;
+  }
   return child.value();
 }
 
@@ -1217,16 +1238,6 @@ Err Ext4Mount::readpages(kern::Inode& inode, std::uint64_t first_pgoff,
   }
   for (auto* bh : batch) bc.brelse(bh);
   return Err::Ok;
-}
-
-Err Ext4Mount::writepage(kern::Inode& inode, std::uint64_t pgoff,
-                         std::span<const std::byte> in) {
-  const std::uint64_t off = pgoff * kern::kPageSize;
-  const std::uint64_t len = std::min<std::uint64_t>(
-      kern::kPageSize, inode.size > off ? inode.size - off : 0);
-  if (len == 0) return Err::Ok;
-  return write_through_journal(inode, off,
-                               in.subspan(0, static_cast<std::size_t>(len)));
 }
 
 Err Ext4Mount::writepages(kern::Inode& inode,

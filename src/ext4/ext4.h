@@ -95,8 +95,6 @@ class Ext4Mount final : public kern::InodeOps,
   [[nodiscard]] bool has_readpages() const override { return true; }
   kern::Err readpage(kern::Inode& inode, std::uint64_t pgoff,
                      std::span<std::byte> out) override;
-  kern::Err writepage(kern::Inode& inode, std::uint64_t pgoff,
-                      std::span<const std::byte> in) override;
   kern::Err writepages(kern::Inode& inode,
                        std::span<const kern::PageRun> runs,
                        std::size_t& completed_runs) override;
@@ -181,6 +179,9 @@ class Ext4Mount final : public kern::InodeOps,
   kern::Err dir_link(kern::Inode& dir, std::string_view name,
                      std::uint32_t inum);
   kern::Err dir_unlink(kern::Inode& dir, std::string_view name);
+  /// Undo an ialloc whose directory link failed: free the inode and any
+  /// blocks it was given, in the running transaction.
+  void discard(kern::Inode* inode);
   kern::Err write_through_journal(kern::Inode& inode, std::uint64_t off,
                                   std::span<const std::byte> in);
 

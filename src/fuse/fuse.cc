@@ -165,12 +165,6 @@ kern::Result<std::uint64_t> FuseModule::write(kern::Inode& inode,
   return BentoModule::write(inode, fh, off, in);
 }
 
-Err FuseModule::writepage(kern::Inode& inode, std::uint64_t pgoff,
-                          std::span<const std::byte> in) {
-  if (filter_ != nullptr) filter_->invalidate_attr(inode.ino());
-  return BentoModule::writepage(inode, pgoff, in);
-}
-
 Err FuseModule::writepages(kern::Inode& inode,
                            std::span<const kern::PageRun> runs,
                            std::size_t& completed_runs) {

@@ -77,8 +77,6 @@ class FuseModule final : public bento::BentoModule {
   kern::Result<std::uint64_t> write(kern::Inode& inode, kern::FileHandle& fh,
                               std::uint64_t off,
                               std::span<const std::byte> in) override;
-  kern::Err writepage(kern::Inode& inode, std::uint64_t pgoff,
-                      std::span<const std::byte> in) override;
 
   static constexpr std::size_t kMaxPages = 32;
 

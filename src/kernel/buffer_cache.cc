@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "sim/cost_model.h"
 #include "sim/thread.h"
@@ -77,18 +78,6 @@ Result<std::vector<BufferHead*>> BufferCache::bread_batch(
   return out;
 }
 
-void BufferCache::readahead(std::uint64_t start, std::size_t n) {
-  std::vector<std::uint64_t> blocknos;
-  blocknos.reserve(n);
-  for (std::size_t i = 0; i < n && start + i < dev_.nblocks(); ++i) {
-    blocknos.push_back(start + i);
-  }
-  auto r = bread_batch(blocknos);
-  if (!r.ok()) return;  // best-effort: readahead failures are silent
-  // Readahead holds no references once the data is resident.
-  for (BufferHead* bh : r.value()) brelse(bh);
-}
-
 Result<BufferHead*> BufferCache::getblk(std::uint64_t blockno) {
   auto r = lookup_or_create(blockno);
   if (!r.ok()) return r;
@@ -102,30 +91,22 @@ Result<BufferHead*> BufferCache::lookup_or_create(std::uint64_t blockno) {
   sim::ScopedLock guard(lock_);
   sim::charge(sim::costs().buffer_lookup);
 
-  auto it = map_.find(blockno);
-  if (it != map_.end()) {
+  BufferHead* bh = nullptr;
+  if (auto it = index_.find(blockno); it != index_.end()) {
     stats_.hits += 1;
-    auto pos = lru_pos_.find(blockno);
-    if (pos != lru_pos_.end()) lru_.erase(pos->second);
-    lru_.push_front(blockno);
-    lru_pos_[blockno] = lru_.begin();
-    it->second->refcount += 1;
-    outstanding_refs_ += 1;
-    return it->second.get();
+    lru_.splice(lru_.begin(), lru_, it->second);
+    bh = &*it->second;
+  } else {
+    stats_.misses += 1;
+    evict_if_needed();
+    bh = &lru_.emplace_front();
+    bh->blockno = blockno;
+    bh->cache = this;
+    index_.emplace(blockno, lru_.begin());
   }
-
-  stats_.misses += 1;
-  evict_if_needed();
-  auto bh = std::make_unique<BufferHead>();
-  bh->blockno = blockno;
-  bh->cache = this;
-  bh->refcount = 1;
+  bh->refcount += 1;
   outstanding_refs_ += 1;
-  BufferHead* raw = bh.get();
-  map_.emplace(blockno, std::move(bh));
-  lru_.push_front(blockno);
-  lru_pos_[blockno] = lru_.begin();
-  return raw;
+  return bh;
 }
 
 void BufferCache::brelse(BufferHead* bh) {
@@ -137,40 +118,14 @@ void BufferCache::brelse(BufferHead* bh) {
   demote(bh);
 }
 
-void BufferCache::drop(std::uint64_t blockno) {
-  auto pos = lru_pos_.find(blockno);
-  lru_.erase(pos->second);
-  lru_pos_.erase(pos);
-  map_.erase(blockno);
+void BufferCache::drop(Lru::iterator it) {
+  index_.erase(it->blockno);
+  lru_.erase(it);
 }
 
 void BufferCache::demote(BufferHead* bh) {
   if (!bh->drop_behind || bh->dirty || bh->refcount > 0) return;
-  auto pos = lru_pos_.find(bh->blockno);
-  if (pos != lru_pos_.end()) lru_.splice(lru_.end(), lru_, pos->second);
-}
-
-Err BufferCache::sync_dirty_buffer(BufferHead* bh) {
-  assert(bh != nullptr && bh->cache == this);
-  blk::Bio bio = blk::Bio::single_write(bh->blockno, bh->bytes());
-  dev_.submit(bio);
-  // A write command that never executed (crash-model kill point) did not
-  // write the buffer back: it must stay dirty.
-  if (bio.io_error) {
-    record_wb_error();
-    return Err::Io;
-  }
-  if (bio.applied) {
-    set_clean(bh);
-    stats_.writebacks += 1;
-  }
-  return Err::Ok;
-}
-
-Err BufferCache::sync_dirty_buffers(std::span<BufferHead* const> bhs) {
-  const blk::Ticket t = sync_dirty_buffers_async(bhs);
-  dev_.wait(t);
-  return t.failed ? Err::Io : Err::Ok;
+  lru_.splice(lru_.end(), lru_, index_.at(bh->blockno));
 }
 
 blk::Ticket BufferCache::sync_dirty_buffers_async(
@@ -210,7 +165,7 @@ blk::Ticket BufferCache::write_run(
   std::vector<blk::Bio> bios;
   bios.reserve(srcs.size());
   for (std::size_t i = 0; i < srcs.size(); ++i) {
-    assert(!map_.contains(start + i) && "write_run under a cached block");
+    assert(!index_.contains(start + i) && "write_run under a cached block");
     bios.push_back(blk::Bio::single_write(start + i, srcs[i]));
   }
   const blk::Ticket t = dev_.submit_async(bios);
@@ -223,40 +178,32 @@ blk::Ticket BufferCache::write_run(
 void BufferCache::issue_flush() { dev_.flush(); }
 
 void BufferCache::invalidate() {
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->second->refcount == 0 && !it->second->dirty) {
-      auto pos = lru_pos_.find(it->first);
-      if (pos != lru_pos_.end()) {
-        lru_.erase(pos->second);
-        lru_pos_.erase(pos);
-      }
-      it = map_.erase(it);
-    } else {
-      ++it;
-    }
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    auto next = std::next(it);
+    if (it->refcount == 0 && !it->dirty) drop(it);
+    it = next;
   }
 }
 
 void BufferCache::invalidate(std::uint64_t first, std::uint64_t n) {
   for (std::uint64_t b = first; b < first + n; ++b) {
-    auto it = map_.find(b);
-    if (it != map_.end() && it->second->refcount == 0 &&
+    auto it = index_.find(b);
+    if (it != index_.end() && it->second->refcount == 0 &&
         !it->second->dirty) {
-      drop(b);
+      drop(it->second);
     }
   }
 }
 
 void BufferCache::evict_if_needed() {
-  if (capacity_ == 0 || map_.size() < capacity_) return;
+  if (capacity_ == 0 || lru_.size() < capacity_) return;
   // Walk from the LRU end looking for a clean, unreferenced buffer. A
   // dirty one stays: only its owner's write (a journal commit) may put it
   // on media.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    const BufferHead* bh = map_.at(*it).get();
-    if (bh->refcount > 0 || bh->dirty) continue;
+    if (it->refcount > 0 || it->dirty) continue;
     stats_.evictions += 1;
-    drop(*it);
+    drop(std::prev(it.base()));
     return;
   }
   // Everything referenced or dirty: allow temporary overshoot (kernel

@@ -1,5 +1,5 @@
 // The kernel buffer cache: the sb_bread / brelse / mark_buffer_dirty /
-// sync_dirty_buffer interface the paper's §4.5 example is built around.
+// write-back interface the paper's §4.5 example is built around.
 //
 // Buffers hold their own copy of block data (distinct from the device's
 // media state) so that a file system can modify a cached block without it
@@ -15,7 +15,6 @@
 #include <cassert>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -82,11 +81,6 @@ class BufferCache {
   Result<std::vector<BufferHead*>> bread_batch(
       std::span<const std::uint64_t> blocknos);
 
-  /// Populate the cache for [start, start+n) without taking references
-  /// (the readahead path). Blocks beyond the device and blocks already
-  /// cached are skipped; the rest arrive via one batched submission.
-  void readahead(std::uint64_t start, std::size_t n);
-
   /// Get a buffer without reading the device. The buffer is marked
   /// uptodate: the caller is declaring it will fully overwrite the block,
   /// and a later bread() must return the in-cache contents, never re-read
@@ -115,25 +109,17 @@ class BufferCache {
   /// The buffer holds regular-file data (see BufferHead::drop_behind).
   void mark_drop_behind(BufferHead* bh) { bh->drop_behind = true; }
 
-  /// Synchronously write one buffer to the device (timed). Like Linux's
-  /// sync_dirty_buffer this waits for the transfer, not for a cache FLUSH,
-  /// and returns Io when the write failed.
-  Err sync_dirty_buffer(BufferHead* bh);
-
-  /// Batched writeback: one request-queue submission for all `bhs`
-  /// (a journal install hands its whole checkpoint here). Counts one
-  /// writeback per buffer. A buffer's dirty bit is cleared only if its
-  /// write command actually executed — under the crash model's
-  /// kill_after, bios at or past the kill point never reach media and
-  /// their buffers stay dirty (they were NOT written back). Returns Io
-  /// when any write of the batch failed.
-  Err sync_dirty_buffers(std::span<BufferHead* const> bhs);
-
-  /// Non-barrier batched writeback: same submission (and the same
-  /// applied-aware dirty clearing, which happens at submission time when
-  /// media effects land), but the caller redeems the returned ticket
-  /// later, so several batches can be in flight (QD>1). An empty span
-  /// returns an empty ticket.
+  /// The one way to write buffers: one request-queue submission for all
+  /// `bhs` (a journal's checkpoint, or a recovery's replay), redeemed
+  /// later with wait(), so several batches can be in flight (QD>1); a
+  /// synchronous write is this plus wait(), as RequestQueue::submit is
+  /// start_batch plus a wait. Counts one writeback per buffer. Media
+  /// effects land at submission, and so does the dirty clearing: a
+  /// buffer's dirty bit is cleared only if its write command actually
+  /// executed — under the crash model's kill_after, bios at or past the
+  /// kill point never reach media and their buffers stay dirty (they were
+  /// NOT written back). The ticket is failed when any write of the batch
+  /// failed. An empty span returns an empty ticket.
   blk::Ticket sync_dirty_buffers_async(std::span<BufferHead* const> bhs);
 
   /// Write `srcs` to the consecutive blocks [start, start + srcs.size())
@@ -167,13 +153,15 @@ class BufferCache {
   void invalidate(std::uint64_t first, std::uint64_t n);
 
   [[nodiscard]] const BufferCacheStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t cached_blocks() const { return map_.size(); }
+  [[nodiscard]] std::size_t cached_blocks() const { return lru_.size(); }
   /// Currently dirty buffers.
   [[nodiscard]] std::size_t nr_dirty() const { return nr_dirty_; }
   [[nodiscard]] blk::BlockDevice& device() { return dev_; }
   [[nodiscard]] std::uint64_t outstanding_refs() const { return outstanding_refs_; }
 
  private:
+  using Lru = std::list<BufferHead>;
+
   Result<BufferHead*> lookup_or_create(std::uint64_t blockno);
   void evict_if_needed();
   void set_clean(BufferHead* bh) {
@@ -185,8 +173,8 @@ class BufferCache {
   }
   /// Move a clean, unreferenced drop-behind buffer to the LRU's cold end.
   void demote(BufferHead* bh);
-  /// Remove a cached block from the LRU and the cache.
-  void drop(std::uint64_t blockno);
+  /// Remove a cached buffer from the index and the LRU.
+  void drop(Lru::iterator it);
   /// A device write error: park it in the writeback error sequence for
   /// the next fsync/sync to report.
   void record_wb_error() { wb_err_.record(Err::Io); }
@@ -195,9 +183,11 @@ class BufferCache {
   std::size_t capacity_;
   std::size_t nr_dirty_ = 0;
   ErrSeq wb_err_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<BufferHead>> map_;
-  std::list<std::uint64_t> lru_;  // front = most recent
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> lru_pos_;
+  // Each cached buffer lives in its LRU node, so the list is intrusive: a
+  // hit is one index probe and a splice, and eviction walks buffers, not
+  // block numbers to look up.
+  Lru lru_;  // front = most recent
+  std::unordered_map<std::uint64_t, Lru::iterator> index_;
   sim::SimMutex lock_;
   std::uint64_t outstanding_refs_ = 0;
   BufferCacheStats stats_;

@@ -21,6 +21,11 @@ Err AddressSpaceOps::readpages(Inode& inode, std::uint64_t first_pgoff,
   return Err::Ok;
 }
 
+Err AddressSpaceOps::writepage(Inode&, std::uint64_t,
+                               std::span<const std::byte>) {
+  return Err::NoSys;
+}
+
 Err AddressSpaceOps::writepages(Inode& inode, std::span<const PageRun> runs,
                                 std::size_t& completed_runs) {
   // Default implementation used by the generic writeback path when a file
@@ -161,17 +166,16 @@ void AddressSpace::mark_dirty(std::uint64_t pgoff) {
   if (!it->second.dirty) {
     it->second.dirty = true;
     dirty_pages_.insert(pgoff);
-    nr_dirty_ += 1;
     // The inode just became dirty: register it on the superblock's
     // dirty-inode list (pruned lazily once its pages drain).
-    if (nr_dirty_ == 1 && owner_ != nullptr) {
+    if (dirty_pages_.size() == 1 && owner_ != nullptr) {
       owner_->sb().mark_inode_dirty(*owner_);
     }
   }
 }
 
 Err AddressSpace::writeback(Inode& inode, AddressSpaceOps& aops) {
-  if (nr_dirty_ == 0) return Err::Ok;
+  if (dirty_pages_.empty()) return Err::Ok;
   stats_.writeback_calls += 1;
   // Record when this mapping's writeback completed on the clock that ran
   // it (the fsync dependency when the background flusher did the work).
@@ -209,8 +213,6 @@ Err AddressSpace::writeback(Inode& inode, AddressSpaceOps& aops) {
       for (std::size_t p = 0; p < runs[r].pages.size(); ++p, ++pgoff) {
         pages_.at(pgoff).dirty = false;
         dirty_pages_.erase(pgoff);
-        assert(nr_dirty_ > 0);
-        nr_dirty_ -= 1;
         stats_.writeback_pages += 1;
       }
     }
@@ -233,8 +235,6 @@ Err AddressSpace::writeback(Inode& inode, AddressSpaceOps& aops) {
       return e;
     }
     page.dirty = false;
-    assert(nr_dirty_ > 0);
-    nr_dirty_ -= 1;
     stats_.writeback_pages += 1;
     it = dirty_pages_.erase(it);
   }
@@ -243,11 +243,7 @@ Err AddressSpace::writeback(Inode& inode, AddressSpaceOps& aops) {
 }
 
 void AddressSpace::truncate_from(std::uint64_t from_pgoff) {
-  auto it = pages_.lower_bound(from_pgoff);
-  while (it != pages_.end()) {
-    if (it->second.dirty) nr_dirty_ -= 1;
-    it = pages_.erase(it);
-  }
+  pages_.erase(pages_.lower_bound(from_pgoff), pages_.end());
   dirty_pages_.erase(dirty_pages_.lower_bound(from_pgoff),
                      dirty_pages_.end());
 }
@@ -264,7 +260,6 @@ void AddressSpace::zero_tail(std::uint64_t size) {
 void AddressSpace::drop_all() {
   pages_.clear();
   dirty_pages_.clear();
-  nr_dirty_ = 0;
 }
 
 }  // namespace bsim::kern

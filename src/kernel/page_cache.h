@@ -60,9 +60,10 @@ class AddressSpaceOps {
 
   [[nodiscard]] virtual bool has_readpages() const { return false; }
 
-  /// Write one page to backing store (the unbatched path).
+  /// Write one page to backing store (the unbatched path). Only called
+  /// when has_writepages() is false; the default has no such path.
   virtual Err writepage(Inode& inode, std::uint64_t pgoff,
-                        std::span<const std::byte> in) = 0;
+                        std::span<const std::byte> in);
 
   /// Batched writeback of contiguous runs. Only called when
   /// has_writepages() is true; the default VFS path loops ->writepage.
@@ -165,7 +166,7 @@ class AddressSpace {
   [[nodiscard]] sim::SimMutex& io_mutex() { return tree_lock_; }
 
   [[nodiscard]] std::size_t nr_pages() const { return pages_.size(); }
-  [[nodiscard]] std::size_t nr_dirty() const { return nr_dirty_; }
+  [[nodiscard]] std::size_t nr_dirty() const { return dirty_pages_.size(); }
   /// Absolute virtual completion time of this mapping's latest writeback,
   /// on whichever thread ran it. fsync waits on THIS (per-inode, like
   /// waiting on PAGECACHE_TAG_WRITEBACK) rather than on everything the
@@ -196,7 +197,6 @@ class AddressSpace {
   /// walks only dirty pages, not the whole mapping — an append-fsync
   /// workload on a large file is O(dirty) per fsync, not O(file).
   std::set<std::uint64_t> dirty_pages_;
-  std::size_t nr_dirty_ = 0;
   ReadaheadState ra_;
   ErrSeq wb_err_;
   sim::Nanos writeback_done_at_ = 0;

@@ -167,12 +167,13 @@ Err Xv6cMount::log_recover() {
     std::memcpy(dst.value()->bytes().data(), src.value()->bytes().data(),
                 kBlockSize);
     bc.mark_dirty(dst.value());
-    const Err e = bc.sync_dirty_buffer(dst.value());
+    const blk::Ticket t = bc.sync_dirty_buffers_async({&dst.value(), 1});
+    bc.wait(t);
     bc.brelse(dst.value());
     bc.brelse(src.value());
     // A failed home write keeps the header on media: the mount fails and
     // the next one replays again (jbd2's "recovery failed").
-    if (e != Err::Ok) return e;
+    if (t.failed) return Err::Io;
   }
   // Commits write the log area behind the cache: drop what replay read.
   bc.invalidate(dsb_.logstart + 1, h.n);

@@ -369,7 +369,7 @@ TEST_F(BioTest, ScalarWritesStillCountIndividually) {
 }
 
 TEST_F(BioTest, BatchedSyncKeepsUnexecutedBuffersDirty) {
-  // Regression: sync_dirty_buffers used to clear bh->dirty for the whole
+  // Regression: batched writeback used to clear bh->dirty for the whole
   // span even when kill_after aborted the batched submission early, so
   // buffers whose write command never executed were silently "clean" and
   // never retried. Dirty state must track exactly what reached media.
@@ -387,7 +387,7 @@ TEST_F(BioTest, BatchedSyncKeepsUnexecutedBuffersDirty) {
   EXPECT_EQ(cache.nr_dirty(), 3u);
 
   dev.kill_after(1);  // one more write command reaches media
-  cache.sync_dirty_buffers(held);
+  cache.wait(cache.sync_dirty_buffers_async(held));
   EXPECT_TRUE(dev.dead());
 
   // Sorted dispatch: block 10's command executed; 20 hit the kill point
@@ -409,7 +409,7 @@ TEST_F(BioTest, ScalarSyncOnDeadDeviceKeepsBufferDirty) {
   auto bh = cache.getblk(77);
   ASSERT_TRUE(bh.ok());
   cache.mark_dirty(bh.value());
-  cache.sync_dirty_buffer(bh.value());
+  cache.wait(cache.sync_dirty_buffers_async({&bh.value(), 1}));
   EXPECT_TRUE(dev.dead());
   EXPECT_TRUE(bh.value()->dirty) << "write never executed: must stay dirty";
   EXPECT_EQ(cache.stats().writebacks, 0u);
@@ -468,7 +468,9 @@ TEST_F(BioTest, BatchedWritebackMergesAndCleansBuffers) {
   }
 
   const auto before = dev.stats();
-  ASSERT_EQ(kern::Err::Ok, cache.sync_dirty_buffers(held));
+  const Ticket t = cache.sync_dirty_buffers_async(held);
+  cache.wait(t);
+  ASSERT_FALSE(t.failed);
   const auto& after = dev.stats();
 
   EXPECT_EQ(after.writes - before.writes, 4u);
@@ -516,21 +518,6 @@ TEST_F(BioTest, BreadBatchFetchesMissesInOneSubmission) {
               pattern(static_cast<std::uint8_t>(want[i]))[0]);
     cache.brelse(batch.value()[i]);
   }
-}
-
-TEST_F(BioTest, ReadaheadPopulatesWithoutReferences) {
-  BlockDevice dev(small_params());
-  kern::BufferCache cache(dev, 0);
-  cache.readahead(400, 8);
-  EXPECT_EQ(cache.outstanding_refs(), 0u);
-  EXPECT_EQ(dev.stats().read_requests, 1u);  // one merged run
-  EXPECT_EQ(dev.stats().reads, 8u);
-  // Subsequent breads are hits.
-  const auto misses = cache.stats().misses;
-  auto bh = cache.bread(403);
-  ASSERT_TRUE(bh.ok());
-  EXPECT_EQ(cache.stats().misses, misses);
-  cache.brelse(bh.value());
 }
 
 }  // namespace

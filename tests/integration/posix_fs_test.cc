@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../testutil.h"
@@ -180,6 +181,34 @@ TEST_P(PosixFsTest, OCreatWithAnOverlongNameFails) {
   auto entries = kernel_.readdir(proc(), "/mnt");
   ASSERT_TRUE(entries.ok());
   for (const auto& e : entries.value()) EXPECT_NE(e.name, name);
+}
+
+/// ext4j on the same fresh image.
+class Ext4jImageTest : public PosixFsTest {};
+
+INSTANTIATE_TEST_SUITE_P(Ext4j, Ext4jImageTest, ::testing::Values("ext4j"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+TEST_P(Ext4jImageTest, CreateAndMkdirOfAnUnstorableNameLeakNothing) {
+  // 100 characters is under NAME_MAX, but an ext4j directory entry holds
+  // 27: the file system fails the create after it allocated the inode, and
+  // must give the inode back, and the new directory's block too.
+  const std::string name(100, 'n');
+  const auto free_counts = [&] {
+    auto st = kernel_.statfs(proc(), "/mnt");
+    EXPECT_TRUE(st.ok());
+    return st.ok() ? std::pair(st.value().free_inodes, st.value().free_blocks)
+                   : std::pair<std::uint64_t, std::uint64_t>{};
+  };
+  const auto before = free_counts();
+  auto fd = kernel_.open(proc(), "/mnt/" + name,
+                         kern::kOCreat | kern::kOWrOnly);
+  ASSERT_FALSE(fd.ok());
+  EXPECT_EQ(fd.error(), Err::NameTooLong);
+  EXPECT_EQ(kernel_.mkdir(proc(), "/mnt/" + name), Err::NameTooLong);
+  EXPECT_EQ(free_counts(), before);
 }
 
 TEST_P(PosixFsTest, StatReportsSizeAndType) {

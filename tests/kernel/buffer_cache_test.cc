@@ -1,9 +1,11 @@
 // Unit tests for the buffer cache: caching, refcounts, writeback, LRU
-// eviction, and the sync paths the journal depends on.
+// order and eviction, and the write path the journal depends on.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <initializer_list>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "kernel/buffer_cache.h"
@@ -24,6 +26,40 @@ class BufferCacheTest : public ::testing::Test {
 
   void SetUp() override { sim::set_current(&thread_); }
   void TearDown() override { sim::set_current(nullptr); }
+
+  /// Write `bhs` back and wait for the batch, as a synchronous writer does.
+  static Err write_back(BufferCache& cache,
+                        std::span<BufferHead* const> bhs) {
+    const blk::Ticket t = cache.sync_dirty_buffers_async(bhs);
+    cache.wait(t);
+    return t.failed ? Err::Io : Err::Ok;
+  }
+
+  /// Read and release each of `blocks`, in order.
+  static void touch(BufferCache& cache,
+                    std::initializer_list<std::uint64_t> blocks) {
+    for (const std::uint64_t b : blocks) {
+      auto bh = cache.bread(b);
+      ASSERT_TRUE(bh.ok());
+      cache.brelse(bh.value());
+    }
+  }
+
+  /// Whether each of `blocks` is cached, read in order: a hit leaves the
+  /// miss count alone, so a test can check residency with breads as long
+  /// as the misses come last.
+  std::vector<bool> cached(BufferCache& cache,
+                           std::initializer_list<std::uint64_t> blocks) {
+    std::vector<bool> out;
+    for (const std::uint64_t b : blocks) {
+      const auto misses = cache.stats().misses;
+      auto bh = cache.bread(b);
+      EXPECT_TRUE(bh.ok());
+      if (bh.ok()) cache.brelse(bh.value());
+      out.push_back(cache.stats().misses == misses);
+    }
+    return out;
+  }
 
   sim::SimThread thread_{0};
   blk::BlockDevice dev_;
@@ -68,7 +104,7 @@ TEST_F(BufferCacheTest, SyncDirtyBufferWritesThrough) {
   ASSERT_TRUE(bh.ok());
   bh.value()->bytes()[0] = std::byte{0x5C};
   cache.mark_dirty(bh.value());
-  cache.sync_dirty_buffer(bh.value());
+  ASSERT_EQ(Err::Ok, write_back(cache, {&bh.value(), 1}));
   EXPECT_FALSE(bh.value()->dirty);
   cache.brelse(bh.value());
 
@@ -88,7 +124,7 @@ TEST_F(BufferCacheTest, DirtyBlockStaysInCacheUntilSync) {
   std::array<std::byte, blk::kBlockSize> r{};
   dev_.read_untimed(4, r);
   EXPECT_EQ(r[0], std::byte{0});  // device still has old content
-  cache.sync_dirty_buffer(bh.value());
+  ASSERT_EQ(Err::Ok, write_back(cache, {&bh.value(), 1}));
   cache.brelse(bh.value());
 }
 
@@ -130,7 +166,7 @@ TEST_F(BufferCacheTest, EvictionNeitherWritesNorDropsDirtyBuffers) {
 
   // Written back, the drop-behind buffers go to the cold end: the next
   // miss evicts one of them, not the metadata block 13.
-  ASSERT_EQ(Err::Ok, cache.sync_dirty_buffers(dirty));
+  ASSERT_EQ(Err::Ok, write_back(cache, dirty));
   const auto reads = dev_.stats().reads;
   auto fresh = cache.bread(20);
   ASSERT_TRUE(fresh.ok());
@@ -140,6 +176,67 @@ TEST_F(BufferCacheTest, EvictionNeitherWritesNorDropsDirtyBuffers) {
   cache.brelse(meta.value());
   EXPECT_EQ(dev_.stats().reads, reads + 1);  // only block 20 missed
   EXPECT_EQ(cache.stats().evictions, 4u);
+}
+
+// ---- LRU order (capacity 4) ----
+
+TEST_F(BufferCacheTest, HitMovesABufferToTheHotEnd) {
+  BufferCache cache(dev_, 4);
+  touch(cache, {0, 1, 2, 3});
+  touch(cache, {0});  // hot end: 0, 3, 2, 1
+  touch(cache, {4});  // evicts the coldest, 1, not 0
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cached(cache, {0, 2, 3, 4, 1}),
+            (std::vector<bool>{true, true, true, true, false}));
+}
+
+TEST_F(BufferCacheTest, CleanDropBehindBufferGoesColdOnRelease) {
+  BufferCache cache(dev_, 4);
+  touch(cache, {0, 1, 2});
+  auto data = cache.getblk(3);
+  ASSERT_TRUE(data.ok());
+  cache.mark_drop_behind(data.value());
+  // Hot end: 3, 2, 1, 0. Released clean and unreferenced, 3 goes cold.
+  cache.brelse(data.value());
+  touch(cache, {4});
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cached(cache, {0, 1, 2, 4, 3}),
+            (std::vector<bool>{true, true, true, true, false}));
+}
+
+TEST_F(BufferCacheTest, EvictionSkipsReferencedAndDirtyBuffers) {
+  BufferCache cache(dev_, 4);
+  auto held = cache.bread(0);
+  ASSERT_TRUE(held.ok());
+  auto dirty = cache.getblk(1);
+  ASSERT_TRUE(dirty.ok());
+  cache.mark_dirty(dirty.value());
+  cache.brelse(dirty.value());
+  touch(cache, {2, 3});  // hot end: 3, 2, 1 (dirty), 0 (referenced)
+  touch(cache, {4});     // the coldest clean, unreferenced one is 2
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cached(cache, {0, 1, 3, 4, 2}),
+            (std::vector<bool>{true, true, true, true, false}));
+  EXPECT_EQ(cache.stats().writebacks, 0u);
+  cache.brelse(held.value());
+}
+
+TEST_F(BufferCacheTest, InvalidateRangeDropsOnlyCleanUnreferencedBuffers) {
+  BufferCache cache(dev_, 4);
+  auto held = cache.bread(10);
+  ASSERT_TRUE(held.ok());
+  auto dirty = cache.getblk(11);
+  ASSERT_TRUE(dirty.ok());
+  cache.mark_dirty(dirty.value());
+  cache.brelse(dirty.value());
+  touch(cache, {12, 13});
+  cache.invalidate(10, 3);  // 10, 11 and 12; 13 is past the range
+  EXPECT_EQ(cache.cached_blocks(), 3u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cached(cache, {10, 11, 13, 12}),
+            (std::vector<bool>{true, true, true, false}));
+  EXPECT_TRUE(dirty.value()->dirty);
+  cache.brelse(held.value());
 }
 
 TEST_F(BufferCacheTest, ReferencedBuffersAreNotEvicted) {
@@ -180,11 +277,11 @@ TEST_F(BufferCacheTest, DropBehindDataLeavesMetadataResident) {
       bh.value()->bytes()[0] = std::byte{0x33};
       cache.mark_dirty(bh.value());
       if (b % 2 == 0) {
-        ASSERT_EQ(Err::Ok, cache.sync_dirty_buffer(bh.value()));
+        ASSERT_EQ(Err::Ok, write_back(cache, {&bh.value(), 1}));
         cache.brelse(bh.value());
       } else {
         cache.brelse(bh.value());
-        ASSERT_EQ(Err::Ok, cache.sync_dirty_buffers({&bh.value(), 1}));
+        ASSERT_EQ(Err::Ok, write_back(cache, {&bh.value(), 1}));
       }
     }
   };

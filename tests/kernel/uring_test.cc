@@ -3,6 +3,7 @@
 // arithmetic that motivates using it for FUSE block I/O.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -353,6 +354,45 @@ TEST_F(UringTest, UserBlockBackendReportsAFailedWriteAndKeepsTheBlockDirty) {
     EXPECT_EQ(std::byte{0x66}, check[0]);
     (void)kernel_.close(*daemon, fd.value());
   }
+}
+
+TEST_F(UringTest, UserBlockBackendEvictsInInsertionOrder) {
+  // The daemon's block cache is FIFO: a hit does not refresh a block, and
+  // eviction passes over referenced and dirty blocks to the oldest clean
+  // one. Residency shows as preads: a cached block reads without one.
+  auto daemon = kernel_.new_process();
+  auto fd = kernel_.open(*daemon, "/dev/ssd0", kern::kORdWr | kern::kODirect);
+  ASSERT_TRUE(fd.ok());
+  bento::UserBlockBackend backend(kernel_, *daemon, fd.value(),
+                                  kernel_.device("ssd0")->nblocks(),
+                                  /*cache_blocks=*/4);
+  auto cap = bento::CapTestAccess::make(backend);
+  const auto reads = [&](std::initializer_list<std::uint64_t> blocks) {
+    const std::uint64_t before = backend.io_stats().preads;
+    for (const std::uint64_t b : blocks) EXPECT_TRUE(cap->bread(b).ok());
+    return backend.io_stats().preads - before;
+  };
+
+  EXPECT_EQ(4U, reads({22000, 22001, 22002, 22003}));
+  EXPECT_EQ(0U, reads({22000}));  // a hit, which does not refresh 22000
+  EXPECT_EQ(1U, reads({22004}));  // evicts the first inserted, 22000
+  EXPECT_EQ(0U, reads({22001, 22002, 22003, 22004}));
+  EXPECT_EQ(1U, reads({22000}));
+
+  // Cached now, oldest first: 22002, 22003, 22004, 22000. Hold 22002 and
+  // dirty 22003: the next miss evicts 22004.
+  auto held = cap->bread(22002);
+  ASSERT_TRUE(held.ok());
+  {
+    auto bh = cap->getblk(22003);
+    ASSERT_TRUE(bh.ok());
+    bh.value().set_dirty();
+  }
+  EXPECT_EQ(1U, reads({22005}));
+  EXPECT_EQ(0U, reads({22002, 22003, 22000, 22005}));
+  EXPECT_EQ(1U, reads({22004}));
+  EXPECT_EQ(0U, backend.io_stats().pwrites);
+  (void)kernel_.close(*daemon, fd.value());
 }
 
 TEST_F(UringTest, EmptySubmitPaysOneCrossingOnly) {
