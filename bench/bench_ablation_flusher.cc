@@ -9,10 +9,13 @@
 //
 // Expected shape: buffered-write throughput rises with the flusher on —
 // the writer no longer serializes on its own writeback and pipelines with
-// the drain inside the bounded kMaxBacklog window — but stays device-
-// bound at steady state (balance_dirty_pages-style throttling caps the
-// in-flight backlog). The FUSE row is unaffected (no flusher — its
-// collapse is the §6.4 transport).
+// the drain inside the kMaxBacklog window — but stays device-bound at
+// steady state. Past the window the writer is paced as Linux's IO-less
+// balance_dirty_pages paces it: each write pauses an eighth of the
+// backlog's excess over kMaxBacklog, and no backlog passes kHardBacklog.
+// The pauses spread over many writes, so the flusher rows' p99 sits far
+// below one device backlog while their p50 carries a pause. The FUSE row
+// is unaffected (no flusher — its collapse is the §6.4 transport).
 #include "common.h"
 
 using namespace bsim;

@@ -14,12 +14,13 @@
 // to 8 members on Bento-seqwrite (1.69x before this work), and group
 // commit must cut the C-kernel's log_commits >=5x on the same trace.
 //
-// The full config scales 1.94x, so the 2.5x gate above no longer holds.
-// With one commit in flight per device channel (eight) one device writes
-// 1636.7 MBps, while the 2-, 4- and 8-member rows all stop at 3182.2
-// MBps, the writer's own CPU limit. The 8/1 scale fell from 5.61x (two
-// commits in flight) to 2.81x (four) to 1.94x (eight) because the
-// 1-member row rose each time, not because any row got slower: past two
+// The full config scales about 2.25x, so the 2.5x gate above does not
+// hold. With one commit in flight per device channel (eight) one device
+// writes 1644.3 MBps, while the 4- and 8-member rows both stop at about
+// 3,697 MBps, the writer's own CPU limit. The 8/1 scale fell from 5.61x
+// (two commits in flight) to 2.81x (four) to 1.94x (eight) because the
+// 1-member row rose each time, not because any row got slower; a cheaper
+// writer (one page-cache walk per write) raised it to 2.25x. Past two
 // members the ratio measures the writer's ceiling, not striping.
 #include <array>
 #include <cstdio>

@@ -16,10 +16,13 @@ in a working directory of its own, at most nproc at once, and compares:
   TRACE_*.jsonl  at the first differing event
   example stdout line by line (no example prints host time)
 
-It prints "identical", or the moved rows sorted by |change| and every
-other difference (a missing file, a trace or stdout that differs, an exit
-status), and then each binary's wall time on both sides. Exit status: 0
-identical, 1 different, 2 usage error.
+It prints "identical", or the moved rows sorted by |change|, one summary
+line per artifact and series (a BENCH file's deployment column, or a
+STATS file's stats object) with its count of moved rows and their
+smallest and largest change, and every other difference (a missing file,
+a trace or stdout that differs, an exit status), and then each binary's
+wall time on both sides. Exit status: 0 identical, 1 different, 2 usage
+error.
 
   identical.py BUILD_A BUILD_B [--out DIR]
   identical.py --runs RUN_A RUN_B
@@ -122,15 +125,26 @@ def flatten(value, prefix, out, objects=None):
 
 
 def bench_rows(path):
+    """(rows, series of each row key) of a BENCH file. Keys outside the
+    row list have no series."""
     with open(path) as f:
         report = json.load(f)
-    rows = {}
+    rows, series = {}, {}
     for r in report.get("rows", []):
-        rows[f"{r.get('series')} / {r.get('label')}"] = r.get("value")
+        key = f"{r.get('series')} / {r.get('label')}"
+        rows[key] = r.get("value")
+        series[key] = str(r.get("series"))
     for k, v in flatten({k: v for k, v in report.items() if k != "rows"},
                         "", {}).items():
         rows[k] = v
-    return rows
+    return rows, series
+
+
+def stats_object(key):
+    """The stats object a flattened STATS key lies in: the key up to its
+    last bracketed name, or its first component."""
+    end = key.rfind("]")
+    return key[:end + 1] if end >= 0 else key.split(".")[0]
 
 
 def stats_keys(path):
@@ -153,7 +167,7 @@ def diff_stats(where, a, b, moved, other):
     def kept(keys):
         return {k: v for k, v in keys.items()
                 if not any(k.startswith(o + ".") for o in lone)}
-    diff_keyed(where, kept(keys_a), kept(keys_b), moved)
+    diff_keyed(where, kept(keys_a), kept(keys_b), moved, stats_object)
 
 
 def rel_change(a, b):
@@ -167,11 +181,14 @@ def rel_change(a, b):
     return math.inf
 
 
-def diff_keyed(where, a, b, moved):
+def diff_keyed(where, a, b, moved, group_of):
+    """Append each key whose value differs, with its relative change and
+    its summary group, group_of(key)."""
     for key in sorted(set(a) | set(b)):
         va, vb = a.get(key), b.get(key)
         if va != vb:
-            moved.append((where, key, va, vb, rel_change(va, vb)))
+            moved.append((where, key, va, vb, rel_change(va, vb),
+                          group_of(key)))
 
 
 def first_difference(lines_a, lines_b):
@@ -229,7 +246,11 @@ def compare_runs(run_a, run_b):
                 continue
             pa, pb = os.path.join(da, fname), os.path.join(db, fname)
             if fname.startswith("BENCH_"):
-                diff_keyed(where, bench_rows(pa), bench_rows(pb), moved)
+                (rows_a, series_a), (rows_b, series_b) = (bench_rows(pa),
+                                                          bench_rows(pb))
+                series = {**series_a, **series_b}
+                diff_keyed(where, rows_a, rows_b, moved,
+                           lambda key: series.get(key, "-"))
             elif fname.startswith("STATS_"):
                 diff_stats(where, stats_keys(pa), stats_keys(pb), moved,
                            other)
@@ -265,6 +286,16 @@ def fmt_change(c):
     return "changed" if math.isinf(c) else f"{c * 100:+.3f}%"
 
 
+def summarize(moved):
+    """((artifact, group), (count, smallest change, largest change)) of
+    the moved rows, sorted by artifact and group."""
+    groups = {}
+    for where, _, _, _, c, group in moved:
+        n, lo, hi = groups.get((where, group), (0, c, c))
+        groups[(where, group)] = (n + 1, min(lo, c), max(hi, c))
+    return sorted(groups.items())
+
+
 def report(moved, other, walls):
     if not moved and not other:
         print("identical")
@@ -273,10 +304,17 @@ def report(moved, other, walls):
             print(f"{len(moved)} moved row(s), sorted by |change|:")
             print(f"  {'artifact':<44} {'row':<48} {'a':>14} {'b':>14} "
                   f"{'change':>10}")
-            for where, key, va, vb, c in moved:
+            for where, key, va, vb, c, _ in moved:
                 print(f"  {short(where, 44):<44} {short(key, 48):<48} "
                       f"{fmt_value(va):>14} {fmt_value(vb):>14} "
                       f"{fmt_change(c):>10}")
+            groups = summarize(moved)
+            print(f"moved rows per artifact and series ({len(groups)}):")
+            print(f"  {'artifact':<44} {'series':<32} {'rows':>5} "
+                  f"{'smallest':>10} {'largest':>10}")
+            for (where, group), (n, lo, hi) in groups:
+                print(f"  {short(where, 44):<44} {short(group, 32):<32} "
+                      f"{n:>5} {fmt_change(lo):>10} {fmt_change(hi):>10}")
         if other:
             print(f"{len(other)} other difference(s):")
             for o in other:

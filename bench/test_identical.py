@@ -11,7 +11,10 @@ them) and checks that identical.py --runs reports:
   4. the first differing event of a trace;
   5. the first differing line of an example's stdout;
   6. a missing stats object, and no other key moved, when one side lacks
-     a device's stats object or the last of a mount's FlusherStats.
+     a device's stats object or the last of a mount's FlusherStats;
+  7. one summary line per artifact and series (deployment column, or
+     stats object) with its count of moved rows and their smallest and
+     largest change.
 
 Run: test_identical.py [path/to/identical.py]. Exit 0 = all cases pass.
 """
@@ -32,12 +35,12 @@ def write(path, text):
         f.write(text)
 
 
-def volume_stats(members=(0, 1, 2), flushers=2):
+def volume_stats(members=(0, 1, 2), flushers=2, member_writes=10):
     """A stats snapshot of a striped volume and its mount."""
     devices = [{"struct": "DeviceStats", "device": "ssd0", "writes": 30}]
     for m in members:
         devices.append({"struct": "DeviceStats", "device": f"ssd0/{m}",
-                        "writes": 10 + m})
+                        "writes": member_writes + m})
         devices.append({"struct": "RequestQueueStats",
                         "device": f"ssd0/{m}", "batches": 5 + m})
     stats = [{"struct": "BufferCacheStats", "hits": 7}]
@@ -48,15 +51,17 @@ def volume_stats(members=(0, 1, 2), flushers=2):
             "mounts": [{"mountpoint": "/mnt", "stats": stats}]}
 
 
-def make_tree(root, create=1000.0, stats=True, trace_op="W",
+def make_tree(root, create=1000.0, create4=2000.0, bento=28000.0,
+              stats=True, trace_op="W",
               virtual_line="virtual 1.237 ms", wall_s=3.0,
               volume=volume_stats()):
     bench = os.path.join(root, "bench_table4_create")
     write(os.path.join(bench, "BENCH_table4_create.json"), json.dumps({
         "bench": "table4_create", "schema_version": 2, "unit": "creates/s",
         "rows": [
-            {"series": "Bento", "label": "1t", "value": 28000.0},
+            {"series": "Bento", "label": "1t", "value": bento},
             {"series": "C-Kernel", "label": "1t", "value": create},
+            {"series": "C-Kernel", "label": "4t", "value": create4},
         ]}))
     if stats:
         write(os.path.join(bench, "STATS_table4.json"),
@@ -139,6 +144,29 @@ def main():
                   in out, f"6. {obj} must be reported missing", out)
         check("moved row" not in out,
               "6. no key of another object moved", out)
+
+        spread = os.path.join(tmp, "spread")
+        make_tree(spread, create=1100.0, create4=1500.0, bento=28280.0,
+                  volume=volume_stats(member_writes=20))
+        rc, out = run(a, spread)
+        lines = out.splitlines()
+        head = [i for i, l in enumerate(lines)
+                if l.startswith("moved rows per artifact and series")]
+        check(rc == 1 and "6 moved row(s)" in out and len(head) == 1,
+              "7. six moved rows and one summary", out)
+        summary = [l.split() for l in lines[head[0] + 2:] if l.strip()][:5] \
+            if head else []
+        art = "bench_table4_create/BENCH_table4_create.json"
+        for want in ([art, "Bento", "1", "+1.000%", "+1.000%"],
+                     [art, "C-Kernel", "2", "-25.000%", "+10.000%"],
+                     ["bench_table4_create/STATS_volume.json",
+                      "devices[DeviceStats", "ssd0/1]", "1", "+90.909%",
+                      "+90.909%"]):
+            check(want in summary, f"7. summary line {want}", out)
+        check(len(summary) == 5 and summary[-1][1:] == [
+                  "devices[DeviceStats", "ssd0/2]", "1", "+83.333%",
+                  "+83.333%"],
+              "7. one line per stats object, sorted", out)
 
     for f in failures:
         print("FAIL:", f)

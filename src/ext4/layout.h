@@ -14,6 +14,8 @@
 // Layout (4 KiB blocks):
 //   [0 boot | 1 super | GDT blocks | journal | group 0 | group 1 | ...]
 //   each group: [block bitmap | inode bitmap | inode table | data]
+//   The last group may be short: it covers the device's tail when that
+//   holds its inode table and 16 blocks more (GroupDesc::data_blocks).
 #pragma once
 
 #include <cstdint>

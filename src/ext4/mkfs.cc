@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
@@ -44,8 +45,11 @@ Super mkfs(blk::BlockDevice& dev, std::uint32_t inodes_per_group) {
         throw std::invalid_argument("device too small for ext4 mkfs");
       }
     }
-    s.ngroups = (s.size - first_group) / s.blocks_per_group;
-    if (s.ngroups == 0) s.ngroups = 1;
+    // Full groups, plus a short last group over the tail when the tail
+    // holds its inode table and 16 blocks more, as ext4 formats one.
+    const std::uint32_t span = s.size - first_group;
+    s.ngroups = span / s.blocks_per_group;
+    if (span % s.blocks_per_group >= itable_blocks + 16) s.ngroups += 1;
     gdt_blocks = (s.ngroups + kGroupDescsPerBlock - 1) / kGroupDescsPerBlock;
     s.gdt_blocks = gdt_blocks;
     s.jstart = s.gdt_start + gdt_blocks;
@@ -62,19 +66,20 @@ Super mkfs(blk::BlockDevice& dev, std::uint32_t inodes_per_group) {
   std::vector<GroupDesc> gds(s.ngroups);
   for (std::uint32_t g = 0; g < s.ngroups; ++g) {
     const std::uint32_t base = s.first_group + g * s.blocks_per_group;
+    const std::uint32_t group_blocks =
+        std::min(s.blocks_per_group, s.size - base);
     GroupDesc& gd = gds[g];
     gd.block_bitmap = base;
     gd.inode_bitmap = base + 1;
     gd.inode_table = base + 2;
     gd.data_start = base + 2 + itable_blocks;
-    gd.data_blocks = s.blocks_per_group - 2 - itable_blocks;
+    gd.data_blocks = group_blocks - 2 - itable_blocks;
     gd.free_blocks = gd.data_blocks;
     gd.free_inodes = inodes_per_group;
 
     // Block bitmap: metadata blocks of this group are in use.
     std::array<std::byte, kBlockSize> bbm{};
     for (std::uint32_t i = 0; i < 2 + itable_blocks; ++i) set_bit(bbm, i);
-    // Bits beyond the group's real block count are "in use" too.
     dev.write_untimed(gd.block_bitmap, bbm);
 
     std::array<std::byte, kBlockSize> ibm{};

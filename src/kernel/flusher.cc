@@ -1,5 +1,6 @@
 #include "kernel/flusher.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "blockdev/opts.h"
@@ -30,17 +31,18 @@ void Flusher::poke(Inode& inode) {
     if (timer_due) stats_.timer_wakeups += 1;
     run_cycle(timer_due);
   }
-  // Backpressure: bound how far in-flight background writeback may run
-  // ahead of the writer. The flusher's clock is where its drains
-  // complete; if that is more than kMaxBacklog past the writer, the
-  // dirty limit is hit and the writer waits until the backlog shrinks to
-  // the window (throttling it to the drain rate at steady state).
-  const sim::Nanos limit = sim::now() + kMaxBacklog;
-  if (thread_.now() > limit) {
-    const sim::Nanos resume = thread_.now() - kMaxBacklog;
-    stats_.throttle_waits += 1;
-    stats_.throttled += resume - sim::now();
-    sim::current().wait_until(resume);
+  // Backpressure: pace a writer whose backlog (the flusher's clock past
+  // the writer's) exceeds kMaxBacklog by an eighth of the excess per
+  // poke, and never leave it more than kHardBacklog behind.
+  const sim::Nanos backlog = thread_.now() - sim::now();
+  if (backlog > kMaxBacklog) {
+    const sim::Nanos pause = std::max((backlog - kMaxBacklog) / kPaceDivisor,
+                                      backlog - kHardBacklog);
+    if (pause > 0) {
+      stats_.throttle_waits += 1;
+      stats_.throttled += pause;
+      sim::current().wait_until(sim::now() + pause);
+    }
   }
 }
 

@@ -56,15 +56,28 @@ inline constexpr std::size_t kDirtyPagesThreshold = 256;
 /// the last timer wake drains everything, even below the threshold.
 inline constexpr sim::Nanos kFlushPeriod = 30 * sim::kMillisecond;
 
-/// Backpressure (the dirty-limit half of balance_dirty_pages): the writer
-/// may run at most this much virtual time ahead of the background
-/// writeback it triggered. Within the window, writes complete at memory
-/// speed and drains pipeline with foreground work; once the device falls
-/// further behind, the writer is throttled to the drain rate — so
-/// steady-state buffered-write throughput stays device-bound (with a
-/// bounded in-flight bonus) instead of becoming an unbounded-dirty-memory
-/// measurement.
+/// Backpressure (the dirty-limit half of balance_dirty_pages, IO-less
+/// as in Linux since 3.2): the backlog is how far the flusher's clock,
+/// where the writeback a writer triggered completes, runs ahead of the
+/// writer. Up to kMaxBacklog the writer runs free: writes complete at
+/// memory speed and drains pipeline with foreground work. Above it, each
+/// poke pauses the writer kPaceDivisor-th of the excess, so a writer
+/// ahead of a slow device is slowed over many writes toward the drain
+/// rate instead of one write waiting out the device's whole backlog.
+/// kHardBacklog is the dirty limit no backlog passes: a poke that would
+/// leave more waits down to it. Steady-state buffered-write throughput
+/// stays device-bound (with a bounded in-flight bonus) instead of
+/// becoming an unbounded-dirty-memory measurement.
+///
+/// Derivation. kMaxBacklog plays Linux's freerun ceiling and kHardBacklog
+/// its dirty limit: their defaults, dirty_background_ratio 10% and
+/// dirty_ratio 20%, put the limit at twice the point where throttling
+/// starts. The 1/8 is the damping Linux applies to each
+/// dirty_ratelimit update (wb_update_dirty_ratelimit moves the rate by
+/// an eighth of the step), so a pause closes an eighth of the gap.
 inline constexpr sim::Nanos kMaxBacklog = 16 * sim::kMillisecond;
+inline constexpr sim::Nanos kHardBacklog = 2 * kMaxBacklog;
+inline constexpr sim::Nanos kPaceDivisor = 8;
 
 struct FlusherStats {
   std::uint64_t pokes = 0;              // writer-side hook invocations
@@ -72,8 +85,8 @@ struct FlusherStats {
   std::uint64_t threshold_wakeups = 0;  // woken by a dirty threshold
   std::uint64_t timer_wakeups = 0;      // woken by the periodic timer
   std::uint64_t pages_flushed = 0;
-  std::uint64_t throttle_waits = 0;   // pokes that hit the backlog limit
-  sim::Nanos throttled = 0;           // total writer time spent throttled
+  std::uint64_t throttle_waits = 0;   // pokes that paused the writer
+  sim::Nanos throttled = 0;           // total writer time spent paused
   std::uint64_t errors = 0;  // writeback errors swallowed in background
   /// Dirty-inode-list entries examined across all wakes. With the list a
   /// wake is O(dirty inodes); before it, every wake walked the whole

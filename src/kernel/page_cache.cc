@@ -26,20 +26,10 @@ Err AddressSpaceOps::writepage(Inode&, std::uint64_t,
   return Err::NoSys;
 }
 
-Err AddressSpaceOps::writepages(Inode& inode, std::span<const PageRun> runs,
+Err AddressSpaceOps::writepages(Inode&, std::span<const PageRun>,
                                 std::size_t& completed_runs) {
-  // Default implementation used by the generic writeback path when a file
-  // system opts in to batching but wants per-page behaviour anyway.
   completed_runs = 0;
-  for (const auto& run : runs) {
-    std::uint64_t pgoff = run.first_pgoff;
-    for (const Page* page : run.pages) {
-      BSIM_TRY(writepage(inode, pgoff, page->bytes()));
-      pgoff += 1;
-    }
-    completed_runs += 1;
-  }
-  return Err::Ok;
+  return Err::NoSys;
 }
 
 Page* AddressSpace::find(std::uint64_t pgoff) {
@@ -60,22 +50,42 @@ bool AddressSpace::resident(std::uint64_t pgoff) const {
          it->second.filled_at <= sim::now();
 }
 
-Page& AddressSpace::find_or_alloc(std::uint64_t pgoff) {
-  sim::ScopedLock guard(tree_lock_);
+AddressSpace::PageMap::iterator AddressSpace::lookup_or_alloc_locked(
+    std::uint64_t pgoff) {
   sim::charge(sim::costs().page_lookup);
-  auto it = pages_.find(pgoff);
-  if (it != pages_.end()) {
+  auto it = pages_.lower_bound(pgoff);
+  if (it != pages_.end() && it->first == pgoff) {
     stats_.hits += 1;
-    return it->second;
+    return it;
   }
   stats_.misses += 1;
   sim::charge(sim::costs().page_alloc);
   Page page;
   page.data = std::make_unique<std::array<std::byte, kPageSize>>();
   page.data->fill(std::byte{0});
-  auto [pos, inserted] = pages_.emplace(pgoff, std::move(page));
-  (void)inserted;
-  return pos->second;
+  return pages_.emplace_hint(it, pgoff, std::move(page));
+}
+
+Page& AddressSpace::find_or_alloc(std::uint64_t pgoff) {
+  sim::ScopedLock guard(tree_lock_);
+  return lookup_or_alloc_locked(pgoff)->second;
+}
+
+void AddressSpace::walk_for_write(std::uint64_t first_pg,
+                                  std::uint64_t last_pg, bool last_partial,
+                                  std::vector<Page*>& out) {
+  sim::ScopedLock guard(tree_lock_);
+  auto it = lookup_or_alloc_locked(first_pg);
+  out.push_back(&it->second);
+  for (std::uint64_t pg = first_pg + 1; pg <= last_pg; ++pg) {
+    ++it;
+    if (it == pages_.end() || it->first != pg) return;  // absent
+    const bool overwritten = pg < last_pg || !last_partial;
+    if (!overwritten && !it->second.uptodate) return;
+    sim::charge(sim::costs().page_lookup_next);
+    stats_.hits += 1;
+    out.push_back(&it->second);
+  }
 }
 
 Result<Page*> AddressSpace::read_page(Inode& inode, AddressSpaceOps& aops,

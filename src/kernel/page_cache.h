@@ -66,7 +66,8 @@ class AddressSpaceOps {
                         std::span<const std::byte> in);
 
   /// Batched writeback of contiguous runs. Only called when
-  /// has_writepages() is true; the default VFS path loops ->writepage.
+  /// has_writepages() is true; the default, like writepage's, has no such
+  /// path and completes no run.
   /// Implementations MUST set `completed_runs` to the number of leading
   /// runs that fully reached backing store (== runs.size() on success):
   /// on a mid-run failure the caller clears dirty state for exactly that
@@ -124,6 +125,19 @@ class AddressSpace {
 
   /// Find or allocate (not yet uptodate if fresh). Timed.
   Page& find_or_alloc(std::uint64_t pgoff);
+
+  /// The buffered write's page walk (generic_perform_write's lookups,
+  /// taken under one tree-lock hold). Page `first_pg` is found or
+  /// allocated and charged exactly as find_or_alloc. The walk then steps
+  /// to each next page up to `last_pg` while that page is resident and
+  /// either fully overwritten (every page but the last, which is too
+  /// unless `last_partial`) or uptodate; each such step is charged
+  /// page_lookup_next, not a fresh descent. It stops at the first page
+  /// that fails this, which the caller looks up on its own. Appends the
+  /// walked pages to `out` in pgoff order. Fills, waits and copies are
+  /// the caller's, outside the lock.
+  void walk_for_write(std::uint64_t first_pg, std::uint64_t last_pg,
+                      bool last_partial, std::vector<Page*>& out);
 
   /// Ensure the page is present and uptodate, reading through `aops`.
   Result<Page*> read_page(Inode& inode, AddressSpaceOps& aops,
@@ -191,8 +205,12 @@ class AddressSpace {
   std::size_t update_readahead(std::uint64_t first_pg, std::uint64_t last_pg);
 
  private:
+  using PageMap = std::map<std::uint64_t, Page>;
+  /// find_or_alloc's body, with the tree lock held by the caller.
+  PageMap::iterator lookup_or_alloc_locked(std::uint64_t pgoff);
+
   Inode* owner_ = nullptr;
-  std::map<std::uint64_t, Page> pages_;  // ordered for run coalescing
+  PageMap pages_;  // ordered for run coalescing and the write walk
   /// Dirty-tag index (the radix tree's PAGECACHE_TAG_DIRTY): writeback
   /// walks only dirty pages, not the whole mapping — an append-fsync
   /// workload on a large file is O(dirty) per fsync, not O(file).

@@ -220,6 +220,15 @@ Result<std::uint64_t> generic_file_read(Inode& inode, std::uint64_t off,
 Result<std::uint64_t> generic_file_write(Inode& inode, std::uint64_t off,
                                          std::span<const std::byte> in) {
   assert(inode.aops != nullptr);
+  // One walk looks up the leading run of pages the write may overwrite
+  // in place (see AddressSpace::walk_for_write); every page from the
+  // first one it stopped at is looked up on its own.
+  std::vector<Page*> walked;
+  if (!in.empty()) {
+    const std::uint64_t end = off + in.size();
+    inode.mapping.walk_for_write(off / kPageSize, (end - 1) / kPageSize,
+                                 end % kPageSize != 0, walked);
+  }
   std::uint64_t done = 0;
   while (done < in.size()) {
     const std::uint64_t pos = off + done;
@@ -227,19 +236,18 @@ Result<std::uint64_t> generic_file_write(Inode& inode, std::uint64_t off,
     const std::size_t within = static_cast<std::size_t>(pos % kPageSize);
     const std::size_t chunk = static_cast<std::size_t>(
         std::min<std::uint64_t>(kPageSize - within, in.size() - done));
+    const std::size_t nth = static_cast<std::size_t>(pgoff - off / kPageSize);
+    Page* page = nth < walked.size() ? walked[nth]
+                                     : &inode.mapping.find_or_alloc(pgoff);
 
     // Partial overwrite of an existing page within the file must read it
     // first; full-page writes (or fresh extension) need not.
     const bool full_page = within == 0 && chunk == kPageSize;
     const bool beyond_eof = pos >= inode.size;
-    Page* page = nullptr;
     if (full_page || beyond_eof) {
-      page = &inode.mapping.find_or_alloc(pgoff);
       page->uptodate = true;  // fully (over)written or beyond old EOF
     } else {
-      auto r = inode.mapping.read_page(inode, *inode.aops, pgoff);
-      if (!r.ok()) return r.error();
-      page = r.value();
+      BSIM_TRY(inode.mapping.fill_page(inode, *inode.aops, pgoff, *page));
     }
     sim::charge(sim::costs().page_copy * static_cast<sim::Nanos>(chunk) /
                 static_cast<sim::Nanos>(kPageSize));

@@ -23,6 +23,12 @@ struct CostModel {
   Nanos path_component_miss = 400;
   /// Page-cache radix lookup (hit or miss determination).
   Nanos page_lookup = 250;
+  /// One further resident page of a buffered write's page walk, under the
+  /// tree lock the walk already holds: the next slot (about 25 ns) plus
+  /// the page lock round trip and the dirty tag, about one
+  /// `lock_uncontended` each, which Linux's generic_perform_write still
+  /// pays per folio.
+  Nanos page_lookup_next = 100;
   /// Copy one 4 KiB page between kernel and user buffers.
   Nanos page_copy = 1000;
   /// Allocate + insert a page-cache page.

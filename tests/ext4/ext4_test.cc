@@ -2,6 +2,7 @@
 // recovery, fsync's FLUSH, and the directory index.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,68 @@ TEST_F(Ext4Test, AllocationUsesMultipleGroups) {
   ASSERT_TRUE(st.ok());
   EXPECT_LT(st.value().free_blocks + 16384,
             st.value().total_blocks);  // >16k blocks in use
+}
+
+TEST(Ext4Mkfs, AShortLastGroupCoversTheDeviceTail) {
+  // 4,099 head blocks, one full group, and a 600-block tail. With 64
+  // inodes a group's inode table is 2 blocks, so the tail is a short
+  // group of 596 data blocks.
+  constexpr std::uint32_t kTail = 600;
+  constexpr std::uint32_t kInodesPerGroup = 64;
+  sim::SimThread thread(0);
+  sim::ScopedThread in(thread);
+  kern::Kernel kernel;
+  blk::DeviceParams params;
+  params.nblocks = 4099 + 32768 + kTail;
+  auto& dev = kernel.add_device("ssd0", params);
+  const ext4::Super s = ext4::mkfs(dev, kInodesPerGroup);
+  ASSERT_EQ(s.first_group, 4099u);
+  ASSERT_EQ(s.ngroups, 2u);
+
+  // Mark every data block of group 0 allocated, so allocation must go to
+  // the tail.
+  std::array<std::byte, blk::kBlockSize> gdt{};
+  dev.read_untimed(s.gdt_start, gdt);
+  auto* gd = reinterpret_cast<ext4::GroupDesc*>(gdt.data());
+  EXPECT_EQ(gd[0].data_blocks, 32768u - 4);
+  EXPECT_EQ(gd[1].data_blocks, kTail - 4);
+  EXPECT_EQ(gd[1].data_start + gd[1].data_blocks, params.nblocks);
+  std::array<std::byte, blk::kBlockSize> bbm{};
+  dev.read_untimed(gd[0].block_bitmap, bbm);
+  const std::uint32_t first_data = gd[0].data_start - s.first_group;
+  for (std::uint32_t i = first_data; i < first_data + gd[0].data_blocks; ++i) {
+    bbm[i / 8] |= std::byte{1} << (i % 8);
+  }
+  dev.write_untimed(gd[0].block_bitmap, bbm);
+  gd[0].free_blocks = 0;
+  dev.write_untimed(s.gdt_start, gdt);
+
+  wl::register_deployments(kernel);
+  ASSERT_EQ(Err::Ok, kernel.mount("ext4j", "ssd0", "/mnt"));
+  auto& p = kernel.proc();
+  auto st = kernel.statfs(p, "/mnt");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().total_blocks, (32768u - 4) + (kTail - 4));
+  EXPECT_EQ(st.value().free_blocks, kTail - 4);
+  EXPECT_EQ(st.value().total_inodes, 2u * kInodesPerGroup);
+
+  // Append a block at a time until the file system is full: every tail
+  // block is allocated before NoSpc (595 data blocks and one indirect).
+  auto fd = kernel.open(p, "/mnt/fill", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  const std::vector<std::byte> block(blk::kBlockSize, std::byte{5});
+  std::uint32_t written = 0;
+  Err e = Err::Ok;
+  for (; written < kTail; ++written) {
+    auto w = kernel.write(p, fd.value(), block);
+    e = w.ok() ? kernel.fsync(p, fd.value()) : w.error();
+    if (e != Err::Ok) break;
+  }
+  EXPECT_EQ(e, Err::NoSpc);
+  EXPECT_EQ(written, kTail - 4 - 1);
+  st = kernel.statfs(p, "/mnt");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().free_blocks, 0u);
 }
 
 TEST_F(Ext4Test, FreeCountsRestoreAfterDelete) {

@@ -479,6 +479,56 @@ TEST_P(PosixFsTest, PartialWriteToAReusedBlockReadsZerosBeforeIt) {
   ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
 }
 
+TEST_P(PosixFsTest, OverwriteAcrossResidentPagesAHoleAndEofReadsBack) {
+  // Pages 0-5 written, 6-9 a sparse hole, page 10 and 300 bytes of page 11
+  // written. Then two multi-page pwrites, each starting and ending inside a
+  // page: one over resident pages 2-5 into the hole, one over pages 10-11
+  // past EOF. The file reads back as a byte model of it does, from the
+  // page cache and again after a remount.
+  constexpr std::size_t kPg = kern::kPageSize;
+  auto fd = kernel_.open(proc(), "/mnt/walk", kern::kOCreat | kern::kORdWr);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::byte> model;
+  auto put = [&](std::size_t off, std::size_t len, int seed) {
+    std::vector<std::byte> data(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      data[i] = static_cast<std::byte>(seed * 37 + i % 251);
+    }
+    auto w = kernel_.pwrite(proc(), fd.value(), data, off);
+    ASSERT_TRUE(w.ok());
+    ASSERT_EQ(w.value(), len);
+    if (model.size() < off + len) model.resize(off + len);
+    std::copy(data.begin(), data.end(), model.begin() + off);
+  };
+  auto read_back = [&](std::string_view when) {
+    std::vector<std::byte> buf(model.size() + kPg, std::byte{0xFF});
+    auto r = kernel_.pread(proc(), fd.value(), buf, 0);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r.value(), model.size()) << when;
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(buf[i], model[i]) << when << ", byte " << i;
+    }
+  };
+  put(0, 6 * kPg, 1);
+  put(10 * kPg, kPg + 300, 2);
+  put(2 * kPg + 123, 4 * kPg + 77 - 123, 3);  // pages 2-6, partial at both ends
+  put(10 * kPg + 50, 2 * kPg + 10 - 50, 4);   // pages 10-11, past EOF into 12
+  ASSERT_EQ(model.size(), 12 * kPg + 10);
+  read_back("cached");
+
+  ASSERT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
+  auto st = kernel_.stat(proc(), "/mnt/walk");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().size, model.size());
+  fd = kernel_.open(proc(), "/mnt/walk", kern::kORdOnly);
+  ASSERT_TRUE(fd.ok());
+  read_back("remounted");
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+}
+
 TEST_P(PosixFsTest, ManyFilesInOneDirectory) {
   ASSERT_EQ(Err::Ok, kernel_.mkdir(proc(), "/mnt/many"));
   for (int i = 0; i < 300; ++i) {

@@ -229,7 +229,8 @@ TEST_F(FlusherTest, BackpressureThrottlesOnlyAWriterAheadOfASlowDevice) {
   };
 
   // 256 writes at 2 ms each put the drain far past the backlog window:
-  // the writer is held back to within kMaxBacklog of it.
+  // one poke holds the writer back to the hard limit, kHardBacklog behind
+  // the drain, since pacing by an eighth of the excess would leave more.
   blk::DeviceParams slow_params;
   slow_params.nblocks = 4096;
   slow_params.write_xfer = sim::usec(2000);
@@ -238,7 +239,7 @@ TEST_F(FlusherTest, BackpressureThrottlesOnlyAWriterAheadOfASlowDevice) {
   const auto [slow_stats, slow_done] = drain(slow, slow_writer);
   EXPECT_GE(slow_stats.throttle_waits, 1u);
   EXPECT_GT(slow_writer.now(), kern::kMaxBacklog);
-  EXPECT_EQ(slow_done - slow_writer.now(), kern::kMaxBacklog);
+  EXPECT_EQ(slow_done - slow_writer.now(), kern::kHardBacklog);
 
   // The same drain on the default device (6 us per write) ends within
   // the window: the writer is never throttled or charged.
@@ -247,6 +248,117 @@ TEST_F(FlusherTest, BackpressureThrottlesOnlyAWriterAheadOfASlowDevice) {
   EXPECT_EQ(fast_stats.throttle_waits, 0u);
   EXPECT_EQ(fast_writer.now(), 0);
   EXPECT_GT(fast_done, 0);
+}
+
+/// One mount whose flusher drains through DeviceAops on `dev`, and the
+/// writer thread that pokes it.
+class PacedWriter {
+ public:
+  explicit PacedWriter(blk::BlockDevice& dev)
+      : sb_(dev, 0), aops_(dev), inode_(sb_.inew(10)) {
+    inode_.type = FileType::Regular;
+    inode_.aops = &aops_;
+    sb_.attach_flusher(std::make_unique<Flusher>(sb_));
+  }
+
+  /// Dirty one threshold's worth of pages and poke: the flusher wakes
+  /// and drains them on its own clock.
+  void dirty_and_poke() {
+    sim::ScopedThread w(writer_);
+    for (std::uint64_t pg = 0; pg < kDirtyPagesThreshold; ++pg) {
+      inode_.mapping.find_or_alloc(pg).uptodate = true;
+      inode_.mapping.mark_dirty(pg);
+    }
+    flusher().poke(inode_);
+  }
+
+  /// Poke without dirtying anything (no wake); returns the pause.
+  sim::Nanos poke() {
+    sim::ScopedThread w(writer_);
+    const sim::Nanos before = writer_.now();
+    flusher().poke(inode_);
+    return writer_.now() - before;
+  }
+
+  void advance(sim::Nanos dt) { writer_.wait(dt); }
+
+  /// How far the drain runs ahead of the writer.
+  [[nodiscard]] sim::Nanos backlog() {
+    return flusher().last_completion() - writer_.now();
+  }
+  [[nodiscard]] Flusher& flusher() { return *sb_.flusher(); }
+
+ private:
+  SuperBlock sb_;
+  DeviceAops aops_;
+  Inode& inode_;
+  sim::SimThread writer_{1};
+};
+
+blk::DeviceParams device_with_write_xfer(sim::Nanos xfer) {
+  blk::DeviceParams p;
+  p.nblocks = 4096;
+  p.write_xfer = xfer;
+  return p;
+}
+
+TEST_F(FlusherTest, AWriterPastTheWindowPausesAnEighthOfTheExcess) {
+  // A drain of about 26 ms: past kMaxBacklog, inside kHardBacklog.
+  blk::BlockDevice dev(device_with_write_xfer(sim::usec(100)));
+  PacedWriter w(dev);
+  w.dirty_and_poke();
+  const sim::Nanos first = w.flusher().stats().throttled;
+  ASSERT_GT(first, 0);
+  ASSERT_GT(w.backlog() + first, kern::kMaxBacklog);
+  ASSERT_LT(w.backlog() + first, kern::kHardBacklog);
+  EXPECT_EQ(first,
+            (w.backlog() + first - kern::kMaxBacklog) / kern::kPaceDivisor);
+
+  // Each further poke closes an eighth of what is left of the excess.
+  for (int i = 0; i < 6; ++i) {
+    const sim::Nanos backlog = w.backlog();
+    ASSERT_GT(backlog, kern::kMaxBacklog);
+    EXPECT_EQ(w.poke(), (backlog - kern::kMaxBacklog) / kern::kPaceDivisor)
+        << "poke " << i;
+  }
+  EXPECT_EQ(w.flusher().stats().throttle_waits, 7u);
+  EXPECT_EQ(w.flusher().stats().wakeups, 1u);
+}
+
+TEST_F(FlusherTest, NoBacklogPassesTheHardLimit) {
+  // Every round queues a 512 ms drain behind the last: each poke that
+  // wakes the flusher leaves the writer exactly kHardBacklog behind, and
+  // the pokes between wakes only shrink the backlog.
+  blk::BlockDevice dev(device_with_write_xfer(sim::usec(2000)));
+  PacedWriter w(dev);
+  for (int round = 0; round < 4; ++round) {
+    w.dirty_and_poke();
+    EXPECT_EQ(w.backlog(), kern::kHardBacklog) << "round " << round;
+    for (int i = 0; i < 3; ++i) {
+      const sim::Nanos before = w.backlog();
+      EXPECT_GT(w.poke(), 0);
+      EXPECT_LT(w.backlog(), before);
+      EXPECT_LE(w.backlog(), kern::kHardBacklog);
+    }
+  }
+}
+
+TEST_F(FlusherTest, AWriterInsideTheWindowNeverPauses) {
+  // Each drain takes about 10 ms and the writer dirties the next batch
+  // 12 ms later: the drain always runs ahead of the writer, never by more
+  // than kMaxBacklog.
+  blk::BlockDevice dev(device_with_write_xfer(sim::usec(40)));
+  PacedWriter w(dev);
+  for (int round = 0; round < 8; ++round) {
+    w.dirty_and_poke();
+    EXPECT_GT(w.backlog(), 0) << "round " << round;
+    EXPECT_LE(w.backlog(), kern::kMaxBacklog) << "round " << round;
+    EXPECT_EQ(w.poke(), 0);
+    w.advance(sim::msec(12));
+  }
+  EXPECT_EQ(w.flusher().stats().wakeups, 8u);
+  EXPECT_EQ(w.flusher().stats().throttle_waits, 0u);
+  EXPECT_EQ(w.flusher().stats().throttled, 0);
 }
 
 // ---- integration: real deployments ----

@@ -363,6 +363,121 @@ TEST_F(PageCacheTest, WriterDrainsTheInodeAtTheDirtyThresholdWithoutAFlusher) {
             (std::pair<std::uint64_t, std::size_t>{0, 256}));
 }
 
+// ---- the buffered write's page walk (generic_file_write) ----
+
+/// Reads pages [first, first + n) into the cache through `aops`, so they
+/// are resident and uptodate with their fill complete.
+void make_resident(Inode& inode, AddressSpaceOps& aops, std::uint64_t first,
+                   std::size_t n) {
+  for (std::uint64_t pg = first; pg < first + n; ++pg) {
+    ASSERT_TRUE(inode.mapping.read_page(inode, aops, pg).ok());
+  }
+}
+
+TEST_F(PageCacheTest, OverwriteOfResidentPagesIsOneWalk) {
+  constexpr std::size_t kPages = 32;
+  Inode inode(sb_, 40);
+  RecordingAops aops(true);
+  inode.aops = &aops;
+  inode.size = kPages * kPageSize;
+  make_resident(inode, aops, 0, kPages);
+  const auto hits = inode.mapping.stats().hits;
+
+  const std::vector<std::byte> data(kPages * kPageSize, std::byte{9});
+  const sim::Nanos t0 = sim::now();
+  ASSERT_TRUE(generic_file_write(inode, 0, data).ok());
+  const auto& c = sim::costs();
+  // One tree lock, one descent, then the next slot for each further page.
+  EXPECT_EQ(sim::now() - t0, c.lock_uncontended + c.page_lookup +
+                                 (kPages - 1) * c.page_lookup_next +
+                                 kPages * c.page_copy);
+  EXPECT_EQ(inode.mapping.stats().hits, hits + kPages);
+  EXPECT_EQ(aops.reads.size(), kPages);  // only make_resident's fills
+  EXPECT_EQ(inode.mapping.nr_dirty(), kPages);
+}
+
+TEST_F(PageCacheTest, TheWalkEndsAtAHole) {
+  // Pages 0-3 and 5-7 resident, page 4 a hole: the walk covers 0-3; every
+  // page from the hole on is looked up alone, and the hole is allocated.
+  Inode inode(sb_, 41);
+  RecordingAops aops(true);
+  inode.aops = &aops;
+  inode.size = 8 * kPageSize;
+  make_resident(inode, aops, 0, 4);
+  make_resident(inode, aops, 5, 3);
+  const auto misses = inode.mapping.stats().misses;
+
+  const std::vector<std::byte> data(8 * kPageSize, std::byte{9});
+  const sim::Nanos t0 = sim::now();
+  ASSERT_TRUE(generic_file_write(inode, 0, data).ok());
+  const auto& c = sim::costs();
+  const sim::Nanos walk = c.lock_uncontended + c.page_lookup +
+                          3 * c.page_lookup_next;
+  const sim::Nanos alone = c.lock_uncontended + c.page_lookup;
+  EXPECT_EQ(sim::now() - t0,
+            walk + (alone + c.page_alloc) + 3 * alone + 8 * c.page_copy);
+  EXPECT_EQ(inode.mapping.stats().misses, misses + 1);
+  EXPECT_EQ(inode.mapping.nr_pages(), 8u);
+}
+
+TEST_F(PageCacheTest, APartialLastPageInTheWalkWaitsForItsFill) {
+  Inode inode(sb_, 42);
+  SlowAops aops;
+  inode.aops = &aops;
+  inode.size = 2 * kPageSize;
+  // Another thread filled page 1; at this thread's clock the fill is
+  // still in flight.
+  sim::SimThread filler(1);
+  filler.wait_until(sim::usec(5));
+  {
+    sim::ScopedThread in(filler);
+    ASSERT_TRUE(inode.mapping.read_page(inode, aops, 1).ok());
+  }
+  const sim::Nanos filled = inode.mapping.find(1)->filled_at;
+  auto& page0 = inode.mapping.find_or_alloc(0);
+  page0.uptodate = true;
+  ASSERT_LT(sim::now(), filled);
+
+  // Page 0 is fully overwritten, page 1 only in part: the walk takes both,
+  // and the copy into page 1 waits for its fill instead of reading again.
+  const std::vector<std::byte> data(kPageSize + 100, std::byte{9});
+  ASSERT_TRUE(generic_file_write(inode, 0, data).ok());
+  EXPECT_GE(sim::now(), filled);
+  EXPECT_EQ(aops.reads, 1u);
+  const Page* page1 = inode.mapping.find(1);
+  EXPECT_EQ(page1->bytes()[99], std::byte{9});
+  EXPECT_EQ(page1->bytes()[100], std::byte{1});
+}
+
+TEST_F(PageCacheTest, PartialFirstAndLastPagesOfAWalkLandByteExact) {
+  constexpr std::size_t kPages = 4;
+  Inode inode(sb_, 43);
+  RecordingAops aops(true);
+  inode.aops = &aops;
+  inode.size = kPages * kPageSize;
+  make_resident(inode, aops, 0, kPages);  // page p holds bytes p
+
+  constexpr std::uint64_t kOff = 1000;
+  constexpr std::uint64_t kEnd = 3 * kPageSize + 500;
+  std::vector<std::byte> data(kEnd - kOff);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(0x80 | (i % 61));
+  }
+  ASSERT_TRUE(generic_file_write(inode, kOff, data).ok());
+  EXPECT_EQ(aops.reads.size(), kPages);  // no page was read again
+  EXPECT_EQ(inode.size, kPages * kPageSize);
+
+  std::vector<std::byte> back(kPages * kPageSize);
+  ASSERT_TRUE(generic_file_read(inode, 0, back).ok());
+  for (std::uint64_t pos = 0; pos < back.size(); ++pos) {
+    const std::byte want =
+        pos >= kOff && pos < kEnd
+            ? data[pos - kOff]
+            : static_cast<std::byte>(pos / kPageSize);
+    ASSERT_EQ(back[pos], want) << "byte " << pos;
+  }
+}
+
 // ---- sequential-stream readahead (generic_file_read heuristics) ----
 
 /// Batched aops that records the shape of every ->readpages call.
